@@ -484,7 +484,6 @@ def build_parser():
 
     p = sub.add_parser("pontryagin")
     p.add_argument("action", choices=["table", "unit", "verify"])
-    p.add_argument("--table", dest="table_kind", default="deg2")
     _add_common(p)
     p.set_defaults(func=cmd_pontryagin)
 

@@ -38,10 +38,6 @@ class DivisibilityMismatch(LatticeError):
     pass
 
 
-class DiscClassMismatch(LatticeError):
-    pass
-
-
 class NoHyperbolicPlanes(LatticeError):
     pass
 

@@ -29,7 +29,10 @@ def scalar_from_json(s):
     if isinstance(s, str):
         if "/" in s:
             num, den = s.split("/")
-            return la.frac(Fraction(int(num), int(den)))
+            den = int(den)
+            if den == 0:
+                raise ValueError("scalar %r has a zero denominator" % (s,))
+            return la.frac(Fraction(int(num), den))
         return int(s)
     raise LatticeError("scalar must be an int or a 'p/q' string")
 

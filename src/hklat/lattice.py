@@ -17,7 +17,7 @@ Conventions
   matrices it comes from an exact congruent diagonalization.  nu itself is
   independent of this choice.
 
-All scalars are Fraction; nothing here is ever floating point.
+All scalars are int or Fraction; nothing here is ever floating point.
 """
 
 from fractions import Fraction
@@ -63,7 +63,8 @@ class Lattice:
     """A finitely generated free Z-module with a nondegenerate symmetric
     integer Gram matrix."""
 
-    __slots__ = ("rank", "gram", "name", "u_blocks", "delta_index", "_cache")
+    __slots__ = ("rank", "gram", "name", "u_blocks", "delta_index", "_cache",
+                 "_gram_rows")
 
     def __init__(self, gram, name=None, u_blocks=None, delta_index=None):
         g = la.mat(gram)
@@ -78,6 +79,9 @@ class Lattice:
             raise DegenerateGram("gram matrix must be nondegenerate")
         self.rank = n
         self.gram = g
+        # nonzero (column, entry) pairs of each Gram row, for pair_coords
+        self._gram_rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                                for row in g)
         self.name = name
         self.u_blocks = tuple(u_blocks) if u_blocks else self._scan_u_blocks(g)
         self.delta_index = delta_index
@@ -118,15 +122,16 @@ class Lattice:
         return LatVec(self, (0,) * self.rank)
 
     def pair_coords(self, x, y):
+        """x^T G y on integer numerators, walking the sparse Gram rows."""
         if len(x) != self.rank or len(y) != self.rank:
             raise DimensionMismatch("coordinate length does not match rank")
-        g = self.gram
+        nx, dx = la.scaled_vec(x)
+        ny, dy = (nx, dx) if y is x else la.scaled_vec(y)
         total = 0
-        for i, xi in enumerate(x):
+        for xi, row in zip(nx, self._gram_rows):
             if xi:
-                row = g[i]
-                total += xi * sum(row[j] * y[j] for j in range(self.rank) if y[j])
-        return la.frac(total)
+                total += xi * sum([g * ny[j] for j, g in row])
+        return la.quotient(total, dx * dy)
 
     def signature(self):
         if "sig" not in self._cache:
@@ -153,8 +158,8 @@ class Lattice:
             pos = self.signature()[0]
             basis = []
             for (i, j) in self.u_blocks:
-                c = [Fraction(0)] * self.rank
-                c[i], c[j] = Fraction(1), Fraction(-1)
+                c = [0] * self.rank
+                c[i], c[j] = 1, -1
                 basis.append(tuple(c))
             if len(basis) != pos:
                 basis = []
@@ -324,8 +329,9 @@ class QIsometry:
 
     def det(self):
         d = la.det(self.matrix)
-        assert d in (1, -1)
-        return int(d)
+        if d not in (1, -1):
+            raise NotAnIsometry("determinant %s is not +-1" % (d,))
+        return d
 
     def is_identity(self):
         return self.matrix == la.identity(self.lattice.rank)

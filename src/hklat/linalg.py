@@ -1,17 +1,28 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are tuples of tuples of scalars (immutable); vectors are tuples.
-Scalars are Python ints when integral and Fraction otherwise -- the two mix
-transparently under arithmetic, equality and hashing, and keeping integers
-as ints avoids Fraction normalization costs in the hot paths.  Nothing in
-this module ever touches floating point.
+Scalars are Python ints when integral and reduced Fractions otherwise; the
+two mix transparently under arithmetic, equality and hashing.  Every
+matrix and vector this module returns keeps that contract entry by entry,
+which the JSON encoding and the certificates rely on.  Nothing in this
+module ever touches floating point.
+
+The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
+and rank built on it) never do arithmetic on Fractions.  Each operand is
+scaled once to integer numerators over a common denominator (one per
+matrix for products, one per row for elimination), the work runs on plain
+ints with zero entries skipped, and the entries are turned back into
+int/Fraction only at the end.  det is Bareiss's fraction-free elimination; rref is
+fraction-free Gauss-Jordan elimination that keeps every row primitive.
+The reduced row echelon form is canonical, so its entries and pivots do
+not depend on how it is computed.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
+_new = object.__new__
 
 
 def frac(x):
@@ -29,6 +40,55 @@ def frac(x):
 def ratio(a, b):
     """Exact a/b staying in int/Fraction (never float)."""
     return frac(Fraction(a) / Fraction(b))
+
+
+def quotient(n, d):
+    """n/d for ints n and d > 0: an int when d divides n, else a reduced
+    Fraction."""
+    if d == 1:
+        return n
+    g = gcd(n, d)
+    if g == d:
+        return n // g
+    # n/g and d/g are coprime: build the Fraction without the constructor's
+    # type dispatch and second gcd
+    f = _new(Fraction)
+    f._numerator = n // g
+    f._denominator = d // g
+    return f
+
+
+def scaled_vec(v):
+    """(numerators, d): the least d > 0 and the ints n_i with v_i = n_i / d.
+
+    The numerators are v itself when every entry is an int, so callers must
+    not mutate them.
+    """
+    if all([type(x) is int for x in v]):
+        return v, 1
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _scaled(a):
+    """(integer rows, d): one common denominator d > 0 for the matrix a;
+    read-only, like scaled_vec."""
+    if all([type(x) is int for row in a for x in row]):
+        return a, 1
+    d = lcm(*[x.denominator for row in a for x in row])
+    if d == 1:
+        return [[x.numerator for x in row] for row in a], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
+def _primitive(row):
+    """The primitive integer row spanning the same line as a rational row
+    (the zero row for the zero row)."""
+    nums, _ = scaled_vec(row)
+    c = gcd(*nums)
+    return [x // c for x in nums] if c > 1 else list(nums)
 
 
 def vec(entries):
@@ -52,13 +112,28 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(frac(sum(x * y for x, y in zip(row, col)))
-                       for col in bt) for row in a)
+    na, da = _scaled(a)
+    nb, db = _scaled(b)
+    d = da * db
+    m = len(b[0]) if b else 0
+    bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in nb]
+    out = []
+    for row in na:
+        acc = [0] * m
+        for x, brow in zip(row, bsparse):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple(acc) if d == 1 else tuple([quotient(s, d) for s in acc]))
+    return tuple(out)
 
 
 def mat_vec(a, v):
-    return tuple(frac(sum(x * y for x, y in zip(row, v))) for row in a)
+    na, da = _scaled(a)
+    nv, dv = scaled_vec(v)
+    d = da * dv
+    nz = [(k, y) for k, y in enumerate(nv) if y]
+    return tuple(quotient(sum([row[k] * y for k, y in nz]), d) for row in na)
 
 
 def vec_add(u, v):
@@ -89,37 +164,55 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns, rank)."""
-    m = [list(row) for row in a]
+    """Reduced row echelon form.  Returns (R, pivot_columns, rank).
+
+    Fraction-free Gauss-Jordan elimination on primitive integer rows: each
+    pivot is made positive and cleared from every other row by
+    row_i <- s*row_i - t*pivot_row, and the updated row is divided by its
+    content, so entries stay small.  Pivot row r ends as a positive
+    multiple of row r of R and is divided by its pivot only at the end;
+    rows past the rank end as zero.
+    """
+    m = [_primitive(row) for row in a]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return mat(m), tuple(pivots), r
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        prow = m[piv]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        m[piv] = m[r]
+        m[r] = prow
+        p = prow[c]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            s, t = p // g, f // g
+            if s == 1:
+                for j, y in support:
+                    row[j] -= t * y
+            else:
+                row = [s * x - t * y for x, y in zip(row, prow)]
+            h = gcd(*row)
+            m[i] = [x // h for x in row] if h > 1 else row
+        pivots.append(c)
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append(tuple([quotient(x, p) for x in row]))
+    out.extend((0,) * ncols for _ in range(nrows - len(pivots)))
+    return tuple(out), tuple(pivots), len(pivots)
 
 
 def rank(a):
@@ -133,8 +226,8 @@ def kernel(a):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
-        v = [ZERO] * ncols
-        v[fcol] = ONE
+        v = [0] * ncols
+        v[fcol] = 1
         for i, pcol in enumerate(pivots):
             v[pcol] = -r[i][fcol]
         basis.append(tuple(v))
@@ -143,11 +236,9 @@ def kernel(a):
 
 def solve(a, b):
     """One exact solution x of a x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(row) + [frac(bb)] for row, bb in zip(a, b)]
-    r, pivots, rk = rref(aug)
-    x = [ZERO] * ncols
+    ncols = len(a[0]) if a else 0
+    r, pivots, rk = rref([tuple(row) + (bb,) for row, bb in zip(a, b)])
+    x = [0] * ncols
     for i, p in enumerate(pivots):
         if p == ncols:
             return None
@@ -156,39 +247,54 @@ def solve(a, b):
 
 
 def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Bareiss's fraction-free elimination.
+
+    Row i is scaled to the primitive integer row (d_i / c_i) * a_i, so that
+    det(a) = det(integer rows) * prod(c_i) / prod(d_i); every Bareiss
+    division is exact.
+    """
     n = len(a)
-    m = [list(row) for row in a]
+    m = []
+    num = den = 1
+    for row in a:
+        nums, d = scaled_vec(row)
+        c = gcd(*nums)
+        if c == 0:
+            return 0
+        m.append([x // c for x in nums] if c > 1 else list(nums))
+        num *= c
+        den *= d
     sign = 1
-    acc = ONE
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        p = m[c][c]
-        acc *= p
-        inv = ONE / p
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return acc if sign > 0 else -acc
+        rk = m[k]
+        p = rk[k]
+        tail = rk[k + 1:]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
+            if f:
+                ri[k + 1:] = [(p * x - f * y) // prev
+                              for x, y in zip(ri[k + 1:], tail)]
+            elif p != prev:
+                ri[k + 1:] = [p * x // prev for x in ri[k + 1:]]
+        prev = p
+    return quotient(sign * num * prev, den)
 
 
 def inverse(a):
     n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(n))]
+    aug = [tuple(row) + unit for row, unit in zip(a, identity(n))]
     r, pivots, rk = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
+    if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix not invertible")
-    return tuple(tuple(r[i][n:]) for i in range(n))
+    return tuple(row[n:] for row in r)
 
 
 def congruent_diagonalize(g):

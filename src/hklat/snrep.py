@@ -93,14 +93,28 @@ def _multiplicities(m):
     return out
 
 
+MAX_MONOMIALS = 100_000
+
+
 class SymSpace:
-    """Sym^n of a nondegenerate quadratic space (given as a Lattice)."""
+    """Sym^n of a nondegenerate quadratic space (given as a Lattice).
+
+    The monomial basis is enumerated up front, so a space with more than
+    MAX_MONOMIALS = 100,000 monomials (comb(d + n - 1, n) for rank d) is
+    refused with a LatticeError before any enumeration.  The largest space
+    the test suite and perfbench build, Sym^3 at d = 25, has 2,925.
+    """
 
     __slots__ = ("lattice", "n", "dim_v", "monomials", "index", "_cache")
 
     def __init__(self, lattice, n):
         if n < 0:
             raise LatticeError("symmetric power needs n >= 0")
+        size = comb(lattice.rank + n - 1, n)
+        if size > MAX_MONOMIALS:
+            raise LatticeError("Sym^%d of a rank-%d space has %d monomials, "
+                               "over the budget of %d"
+                               % (n, lattice.rank, size, MAX_MONOMIALS))
         self.lattice = lattice
         self.n = n
         self.dim_v = lattice.rank

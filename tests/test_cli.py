@@ -87,6 +87,23 @@ def test_error_exit_codes(capsys):
     assert "error" in json.loads(out)
 
 
+def test_zero_denominator_scalar_exits_3(capsys):
+    bad = {"lattice": {"name": "U"}, "matrix": [["1/0", 0], [0, 1]]}
+    code, out = run_cli(["isom", "characters", "--json", json.dumps(bad)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_snrep_dim_over_monomial_budget_exits_2():
+    # Sym^400 of the rank-9 extended Kummer lattice has ~1.8e16 monomials;
+    # the budget check refuses it before enumerating any
+    cmd = [sys.executable, "-m", "hklat.cli", "snrep", "dim",
+           "--preset", "Kummer:2", "--n", "400"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["error"]["type"] == "LatticeError"
+
+
 def test_verify_all_deterministic():
     cmd = [sys.executable, "-m", "hklat.cli", "verify", "all", "--seed", "7"]
     r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=600)

@@ -8,7 +8,7 @@ import sympy
 from conftest import rand_orientation_preserving, rand_primitive, rand_vec
 from hklat import factor as fc
 from hklat import lattice as lt
-from hklat.errors import LatticeError
+from hklat.errors import LatticeError, NotAnIsometry
 
 
 def _float_signature(gram):
@@ -211,3 +211,12 @@ def test_disc_action_homomorphism():
             ab = lt.disc_action(gs[i] * gs[j])
             if a in (1, -1) and b in (1, -1):
                 assert ab == a * b
+
+
+def test_isometry_det_checks_without_assert():
+    # an explicit raise, so the check also holds under python -O
+    u = lt.preset("U")
+    fake = lt.QIsometry(u, ((2, 0), (0, 2)), _trusted=True)
+    with pytest.raises(NotAnIsometry):
+        fake.det()
+    assert lt.QIsometry.minus_identity(u).det() == 1

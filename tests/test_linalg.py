@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from hklat import linalg as la
@@ -81,3 +82,155 @@ def test_primitive_part_and_content():
     v = (Fraction(2, 3), Fraction(4, 3), 2)
     assert la.primitive_part(v) == (1, 2, 3)
     assert la.content((4, 6, 10)) == 2
+
+
+# -- kernel contract: seeded rational matrices against sympy -----------------
+
+_DENS = (1, 1, 2, 3, 4, 6, 7, 9, 2**67 + 3, 3**41)   # the last two exceed 64 bits
+
+
+def _rand_rational(rng, bound=20):
+    if rng.random() < 0.5:
+        return 0
+    return la.frac(Fraction(rng.randint(-bound, bound), rng.choice(_DENS)))
+
+
+def _rand_qmat(rng, n, m):
+    return tuple(tuple(_rand_rational(rng) for _ in range(m)) for _ in range(n))
+
+
+def _rank_deficient(rng, n, m):
+    """An n x m matrix whose last row is a rational combination of the others."""
+    a = [list(row) for row in _rand_qmat(rng, n, m)]
+    if n > 1:
+        c = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n - 1)]
+        a[-1] = [sum(ci * a[i][j] for i, ci in enumerate(c)) for j in range(m)]
+    return la.mat(a)
+
+
+def _sym(a):
+    return sympy.Matrix(len(a), len(a[0]) if a else 0,
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for row in a for x in row])
+
+
+def _from_sym(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _canonical(x):
+    """int when integral, else a reduced Fraction with denominator > 1."""
+    if isinstance(x, tuple):
+        return all(_canonical(y) for y in x)
+    if type(x) is int:
+        return True
+    return (type(x) is Fraction and x.denominator > 1
+            and x == Fraction(x.numerator, x.denominator))
+
+
+def _shapes(rng, count):
+    fixed = [(1, 1), (0, 3), (3, 0), (1, 5), (5, 1)]
+    return fixed + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(count)]
+
+
+def test_mat_mul_and_mat_vec_against_sympy():
+    rng = random.Random(11)
+    for n, m in _shapes(rng, 40):
+        k = rng.randint(1, 6)
+        a, b = _rand_qmat(rng, n, m), _rand_qmat(rng, m, k)
+        v = tuple(_rand_rational(rng) for _ in range(m))
+        ab = la.mat_mul(a, b)
+        av = la.mat_vec(a, v)
+        assert _canonical(ab) and _canonical(av)
+        assert len(ab) == n and len(av) == n
+        if n and m:
+            ref = _sym(a) * _sym(b)
+            assert ab == tuple(tuple(_from_sym(ref[i, j]) for j in range(k))
+                               for i in range(n))
+            refv = _sym(a) * sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                                           for x in v])
+            assert av == tuple(_from_sym(refv[i]) for i in range(n))
+        else:
+            assert all(x == 0 for x in av)
+
+
+def test_det_against_sympy():
+    rng = random.Random(12)
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        a = _rank_deficient(rng, n, n) if trial % 3 == 0 else _rand_qmat(rng, n, n)
+        d = la.det(a)
+        assert _canonical(d)
+        assert d == _from_sym(_sym(a).det())
+    assert la.det(((Fraction(3, 2**70),),)) == Fraction(3, 2**70)
+    assert la.det(()) == 1
+
+
+def test_singular_det_is_zero_and_inverse_raises():
+    rng = random.Random(13)
+    for n in range(2, 7):
+        a = _rank_deficient(rng, n, n)
+        assert la.det(a) == 0 and type(la.det(a)) is int
+        with pytest.raises(ZeroDivisionError):
+            la.inverse(a)
+    with pytest.raises(ZeroDivisionError):
+        la.inverse(((0,),))
+
+
+def test_rref_values_and_pivots_against_sympy():
+    rng = random.Random(14)
+    for trial, (n, m) in enumerate(_shapes(rng, 40)):
+        a = _rank_deficient(rng, n, m) if trial % 2 else _rand_qmat(rng, n, m)
+        r, pivots, rk = la.rref(a)
+        assert _canonical(r)
+        assert len(r) == n and rk == len(pivots)
+        if not (n and m):
+            assert rk == 0
+            continue
+        ref, ref_pivots = _sym(a).rref()
+        assert pivots == tuple(ref_pivots) and rk == la.rank(a)
+        assert r == tuple(tuple(_from_sym(ref[i, j]) for j in range(m))
+                          for i in range(n))
+
+
+def test_inverse_and_solve_against_sympy():
+    rng = random.Random(15)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        a = _rand_qmat(rng, n, n)
+        if la.det(a) == 0:
+            continue
+        inv = la.inverse(a)
+        assert _canonical(inv)
+        ref = _sym(a).inv()
+        assert inv == tuple(tuple(_from_sym(ref[i, j]) for j in range(n))
+                            for i in range(n))
+        assert la.mat_mul(a, inv) == la.identity(n)
+        b = tuple(_rand_rational(rng) for _ in range(n))
+        x = la.solve(a, b)
+        assert _canonical(x) and la.mat_vec(a, x) == b
+    # rank-deficient systems: consistent right-hand sides are solved,
+    # others are reported as None
+    for trial in range(20):
+        n, m = rng.randint(2, 6), rng.randint(1, 6)
+        a = _rank_deficient(rng, n, m)
+        x0 = tuple(_rand_rational(rng) for _ in range(m))
+        b = la.mat_vec(a, x0)
+        x = la.solve(a, b)
+        assert x is not None and _canonical(x) and la.mat_vec(a, x) == b
+        kb = la.kernel(a)
+        assert _canonical(kb) and len(kb) == m - la.rank(a)
+        assert all(la.mat_vec(a, k) == (0,) * n for k in kb)
+    assert la.solve(((0, 0),), (1,)) is None
+
+
+def test_kernels_keep_ints_integral():
+    a = la.mat([[Fraction(2, 4), Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3)]])
+    prod = la.mat_mul(a, ((2, 0), (0, 6)))
+    assert prod == ((1, 9), (Fraction(2, 3), 4))
+    assert [type(x) for row in prod for x in row] == [int, int, Fraction, int]
+    assert type(la.det(((2, 1), (1, 1)))) is int
+    assert la.det(a) == Fraction(-1, 6)
+    r, pivots, rk = la.rref(((2, 4), (1, 2)))
+    assert r == ((1, 2), (0, 0)) and pivots == (0,) and rk == 1
+    assert all(type(x) is int for row in r for x in row)
