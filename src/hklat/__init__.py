@@ -14,7 +14,7 @@ from .llv import (LLVSpace, e_op, b_field, tau, mu, grading, fm_beta_image,
                   normalize_fm, dual_lefschetz_check, theta_tilde, iota_tilde,
                   hilb_lift, kernel_c1_solve, extend_to_llv)
 from .snrep import (SymSpace, s_n_subspace, restrict_sym, recover, psi,
-                    b_n_pair, compose_rule_check, grading_correspondence)
+                    compose_rule_check, grading_correspondence)
 from .pontryagin import (SHModel, SHElt, conjugation_check, star_via, eta,
                          proportionality_check_degree2)
 from .mukai import (MukaiVector, mukai_pair, mukai_v, kappa,

@@ -18,7 +18,7 @@ model avatar of c_X [pt] / n! (c_X = 1 for the presets here).
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 from . import linalg as la
 from . import llv as llv_mod
@@ -28,55 +28,81 @@ from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
 from .lattice import QIsometry
 
 
+def _axpy(out, a, src):
+    """out += a * src on sparse int dicts, dropping the zeros it makes."""
+    for k, c in src.items():
+        v = out.get(k, 0) + a * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+
+
+_ZERO_FORM = ({}, 1)
+
+
 class _PieceSolver:
-    """Incremental exact elimination with combination tracking: solve
-    x = sum c_w Psi(w) over a selected independent word set."""
+    """Incremental fraction-free elimination with combination tracking:
+    solve x = sum c_w Psi(w) over a selected independent word set.
+
+    A pivot is a primitive integer row (vec | combo) standing for the
+    identity vec = sum_w combo[w] Psi(w), with a positive entry at its key,
+    the least monomial of vec; later pivots vanish at every earlier key.
+    """
 
     def __init__(self):
-        self.pivots = []   # (key, vec, combo)
-        self.words = []
+        self.pivots = []   # (key, vec[key], vec, combo)
 
-    def _reduce(self, vec, combo):
-        for key, pvec, pcombo in self.pivots:
-            c = vec.get(key)
-            if c:
-                vec = sn.sym_sub(vec, sn.sym_scale(c, pvec))
-                for w, cc in pcombo.items():
-                    v = combo.get(w, 0) - c * cc
-                    if v:
-                        combo[w] = v
-                    else:
-                        combo.pop(w, None)
-        return vec, combo
+    def _reduce(self, vec):
+        """Clears every pivot key from vec in place.  Returns (combo, s) with
+        s * (vec on entry) = (vec on exit) + sum_w combo[w] Psi(w)."""
+        combo = {}
+        scale = 1
+        for key, pv, pvec, pcombo in self.pivots:
+            a = vec.get(key)
+            if not a:
+                continue
+            if a % pv:
+                g = gcd(a, pv)
+                s = pv // g
+                a //= g
+                for m in vec:
+                    vec[m] *= s
+                for w in combo:
+                    combo[w] *= s
+                scale *= s
+            else:
+                a //= pv
+            _axpy(vec, -a, pvec)
+            _axpy(combo, a, pcombo)
+        return combo, scale
 
-    def try_add(self, word, vec):
-        vec, combo = self._reduce(dict(vec), {word: 1})
+    def try_add(self, word, form):
+        """Adds Psi(word), given as its integer form (numerators, d), when it
+        is independent of the pivots so far."""
+        nums, d = form
+        vec = dict(nums)
+        rest, scale = self._reduce(vec)
         if not vec:
             return False
+        # scale * nums = vec + sum rest[w] Psi(w), and nums = d Psi(word)
+        combo = {w: -c for w, c in rest.items()}
+        combo[word] = scale * d
         key = min(vec)
-        inv = la.ratio(1, vec[key])
-        vec = sn.sym_scale(inv, vec)
-        combo = {w: la.frac(inv * c) for w, c in combo.items()}
-        self.pivots.append((key, vec, combo))
-        self.words.append(word)
+        g = gcd(*vec.values(), *combo.values())
+        if vec[key] < 0:
+            g = -g
+        vec = {m: c // g for m, c in vec.items()}
+        combo = {w: c // g for w, c in combo.items()}
+        self.pivots.append((key, vec[key], vec, combo))
         return True
 
     def solve(self, x):
-        combo = {}
-        vec = dict(x)
-        for key, pvec, pcombo in self.pivots:
-            c = vec.get(key)
-            if c:
-                vec = sn.sym_sub(vec, sn.sym_scale(c, pvec))
-                for w, cc in pcombo.items():
-                    v = combo.get(w, 0) + c * cc
-                    if v:
-                        combo[w] = v
-                    else:
-                        combo.pop(w, None)
-        if vec:
+        vec, d = sn.sym_scaled(x)
+        combo, scale = self._reduce(vec)
+        if any(vec.values()):
             raise SolveFailure("element is outside the spanned piece")
-        return combo
+        return sn.sym_quotient(combo, scale * d)
 
 
 class SHModel:
@@ -149,18 +175,32 @@ class SHModel:
     # -- Psi and word sets ----------------------------------------------------
 
     def psi_word(self, word):
-        """Psi of a sorted tuple of base-basis indices, memoized."""
-        if word in self._psi_memo:
-            return self._psi_memo[word]
-        if len(word) == 0:
-            out = sn.sym_scale(Fraction(1, factorial(self.n)),
-                               sn.sym_power(self.space.alpha().coords, self.n))
-        else:
-            rest = self.psi_word(word[1:])
-            e = self._e_basis(word[0])
-            out = self.sym.derivation_apply(e, rest) if rest else {}
-        self._psi_memo[word] = out
-        return out
+        """Psi of a sorted tuple of base-basis indices."""
+        return sn.sym_quotient(*self._psi_form(word))
+
+    def _psi_form(self, word):
+        """Psi(word) as (numerators, d) with d > 0 and no common factor,
+        memoized."""
+        form = self._psi_memo.get(word)
+        if form is None:
+            if len(word) == 0:
+                nums, d = sn.sym_scaled(
+                    sn.sym_power(self.space.alpha().coords, self.n))
+                d *= factorial(self.n)
+            else:
+                rest, d = self._psi_form(word[1:])
+                nums = {}
+                if rest:
+                    nums, ed = sn.sym_scaled(self.sym.derivation_apply(
+                        self._e_basis(word[0]), rest))
+                    d *= ed
+            if nums:
+                g = gcd(d, *nums.values())
+                form = ({m: c // g for m, c in nums.items()}, d // g)
+            else:
+                form = _ZERO_FORM   # most long words; shared, never mutated
+            self._psi_memo[word] = form
+        return form
 
     def _e_basis(self, i):
         key = ("e", i)
@@ -183,8 +223,8 @@ class SHModel:
             for word in combinations_with_replacement(range(d), k):
                 if got == want:
                     break
-                img = self.psi_word(word)
-                if img and solver.try_add(word, img):
+                form = self._psi_form(word)
+                if form[0] and solver.try_add(word, form):
                     got += 1
             if got != want:
                 raise SolveFailure(
@@ -198,17 +238,28 @@ class SHModel:
         for j, piece in self.pieces(x).items():
             if j not in self._solvers:
                 raise SolveFailure("eigenvalue %d outside the model" % j)
-            for w, c in self._solvers[j].solve(piece).items():
-                if c:
-                    out[w] = out.get(w, 0) + c
+            out.update(self._solvers[j].solve(piece))
         return out
 
     def from_words(self, words):
+        """sum c_w Psi(w), accumulated on integers over one denominator."""
+        nums, cd = la.scaled_vec(list(words.values()))
         out = {}
-        for w, c in words.items():
-            if c:
-                out = sn.sym_add(out, sn.sym_scale(c, self.psi_word(tuple(sorted(w)))))
-        return out
+        get = out.get
+        d = 1
+        for w, c in zip(words, nums):
+            if not c:
+                continue
+            pnums, pd = self._psi_form(tuple(sorted(w)))
+            if d % pd:
+                s = pd // gcd(d, pd)
+                for m in out:
+                    out[m] *= s
+                d *= s
+            a = c * (d // pd)
+            for m, v in pnums.items():
+                out[m] = get(m, 0) + a * v
+        return sn.sym_quotient(out, cd * d)
 
     # -- elements ------------------------------------------------------------
 
@@ -238,21 +289,8 @@ class SHModel:
     # -- products ------------------------------------------------------------
 
     def cup(self, x, y):
-        wx = self.to_words(x)
-        wy = self.to_words(y)
-        prod = {}
-        cap = 2 * self.n
-        for w1, c1 in wx.items():
-            for w2, c2 in wy.items():
-                if len(w1) + len(w2) > cap:
-                    continue
-                key = tuple(sorted(w1 + w2))
-                v = prod.get(key, 0) + c1 * c2
-                if v:
-                    prod[key] = v
-                else:
-                    prod.pop(key, None)
-        return self.from_words(prod)
+        return self.from_words(sn.sym_mul(self.to_words(x), self.to_words(y),
+                                          2 * self.n))
 
     def rho_tau(self, x):
         """The involution induced by tau; a signed slot permutation."""
@@ -451,5 +489,6 @@ def proportionality_check_degree2(model, phi):
                     raise SolveFailure("restriction is not a scalar multiple")
             elif a[i][j]:
                 raise SolveFailure("restriction is not a scalar multiple")
-    assert scalar
+    if not scalar:
+        raise SolveFailure("the degree-2 restriction vanishes")
     return scalar

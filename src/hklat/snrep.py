@@ -1,12 +1,16 @@
 """Symmetric powers of a quadratic space and the isotropic-power subspace.
 
 Sym^n V is handled in the monomial basis indexed by sorted n-tuples of basis
-indices; elements are sparse {monomial: scalar} dicts.  The distinguished
-subspace S_[n] is computed as the kernel of the contraction that pairs two
-slots with the bilinear form -- the span of n-th powers of isotropic
-vectors, which is checked against it where feasible.  recover() inverts the
-restriction of Sym^n to S_[n] up to the usual determinant convention when
-n is even.
+indices; elements are sparse {monomial: scalar} dicts.  The arithmetic
+kernels (sym_mul, apply_linear, derivation_apply, sn_coords) scale each
+operand once to integer numerators over one common denominator, work on
+plain ints, and divide once at the end, as the linalg kernels do; what they
+return holds ints or reduced Fractions and no zero entries.  The
+distinguished subspace S_[n] is computed as the kernel of the contraction
+that pairs two slots with the bilinear form -- the span of n-th powers of
+isotropic vectors, which is checked against it where feasible.  recover()
+inverts the restriction of Sym^n to S_[n] up to the usual determinant
+convention when n is even.
 """
 
 from fractions import Fraction
@@ -66,24 +70,60 @@ def sym_power(v_coords, n):
     return {m: la.frac(c) for m, c in out.items()}
 
 
-def mono_mul(m1, m2):
-    return tuple(sorted(m1 + m2))
+def sym_scaled(x):
+    """(numerators, d) of a sparse element: the least d > 0 and a new dict
+    of ints with x[m] = numerators[m] / d."""
+    nums, d = la.scaled_vec(list(x.values()))
+    return dict(zip(x, nums)), d
+
+
+def sym_quotient(nums, d):
+    """The sparse element nums / d (d > 0): int or reduced Fraction values,
+    zero entries dropped."""
+    if d == 1:
+        return {m: v for m, v in nums.items() if v}
+    return {m: la.quotient(v, d) for m, v in nums.items() if v}
 
 
 def sym_mul(x, y, max_deg=None):
-    """Polynomial product of two sparse symmetric tensors."""
+    """Polynomial product of two sparse symmetric tensors, dropping the
+    terms of degree over max_deg.
+
+    The one product kernel of the package: both factors are scaled to
+    integer numerators once, the right factor is bucketed by degree so that
+    no pair over max_deg is visited, and the sum is divided once at the
+    end.
+    """
+    xn, xd = sym_scaled(x)
+    yn, yd = sym_scaled(y)
+    by_deg = {}
+    for m, c in yn.items():
+        if c:
+            by_deg.setdefault(len(m), []).append((m, c))
     out = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            if max_deg is not None and len(m1) + len(m2) > max_deg:
+    get = out.get
+    for m1, c1 in xn.items():
+        if not c1:
+            continue
+        for k, terms in by_deg.items():
+            if max_deg is not None and len(m1) + k > max_deg:
                 continue
-            key = mono_mul(m1, m2)
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+            for m2, c2 in terms:
+                key = tuple(sorted(m1 + m2))
+                out[key] = get(key, 0) + c1 * c2
+    return sym_quotient(out, xd * yd)
+
+
+def _sparse_columns(a):
+    """(cols, d) with a = n / d over one denominator d > 0: cols[i] lists the
+    nonzero (k, n[k][i]) of column i, for the columns that have any."""
+    entries = [(k, i, v) for k, row in enumerate(a) if any(row)
+               for i, v in enumerate(row) if v]
+    nums, d = la.scaled_vec([v for _, _, v in entries])
+    cols = {}
+    for (k, i, _), v in zip(entries, nums):
+        cols.setdefault(i, []).append((k, v))
+    return cols, d
 
 
 def _multiplicities(m):
@@ -218,12 +258,23 @@ class SymSpace:
         """Coordinates of a kernel element over kernel_basis(); exact."""
         basis, free, pivots, r = self.kernel_basis()
         coords = [x.get(m, 0) for m in free]
-        # verify: rebuild and compare (cheap, sparse)
+        # verify: rebuild x from the basis, scaled once to ints over bd
+        if "kernel_ints" not in self._cache:
+            nums, bd = la.scaled_vec([c for b in basis for c in b.values()])
+            it = iter(nums)
+            self._cache["kernel_ints"] = ([{m: next(it) for m in b}
+                                           for b in basis], bd)
+        bnums, bd = self._cache["kernel_ints"]
+        xn, xd = sym_scaled(x)
         rebuilt = {}
-        for c, b in zip(coords, basis):
+        get = rebuilt.get
+        for m, b in zip(free, bnums):
+            c = xn.get(m)
             if c:
-                rebuilt = sym_add(rebuilt, sym_scale(c, b))
-        if not sym_eq(rebuilt, x):
+                for mm, v in b.items():
+                    rebuilt[mm] = get(mm, 0) + c * v
+        if ({m: v for m, v in rebuilt.items() if v}
+                != {m: bd * v for m, v in xn.items() if v}):
             raise SolveFailure("element does not lie in the isotropic-power subspace")
         return tuple(coords)
 
@@ -233,36 +284,25 @@ class SymSpace:
         """Sym^n(f) applied to a sparse element."""
         if self.n == 2 and len(x) > self.dim_v:
             return self._apply_linear_quadratic(f_matrix, x)
-        cols = {}
+        cols, fd = _sparse_columns(f_matrix)
+        xn, xd = sym_scaled(x)
         out = {}
-        for m, c in x.items():
+        get = out.get
+        for m, c in xn.items():
+            if not c:
+                continue
             acc = {(): c}
             for i in m:
-                if i not in cols:
-                    col = {}
-                    for k in range(self.dim_v):
-                        v = f_matrix[k][i]
-                        if v:
-                            col[k] = v
-                    cols[i] = col
-                col = cols[i]
+                col = cols.get(i, ())
                 nxt = {}
                 for mm, cc in acc.items():
-                    for k, fv in col.items():
+                    for k, fv in col:
                         key = tuple(sorted(mm + (k,)))
-                        val = nxt.get(key, 0) + cc * fv
-                        if val:
-                            nxt[key] = val
-                        else:
-                            nxt.pop(key, None)
+                        nxt[key] = nxt.get(key, 0) + cc * fv
                 acc = nxt
             for mm, cc in acc.items():
-                val = out.get(mm, 0) + cc
-                if val:
-                    out[mm] = val
-                else:
-                    out.pop(mm, None)
-        return {m: la.frac(c) for m, c in out.items() if c}
+                out[mm] = get(mm, 0) + cc
+        return sym_quotient(out, xd * fd ** self.n)
 
     def _apply_linear_quadratic(self, fm, x):
         """Dense fast path for n = 2 via the congruence f X f^T."""
@@ -290,31 +330,24 @@ class SymSpace:
 
     def derivation_apply(self, op_matrix, x):
         """Product-rule extension of an operator of V to Sym^n."""
-        cols = {}
+        cols, od = _sparse_columns(op_matrix)
+        xn, xd = sym_scaled(x)
         out = {}
-        for m, c in x.items():
-            mult = _multiplicities(m)
-            for i, mu_i in mult.items():
-                if i not in cols:
-                    col = {}
-                    for k in range(self.dim_v):
-                        v = op_matrix[k][i]
-                        if v:
-                            col[k] = v
-                    cols[i] = col
-                col = cols[i]
+        get = out.get
+        for m, c in xn.items():
+            if not c:
+                continue
+            for i, mu_i in _multiplicities(m).items():
+                col = cols.get(i)
                 if not col:
                     continue
                 rem = list(m)
                 rem.remove(i)
-                for k, ev in col.items():
+                cm = c * mu_i
+                for k, ev in col:
                     key = tuple(sorted(rem + [k]))
-                    val = out.get(key, 0) + c * mu_i * ev
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-        return {m: la.frac(c) for m, c in out.items() if c}
+                    out[key] = get(key, 0) + cm * ev
+        return sym_quotient(out, xd * od)
 
     def pair(self, x, y):
         """Induced pairing: on pure products, perm[(v_i, w_j)] / n!."""
@@ -342,11 +375,13 @@ class SymSpace:
 
 
 def s_n_subspace(lattice, n):
-    """The SymSpace together with its kernel basis; dimension asserted
+    """The SymSpace together with its kernel basis; dimension checked
     against the closed form."""
     space = SymSpace(lattice, n)
     basis, free, pivots, r = space.kernel_basis()
-    assert len(basis) == space.sn_dim()
+    if len(basis) != space.sn_dim():
+        raise SolveFailure("kernel basis has %d vectors, the closed form %d"
+                           % (len(basis), space.sn_dim()))
     return space, basis
 
 
@@ -649,11 +684,6 @@ def psi(llv_space, lams, n):
     return x
 
 
-def b_n_pair(space, x, y):
-    """The induced pairing on Sym^n (permanent of slot pairings over n!)."""
-    return space.pair(x, y)
-
-
 def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
     """k in {0,1} with phi~ h = (-1)^k h phi~ on the extended lattice and
     the matching relation for the induced action on S_[n]; raises NotGraded
@@ -682,5 +712,6 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
             break
     if k_v is None or k_s is None:
         raise NotGraded("no commutation sign works on both sides")
-    assert k_v == k_s
+    if k_v != k_s:
+        raise NotGraded("the commutation signs on V and on S_[n] differ")
     return k_v

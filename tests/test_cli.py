@@ -111,6 +111,11 @@ def test_verify_all_deterministic():
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert json.loads(r1.stdout)["ok"] is True
+    # the certificate gates are explicit raises, so -O prints the same bytes
+    r3 = subprocess.run([sys.executable, "-O"] + cmd[1:], capture_output=True,
+                        timeout=600)
+    assert r3.returncode == 0
+    assert r3.stdout == r1.stdout.encode()
 
 
 def test_cli_orbit_move(capsys):

@@ -8,7 +8,7 @@ from hklat import lattice as lt
 from hklat import llv
 from hklat import pontryagin as pg
 from hklat import snrep as sn
-from hklat.errors import EvenDimensionalGuard, NotGraded
+from hklat.errors import EvenDimensionalGuard, NotGraded, SolveFailure
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,48 @@ def _rand_graded(rng, space, scale_choices=(1, 2, 3)):
         f = fc.reflect(space.base, v) * f
     s = rng.choice(scale_choices)
     return llv.mu(space, s) * llv.extend_to_llv(space, f)
+
+
+def _assert_entries(x):
+    """Values are ints or reduced Fractions with denominator > 1, never 0."""
+    for c in x.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _ref_from_words(M, words):
+    out = {}
+    for w, c in words.items():
+        for m, v in M.psi_word(tuple(sorted(w))).items():
+            out[m] = out.get(m, Fraction(0)) + Fraction(c) * Fraction(v)
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_cup(M, x, y):
+    """Plain-Fraction cup: the polynomial product of the word
+    decompositions, pushed through psi_word."""
+    wx, wy = M.to_words(x), M.to_words(y)
+    assert _ref_from_words(M, wx) == x and _ref_from_words(M, wy) == y
+    prod = {}
+    for w1, c1 in wx.items():
+        for w2, c2 in wy.items():
+            if len(w1) + len(w2) <= 2 * M.n:
+                key = tuple(sorted(w1 + w2))
+                prod[key] = prod.get(key, Fraction(0)) \
+                    + Fraction(c1) * Fraction(c2)
+    return _ref_from_words(M, prod)
+
+
+def _mixed_elements(rng, M, count):
+    """Random elements and their images under a rational graded isometry,
+    which spreads them over the pieces with mixed denominators."""
+    out = []
+    for _ in range(count):
+        x = M.random_element(rng).data
+        g = llv.mu(M.space, Fraction(rng.choice((2, 3)), rng.choice((1, 5))))
+        g = g * _rand_graded(rng, M.space)
+        out += [x, M.apply_llv(g, x)]
+    return out
 
 
 def test_even_dimensional_guard(k3):
@@ -188,3 +230,39 @@ def test_big_model_fast_paths(big_model):
         assert x.star(pt) == x
         assert x.cup(y) == y.cup(x)
         assert x.cup(y).rho_tau() == x.rho_tau().star(y.rho_tau())
+
+
+def test_cup_star_match_fraction_reference(small_model, big_model):
+    rng = random.Random(197)
+    for M, count in ((small_model, 6), (big_model, 1)):
+        elts = _mixed_elements(rng, M, count) + [{}]
+        assert any(type(c) is Fraction for x in elts for c in x.values())
+        for i, x in enumerate(elts):
+            for y in elts[i:i + 3]:
+                got = M.cup(x, y)
+                assert got == _ref_cup(M, x, y)
+                _assert_entries(got)
+                got = M.star(x, y)
+                assert got == M.rho_tau(_ref_cup(M, M.rho_tau(x), M.rho_tau(y)))
+                _assert_entries(got)
+        # x cup (-x') cancels against x cup x'
+        x, y = elts[0], elts[1]
+        neg = {m: -c for m, c in y.items()}
+        assert sn.sym_add(M.cup(x, y), M.cup(x, neg)) == {}
+        _assert_entries(M.from_words(M.to_words(y)))
+
+
+def test_piece_solver_rejects_residue(small_model):
+    # (e_3, e_3) = -2: the monomial is not in S_[n], nothing spans it
+    with pytest.raises(SolveFailure):
+        small_model.to_words({(3, 3): 1})
+
+
+def test_proportionality_gate(small_model, monkeypatch):
+    rng = random.Random(199)
+    M = small_model
+    phi = llv.tau(M.space) * _rand_graded(rng, M.space)
+    assert pg.proportionality_check_degree2(M, phi) != 0
+    monkeypatch.setattr(M, "to_words", lambda x: {})
+    with pytest.raises(SolveFailure):
+        pg.proportionality_check_degree2(M, phi)

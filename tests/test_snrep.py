@@ -9,7 +9,7 @@ from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
-from hklat.errors import NotGraded
+from hklat.errors import NotGraded, SolveFailure
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,54 @@ def _rand_iso(rng, lattice, count=3):
                 break
         f = fc.reflect(lattice, v) * f
     return f
+
+
+def _assert_entries(x):
+    """Values are ints or reduced Fractions with denominator > 1, never 0."""
+    for c in x.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _rand_elt(rng, space, terms, n):
+    """Seeded sparse element of Sym^n with mixed denominators."""
+    x = {}
+    for _ in range(terms):
+        m = tuple(sorted(rng.randrange(space.dim) for _ in range(n)))
+        x[m] = la.frac(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6))))
+    return {m: c for m, c in x.items() if c}
+
+
+def _ref_apply(f, x, n):
+    """Sym^n(f) x in plain Fractions: expand each slot into f's column."""
+    out = {}
+    for m, c in x.items():
+        acc = {(): Fraction(c)}
+        for i in m:
+            nxt = {}
+            for mm, cc in acc.items():
+                for k in range(len(f)):
+                    if f[k][i]:
+                        key = tuple(sorted(mm + (k,)))
+                        nxt[key] = nxt.get(key, Fraction(0)) + cc * Fraction(f[k][i])
+            acc = nxt
+        for mm, cc in acc.items():
+            out[mm] = out.get(mm, Fraction(0)) + cc
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_derive(op, x):
+    """Product-rule extension in plain Fractions: op on one slot at a time."""
+    out = {}
+    for m, c in x.items():
+        for a in range(len(m)):
+            rest = m[:a] + m[a + 1:]
+            for k in range(len(op)):
+                if op[k][m[a]]:
+                    key = tuple(sorted(rest + (k,)))
+                    out[key] = out.get(key, Fraction(0)) \
+                        + Fraction(c) * Fraction(op[k][m[a]])
+    return {m: c for m, c in out.items() if c}
 
 
 def test_dimension_formula(H5, H7):
@@ -149,17 +197,17 @@ def test_b_n_pairing_values(H5):
     a2 = sn.sym_scale(Fraction(1, 2), sn.sym_power(al, 2))
     b2 = sn.sym_scale(Fraction(1, 2), sn.sym_power(be, 2))
     # permanent expansion: b2(alpha^2/2, beta^2/2) = (alpha,beta)^2/4
-    assert sn.b_n_pair(sym2, a2, b2) == Fraction(1, 4)
+    assert sym2.pair(a2, b2) == Fraction(1, 4)
     rng = random.Random(137)
     for _ in range(10):
         v = H5.lattice.vec([rng.randint(-2, 2) for _ in range(H5.dim)])
         w = H5.lattice.vec([rng.randint(-2, 2) for _ in range(H5.dim)])
-        assert sn.b_n_pair(sym2, sn.sym_power(v.coords, 2),
-                           sn.sym_power(w.coords, 2)) == v.pair(w) ** 2
+        assert sym2.pair(sn.sym_power(v.coords, 2),
+                         sn.sym_power(w.coords, 2)) == v.pair(w) ** 2
     # orthogonal arguments pair to zero
     x = sn.sym_power(H5.alpha().coords, 2)
     y = sn.sym_power(H5.embed(H5.base.vec([0, 0, 1])).coords, 2)
-    assert sn.b_n_pair(sym2, x, y) == 0
+    assert sym2.pair(x, y) == 0
 
 
 def test_recover_roundtrips(H5, H7):
@@ -227,3 +275,94 @@ def test_grading_correspondence(H5):
     with pytest.raises(NotGraded):
         sn.grading_correspondence(
             H5, sym2, lambda x: sym2.apply_linear(B.matrix, x), B)
+
+
+def test_s_n_subspace_gate(H5, monkeypatch):
+    space, basis = sn.s_n_subspace(H5.lattice, 2)
+    assert len(basis) == space.sn_dim()
+    monkeypatch.setattr(sn.SymSpace, "sn_dim", lambda self: 0)
+    with pytest.raises(SolveFailure):
+        sn.s_n_subspace(H5.lattice, 2)
+
+
+def test_grading_signs_must_agree(H5):
+    # tau anti-commutes with h on V, the identity commutes with it on S_[n]
+    sym2 = sn.SymSpace(H5.lattice, 2)
+    with pytest.raises(NotGraded):
+        sn.grading_correspondence(H5, sym2, lambda x: x, llv.tau(H5))
+
+
+def test_sym_mul_matches_fraction_reference(H7):
+    rng = random.Random(211)
+    for trial in range(30):
+        x = _rand_elt(rng, H7, rng.randint(0, 8), rng.randint(0, 3))
+        x.update(_rand_elt(rng, H7, rng.randint(0, 4), rng.randint(0, 2)))
+        y = _rand_elt(rng, H7, rng.randint(0, 8), rng.randint(0, 3))
+        if trial % 5 == 0:
+            y = {m: -c for m, c in x.items()}
+        for cap in (None, 2, 4):
+            ref = {}
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    if cap is None or len(m1) + len(m2) <= cap:
+                        key = tuple(sorted(m1 + m2))
+                        ref[key] = ref.get(key, Fraction(0)) \
+                            + Fraction(c1) * Fraction(c2)
+            got = sn.sym_mul(x, y, cap)
+            assert got == {m: c for m, c in ref.items() if c}
+            _assert_entries(got)
+    assert sn.sym_mul({}, {(0,): 1}) == {}
+    # (a + b)(a - b) = a^2 - b^2: the cross terms cancel
+    assert sn.sym_mul({(0,): Fraction(1, 2), (1,): 3},
+                      {(0,): Fraction(1, 2), (1,): -3}) \
+        == {(0, 0): Fraction(1, 4), (1, 1): -9}
+
+
+def test_apply_linear_matches_fraction_reference(H5, H7):
+    rng = random.Random(223)
+    for space in (H5, H7):
+        # b-fields have entries in (1/2)Z, and mu_3 has 1/3
+        lam = space.base.vec([1] * space.base.rank)
+        fs = [llv.b_field(space, lam).matrix,
+              (llv.mu(space, 3) * _rand_iso(rng, space.lattice)).matrix,
+              (llv.b_field(space, lam) * llv.mu(space, Fraction(2, 5))).matrix]
+        assert any(type(c) is Fraction for f in fs for row in f for c in row)
+        for n in (1, 2, 3):
+            sym = sn.SymSpace(space.lattice, n)
+            for f in fs:
+                # up to dim_v terms take the sparse path for n = 2, more the
+                # dense one
+                for terms in (0, 1, 4, space.dim, 3 * space.dim):
+                    x = _rand_elt(rng, space, terms, n)
+                    got = sym.apply_linear(f, x)
+                    assert got == _ref_apply(f, x, n)
+                    _assert_entries(got)
+                    got = sym.derivation_apply(f, x)
+                    assert got == _ref_derive(f, x)
+                    _assert_entries(got)
+            # a cancelling input: Sym^n(f) of Sym^n(f^-1) of a monomial
+            f = fs[2]
+            finv = la.inverse(f)
+            m = tuple(range(n))
+            pre = sym.apply_linear(finv, {m: Fraction(5, 7)})
+            assert len(pre) > 1
+            assert sym.apply_linear(f, pre) == {m: Fraction(5, 7)}
+
+
+def test_sn_coords_exact(H5):
+    rng = random.Random(227)
+    sym = sn.SymSpace(H5.lattice, 2)
+    basis, _, _, _ = sym.kernel_basis()
+    coords = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+              for _ in basis]
+    x = {}
+    for c, b in zip(coords, basis):
+        for m, v in b.items():
+            x[m] = x.get(m, 0) + c * v
+    x = {m: la.frac(c) for m, c in x.items() if c}
+    assert sym.sn_coords(x) == tuple(la.frac(c) for c in coords)
+    # (e_3, e_3) = -2, so this perturbation leaves the kernel
+    bad = sn.sym_add(x, {(3, 3): Fraction(1, 3)})
+    assert not sym.in_kernel(bad)
+    with pytest.raises(SolveFailure):
+        sym.sn_coords(bad)
