@@ -18,8 +18,8 @@ from . import pontryagin as pg
 from . import snrep as sn
 from . import transvect as tv
 from .errors import LatticeError
-from .lattice import (LatVec, QIsometry, characters, membership, nu_character,
-                      preset)
+from .lattice import (_GROUPS, LatVec, QIsometry, characters, membership,
+                      nu_character, preset)
 
 
 def _load_payload(args):
@@ -456,8 +456,7 @@ def build_parser():
 
     p = sub.add_parser("isom")
     p.add_argument("action", choices=["characters", "membership"])
-    p.add_argument("--group", default="Gamma",
-                   choices=["O", "O+", "Gamma", "Gamma0", "Mon_K3n"])
+    p.add_argument("--group", default="Gamma", choices=_GROUPS)
     _add_common(p)
     p.set_defaults(func=cmd_isom)
 

@@ -8,15 +8,18 @@ U + U and (delta,delta) = -2d < 0, is
 with every gamma_i in the group Gamma (integral, orientation preserving,
 acting by +-1 on the discriminant group) and every u_i a primitive integral
 vector of the L-part with (u_i,u_i) >= 2.  decompose() produces such a
-certificate for any phi in O^+(Lambda_Q); verify_normal_form() re-checks it
-factor by factor.
+certificate for any phi in O^+(Lambda_Q) and checks it once with
+verify_normal_form(), factor by factor and by recomposition, raising on a
+failure (also under python -O); the same function checks untrusted
+certificates.
 """
 
 from fractions import Fraction
 
 from . import linalg as la
-from .errors import (IsotropicLambda, IsotropicVector, LatticeError,
-                     NormMismatch, OrientationReversing, SearchExhausted)
+from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
+                     LatticeError, NormMismatch, OrientationReversing,
+                     SearchExhausted)
 from .lattice import (LatVec, Lattice, QIsometry, l_part_coords,
                       membership, nu_character)
 from .transvect import canonical_vector, move_into_L, reduce_to_canonical
@@ -45,22 +48,7 @@ def reflect(lattice, u):
     """rho_u(x) = x - 2(u,x)/(u,u) u."""
     if not isinstance(u, LatVec):
         u = lattice.vec(u)
-    uu = u.norm()
-    if uu == 0:
-        raise IsotropicVector("cannot reflect in an isotropic vector")
-    gu = la.mat_vec(lattice.gram, u.coords)
-    n = lattice.rank
-    two_over = la.ratio(2, uu)
-    rows = []
-    for i in range(n):
-        ui = u.coords[i]
-        row = []
-        for j in range(n):
-            val = 1 if i == j else 0
-            val -= two_over * gu[j] * ui
-            row.append(la.frac(val))
-        rows.append(tuple(row))
-    return QIsometry(lattice, rows, _trusted=True)
+    return reflect_times(lattice, u, QIsometry.identity(lattice))
 
 
 def reflect_times(lattice, u, g):
@@ -383,9 +371,13 @@ def positive_reflection_rewrite(lattice, u):
     c[i] = Fraction(1)
     c[j] = Fraction(-m)
     w = ginv.apply(LatVec(lattice, c))
-    assert w.norm() == 2 * m
-    assert h.is_integral()
-    assert (h * reflect(lattice, w)).matrix == reflect(lattice, u).matrix
+    # rho_u = h rho_w itself is covered by the recomposition check that
+    # every decompose() result passes
+    if w.norm() != 2 * m:
+        raise AssertionError("rewritten vector has norm %s, not %d"
+                             % (w.norm(), 2 * m))
+    if not h.is_integral():
+        raise AssertionError("rewrite factor h is not integral")
     return h, w
 
 
@@ -396,20 +388,35 @@ def positive_reflection_rewrite(lattice, u):
 class NormalForm:
     """(-1)^k gamma_k rho_{u_k} ... gamma_1 rho_{u_1} gamma_0.
 
-    us[0] is u_1 (applied first); gammas[0] is gamma_0.  Each gamma carries
-    a Gamma-membership certificate computed at construction.
+    us[0] is u_1 (applied first); gammas[0] is gamma_0.  Construction
+    checks only the shape.  The Gamma-membership result of each gamma is
+    computed once, on first use, and kept.
     """
 
-    __slots__ = ("lattice", "k", "gammas", "us", "certificates")
+    __slots__ = ("lattice", "k", "gammas", "us", "_memberships")
 
     def __init__(self, lattice, k, gammas, us):
-        assert len(gammas) == len(us) + 1
-        assert k == len(us)
+        if k != len(us) or len(gammas) != k + 1:
+            raise DimensionMismatch(
+                "a normal form with k = %s needs k vectors u and k + 1 "
+                "gammas, not %d and %d" % (k, len(us), len(gammas)))
         self.lattice = lattice
         self.k = k
         self.gammas = tuple(gammas)
         self.us = tuple(us)
-        self.certificates = tuple(membership(g, "Gamma")[1] for g in gammas)
+        self._memberships = None
+
+    def memberships(self):
+        """(ok, certificate) of membership(gamma, "Gamma") for each gamma."""
+        if self._memberships is None:
+            self._memberships = tuple(membership(g, "Gamma")
+                                      for g in self.gammas)
+        return self._memberships
+
+    @property
+    def certificates(self):
+        """The Gamma-membership certificate of each gamma."""
+        return tuple(cert for _, cert in self.memberships())
 
     def evaluate(self):
         ev = self.gammas[0]
@@ -430,7 +437,7 @@ def _move_rational_items(lattice, x):
 
     g = h o f:  f a Witt reflection in L_Q sending q*lam to the canonical
     primitive vector, h a transvection word in Gamma.  Items describe g
-    in outer-to-inner order for certificate assembly.
+    up to sign, in outer-to-inner order, for certificate assembly.
     """
     lam, t = _split_delta(lattice, x)
     nl = lam.norm()
@@ -449,24 +456,14 @@ def _move_rational_items(lattice, x):
     g = h_iso * f_iso
     items = [("gamma", h_iso)]
     if f_sw[0] is not None:
-        if f_sw[0] == -1:
-            items.append(("sign",))
         items.append(("refl", f_sw[1]))
-    # items describe g = h o f outer-to-inner
     return g, items
 
 
 def _invert_items(items):
     """Items of the inverse word, outer-to-inner."""
-    out = []
-    for kind, *rest in reversed(items):
-        if kind == "gamma":
-            out.append(("gamma", rest[0].inverse()))
-        elif kind == "refl":
-            out.append(("refl", rest[0]))
-        else:
-            out.append(("sign",))
-    return out
+    return [("gamma", x.inverse()) if kind == "gamma" else (kind, x)
+            for kind, x in reversed(items)]
 
 
 def _reference_vector(lattice):
@@ -491,13 +488,17 @@ def decompose(lattice, phi):
         raise LatticeError("decompose needs an L + Z*delta lattice")
     if nu_character(phi) != 1:
         raise OrientationReversing("decompose requires nu(phi) = +1")
-    ok, _ = membership(phi, "Gamma") if phi.is_integral() else (False, None)
-    if ok:
-        return NormalForm(lattice, 0, [phi], [])
+    if phi.is_integral():
+        ok, cert = membership(phi, "Gamma")
+        if ok:
+            # phi in Gamma is its own certificate
+            nf = NormalForm(lattice, 0, [phi], [])
+            nf._memberships = ((ok, cert),)
+            return nf
 
     d = _d_value(lattice)
     delta = lattice.basis_vec(lattice.delta_index)
-    factors = []      # outer-to-inner items composing to phi o work^-1
+    factors = []      # outer-to-inner items composing to +-phi o work^-1
     work = phi
 
     def push_left(c_iso, c_inv_items):
@@ -518,7 +519,6 @@ def decompose(lattice, phi):
         work = reflect_times(lattice, sw[1], work)
         if sw[0] == -1:
             work = -work
-            factors.append(("sign",))
         factors.append(("refl", sw[1]))
 
     if work.apply(delta) != delta:
@@ -560,7 +560,6 @@ def decompose(lattice, phi):
 def _assemble(lattice, phi, factors):
     """Normalize an outer-to-inner item list into a NormalForm."""
     lsub = l_sublattice(lattice)
-    di = lattice.delta_index
     normalized = []
     for item in factors:
         if item[0] != "refl":
@@ -574,45 +573,36 @@ def _assemble(lattice, phi, factors):
             h, w = positive_reflection_rewrite(lsub, ul)
             normalized.append(("gamma", extend_l_isometry(lattice, h)))
             normalized.append(("refl", embed_l_vector(lattice, w)))
-    fixed = []
-    for item in normalized:
-        if item[0] == "gamma" and nu_character(item[1]) == -1:
-            fixed.append(("sign",))
-            fixed.append(("gamma", -item[1]))
-        else:
-            fixed.append(item)
-    # collapse: [gamma-run] refl [gamma-run] ... refl [gamma-run]
-    sign_parity = 0
+    # collapse: [gamma-run] refl [gamma-run] ... refl [gamma-run], with
+    # each gamma of nu = -1 negated into Gamma
     gammas_rev = []   # gamma_k first (outer-to-inner scan)
     us_rev = []
     cur = QIsometry.identity(lattice)
-    for item in fixed:
-        if item[0] == "sign":
-            sign_parity ^= 1
-        elif item[0] == "gamma":
-            cur = cur * item[1]
+    for kind, x in normalized:
+        if kind == "gamma":
+            cur = cur * (-x if nu_character(x) == -1 else x)
         else:
             gammas_rev.append(cur)
-            us_rev.append(item[1])
+            us_rev.append(x)
             cur = QIsometry.identity(lattice)
     gammas_rev.append(cur)
-    k = len(us_rev)
-    assert sign_parity == k % 2, "character bookkeeping failed"
-    gammas = list(reversed(gammas_rev))
-    us = list(reversed(us_rev))
-    nf = NormalForm(lattice, k, gammas, us)
+    # the items compose to phi up to sign; the sign is (-1)^k, and this one
+    # check certifies it together with the rewrites and every gamma, and
+    # fills the certificates
+    nf = NormalForm(lattice, len(us_rev), list(reversed(gammas_rev)),
+                    list(reversed(us_rev)))
     report = verify_normal_form(nf, phi)
-    assert report["ok"], report
+    if not report["ok"]:
+        raise AssertionError(report)
     return nf
 
 
 def verify_normal_form(nf, phi):
-    """Exact re-verification of a normal-form certificate."""
+    """Exact verification of a normal-form certificate."""
     report = {"ok": True, "failures": [], "k": nf.k}
     lat = nf.lattice
     di = lat.delta_index
-    for i, g in enumerate(nf.gammas):
-        ok, cert = membership(g, "Gamma")
+    for i, (ok, cert) in enumerate(nf.memberships()):
         if not ok:
             report["ok"] = False
             report["failures"].append(("gamma", i, cert))

@@ -177,9 +177,6 @@ class SymSpace:
             v[self.index[m]] = c
         return tuple(v)
 
-    def from_dense(self, v):
-        return {m: c for m, c in zip(self.monomials, v) if c}
-
     # -- contraction and its kernel -----------------------------------------
 
     def contract(self, x):

@@ -35,9 +35,13 @@ def test_isom_characters_and_membership(capsys):
     code, out = run_cli(["isom", "characters", "--json", payload], capsys)
     assert code == 0
     assert json.loads(out) == {"nu": 1, "det": 1, "disc": 1}
-    code, out = run_cli(["isom", "membership", "--group", "Gamma",
-                         "--json", payload], capsys)
-    assert code == 0 and json.loads(out)["member"] is True
+    # the identity lies in every group the CLI offers
+    for group in lt._GROUPS:
+        code, out = run_cli(["isom", "membership", "--group", group,
+                             "--json", payload], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["member"] is True and obj["group"] == group
 
 
 def test_factor_decompose_identity(capsys):
@@ -52,6 +56,23 @@ def test_factor_decompose_identity(capsys):
         {"phi": io.isometry_to_json(lt.QIsometry.identity(k32)),
          "normal_form": obj})], capsys)
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_factor_verify_bad_shape_exits_2(capsys):
+    k32 = lt.preset("K3n", 2)
+    gid = io.isometry_to_json(lt.QIsometry.identity(k32))
+    # k != len(us), then len(gammas) != k + 1
+    for nf in ({"k": 1, "gammas": [gid, gid], "us": []},
+               {"k": 0, "gammas": [gid, gid], "us": []}):
+        payload = json.dumps({"phi": gid, "normal_form": nf})
+        code, out = run_cli(["factor", "verify", "--json", payload], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DimensionMismatch"
+        # the shape check is a raise, so -O exits the same way
+        r = subprocess.run([sys.executable, "-O", "-m", "hklat.cli", "factor",
+                            "verify", "--json", payload],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 2 and r.stdout == out
 
 
 def test_pontryagin_unit(capsys):

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from conftest import (rand_anisotropic, rand_orientation_preserving,
                       rand_primitive, rand_transvection, rand_vec)
 from hklat import factor as fc
+from hklat import jsonio as jio
 from hklat import lattice as lt
 from hklat import transvect as tv
 from hklat.errors import (IsotropicLambda, IsotropicVector,
@@ -219,3 +224,95 @@ def test_double_orbit_conjugation(k3):
         h = word.isometry()
         assert (h * fc.reflect(k3, u) * h.inverse()).matrix == \
             fc.reflect(k3, u2).matrix
+
+
+def _rewrite_input(lat):
+    """A fixed non-integral input on K3n:2 (k = 5) whose decompose takes the
+    delta-fix and positive-rewrite paths."""
+    e = lat.basis_vec(0)
+    delta = lt.delta_vector(lat)
+    return (tv.eichler_transvection(lat, e, delta)
+            * fc.reflect(lat, lat.vec([0, 0, 1, 2] + [0] * 19)))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_decompose_certifies_once(k3n2, monkeypatch):
+    phi = _rewrite_input(k3n2)
+    assert not phi.is_integral()
+    counts = {"membership": 0, "evaluate": 0, "verify_normal_form": 0}
+    _count_calls(monkeypatch, fc, "membership", counts)
+    _count_calls(monkeypatch, fc, "verify_normal_form", counts)
+    _count_calls(monkeypatch, fc.NormalForm, "evaluate", counts)
+    nf = fc.decompose(k3n2, phi)
+    k = nf.k
+    assert k > 0
+    assert counts == {"membership": k + 1, "evaluate": 1,
+                      "verify_normal_form": 1}
+    # the certificates are the ones the verification computed
+    assert all(c["nu"] == 1 and c["disc"] in (1, -1) for c in nf.certificates)
+    assert counts["membership"] == k + 1
+    # loading a certificate checks only its shape
+    text = jio.dumps(jio.normal_form_to_json(nf))
+    loaded = jio.normal_form_from_json(json.loads(text), k3n2)
+    assert counts["membership"] == k + 1
+    assert fc.verify_normal_form(loaded, phi)["ok"]
+    assert counts == {"membership": 2 * (k + 1), "evaluate": 2,
+                      "verify_normal_form": 2}
+
+
+def _broken_rewrite(real, calls):
+    """positive_reflection_rewrite with h composed with an extra element of
+    Gamma, so that only the recomposition check can tell."""
+    def broken(lattice, u):
+        calls.append(u)
+        h, w = real(lattice, u)
+        extra = tv.eichler_transvection(lattice, lattice.basis_vec(0),
+                                        lattice.basis_vec(2))
+        return h * extra, w
+    return broken
+
+
+def test_broken_rewrite_is_caught(k3n2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fc, "positive_reflection_rewrite",
+                        _broken_rewrite(fc.positive_reflection_rewrite, calls))
+    with pytest.raises(AssertionError, match="recomposition"):
+        fc.decompose(k3n2, _rewrite_input(k3n2))
+    assert calls
+
+
+_BROKEN_REWRITE_SCRIPT = """
+import sys
+from hklat import factor as fc, lattice as lt
+from test_factor import _broken_rewrite, _rewrite_input
+calls = []
+fc.positive_reflection_rewrite = _broken_rewrite(
+    fc.positive_reflection_rewrite, calls)
+lat = lt.preset("K3n", 2)
+try:
+    fc.decompose(lat, _rewrite_input(lat))
+except AssertionError as exc:
+    print("raised", sys.flags.optimize, bool(calls), "recomposition" in str(exc))
+else:
+    print("returned", sys.flags.optimize, bool(calls))
+"""
+
+
+def test_broken_rewrite_is_caught_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _BROKEN_REWRITE_SCRIPT],
+                       capture_output=True, text=True, timeout=300, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "1", "True", "True"]
