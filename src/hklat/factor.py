@@ -14,8 +14,6 @@ failure (also under python -O); the same function checks untrusted
 certificates.
 """
 
-from fractions import Fraction
-
 from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, OrientationReversing,
@@ -52,25 +50,13 @@ def reflect(lattice, u):
 
 
 def reflect_times(lattice, u, g):
-    """rho_u o g as a rank-one update, O(rank^2)."""
+    """rho_u o g: the pair update with the single term (-2/(u,u) u, u)."""
     uu = u.norm()
     if uu == 0:
         raise IsotropicVector("cannot reflect in an isotropic vector")
-    gu = la.mat_vec(lattice.gram, u.coords)
-    m = g.matrix
-    n = lattice.rank
-    # row vector (Gu)^T M
-    gum = tuple(la.frac(sum(gu[i] * m[i][j] for i in range(n)))
-                for j in range(n))
-    c = la.ratio(2, uu)
-    rows = []
-    for i in range(n):
-        cu = c * u.coords[i]
-        if cu:
-            rows.append(tuple(la.frac(m[i][j] - cu * gum[j]) for j in range(n)))
-        else:
-            rows.append(m[i])
-    return QIsometry(lattice, rows, _trusted=True)
+    p = la.vec_scale(la.ratio(-2, uu), u.coords)
+    return QIsometry(lattice, lattice.pair_update(g.matrix, ((p, u.coords),)),
+                     _trusted=True)
 
 
 def witt_map(lattice, x, y):
@@ -140,7 +126,8 @@ def cartan_dieudonne(lattice, f):
     ident = la.identity(n)
     budget = n + 4
     while g.matrix != ident:
-        assert budget > 0, "cartan_dieudonne failed to terminate"
+        if budget <= 0:
+            raise AssertionError("cartan_dieudonne failed to terminate")
         budget -= 1
         found = None
         for idx, x in enumerate(candidates):
@@ -204,7 +191,7 @@ def l_sublattice(lattice):
 def embed_l_vector(lattice, v):
     di = lattice.delta_index
     coords = list(v.coords)
-    coords.insert(di, Fraction(0))
+    coords.insert(di, 0)
     return LatVec(lattice, coords)
 
 
@@ -225,7 +212,7 @@ def extend_l_isometry(lattice, g):
         row = []
         for j in range(n):
             if i == di or j == di:
-                row.append(Fraction(1) if i == j else Fraction(0))
+                row.append(1 if i == j else 0)
             else:
                 row.append(src[i if i < di else i - 1][j if j < di else j - 1])
         rows.append(tuple(row))
@@ -260,9 +247,9 @@ def find_orthogonal_norm_vector(lattice, lam, target, height=64):
     assert target % 2 == 0 and target > 0
     for (i, j) in lattice.u_blocks:
         if lam.coords[i] == 0 and lam.coords[j] == 0:
-            c = [Fraction(0)] * n
-            c[i] = Fraction(1)
-            c[j] = Fraction(-target, 2)
+            c = [0] * n
+            c[i] = 1
+            c[j] = -target // 2
             return LatVec(lattice, c)
     # orthogonal-complement enumeration: lam-perp inside the L-part
     glam = la.mat_vec(lattice.gram, lam.coords)
@@ -322,8 +309,8 @@ def _delta_fix_vector(lattice, work, lam, target):
     candidates = []
     for (i, j) in lattice.u_blocks:
         for (a, b) in ((1, -m), (-1, m), (m, -1), (-m, 1)):
-            c = [Fraction(0)] * lattice.rank
-            c[i], c[j] = Fraction(a), Fraction(b)
+            c = [0] * lattice.rank
+            c[i], c[j] = a, b
             candidates.append(LatVec(lattice, c))
     for (i, j) in lattice.u_blocks:
         for (k, l) in lattice.u_blocks:
@@ -331,9 +318,9 @@ def _delta_fix_vector(lattice, work, lam, target):
                 continue
             for s in (1, -1, 2, -2):
                 # -2(1)(s-m) - 2(s)(-1) = 2m exactly
-                c = [Fraction(0)] * lattice.rank
-                c[i], c[j] = Fraction(1), Fraction(s - m)
-                c[k], c[l] = Fraction(s), Fraction(-1)
+                c = [0] * lattice.rank
+                c[i], c[j] = 1, s - m
+                c[k], c[l] = s, -1
                 candidates.append(LatVec(lattice, c))
     for u in candidates:
         assert u.norm() == target
@@ -346,8 +333,9 @@ def positive_reflection_rewrite(lattice, u):
     """For primitive integral u with (u,u) = -2m < 0 in a unimodular lattice
     containing U + U: h integral and w with (w,w) = 2m and rho_u = h rho_w.
 
-    h = g^-1 (-id_U1 + id) g and w = g^-1(e1 - m e2) for the transvection
-    word g moving u to the canonical vector e1 + m e2.
+    h = g^-1 sigma g and w = g^-1(e1 - m e2) for the transvection word g
+    moving u to the canonical vector e1 + m e2, where sigma is -id on
+    U1 = (e1, e2) and id on its complement.
     """
     if not isinstance(u, LatVec):
         u = lattice.vec(u)
@@ -355,22 +343,17 @@ def positive_reflection_rewrite(lattice, u):
     if uu >= 0:
         raise NormMismatch("rewrite applies to negative-norm vectors")
     m = -uu // 2
-    word = reduce_to_canonical(lattice, u)   # u -> e1 + m e2
-    g = word.isometry()
+    ginv = reduce_to_canonical(lattice, u).inverse()   # e1 + m e2 -> u
     i, j = lattice.u_blocks[0]
-    sigma_rows = []
-    for r in range(lattice.rank):
-        row = [Fraction(0)] * lattice.rank
-        row[r] = Fraction(-1) if r in (i, j) else Fraction(1)
-        sigma_rows.append(tuple(row))
-    sigma = QIsometry(lattice, sigma_rows, _trusted=True)
-    ginv = g.inverse()
-    h = ginv * sigma * g
+    f1 = ginv.apply_coords(lattice.basis_vec(i).coords)
+    f2 = ginv.apply_coords(lattice.basis_vec(j).coords)
+    # sigma = I + 2 e1 (e2, .) + 2 e2 (e1, .), so its conjugate h is the
+    # pair update with the terms (2 f1, f2) and (2 f2, f1)
+    terms = ((la.vec_scale(2, f1), f2), (la.vec_scale(2, f2), f1))
+    h = QIsometry(lattice, lattice.pair_update(la.identity(lattice.rank), terms),
+                  _trusted=True)
     # rho_{e1+m e2} = sigma o rho_{e1-m e2}, and (e1 - m e2)^2 = 2m
-    c = [Fraction(0)] * lattice.rank
-    c[i] = Fraction(1)
-    c[j] = Fraction(-m)
-    w = ginv.apply(LatVec(lattice, c))
+    w = LatVec(lattice, la.vec_sub(f1, la.vec_scale(m, f2)))
     # rho_u = h rho_w itself is covered by the recomposition check that
     # every decompose() result passes
     if w.norm() != 2 * m:

@@ -2,14 +2,17 @@
 
 The transvection attached to an isotropic e and a vector a orthogonal to e is
 
-    E(e,a)(x) = x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e,
+    E(e,a)(x) = x + (e,x) (a - (a,a)/2 e) - (a,x) e,
 
 an integral isometry with determinant +1, trivial discriminant action and
-nu = +1.  For a lattice containing two orthogonal hyperbolic planes
-U1 = (e1,e2), U2 = (f1,f2), the group generated by transvections acts
-transitively on primitive vectors of fixed norm and divisibility 1; the
-reduction below maps such a vector to the canonical e1 - (N/2) e2 and
-records the word of transvections.
+nu = +1.  It is the pair update x -> x + sum_k (q_k,x) p_k of the two terms
+(p, q) = (a - (a,a)/2 e, e) and (-e, a), so every transvection, word and
+word isometry here runs through the one kernel Lattice.pair_update, which
+touches only the rows that e and a reach.  For a lattice containing two
+orthogonal hyperbolic planes U1 = (e1,e2), U2 = (f1,f2), the group
+generated by transvections acts transitively on primitive vectors of fixed
+norm and divisibility 1; the reduction below maps such a vector to the
+canonical e1 - (N/2) e2 and records the word of transvections.
 
 The reduction works on the 2x2 integer matrix
 
@@ -21,8 +24,6 @@ reduction of P plus two pivot moves eliminating the remainder w give the
 canonical form.
 """
 
-from fractions import Fraction
-
 from . import linalg as la
 from .errors import (DivisibilityMismatch, LatticeError, NoHyperbolicPlanes,
                      NonPrimitiveLambda, NormMismatch, NotIntegral)
@@ -31,51 +32,28 @@ from .lattice import LatVec, QIsometry, divisibility
 _MAX_REDUCE_STEPS = 20000
 
 
-def transvection_matrix(lattice, e_coords, a_coords):
-    """Matrix of E(e,a); validates isotropy and orthogonality."""
-    g = lattice.gram
-    n = lattice.rank
-    ee = lattice.pair_coords(e_coords, e_coords)
-    ea = lattice.pair_coords(e_coords, a_coords)
-    if ee != 0:
-        raise LatticeError("transvection base vector must be isotropic")
-    if ea != 0:
-        raise LatticeError("transvection requires (e,a) = 0")
-    ge = la.mat_vec(g, e_coords)
-    ga = la.mat_vec(g, a_coords)
-    aa = lattice.pair_coords(a_coords, a_coords)
-    half_aa = la.ratio(aa, 2)
-    rows = []
-    for i in range(n):
-        ei, ai = e_coords[i], a_coords[i]
-        row = []
-        for j in range(n):
-            val = Fraction(1) if i == j else Fraction(0)
-            val += -ga[j] * ei + ge[j] * ai - half_aa * ge[j] * ei
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _run_steps(lattice, steps, m):
+    """E(e_last, a_last) ... E(e_first, a_first) m, one kernel call a step."""
+    for e, a in steps:
+        half_aa = la.ratio(lattice.pair_coords(a, a), 2)
+        p = tuple(x - half_aa * y for x, y in zip(a, e))
+        m = lattice.pair_update(m, ((p, e), (tuple(-y for y in e), a)))
+    return m
 
 
 def eichler_transvection(lattice, e, a):
     """E(e,a) as a certified isometry.  e, a must be integral."""
     if not (e.is_integral() and a.is_integral()):
         raise NotIntegral("transvection data must be integral")
-    m = transvection_matrix(lattice, e.coords, a.coords)
-    iso = QIsometry(lattice, m, _trusted=True)
+    if e.norm() != 0:
+        raise LatticeError("transvection base vector must be isotropic")
+    if e.pair(a) != 0:
+        raise LatticeError("transvection requires (e,a) = 0")
+    iso = TransvectionWord(lattice, [(e.coords, a.coords)]).isometry()
     # trusted path double-checked cheaply on the defining relations
-    assert iso.apply(e) == e
+    if iso.apply(e) != e:
+        raise AssertionError("transvection does not fix its base vector")
     return iso
-
-
-def apply_transvection_coords(lattice, e_coords, a_coords, x):
-    """E(e,a)(x) on raw coordinate tuples."""
-    ax = lattice.pair_coords(a_coords, x)
-    ex = lattice.pair_coords(e_coords, x)
-    aa = lattice.pair_coords(a_coords, a_coords)
-    c_e = -ax - la.ratio(aa, 2) * ex
-    return tuple(x[i] + c_e * e_coords[i] + ex * a_coords[i]
-                 for i in range(lattice.rank))
 
 
 class TransvectionWord:
@@ -91,20 +69,14 @@ class TransvectionWord:
         self.steps.append((la.vec(e_coords), la.vec(a_coords)))
 
     def apply_coords(self, x):
-        for e, a in self.steps:
-            x = apply_transvection_coords(self.lattice, e, a, x)
-        return x
+        col = _run_steps(self.lattice, self.steps, tuple((c,) for c in x))
+        return tuple(c for (c,) in col)
 
     def apply(self, v):
         return LatVec(self.lattice, self.apply_coords(v.coords))
 
     def isometry(self):
-        n = self.lattice.rank
-        cols = []
-        for j in range(n):
-            col = tuple(1 if i == j else 0 for i in range(n))
-            cols.append(self.apply_coords(col))
-        m = tuple(zip(*cols))
+        m = _run_steps(self.lattice, self.steps, la.identity(self.lattice.rank))
         return QIsometry(self.lattice, m, _trusted=True)
 
     def inverse(self):
@@ -152,9 +124,9 @@ def canonical_vector(lattice, norm):
     if norm % 2 != 0:
         raise NormMismatch("even lattice vectors have even norm")
     i, j = lattice.u_blocks[0]
-    c = [Fraction(0)] * lattice.rank
-    c[i] = Fraction(1)
-    c[j] = Fraction(-norm, 2)
+    c = [0] * lattice.rank
+    c[i] = 1
+    c[j] = -norm // 2
     return LatVec(lattice, c)
 
 
@@ -176,15 +148,17 @@ class _Reducer:
         self.budget = _MAX_REDUCE_STEPS
 
     def _basis(self, i, scale=1):
-        c = [Fraction(0)] * self.lat.rank
-        c[i] = Fraction(scale)
+        c = [0] * self.lat.rank
+        c[i] = scale
         return tuple(c)
 
     def _emit(self, e_coords, a_coords):
         self.budget -= 1
-        assert self.budget > 0, "transvection reduction exceeded step budget"
+        if self.budget <= 0:
+            raise AssertionError("transvection reduction exceeded step budget")
         self.word.append(e_coords, a_coords)
-        self.x = apply_transvection_coords(self.lat, e_coords, a_coords, self.x)
+        self.x = TransvectionWord(self.lat, self.word.steps[-1:]).apply_coords(
+            self.x)
 
     # -- the four elementary SL2 x SL2 moves ------------------------------
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
@@ -204,12 +178,8 @@ class _Reducer:
             self._emit(self._basis(self.f1), self._basis(self.e2, k))
 
     def _p(self):
-        a = self.x[self.e1]
-        b = self.x[self.e2]
-        c = self.x[self.f1]
-        d = self.x[self.f2]
-        assert all(v.denominator == 1 for v in (a, b, c, d))
-        return [[int(a), int(d)], [int(c), -int(b)]]
+        x = self.x
+        return [[x[self.e1], x[self.f2]], [x[self.f1], -x[self.e2]]]
 
     def _rot_rows_B(self):
         # (r1, r2) -> (-r2, r1):  r1 -= r2; r2 += r1; r1 -= r2
@@ -268,7 +238,8 @@ class _Reducer:
             if p11 == 1:
                 return
             if abs(p11) != 1:
-                assert p22 != 0, "content > 1: divisibility was not 1"
+                if p22 == 0:
+                    raise AssertionError("content > 1: divisibility was not 1")
                 self.op_row1(1)   # fold and re-reduce; |P11| shrinks to gcd
                 continue
             # p11 == -1: rotate to (-p22, 1) then finish with the unit
@@ -292,27 +263,30 @@ class _Reducer:
         idxs = [self.e1, self.e2] + list(self.w_idx)
         vals = [int(pair_rows[i]) for i in idxs]
         g, coeffs = _bezout_combo(vals)
-        assert g == 1, "divisibility was not 1"
-        y = [Fraction(0)] * self.lat.rank
+        if g != 1:
+            raise AssertionError("divisibility was not 1")
+        y = [0] * self.lat.rank
         for i, c in zip(idxs, coeffs):
-            y[i] = Fraction(-c)
+            y[i] = -c
         self._emit(self._basis(self.f2), tuple(y))
-        assert self.x[self.f2] == 1 and self.x[self.f1] == 0
+        if self.x[self.f2] != 1 or self.x[self.f1] != 0:
+            raise AssertionError("pivot move did not set (c, d) = (0, 1)")
         # pivot on d = 1: E(f1, w) removes the whole remainder
-        w = [Fraction(0)] * self.lat.rank
+        w = [0] * self.lat.rank
         for k in self.w_idx:
             w[k] = self.x[k]
         self._emit(self._basis(self.f1), tuple(w))
-        assert all(v == 0 for v in self._w_part())
+        if any(v != 0 for v in self._w_part()):
+            raise AssertionError("pivot move left a remainder outside U1 + U2")
 
     def run(self):
         self._kill_w()
         self._snf_to_one()
         p = self._p()
-        assert p == [[1, 0], [0, p[1][1]]]
         norm = self.lat.pair_coords(self.x, self.x)
-        target = canonical_vector(self.lat, norm)
-        assert self.x == target.coords, "reduction did not reach canonical form"
+        if (p != [[1, 0], [0, p[1][1]]]
+                or self.x != canonical_vector(self.lat, norm).coords):
+            raise AssertionError("reduction did not reach canonical form")
         return self.word
 
 
@@ -347,7 +321,8 @@ def eichler_move(lattice, x, y):
     wx = reduce_to_canonical(lattice, x)
     wy = reduce_to_canonical(lattice, y)
     word = TransvectionWord(lattice, wx.steps + wy.inverse().steps)
-    assert word.apply(x) == y
+    if word.apply(x) != y:
+        raise AssertionError("transvection word does not map x to y")
     return word
 
 
@@ -364,6 +339,6 @@ def move_into_L(lattice, alpha):
     if la.is_zero_vec(lam) or la.content(lam) != 1:
         raise NonPrimitiveLambda("the L-part must be primitive in L")
     word = _Reducer(lattice, alpha.coords).run()
-    out = word.apply(alpha)
-    assert out.coords[di] == 0
+    if word.apply(alpha).coords[di] != 0:
+        raise AssertionError("moved vector has a nonzero delta coordinate")
     return word

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from hklat import factor as fc
@@ -79,3 +82,31 @@ def rand_transvection(rng, lat, bound=1):
         a = rand_vec(rng, lat, bound)
         if not a.is_zero() and lat.pair_coords(e.coords, a.coords) == 0:
             return tv.eichler_transvection(lat, e, a)
+
+
+def canonical(x):
+    """int when integral, else a reduced Fraction with denominator > 1;
+    tuples are checked entry by entry."""
+    if isinstance(x, tuple):
+        return all(canonical(y) for y in x)
+    if type(x) is int:
+        return True
+    return (type(x) is Fraction and x.denominator > 1
+            and gcd(x.numerator, x.denominator) == 1)
+
+
+def frac_pair(lat, x, y):
+    """(x, y) as a plain double sum over Fractions, an oracle for the
+    library's integer pairing."""
+    g, n = lat.gram, lat.rank
+    return sum(Fraction(x[i]) * sum(g[i][j] * Fraction(y[j])
+                                    for j in range(n) if g[i][j])
+               for i in range(n) if x[i])
+
+
+def rand_qcoords(rng, lat, bound=5, dens=(1, 2, 3, 7)):
+    """Random rational coordinates (ints and reduced Fractions), about a
+    third of them zero."""
+    return lat.vec([Fraction(rng.randint(-bound, bound), rng.choice(dens))
+                    if rng.random() < 0.67 else 0
+                    for _ in range(lat.rank)]).coords

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (rand_anisotropic, rand_orientation_preserving,
-                      rand_primitive, rand_transvection, rand_vec)
+from conftest import (canonical, frac_pair, rand_anisotropic,
+                      rand_orientation_preserving, rand_primitive,
+                      rand_transvection, rand_vec)
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import lattice as lt
@@ -316,3 +317,40 @@ def test_broken_rewrite_is_caught_under_O():
                        capture_output=True, text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised", "1", "True", "True"]
+
+
+def test_reflect_times_against_textbook_formula(k3):
+    rng = random.Random(83)
+    # a Witt map x -> y with x - y = 2(f1 + 3 f2) of norm -24: entries in
+    # thirds, so g is not integral
+    x = k3.vec([1, 1, 1, 3] + [0] * 18)
+    y = k3.vec([1, 1, -1, -3] + [0] * 18)
+    g = fc.witt_isometry(k3, fc.witt_map(k3, x, y))
+    assert (x - y).norm() == -24 and not g.is_integral()
+    cols = list(zip(*g.matrix))
+    for u in (rand_anisotropic(rng, k3), Fraction(3, 2) * rand_anisotropic(rng, k3),
+              x - y):
+        uu = frac_pair(k3, u.coords, u.coords)
+        want = [tuple(Fraction(c) - 2 * frac_pair(k3, u.coords, col) / uu * ui
+                      for c, ui in zip(col, u.coords)) for col in cols]
+        got = fc.reflect_times(k3, u, g).matrix
+        assert tuple(zip(*got)) == tuple(want)
+        assert canonical(got)
+
+
+def test_pair_update_outputs_keep_entry_contract(k3n2, monkeypatch):
+    seen = []
+    real = lt.Lattice.pair_update
+
+    def checked(self, m, terms):
+        out = real(self, m, terms)
+        seen.append(canonical(out))
+        return out
+    monkeypatch.setattr(lt.Lattice, "pair_update", checked)
+    phi = _rewrite_input(k3n2)
+    nf = fc.decompose(k3n2, phi)
+    assert fc.verify_normal_form(nf, phi)["ok"]
+    lsub = fc.l_sublattice(k3n2)
+    h, w = fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
+    assert h.is_integral() and w.is_integral()
+    assert len(seen) > 20 and all(seen)

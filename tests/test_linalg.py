@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import canonical
 from hklat import linalg as la
 
 
@@ -118,16 +119,6 @@ def _from_sym(x):
     return Fraction(int(x.p), int(x.q))
 
 
-def _canonical(x):
-    """int when integral, else a reduced Fraction with denominator > 1."""
-    if isinstance(x, tuple):
-        return all(_canonical(y) for y in x)
-    if type(x) is int:
-        return True
-    return (type(x) is Fraction and x.denominator > 1
-            and x == Fraction(x.numerator, x.denominator))
-
-
 def _shapes(rng, count):
     fixed = [(1, 1), (0, 3), (3, 0), (1, 5), (5, 1)]
     return fixed + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(count)]
@@ -141,7 +132,7 @@ def test_mat_mul_and_mat_vec_against_sympy():
         v = tuple(_rand_rational(rng) for _ in range(m))
         ab = la.mat_mul(a, b)
         av = la.mat_vec(a, v)
-        assert _canonical(ab) and _canonical(av)
+        assert canonical(ab) and canonical(av)
         assert len(ab) == n and len(av) == n
         if n and m:
             ref = _sym(a) * _sym(b)
@@ -160,7 +151,7 @@ def test_det_against_sympy():
         n = rng.randint(1, 7)
         a = _rank_deficient(rng, n, n) if trial % 3 == 0 else _rand_qmat(rng, n, n)
         d = la.det(a)
-        assert _canonical(d)
+        assert canonical(d)
         assert d == _from_sym(_sym(a).det())
     assert la.det(((Fraction(3, 2**70),),)) == Fraction(3, 2**70)
     assert la.det(()) == 1
@@ -182,7 +173,7 @@ def test_rref_values_and_pivots_against_sympy():
     for trial, (n, m) in enumerate(_shapes(rng, 40)):
         a = _rank_deficient(rng, n, m) if trial % 2 else _rand_qmat(rng, n, m)
         r, pivots, rk = la.rref(a)
-        assert _canonical(r)
+        assert canonical(r)
         assert len(r) == n and rk == len(pivots)
         if not (n and m):
             assert rk == 0
@@ -201,14 +192,14 @@ def test_inverse_and_solve_against_sympy():
         if la.det(a) == 0:
             continue
         inv = la.inverse(a)
-        assert _canonical(inv)
+        assert canonical(inv)
         ref = _sym(a).inv()
         assert inv == tuple(tuple(_from_sym(ref[i, j]) for j in range(n))
                             for i in range(n))
         assert la.mat_mul(a, inv) == la.identity(n)
         b = tuple(_rand_rational(rng) for _ in range(n))
         x = la.solve(a, b)
-        assert _canonical(x) and la.mat_vec(a, x) == b
+        assert canonical(x) and la.mat_vec(a, x) == b
     # rank-deficient systems: consistent right-hand sides are solved,
     # others are reported as None
     for trial in range(20):
@@ -217,9 +208,9 @@ def test_inverse_and_solve_against_sympy():
         x0 = tuple(_rand_rational(rng) for _ in range(m))
         b = la.mat_vec(a, x0)
         x = la.solve(a, b)
-        assert x is not None and _canonical(x) and la.mat_vec(a, x) == b
+        assert x is not None and canonical(x) and la.mat_vec(a, x) == b
         kb = la.kernel(a)
-        assert _canonical(kb) and len(kb) == m - la.rank(a)
+        assert canonical(kb) and len(kb) == m - la.rank(a)
         assert all(la.mat_vec(a, k) == (0,) * n for k in kb)
     assert la.solve(((0, 0),), (1,)) is None
 

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import rand_primitive, rand_primitive_norm, rand_vec
+from conftest import (canonical, frac_pair, rand_primitive,
+                      rand_primitive_norm, rand_qcoords, rand_vec)
 from hklat import lattice as lt
 from hklat import transvect as tv
 from hklat.errors import LatticeError, NonPrimitiveLambda, NormMismatch
@@ -113,3 +118,86 @@ def test_eichler_move_divisibility_mismatch(k3n2):
     assert v.norm() == delta.norm()
     with pytest.raises(DivisibilityMismatch):
         tv.eichler_move(k3n2, v, delta)
+
+
+def _textbook_transvection(lat, e, a, x):
+    """x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e, on plain Fractions."""
+    ax, ex = frac_pair(lat, a, x), frac_pair(lat, e, x)
+    half_aa = frac_pair(lat, a, a) / 2
+    return tuple(Fraction(xi) - ax * ei + ex * ai - half_aa * ex * ei
+                 for xi, ei, ai in zip(x, e, a))
+
+
+def test_transvection_against_textbook_formula(k3):
+    rng = random.Random(71)
+    e_mixed = k3.vec([1, 0, 1] + [0] * 19)    # e1 + f1: isotropic, not a basis vector
+    assert e_mixed.norm() == 0
+    anisotropic_a = 0
+    for e in (k3.basis_vec(1), e_mixed):
+        done = 0
+        while done < 4:
+            a = rand_vec(rng, k3)
+            if a.is_zero() or e.pair(a) != 0:
+                continue
+            done += 1
+            anisotropic_a += a.norm() != 0
+            E = tv.eichler_transvection(k3, e, a)
+            assert canonical(E.matrix)
+            word = tv.TransvectionWord(k3, [(e.coords, a.coords)])
+            for _ in range(3):
+                x = rand_qcoords(rng, k3)
+                want = _textbook_transvection(k3, e.coords, a.coords, x)
+                assert E.apply(k3.vec(x)).coords == want
+                got = word.apply_coords(x)
+                assert got == want and canonical(got)
+    assert anisotropic_a >= 4
+
+
+def test_word_isometry_matches_its_steps(k3):
+    rng = random.Random(79)
+    word = tv.reduce_to_canonical(k3, rand_primitive(rng, k3))
+    assert len(word) > 3
+    for _ in range(3):
+        x = rand_qcoords(rng, k3)
+        want = x
+        for e, a in word.steps:
+            want = _textbook_transvection(k3, e, a, want)
+        assert word.isometry().apply(k3.vec(x)).coords == want
+        assert word.apply_coords(x) == want
+
+
+# primitive, divisibility 1; its reduction takes 20 steps
+_BUDGET_VECTOR = [2, 3, 5, 7, 1, 0, 1, -1] + [0] * 14
+
+
+def test_reduction_budget_raises(k3, monkeypatch):
+    assert len(tv.reduce_to_canonical(k3, k3.vec(_BUDGET_VECTOR))) > 3
+    monkeypatch.setattr(tv, "_MAX_REDUCE_STEPS", 3)
+    with pytest.raises(AssertionError, match="step budget"):
+        tv.reduce_to_canonical(k3, k3.vec(_BUDGET_VECTOR))
+
+
+_BUDGET_SCRIPT = """
+import sys
+from hklat import lattice as lt, transvect as tv
+tv._MAX_REDUCE_STEPS = 3
+k3 = lt.preset("K3")
+try:
+    tv.reduce_to_canonical(k3, k3.vec(%r))
+except AssertionError as exc:
+    print("raised", sys.flags.optimize, "step budget" in str(exc))
+else:
+    print("returned", sys.flags.optimize)
+""" % (_BUDGET_VECTOR,)
+
+
+def test_reduction_budget_raises_under_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _BUDGET_SCRIPT],
+                       capture_output=True, text=True, timeout=300, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "1", "True"]
