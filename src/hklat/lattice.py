@@ -304,7 +304,7 @@ def divisibility(lattice, x):
 class QIsometry:
     """A rational matrix M with M^T G M = G, acting on column coordinates."""
 
-    __slots__ = ("lattice", "matrix")
+    __slots__ = ("lattice", "matrix", "_det")
 
     def __init__(self, lattice, matrix, _trusted=False):
         m = la.mat(matrix)
@@ -316,6 +316,7 @@ class QIsometry:
                 raise NotAnIsometry("matrix does not preserve the pairing")
         self.lattice = lattice
         self.matrix = m
+        self._det = None
 
     @classmethod
     def identity(cls, lattice):
@@ -366,10 +367,14 @@ class QIsometry:
         return la.is_integral_mat(self.matrix)
 
     def det(self):
-        d = la.det(self.matrix)
-        if d not in (1, -1):
-            raise NotAnIsometry("determinant %s is not +-1" % (d,))
-        return d
+        """+-1, computed once; anything else raises NotAnIsometry on every
+        call."""
+        if self._det is None:
+            d = la.det(self.matrix)
+            if d not in (1, -1):
+                raise NotAnIsometry("determinant %s is not +-1" % (d,))
+            self._det = d
+        return self._det
 
     def is_identity(self):
         return self.matrix == la.identity(self.lattice.rank)

@@ -2,24 +2,33 @@
 
 Sym^n V is handled in the monomial basis indexed by sorted n-tuples of basis
 indices; elements are sparse {monomial: scalar} dicts.  The arithmetic
-kernels (sym_mul, apply_linear, derivation_apply, sn_coords) scale each
-operand once to integer numerators over one common denominator, work on
-plain ints, and divide once at the end, as the linalg kernels do; what they
-return holds ints or reduced Fractions and no zero entries.  The
+kernels (sym_power, sym_mul, apply_linear, derivation_apply, sn_coords)
+scale each operand once to integer numerators over one common denominator,
+work on plain ints, and divide once at the end, as the linalg kernels do;
+what they return holds ints or reduced Fractions and no zero entries.  For
+n = 2, apply_linear is the congruence f X f^T on integer numerators.  The
 distinguished subspace S_[n] is computed as the kernel of the contraction
 that pairs two slots with the bilinear form -- the span of n-th powers of
-isotropic vectors, which is checked against it where feasible.  recover()
-inverts the restriction of Sym^n to S_[n] up to the usual determinant
-convention when n is even.
+isotropic vectors, which is checked against it where feasible.
+
+recover() inverts the restriction of Sym^n to S_[n] up to the usual
+determinant convention when n is even.  It evaluates Phi only on the pure
+powers v^n of an isotropic spanning set: each image is split as c w^n on
+integer numerators, and the lines (c, w) alone fix the isometry.
+compose_rule_check() works on lines as well: Sym^n(f1) sends v^n to
+(f1 v)^n, and Sym^n(f2) sends c w^n to c (f2 w)^n, so neither is applied
+as an operator on Sym^n.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import mul
 
 from . import linalg as la
-from .errors import (LatticeError, NotConjugating, NotDecomposable,
-                     NotGraded, ScalarInconsistency, SolveFailure)
+from .errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
+                     NotDecomposable, NotGraded, ScalarInconsistency,
+                     SolveFailure)
 from .lattice import QIsometry
 
 
@@ -39,6 +48,10 @@ def sym_add(x, y):
 
 def sym_scale(c, x):
     c = la.frac(c)
+    if c == 1:
+        return dict(x)
+    if c == -1:
+        return {m: -v for m, v in x.items()}
     if not c:
         return {}
     return {m: la.frac(c * v) for m, v in x.items()}
@@ -53,21 +66,28 @@ def sym_eq(x, y):
 
 
 def sym_power(v_coords, n):
-    """v^n as a sparse polynomial in the basis variables."""
-    out = {(): 1}
-    support = [(i, c) for i, c in enumerate(v_coords) if c]
-    for _ in range(n):
-        nxt = {}
-        for m, c in out.items():
-            for i, ci in support:
-                key = tuple(sorted(m + (i,)))
-                val = nxt.get(key, 0) + c * ci
-                if val:
-                    nxt[key] = val
-                else:
-                    nxt.pop(key, None)
-        out = nxt
-    return {m: la.frac(c) for m, c in out.items()}
+    """v^n as a sparse polynomial in the basis variables.
+
+    The multinomial expansion runs on the integer numerators of v (one
+    common denominator d) and is divided by d^n once at the end.
+    """
+    nums, d = la.scaled_vec(v_coords)
+    support = [(i, c) for i, c in enumerate(nums) if c]
+    nf = factorial(n)
+    out = {}
+    for terms in combinations_with_replacement(support, n):
+        # n! / prod(mu_i!) * prod(c_i^mu_i), the factorials divided out
+        # one repeat at a time
+        coef, prod, prev, run = nf, 1, None, 0
+        for i, c in terms:
+            prod *= c
+            if i == prev:
+                run += 1
+                coef //= run
+            else:
+                prev, run = i, 1
+        out[tuple([i for i, _ in terms])] = coef * prod
+    return sym_quotient(out, d ** n)
 
 
 def sym_scaled(x):
@@ -278,8 +298,9 @@ class SymSpace:
     # -- functorial action ---------------------------------------------------
 
     def apply_linear(self, f_matrix, x):
-        """Sym^n(f) applied to a sparse element."""
-        if self.n == 2 and len(x) > self.dim_v:
+        """Sym^n(f) applied to a sparse element: slot by slot through the
+        columns of f, or for n = 2 as the congruence f X f^T."""
+        if self.n == 2:
             return self._apply_linear_quadratic(f_matrix, x)
         cols, fd = _sparse_columns(f_matrix)
         xn, xd = sym_scaled(x)
@@ -302,27 +323,40 @@ class SymSpace:
         return sym_quotient(out, xd * fd ** self.n)
 
     def _apply_linear_quadratic(self, fm, x):
-        """Dense fast path for n = 2 via the congruence f X f^T."""
+        """Sym^2(f) x as the congruence M = F (2X) F^T, X the symmetric
+        matrix of x, on integer numerators over one denominator: upper
+        triangle only, and only the rows where F (2X) is nonzero.  Then
+        x' = M_ii / 2 on the diagonal and M_ij off it."""
         d = self.dim_v
-        half = Fraction(1, 2)
-        xm = [[0] * d for _ in range(d)]
-        for (i, j), c in x.items():
+        fnums, fd = la.scaled_vec([v for row in fm for v in row])
+        frows = [fnums[i * d:(i + 1) * d] for i in range(d)]
+        xn, xd = sym_scaled(x)
+        # the nonzero rows of xd * 2X, which is symmetric: row j is column j
+        nrows = {}
+        for (i, j), c in xn.items():
             if i == j:
-                xm[i][i] = c
-            else:
-                h = c * half
-                xm[i][j] = h
-                xm[j][i] = h
-        y = la.mat_mul(la.mat_mul(fm, la.mat(xm)), la.transpose(fm))
+                nrows.setdefault(i, [0] * d)[i] = 2 * c
+            elif c:
+                nrows.setdefault(i, [0] * d)[j] = c
+                nrows.setdefault(j, [0] * d)[i] = c
+        den = xd * fd * fd
         out = {}
         for i in range(d):
-            yi = y[i]
-            if yi[i]:
-                out[(i, i)] = yi[i]
-            for j in range(i + 1, d):
-                v = yi[j]
-                if v:
-                    out[(i, j)] = la.frac(2 * v)
+            fi = frows[i]
+            acc = [0] * d   # row i of F (2X)
+            for j, nj in nrows.items():
+                acc[j] = sum(map(mul, fi, nj))
+            nz = [(k, a) for k, a in enumerate(acc) if a]
+            if not nz:
+                continue
+            if 2 * len(nz) > d:
+                sums = [sum(map(mul, acc, frows[j])) for j in range(i, d)]
+            else:
+                sums = [sum([a * frows[j][k] for k, a in nz])
+                        for j in range(i, d)]
+            for j, s in enumerate(sums, i):
+                if s:
+                    out[(i, j)] = la.quotient(s, 2 * den if i == j else den)
         return out
 
     def derivation_apply(self, op_matrix, x):
@@ -384,7 +418,11 @@ def s_n_subspace(lattice, n):
 
 def isotropic_spanning_set(lattice):
     """d isotropic vectors spanning the space, built from the first
-    hyperbolic pair; every later vector pairs nontrivially with the first."""
+    hyperbolic pair; every later vector pairs nontrivially with the first.
+
+    Raises NoHyperbolicPlanes when the first designated pair is not a
+    hyperbolic plane (e_i, e_j) = -1 orthogonal to the other basis vectors,
+    so that some vector built from it is not isotropic."""
     if not lattice.u_blocks:
         raise LatticeError("need a hyperbolic pair to produce isotropic vectors")
     i, j = lattice.u_blocks[0]
@@ -400,7 +438,10 @@ def isotropic_spanning_set(lattice):
             c[i] = la.ratio(nk, 2)
             c[j] = Fraction(1)
         v = lattice.vec(c)
-        assert v.norm() == 0
+        if v.norm() != 0:
+            raise NoHyperbolicPlanes("u_blocks[0] = %r is not a hyperbolic "
+                                     "plane: basis vector %d gives a vector "
+                                     "of norm %s" % ((i, j), k, v.norm()))
         out.append(v)
     return out
 
@@ -509,48 +550,99 @@ def _nth_root_fraction(c, n):
 
 
 def _extract_power_line(space, x):
-    """Write x = c * w^n; returns (c, w_coords) or raises NotDecomposable."""
+    """Write x = c * w^n; returns (c, w_coords) with w a primitive integer
+    vector, or raises NotDecomposable.
+
+    Contracting n - 1 slots of c w^n with a covector z gives a multiple of
+    (z, w)^(n-1) w, so the first Gram row z = (e_k, .) that leaves a nonzero
+    vector fixes the line of w, and x has symmetric rank 1 exactly when it
+    is a multiple of that w^n.  The contraction and the comparison run on
+    the integer numerators of x.
+    """
     n = space.n
-    d = space.dim_v
     if not x:
         raise NotDecomposable("zero image cannot be a power of a nonzero vector")
-    # contract n-1 slots with covectors (z, .) for deterministic z choices
-    g = space.lattice.gram
-    zs = [la.mat_vec(g, tuple(1 if t == k else 0 for t in range(d)))
-          for k in range(d)]
-    for z in zs:
-        cur = x
+    rank_2 = "image of an isotropic power has symmetric rank > 1"
+    xn, xd = sym_scaled(x)
+    xn = {m: c for m, c in xn.items() if c}
+    for z in space.lattice.gram:
+        cur = xn
         for _ in range(n - 1):
             nxt = {}
             for m, c in cur.items():
-                mult = _multiplicities(m)
-                for i, mu_i in mult.items():
-                    zi = z[i]
-                    if not zi:
-                        continue
-                    rem = list(m)
-                    rem.remove(i)
-                    key = tuple(rem)
-                    val = nxt.get(key, 0) + c * mu_i * zi
-                    if val:
-                        nxt[key] = val
-                    else:
-                        nxt.pop(key, None)
-            cur = nxt
-        if not cur:
-            continue
-        w = [0] * d
-        for m, c in cur.items():
-            w[m[0]] = c
-        # candidate line; compute w^n and solve the single scalar
-        wn = sym_power(w, n)
-        pivot = next(iter(wn))
-        if pivot not in x:
-            continue
-        c0 = la.ratio(x[pivot], wn[pivot])
-        if c0 and sym_eq(sym_scale(c0, wn), x):
-            return c0, tuple(w)
-    raise NotDecomposable("image of an isotropic power has symmetric rank > 1")
+                for i, mu_i in _multiplicities(m).items():
+                    if z[i]:
+                        rem = list(m)
+                        rem.remove(i)
+                        key = tuple(rem)
+                        nxt[key] = nxt.get(key, 0) + c * mu_i * z[i]
+            cur = {m: c for m, c in nxt.items() if c}
+        if cur:
+            break
+    else:
+        raise NotDecomposable(rank_2)
+    w = [0] * space.dim_v
+    for m, c in cur.items():
+        w[m[0]] = c
+    g = gcd(*w)
+    w = [c // g for c in w]
+    wn = sym_power(w, n)
+    # x = (px / (xd pw)) w^n exactly when the cross products agree
+    pivot, pw = next(iter(wn.items()))
+    px = xn.get(pivot)
+    if not (px and len(wn) == len(xn)
+            and all([xn.get(m, 0) * pw == px * c for m, c in wn.items()])):
+        raise NotDecomposable(rank_2)
+    return la.ratio(px, xd * pw), tuple(w)
+
+
+def _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs=True):
+    """The isometry f with f(v_i) = t_i w_i, for the lines
+    Phi(v_i^n) = c_i w_i^n of the spanning vectors vs.
+
+    The scalars satisfy t_i^n = c_i (n odd) or t_i^n = |c_i| (n even, the
+    signs fixed by the pairings with v_0 and then the determinant twist),
+    so any rescaling of a w_i cancels.  The pairings are read off the Gram
+    matrices V^T G V and W^T G W of the columns v_i and w_i.
+    """
+    ts = []
+    for c, _ in lines:
+        t = _nth_root_fraction(c if n % 2 == 1 else abs(c), n)
+        if t is None:
+            raise ScalarInconsistency("image scalar is not an exact n-th power")
+        ts.append(t)
+    vmat = la.transpose([v.coords for v in vs])
+    wmat = la.transpose([w for _, w in lines])
+    p = la.mat_mul(la.mat_mul(la.transpose(vmat), space_1.lattice.gram), vmat)
+    q = la.mat_mul(la.mat_mul(la.transpose(wmat), space_2.lattice.gram), wmat)
+    if n % 2 == 0:
+        # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
+        for i in range(1, len(vs)):
+            if p[0][i] == 0:
+                raise ScalarInconsistency("spanning set pairing graph split")
+            # t_0 t_i q_0i = p_0i
+            want = la.ratio(p[0][i], ts[0] * ts[i] * q[0][i])
+            if want == -1:
+                ts[i] = -ts[i]
+            elif want != 1:
+                raise ScalarInconsistency("pairing constraint has no sign solution")
+    if check_pairs:
+        for i in range(len(vs)):
+            for j in range(i, len(vs)):
+                if ts[i] * ts[j] * q[i][j] != p[i][j]:
+                    raise NotConjugating("candidate images do not preserve the form")
+    if space_1.lattice.gram != space_2.lattice.gram:
+        raise LatticeError("recover expects identified source and target spaces")
+    # f = W diag(t) V^-1; with the pairings checked it is an isometry
+    tvinv = la.mat([[t * x for x in row]
+                    for t, row in zip(ts, la.inverse(vmat))])
+    iso = QIsometry(space_2.lattice, la.mat_mul(wmat, tvinv),
+                    _trusted=check_pairs)
+    if n % 2 == 0:
+        # det(f) S(f) = Phi fixes the representative among {f, -f}: both
+        # send v_0^n to t_0^n w_0^n = |c_0| w_0^n, and Phi(v_0^n) = c_0 w_0^n
+        return iso if iso.det() * lines[0][0] > 0 else -iso
+    return iso
 
 
 def recover(space_1, space_2, phi_apply, n=None, check_pairs=True):
@@ -562,99 +654,36 @@ def recover(space_1, space_2, phi_apply, n=None, check_pairs=True):
     construction follows the isotropic-power method: images of v_i^n are
     decomposable, their lines determine f up to scalars, and the scalars
     are resolved by n-th roots and pairing consistency against the first
-    spanning vector.
+    spanning vector.  Phi is called once per spanning vector, d times.
     """
     n = space_1.n if n is None else n
-    d = space_1.dim_v
-    if n % 2 == 0 and d % 2 == 0:
+    if n % 2 == 0 and space_1.dim_v % 2 == 0:
         raise LatticeError("even symmetric powers need odd dimension")
     vs = isotropic_spanning_set(space_1.lattice)
-    lines = []
-    for v in vs:
-        img = phi_apply(sym_power(v.coords, n))
-        c, w = _extract_power_line(space_2, img)
-        lines.append((c, w))
-    # scalars: f(v_i) = t_i w_i with t_i^n * s = c_i, s the global parity
-    # sign (1 for n odd); resolve |t_i| by roots, signs by pairings with v_0
-    ws = [space_2.lattice.vec(w) for _, w in lines]
-    ts = []
-    for c, _ in lines:
-        t = _nth_root_fraction(c, n)
-        if n % 2 == 1:
-            if t is None:
-                raise ScalarInconsistency("image scalar is not an exact n-th power")
-            ts.append(t)
-        else:
-            t = _nth_root_fraction(abs(c), n)
-            if t is None:
-                raise ScalarInconsistency("image scalar is not an exact n-th power")
-            ts.append(t)   # sign resolved below
-    if n % 2 == 0:
-        # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
-        signs = [None] * len(vs)
-        signs[0] = 1
-        for i in range(1, len(vs)):
-            p12 = vs[0].pair(vs[i])
-            if p12 == 0:
-                raise ScalarInconsistency("spanning set pairing graph split")
-            q12 = ws[0].pair(ws[i])
-            # t_0 t_i q12 = p12
-            want = la.ratio(p12, ts[0] * ts[i] * q12)
-            if want == 1:
-                signs[i] = 1
-            elif want == -1:
-                signs[i] = -1
-            else:
-                raise ScalarInconsistency("pairing constraint has no sign solution")
-        ts = [t * s for t, s in zip(ts, signs)]
-    fv = [t * w for t, w in zip(ts, ws)]
-    if check_pairs:
-        for i in range(len(vs)):
-            for j in range(i, len(vs)):
-                if fv[i].pair(fv[j]) != vs[i].pair(vs[j]):
-                    raise NotConjugating("candidate images do not preserve the form")
-    if space_1.lattice.gram != space_2.lattice.gram:
-        raise LatticeError("recover expects identified source and target spaces")
-    vmat = la.transpose(la.mat([v.coords for v in vs]))
-    wmat = la.transpose(la.mat([w.coords for w in fv]))
-    f = la.mat_mul(wmat, la.inverse(vmat))
-    iso = QIsometry(space_2.lattice, f)
-    if n % 2 == 0:
-        # det(f) S(f) = Phi fixes the representative among {f, -f}
-        img = phi_apply(sym_power(vs[0].coords, n))
-        for cand in (iso, -iso):
-            det_sign = cand.det()
-            sf = sym_scale(det_sign,
-                           sym_power(la.mat_vec(cand.matrix, vs[0].coords), n))
-            if sym_eq(sf, img):
-                return cand
-        raise NotConjugating("no determinant twist matches the input")
-    return iso
-
-
-def verify_restriction(space, f, phi_apply, n=None, extra=()):
-    """Check S(f) = Phi on the isotropic spanning powers and extras."""
-    n = space.n if n is None else n
-    fm = f.matrix if isinstance(f, QIsometry) else f
-    for v in isotropic_spanning_set(space.lattice):
-        lhs = sym_power(la.mat_vec(fm, v.coords), n)
-        if not sym_eq(lhs, phi_apply(sym_power(v.coords, n))):
-            return False
-    for x in extra:
-        if not sym_eq(space.apply_linear(fm, x), phi_apply(x)):
-            return False
-    return True
+    lines = [_extract_power_line(space_2, phi_apply(sym_power(v.coords, n)))
+             for v in vs]
+    return _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs)
 
 
 def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     """H(S(f2) o Phi o S(f1)) = f2 o H(Phi) o f1 up to the n-even
-    determinant factor; exact.  h_phi may carry a precomputed H(Phi)."""
+    determinant factor; exact.  h_phi may carry a precomputed H(Phi).
+
+    The left side is recovered from lines, as recover() would do on the
+    composite: S(f1) sends v^n to (f1 v)^n, and when
+    Phi((f1 v)^n) = c w^n, S(f2) sends that to c (f2 w)^n.  So Phi is
+    called d times and S(f1), S(f2) are never applied.
+    """
     n = space.n
-
-    def comp(x):
-        return space.apply_linear(f2.matrix, phi_apply(space.apply_linear(f1.matrix, x)))
-
-    h_comp = recover(space, space, comp)
+    if n % 2 == 0 and space.dim_v % 2 == 0:
+        raise LatticeError("even symmetric powers need odd dimension")
+    vs = isotropic_spanning_set(space.lattice)
+    f1vs = la.mat_mul(f1.matrix, la.transpose([v.coords for v in vs]))
+    lines = [_extract_power_line(space, phi_apply(sym_power(fv, n)))
+             for fv in la.transpose(f1vs)]
+    f2ws = la.mat_mul(f2.matrix, la.transpose([w for _, w in lines]))
+    lines = [(c, w) for (c, _), w in zip(lines, la.transpose(f2ws))]
+    h_comp = _isometry_from_lines(space, space, vs, lines, n)
     if h_phi is None:
         h_phi = recover(space, space, phi_apply)
     expect = f2 * h_phi * f1

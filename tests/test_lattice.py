@@ -223,6 +223,28 @@ def test_isometry_det_checks_without_assert():
     assert lt.QIsometry.minus_identity(u).det() == 1
 
 
+def test_isometry_det_is_computed_once(k3n2, monkeypatch):
+    calls = []
+    real_det = lt.la.det
+
+    def counting_det(m):
+        calls.append(m)
+        return real_det(m)
+    monkeypatch.setattr(lt.la, "det", counting_det)
+    f = rand_orientation_preserving(random.Random(263), k3n2)
+    calls.clear()
+    dets = [f.det() for _ in range(4)]
+    assert dets[0] in (1, -1) and dets == dets[:1] * 4
+    assert len(calls) == 1
+    # a failed check is not cached: it raises, and recomputes, every time
+    fake = lt.QIsometry(lt.preset("U"), ((2, 0), (0, 2)), _trusted=True)
+    calls.clear()
+    for _ in range(3):
+        with pytest.raises(NotAnIsometry):
+            fake.det()
+    assert len(calls) == 3
+
+
 def _sparse_qcoords(rng, lat, support):
     c = [0] * lat.rank
     for i in rng.sample(range(lat.rank), support):

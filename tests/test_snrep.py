@@ -1,15 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from conftest import canonical
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
-from hklat.errors import NotGraded, SolveFailure
+from hklat.errors import (NoHyperbolicPlanes, NotDecomposable, NotGraded,
+                          SolveFailure)
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +335,7 @@ def test_apply_linear_matches_fraction_reference(H5, H7):
         for n in (1, 2, 3):
             sym = sn.SymSpace(space.lattice, n)
             for f in fs:
-                # up to dim_v terms take the sparse path for n = 2, more the
-                # dense one
+                # n = 2 goes through the congruence f X f^T at every size
                 for terms in (0, 1, 4, space.dim, 3 * space.dim):
                     x = _rand_elt(rng, space, terms, n)
                     got = sym.apply_linear(f, x)
@@ -366,3 +370,170 @@ def test_sn_coords_exact(H5):
     assert not sym.in_kernel(bad)
     with pytest.raises(SolveFailure):
         sym.sn_coords(bad)
+
+
+def _ref_power(v, n):
+    """v^n in plain Fractions, one factor at a time."""
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        nxt = {}
+        for m, c in out.items():
+            for i, vi in enumerate(v):
+                if vi:
+                    key = tuple(sorted(m + (i,)))
+                    nxt[key] = nxt.get(key, Fraction(0)) + c * Fraction(vi)
+        out = nxt
+    return {m: c for m, c in out.items() if c}
+
+
+def test_sym_power_matches_fraction_reference():
+    rng = random.Random(229)
+    vecs = [la.vec([0] * 5), la.vec([0, 0, Fraction(-3, 4), 0, 0]),
+            la.vec([7, 0, 0, 0, 0])]
+    for _ in range(12):
+        vecs.append(la.vec([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 10)))
+                            if rng.random() < 0.7 else 0 for _ in range(7)]))
+    for v in vecs:
+        for n in range(4):
+            got = sn.sym_power(v, n)
+            assert got == _ref_power(v, n)
+            assert all(c != 0 and canonical(c) for c in got.values())
+            assert all(list(m) == sorted(m) for m in got)
+    assert sn.sym_power(la.vec([0] * 3), 0) == {(): 1}
+    assert sn.sym_power(la.vec([0] * 3), 2) == {}
+
+
+def _rand_qvec(rng, d):
+    while True:
+        w = la.vec([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+                    for _ in range(d)])
+        if any(w):
+            return w
+
+
+def test_extract_power_line_round_trips(H5, H7):
+    rng = random.Random(233)
+    for space in (H5, H7):
+        d = space.dim
+        for n in (2, 3):
+            sym = sn.SymSpace(space.lattice, n)
+            for _ in range(6):
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(1, 6))
+                w = _rand_qvec(rng, d)
+                x = sn.sym_scale(c, sn.sym_power(w, n))
+                c2, w2 = sn._extract_power_line(sym, x)
+                assert sn.sym_scale(c2, sn.sym_power(w2, n)) == x
+                assert all(type(t) is int for t in w2)
+                assert la.rank([w, w2]) == 1
+            # two independent squares (cubes) have symmetric rank 2
+            u = la.vec([1, 0, 2] + [0] * (d - 3))
+            v = la.vec([0, 1, 0] + [Fraction(1, 2)] * (d - 3))
+            with pytest.raises(NotDecomposable):
+                sn._extract_power_line(
+                    sym, sn.sym_add(sn.sym_power(u, n), sn.sym_power(v, n)))
+            with pytest.raises(NotDecomposable):
+                sn._extract_power_line(sym, {})
+
+
+def _counting(fn):
+    def wrapped(*args):
+        wrapped.calls += 1
+        return fn(*args)
+    wrapped.calls = 0
+    return wrapped
+
+
+def _sym_phi(sym, f):
+    """Sym^n(f), times det(f) for even n: the Phi that recover() inverts
+    to f (n odd) or +-f (n even)."""
+    s = f.det() if sym.n % 2 == 0 else 1
+    return lambda x: sn.sym_scale(s, sym.apply_linear(f.matrix, x))
+
+
+def test_recover_calls_phi_once_per_spanning_vector(H5, H7):
+    rng = random.Random(239)
+    for space, n in ((H5, 2), (H5, 3), (H7, 2), (H7, 3)):
+        sym = sn.SymSpace(space.lattice, n)
+        f0 = _rand_iso(rng, space.lattice)
+        phi = _counting(_sym_phi(sym, f0))
+        out = sn.recover(sym, sym, phi)
+        assert out == f0 or (n % 2 == 0 and out == -f0)
+        assert phi.calls == space.dim
+
+
+def test_compose_rule_check_applies_sym_only_inside_phi(H5, monkeypatch):
+    rng = random.Random(241)
+    for n in (2, 3):
+        sym = sn.SymSpace(H5.lattice, n)
+        f0, f1, f2 = (_rand_iso(rng, H5.lattice) for _ in range(3))
+        h = sn.recover(sym, sym, _sym_phi(sym, f0))
+        counter = _counting(sn.SymSpace.apply_linear)
+        monkeypatch.setattr(sn.SymSpace, "apply_linear", counter)
+        phi = _counting(_sym_phi(sym, f0))
+        assert sn.compose_rule_check(sym, f1, f2, phi, h_phi=h)
+        assert phi.calls == H5.dim and counter.calls == phi.calls
+        phi.calls = counter.calls = 0
+        assert sn.compose_rule_check(sym, f1, f2, phi)
+        assert phi.calls == 2 * H5.dim and counter.calls == phi.calls
+        monkeypatch.undo()
+
+
+def test_compose_rule_check_rejects_wrong_isometry(H5):
+    rng = random.Random(251)
+    for n in (2, 3):
+        sym = sn.SymSpace(H5.lattice, n)
+        f0, f1, f2, g = (_rand_iso(rng, H5.lattice) for _ in range(4))
+        assert g not in (f0, -f0)
+        phi = _sym_phi(sym, f0)
+        assert sn.compose_rule_check(sym, f1, f2, phi,
+                                     h_phi=sn.recover(sym, sym, phi))
+        assert not sn.compose_rule_check(sym, f1, f2, phi, h_phi=g)
+
+
+def test_compose_rule_check_rank_two_image_raises(H5):
+    rng = random.Random(257)
+    for n in (2, 3):
+        sym = sn.SymSpace(H5.lattice, n)
+        f0, f1, f2 = (_rand_iso(rng, H5.lattice) for _ in range(3))
+        v = sn.isotropic_spanning_set(H5.lattice)[2]
+        target = sn.sym_power(f1.apply(v).coords, n)
+        extra = sn.sym_power(la.vec([1, 2, 0, 0, 1]), n)
+        good = _sym_phi(sym, f0)
+
+        def phi(x):
+            img = good(x)
+            return sn.sym_add(img, extra) if x == target else img
+        with pytest.raises(NotDecomposable):
+            sn.compose_rule_check(sym, f1, f2, phi, h_phi=f0)
+
+
+def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair():
+    # (e0, e1) = +1: e2 + (-1) e0 + e1 has norm -4, not 0
+    bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
+    with pytest.raises(NoHyperbolicPlanes):
+        sn.isotropic_spanning_set(bad)
+
+
+_BAD_PAIR_SCRIPT = """
+from hklat import lattice as lt, snrep as sn
+from hklat.errors import NoHyperbolicPlanes
+bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
+try:
+    sn.isotropic_spanning_set(bad)
+    print("returned")
+except NoHyperbolicPlanes:
+    print("raised", __debug__)
+"""
+
+
+def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _BAD_PAIR_SCRIPT],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "False"]
