@@ -325,7 +325,8 @@ class SymSpace:
     def _apply_linear_quadratic(self, fm, x):
         """Sym^2(f) x as the congruence M = F (2X) F^T, X the symmetric
         matrix of x, on integer numerators over one denominator: upper
-        triangle only, and only the rows where F (2X) is nonzero.  Then
+        triangle only, each entry summed over the nonzero entries of its
+        row of F (2X).  Then
         x' = M_ii / 2 on the diagonal and M_ij off it."""
         d = self.dim_v
         fnums, fd = la.scaled_vec([v for row in fm for v in row])
@@ -349,11 +350,7 @@ class SymSpace:
             nz = [(k, a) for k, a in enumerate(acc) if a]
             if not nz:
                 continue
-            if 2 * len(nz) > d:
-                sums = [sum(map(mul, acc, frows[j])) for j in range(i, d)]
-            else:
-                sums = [sum([a * frows[j][k] for k, a in nz])
-                        for j in range(i, d)]
+            sums = [sum([a * frows[j][k] for k, a in nz]) for j in range(i, d)]
             for j, s in enumerate(sums, i):
                 if s:
                     out[(i, j)] = la.quotient(s, 2 * den if i == j else den)
@@ -596,7 +593,23 @@ def _extract_power_line(space, x):
     return la.ratio(px, xd * pw), tuple(w)
 
 
-def _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs=True):
+def _spanning_lines(space_1, space_2, phi_apply, f1=None):
+    """The isotropic spanning vectors v_i of space_1 and the lines
+    Phi(u_i^n) = c_i w_i^n in space_2, for u_i = v_i, or u_i = f1 v_i when
+    an isometry f1 is given; Phi is called once per v_i."""
+    n = space_1.n
+    if n % 2 == 0 and space_1.dim_v % 2 == 0:
+        raise LatticeError("even symmetric powers need odd dimension")
+    vs = isotropic_spanning_set(space_1.lattice)
+    us = [v.coords for v in vs]
+    if f1 is not None:
+        us = la.transpose(la.mat_mul(f1.matrix, la.transpose(us)))
+    lines = [_extract_power_line(space_2, phi_apply(sym_power(u, n)))
+             for u in us]
+    return vs, lines
+
+
+def _isometry_from_lines(space_1, space_2, vs, lines):
     """The isometry f with f(v_i) = t_i w_i, for the lines
     Phi(v_i^n) = c_i w_i^n of the spanning vectors vs.
 
@@ -605,6 +618,7 @@ def _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs=True):
     so any rescaling of a w_i cancels.  The pairings are read off the Gram
     matrices V^T G V and W^T G W of the columns v_i and w_i.
     """
+    n = space_1.n
     ts = []
     for c, _ in lines:
         t = _nth_root_fraction(c if n % 2 == 1 else abs(c), n)
@@ -620,24 +634,25 @@ def _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs=True):
         for i in range(1, len(vs)):
             if p[0][i] == 0:
                 raise ScalarInconsistency("spanning set pairing graph split")
+            if q[0][i] == 0:
+                raise ScalarInconsistency("image lines orthogonal where the "
+                                          "spanning vectors pair")
             # t_0 t_i q_0i = p_0i
             want = la.ratio(p[0][i], ts[0] * ts[i] * q[0][i])
             if want == -1:
                 ts[i] = -ts[i]
             elif want != 1:
                 raise ScalarInconsistency("pairing constraint has no sign solution")
-    if check_pairs:
-        for i in range(len(vs)):
-            for j in range(i, len(vs)):
-                if ts[i] * ts[j] * q[i][j] != p[i][j]:
-                    raise NotConjugating("candidate images do not preserve the form")
+    for i in range(len(vs)):
+        for j in range(i, len(vs)):
+            if ts[i] * ts[j] * q[i][j] != p[i][j]:
+                raise NotConjugating("candidate images do not preserve the form")
     if space_1.lattice.gram != space_2.lattice.gram:
         raise LatticeError("recover expects identified source and target spaces")
     # f = W diag(t) V^-1; with the pairings checked it is an isometry
     tvinv = la.mat([[t * x for x in row]
                     for t, row in zip(ts, la.inverse(vmat))])
-    iso = QIsometry(space_2.lattice, la.mat_mul(wmat, tvinv),
-                    _trusted=check_pairs)
+    iso = QIsometry(space_2.lattice, la.mat_mul(wmat, tvinv), _trusted=True)
     if n % 2 == 0:
         # det(f) S(f) = Phi fixes the representative among {f, -f}: both
         # send v_0^n to t_0^n w_0^n = |c_0| w_0^n, and Phi(v_0^n) = c_0 w_0^n
@@ -645,7 +660,7 @@ def _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs=True):
     return iso
 
 
-def recover(space_1, space_2, phi_apply, n=None, check_pairs=True):
+def recover(space_1, space_2, phi_apply):
     """The unique isometry f with S_[n](f) = Phi (n odd) or
     det(f) S_[n](f) = Phi (n even).
 
@@ -656,13 +671,8 @@ def recover(space_1, space_2, phi_apply, n=None, check_pairs=True):
     are resolved by n-th roots and pairing consistency against the first
     spanning vector.  Phi is called once per spanning vector, d times.
     """
-    n = space_1.n if n is None else n
-    if n % 2 == 0 and space_1.dim_v % 2 == 0:
-        raise LatticeError("even symmetric powers need odd dimension")
-    vs = isotropic_spanning_set(space_1.lattice)
-    lines = [_extract_power_line(space_2, phi_apply(sym_power(v.coords, n)))
-             for v in vs]
-    return _isometry_from_lines(space_1, space_2, vs, lines, n, check_pairs)
+    vs, lines = _spanning_lines(space_1, space_2, phi_apply)
+    return _isometry_from_lines(space_1, space_2, vs, lines)
 
 
 def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
@@ -674,20 +684,14 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     Phi((f1 v)^n) = c w^n, S(f2) sends that to c (f2 w)^n.  So Phi is
     called d times and S(f1), S(f2) are never applied.
     """
-    n = space.n
-    if n % 2 == 0 and space.dim_v % 2 == 0:
-        raise LatticeError("even symmetric powers need odd dimension")
-    vs = isotropic_spanning_set(space.lattice)
-    f1vs = la.mat_mul(f1.matrix, la.transpose([v.coords for v in vs]))
-    lines = [_extract_power_line(space, phi_apply(sym_power(fv, n)))
-             for fv in la.transpose(f1vs)]
+    vs, lines = _spanning_lines(space, space, phi_apply, f1)
     f2ws = la.mat_mul(f2.matrix, la.transpose([w for _, w in lines]))
     lines = [(c, w) for (c, _), w in zip(lines, la.transpose(f2ws))]
-    h_comp = _isometry_from_lines(space, space, vs, lines, n)
+    h_comp = _isometry_from_lines(space, space, vs, lines)
     if h_phi is None:
         h_phi = recover(space, space, phi_apply)
     expect = f2 * h_phi * f1
-    if n % 2 == 0:
+    if space.n % 2 == 0:
         d1 = f1.det()
         d2 = f2.det()
         if d1 * d2 == -1:

@@ -14,7 +14,7 @@ from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
 from hklat.errors import (NoHyperbolicPlanes, NotDecomposable, NotGraded,
-                          SolveFailure)
+                          ScalarInconsistency, SolveFailure)
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +506,13 @@ def test_compose_rule_check_rank_two_image_raises(H5):
             return sn.sym_add(img, extra) if x == target else img
         with pytest.raises(NotDecomposable):
             sn.compose_rule_check(sym, f1, f2, phi, h_phi=f0)
+
+
+def test_recover_orthogonal_image_lines_raise(H5):
+    # every v^n goes to e_0^2: the image lines pair to 0 where the v_i do not
+    sym = sn.SymSpace(H5.lattice, 2)
+    with pytest.raises(ScalarInconsistency):
+        sn.recover(sym, sym, lambda x: {(0, 0): 1})
 
 
 def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair():
