@@ -307,7 +307,8 @@ class QIsometry:
     __slots__ = ("lattice", "matrix", "_det")
 
     def __init__(self, lattice, matrix, _trusted=False):
-        m = la.mat(matrix)
+        # trusted entries already are ints and reduced Fractions
+        m = tuple(map(tuple, matrix)) if _trusted else la.mat(matrix)
         if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
             raise DimensionMismatch("matrix size does not match rank")
         if not _trusted:

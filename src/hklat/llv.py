@@ -10,7 +10,7 @@ its exponential B_lambda = 1 + e + e^2/2 is the B-field isometry.
 from fractions import Fraction
 
 from . import linalg as la
-from .errors import IsotropicVector, LatticeError, NotGraded
+from .errors import IsotropicVector, LatticeError, NotAnIsometry, NotGraded
 from .lattice import LatVec, Lattice, QIsometry
 
 
@@ -67,8 +67,8 @@ def e_op(space, lam):
     e(mu) = (lam,mu) beta on the middle block.  Skew-adjoint, e^3 = 0."""
     if lam.lattice == space.base:
         lam = space.embed(lam)
-    else:
-        assert lam.coords[0] == 0 and lam.coords[-1] == 0
+    elif lam.coords[0] or lam.coords[-1]:
+        raise LatticeError("e_op needs a vector of the middle block")
     r = space.base.rank
     n = space.dim
     rows = [[0] * n for _ in range(n)]
@@ -85,7 +85,7 @@ def b_field(space, lam):
     e = e_op(space, lam)
     e2 = la.mat_mul(e, e)
     m = la.mat_add(la.mat_add(la.identity(space.dim), e), la.mat_scale(Fraction(1, 2), e2))
-    return QIsometry(space.lattice, m, _trusted=True)
+    return QIsometry(space.lattice, la.mat(m), _trusted=True)
 
 
 def tau(space):
@@ -202,7 +202,8 @@ def dual_lefschetz_check(space, phi, lam):
     ok1 = c1 == la.mat_scale(la.ratio(t * nl, 2), h)
     c2 = commutator(h, psi)
     ok2 = c2 == la.mat_scale(-2, psi)
-    assert ok1 and ok2, "dual Lefschetz commutator identities failed"
+    if not (ok1 and ok2):
+        raise AssertionError("dual Lefschetz commutator identities failed")
     e_dual = la.mat_scale(la.ratio(2, t * nl), psi)
     report = {"t": t, "lam_norm": nl,
               "commutator_e_psi": "t(lam,lam)/2 * h",
@@ -286,7 +287,8 @@ def hilb_lift(k3_space, k3n_space, phi, n, det_phi=None):
     """det(phi)^{n+1} B_{-delta/2} o iota(phi) o B_{delta/2}."""
     if det_phi is None:
         det_phi = phi.det() if isinstance(phi, QIsometry) else 1
-    assert det_phi in (1, -1)
+    if det_phi not in (1, -1):
+        raise NotAnIsometry("hilb_lift needs det(phi) = +-1")
     iot = iota_tilde(k3_space, k3n_space, phi)
     out = delta_half_bfield(k3n_space, -1) * iot * delta_half_bfield(k3n_space, +1)
     if det_phi ** (n + 1) == -1:

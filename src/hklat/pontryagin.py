@@ -7,8 +7,11 @@ monomial words in degree-2 classes under
 
     Psi(l_1 ... l_k) = e_{l_1} ... e_{l_k} (alpha^n / n!).
 
-Cup product is polynomial multiplication of word decompositions pushed
-through Psi; the Pontryagin product is its conjugate
+Cup product is Psi(w1) cup Psi(w2) = Psi(w1 w2) on word decompositions
+(the subring is Sym* H^2 / (lambda^{n+1} : q(lambda) = 0), Verbitsky).  A
+memoized table, filled on first use, lists for each basis word w1 the basis
+words w2 with Psi(w1 w2) != 0, so no pair whose product vanishes is
+visited.  The Pontryagin product is the conjugate
 
     x * y = rho_tau( rho_tau(x) cup rho_tau(y) )
 
@@ -122,6 +125,8 @@ class SHModel:
         self.base_rank = llv_space.base.rank
         self._psi_memo = {}
         self._solvers = {}
+        self._basis_words = []   # every piece's basis words, shortest first
+        self._rows = {}
         self._piece_dims = self._compute_piece_dims()
         self._build_word_sets()
 
@@ -225,6 +230,7 @@ class SHModel:
                     break
                 form = self._psi_form(word)
                 if form[0] and solver.try_add(word, form):
+                    self._basis_words.append(word)
                     got += 1
             if got != want:
                 raise SolveFailure(
@@ -261,6 +267,23 @@ class SHModel:
                 out[m] = get(m, 0) + a * v
         return sn.sym_quotient(out, cd * d)
 
+    def _row(self, w1):
+        """{w2: w1 w2 sorted} over the basis words w2 of every piece with
+        len(w1) + len(w2) <= 2n and Psi(w1 w2) != 0; memoized, filled on
+        first use."""
+        row = self._rows.get(w1)
+        if row is None:
+            room = 2 * self.n - len(w1)
+            row = {}
+            for w2 in self._basis_words:
+                if len(w2) > room:
+                    break
+                p = tuple(sorted(w1 + w2))
+                if self._psi_form(p)[0]:
+                    row[w2] = p
+            self._rows[w1] = row
+        return row
+
     # -- elements ------------------------------------------------------------
 
     def element(self, x):
@@ -289,8 +312,25 @@ class SHModel:
     # -- products ------------------------------------------------------------
 
     def cup(self, x, y):
-        return self.from_words(sn.sym_mul(self.to_words(x), self.to_words(y),
-                                          2 * self.n))
+        """Psi(w1) cup Psi(w2) = Psi(w1 w2), summed over the pairs of basis
+        words of x and y that _row keeps, on integer numerators."""
+        xn, xd = sn.sym_scaled(self.to_words(x))
+        yn, yd = sn.sym_scaled(self.to_words(y))
+        out = {}
+        get = out.get
+        for w1, c1 in xn.items():
+            row = self._row(w1)
+            if len(row) < len(yn):
+                for w2, p in row.items():
+                    c2 = yn.get(w2)
+                    if c2:
+                        out[p] = get(p, 0) + c1 * c2
+            else:
+                for w2, c2 in yn.items():
+                    p = row.get(w2)
+                    if p is not None:   # the empty word () is a product
+                        out[p] = get(p, 0) + c1 * c2
+        return self.from_words(sn.sym_quotient(out, xd * yd))
 
     def rho_tau(self, x):
         """The involution induced by tau; a signed slot permutation."""

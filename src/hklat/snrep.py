@@ -2,9 +2,9 @@
 
 Sym^n V is handled in the monomial basis indexed by sorted n-tuples of basis
 indices; elements are sparse {monomial: scalar} dicts.  The arithmetic
-kernels (sym_power, sym_mul, apply_linear, derivation_apply, sn_coords)
-scale each operand once to integer numerators over one common denominator,
-work on plain ints, and divide once at the end, as the linalg kernels do;
+kernels (sym_power, apply_linear, derivation_apply, sn_coords) scale each
+operand once to integer numerators over one common denominator, work on
+plain ints, and divide once at the end, as the linalg kernels do;
 what they return holds ints or reduced Fractions and no zero entries.  For
 n = 2, apply_linear is the congruence f X f^T on integer numerators.  The
 distinguished subspace S_[n] is computed as the kernel of the contraction
@@ -103,35 +103,6 @@ def sym_quotient(nums, d):
     if d == 1:
         return {m: v for m, v in nums.items() if v}
     return {m: la.quotient(v, d) for m, v in nums.items() if v}
-
-
-def sym_mul(x, y, max_deg=None):
-    """Polynomial product of two sparse symmetric tensors, dropping the
-    terms of degree over max_deg.
-
-    The one product kernel of the package: both factors are scaled to
-    integer numerators once, the right factor is bucketed by degree so that
-    no pair over max_deg is visited, and the sum is divided once at the
-    end.
-    """
-    xn, xd = sym_scaled(x)
-    yn, yd = sym_scaled(y)
-    by_deg = {}
-    for m, c in yn.items():
-        if c:
-            by_deg.setdefault(len(m), []).append((m, c))
-    out = {}
-    get = out.get
-    for m1, c1 in xn.items():
-        if not c1:
-            continue
-        for k, terms in by_deg.items():
-            if max_deg is not None and len(m1) + k > max_deg:
-                continue
-            for m2, c2 in terms:
-                key = tuple(sorted(m1 + m2))
-                out[key] = get(key, 0) + c1 * c2
-    return sym_quotient(out, xd * yd)
 
 
 def _sparse_columns(a):
@@ -440,25 +411,6 @@ def isotropic_spanning_set(lattice):
                                      "plane: basis vector %d gives a vector "
                                      "of norm %s" % ((i, j), k, v.norm()))
         out.append(v)
-    return out
-
-
-def isotropic_samples(lattice, rng, count, bound=2):
-    """Seeded rational isotropic vectors for span cross-validation."""
-    i, j = lattice.u_blocks[0]
-    d = lattice.rank
-    out = []
-    while len(out) < count:
-        y = [rng.randint(-bound, bound) if k not in (i, j) else 0
-             for k in range(d)]
-        k_scale = rng.randint(1, 3)
-        v = list(map(Fraction, y))
-        yn = lattice.pair_coords(la.vec(v), la.vec(v))
-        v[i] = la.ratio(yn, 2 * k_scale)
-        v[j] = Fraction(k_scale)
-        vv = lattice.vec(v)
-        if vv.norm() == 0 and not vv.is_zero():
-            out.append(vv)
     return out
 
 

@@ -4,7 +4,9 @@ from math import gcd
 import pytest
 
 from hklat import factor as fc
+from hklat import linalg as la
 from hklat import lattice as lt
+from hklat import snrep as sn
 from hklat import transvect as tv
 
 
@@ -110,3 +112,51 @@ def rand_qcoords(rng, lat, bound=5, dens=(1, 2, 3, 7)):
     return lat.vec([Fraction(rng.randint(-bound, bound), rng.choice(dens))
                     if rng.random() < 0.67 else 0
                     for _ in range(lat.rank)]).coords
+
+
+def sym_mul(x, y, max_deg=None):
+    """Polynomial product of two sparse symmetric tensors, dropping the
+    terms of degree over max_deg: the reference product for the library's
+    Pontryagin cup, which never multiplies words whose Psi vanishes.
+
+    Both factors are scaled to integer numerators once, the right factor is
+    bucketed by degree so that no pair over max_deg is visited, and the sum
+    is divided once at the end.
+    """
+    xn, xd = sn.sym_scaled(x)
+    yn, yd = sn.sym_scaled(y)
+    by_deg = {}
+    for m, c in yn.items():
+        if c:
+            by_deg.setdefault(len(m), []).append((m, c))
+    out = {}
+    get = out.get
+    for m1, c1 in xn.items():
+        if not c1:
+            continue
+        for k, terms in by_deg.items():
+            if max_deg is not None and len(m1) + k > max_deg:
+                continue
+            for m2, c2 in terms:
+                key = tuple(sorted(m1 + m2))
+                out[key] = get(key, 0) + c1 * c2
+    return sn.sym_quotient(out, xd * yd)
+
+
+def isotropic_samples(lattice, rng, count, bound=2):
+    """Seeded rational isotropic vectors for span cross-validation."""
+    i, j = lattice.u_blocks[0]
+    d = lattice.rank
+    out = []
+    while len(out) < count:
+        y = [rng.randint(-bound, bound) if k not in (i, j) else 0
+             for k in range(d)]
+        k_scale = rng.randint(1, 3)
+        v = list(map(Fraction, y))
+        yn = lattice.pair_coords(la.vec(v), la.vec(v))
+        v[i] = la.ratio(yn, 2 * k_scale)
+        v[j] = Fraction(k_scale)
+        vv = lattice.vec(v)
+        if vv.norm() == 0 and not vv.is_zero():
+            out.append(vv)
+    return out

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (rand_anisotropic, rand_primitive, rand_primitive_norm,
-                      rand_transvection, rand_vec)
+from conftest import (isotropic_samples, rand_anisotropic, rand_primitive,
+                      rand_primitive_norm, rand_transvection, rand_vec)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -201,7 +201,7 @@ def test_criterion_5_sn_dimensions(k3n2):
             vecs = [sn.sym_power(v.coords, n)
                     for v in sn.isotropic_spanning_set(space.lattice)]
             vecs += [sn.sym_power(v.coords, n)
-                     for v in sn.isotropic_samples(
+                     for v in isotropic_samples(
                          space.lattice, rng, expect + 20)]
             ok = ok and all(sym.in_kernel(x) for x in vecs)
             ok = ok and sn.span_rank_mod_p(sym, vecs) == expect

@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_anisotropic, rand_vec
+from conftest import canonical, rand_anisotropic, rand_vec
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
-from hklat.errors import IsotropicVector, LatticeError, NotGraded
+from hklat import snrep as sn
+from hklat import transvect as tv
+from hklat.errors import IsotropicVector, LatticeError, NotAnIsometry, NotGraded
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +215,95 @@ def test_operators_preserve_pairing_exactly(H, Hn2, k3):
         gg = op.lattice.gram
         m = op.matrix
         assert la.mat_mul(la.mat_mul(la.transpose(m), gg), m) == gg
+
+
+def _broken_tau(space):
+    """tau with the middle block scaled by 2: degree reversing, with
+    phi(beta) = alpha, but not an isometry (built trusted on purpose)."""
+    n = space.dim
+    rows = [[0] * n for _ in range(n)]
+    rows[0][n - 1] = rows[n - 1][0] = 1
+    for i in range(1, n - 1):
+        rows[i][i] = -2
+    return lt.QIsometry(space.lattice, rows, _trusted=True)
+
+
+def test_llv_gates_raise(H, Hn2, k3):
+    with pytest.raises(LatticeError):
+        llv.e_op(H, H.alpha())
+    with pytest.raises(NotAnIsometry):
+        llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)
+    with pytest.raises(AssertionError, match="commutator"):
+        llv.dual_lefschetz_check(H, _broken_tau(H), k3.vec([1, 1] + [0] * 20))
+
+
+_LLV_GATES_SCRIPT = """
+from hklat import lattice as lt, llv
+from hklat.errors import LatticeError, NotAnIsometry
+import test_llv
+k3 = lt.preset("K3")
+H, Hn2 = llv.LLVSpace(k3), llv.LLVSpace(lt.preset("K3n", 2))
+calls = [(LatticeError, lambda: llv.e_op(H, H.alpha())),
+         (NotAnIsometry, lambda: llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)),
+         (AssertionError, lambda: llv.dual_lefschetz_check(
+             H, test_llv._broken_tau(H), k3.vec([1, 1] + [0] * 20)))]
+for exc, call in calls:
+    try:
+        call()
+        print("returned")
+    except exc:
+        print("raised")
+print(__debug__)
+"""
+
+
+def test_llv_gates_raise_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _LLV_GATES_SCRIPT],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "raised", "raised", "False"]
+
+
+# every library function that builds a QIsometry on the trusted path
+_TRUSTED_SITES = {
+    "QIsometry.identity", "QIsometry.minus_identity", "QIsometry.__mul__",
+    "QIsometry.__neg__", "QIsometry.inverse", "b_field", "tau", "mu",
+    "extend_to_llv", "iota_tilde", "reflect_times", "extend_l_isometry",
+    "positive_reflection_rewrite", "TransvectionWord.isometry",
+    "_isometry_from_lines"}
+
+
+def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
+                                                   monkeypatch):
+    """The trusted path of QIsometry does not normalize entries, so every
+    site that uses it must hand over ints and reduced Fractions."""
+    seen = {}
+    real = lt.QIsometry.__init__
+
+    def checked(self, lattice, matrix, _trusted=False):
+        real(self, lattice, matrix, _trusted)
+        if _trusted:
+            site = sys._getframe(1).f_code.co_qualname
+            ok = type(self.matrix) is tuple and canonical(self.matrix)
+            seen[site] = seen.get(site, True) and ok
+    monkeypatch.setattr(lt.QIsometry, "__init__", checked)
+    rng = random.Random(257)
+    lam = la.ratio(1, 3) * rand_vec(rng, k3)
+    f = fc.reflect(k3, k3.vec([1, -1] + [0] * 20))   # det -1
+    g = llv.mu(H, Fraction(2, 3)) * llv.extend_to_llv(H, f) * llv.b_field(H, lam)
+    llv.tau(H) * g.inverse()
+    llv.hilb_lift(H, Hn2, llv.extend_to_llv(H, f), 2)   # det^3 = -1: negation
+    lt.QIsometry.minus_identity(k3)
+    lsub = fc.l_sublattice(k3n2)
+    fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
+    fc.extend_l_isometry(k3n2, fc.reflect(lsub, lsub.vec([1, 1] + [0] * 20)))
+    tv.reduce_to_canonical(k3, k3.vec([2, 3, 1] + [0] * 19)).isometry()
+    sym = sn.SymSpace(Hn2.lattice, 2)
+    sn.recover(sym, sym, lambda x: x)
+    assert _TRUSTED_SITES <= set(seen), _TRUSTED_SITES - set(seen)
+    assert all(seen.values()), [s for s, ok in seen.items() if not ok]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sym_mul
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -266,3 +267,81 @@ def test_proportionality_gate(small_model, monkeypatch):
     monkeypatch.setattr(M, "to_words", lambda x: {})
     with pytest.raises(SolveFailure):
         pg.proportionality_check_degree2(M, phi)
+
+
+def _matching_sum(q, w):
+    """Sum over the perfect matchings of the indices of w of the product of
+    the pairings q[i][j] of matched indices."""
+    if not w:
+        return 1
+    first, rest = w[0], w[1:]
+    return sum(q[first][rest[k]] * _matching_sum(q, rest[:k] + rest[k + 1:])
+               for k in range(len(rest)))
+
+
+def test_top_piece_matches_polarized_fujiki(big_model):
+    """The eigenvalue-2n piece is one-dimensional, so a cup of two length-n
+    words is kappa times the polarized Fujiki form of their 2n indices,
+    times Psi of the top basis word; kappa is fixed by the first nonzero
+    case."""
+    rng = random.Random(227)
+    M = big_model
+    q = M.space.base.gram
+    d, n = M.base_rank, M.n
+    top = M.psi_word(M._basis_words[-1])
+    linked = [(i, j) for i in range(d) for j in range(i, d) if q[i][j]]
+
+    def word():
+        if rng.random() < 0.6:
+            return tuple(sorted(rng.choice(linked)))
+        return tuple(sorted(rng.randrange(d) for _ in range(n)))
+
+    kappa = None
+    seen = set()
+    for _ in range(30):
+        w1, w2 = word(), word()
+        got = M.cup(M.psi_word(w1), M.psi_word(w2))
+        f = _matching_sum(q, w1 + w2)
+        seen.add(f == 0)
+        if f and kappa is None:
+            m = next(iter(top))
+            kappa = Fraction(got[m]) / (f * top[m])
+        if kappa is not None:
+            assert got == sn.sym_scale(kappa * f, top)
+        else:
+            assert got == {}
+    assert kappa and seen == {True, False}
+
+
+def test_rows_keep_only_nonzero_products(big_model):
+    M = big_model
+    rng = random.Random(229)
+    for _ in range(3):
+        M.cup(M.random_element(rng).data, M.random_element(rng).data)
+    basis = set(M._basis_words)
+    assert M._rows
+    for w1, row in M._rows.items():
+        for w2, p in row.items():
+            assert w2 in basis and len(w1) + len(w2) <= 2 * M.n
+            assert p == tuple(sorted(w1 + w2))
+            assert M.psi_word(p)
+
+
+def test_dense_middle_cup_matches_sym_mul(big_model):
+    """A dense eigenvalue-0 x eigenvalue-0 cup, every one of the 276 x 276
+    word pairs present, against the polynomial product of the word
+    decompositions."""
+    rng = random.Random(233)
+    M = big_model
+    mid = [w for w in M._basis_words if len(w) == M.n]
+    assert len(mid) == M.piece_dim(0) == 276
+    x = M.from_words({w: Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                  rng.choice((1, 2, 3))) for w in mid})
+    y = M.from_words({w: rng.choice((-2, -1, 1, 4)) for w in mid})
+    wx, wy = M.to_words(x), M.to_words(y)
+    assert len(wx) == len(wy) == 276
+    want = M.from_words(sym_mul(wx, wy, 2 * M.n))
+    assert want and M.eigenvalue(want) == 2 * M.n
+    got = M.cup(x, y)
+    assert got == want
+    _assert_entries(got)

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import canonical
+from conftest import canonical, isotropic_samples, sym_mul
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -121,8 +121,8 @@ def test_isotropic_span_equals_kernel(H5, H7):
         vecs = [sn.sym_power(v.coords, n)
                 for v in sn.isotropic_spanning_set(space.lattice)]
         vecs += [sn.sym_power(v.coords, n)
-                 for v in sn.isotropic_samples(space.lattice, rng,
-                                               3 * sym.sn_dim())]
+                 for v in isotropic_samples(space.lattice, rng,
+                                            3 * sym.sn_dim())]
         for x in vecs:
             assert sym.in_kernel(x)
         assert sn.span_rank_mod_p(sym, vecs) == sym.sn_dim()
@@ -181,7 +181,7 @@ def test_psi_examples(H5):
         out = sn.psi(H5, [v1, v2], 2)
         e1 = {(i,): c for i, c in enumerate(H5.embed(v1).coords) if c}
         e2 = {(i,): c for i, c in enumerate(H5.embed(v2).coords) if c}
-        want = sn.sym_mul(e1, e2)
+        want = sym_mul(e1, e2)
         lm = v1.pair(v2)
         if lm:
             want = sn.sym_add(want, {(0, H5.dim - 1): lm})
@@ -313,13 +313,13 @@ def test_sym_mul_matches_fraction_reference(H7):
                         key = tuple(sorted(m1 + m2))
                         ref[key] = ref.get(key, Fraction(0)) \
                             + Fraction(c1) * Fraction(c2)
-            got = sn.sym_mul(x, y, cap)
+            got = sym_mul(x, y, cap)
             assert got == {m: c for m, c in ref.items() if c}
             _assert_entries(got)
-    assert sn.sym_mul({}, {(0,): 1}) == {}
+    assert sym_mul({}, {(0,): 1}) == {}
     # (a + b)(a - b) = a^2 - b^2: the cross terms cancel
-    assert sn.sym_mul({(0,): Fraction(1, 2), (1,): 3},
-                      {(0,): Fraction(1, 2), (1,): -3}) \
+    assert sym_mul({(0,): Fraction(1, 2), (1,): 3},
+                   {(0,): Fraction(1, 2), (1,): -3}) \
         == {(0, 0): Fraction(1, 4), (1, 1): -9}
 
 
