@@ -211,7 +211,7 @@ class SHModel:
         key = ("e", i)
         if key not in self._psi_memo:
             lam = self.space.base.basis_vec(i)
-            self._psi_memo[key] = llv_mod.e_op(self.space, lam)
+            self._psi_memo[key] = sn.sparse_columns(llv_mod.e_op(self.space, lam))
         return self._psi_memo[key]
 
     def psi(self, lams):

@@ -105,7 +105,7 @@ def sym_quotient(nums, d):
     return {m: la.quotient(v, d) for m, v in nums.items() if v}
 
 
-def _sparse_columns(a):
+def sparse_columns(a):
     """(cols, d) with a = n / d over one denominator d > 0: cols[i] lists the
     nonzero (k, n[k][i]) of column i, for the columns that have any."""
     entries = [(k, i, v) for k, row in enumerate(a) if any(row)
@@ -273,7 +273,7 @@ class SymSpace:
         columns of f, or for n = 2 as the congruence f X f^T."""
         if self.n == 2:
             return self._apply_linear_quadratic(f_matrix, x)
-        cols, fd = _sparse_columns(f_matrix)
+        cols, fd = sparse_columns(f_matrix)
         xn, xd = sym_scaled(x)
         out = {}
         get = out.get
@@ -327,9 +327,11 @@ class SymSpace:
                     out[(i, j)] = la.quotient(s, 2 * den if i == j else den)
         return out
 
-    def derivation_apply(self, op_matrix, x):
-        """Product-rule extension of an operator of V to Sym^n."""
-        cols, od = _sparse_columns(op_matrix)
+    def derivation_apply(self, op, x):
+        """Product-rule extension of an operator of V to Sym^n.  op is its
+        matrix, or sparse_columns(matrix), which a caller that applies one
+        operator many times keeps."""
+        cols, od = op if type(op[0]) is dict else sparse_columns(op)
         xn, xd = sym_scaled(x)
         out = {}
         get = out.get

@@ -344,6 +344,7 @@ def test_apply_linear_matches_fraction_reference(H5, H7):
                     got = sym.derivation_apply(f, x)
                     assert got == _ref_derive(f, x)
                     _assert_entries(got)
+                    assert sym.derivation_apply(sn.sparse_columns(f), x) == got
             # a cancelling input: Sym^n(f) of Sym^n(f^-1) of a monomial
             f = fs[2]
             finv = la.inverse(f)
