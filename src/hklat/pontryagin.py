@@ -320,16 +320,10 @@ class SHModel:
         get = out.get
         for w1, c1 in xn.items():
             row = self._row(w1)
-            if len(row) < len(yn):
-                for w2, p in row.items():
-                    c2 = yn.get(w2)
-                    if c2:
-                        out[p] = get(p, 0) + c1 * c2
-            else:
-                for w2, c2 in yn.items():
-                    p = row.get(w2)
-                    if p is not None:   # the empty word () is a product
-                        out[p] = get(p, 0) + c1 * c2
+            # the view intersection walks the smaller side, in C
+            for w2 in row.keys() & yn.keys():
+                p = row[w2]
+                out[p] = get(p, 0) + c1 * yn[w2]
         return self.from_words(sn.sym_quotient(out, xd * yd))
 
     def rho_tau(self, x):

@@ -328,10 +328,10 @@ class SymSpace:
         return out
 
     def derivation_apply(self, op, x):
-        """Product-rule extension of an operator of V to Sym^n.  op is its
-        matrix, or sparse_columns(matrix), which a caller that applies one
-        operator many times keeps."""
-        cols, od = op if type(op[0]) is dict else sparse_columns(op)
+        """Product-rule extension of an operator of V to Sym^n.  op is
+        sparse_columns(matrix), which a caller that applies one operator
+        many times builds once."""
+        cols, od = op
         xn, xd = sym_scaled(x)
         out = {}
         get = out.get
@@ -662,7 +662,8 @@ def psi(llv_space, lams, n):
     x = sym_scale(Fraction(1, factorial(n)),
                   sym_power(llv_space.alpha().coords, n))
     for lam in reversed(lams):
-        x = sym.derivation_apply(llv_mod.e_op(llv_space, lam), x)
+        e = sparse_columns(llv_mod.e_op(llv_space, lam))
+        x = sym.derivation_apply(e, x)
         if not x:
             return {}
     return x
@@ -681,13 +682,14 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
         if lhs == la.mat_scale((-1) ** k, la.mat_mul(hm, pv)):
             k_v = k
             break
+    hc = sparse_columns(hm)
     basis, _, _, _ = sym_space.kernel_basis()
     k_s = None
     for k in (0, 1):
         ok = True
         for b in basis:
-            l = phi_s_apply(sym_space.derivation_apply(hm, b))
-            r = sym_scale((-1) ** k, sym_space.derivation_apply(hm, phi_s_apply(b)))
+            l = phi_s_apply(sym_space.derivation_apply(hc, b))
+            r = sym_scale((-1) ** k, sym_space.derivation_apply(hc, phi_s_apply(b)))
             if not sym_eq(l, r):
                 ok = False
                 break
