@@ -319,11 +319,10 @@ class SHModel:
         out = {}
         get = out.get
         for w1, c1 in xn.items():
-            row = self._row(w1)
-            # the view intersection walks the smaller side, in C
-            for w2 in row.keys() & yn.keys():
-                p = row[w2]
-                out[p] = get(p, 0) + c1 * yn[w2]
+            for w2, p in self._row(w1).items():
+                c2 = yn.get(w2)
+                if c2:
+                    out[p] = get(p, 0) + c1 * c2
         return self.from_words(sn.sym_quotient(out, xd * yd))
 
     def rho_tau(self, x):
