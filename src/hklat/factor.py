@@ -14,10 +14,12 @@ failure (also under python -O); the same function checks untrusted
 certificates.
 """
 
+from math import gcd
+
 from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
-                     LatticeError, NormMismatch, OrientationReversing,
-                     SearchExhausted)
+                     LatticeError, NormMismatch, NotIntegral,
+                     OrientationReversing, SearchExhausted)
 from .lattice import (LatVec, Lattice, QIsometry, l_part_coords,
                       membership, nu_character)
 from .transvect import canonical_vector, move_into_L, reduce_to_canonical
@@ -77,7 +79,8 @@ def witt_map(lattice, x, y):
     if diff.norm() != 0:
         return 1, diff
     s = x + y
-    assert s.norm() != 0
+    if s.norm() == 0:
+        raise IsotropicVector("x - y and x + y are both isotropic")
     return -1, s
 
 
@@ -197,7 +200,8 @@ def embed_l_vector(lattice, v):
 
 def restrict_to_l(lattice, v):
     di = lattice.delta_index
-    assert v.coords[di] == 0
+    if v.coords[di] != 0:
+        raise LatticeError("vector has a nonzero delta coordinate")
     return LatVec(l_sublattice(lattice), tuple(c for i, c in enumerate(v.coords)
                                                if i != di))
 
@@ -221,7 +225,8 @@ def extend_l_isometry(lattice, g):
 
 def _d_value(lattice):
     dd = -lattice.gram[lattice.delta_index][lattice.delta_index]
-    assert dd > 0 and dd % 2 == 0
+    if dd <= 0 or dd % 2 != 0:
+        raise NormMismatch("(delta,delta) must be negative and even")
     return int(dd) // 2
 
 
@@ -231,7 +236,8 @@ def neg_reflection_u_delta(lattice, u):
     coords = list(u.coords)
     coords[di] += 1
     v = LatVec(lattice, coords)
-    assert v.norm() == 2
+    if v.norm() != 2:
+        raise NormMismatch("u + delta has norm %s, not 2" % (v.norm(),))
     return -reflect(lattice, v)
 
 
@@ -345,8 +351,8 @@ def positive_reflection_rewrite(lattice, u):
     m = -uu // 2
     ginv = reduce_to_canonical(lattice, u).inverse()   # e1 + m e2 -> u
     i, j = lattice.u_blocks[0]
-    f1 = ginv.apply_coords(lattice.basis_vec(i).coords)
-    f2 = ginv.apply_coords(lattice.basis_vec(j).coords)
+    f1, f2 = ginv.apply_columns((lattice.basis_vec(i).coords,
+                                 lattice.basis_vec(j).coords))
     # sigma = I + 2 e1 (e2, .) + 2 e2 (e1, .), so its conjugate h is the
     # pair update with the terms (2 f1, f2) and (2 f2, f1)
     terms = ((la.vec_scale(2, f1), f2), (la.vec_scale(2, f2), f1))
@@ -402,12 +408,41 @@ class NormalForm:
         return tuple(cert for _, cert in self.memberships())
 
     def evaluate(self):
-        ev = self.gammas[0]
-        for i in range(self.k):
-            ev = self.gammas[i + 1] * reflect_times(self.lattice, self.us[i], ev)
-        if self.k % 2 == 1:
-            ev = -ev
-        return ev
+        """The product, carried as one integer matrix m over one
+        denominator d: rho_u is the rank-1 update (u,u) m - 2 u (Gu)^T m
+        over (u,u), each gamma an integer product, and the common content
+        of m and d is divided out after every factor.  Entries are
+        normalized once, at the end."""
+        lat = self.lattice
+        n = lat.rank
+        num, d = la.scaled_mat(self.gammas[0].matrix)
+        m = [list(row) for row in num]
+        for u, gamma in zip(self.us, self.gammas[1:]):
+            # rho_u depends only on the line of u
+            nu, _ = la.scaled_vec(u.coords)
+            gu = lat.gram_times(nu)
+            uu = sum([nu[i] * s for i, s in gu])
+            if uu == 0:
+                raise IsotropicVector("cannot reflect in an isotropic vector")
+            r = [0] * n
+            for i, s in gu:
+                r = [x + s * y for x, y in zip(r, m[i])]
+            if uu < 0:
+                uu, r = -uu, [-x for x in r]
+            m = [[uu * x for x in row] for row in m]
+            for i, x in enumerate(nu):
+                if x:
+                    m[i] = [y - 2 * x * z for y, z in zip(m[i], r)]
+            gnum, gd = la.scaled_mat(gamma.matrix)
+            m = la.int_mat_mul(gnum, m, n)
+            d *= uu * gd
+            c = gcd(d, *[x for row in m for x in row])
+            if c > 1:
+                m = [[x // c for x in row] for row in m]
+                d //= c
+        sign = -1 if self.k % 2 == 1 else 1
+        return QIsometry(lat, [tuple([la.quotient(sign * x, d) for x in row])
+                               for row in m], _trusted=True)
 
 
 def _split_delta(lattice, v):
@@ -433,7 +468,8 @@ def _move_rational_items(lattice, x):
     f_sw = witt_map(lattice, lam_q, lam_prime)
     f_iso = witt_isometry(lattice, f_sw)
     alpha = f_iso.apply(q * x)
-    assert alpha.is_integral()
+    if not alpha.is_integral():
+        raise NotIntegral("the Witt map left q*x non-integral")
     word = move_into_L(lattice, alpha)
     h_iso = word.isometry()
     g = h_iso * f_iso
@@ -514,7 +550,9 @@ def decompose(lattice, phi):
             push_neg_refl(LatVec(lattice, ud), neg_reflection_u_delta(lattice, u))
             x = work.apply(delta)
             lam, t = _split_delta(lattice, x)
-            assert lam.norm() != 0
+            if lam.norm() == 0:
+                raise IsotropicLambda(
+                    "the L-part is still isotropic after the delta fix")
         g2, g2_items = _move_rational_items(lattice, x)
         push_left(g2, _invert_items(g2_items))
 
@@ -525,7 +563,8 @@ def decompose(lattice, phi):
         u0d = list(u0.coords)
         u0d[lattice.delta_index] += 1
         push_neg_refl(LatVec(lattice, u0d), c0)
-        assert work.apply(delta) == delta
+        if work.apply(delta) != delta:
+            raise LatticeError("the delta-moving words do not fix delta")
 
     # residue in O(L_Q)
     lsub = l_sublattice(lattice)

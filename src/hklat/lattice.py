@@ -133,15 +133,26 @@ class Lattice:
                 total += xi * sum([g * ny[j] for j, g in row])
         return la.quotient(total, dx * dy)
 
+    def gram_times(self, v):
+        """The nonzero entries (i, (G v)_i) of G v, for integer v."""
+        acc = {}
+        for j, x in enumerate(v):
+            if x:
+                for i, g in self._gram_rows[j]:
+                    acc[i] = acc.get(i, 0) + g * x
+        return [(i, s) for i, s in acc.items() if s]
+
     def pair_update(self, m, terms):
         """(I + sum_k p_k q_k^T G) m for terms (p_k, q_k) of coordinates.
 
-        The one kernel for the elementary isometries x -> x + sum_k (q_k,x) p_k
-        (reflections, Eichler transvections, the rewrite factor h).  Every
-        term acts on the same input m, of any width.  Only the rows of m
-        that some G q_k or p_k reaches are read, as integer numerators over
-        one denominator; rows where every p_k is zero come back as the same
-        tuples, the others as ints and reduced Fractions.
+        The kernel for the rational elementary isometries
+        x -> x + sum_k (q_k,x) p_k: reflections and the rewrite factor h.
+        Eichler transvections are integral and run on the integer step
+        kernel of hklat.transvect instead.  Every term acts on the same
+        input m, of any width.  Only the rows of m that some G q_k or p_k
+        reaches are read, as integer numerators over one denominator; rows
+        where every p_k is zero come back as the same tuples, the others as
+        ints and reduced Fractions.
         """
         if len(m) != self.rank:
             raise DimensionMismatch("matrix height does not match rank")
@@ -150,9 +161,8 @@ class Lattice:
         for p, q in terms:
             np_, dp = la.scaled_vec(p)
             nq, dq = la.scaled_vec(q)
-            gq = [(i, s) for i, row in enumerate(self._gram_rows)
-                  if (s := sum([g * nq[j] for j, g in row]))]
-            scaled.append(([(i, x) for i, x in enumerate(np_) if x], gq, dp * dq))
+            scaled.append(([(i, x) for i, x in enumerate(np_) if x],
+                           self.gram_times(nq), dp * dq))
         rows = sorted({i for ps, gq, _ in scaled for i, _ in ps + gq})
         nums, d = la.scaled_vec([x for i in rows for x in m[i]])
         at = {i: nums[r * width:(r + 1) * width] for r, i in enumerate(rows)}
@@ -385,7 +395,8 @@ class DiscGroup:
     """The finite quadratic group L*/L presented by its elementary divisors
     together with generator lifts in L* (rational coordinates)."""
 
-    __slots__ = ("lattice", "divisors", "generators", "_umat", "_all_divisors")
+    __slots__ = ("lattice", "divisors", "generators", "_umat", "_all_divisors",
+                 "_plus", "_minus")
 
     def __init__(self, lattice):
         g = [[int(x) for x in row] for row in lattice.gram]
@@ -409,6 +420,9 @@ class DiscGroup:
         for di in divisors:
             order *= di
         assert order == abs(int(lattice.det()))
+        # the classes an action by +1 or -1 sends the generators to
+        self._plus = [self.class_of(x) for x in gens]
+        self._minus = [self.class_of(-x) for x in gens]
 
     def is_trivial(self):
         return not self.divisors
@@ -440,11 +454,9 @@ def disc_action(g):
     if disc.is_trivial():
         return 1
     images = [disc.class_of(g.apply(x)) for x in disc.generators]
-    plus = [disc.class_of(x) for x in disc.generators]
-    minus = [disc.class_of(-x) for x in disc.generators]
-    if images == plus:
+    if images == disc._plus:
         return 1
-    if images == minus:
+    if images == disc._minus:
         return -1
     return ("other", tuple(images))
 

@@ -72,7 +72,7 @@ def scaled_vec(v):
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _scaled(a):
+def scaled_mat(a):
     """(integer rows, d): one common denominator d > 0 for the matrix a;
     read-only, like scaled_vec."""
     if all([type(x) is int for row in a for x in row]):
@@ -111,29 +111,39 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def mat_mul(a, b):
-    na, da = _scaled(a)
-    nb, db = _scaled(b)
-    d = da * db
-    m = len(b[0]) if b else 0
-    bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in nb]
+def int_mat_mul(a, b, width):
+    """The product of integer matrices a and b (b has width columns), as
+    lists of ints; zero entries are skipped."""
+    bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for row in na:
-        acc = [0] * m
+    for row in a:
+        acc = [0] * width
         for x, brow in zip(row, bsparse):
             if x:
                 for j, y in brow:
                     acc[j] += x * y
-        out.append(tuple(acc) if d == 1 else tuple([quotient(s, d) for s in acc]))
-    return tuple(out)
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b):
+    na, da = scaled_mat(a)
+    nb, db = scaled_mat(b)
+    d = da * db
+    prod = int_mat_mul(na, nb, len(b[0]) if b else 0)
+    if d == 1:
+        return tuple(map(tuple, prod))
+    return tuple(tuple([quotient(s, d) for s in row]) for row in prod)
 
 
 def mat_vec(a, v):
-    na, da = _scaled(a)
+    """a v, reading only the columns of a where v is nonzero."""
     nv, dv = scaled_vec(v)
-    d = da * dv
     nz = [(k, y) for k, y in enumerate(nv) if y]
-    return tuple(quotient(sum([row[k] * y for k, y in nz]), d) for row in na)
+    na, da = scaled_mat([[row[k] for k, _ in nz] for row in a])
+    ys = [y for _, y in nz]
+    d = da * dv
+    return tuple(quotient(sum([x * y for x, y in zip(row, ys)]), d) for row in na)
 
 
 def vec_add(u, v):
@@ -441,11 +451,12 @@ def content(v):
 
 
 def is_integral_vec(v):
-    return all(frac(x).denominator == 1 for x in v)
+    return all([type(x) is int or frac(x).denominator == 1 for x in v])
 
 
 def is_integral_mat(a):
-    return all(frac(x).denominator == 1 for row in a for x in row)
+    return all([type(x) is int or frac(x).denominator == 1
+                for row in a for x in row])
 
 
 def clear_denominators(v):

@@ -5,10 +5,13 @@ The transvection attached to an isotropic e and a vector a orthogonal to e is
     E(e,a)(x) = x + (e,x) (a - (a,a)/2 e) - (a,x) e,
 
 an integral isometry with determinant +1, trivial discriminant action and
-nu = +1.  It is the pair update x -> x + sum_k (q_k,x) p_k of the two terms
-(p, q) = (a - (a,a)/2 e, e) and (-e, a), so every transvection, word and
-word isometry here runs through the one kernel Lattice.pair_update, which
-touches only the rows that e and a reach.  For a lattice containing two
+nu = +1.  Transvection data is integral, so each step is kept once as
+integers (e, a, G e, G a, (a,a)) and every transvection, word and word
+isometry here runs through the one integer kernel _step_columns: the input
+columns are scaled once to integer numerators over one denominator, each
+step reads the pairings (e,x), (a,x) off the nonzero entries of G e and G a
+and changes only the coordinates in supp(e) + supp(a), and the entries are
+normalized once at the end.  For a lattice containing two
 orthogonal hyperbolic planes U1 = (e1,e2), U2 = (f1,f2), the group
 generated by transvections acts transitively on primitive vectors of fixed
 norm and divisibility 1; the reduction below maps such a vector to the
@@ -25,20 +28,65 @@ canonical form.
 """
 
 from . import linalg as la
-from .errors import (DivisibilityMismatch, LatticeError, NoHyperbolicPlanes,
-                     NonPrimitiveLambda, NormMismatch, NotIntegral)
+from .errors import (DimensionMismatch, DivisibilityMismatch, LatticeError,
+                     NoHyperbolicPlanes, NonPrimitiveLambda, NormMismatch,
+                     NotIntegral)
 from .lattice import LatVec, QIsometry, divisibility
 
 _MAX_REDUCE_STEPS = 20000
 
 
-def _run_steps(lattice, steps, m):
-    """E(e_last, a_last) ... E(e_first, a_first) m, one kernel call a step."""
-    for e, a in steps:
-        half_aa = la.ratio(lattice.pair_coords(a, a), 2)
-        p = tuple(x - half_aa * y for x, y in zip(a, e))
-        m = lattice.pair_update(m, ((p, e), (tuple(-y for y in e), a)))
-    return m
+def _step_data(lattice, e, a):
+    """One step E(e, a) as integers: the nonzero (index, entry) pairs of e,
+    a, G e and G a, and (a,a)."""
+    if len(e) != lattice.rank or len(a) != lattice.rank:
+        raise DimensionMismatch("coordinate length does not match rank")
+    if not (la.is_integral_vec(e) and la.is_integral_vec(a)):
+        raise NotIntegral("transvection data must be integral")
+    e, a = [int(x) for x in e], [int(x) for x in a]
+    ga = lattice.gram_times(a)
+    return (_nonzero(e), _nonzero(a), lattice.gram_times(e), ga,
+            sum([a[i] * s for i, s in ga]))
+
+
+def _nonzero(v):
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _step_columns(data, cols):
+    """Apply the integer steps, first to last, to integer columns in place.
+
+    cols holds numerators over a common denominator; the returned factor
+    (1, or a power of 2 when an odd (a,a) meets an odd (e,x)) multiplies
+    that denominator.
+    """
+    scale = 1
+    for e, a, ge, ga, aa in data:
+        if aa & 1 and any(sum([g * c[i] for i, g in ge]) & 1 for c in cols):
+            for c in cols:
+                c[:] = [2 * x for x in c]
+            scale *= 2
+        # x += (e,x) a - ((a,x) + (e,x) (a,a)/2) e
+        for c in cols:
+            ex = sum([g * c[i] for i, g in ge])
+            t = -sum([g * c[i] for i, g in ga])
+            if ex:
+                for i, x in a:
+                    c[i] += ex * x
+                t -= ex * aa // 2
+            if t:
+                for i, x in e:
+                    c[i] += t * x
+    return scale
+
+
+def _run_steps(data, xs):
+    """The images of the coordinate vectors xs under the steps, in one pass
+    over one common denominator."""
+    nums, d = la.scaled_mat(xs)
+    cols = [list(c) for c in nums]
+    d *= _step_columns(data, cols)
+    return tuple(tuple([la.quotient(x, d) for x in c]) for c in cols)
 
 
 def eichler_transvection(lattice, e, a):
@@ -57,31 +105,48 @@ def eichler_transvection(lattice, e, a):
 
 
 class TransvectionWord:
-    """An ordered word of transvections; steps[0] is applied first."""
+    """An ordered word of transvections; steps[0] is applied first.
 
-    __slots__ = ("lattice", "steps")
+    steps holds the (e, a) coordinates; _data the same steps as kernel
+    integers.
+    """
+
+    __slots__ = ("lattice", "steps", "_data")
 
     def __init__(self, lattice, steps=()):
         self.lattice = lattice
-        self.steps = list(steps)
+        self.steps = []
+        self._data = []
+        for e, a in steps:
+            self.append(e, a)
 
     def append(self, e_coords, a_coords):
+        self._data.append(_step_data(self.lattice, e_coords, a_coords))
         self.steps.append((la.vec(e_coords), la.vec(a_coords)))
 
+    def apply_columns(self, xs):
+        """The images of the coordinate vectors xs, in one pass."""
+        if any(len(x) != self.lattice.rank for x in xs):
+            raise DimensionMismatch("coordinate length does not match rank")
+        return _run_steps(self._data, xs)
+
     def apply_coords(self, x):
-        col = _run_steps(self.lattice, self.steps, tuple((c,) for c in x))
-        return tuple(c for (c,) in col)
+        return self.apply_columns((x,))[0]
 
     def apply(self, v):
         return LatVec(self.lattice, self.apply_coords(v.coords))
 
     def isometry(self):
-        m = _run_steps(self.lattice, self.steps, la.identity(self.lattice.rank))
-        return QIsometry(self.lattice, m, _trusted=True)
+        cols = self.apply_columns(la.identity(self.lattice.rank))
+        return QIsometry(self.lattice, la.transpose(cols), _trusted=True)
 
     def inverse(self):
-        inv = [(e, tuple(-x for x in a)) for e, a in reversed(self.steps)]
-        return TransvectionWord(self.lattice, inv)
+        # E(e, a)^-1 = E(e, -a): negate a and G a, keep e, G e and (a,a)
+        inv = TransvectionWord(self.lattice)
+        inv.steps = [(e, tuple(-x for x in a)) for e, a in reversed(self.steps)]
+        inv._data = [(e, [(i, -x) for i, x in a], ge, [(i, -x) for i, x in ga],
+                      aa) for e, a, ge, ga, aa in reversed(self._data)]
+        return inv
 
     def __len__(self):
         return len(self.steps)
@@ -143,7 +208,7 @@ class _Reducer:
         self.f1, self.f2 = lattice.u_blocks[1]
         self.u_idx = (self.e1, self.e2, self.f1, self.f2)
         self.w_idx = tuple(k for k in range(lattice.rank) if k not in self.u_idx)
-        self.x = la.vec(coords)
+        self.x = list(la.vec(coords))
         self.word = TransvectionWord(lattice)
         self.budget = _MAX_REDUCE_STEPS
 
@@ -157,8 +222,8 @@ class _Reducer:
         if self.budget <= 0:
             raise AssertionError("transvection reduction exceeded step budget")
         self.word.append(e_coords, a_coords)
-        self.x = TransvectionWord(self.lat, self.word.steps[-1:]).apply_coords(
-            self.x)
+        if _step_columns(self.word._data[-1:], [self.x]) != 1:
+            raise NotIntegral("a reduction step left the integers")
 
     # -- the four elementary SL2 x SL2 moves ------------------------------
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
@@ -285,7 +350,7 @@ class _Reducer:
         p = self._p()
         norm = self.lat.pair_coords(self.x, self.x)
         if (p != [[1, 0], [0, p[1][1]]]
-                or self.x != canonical_vector(self.lat, norm).coords):
+                or tuple(self.x) != canonical_vector(self.lat, norm).coords):
             raise AssertionError("reduction did not reach canonical form")
         return self.word
 

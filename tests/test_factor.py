@@ -213,6 +213,55 @@ def test_verify_normal_form_tamper(k3n2):
     # wrong phi
     rep = fc.verify_normal_form(nf, lt.QIsometry.identity(k3n2))
     assert not rep["ok"]
+    # a gamma with one non-integral entry, as untrusted JSON may carry
+    rows = [list(r) for r in nf.gammas[-1].matrix]
+    rows[3][5] += Fraction(1, 2)
+    bad_gammas = nf.gammas[:-1] + (lt.QIsometry(k3n2, rows, _trusted=True),)
+    rep = fc.verify_normal_form(fc.NormalForm(k3n2, nf.k, bad_gammas, nf.us), phi)
+    assert not rep["ok"]
+    kinds = {f[0] for f in rep["failures"]}
+    assert kinds == {"gamma", "recomposition"}
+    # k parity flipped: one more reflection, in a norm-2 vector of the
+    # L-part, with gamma = id; every factor passes, the product does not
+    u2 = k3n2.vec([1, -1] + [0] * 21)
+    flipped = fc.NormalForm(k3n2, nf.k + 1,
+                            nf.gammas + (lt.QIsometry.identity(k3n2),),
+                            nf.us + (u2,))
+    rep = fc.verify_normal_form(flipped, phi)
+    assert rep["failures"] == [("recomposition", None, "product != phi")]
+
+
+def _fraction_product(nf):
+    """(-1)^k gamma_k rho_{u_k} ... gamma_0 on plain Fractions."""
+    lat = nf.lattice
+    cols = [[Fraction(x) for x in col] for col in zip(*nf.gammas[0].matrix)]
+    for u, gamma in zip(nf.us, nf.gammas[1:]):
+        uu = frac_pair(lat, u.coords, u.coords)
+        cols = [[x - 2 * frac_pair(lat, u.coords, col) / uu * ui
+                 for x, ui in zip(col, u.coords)] for col in cols]
+        cols = [[sum(Fraction(g) * x for g, x in zip(row, col))
+                 for row in gamma.matrix] for col in cols]
+    sign = -1 if nf.k % 2 else 1
+    return tuple(tuple(sign * x for x in row) for row in zip(*cols))
+
+
+def test_evaluate_matches_fraction_product(k3n2):
+    phi = _rewrite_input(k3n2)
+    nf = fc.decompose(k3n2, phi)
+    assert nf.k > 0
+    ev = nf.evaluate()
+    assert ev.matrix == _fraction_product(nf) == phi.matrix
+    assert canonical(ev.matrix)
+    # untrusted shapes still evaluate exactly: non-integral gammas, a
+    # rational u and a u of negative norm
+    rational = fc.NormalForm(k3n2, 2, [phi, phi.inverse(), phi],
+                             [Fraction(2, 3) * nf.us[0],
+                              k3n2.vec([1, 2] + [0] * 21)])
+    assert rational.evaluate().matrix == _fraction_product(rational)
+    assert canonical(rational.evaluate().matrix)
+    isotropic = fc.NormalForm(k3n2, 1, nf.gammas[:2], [k3n2.basis_vec(0)])
+    with pytest.raises(IsotropicVector):
+        isotropic.evaluate()
 
 
 def test_double_orbit_conjugation(k3):
@@ -319,6 +368,70 @@ def test_broken_rewrite_is_caught_under_O():
     assert r.stdout.split() == ["raised", "1", "True", "True"]
 
 
+_GATES_SCRIPT = """
+import sys
+from fractions import Fraction
+from hklat import factor as fc, lattice as lt
+from hklat.errors import LatticeError
+from test_factor import _rewrite_input
+lat = lt.preset("K3n", 2)
+delta = lt.delta_vector(lat)
+out = []
+
+
+def gate(fn, words):
+    # the error type, if the message names the gate
+    try:
+        fn()
+    except LatticeError as exc:
+        out.append(type(exc).__name__ if words in str(exc) else repr(exc))
+    else:
+        out.append("returned")
+
+
+# u + delta of norm 0, not 2
+gate(lambda: fc.neg_reflection_u_delta(lat, lat.vec([1, -1] + [0] * 21)),
+     "u + delta has norm 0")
+gate(lambda: fc.restrict_to_l(lat, delta), "nonzero delta coordinate")
+# a Witt map that leaves q*x non-integral: rho of e1 + 4 e2 (norm -8)
+real_witt = fc.witt_isometry
+fc.witt_isometry = lambda lattice, sw: fc.reflect(
+    lattice, lattice.vec([1, 4] + [0] * 21))
+x = Fraction(1, 2) * lat.vec([1, -2] + [0] * 21) + Fraction(1, 3) * delta
+gate(lambda: fc._move_rational_items(lat, x), "Witt map")
+fc.witt_isometry = real_witt
+# delta-moving words that do not fix delta: g1 replaced by the identity
+real_ref = fc._reference_vector
+fc._reference_vector = lambda lattice: (real_ref(lattice)[:2]
+    + (lt.QIsometry.identity(lattice),) + real_ref(lattice)[3:])
+gate(lambda: fc.decompose(lat, _rewrite_input(lat)), "do not fix delta")
+fc._reference_vector = real_ref
+# phi(delta) = -2 e1 - delta has isotropic L-part, and the delta fix
+# u = 2 e1 - e2 (norm 4) keeps it isotropic
+fc._delta_fix_vector = lambda lattice, work, lam, target: lattice.vec(
+    [2, -1] + [0] * 21)
+phi = (fc.reflect(lat, lat.vec([0] * 4 + [1, -1] + [0] * 17))
+       * fc.reflect(lat, lat.vec([0, 0, 1, -3] + [0] * 19))
+       * fc.reflect(lat, lat.vec([1] + [0] * 21 + [1])))
+gate(lambda: fc.decompose(lat, phi), "after the delta fix")
+print(sys.flags.optimize, *out)
+"""
+
+
+def test_certificate_gates_raise_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _GATES_SCRIPT],
+                       capture_output=True, text=True, timeout=300, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["1", "NormMismatch", "LatticeError",
+                                "NotIntegral", "LatticeError",
+                                "IsotropicLambda"]
+
+
 def test_reflect_times_against_textbook_formula(k3):
     rng = random.Random(83)
     # a Witt map x -> y with x - y = 2(f1 + 3 f2) of norm -24: entries in
@@ -338,19 +451,31 @@ def test_reflect_times_against_textbook_formula(k3):
         assert canonical(got)
 
 
-def test_pair_update_outputs_keep_entry_contract(k3n2, monkeypatch):
-    seen = []
+def test_pair_update_outputs_keep_entry_contract(monkeypatch):
+    # a fresh lattice: the session fixture's caches (decompose_ref, l_part,
+    # disc) would make the call counts depend on which tests ran first
+    lat = lt.preset("K3n", 2)
+    seen, seen_steps = [], []
     real = lt.Lattice.pair_update
+    real_steps = tv._run_steps
 
     def checked(self, m, terms):
         out = real(self, m, terms)
         seen.append(canonical(out))
         return out
+
+    def checked_steps(data, xs):
+        out = real_steps(data, xs)
+        seen_steps.append(canonical(out))
+        return out
     monkeypatch.setattr(lt.Lattice, "pair_update", checked)
-    phi = _rewrite_input(k3n2)
-    nf = fc.decompose(k3n2, phi)
-    assert fc.verify_normal_form(nf, phi)["ok"]
-    lsub = fc.l_sublattice(k3n2)
+    monkeypatch.setattr(tv, "_run_steps", checked_steps)
+    # the fixed rewrite input and the tamper test's word (k = 5 and 23)
+    for phi in (_rewrite_input(lat), _random_word(random.Random(73), lat, 3)):
+        nf = fc.decompose(lat, phi)
+        assert fc.verify_normal_form(nf, phi)["ok"]
+    lsub = fc.l_sublattice(lat)
     h, w = fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
     assert h.is_integral() and w.is_integral()
     assert len(seen) > 20 and all(seen)
+    assert len(seen_steps) > 5 and all(seen_steps)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (canonical, frac_pair, rand_primitive,
                       rand_primitive_norm, rand_qcoords, rand_vec)
+from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import transvect as tv
 from hklat.errors import LatticeError, NonPrimitiveLambda, NormMismatch
@@ -151,19 +152,60 @@ def test_transvection_against_textbook_formula(k3):
                 got = word.apply_coords(x)
                 assert got == want and canonical(got)
     assert anisotropic_a >= 4
+    # an odd lattice U + <1> + <-1>: (a,a) = 1 makes E(e,a) non-integral
+    odd = lt.Lattice(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)))
+    e, a = odd.basis_vec(0), odd.basis_vec(2)
+    E = tv.eichler_transvection(odd, e, a)
+    assert not E.is_integral() and canonical(E.matrix)
+    word = tv.TransvectionWord(odd, [(e.coords, a.coords)] * 2)
+    for _ in range(3):
+        x = rand_qcoords(rng, odd)
+        want = _textbook_transvection(odd, e.coords, a.coords, x)
+        assert E.apply(odd.vec(x)).coords == want
+        want = _textbook_transvection(odd, e.coords, a.coords, want)
+        got = word.apply_coords(x)
+        assert got == want and canonical(got)
 
 
-def test_word_isometry_matches_its_steps(k3):
+def _textbook_word(lat, word, x):
+    for e, a in word.steps:
+        x = _textbook_transvection(lat, e, a, x)
+    return x
+
+
+def test_word_isometry_matches_its_steps(k3, monkeypatch):
     rng = random.Random(79)
     word = tv.reduce_to_canonical(k3, rand_primitive(rng, k3))
     assert len(word) > 3
     for _ in range(3):
         x = rand_qcoords(rng, k3)
-        want = x
-        for e, a in word.steps:
-            want = _textbook_transvection(k3, e, a, want)
+        want = _textbook_word(k3, word, x)
         assert word.isometry().apply(k3.vec(x)).coords == want
         assert word.apply_coords(x) == want
+    # two rational columns with different denominators, in one pass
+    x, y = rand_qcoords(rng, k3), rand_qcoords(rng, k3, dens=(5, 9))
+    got = word.apply_columns((x, y))
+    assert got == (_textbook_word(k3, word, x), _textbook_word(k3, word, y))
+    assert canonical(got)
+    # the rewrite's f1 and f2 come from one pass of the inverse word over
+    # (e_i, e_j)
+    passes = []
+    real = tv.TransvectionWord.apply_columns
+
+    def recorded(self, xs):
+        out = real(self, xs)
+        passes.append((self, xs, out))
+        return out
+    monkeypatch.setattr(tv.TransvectionWord, "apply_columns", recorded)
+    u = k3.vec([1, 2, 1, -1, 1] + [0] * 17)
+    assert u.norm() < 0
+    fc.positive_reflection_rewrite(k3, u)
+    [(ginv, xs, (f1, f2))] = passes
+    i, j = k3.u_blocks[0]
+    assert xs == (k3.basis_vec(i).coords, k3.basis_vec(j).coords)
+    assert len(ginv) > 3
+    assert f1 == _textbook_word(k3, ginv, xs[0])
+    assert f2 == _textbook_word(k3, ginv, xs[1])
 
 
 # primitive, divisibility 1; its reduction takes 20 steps
