@@ -434,7 +434,7 @@ class NormalForm:
                 if x:
                     m[i] = [y - 2 * x * z for y, z in zip(m[i], r)]
             gnum, gd = la.scaled_mat(gamma.matrix)
-            m = la.int_mat_mul(gnum, m, n)
+            m = la.int_mat_mul(gnum, m)
             d *= uu * gd
             c = gcd(d, *[x for row in m for x in row])
             if c > 1:

@@ -111,9 +111,10 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def int_mat_mul(a, b, width):
-    """The product of integer matrices a and b (b has width columns), as
-    lists of ints; zero entries are skipped."""
+def int_mat_mul(a, b):
+    """The product of integer matrices a and b as lists of ints; zero
+    entries are skipped."""
+    width = len(b[0]) if b else 0
     bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
@@ -130,7 +131,7 @@ def mat_mul(a, b):
     na, da = scaled_mat(a)
     nb, db = scaled_mat(b)
     d = da * db
-    prod = int_mat_mul(na, nb, len(b[0]) if b else 0)
+    prod = int_mat_mul(na, nb)
     if d == 1:
         return tuple(map(tuple, prod))
     return tuple(tuple([quotient(s, d) for s in row]) for row in prod)
