@@ -9,7 +9,7 @@ from .transvect import (eichler_transvection, eichler_move, move_into_L,
                         reduce_to_canonical, canonical_vector, TransvectionWord)
 from .factor import (reflect, witt_map, cartan_dieudonne, decompose,
                      verify_normal_form, positive_reflection_rewrite,
-                     NormalForm, ReflectionDatum)
+                     NormalForm)
 from .llv import (LLVSpace, e_op, b_field, tau, mu, grading, fm_beta_image,
                   normalize_fm, dual_lefschetz_check, theta_tilde, iota_tilde,
                   hilb_lift, kernel_c1_solve, extend_to_llv)

@@ -24,11 +24,16 @@ from .lattice import (_GROUPS, LatVec, QIsometry, characters, membership,
 
 def _load_payload(args):
     if getattr(args, "json", None):
-        return json.loads(args.json)
-    if getattr(args, "infile", None):
+        payload = json.loads(args.json)
+    elif getattr(args, "infile", None):
         with open(args.infile) as fh:
-            return json.load(fh)
-    return None
+            payload = json.load(fh)
+    else:
+        return None
+    if not isinstance(payload, dict):
+        raise TypeError("the JSON payload must be an object, not %s"
+                        % type(payload).__name__)
+    return payload
 
 
 def _emit(args, obj):

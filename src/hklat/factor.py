@@ -11,7 +11,8 @@ vector of the L-part with (u_i,u_i) >= 2.  decompose() produces such a
 certificate for any phi in O^+(Lambda_Q) and checks it once with
 verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
-certificates.
+certificates.  Every reflection, in reflect_times and in
+NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
 """
 
 from math import gcd
@@ -25,23 +26,25 @@ from .lattice import (LatVec, Lattice, QIsometry, l_part_coords,
 from .transvect import canonical_vector, move_into_L, reduce_to_canonical
 
 
-class ReflectionDatum:
-    """A reflection stored by its primitive integral vector and norm."""
+def _reflect_rows(lattice, nu, m):
+    """rho_u on integer rows m, scaled by (u,u), for integer u = nu.
 
-    __slots__ = ("u", "norm")
-
-    def __init__(self, u):
-        if u.is_zero():
-            raise IsotropicVector("reflection vector must be nonzero")
-        prim = u.primitive_part()
-        n = prim.norm()
-        if n == 0:
-            raise IsotropicVector("cannot reflect in an isotropic vector")
-        self.u = prim
-        self.norm = n
-
-    def isometry(self):
-        return reflect(self.u.lattice, self.u)
+    Returns (uu, moved): uu = |(u,u)| and moved[i] the row i of
+    uu m - 2 u (Gu)^T m (sign folded so that uu > 0) for each i with
+    nu[i] != 0; every other row is uu m[i].  Only the rows of m that Gu
+    or u reach are read.
+    """
+    gu = lattice.gram_times(nu)
+    uu = sum([nu[i] * s for i, s in gu])
+    if uu == 0:
+        raise IsotropicVector("cannot reflect in an isotropic vector")
+    r = [0] * len(m[gu[0][0]])
+    for i, s in gu:
+        r = [x + s * y for x, y in zip(r, m[i])]
+    if uu < 0:
+        uu, r = -uu, [-x for x in r]
+    return uu, {i: [uu * y - 2 * x * z for y, z in zip(m[i], r)]
+                for i, x in enumerate(nu) if x}
 
 
 def reflect(lattice, u):
@@ -52,13 +55,16 @@ def reflect(lattice, u):
 
 
 def reflect_times(lattice, u, g):
-    """rho_u o g: the pair update with the single term (-2/(u,u) u, u)."""
-    uu = u.norm()
-    if uu == 0:
-        raise IsotropicVector("cannot reflect in an isotropic vector")
-    p = la.vec_scale(la.ratio(-2, uu), u.coords)
-    return QIsometry(lattice, lattice.pair_update(g.matrix, ((p, u.coords),)),
-                     _trusted=True)
+    """rho_u o g by the integer kernel _reflect_rows on g's numerators;
+    the rows where u is zero come back as g's own tuples."""
+    nu, _ = la.scaled_vec(u.coords)
+    num, d = la.scaled_mat(g.matrix)
+    uu, moved = _reflect_rows(lattice, nu, num)
+    rows = list(g.matrix)
+    d *= uu
+    for i, row in moved.items():
+        rows[i] = tuple([la.quotient(x, d) for x in row])
+    return QIsometry(lattice, tuple(rows), _trusted=True)
 
 
 def witt_map(lattice, x, y):
@@ -84,14 +90,6 @@ def witt_map(lattice, x, y):
     return -1, s
 
 
-def apply_witt(lattice, sign_w, v):
-    sign, w = sign_w
-    if sign is None:
-        return v
-    out = reflect(lattice, w).apply(v)
-    return out if sign == 1 else -out
-
-
 def witt_isometry(lattice, sign_w):
     sign, w = sign_w
     if sign is None:
@@ -107,8 +105,8 @@ def _orthogonal_anisotropic_basis(lattice):
 
 
 def cartan_dieudonne(lattice, f):
-    """Reflection vectors w_1..w_m with rho_{w_1} o ... o rho_{w_m} = f
-    and m <= rank.
+    """Reflection vectors w_1..w_m (LatVecs) with
+    rho_{w_1} o ... o rho_{w_m} = f and m <= rank.
 
     Standard constructive argument: while f != id, find x with
     w := f(x) - x anisotropic (such x exists among z_i and z_i + z_j for an
@@ -145,8 +143,8 @@ def cartan_dieudonne(lattice, f):
                 found = w
                 break
         if found is not None:
-            refs.append(ReflectionDatum(lattice.vec(found)))
-            g = reflect_times(lattice, lattice.vec(found), g)
+            refs.append(lattice.vec(found))
+            g = reflect_times(lattice, refs[-1], g)
             continue
         # moved space totally isotropic: compose with one reflection in an
         # anisotropic vector that g actually moves, then continue
@@ -154,21 +152,14 @@ def cartan_dieudonne(lattice, f):
         for idx, z in enumerate(zbasis):
             gz = la.mat_vec(g.matrix, z)
             if gz != z:
-                refs.append(ReflectionDatum(lattice.vec(z)))
-                g = reflect_times(lattice, lattice.vec(z), g)
+                refs.append(lattice.vec(z))
+                g = reflect_times(lattice, refs[-1], g)
                 fixed = [False] * len(candidates)
                 broke = True
                 break
         assert broke, "non-identity isometry fixing an anisotropic basis"
     assert len(refs) <= n, "reflection count exceeded the rank"
     return refs
-
-
-def verify_cd(lattice, refs, f):
-    acc = QIsometry.identity(lattice)
-    for rd in refs:
-        acc = acc * rd.isometry()
-    return acc == f
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +344,10 @@ def positive_reflection_rewrite(lattice, u):
     i, j = lattice.u_blocks[0]
     f1, f2 = ginv.apply_columns((lattice.basis_vec(i).coords,
                                  lattice.basis_vec(j).coords))
-    # sigma = I + 2 e1 (e2, .) + 2 e2 (e1, .), so its conjugate h is the
-    # pair update with the terms (2 f1, f2) and (2 f2, f1)
-    terms = ((la.vec_scale(2, f1), f2), (la.vec_scale(2, f2), f1))
-    h = QIsometry(lattice, lattice.pair_update(la.identity(lattice.rank), terms),
-                  _trusted=True)
+    # sigma = rho_{e1-e2} rho_{e1+e2} (orthogonal, norms 2 and -2), so its
+    # conjugate h is the product of the reflections in f1 - f2 and f1 + f2
+    h = reflect_times(lattice, LatVec(lattice, la.vec_sub(f1, f2)),
+                      reflect(lattice, la.vec_add(f1, f2)))
     # rho_{e1+m e2} = sigma o rho_{e1-m e2}, and (e1 - m e2)^2 = 2m
     w = LatVec(lattice, la.vec_sub(f1, la.vec_scale(m, f2)))
     # rho_u = h rho_w itself is covered by the recomposition check that
@@ -409,30 +399,18 @@ class NormalForm:
 
     def evaluate(self):
         """The product, carried as one integer matrix m over one
-        denominator d: rho_u is the rank-1 update (u,u) m - 2 u (Gu)^T m
-        over (u,u), each gamma an integer product, and the common content
-        of m and d is divided out after every factor.  Entries are
-        normalized once, at the end."""
+        denominator d: rho_u is the kernel _reflect_rows over (u,u), each
+        gamma an integer product, and the common content of m and d is
+        divided out after every factor.  Entries are normalized once, at
+        the end."""
         lat = self.lattice
-        n = lat.rank
-        num, d = la.scaled_mat(self.gammas[0].matrix)
-        m = [list(row) for row in num]
+        m, d = la.scaled_mat(self.gammas[0].matrix)
         for u, gamma in zip(self.us, self.gammas[1:]):
             # rho_u depends only on the line of u
             nu, _ = la.scaled_vec(u.coords)
-            gu = lat.gram_times(nu)
-            uu = sum([nu[i] * s for i, s in gu])
-            if uu == 0:
-                raise IsotropicVector("cannot reflect in an isotropic vector")
-            r = [0] * n
-            for i, s in gu:
-                r = [x + s * y for x, y in zip(r, m[i])]
-            if uu < 0:
-                uu, r = -uu, [-x for x in r]
-            m = [[uu * x for x in row] for row in m]
-            for i, x in enumerate(nu):
-                if x:
-                    m[i] = [y - 2 * x * z for y, z in zip(m[i], r)]
+            uu, moved = _reflect_rows(lat, nu, m)
+            m = [moved[i] if i in moved else [uu * x for x in row]
+                 for i, row in enumerate(m)]
             gnum, gd = la.scaled_mat(gamma.matrix)
             m = la.int_mat_mul(gnum, m)
             d *= uu * gd
@@ -573,8 +551,8 @@ def decompose(lattice, phi):
                            for j in range(lattice.rank) if j != di)
                      for i in range(lattice.rank) if i != di)
     residue = QIsometry(lsub, res_rows)
-    for rd in cartan_dieudonne(lsub, residue):
-        factors.append(("refl", embed_l_vector(lattice, rd.u)))
+    for w in cartan_dieudonne(lsub, residue):
+        factors.append(("refl", embed_l_vector(lattice, w)))
 
     return _assemble(lattice, phi, factors)
 

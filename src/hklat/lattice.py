@@ -20,8 +20,6 @@ Conventions
 All scalars are int or Fraction; nothing here is ever floating point.
 """
 
-from math import lcm
-
 from . import linalg as la
 from .errors import (DegenerateGram, DimensionMismatch, LatticeError,
                      NotAnIsometry, NotIntegral)
@@ -79,7 +77,7 @@ class Lattice:
             raise DegenerateGram("gram matrix must be nondegenerate")
         self.rank = n
         self.gram = g
-        # nonzero (column, entry) pairs of each Gram row, for the kernels
+        # nonzero (column, entry) pairs of each Gram row
         self._gram_rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
                                 for row in g)
         self.name = name
@@ -141,45 +139,6 @@ class Lattice:
                 for i, g in self._gram_rows[j]:
                     acc[i] = acc.get(i, 0) + g * x
         return [(i, s) for i, s in acc.items() if s]
-
-    def pair_update(self, m, terms):
-        """(I + sum_k p_k q_k^T G) m for terms (p_k, q_k) of coordinates.
-
-        The kernel for the rational elementary isometries
-        x -> x + sum_k (q_k,x) p_k: reflections and the rewrite factor h.
-        Eichler transvections are integral and run on the integer step
-        kernel of hklat.transvect instead.  Every term acts on the same
-        input m, of any width.  Only the rows of m that some G q_k or p_k
-        reaches are read, as integer numerators over one denominator; rows
-        where every p_k is zero come back as the same tuples, the others as
-        ints and reduced Fractions.
-        """
-        if len(m) != self.rank:
-            raise DimensionMismatch("matrix height does not match rank")
-        width = len(m[0])
-        scaled = []       # (nonzero p numerators, nonzero G q numerators, den)
-        for p, q in terms:
-            np_, dp = la.scaled_vec(p)
-            nq, dq = la.scaled_vec(q)
-            scaled.append(([(i, x) for i, x in enumerate(np_) if x],
-                           self.gram_times(nq), dp * dq))
-        rows = sorted({i for ps, gq, _ in scaled for i, _ in ps + gq})
-        nums, d = la.scaled_vec([x for i in rows for x in m[i]])
-        at = {i: nums[r * width:(r + 1) * width] for r, i in enumerate(rows)}
-        big = lcm(*[t for _, _, t in scaled])
-        acc = {}          # touched row -> numerators over d * big
-        for ps, gq, t in scaled:
-            r = [0] * width
-            for i, g in gq:
-                r = [x + g * y for x, y in zip(r, at[i])]
-            for i, x in ps:
-                cur = acc[i] if i in acc else [y * big for y in at[i]]
-                x *= big // t
-                acc[i] = [c + x * y for c, y in zip(cur, r)]
-        out = list(m)
-        for i, row in acc.items():
-            out[i] = tuple([la.quotient(v, d * big) for v in row])
-        return tuple(out)
 
     def signature(self):
         if "sig" not in self._cache:

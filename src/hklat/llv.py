@@ -10,7 +10,8 @@ its exponential B_lambda = 1 + e + e^2/2 is the B-field isometry.
 from fractions import Fraction
 
 from . import linalg as la
-from .errors import IsotropicVector, LatticeError, NotAnIsometry, NotGraded
+from .errors import (IsotropicVector, LatticeError, NotAnIsometry,
+                     NotGraded, NotIntegral)
 from .lattice import LatVec, Lattice, QIsometry
 
 
@@ -319,7 +320,9 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
     lam2 = la.ratio(1, r) * th2 - la.ratio(1, 2) * delta
     e1 = R * lam1
     e2 = R * lam2
-    assert e1.is_integral() and e2.is_integral()
+    if not (e1.is_integral() and e2.is_integral()):
+        raise NotIntegral("e1 = R (theta(a1)/r + delta/2) or e2 is not "
+                          "integral; a1 and a2 must be integral")
     # the defining vanishing: theta(a_i)/r +- delta/2 - e_i/R = 0
     assert (lam1 - la.ratio(1, R) * e1).is_zero()
     assert (lam2 - la.ratio(1, R) * e2).is_zero()

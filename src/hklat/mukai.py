@@ -12,7 +12,8 @@ and the norm-only dependence of the double orbit of -rho_u.
 from math import factorial
 
 from . import linalg as la
-from .errors import (BadDivisibility, BadMonodromy, BadNorm, LatticeError)
+from .errors import (BadDivisibility, BadMonodromy, BadNorm, LatticeError,
+                     NotConjugating, OrientationReversing)
 from .factor import reflect
 from .lattice import divisibility, membership, nu_character
 from .transvect import eichler_move
@@ -152,7 +153,8 @@ def make_cyclic(lattice, u, g):
         raise BadMonodromy("g is not a certified monodromy (%s)" % tag)
     f = -(g * reflect(lattice, u))
     r = int(uu) // 2
-    assert nu_character(f) == 1
+    if nu_character(f) != 1:
+        raise OrientationReversing("f = -g rho_u has nu = -1 on this lattice")
     return CyclicCertificate(u, g, f, r, cert)
 
 
@@ -184,6 +186,8 @@ def double_orbit_connect(lattice, u, u2):
     h2 = h1.inverse()
     lhs = h1 * (-reflect(lattice, u)) * h2
     rhs = -reflect(lattice, u2)
-    assert lhs == rhs
-    assert nu_character(h1) == 1 and h1.det() == 1
+    if lhs != rhs:
+        raise NotConjugating("h1 (-rho_u) h2 is not -rho_u2")
+    if nu_character(h1) != 1 or h1.det() != 1:
+        raise BadMonodromy("h1 does not preserve orientation and det")
     return h1, h2

@@ -416,43 +416,6 @@ def isotropic_spanning_set(lattice):
     return out
 
 
-def span_rank_mod_p(space, vectors, p=46337):
-    """Rank over F_p of the given Sym^n elements (a lower bound for the
-    rational rank, so full rank certifies spanning)."""
-    import numpy as np
-    from math import gcd
-    dense = []
-    for v in vectors:
-        row = [0] * len(space.monomials)
-        mult = 1
-        for m, c in v.items():
-            mult = mult * c.denominator // gcd(mult, c.denominator)
-        for m, c in v.items():
-            row[space.index[m]] = int(c * mult) % p
-        dense.append(row)
-    a = np.array(dense, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r_ in range(rank, rows):
-            if a[r_, c] % p:
-                piv = r_
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        col = a[rank + 1:, c].copy()
-        if col.any():
-            a[rank + 1:] = (a[rank + 1:] - np.outer(col, a[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def restrict_sym(space, f, as_matrix=True):
     """The restriction of Sym^n(f) to the isotropic-power subspace, in the
     kernel-basis coordinates."""

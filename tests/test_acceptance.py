@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (isotropic_samples, rand_anisotropic, rand_primitive,
-                      rand_primitive_norm, rand_transvection, rand_vec)
+                      rand_primitive_norm, rand_transvection, rand_vec,
+                      span_rank_mod_p)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -204,7 +205,7 @@ def test_criterion_5_sn_dimensions(k3n2):
                      for v in isotropic_samples(
                          space.lattice, rng, expect + 20)]
             ok = ok and all(sym.in_kernel(x) for x in vecs)
-            ok = ok and sn.span_rank_mod_p(sym, vecs) == expect
+            ok = ok and span_rank_mod_p(sym, vecs) == expect
     big = sn.SymSpace(llv.LLVSpace(k3n2).lattice, 2)
     ok = ok and big.sn_dim() == 324
     _report(5, "S_[n] dimensions incl. 324 at d=25", ok)

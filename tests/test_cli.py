@@ -115,6 +115,17 @@ def test_zero_denominator_scalar_exits_3(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+def test_non_object_payload_exits_3(capsys):
+    # before the check, a list reached payload.get in cmd_snrep and ended
+    # in an AttributeError traceback with exit 1
+    for payload in ("[1]", '"x"', "3", "null"):
+        for cmd in (["snrep", "dim", "--preset", "K3"],
+                    ["isom", "characters"], ["factor", "decompose"]):
+            code, out = run_cli(cmd + ["--json", payload], capsys)
+            assert code == 3
+            assert json.loads(out)["error"]["type"] == "TypeError"
+
+
 def test_snrep_dim_over_monomial_budget_exits_2():
     # Sym^400 of the rank-9 extended Kummer lattice has ~1.8e16 monomials;
     # the budget check refuses it before enumerating any
@@ -137,6 +148,26 @@ def test_verify_all_deterministic():
                         timeout=600)
     assert r3.returncode == 0
     assert r3.stdout == r1.stdout.encode()
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from hklat.cli import main
+code = main(["verify", "all", "--seed", "42"])
+assert "numpy" not in sys.modules or sys.modules["numpy"] is None
+sys.exit(code)
+"""
+
+
+def test_verify_all_without_numpy():
+    """The library runs with numpy unimportable and prints the same bytes."""
+    cmd = [sys.executable, "-m", "hklat.cli", "verify", "all", "--seed", "42"]
+    r1 = subprocess.run(cmd, capture_output=True, timeout=600)
+    r2 = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True,
+                        timeout=600)
+    assert r1.returncode == 0 and r2.returncode == 0, r2.stderr
+    assert r2.stdout == r1.stdout
 
 
 def test_cli_orbit_move(capsys):

@@ -41,8 +41,8 @@ def test_witt_map(k3):
     u = lt.preset("U")
     x = u.vec([1, 1])
     y = -x
-    sw = fc.witt_map(u, x, y)
-    assert fc.apply_witt(u, sw, x) == y
+    sign, w = fc.witt_map(u, x, y)
+    assert sign * fc.reflect(u, w).apply(x) == y
     assert fc.witt_map(u, x, x) == (None, None)
     count = 0
     while count < 200:
@@ -50,9 +50,17 @@ def test_witt_map(k3):
         if a.norm() == 0:
             continue
         b = rand_orientation_preserving(rng, k3, 2).apply(a)
-        sw = fc.witt_map(k3, a, b)
-        assert fc.apply_witt(k3, sw, a) == b
+        sign, w = fc.witt_map(k3, a, b)
+        assert a == b if sign is None else sign * fc.reflect(k3, w).apply(a) == b
         count += 1
+
+
+def _reflection_product(lat, ws):
+    """rho_{w_1} o ... o rho_{w_m}, one fc.reflect per vector."""
+    acc = lt.QIsometry.identity(lat)
+    for w in ws:
+        acc = acc * fc.reflect(lat, w)
+    return acc
 
 
 def test_cartan_dieudonne(k3):
@@ -61,21 +69,21 @@ def test_cartan_dieudonne(k3):
     u = rand_anisotropic(rng, k3)
     refs = fc.cartan_dieudonne(k3, fc.reflect(k3, u))
     assert len(refs) == 1
-    assert fc.verify_cd(k3, refs, fc.reflect(k3, u))
+    assert _reflection_product(k3, refs) == fc.reflect(k3, u)
     for _ in range(6):
         f = lt.QIsometry.identity(k3)
         for _ in range(5):
             f = fc.reflect(k3, rand_anisotropic(rng, k3)) * f
         refs = fc.cartan_dieudonne(k3, f)
         assert len(refs) <= k3.rank
-        assert fc.verify_cd(k3, refs, f)
+        assert _reflection_product(k3, refs) == f
 
 
 def test_cartan_dieudonne_totally_isotropic_case(k3):
     # a transvection moves only a totally isotropic subspace
     E = tv.eichler_transvection(k3, k3.basis_vec(0), k3.basis_vec(4))
     refs = fc.cartan_dieudonne(k3, E)
-    assert fc.verify_cd(k3, refs, E)
+    assert _reflection_product(k3, refs) == E
     assert len(refs) <= k3.rank
 
 
@@ -449,26 +457,71 @@ def test_reflect_times_against_textbook_formula(k3):
         got = fc.reflect_times(k3, u, g).matrix
         assert tuple(zip(*got)) == tuple(want)
         assert canonical(got)
+        # rows where u is zero are g's own tuples
+        untouched = [i for i, c in enumerate(u.coords) if c == 0]
+        assert untouched
+        assert all(got[i] is g.matrix[i] for i in untouched)
 
 
-def test_pair_update_outputs_keep_entry_contract(monkeypatch):
+def _textbook_rewrite_factor(lat, u):
+    """I + 2 f1 (f2, .) + 2 f2 (f1, .) in plain Fractions, with
+    (f1, f2) = g^-1 (e1, e2) for the word g moving u to e1 + m e2."""
+    ginv = tv.reduce_to_canonical(lat, u).isometry().inverse()
+    i, j = lat.u_blocks[0]
+    f1 = ginv.apply(lat.basis_vec(i)).coords
+    f2 = ginv.apply(lat.basis_vec(j)).coords
+    es = [lat.basis_vec(c).coords for c in range(lat.rank)]
+    return tuple(tuple(Fraction(r == c) + 2 * f1[r] * frac_pair(lat, f2, es[c])
+                       + 2 * f2[r] * frac_pair(lat, f1, es[c])
+                       for c in range(lat.rank)) for r in range(lat.rank))
+
+
+def test_rewrite_factor_against_textbook_formula(k3n2, monkeypatch):
+    """h = rho_{f1-f2} rho_{f1+f2} is the old two-term definition of h."""
+    seen = []
+    real = fc.positive_reflection_rewrite
+
+    def recorded(lattice, u):
+        h, w = real(lattice, u)
+        seen.append((lattice, u, h))
+        return h, w
+    monkeypatch.setattr(fc, "positive_reflection_rewrite", recorded)
+    lsub = fc.l_sublattice(k3n2)
+    fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
+    fc.decompose(k3n2, _rewrite_input(k3n2))
+    assert len(seen) > 1
+    for lat, u, h in seen:
+        assert h.matrix == _textbook_rewrite_factor(lat, u)
+
+
+def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
     # a fresh lattice: the session fixture's caches (decompose_ref, l_part,
     # disc) would make the call counts depend on which tests ran first
     lat = lt.preset("K3n", 2)
     seen, seen_steps = [], []
-    real = lt.Lattice.pair_update
+    real, real_times = fc._reflect_rows, fc.reflect_times
     real_steps = tv._run_steps
 
-    def checked(self, m, terms):
-        out = real(self, m, terms)
-        seen.append(canonical(out))
+    def checked(lattice, nu, m):
+        uu, moved = real(lattice, nu, m)
+        # integer rows scaled by uu > 0, exactly where nu is nonzero
+        seen.append(type(uu) is int and uu > 0
+                    and set(moved) == {i for i, x in enumerate(nu) if x}
+                    and all(type(x) is int for row in moved.values()
+                            for x in row))
+        return uu, moved
+
+    def checked_times(lattice, u, g):
+        out = real_times(lattice, u, g)
+        seen.append(canonical(out.matrix))
         return out
 
     def checked_steps(data, xs):
         out = real_steps(data, xs)
         seen_steps.append(canonical(out))
         return out
-    monkeypatch.setattr(lt.Lattice, "pair_update", checked)
+    monkeypatch.setattr(fc, "_reflect_rows", checked)
+    monkeypatch.setattr(fc, "reflect_times", checked_times)
     monkeypatch.setattr(tv, "_run_steps", checked_steps)
     # the fixed rewrite input and the tamper test's word (k = 5 and 23)
     for phi in (_rewrite_input(lat), _random_word(random.Random(73), lat, 3)):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (canonical, frac_pair, rand_orientation_preserving,
-                      rand_primitive, rand_qcoords, rand_vec)
+from conftest import rand_orientation_preserving, rand_primitive, rand_vec
 from hklat import factor as fc
 from hklat import lattice as lt
-from hklat.errors import DimensionMismatch, LatticeError, NotAnIsometry
+from hklat.errors import LatticeError, NotAnIsometry
 
 
 def _float_signature(gram):
@@ -243,34 +242,3 @@ def test_isometry_det_is_computed_once(k3n2, monkeypatch):
         with pytest.raises(NotAnIsometry):
             fake.det()
     assert len(calls) == 3
-
-
-def _sparse_qcoords(rng, lat, support):
-    c = [0] * lat.rank
-    for i in rng.sample(range(lat.rank), support):
-        c[i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
-    return lat.vec(c).coords
-
-
-def test_pair_update_against_definition(k3n2):
-    """(I + sum_k p_k q_k^T G) m, every term on the same m, against plain
-    Fraction sums; untouched rows are the input's own tuples."""
-    rng = random.Random(89)
-    n = k3n2.rank
-    for width in (1, 3, n):
-        for nterms in (0, 1, 2, 3):
-            m = tuple(zip(*[rand_qcoords(rng, k3n2) for _ in range(width)]))
-            terms = [(_sparse_qcoords(rng, k3n2, rng.randint(0, 3)),
-                      rand_qcoords(rng, k3n2)) for _ in range(nterms)]
-            cols = list(zip(*m))
-            want = [[Fraction(c[i]) + sum(frac_pair(k3n2, q, c) * p[i]
-                                          for p, q in terms)
-                     for i in range(n)] for c in cols]
-            out = k3n2.pair_update(m, terms)
-            assert tuple(zip(*out)) == tuple(tuple(c) for c in want)
-            assert canonical(out)
-            for i in range(n):
-                if all(p[i] == 0 for p, _ in terms):
-                    assert out[i] is m[i]
-    with pytest.raises(DimensionMismatch):
-        k3n2.pair_update(((1,),), [])

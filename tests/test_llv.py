@@ -13,7 +13,8 @@ from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
 from hklat import transvect as tv
-from hklat.errors import IsotropicVector, LatticeError, NotAnIsometry, NotGraded
+from hklat.errors import (IsotropicVector, LatticeError, NotAnIsometry,
+                          NotGraded, NotIntegral)
 
 
 @pytest.fixture(scope="module")
@@ -235,18 +236,25 @@ def test_llv_gates_raise(H, Hn2, k3):
         llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)
     with pytest.raises(AssertionError, match="commutator"):
         llv.dual_lefschetz_check(H, _broken_tau(H), k3.vec([1, 1] + [0] * 20))
+    # a rational a1 makes e1 = R (a1/r + delta/2) non-integral
+    with pytest.raises(NotIntegral):
+        llv.kernel_c1_solve(H, Hn2, 1, k3.vec([Fraction(1, 3)] + [0] * 21),
+                            k3.zero(), 2)
 
 
 _LLV_GATES_SCRIPT = """
+from fractions import Fraction
 from hklat import lattice as lt, llv
-from hklat.errors import LatticeError, NotAnIsometry
+from hklat.errors import LatticeError, NotAnIsometry, NotIntegral
 import test_llv
 k3 = lt.preset("K3")
 H, Hn2 = llv.LLVSpace(k3), llv.LLVSpace(lt.preset("K3n", 2))
 calls = [(LatticeError, lambda: llv.e_op(H, H.alpha())),
          (NotAnIsometry, lambda: llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)),
          (AssertionError, lambda: llv.dual_lefschetz_check(
-             H, test_llv._broken_tau(H), k3.vec([1, 1] + [0] * 20)))]
+             H, test_llv._broken_tau(H), k3.vec([1, 1] + [0] * 20))),
+         (NotIntegral, lambda: llv.kernel_c1_solve(
+             H, Hn2, 1, k3.vec([Fraction(1, 3)] + [0] * 21), k3.zero(), 2))]
 for exc, call in calls:
     try:
         call()
@@ -266,15 +274,14 @@ def test_llv_gates_raise_under_O():
     r = subprocess.run([sys.executable, "-O", "-c", _LLV_GATES_SCRIPT],
                        capture_output=True, text=True, timeout=120, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["raised", "raised", "raised", "False"]
+    assert r.stdout.split() == ["raised"] * 4 + ["False"]
 
 
 # every library function that builds a QIsometry on the trusted path
 _TRUSTED_SITES = {
     "identity", "minus_identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
-    "extend_l_isometry", "positive_reflection_rewrite", "isometry",
-    "_isometry_from_lines"}
+    "extend_l_isometry", "isometry", "_isometry_from_lines"}
 
 
 def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +138,61 @@ def test_double_orbit_connect(k3):
     with pytest.raises(BadNorm):
         mk.double_orbit_connect(k3, rand_primitive_norm(rng, k3, 2),
                                 rand_primitive_norm(rng, k3, 4))
+
+
+_GATES_SCRIPT = """
+import sys
+from hklat import lattice as lt, mukai as mk
+from hklat.errors import BadMonodromy, NotConjugating, OrientationReversing
+
+
+class Word:
+    # stands in for the word eichler_move returns
+    def __init__(self, iso):
+        self.iso = iso
+
+    def isometry(self):
+        return self.iso
+
+
+out = []
+
+
+def gate(exc, call):
+    try:
+        call()
+    except exc:
+        out.append(exc.__name__)
+    else:
+        out.append("returned")
+
+
+# the Mukai lattice has four positive directions, so -rho_u has nu = -1
+muk = lt.preset("Mukai")
+gate(OrientationReversing, lambda: mk.make_cyclic(
+    muk, muk.vec([1, -1] + [0] * 22), lt.QIsometry.identity(muk)))
+k3 = lt.preset("K3")
+u, u2 = k3.vec([1, -1] + [0] * 20), k3.vec([0, 0, 1, -1] + [0] * 18)
+mk.eichler_move = lambda lattice, x, y: Word(lt.QIsometry.identity(lattice))
+gate(NotConjugating, lambda: mk.double_orbit_connect(k3, u, u2))
+# -id conjugates -rho_u to itself but has nu = -1
+mk.eichler_move = lambda lattice, x, y: Word(lt.QIsometry.minus_identity(lattice))
+gate(BadMonodromy, lambda: mk.double_orbit_connect(k3, u, u))
+print(sys.flags.optimize, *out)
+"""
+
+
+def test_certificate_gates_raise_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _GATES_SCRIPT],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["1", "OrientationReversing", "NotConjugating",
+                                "BadMonodromy"]
 
 
 def test_kernel_rank():

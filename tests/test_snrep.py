@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import canonical, isotropic_samples, sym_mul
+from conftest import canonical, isotropic_samples, span_rank_mod_p, sym_mul
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -125,7 +125,7 @@ def test_isotropic_span_equals_kernel(H5, H7):
                                             3 * sym.sn_dim())]
         for x in vecs:
             assert sym.in_kernel(x)
-        assert sn.span_rank_mod_p(sym, vecs) == sym.sn_dim()
+        assert span_rank_mod_p(sym, vecs) == sym.sn_dim()
 
 
 def test_restrict_sym_functorial(H5):
