@@ -36,14 +36,18 @@ def test_reflect_basics(k3):
 
 def test_witt_map(k3):
     rng = random.Random(53)
-    # x = e1+e2 (norm -2), y = -x: the difference branch degenerates and
-    # the sum branch is used
+    # x = e1+e2 (norm -2), y = -x: the difference 2x is anisotropic
     u = lt.preset("U")
     x = u.vec([1, 1])
     y = -x
     sign, w = fc.witt_map(u, x, y)
-    assert sign * fc.reflect(u, w).apply(x) == y
+    assert sign == 1 and fc.reflect(u, w).apply(x) == y
     assert fc.witt_map(u, x, x) == (None, None)
+    # x = e1-e2, y = x + e1' (both norm 2): x - y is isotropic, so the map
+    # is -rho_{x+y}
+    x, y = k3.vec([1, -1] + [0] * 20), k3.vec([1, -1, 1] + [0] * 19)
+    sign, w = fc.witt_map(k3, x, y)
+    assert sign == -1 and -fc.reflect(k3, w).apply(x) == y
     count = 0
     while count < 200:
         a = rand_vec(rng, k3, 2)
