@@ -273,7 +273,7 @@ def divisibility(lattice, x):
 class QIsometry:
     """A rational matrix M with M^T G M = G, acting on column coordinates."""
 
-    __slots__ = ("lattice", "matrix", "_det")
+    __slots__ = ("lattice", "matrix", "_det", "_integral")
 
     def __init__(self, lattice, matrix, _trusted=False):
         # trusted entries already are ints and reduced Fractions
@@ -287,6 +287,7 @@ class QIsometry:
         self.lattice = lattice
         self.matrix = m
         self._det = None
+        self._integral = None
 
     @classmethod
     def identity(cls, lattice):
@@ -334,15 +335,32 @@ class QIsometry:
         return self.apply(v)
 
     def is_integral(self):
-        return la.is_integral_mat(self.matrix)
+        """Whether every entry is an int; the matrix is scanned once."""
+        if self._integral is None:
+            self._integral = la.is_integral_mat(self.matrix)
+        return self._integral
 
     def det(self):
         """+-1, computed once; anything else raises NotAnIsometry on every
-        call."""
+        call.
+
+        M^T G M = G gives det(M)^2 = 1: the untrusted constructor checks
+        that identity and every trusted construction holds it.  So det(M)
+        is +1 or -1, and its residue mod an odd prime p that divides no
+        denominator of M (la.det_mod_p) tells which; a residue other than
+        +-1 mod p means M is no isometry.  Bareiss's exact det is the
+        fallback when every prime det_mod_p tries divides a denominator.
+        """
         if self._det is None:
-            d = la.det(self.matrix)
+            res = la.det_mod_p(self.matrix)
+            if res is None:
+                d = shown = la.det(self.matrix)
+            else:
+                r, p = res
+                d = 1 if r == 1 else -1 if r == p - 1 else None
+                shown = "%d mod %d" % res
             if d not in (1, -1):
-                raise NotAnIsometry("determinant %s is not +-1" % (d,))
+                raise NotAnIsometry("determinant %s is not +-1" % (shown,))
             self._det = d
         return self._det
 
@@ -354,7 +372,7 @@ class DiscGroup:
     """The finite quadratic group L*/L presented by its elementary divisors
     together with generator lifts in L* (rational coordinates)."""
 
-    __slots__ = ("lattice", "divisors", "generators", "_umat", "_all_divisors",
+    __slots__ = ("lattice", "divisors", "generators", "_urows", "_gen_nums",
                  "_plus", "_minus")
 
     def __init__(self, lattice):
@@ -373,8 +391,12 @@ class DiscGroup:
         self.lattice = lattice
         self.divisors = tuple(divisors)
         self.generators = tuple(gens)
-        self._umat = u
-        self._all_divisors = tuple(int(x) for x in d)
+        # the rows of u whose divisor is > 1: the others only give 0 mod 1
+        self._urows = tuple((di, u[i]) for i, di in enumerate(d) if di > 1)
+        # each generator lift as (nonzero (index, numerator) pairs, d)
+        self._gen_nums = tuple(
+            ([(c, y) for c, y in enumerate(nums) if y], dx)
+            for nums, dx in (la.scaled_vec(x.coords) for x in gens))
         order = 1
         for di in divisors:
             order *= di
@@ -388,13 +410,22 @@ class DiscGroup:
 
     def class_of(self, v):
         """Coordinates of [v] in the cyclic decomposition; v must pair
-        integrally with the lattice (i.e. lie in L*)."""
-        m = la.mat_vec(self.lattice.gram, v.coords)
-        if not la.is_integral_vec(m):
+        integrally with the lattice (i.e. lie in L*).  Computed on v's
+        integer numerators by class_of_nums."""
+        return self.class_of_nums(*la.scaled_vec(v.coords))
+
+    def class_of_nums(self, nums, d):
+        """class_of for v = nums / d, nums integers and d > 0.
+
+        v lies in L* when d divides every entry of the integer vector
+        G nums; then the class is (U G v) mod the divisors, read only from
+        the rows of the Smith transform U whose divisor is > 1.
+        """
+        gv = self.lattice.gram_times(nums)
+        if any([s % d for _, s in gv]):
             raise NotIntegral("vector does not lie in the dual lattice")
-        um = la.mat_vec(self._umat, m)
-        return tuple(int(um[i]) % di
-                     for i, di in enumerate(self._all_divisors) if di > 1)
+        return tuple(sum([urow[i] * s for i, s in gv]) // d % di
+                     for di, urow in self._urows)
 
 
 def disc_group(lattice):
@@ -405,14 +436,19 @@ def disc_action(g):
     """Classify the action of an integral isometry on L*/L.
 
     Returns +1, -1, or ("other", matrix) where the matrix gives the images
-    of the generators in generator coordinates.
+    of the generators in generator coordinates.  The image of a generator
+    lift x = nums / d is (g nums) / d, read from the columns of g where x
+    is nonzero.
     """
     if not g.is_integral():
         raise NotIntegral("discriminant action needs an integral isometry")
     disc = g.lattice.disc_group()
     if disc.is_trivial():
         return 1
-    images = [disc.class_of(g.apply(x)) for x in disc.generators]
+    m = g.matrix
+    images = [disc.class_of_nums([sum([row[c] * y for c, y in sup])
+                                  for row in m], d)
+              for sup, d in disc._gen_nums]
     if images == disc._plus:
         return 1
     if images == disc._minus:
@@ -420,22 +456,50 @@ def disc_action(g):
     return ("other", tuple(images))
 
 
+def _nu_data(lattice, basis):
+    """What nu_character reads of a positive basis b_1..b_p: the rows R
+    that some G b_i reaches, the columns C where some b_j is nonzero, each
+    b_j's numerators as (position in C, value) pairs, and each G b_i's as
+    (position in R, value) pairs."""
+    if not basis:
+        raise LatticeError("nu needs a positive-definite part of dimension >= 1")
+    nums = [la.scaled_vec(b)[0] for b in basis]
+    gbs = [lattice.gram_times(x) for x in nums]
+    cols = sorted({c for x in nums for c, y in enumerate(x) if y})
+    rows = sorted({r for gb in gbs for r, _ in gb})
+    cpos = {c: k for k, c in enumerate(cols)}
+    rpos = {r: k for k, r in enumerate(rows)}
+    bsups = [[(cpos[c], y) for c, y in enumerate(x) if y] for x in nums]
+    gsups = [[(rpos[r], s) for r, s in gb] for gb in gbs]
+    return rows, cols, bsups, gsups
+
+
 def nu_character(g, positive_basis=None):
     """Orientation character of the positive cone: the sign of det of
     P -> g(P) -> P (orthogonal projection back to the fixed positive
-    subspace P)."""
+    subspace P, spanned by the orthogonal positive basis b_1..b_p).
+
+    That map has the matrix ((g b_j, b_i) / (b_i, b_i)); the norms are
+    positive, so its determinant has the sign of det(B^T G g B).  Scaling
+    a b_j or g by a positive number keeps that sign too, so the p x p
+    determinant is taken on integer numerators: the sparse G b_i and the
+    supports of the b_j are kept per lattice, and g is read only in the
+    rows and columns they reach.
+    """
     lat = g.lattice
-    basis = positive_basis if positive_basis is not None else lat.positive_basis()
-    if not basis:
-        raise LatticeError("nu needs a positive-definite part of dimension >= 1")
-    p = len(basis)
-    norms = [lat.pair_coords(b, b) for b in basis]
-    m = []
-    for bj in basis:
-        gb = la.mat_vec(g.matrix, bj)
-        m.append(tuple(la.ratio(lat.pair_coords(gb, basis[i]), norms[i])
-                       for i in range(p)))
-    d = la.det(la.transpose(la.mat(m)))
+    if positive_basis is not None:
+        data = _nu_data(lat, positive_basis)
+    elif "nu" in lat._cache:
+        data = lat._cache["nu"]
+    else:
+        data = lat._cache["nu"] = _nu_data(lat, lat.positive_basis())
+    rows, cols, bsups, gsups = data
+    m = g.matrix
+    sub, _ = la.scaled_mat([[m[r][c] for c in cols] for r in rows])
+    # (g b_j) on the rows R, times the positive scale of g
+    gb = [[sum([row[k] * y for k, y in bsup]) for row in sub] for bsup in bsups]
+    d = la.det([[sum([s * x[r] for r, s in gsup]) for x in gb]
+                for gsup in gsups])
     assert d != 0, "projection degenerate; input is not an isometry"
     return 1 if d > 0 else -1
 

@@ -12,14 +12,21 @@ and rank built on it) never do arithmetic on Fractions.  Each operand is
 scaled once to integer numerators over a common denominator (one per
 matrix for products, one per row for elimination), the work runs on plain
 ints with zero entries skipped, and the entries are turned back into
-int/Fraction only at the end.  det is Bareiss's fraction-free elimination; rref is
-fraction-free Gauss-Jordan elimination that keeps every row primitive.
-The reduced row echelon form is canonical, so its entries and pivots do
-not depend on how it is computed.
+int/Fraction only at the end.  rref is fraction-free Gauss-Jordan
+elimination that keeps every row primitive.  The reduced row echelon form
+is canonical, so its entries and pivots do not depend on how it is
+computed.
+
+Two determinants serve two kinds of input.  det, Bareiss's fraction-free
+elimination, is exact and serves any matrix: Gram matrices and other
+untrusted input.  det_mod_p is elimination over GF(p) on residues below
+2^15; it serves matrices whose determinant is already known up to a
+residue, such as isometries, where det^2 = 1 and the residue mod an odd
+prime decides between +1 and -1.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 ONE = Fraction(1)
 _new = object.__new__
@@ -297,6 +304,64 @@ def det(a):
                 ri[k + 1:] = [p * x // prev for x in ri[k + 1:]]
         prev = p
     return quotient(sign * num * prev, den)
+
+
+def _prime_flags(n):
+    """flags[q] == 1 exactly for the primes q < n (Eratosthenes)."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n, i)))
+    return flags
+
+
+# det_mod_p's primes lie below 2^15, so a residue minus the product of two
+# residues stays below 2^30 in size: one machine word (one CPython digit)
+_P_BOUND = 1 << 15
+_IS_PRIME = _prime_flags(_P_BOUND)
+
+
+def det_mod_p(a):
+    """(det(a) mod p, p) for the largest prime p < 2^15 that divides no
+    denominator of a (32749 first, then the next prime below), by
+    elimination over GF(p); None when every odd prime below 2^15 divides a
+    denominator.  The residue lies in range(p).
+    """
+    n = len(a)
+    for p in range(_P_BOUND - 1, 2, -2):
+        if not _IS_PRIME[p]:
+            continue
+        try:
+            m = [[x % p if type(x) is int
+                  else x.numerator * pow(x.denominator, -1, p) % p
+                  for x in row] for row in a]
+        except ValueError:
+            # p divides a denominator: no inverse mod p
+            continue
+        break
+    else:
+        return None
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, p
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        rk = m[k]
+        det = det * rk[k] % p
+        inv = pow(rk[k], -1, p)
+        tail = [(j, y) for j, y in enumerate(rk[k + 1:], k + 1) if y]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
+            if f:
+                f = f * inv % p
+                for j, y in tail:
+                    ri[j] = (ri[j] - f * y) % p
+    return det % p, p
 
 
 def inverse(a):

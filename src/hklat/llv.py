@@ -303,8 +303,10 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
         e1 = R (theta(a1)/r + delta/2),  e2 = R (theta(a2)/r - delta/2),
         R  = n! r^n,
 
-    with the exact vanishing checks and the collapsed operator identity
-    B_{-e2/R} o hilb_lift(phi, n) o B_{-e1/R} = det(phi)^{n+1} iota(phi).
+    so that e_i / R = theta(a_i)/r +- delta/2 by construction.  The check
+    with content, the collapsed operator identity
+    B_{-e2/R} o hilb_lift(phi, n) o B_{-e1/R} = det(phi)^{n+1} iota(phi),
+    is verify_kernel_identity's.
     """
     if r < 1 or n < 2:
         raise LatticeError("kernel_c1_solve needs r >= 1, n >= 2")
@@ -323,9 +325,6 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
     if not (e1.is_integral() and e2.is_integral()):
         raise NotIntegral("e1 = R (theta(a1)/r + delta/2) or e2 is not "
                           "integral; a1 and a2 must be integral")
-    # the defining vanishing: theta(a_i)/r +- delta/2 - e_i/R = 0
-    assert (lam1 - la.ratio(1, R) * e1).is_zero()
-    assert (lam2 - la.ratio(1, R) * e2).is_zero()
     return e1, e2, R
 
 

@@ -162,12 +162,6 @@ class SymSpace:
             return self.dim()
         return comb(d + n - 1, n) - comb(d + n - 3, n - 2)
 
-    def to_dense(self, x):
-        v = [0] * len(self.monomials)
-        for m, c in x.items():
-            v[self.index[m]] = c
-        return tuple(v)
-
     # -- contraction and its kernel -----------------------------------------
 
     def contract(self, x):

@@ -3,12 +3,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import snrep as sn
 from hklat import transvect as tv
+from hklat.errors import NotIntegral
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +198,43 @@ def span_rank_mod_p(space, vectors, p=46337):
         if rank == rows:
             break
     return rank
+
+
+def sym_to_dense(sym, x):
+    """A sparse Sym^n element as its coordinate tuple in sym's monomial
+    order."""
+    v = [0] * len(sym.monomials)
+    for m, c in x.items():
+        v[sym.index[m]] = c
+    return tuple(v)
+
+
+def nu_projection(g, basis=None):
+    """The orientation character by the rational projection formula: the
+    sign of det((g b_j, b_i) / (b_i, b_i)), P -> g(P) -> P for the
+    orthogonal positive basis b; the reference for the library's integer
+    nu_character."""
+    lat = g.lattice
+    basis = lat.positive_basis() if basis is None else basis
+    norms = [frac_pair(lat, b, b) for b in basis]
+    rows = []
+    for bj in basis:
+        gb = [sum(Fraction(x) * y for x, y in zip(row, bj)) for row in g.matrix]
+        rows.append([frac_pair(lat, gb, bi) / ni
+                     for bi, ni in zip(basis, norms)])
+    d = sympy.Matrix(rows).det()
+    assert d != 0
+    return 1 if d > 0 else -1
+
+
+def disc_class_dense(disc, v):
+    """[v] in L*/L by the dense formula (U (G v)) mod the divisors, with U
+    the Smith transform of the Gram matrix; the reference for
+    DiscGroup.class_of."""
+    gram = disc.lattice.gram
+    d, u, _ = la.smith_normal_form(gram)
+    m = la.mat_vec(gram, v.coords)
+    if not la.is_integral_vec(m):
+        raise NotIntegral("vector does not lie in the dual lattice")
+    um = la.mat_vec(u, m)
+    return tuple(int(um[i]) % di for i, di in enumerate(d) if di > 1)

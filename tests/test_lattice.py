@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import rand_orientation_preserving, rand_primitive, rand_vec
+from conftest import (disc_class_dense, nu_projection,
+                      rand_orientation_preserving, rand_primitive,
+                      rand_reflection_word, rand_vec)
 from hklat import factor as fc
+from hklat import linalg as la
 from hklat import lattice as lt
-from hklat.errors import LatticeError, NotAnIsometry
+from hklat import transvect as tv
+from hklat.errors import LatticeError, NotAnIsometry, NotIntegral
 
 
 def _float_signature(gram):
@@ -224,12 +228,12 @@ def test_isometry_det_checks_without_assert():
 
 def test_isometry_det_is_computed_once(k3n2, monkeypatch):
     calls = []
-    real_det = lt.la.det
+    real_det = lt.la.det_mod_p
 
     def counting_det(m):
         calls.append(m)
         return real_det(m)
-    monkeypatch.setattr(lt.la, "det", counting_det)
+    monkeypatch.setattr(lt.la, "det_mod_p", counting_det)
     f = rand_orientation_preserving(random.Random(263), k3n2)
     calls.clear()
     dets = [f.det() for _ in range(4)]
@@ -242,3 +246,108 @@ def test_isometry_det_is_computed_once(k3n2, monkeypatch):
         with pytest.raises(NotAnIsometry):
             fake.det()
     assert len(calls) == 3
+
+
+def test_isometry_det_falls_back_to_bareiss():
+    # every odd prime below 2^15 divides a denominator: no residue, so the
+    # exact determinant decides
+    every = 1
+    for q in sympy.primerange(3, 1 << 15):
+        every *= q
+    u = lt.preset("U")
+    f = lt.QIsometry(u, ((Fraction(1, every), 0), (0, every)), _trusted=True)
+    assert f.det() == 1
+    fake = lt.QIsometry(u, ((Fraction(2, every), 0), (0, every)), _trusted=True)
+    with pytest.raises(NotAnIsometry):
+        fake.det()
+
+
+# a custom even Gram with no U blocks: the positive basis comes from
+# congruent_diagonalize, with rational rows and norms other than 2
+_NO_U_GRAM = ((2, 1, 1, 0), (1, 2, 0, 1), (1, 0, -2, 1), (0, 1, 1, -4))
+
+
+def test_integer_nu_matches_projection_formula():
+    rng = random.Random(277)
+    custom = lt.preset("custom", gram=_NO_U_GRAM)
+    assert custom.u_blocks == () and custom.signature() == (2, 2)
+    norms = {custom.pair_coords(b, b) for b in custom.positive_basis()}
+    assert norms - {1, 2}
+    for lat in (lt.preset("K3n", 2), lt.preset("Kummer", 2),
+                lt.preset("Mukai"), custom):
+        # a reflection in a positive vector reverses the orientation
+        flip = fc.reflect(lat, lat.positive_basis()[-1])
+        seen = set()
+        for count in (1, 2, 3, 4):
+            f = rand_reflection_word(rng, lat, count)
+            for h in (f, -f, flip * f):
+                nu = lt.nu_character(h)
+                assert nu == nu_projection(h)
+                seen.add(nu)
+        assert seen == {1, -1}
+    # an explicit positive basis of a U-block lattice, with rational rows
+    k3 = lt.preset("K3")
+    p, d = la.congruent_diagonalize(k3.gram)
+    alt = tuple(row for row, dd in zip(p, d) if dd > 0)
+    for _ in range(6):
+        f = rand_reflection_word(rng, k3, 3)
+        assert lt.nu_character(f, alt) == nu_projection(f, alt)
+    # a negative-definite lattice has no positive part to orient
+    with pytest.raises(LatticeError):
+        lt.nu_character(lt.QIsometry.identity(lt.preset("E8-")))
+
+
+def test_class_of_matches_dense_formula():
+    rng = random.Random(281)
+    # U + <-2> + <-2> + <-6>: discriminant group Z/2 + Z/2 + Z/6
+    gram = lt._block_diag(lt.U_GRAM, ((-2,),), ((-2,),), ((-6,),))
+    lat = lt.Lattice(gram)
+    disc = lat.disc_group()
+    assert disc.divisors == (2, 2, 6)
+    dual = lat.dual_gram()
+    for _ in range(30):
+        w = [rng.randint(-7, 7) for _ in range(lat.rank)]
+        v = lat.vec(la.mat_vec(dual, w))
+        assert disc.class_of(v) == disc_class_dense(disc, v)
+    off = lat.vec([0, 0, Fraction(1, 4), 0, 0])
+    for cls in (disc.class_of, lambda v: disc_class_dense(disc, v)):
+        with pytest.raises(NotIntegral):
+            cls(off)
+    # disc_action reads g(x) from the generator numerators; compare it
+    # with the dense classes of g(x) on integral isometries of every kind
+    flips = [fc.reflect(lat, lat.basis_vec(i)) for i in (2, 3, 4)]
+    swap = lt.QIsometry(lat, [[1 if j == {2: 3, 3: 2}.get(i, i) else 0
+                               for j in range(5)] for i in range(5)])
+    e = lat.basis_vec(0)
+    trans = tv.eichler_transvection(lat, e, lat.vec([0, 0, 1, -1, 1]))
+    seen = set()
+    for g in flips + [swap, trans, swap * flips[2] * trans,
+                      flips[0] * flips[2]]:
+        assert g.is_integral()
+        images = tuple(disc_class_dense(disc, g.apply(x))
+                       for x in disc.generators)
+        act = lt.disc_action(g)
+        if act in (1, -1):
+            pm = disc._plus if act == 1 else disc._minus
+            assert images == tuple(pm)
+        else:
+            assert act == ("other", images)
+        seen.add(act if act in (1, -1) else "other")
+    assert seen == {1, -1, "other"}
+
+
+def test_membership_scans_entries_once(k3n2, monkeypatch):
+    calls = []
+    real = lt.la.is_integral_mat
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(lt.la, "is_integral_mat", counting)
+    u = k3n2.vec([1, -2] + [0] * 21)
+    c = fc.neg_reflection_u_delta(k3n2, u)
+    calls.clear()
+    ok, cert = lt.membership(c, "Gamma")
+    assert ok and cert == {"integral": True, "nu": 1, "det": c.det(),
+                           "disc": cert["disc"]}
+    assert len(calls) == 1

@@ -225,3 +225,43 @@ def test_kernels_keep_ints_integral():
     r, pivots, rk = la.rref(((2, 4), (1, 2)))
     assert r == ((1, 2), (0, 0)) and pivots == (0,) and rk == 1
     assert all(type(x) is int for row in r for x in row)
+
+
+def _residue(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_det_mod_p_against_bareiss():
+    rng = random.Random(271)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        a = la.mat(_rand_mat(rng, n, n, bound=9))
+        r, p = la.det_mod_p(a)
+        assert p == 32749 and 0 <= r < p
+        assert r == _residue(la.det(a), p)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        a = la.mat([[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10, 49)))
+                     for _ in range(n)] for _ in range(n)])
+        r, p = la.det_mod_p(a)
+        assert r == _residue(la.det(a), p)
+    singular = la.mat([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [4, 5, 6]])
+    assert la.det(singular) == 0 and la.det_mod_p(singular) == (0, 32749)
+    assert la.det_mod_p(()) == (1, 32749)
+
+
+def test_det_mod_p_skips_primes_dividing_a_denominator():
+    # 32749 is the largest prime below 2^15 and 32719 the next one down
+    a = la.mat([[Fraction(1, 32749), 1], [0, 32749]])
+    r, p = la.det_mod_p(a)
+    assert p == 32719 and r == _residue(la.det(a), p) == 1
+    b = la.mat([[Fraction(5, 32749 * 32719), 0], [3, 7]])
+    r, p = la.det_mod_p(b)
+    assert p == 32717 and r == _residue(la.det(b), p)
+    # when every odd prime below 2^15 divides a denominator there is no
+    # residue to read
+    every = 1
+    for q in sympy.primerange(3, 1 << 15):
+        every *= q
+    assert la.det_mod_p(((Fraction(1, every),),)) is None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sym_mul
+from conftest import sym_mul, sym_to_dense
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -213,7 +213,7 @@ def test_eta_and_proportionality(small_model):
     for e in images:
         assert e.degree() == 4 * M.n - 2
     from hklat import linalg as la
-    cols = [M.sym.to_dense(e.data) for e in images]
+    cols = [sym_to_dense(M.sym, e.data) for e in images]
     assert la.rank(la.mat(cols)) == M.base_rank
     # a single scalar relates the degree-2 restriction to the H2-level map
     phi = t * _rand_graded(rng, M.space)
