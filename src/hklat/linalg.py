@@ -342,16 +342,16 @@ def det_mod_p(a):
         break
     else:
         return None
-    det = 1
+    acc = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return 0, p
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            det = -det
+            acc = -acc
         rk = m[k]
-        det = det * rk[k] % p
+        acc = acc * rk[k] % p
         inv = pow(rk[k], -1, p)
         tail = [(j, y) for j, y in enumerate(rk[k + 1:], k + 1) if y]
         for i in range(k + 1, n):
@@ -361,7 +361,7 @@ def det_mod_p(a):
                 f = f * inv % p
                 for j, y in tail:
                     ri[j] = (ri[j] - f * y) % p
-    return det % p, p
+    return acc % p, p
 
 
 def inverse(a):
