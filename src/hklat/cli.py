@@ -1,7 +1,8 @@
 """Command-line interface: JSON in, JSON out, deterministic under --seed.
 
-Exit codes: 0 success, 2 contract violation (structured error on stdout),
-3 malformed input or schema mismatch.
+Exit codes: 0 success, 2 contract violation, 3 malformed input, schema
+mismatch, an unreadable or unwritable file, or a bad command line; every
+failure prints a structured error on stdout.
 """
 
 import argparse
@@ -23,9 +24,9 @@ from .lattice import (_GROUPS, LatVec, QIsometry, characters, membership,
 
 
 def _load_payload(args):
-    if getattr(args, "json", None):
+    if args.json:
         payload = json.loads(args.json)
-    elif getattr(args, "infile", None):
+    elif args.infile:
         with open(args.infile) as fh:
             payload = json.load(fh)
     else:
@@ -36,21 +37,44 @@ def _load_payload(args):
     return payload
 
 
-def _emit(args, obj):
-    text = io.dumps(obj)
-    if getattr(args, "out", None):
+def _write(args, text):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args, obj):
+    _write(args, io.dumps(obj))
+
+
 def _lattice_from_args(args, payload=None):
-    if getattr(args, "preset", None):
+    if args.preset:
         return io.parse_preset_name(args.preset)
     if payload and "lattice" in payload:
         return io.lattice_from_json(payload["lattice"])
     raise LatticeError("no lattice given (use --preset or a lattice field)")
+
+
+def _n_from_args(args, lat):
+    """--n, else the n with (delta, delta) = 2 - 2n."""
+    if args.n is not None:
+        return args.n
+    di = lat.delta_index
+    if di is None:
+        raise LatticeError("no n given (use --n or a lattice with a delta summand)")
+    return int((2 - lat.gram[di][di]) // 2)
+
+
+def _vec(lat, coords):
+    """The vector of lat with the given JSON scalar coordinates."""
+    return LatVec(lat, [io.scalar_from_json(c) for c in coords])
+
+
+def _isometry(payload):
+    """The isometry a payload is, or carries under "isometry"."""
+    return io.isometry_from_json(payload if "matrix" in payload else payload["isometry"])
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -72,8 +96,7 @@ def cmd_lattice(args):
 
 
 def cmd_isom(args):
-    payload = _load_payload(args)
-    g = io.isometry_from_json(payload if "matrix" in payload else payload["isometry"])
+    g = _isometry(_load_payload(args))
     if args.action == "characters":
         nu, dt, disc = characters(g)
         disc_out = disc if disc in (1, -1, "n/a") else ["other",
@@ -90,7 +113,7 @@ def cmd_isom(args):
 def cmd_factor(args):
     payload = _load_payload(args)
     if args.action == "decompose":
-        g = io.isometry_from_json(payload if "matrix" in payload else payload["isometry"])
+        g = _isometry(payload)
         nf = fc.decompose(g.lattice, g)
         _emit(args, io.normal_form_to_json(nf))
         return 0
@@ -106,16 +129,16 @@ def cmd_orbit(args):
     payload = _load_payload(args)
     lat = _lattice_from_args(args, payload)
     if args.action == "move":
-        x = LatVec(lat, [io.scalar_from_json(c) for c in payload["x"]])
-        y = LatVec(lat, [io.scalar_from_json(c) for c in payload["y"]])
+        x = _vec(lat, payload["x"])
+        y = _vec(lat, payload["y"])
         word = tv.eichler_move(lat, x, y)
         g = word.isometry()
         nu, dt, disc = characters(g)
         _emit(args, {"isometry": io.isometry_to_json(g), "word_length": len(word),
                      "nu": nu, "det": dt, "disc": disc})
         return 0
-    u = LatVec(lat, [io.scalar_from_json(c) for c in payload["u"]])
-    u2 = LatVec(lat, [io.scalar_from_json(c) for c in payload["u2"]])
+    u = _vec(lat, payload["u"])
+    u2 = _vec(lat, payload["u2"])
     h1, h2 = mk.double_orbit_connect(lat, u, u2)
     _emit(args, {"h1": io.isometry_to_json(h1), "h2": io.isometry_to_json(h2),
                  "r": int(u.norm()) // 2})
@@ -124,40 +147,40 @@ def cmd_orbit(args):
 
 def cmd_llv(args):
     payload = _load_payload(args)
+    if args.action == "hilblift":
+        # the lift runs from K3 to K3n:n, so no lattice is read
+        n = payload["n"]
+        k3_space = llv_mod.LLVSpace(preset("K3"))
+        phi = io.isometry_from_json(payload["phi"], k3_space.lattice)
+        k3n_space = llv_mod.LLVSpace(preset("K3n", n))
+        lift = llv_mod.hilb_lift(k3_space, k3n_space, phi, n)
+        _emit(args, io.isometry_to_json(lift))
+        return 0
     lat = _lattice_from_args(args, payload)
     space = llv_mod.LLVSpace(lat)
     if args.action == "bfield":
-        lam = LatVec(lat, [io.scalar_from_json(c) for c in payload["lam"]])
+        lam = _vec(lat, payload["lam"])
         _emit(args, io.isometry_to_json(llv_mod.b_field(space, lam)))
         return 0
     if args.action == "fmline":
-        lam = LatVec(lat, [io.scalar_from_json(c) for c in payload["lam"]])
+        lam = _vec(lat, payload["lam"])
         v = llv_mod.fm_beta_image(space, io.scalar_from_json(payload["r"]), lam)
         _emit(args, io.vector_to_json(v))
         return 0
     if args.action == "normalize":
         phi = io.isometry_from_json(payload["phi"], space.lattice)
-        lam_x = LatVec(lat, [io.scalar_from_json(c) for c in payload["lam_x"]])
-        lam_y = LatVec(lat, [io.scalar_from_json(c) for c in payload["lam_y"]])
+        lam_x = _vec(lat, payload["lam_x"])
+        lam_y = _vec(lat, payload["lam_y"])
         out, rev = llv_mod.normalize_fm(space, phi, io.scalar_from_json(payload["r"]),
                                         lam_x, lam_y)
         _emit(args, {"isometry": io.isometry_to_json(out), "degree_reversing": rev})
         return 0
-    if args.action == "lefschetz":
-        phi = io.isometry_from_json(payload["phi"], space.lattice)
-        lam = LatVec(lat, [io.scalar_from_json(c) for c in payload["lam"]])
-        ed, report = llv_mod.dual_lefschetz_check(space, phi, lam)
-        _emit(args, {"e_dual": [[io.scalar_to_json(c) for c in row] for row in ed],
-                     "t": io.scalar_to_json(report["t"])})
-        return 0
-    # hilblift
-    n = payload["n"]
-    k3 = preset("K3")
-    k3_space = llv_mod.LLVSpace(k3)
-    phi = io.isometry_from_json(payload["phi"], k3_space.lattice)
-    k3n_space = llv_mod.LLVSpace(preset("K3n", n))
-    lift = llv_mod.hilb_lift(k3_space, k3n_space, phi, n)
-    _emit(args, io.isometry_to_json(lift))
+    # lefschetz
+    phi = io.isometry_from_json(payload["phi"], space.lattice)
+    lam = _vec(lat, payload["lam"])
+    ed, report = llv_mod.dual_lefschetz_check(space, phi, lam)
+    _emit(args, {"e_dual": [[io.scalar_to_json(c) for c in row] for row in ed],
+                 "t": io.scalar_to_json(report["t"])})
     return 0
 
 
@@ -173,8 +196,7 @@ def cmd_snrep(args):
                      "kernel_rank": len(sym.kernel_basis()[0])})
         return 0
     if args.action == "psi":
-        lams = [LatVec(lat, [io.scalar_from_json(c) for c in v])
-                for v in payload["lams"]]
+        lams = [_vec(lat, v) for v in payload["lams"]]
         x = sn.psi(space, lams, n)
         _emit(args, io.sym_elt_to_json(io.lattice_to_json(lat), n, x))
         return 0
@@ -191,21 +213,20 @@ def cmd_snrep(args):
 
 
 def cmd_pontryagin(args):
-    payload = _load_payload(args) or {}
+    lat = _lattice_from_args(args, _load_payload(args))
+    if args.action == "table" and lat.delta_index is None:
+        # surface case: closed-form degree-2 table
+        table = mk.k3_star_table(lat)
+        if args.report == "csv":
+            lines = [",".join(str(x) for x in row) for row in table]
+            _emit(args, {"csv": "\n".join(lines)})
+        else:
+            _emit(args, {"basis": "H2", "star_table":
+                         [[io.scalar_to_json(x) for x in row] for row in table]})
+        return 0
+    n = _n_from_args(args, lat)
+    model = pg.SHModel(llv_mod.LLVSpace(lat), n)
     if args.action == "table":
-        lat = _lattice_from_args(args, payload)
-        if lat.delta_index is None:
-            # surface case: closed-form degree-2 table
-            table = mk.k3_star_table(lat)
-            if args.report == "csv":
-                lines = [",".join(str(x) for x in row) for row in table]
-                _emit(args, {"csv": "\n".join(lines)})
-            else:
-                _emit(args, {"basis": "H2", "star_table":
-                             [[io.scalar_to_json(x) for x in row] for row in table]})
-            return 0
-        n = args.n if args.n is not None else int((2 - lat.gram[-1][-1]) // 2)
-        model = pg.SHModel(llv_mod.LLVSpace(lat), n)
         d = model.base_rank
         rows = []
         for i in range(d):
@@ -218,19 +239,12 @@ def cmd_pontryagin(args):
         _emit(args, {"basis": "psi(lambda_i)", "star_table": rows})
         return 0
     if args.action == "unit":
-        lat = _lattice_from_args(args, payload)
-        n = args.n if args.n is not None else int((2 - lat.gram[-1][-1]) // 2)
-        model = pg.SHModel(llv_mod.LLVSpace(lat), n)
         u = model.unit_star()
         _emit(args, {"label": "c_X [pt]/n!",
                      "element": io.sym_elt_to_json("llv", n, u.data)})
         return 0
     # verify
-    rng = random.Random(args.seed)
-    lat = _lattice_from_args(args, payload)
-    n = args.n if args.n is not None else int((2 - lat.gram[-1][-1]) // 2)
-    model = pg.SHModel(llv_mod.LLVSpace(lat), n)
-    report = _pontryagin_suite(model, rng, triples=10)
+    report = _pontryagin_suite(model, random.Random(args.seed), triples=10)
     _emit(args, report)
     return 0 if report["ok"] else 2
 
@@ -256,16 +270,11 @@ def _pontryagin_suite(model, rng, triples):
 def cmd_mukai(args):
     payload = _load_payload(args)
     lat = preset("K3")
-    if args.action == "v":
-        c1 = LatVec(lat, [io.scalar_from_json(c) for c in payload["c1"]])
-        out = mk.mukai_v(lat, io.scalar_from_json(payload["r"]), c1,
-                         io.scalar_from_json(payload["ch2"]))
-        _emit(args, io.mukai_to_json(out))
-        return 0
-    if args.action == "kappa":
-        c1 = LatVec(lat, [io.scalar_from_json(c) for c in payload["c1"]])
-        out = mk.kappa(lat, io.scalar_from_json(payload["r"]), c1,
-                       io.scalar_from_json(payload["ch2"]))
+    if args.action in ("v", "kappa"):
+        fn = mk.mukai_v if args.action == "v" else mk.kappa
+        c1 = _vec(lat, payload["c1"])
+        out = fn(lat, io.scalar_from_json(payload["r"]), c1,
+                 io.scalar_from_json(payload["ch2"]))
         _emit(args, io.mukai_to_json(out))
         return 0
     if args.action == "star":
@@ -274,7 +283,7 @@ def cmd_mukai(args):
         _emit(args, io.mukai_to_json(mk.k3_star(a, b)))
         return 0
     # cyclic
-    u = LatVec(lat, [io.scalar_from_json(c) for c in payload["u"]])
+    u = _vec(lat, payload["u"])
     g = io.isometry_from_json(payload["g"], lat) if "g" in payload \
         else QIsometry.identity(lat)
     cert = mk.make_cyclic(lat, u, g)
@@ -424,12 +433,7 @@ def cmd_verify(args):
         lines = ["%-32s %s" % (it["name"], "ok" if it["ok"] else "FAIL")
                  for it in report["items"]]
         lines.append("suite %s (seed %d)" % ("ok" if ok_all else "FAIL", args.seed))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
     else:
         _emit(args, report)
     return 0 if ok_all else 2
@@ -438,85 +442,68 @@ def cmd_verify(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--in", dest="infile", help="input JSON file")
-    p.add_argument("--json", help="inline input JSON")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-    p.add_argument("--preset", help="lattice preset name, e.g. K3 or K3n:2")
-    p.add_argument("--report", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--n", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError on a bad command line instead of exiting, so
+    that main reports it as structured JSON."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+_IO = ("--in", "--json", "--out")
+_FLAGS = {
+    "--in": dict(dest="infile", help="input JSON file"),
+    "--json": dict(help="inline input JSON"),
+    "--out": dict(help="output path (default stdout)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized parts"),
+    "--preset": dict(help="lattice preset name, e.g. K3 or K3n:2"),
+    "--report": dict(choices=["json", "csv", "text"], default="json"),
+    "--n": dict(type=int, default=None),
+    "--name": dict(help="preset name for 'preset'"),
+    "--group": dict(default="Gamma", choices=_GROUPS),
+}
+# (subcommand, handler, actions, the flags its handler reads)
+_COMMANDS = [
+    ("lattice", cmd_lattice, ["info", "preset"], _IO + ("--preset", "--n", "--name")),
+    ("isom", cmd_isom, ["characters", "membership"], _IO + ("--group",)),
+    ("factor", cmd_factor, ["decompose", "verify"], _IO),
+    ("orbit", cmd_orbit, ["move", "connect"], _IO + ("--preset",)),
+    ("llv", cmd_llv, ["bfield", "fmline", "normalize", "lefschetz", "hilblift"],
+     _IO + ("--preset",)),
+    ("snrep", cmd_snrep, ["dim", "psi", "recover"], _IO + ("--preset", "--n")),
+    ("pontryagin", cmd_pontryagin, ["table", "unit", "verify"],
+     _IO + ("--preset", "--n", "--seed", "--report")),
+    ("mukai", cmd_mukai, ["v", "kappa", "star", "cyclic"], _IO),
+    ("verify", cmd_verify, ["all"], ("--out", "--seed", "--report")),
+]
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="hklat",
-                                 description="exact lattice isometry toolkit")
+    ap = _Parser(prog="hklat", description="exact lattice isometry toolkit")
     sub = ap.add_subparsers(dest="group", required=True)
-
-    p = sub.add_parser("lattice")
-    p.add_argument("action", choices=["info", "preset"])
-    p.add_argument("--name", help="preset name for 'preset'")
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("isom")
-    p.add_argument("action", choices=["characters", "membership"])
-    p.add_argument("--group", default="Gamma", choices=_GROUPS)
-    _add_common(p)
-    p.set_defaults(func=cmd_isom)
-
-    p = sub.add_parser("factor")
-    p.add_argument("action", choices=["decompose", "verify"])
-    _add_common(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("orbit")
-    p.add_argument("action", choices=["move", "connect"])
-    _add_common(p)
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("llv")
-    p.add_argument("action", choices=["bfield", "fmline", "normalize",
-                                      "lefschetz", "hilblift"])
-    _add_common(p)
-    p.set_defaults(func=cmd_llv)
-
-    p = sub.add_parser("snrep")
-    p.add_argument("action", choices=["dim", "psi", "recover"])
-    _add_common(p)
-    p.set_defaults(func=cmd_snrep)
-
-    p = sub.add_parser("pontryagin")
-    p.add_argument("action", choices=["table", "unit", "verify"])
-    _add_common(p)
-    p.set_defaults(func=cmd_pontryagin)
-
-    p = sub.add_parser("mukai")
-    p.add_argument("action", choices=["v", "kappa", "star", "cyclic"])
-    _add_common(p)
-    p.set_defaults(func=cmd_mukai)
-
-    p = sub.add_parser("verify")
-    p.add_argument("action", choices=["all"])
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, func, actions, flags in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("action", choices=actions)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return ap
 
 
+def _fail(exc, code):
+    sys.stdout.write(io.dumps({"error": {"type": type(exc).__name__,
+                                         "message": str(exc)}}))
+    return code
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except LatticeError as exc:
-        sys.stdout.write(io.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}))
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        sys.stdout.write(io.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}))
-        return 3
+        return _fail(exc, 2)
+    except (argparse.ArgumentError, KeyError, OSError, TypeError, ValueError) as exc:
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

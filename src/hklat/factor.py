@@ -200,18 +200,9 @@ def restrict_to_l(lattice, v):
 def extend_l_isometry(lattice, g):
     """Extend an isometry of the L-part to Lambda fixing delta."""
     di = lattice.delta_index
-    n = lattice.rank
-    rows = []
-    src = g.matrix
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == di or j == di:
-                row.append(1 if i == j else 0)
-            else:
-                row.append(src[i if i < di else i - 1][j if j < di else j - 1])
-        rows.append(tuple(row))
-    return QIsometry(lattice, rows, _trusted=True)
+    idx = [i for i in range(lattice.rank) if i != di]
+    return QIsometry(lattice, la.embed_block(lattice.rank, g.matrix, idx),
+                     _trusted=True)
 
 
 def _d_value(lattice):
@@ -232,12 +223,15 @@ def neg_reflection_u_delta(lattice, u):
     return -reflect(lattice, v)
 
 
-def find_orthogonal_norm_vector(lattice, lam, target, height=64):
+_HEIGHT = 64
+
+
+def find_orthogonal_norm_vector(lattice, lam, target):
     """u in the L-part with (u,u) = target and (u, lam) = 0.
 
     Scans the U summands missing from lam's support first, then falls back
-    to a bounded enumeration over pairs from an integral basis of the
-    orthogonal complement of lam in L.
+    to an enumeration over pairs from an integral basis of the orthogonal
+    complement of lam in L, with coefficients up to _HEIGHT.
     """
     di = lattice.delta_index
     n = lattice.rank
@@ -264,7 +258,7 @@ def find_orthogonal_norm_vector(lattice, lam, target, height=64):
     lsub = l_sublattice(lattice)
     for a in range(len(kb)):
         qaa = lsub.pair_coords(la.vec(kb[a]), la.vec(kb[a]))
-        for s in range(1, height + 1):
+        for s in range(1, _HEIGHT + 1):
             if qaa * s * s == target:
                 return embed_l_vector(lattice, lsub.vec([s * x for x in kb[a]]))
     for a in range(len(kb)):
@@ -272,13 +266,13 @@ def find_orthogonal_norm_vector(lattice, lam, target, height=64):
         for b in range(a + 1, len(kb)):
             qab = lsub.pair_coords(la.vec(kb[a]), la.vec(kb[b]))
             qbb = lsub.pair_coords(la.vec(kb[b]), la.vec(kb[b]))
-            for s in range(-height, height + 1):
-                for t in range(-height, height + 1):
+            for s in range(-_HEIGHT, _HEIGHT + 1):
+                for t in range(-_HEIGHT, _HEIGHT + 1):
                     if qaa * s * s + 2 * qab * s * t + qbb * t * t == target:
                         w = [s * x + t * y for x, y in zip(kb[a], kb[b])]
                         return embed_l_vector(lattice, lsub.vec(w))
     raise SearchExhausted(
-        "no orthogonal vector of norm %d within height %d" % (target, height))
+        "no orthogonal vector of norm %d within height %d" % (target, _HEIGHT))
 
 
 def _delta_fix_vector(lattice, work, lam, target):
@@ -439,7 +433,7 @@ def _move_rational_items(lattice, x):
     nl = lam.norm()
     if nl == 0:
         raise IsotropicLambda("the L-part must be anisotropic")
-    q, _ = la.clear_denominators(x.coords)
+    _, q = la.scaled_vec(x.coords)
     lam_q = q * lam
     target_norm = q * q * nl
     lam_prime = canonical_vector(lattice, target_norm)

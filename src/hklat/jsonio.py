@@ -24,9 +24,11 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(s):
-    if isinstance(s, int):
+    """An int, or an int or "p/q" string, as an int or reduced Fraction;
+    anything else (a bool, a float, ...) raises ValueError."""
+    if type(s) is int:
         return s
-    if isinstance(s, str):
+    if type(s) is str:
         if "/" in s:
             num, den = s.split("/")
             den = int(den)
@@ -34,7 +36,7 @@ def scalar_from_json(s):
                 raise ValueError("scalar %r has a zero denominator" % (s,))
             return la.frac(Fraction(int(num), den))
         return int(s)
-    raise LatticeError("scalar must be an int or a 'p/q' string")
+    raise ValueError("scalar %r is not an int or a 'p/q' string" % (s,))
 
 
 def lattice_to_json(lat):
@@ -55,17 +57,20 @@ def lattice_from_json(obj):
     if isinstance(obj, str):
         return parse_preset_name(obj)
     if isinstance(obj, dict):
+        # gram entries follow the scalar rule; Lattice refuses non-integers
+        gram = ([[scalar_from_json(c) for c in row] for row in obj["gram"]]
+                if "gram" in obj else None)
         if "name" in obj:
             try:
                 lat = parse_preset_name(obj["name"])
             except LatticeError:
                 lat = None
             if lat is not None:
-                if "gram" in obj and la.mat(obj["gram"]) != lat.gram:
+                if gram is not None and la.mat(gram) != lat.gram:
                     raise LatticeError("gram does not match the named preset")
                 return lat
-        if "gram" in obj:
-            return Lattice(obj["gram"], name=obj.get("name"))
+        if gram is not None:
+            return Lattice(gram, name=obj.get("name"))
     raise LatticeError("lattice reference must be a name or carry a gram")
 
 

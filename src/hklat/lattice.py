@@ -331,9 +331,6 @@ class QIsometry:
             raise DimensionMismatch("vector lives in a different lattice")
         return LatVec(self.lattice, la.mat_vec(self.matrix, v.coords))
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def is_integral(self):
         """Whether every entry is an int; the matrix is scanned once."""
         if self._integral is None:

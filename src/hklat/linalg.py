@@ -90,12 +90,12 @@ def scaled_mat(a):
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
-def _primitive(row):
-    """The primitive integer row spanning the same line as a rational row
-    (the zero row for the zero row)."""
-    nums, _ = scaled_vec(row)
+def primitive_part(v):
+    """The primitive integer vector spanning the same line as a rational
+    vector (the zero vector for the zero vector)."""
+    nums, _ = scaled_vec(v)
     c = gcd(*nums)
-    return [x // c for x in nums] if c > 1 else list(nums)
+    return tuple([x // c for x in nums]) if c > 1 else tuple(nums)
 
 
 def vec(entries):
@@ -116,6 +116,17 @@ def identity(n):
 
 def transpose(a):
     return tuple(zip(*a))
+
+
+def embed_block(n, a, idx):
+    """The n x n matrix with a[s][t] at (idx[s], idx[t]) and the identity
+    on the indices outside idx."""
+    rows = [list(row) for row in identity(n)]
+    for i, arow in zip(idx, a):
+        row = rows[i]
+        for j, x in zip(idx, arow):
+            row[j] = x
+    return tuple(map(tuple, rows))
 
 
 def int_mat_mul(a, b):
@@ -192,7 +203,7 @@ def rref(a):
     multiple of row r of R and is divided by its pivot only at the end;
     rows past the rank end as zero.
     """
-    m = [_primitive(row) for row in a]
+    m = [list(primitive_part(row)) for row in a]
     nrows = len(m)
     ncols = len(a[0]) if a else 0
     pivots = []
@@ -523,19 +534,3 @@ def is_integral_vec(v):
 def is_integral_mat(a):
     return all([type(x) is int or frac(x).denominator == 1
                 for row in a for x in row])
-
-
-def clear_denominators(v):
-    """Smallest positive q with q*v integral; returns (q, qv)."""
-    q = 1
-    for x in v:
-        d = x.denominator
-        q = q * d // gcd(q, d)
-    return q, tuple(frac(x * q) for x in v)
-
-
-def primitive_part(v):
-    """Primitive integer vector spanning the same line as rational v != 0."""
-    q, w = clear_denominators(v)
-    c = content(w)
-    return tuple(int(x) // c for x in w)

@@ -8,10 +8,10 @@ its exponential B_lambda = 1 + e + e^2/2 is the B-field isometry.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from . import linalg as la
-from .errors import (IsotropicVector, LatticeError, NotAnIsometry,
-                     NotGraded, NotIntegral)
+from .errors import IsotropicVector, LatticeError, NotGraded, NotIntegral
 from .lattice import LatVec, Lattice, QIsometry
 
 
@@ -140,9 +140,8 @@ def h_degree(space, m):
 def is_degree_reversing(space, g):
     """g maps span(alpha) <-> span(beta) and the middle block to itself;
     equivalently g anti-commutes with the grading operator."""
-    m = g.matrix if isinstance(g, QIsometry) else g
     h = grading(space)
-    return la.mat_mul(m, h) == la.mat_scale(-1, la.mat_mul(h, m))
+    return la.mat_mul(g.matrix, h) == la.mat_scale(-1, la.mat_mul(h, g.matrix))
 
 
 def fm_beta_image(space, r, lam):
@@ -171,8 +170,7 @@ def normalize_fm(space, phi, r, lam_x, lam_y):
 
 def beta_to_alpha_scale(space, phi):
     """t with phi(beta) = t alpha; raises NotGraded otherwise."""
-    m = phi.matrix if isinstance(phi, QIsometry) else phi
-    col = tuple(m[i][space.beta_index] for i in range(space.dim))
+    col = tuple(row[space.beta_index] for row in phi.matrix)
     t = col[space.alpha_index]
     if t == 0 or any(col[i] != 0 for i in range(space.dim) if i != space.alpha_index):
         raise NotGraded("operator does not map beta to span(alpha)")
@@ -250,32 +248,20 @@ def theta_tilde(k3_space, k3n_space, x):
 def extend_to_llv(space, g):
     """Extend a base-lattice isometry to the extended lattice, fixing
     alpha and beta."""
-    n0 = space.dim
-    rows = [[0] * n0 for _ in range(n0)]
-    rows[0][0] = 1
-    rows[n0 - 1][n0 - 1] = 1
-    for i in range(space.base.rank):
-        for j in range(space.base.rank):
-            rows[1 + i][1 + j] = g.matrix[i][j]
-    return QIsometry(space.lattice, rows, _trusted=True)
+    idx = range(1, space.beta_index)
+    return QIsometry(space.lattice, la.embed_block(space.dim, g.matrix, idx),
+                     _trusted=True)
 
 
 def iota_tilde(k3_space, k3n_space, g):
     """Extend an isometry of the K3 extended lattice (or of the K3 lattice
     itself) to the K3n extended lattice, fixing delta."""
-    if isinstance(g, QIsometry) and g.lattice == k3_space.base:
+    if g.lattice == k3_space.base:
         g = extend_to_llv(k3_space, g)
-    src = g.matrix
-    di = k3n_space.lattice.delta_index
-    n = k3n_space.dim
-    emb = [0, ] + [1 + i for i in range(k3_space.base.rank)] + [k3n_space.beta_index]
     # emb[s] = index in the K3n space of the s-th K3-space basis vector
-    rows = [[0] * n for _ in range(n)]
-    rows[di][di] = 1
-    for s_i, i in enumerate(emb):
-        for s_j, j in enumerate(emb):
-            rows[i][j] = src[s_i][s_j]
-    return QIsometry(k3n_space.lattice, rows, _trusted=True)
+    emb = [0] + [1 + i for i in range(k3_space.base.rank)] + [k3n_space.beta_index]
+    return QIsometry(k3n_space.lattice,
+                     la.embed_block(k3n_space.dim, g.matrix, emb), _trusted=True)
 
 
 def delta_half_bfield(k3n_space, sign):
@@ -284,12 +270,11 @@ def delta_half_bfield(k3n_space, sign):
     return b_field(k3n_space, la.ratio(sign, 2) * delta)
 
 
-def hilb_lift(k3_space, k3n_space, phi, n, det_phi=None):
-    """det(phi)^{n+1} B_{-delta/2} o iota(phi) o B_{delta/2}."""
-    if det_phi is None:
-        det_phi = phi.det() if isinstance(phi, QIsometry) else 1
-    if det_phi not in (1, -1):
-        raise NotAnIsometry("hilb_lift needs det(phi) = +-1")
+def hilb_lift(k3_space, k3n_space, phi, n):
+    """det(phi)^{n+1} B_{-delta/2} o iota(phi) o B_{delta/2}, for an
+    isometry phi of the K3 extended lattice; phi.det() raises NotAnIsometry
+    when det(phi) is not +-1."""
+    det_phi = phi.det()
     iot = iota_tilde(k3_space, k3n_space, phi)
     out = delta_half_bfield(k3n_space, -1) * iot * delta_half_bfield(k3n_space, +1)
     if det_phi ** (n + 1) == -1:
@@ -310,10 +295,7 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
     """
     if r < 1 or n < 2:
         raise LatticeError("kernel_c1_solve needs r >= 1, n >= 2")
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    R = fact * r ** n
+    R = factorial(n) * r ** n
     base = k3n_space.base
     delta = base.basis_vec(base.delta_index)
     th1 = LatVec(base, tuple(a1.coords) + (0,))

@@ -16,7 +16,7 @@ visited.  The Pontryagin product is the conjugate
     x * y = rho_tau( rho_tau(x) cup rho_tau(y) )
 
 by the degree-reversing involution tau.  The star unit is beta^n/n!, the
-model avatar of c_X [pt] / n! (c_X = 1 for the presets here).
+model avatar of [pt] / n!.
 """
 
 from fractions import Fraction
@@ -28,7 +28,6 @@ from . import llv as llv_mod
 from . import snrep as sn
 from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                      SolveFailure)
-from .lattice import QIsometry
 
 
 def _axpy(out, a, src):
@@ -111,7 +110,7 @@ class _PieceSolver:
 class SHModel:
     """The degree-2-generated subring model on S_[n] of an extended lattice."""
 
-    def __init__(self, llv_space, n, c_x=1):
+    def __init__(self, llv_space, n):
         if llv_space.dim % 2 == 0:
             raise EvenDimensionalGuard(
                 "the extended lattice must be odd dimensional; use the "
@@ -120,7 +119,6 @@ class SHModel:
             raise LatticeError("the model needs n >= 1")
         self.space = llv_space
         self.n = n
-        self.c_x = la.frac(c_x)
         self.sym = sn.SymSpace(llv_space.lattice, n)
         self.base_rank = llv_space.base.rank
         self._psi_memo = {}
@@ -157,21 +155,14 @@ class SHModel:
         return 2 * self.n + j
 
     def _compute_piece_dims(self):
+        """{j: dim of the eigenvalue-j piece of S_[n]}.  The contraction
+        keeps the h-eigenvalue of a monomial, so its matrix is block
+        diagonal by eigenvalue and each piece has as many free monomials in
+        kernel_basis() as its dimension."""
         dims = {}
-        for k in range(0, 2 * self.n + 1):
-            j = 2 * k - 2 * self.n
-            monos = [m for m in self.sym.monomials if self.mono_eigenvalue(m) == j]
-            cols = []
-            for m in monos:
-                cols.append(self.sym.contract({m: 1}))
-            lower_keys = sorted({mm for col in cols for mm in col})
-            lindex = {mm: i for i, mm in enumerate(lower_keys)}
-            mat = [[0] * len(monos) for _ in range(len(lower_keys))]
-            for jcol, col in enumerate(cols):
-                for mm, c in col.items():
-                    mat[lindex[mm]][jcol] = c
-            rk = la.rank(la.mat(mat)) if lower_keys else 0
-            dims[j] = len(monos) - rk
+        for m in self.sym.kernel_basis()[1]:
+            j = self.mono_eigenvalue(m)
+            dims[j] = dims.get(j, 0) + 1
         return dims
 
     def piece_dim(self, j):
@@ -293,7 +284,7 @@ class SHModel:
         return self.element(self.psi_word(()))
 
     def unit_star(self):
-        """beta^n/n!, the model avatar of c_X [pt]/n!."""
+        """beta^n/n!, the model avatar of [pt]/n!."""
         return self.element(sn.sym_scale(
             Fraction(1, factorial(self.n)),
             sn.sym_power(self.space.beta().coords, self.n)))
@@ -364,8 +355,7 @@ class SHModel:
 
     def apply_llv(self, g, x):
         """The action of an isometry of the extended lattice via Sym^n."""
-        m = g.matrix if isinstance(g, QIsometry) else g
-        return self.sym.apply_linear(m, x)
+        return self.sym.apply_linear(g.matrix, x)
 
 
 class SHElt:
@@ -422,7 +412,7 @@ class SHElt:
 def graded_type(space, g):
     """(+1, t) for graded g with g(alpha) = t alpha; (-1, t) for
     anti-graded g with g(alpha) = t^-1 beta; NotGraded otherwise."""
-    m = g.matrix if isinstance(g, QIsometry) else g
+    m = g.matrix
     h = llv_mod.grading(space)
     mh = la.mat_mul(m, h)
     hm = la.mat_mul(h, m)
@@ -446,8 +436,7 @@ def conjugation_check(model, g, pairs):
     turns cup into star.  Checked exactly on the given element pairs."""
     space = model.space
     kind, t = graded_type(space, g)
-    mt = llv_mod.mu(space, t)
-    mg = (mt * g).matrix if isinstance(g, QIsometry) else la.mat_mul(mt.matrix, g)
+    mg = llv_mod.mu(space, t) * g
 
     def act(x):
         return model.apply_llv(mg, x)
@@ -495,7 +484,7 @@ def proportionality_check_degree2(model, phi):
     if kind != -1:
         raise NotGraded("expected a degree-reversing isometry")
     tau = llv_mod.tau(space)
-    comp = (phi if isinstance(phi, QIsometry) else QIsometry(space.lattice, phi)) * tau
+    comp = phi * tau
     d = model.base_rank
     # matrix of the model action on the eigenvalue 2-2n piece (span of
     # alpha^{n-1} lambda_i / (n-1)!)

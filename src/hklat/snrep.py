@@ -198,27 +198,25 @@ class SymSpace:
         return self.contract(x) == {}
 
     def kernel_basis(self):
-        """Sparse basis of ker(contract) with free/pivot bookkeeping.
+        """Sparse basis of ker(contract), memoized.
 
-        Returns (basis, free_monomials, solver) where solver maps a kernel
-        element to its coordinates over the basis (by reading the free
-        coordinates) and verifies membership.
+        Returns (basis, free): free lists the free monomials of the reduced
+        echelon form of the contraction, one per basis vector, and each
+        basis vector has coefficient 1 at its free monomial and 0 at the
+        others, so sn_coords reads a kernel element's coordinates off them.
         """
         if "kernel" in self._cache:
             return self._cache["kernel"]
-        lower = SymSpace(self.lattice, self.n - 2) if self.n >= 2 else None
-        rows = []   # dense rows of the contraction in the lower monomial basis
-        if self.n >= 2:
-            cols = []
-            for m in self.monomials:
-                cols.append(self.contract({m: 1}))
-            lower_monos = lower.monomials
-            lindex = lower.index
-            mat = [[0] * len(self.monomials) for _ in range(len(lower_monos))]
-            for j, col in enumerate(cols):
-                for mm, c in col.items():
+        if self.n < 2:
+            info = ([{m: 1} for m in self.monomials], list(self.monomials))
+        else:
+            # the contraction as a dense matrix over the lower monomial basis
+            lindex = SymSpace(self.lattice, self.n - 2).index
+            mat = [[0] * len(self.monomials) for _ in range(len(lindex))]
+            for j, m in enumerate(self.monomials):
+                for mm, c in self.contract({m: 1}).items():
                     mat[lindex[mm]][j] = c
-            r, pivots, rk = la.rref(la.mat(mat))
+            r, pivots, _ = la.rref(mat)
             free = [c for c in range(len(self.monomials)) if c not in pivots]
             basis = []
             for fcol in free:
@@ -228,17 +226,13 @@ class SymSpace:
                     if c:
                         vec[self.monomials[pcol]] = la.frac(-c)
                 basis.append(vec)
-            info = (basis, [self.monomials[f] for f in free],
-                    tuple(pivots), r)
-        else:
-            basis = [{m: 1} for m in self.monomials]
-            info = (basis, list(self.monomials), (), None)
+            info = (basis, [self.monomials[f] for f in free])
         self._cache["kernel"] = info
         return info
 
     def sn_coords(self, x):
         """Coordinates of a kernel element over kernel_basis(); exact."""
-        basis, free, pivots, r = self.kernel_basis()
+        basis, free = self.kernel_basis()
         coords = [x.get(m, 0) for m in free]
         # verify: rebuild x from the basis, scaled once to ints over bd
         if "kernel_ints" not in self._cache:
@@ -373,7 +367,7 @@ def s_n_subspace(lattice, n):
     """The SymSpace together with its kernel basis; dimension checked
     against the closed form."""
     space = SymSpace(lattice, n)
-    basis, free, pivots, r = space.kernel_basis()
+    basis, _ = space.kernel_basis()
     if len(basis) != space.sn_dim():
         raise SolveFailure("kernel basis has %d vectors, the closed form %d"
                            % (len(basis), space.sn_dim()))
@@ -410,17 +404,11 @@ def isotropic_spanning_set(lattice):
     return out
 
 
-def restrict_sym(space, f, as_matrix=True):
+def restrict_sym(space, f):
     """The restriction of Sym^n(f) to the isotropic-power subspace, in the
     kernel-basis coordinates."""
-    fm = f.matrix if isinstance(f, QIsometry) else f
-    basis, free, pivots, r = space.kernel_basis()
-    cols = []
-    for b in basis:
-        img = space.apply_linear(fm, b)
-        cols.append(space.sn_coords(img))
-    if not as_matrix:
-        return cols
+    basis, _ = space.kernel_basis()
+    cols = [space.sn_coords(space.apply_linear(f.matrix, b)) for b in basis]
     return tuple(zip(*cols))
 
 
@@ -632,7 +620,7 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
     when neither sign works."""
     from . import llv as llv_mod
     hm = llv_mod.grading(llv_space)
-    pv = phi_v.matrix if isinstance(phi_v, QIsometry) else la.mat(phi_v)
+    pv = phi_v.matrix
     lhs = la.mat_mul(pv, hm)
     k_v = None
     for k in (0, 1):
@@ -640,7 +628,7 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
             k_v = k
             break
     hc = sparse_columns(hm)
-    basis, _, _, _ = sym_space.kernel_basis()
+    basis, _ = sym_space.kernel_basis()
     k_s = None
     for k in (0, 1):
         ok = True

@@ -30,7 +30,7 @@ canonical form.
 from . import linalg as la
 from .errors import (DimensionMismatch, DivisibilityMismatch, LatticeError,
                      NoHyperbolicPlanes, NonPrimitiveLambda, NormMismatch,
-                     NotIntegral)
+                     NotIntegral, SearchExhausted)
 from .lattice import LatVec, QIsometry, divisibility
 
 _MAX_REDUCE_STEPS = 20000
@@ -220,7 +220,7 @@ class _Reducer:
     def _emit(self, e_coords, a_coords):
         self.budget -= 1
         if self.budget <= 0:
-            raise AssertionError("transvection reduction exceeded step budget")
+            raise SearchExhausted("transvection reduction exceeded step budget")
         self.word.append(e_coords, a_coords)
         if _step_columns(self.word._data[-1:], [self.x]) != 1:
             raise NotIntegral("a reduction step left the integers")

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -240,3 +241,114 @@ def test_cli_mukai_v_kappa_cyclic(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["r"] == 2 and obj["nu_f"] == 1
+
+
+# -- total exits: every failure is exit 2 or 3 with JSON on stdout -------------
+
+
+def _k3n5_word(rng, lat):
+    """A criterion-1-style word on K3n:5 (the factor-k3n2 recipe with the
+    norm-10 vector e1 - 5 e2 in the -rho_{u+delta} generators)."""
+    from conftest import rand_primitive, rand_transvection
+    from hklat import factor as fc
+    u = lat.vec([1, -5] + [0] * (lat.rank - 2))
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            while True:
+                v = rand_primitive(rng, lat)
+                if v.norm() != 0 and abs(v.norm()) <= 12:
+                    break
+            r = fc.reflect(lat, v)
+            gens.append(-r if rng.random() < 0.5 else r)
+        elif kind == 1:
+            gens.append(rand_transvection(rng, lat))
+        else:
+            gens.append(fc.neg_reflection_u_delta(lat, u) * rand_transvection(rng, lat))
+    phi = lt.QIsometry.identity(lat)
+    for g in gens:
+        phi = g * phi
+    if lt.nu_character(phi) == -1:
+        phi = fc.reflect(lat, lat.vec([1, -1] + [0] * (lat.rank - 2))) * phi
+    return phi
+
+
+def test_reducer_out_of_budget_exits_2(capsys):
+    # the 24th word of Random(77) on K3n:5 sends positive_reflection_rewrite
+    # into a transvection reduction that needs more than the step budget
+    lat = lt.preset("K3n", 5)
+    rng = random.Random(77)
+    for _ in range(24):
+        phi = _k3n5_word(rng, lat)
+    payload = io.dumps(io.isometry_to_json(phi)).strip()
+    code, out = run_cli(["factor", "decompose", "--json", payload], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SearchExhausted"
+    r = subprocess.run([sys.executable, "-O", "-m", "hklat.cli", "factor",
+                        "decompose", "--json", payload],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and r.stdout == out
+
+
+def test_unreadable_files_exit_3(capsys, tmp_path):
+    for path, kind in ((tmp_path / "missing.json", "FileNotFoundError"),
+                       (tmp_path, "IsADirectoryError")):
+        code, out = run_cli(["factor", "decompose", "--in", str(path)], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == kind
+    code, out = run_cli(["lattice", "preset", "--name", "K3",
+                         "--out", str(tmp_path / "missing" / "x.json")], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
+def test_bad_command_lines_exit_3(capsys):
+    for argv in (["factor", "simplify"], ["factor", "decompose", "--bogus"],
+                 [], ["nosuch"],
+                 # flags the subcommand does not read are not declared
+                 ["factor", "decompose", "--seed", "1"],
+                 ["verify", "all", "--json", "{}"],
+                 ["mukai", "star", "--preset", "K3"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert json.loads(out)["error"]["type"] == "ArgumentError"
+
+
+def test_llv_hilblift_needs_no_lattice(capsys):
+    from hklat import llv
+    space = llv.LLVSpace(lt.preset("K3"))
+    payload = json.dumps({"n": 2, "phi": io.isometry_to_json(llv.tau(space))})
+    code, out = run_cli(["llv", "hilblift", "--json", payload], capsys)
+    assert code == 0
+    code2, out2 = run_cli(["llv", "hilblift", "--preset", "K3", "--json", payload],
+                          capsys)
+    assert code2 == 0 and out2 == out
+
+
+def test_pontryagin_n_needs_a_delta_summand(capsys):
+    # a custom lattice has no delta index, so n is not guessed from its gram
+    gram = lt.preset("Kummer", 2).gram
+    payload = json.dumps({"lattice": {"gram": [list(r) for r in gram]}})
+    code, out = run_cli(["pontryagin", "unit", "--json", payload], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "LatticeError"
+    code, out = run_cli(["pontryagin", "unit", "--n", "2", "--json", payload],
+                        capsys)
+    assert code == 0
+
+
+def test_scalar_rule_exits_3(capsys):
+    def isom(matrix):
+        return json.dumps({"lattice": {"name": "U"}, "matrix": matrix})
+    for bad in (isom([[True, 0], [0, True]]), isom([[1.0, 0], [0, 1]]),
+                isom([["1.0", 0], [0, 1]]),
+                json.dumps({"lattice": {"gram": [[0, -1], [-1, 0.0]]},
+                            "matrix": [[1, 0], [0, 1]]})):
+        code, out = run_cli(["isom", "characters", "--json", bad], capsys)
+        assert code == 3, bad
+        assert json.loads(out)["error"]["type"] == "ValueError"
+    code, out = run_cli(["lattice", "info", "--json",
+                         '{"lattice": {"gram": [[2.0, 1], [1, 2]]}}'], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ValueError"

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import rand_orientation_preserving, rand_vec
 from hklat import factor as fc
 from hklat import jsonio as io
@@ -63,3 +65,16 @@ def test_sym_elt_roundtrip():
     obj = io.sym_elt_to_json("llv", 2, {(0, 3): Fraction(1, 2), (1, 1): -2})
     base, n, back = io.sym_elt_from_json(obj)
     assert n == 2 and back == {(0, 3): Fraction(1, 2), (1, 1): -2}
+
+
+def test_scalar_rule_refuses_bools_floats_and_float_strings():
+    for bad in (True, False, 1.0, 2.5, "1.0", "1/2.0", None, [1]):
+        with pytest.raises(ValueError):
+            io.scalar_from_json(bad)
+    # gram entries follow the same rule
+    with pytest.raises(ValueError):
+        io.lattice_from_json({"gram": [[0, -1], [-1, 0.0]]})
+    with pytest.raises(ValueError):
+        io.lattice_from_json({"name": "U", "gram": [[0, True], [-1, 0]]})
+    assert io.lattice_from_json({"gram": [["0", -1], [-1, "0/3"]]}).gram \
+        == ((0, -1), (-1, 0))

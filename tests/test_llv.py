@@ -233,7 +233,7 @@ def test_llv_gates_raise(H, Hn2, k3):
     with pytest.raises(LatticeError):
         llv.e_op(H, H.alpha())
     with pytest.raises(NotAnIsometry):
-        llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)
+        llv.hilb_lift(H, Hn2, _broken_tau(H), 2)
     with pytest.raises(AssertionError, match="commutator"):
         llv.dual_lefschetz_check(H, _broken_tau(H), k3.vec([1, 1] + [0] * 20))
     # a rational a1 makes e1 = R (a1/r + delta/2) non-integral
@@ -250,7 +250,7 @@ import test_llv
 k3 = lt.preset("K3")
 H, Hn2 = llv.LLVSpace(k3), llv.LLVSpace(lt.preset("K3n", 2))
 calls = [(LatticeError, lambda: llv.e_op(H, H.alpha())),
-         (NotAnIsometry, lambda: llv.hilb_lift(H, Hn2, llv.tau(H), 2, det_phi=2)),
+         (NotAnIsometry, lambda: llv.hilb_lift(H, Hn2, test_llv._broken_tau(H), 2)),
          (AssertionError, lambda: llv.dual_lefschetz_check(
              H, test_llv._broken_tau(H), k3.vec([1, 1] + [0] * 20))),
          (NotIntegral, lambda: llv.kernel_c1_solve(

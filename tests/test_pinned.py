@@ -1,0 +1,61 @@
+"""Byte pins: outputs that must not change by a single byte, and the names
+perfbench traces, which must keep resolving in hklat."""
+
+import hashlib
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+from hklat import factor as fc
+from hklat import jsonio as jio
+from hklat import transvect as tv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_all_seed_42_bytes(flags):
+    r = subprocess.run([sys.executable, *flags, "-m", "hklat.cli", "verify",
+                        "all", "--seed", "42"], capture_output=True, timeout=600)
+    assert r.returncode == 0
+    assert _sha(r.stdout) == ("677426890e65f46f567155162221e8c5"
+                              "1671673af832d573a97246a09dc81232")
+
+
+def test_decompose_certificate_bytes(k3n2):
+    # factor-k3n2's warm-up input: k = 5, through the delta fix and the
+    # positive rewrite, so extend_l_isometry is on the path
+    lat = k3n2
+    e = lat.basis_vec(0)
+    delta = lat.basis_vec(lat.delta_index)
+    phi = (tv.eichler_transvection(lat, e, delta)
+           * fc.reflect(lat, lat.vec([0, 0, 1, 2] + [0] * 19)))
+    text = jio.dumps(jio.normal_form_to_json(fc.decompose(lat, phi))).encode()
+    assert len(text) == 19928
+    assert _sha(text) == ("25b3c4535d6860fb29bc13c7cd9b67c0"
+                          "fc7110b698fd99a2903ca274d7d31440")
+
+
+def test_trace_targets_resolve():
+    """Every name in perfbench/spans.py TARGETS is bound in hklat; the
+    tracer raises on an unbound one."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attrs in spans.TARGETS:
+        mod = importlib.import_module(module)
+        for attr in attrs:
+            obj = mod
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (module, attr)

@@ -11,7 +11,8 @@ from conftest import (canonical, frac_pair, rand_primitive,
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import transvect as tv
-from hklat.errors import LatticeError, NonPrimitiveLambda, NormMismatch
+from hklat.errors import (LatticeError, NonPrimitiveLambda, NormMismatch,
+                          SearchExhausted)
 
 
 def test_transvection_defining_properties(k3):
@@ -215,18 +216,19 @@ _BUDGET_VECTOR = [2, 3, 5, 7, 1, 0, 1, -1] + [0] * 14
 def test_reduction_budget_raises(k3, monkeypatch):
     assert len(tv.reduce_to_canonical(k3, k3.vec(_BUDGET_VECTOR))) > 3
     monkeypatch.setattr(tv, "_MAX_REDUCE_STEPS", 3)
-    with pytest.raises(AssertionError, match="step budget"):
+    with pytest.raises(SearchExhausted, match="step budget"):
         tv.reduce_to_canonical(k3, k3.vec(_BUDGET_VECTOR))
 
 
 _BUDGET_SCRIPT = """
 import sys
 from hklat import lattice as lt, transvect as tv
+from hklat.errors import SearchExhausted
 tv._MAX_REDUCE_STEPS = 3
 k3 = lt.preset("K3")
 try:
     tv.reduce_to_canonical(k3, k3.vec(%r))
-except AssertionError as exc:
+except SearchExhausted as exc:
     print("raised", sys.flags.optimize, "step budget" in str(exc))
 else:
     print("returned", sys.flags.optimize)
