@@ -57,6 +57,16 @@ def _lattice_from_args(args, payload=None):
     raise LatticeError("no lattice given (use --preset or a lattice field)")
 
 
+def _int_field(payload, name, default=None):
+    """payload[name] (default, if given, when absent) as a JSON int; a bool,
+    a float or a string raises ValueError naming the field."""
+    v = payload[name] if default is None else payload.get(name, default)
+    if type(v) is not int:
+        raise ValueError("field %r must be an int, not %s"
+                         % (name, json.dumps(v)))
+    return v
+
+
 def _n_from_args(args, lat):
     """--n, else the n with (delta, delta) = 2 - 2n."""
     if args.n is not None:
@@ -149,7 +159,7 @@ def cmd_llv(args):
     payload = _load_payload(args)
     if args.action == "hilblift":
         # the lift runs from K3 to K3n:n, so no lattice is read
-        n = payload["n"]
+        n = _int_field(payload, "n")
         k3_space = llv_mod.LLVSpace(preset("K3"))
         phi = io.isometry_from_json(payload["phi"], k3_space.lattice)
         k3n_space = llv_mod.LLVSpace(preset("K3n", n))
@@ -188,7 +198,7 @@ def cmd_snrep(args):
     payload = _load_payload(args) or {}
     lat = _lattice_from_args(args, payload)
     space = llv_mod.LLVSpace(lat)
-    n = args.n if args.n is not None else payload.get("n", 2)
+    n = args.n if args.n is not None else _int_field(payload, "n", 2)
     sym = sn.SymSpace(space.lattice, n)
     if args.action == "dim":
         _emit(args, {"d": space.dim, "n": n, "sym_dim": sym.dim(),
@@ -295,22 +305,22 @@ def cmd_mukai(args):
 # -- the deterministic full suite ---------------------------------------------
 
 
-def _rand_vec(rng, lat, bound=2):
-    return lat.vec([rng.randint(-bound, bound) for _ in range(lat.rank)])
+def _rand_vec(rng, lat):
+    return lat.vec([rng.randint(-2, 2) for _ in range(lat.rank)])
 
 
-def _rand_primitive(rng, lat, bound=2):
+def _rand_primitive(rng, lat):
     while True:
-        v = _rand_vec(rng, lat, bound)
+        v = _rand_vec(rng, lat)
         if not v.is_zero() and v.is_primitive():
             return v
 
 
-def _rand_reflection(rng, lat, max_abs=12):
+def _rand_reflection(rng, lat):
     while True:
         v = _rand_primitive(rng, lat)
         nv = v.norm()
-        if nv != 0 and abs(nv) <= max_abs:
+        if nv != 0 and abs(nv) <= 12:
             r = fc.reflect(lat, v)
             return -r if rng.random() < 0.5 else r
 
@@ -363,17 +373,15 @@ def cmd_verify(args):
         const_ok = const_ok and img == want
     item("reflection_delta_constants", const_ok, d_range=[1, 5])
 
-    # normal form round trips
-    nf_ok = True
+    # normal form round trips (decompose raises on a failing certificate)
     for _ in range(3):
         phi = QIsometry.identity(k32)
         for _ in range(3):
             phi = _rand_reflection(rng, k32) * phi
         if nu_character(phi) == -1:
             phi = fc.reflect(k32, k32.vec([1, -1] + [0] * 21)) * phi
-        nf = fc.decompose(k32, phi)
-        nf_ok = nf_ok and fc.verify_normal_form(nf, phi)["ok"]
-    item("normal_form_roundtrip", nf_ok, count=3)
+        fc.decompose(k32, phi)
+    item("normal_form_roundtrip", True, count=3)
 
     # llv identities
     space = llv_mod.LLVSpace(k3)
@@ -457,12 +465,13 @@ _FLAGS = {
     "--out": dict(help="output path (default stdout)"),
     "--seed": dict(type=int, default=0, help="seed for randomized parts"),
     "--preset": dict(help="lattice preset name, e.g. K3 or K3n:2"),
-    "--report": dict(choices=["json", "csv", "text"], default="json"),
     "--n": dict(type=int, default=None),
     "--name": dict(help="preset name for 'preset'"),
     "--group": dict(default="Gamma", choices=_GROUPS),
 }
-# (subcommand, handler, actions, the flags its handler reads)
+# the --report formats of the subcommands that print more than JSON
+_REPORTS = {"pontryagin": ["json", "csv"], "verify": ["json", "text"]}
+# (subcommand, handler, actions, the flags its handler reads besides --report)
 _COMMANDS = [
     ("lattice", cmd_lattice, ["info", "preset"], _IO + ("--preset", "--n", "--name")),
     ("isom", cmd_isom, ["characters", "membership"], _IO + ("--group",)),
@@ -472,9 +481,9 @@ _COMMANDS = [
      _IO + ("--preset",)),
     ("snrep", cmd_snrep, ["dim", "psi", "recover"], _IO + ("--preset", "--n")),
     ("pontryagin", cmd_pontryagin, ["table", "unit", "verify"],
-     _IO + ("--preset", "--n", "--seed", "--report")),
+     _IO + ("--preset", "--n", "--seed")),
     ("mukai", cmd_mukai, ["v", "kappa", "star", "cyclic"], _IO),
-    ("verify", cmd_verify, ["all"], ("--out", "--seed", "--report")),
+    ("verify", cmd_verify, ["all"], ("--out", "--seed")),
 ]
 
 
@@ -486,6 +495,8 @@ def build_parser():
         p.add_argument("action", choices=actions)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+        if name in _REPORTS:
+            p.add_argument("--report", choices=_REPORTS[name], default="json")
         p.set_defaults(func=func)
     return ap
 

@@ -458,7 +458,8 @@ def _invert_items(items):
 
 
 def _reference_vector(lattice):
-    """g1(-rho_{u0+delta}(delta)) in L_Q plus the item list of g1."""
+    """(c0, g1, g1 items, y0): c0 = -rho_{u0+delta} for the canonical u0
+    of norm 2d+2, and y0 = g1(c0(delta)) in L_Q."""
     if "decompose_ref" in lattice._cache:
         return lattice._cache["decompose_ref"]
     d = _d_value(lattice)
@@ -469,7 +470,7 @@ def _reference_vector(lattice):
     x = c0.apply(delta)
     g1, g1_items = _move_rational_items(lattice, x)
     y0 = g1.apply(x)
-    lattice._cache["decompose_ref"] = (u0, c0, g1, g1_items, y0)
+    lattice._cache["decompose_ref"] = (c0, g1, g1_items, y0)
     return lattice._cache["decompose_ref"]
 
 
@@ -497,12 +498,6 @@ def decompose(lattice, phi):
         work = c_iso * work
         factors.extend(c_inv_items)
 
-    def push_neg_refl(v, gamma_item):
-        # work := -rho_v o work, extracted as a single Gamma element
-        nonlocal work
-        work = -reflect_times(lattice, v, work)
-        factors.append(("gamma", gamma_item))
-
     def push_witt(sw):
         nonlocal work
         if sw[0] is None:
@@ -517,9 +512,9 @@ def decompose(lattice, phi):
         lam, t = _split_delta(lattice, x)
         if lam.norm() == 0:
             u = _delta_fix_vector(lattice, work, lam, 2 * d + 2)
-            ud = list(u.coords)
-            ud[lattice.delta_index] += 1
-            push_neg_refl(LatVec(lattice, ud), neg_reflection_u_delta(lattice, u))
+            # c = -rho_{u+delta} is an involution in Gamma: c^-1 = c
+            c = neg_reflection_u_delta(lattice, u)
+            push_left(c, [("gamma", c)])
             x = work.apply(delta)
             lam, t = _split_delta(lattice, x)
             if lam.norm() == 0:
@@ -528,13 +523,11 @@ def decompose(lattice, phi):
         g2, g2_items = _move_rational_items(lattice, x)
         push_left(g2, _invert_items(g2_items))
 
-        u0, c0, g1, g1_items, y0 = _reference_vector(lattice)
+        c0, g1, g1_items, y0 = _reference_vector(lattice)
         cur = work.apply(delta)
         push_witt(witt_map(lattice, cur, y0))
         push_left(g1.inverse(), g1_items)
-        u0d = list(u0.coords)
-        u0d[lattice.delta_index] += 1
-        push_neg_refl(LatVec(lattice, u0d), c0)
+        push_left(c0, [("gamma", c0)])
         if work.apply(delta) != delta:
             raise LatticeError("the delta-moving words do not fix delta")
 

@@ -18,7 +18,8 @@ from .lattice import LatVec, Lattice, QIsometry
 class LLVSpace:
     """Q*alpha + base_Q + Q*beta with the extended pairing."""
 
-    __slots__ = ("base", "dim", "lattice", "alpha_index", "beta_index")
+    __slots__ = ("base", "dim", "lattice", "alpha_index", "beta_index",
+                 "h_diag")
 
     def __init__(self, base):
         r = base.rank
@@ -35,6 +36,7 @@ class LLVSpace:
                                delta_index=di)
         self.alpha_index = 0
         self.beta_index = r + 1
+        self.h_diag = (-2,) + (0,) * r + (2,)   # the grading operator h
 
     def __eq__(self, other):
         return isinstance(other, LLVSpace) and self.lattice == other.lattice
@@ -115,33 +117,44 @@ def mu(space, t):
 
 
 def grading(space):
-    """h: alpha -> -2 alpha, beta -> 2 beta, 0 on the middle block."""
-    n = space.dim
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = -2
-    rows[n - 1][n - 1] = 2
-    return la.mat(rows)
+    """h = diag(space.h_diag), dense."""
+    return tuple(tuple(c if i == j else 0 for j in range(space.dim))
+                 for i, c in enumerate(space.h_diag))
 
 
 def commutator(a, b):
     return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
 
 
-def h_degree(space, m):
-    """The h-degree of an operator: c with [h, m] = c m, or None."""
-    h = grading(space)
-    com = commutator(h, m)
-    for c in (-4, -2, 0, 2, 4):
-        if com == la.mat_scale(c, m):
-            return c
+def grading_sign(space, m):
+    """+1 if m commutes with h, -1 if it anti-commutes, else None.  As h is
+    diagonal, m h = s h m exactly when h_j = s h_i at every nonzero m_ij."""
+    h = space.h_diag
+    for s in (1, -1):
+        if all(h[j] == s * hi for row, hi in zip(m, h)
+               for j, x in enumerate(row) if x):
+            return s
     return None
+
+
+def graded_type(space, g):
+    """(+1, t) for graded g with g(alpha) = t alpha; (-1, t) for
+    anti-graded g with g(alpha) = t^-1 beta; NotGraded otherwise.  For an
+    isometry the sign places g(alpha): at alpha if s = 1, at beta if -1."""
+    m = g.matrix
+    ai, bi = space.alpha_index, space.beta_index
+    s = grading_sign(space, m)
+    if s == 1:
+        return 1, m[ai][ai]
+    if s == -1:
+        return -1, la.ratio(1, m[bi][ai])
+    raise NotGraded("isometry neither commutes nor anti-commutes with h")
 
 
 def is_degree_reversing(space, g):
     """g maps span(alpha) <-> span(beta) and the middle block to itself;
     equivalently g anti-commutes with the grading operator."""
-    h = grading(space)
-    return la.mat_mul(g.matrix, h) == la.mat_scale(-1, la.mat_mul(h, g.matrix))
+    return grading_sign(space, g.matrix) == -1
 
 
 def fm_beta_image(space, r, lam):
@@ -168,15 +181,6 @@ def normalize_fm(space, phi, r, lam_x, lam_y):
     return out, is_degree_reversing(space, out)
 
 
-def beta_to_alpha_scale(space, phi):
-    """t with phi(beta) = t alpha; raises NotGraded otherwise."""
-    col = tuple(row[space.beta_index] for row in phi.matrix)
-    t = col[space.alpha_index]
-    if t == 0 or any(col[i] != 0 for i in range(space.dim) if i != space.alpha_index):
-        raise NotGraded("operator does not map beta to span(alpha)")
-    return t
-
-
 def dual_lefschetz_check(space, phi, lam):
     """The dual Lefschetz operator 2/(t (lam,lam)) phi^-1 e_{phi(lam)} phi
     for degree-reversing phi with phi(beta) = t alpha.
@@ -190,7 +194,7 @@ def dual_lefschetz_check(space, phi, lam):
     nl = lam.norm()
     if nl == 0:
         raise IsotropicVector("dual Lefschetz needs (lam,lam) != 0")
-    t = beta_to_alpha_scale(space, phi)
+    t = phi.matrix[space.alpha_index][space.beta_index]
     phi_lam = space.middle_part(phi.apply(space.embed(lam)))
     e_im = e_op(space, phi_lam)
     inv = phi.inverse().matrix
@@ -221,28 +225,21 @@ def sl2_check(space, e, f, h):
 # Hilbert-scheme lift formulas
 
 
-def theta_embedding(k3_space, k3n_space):
-    """The isometric embedding of the K3 extended lattice into the K3n one,
-    alpha -> alpha, beta -> beta, middle -> middle; image is delta-perp."""
-    di = k3n_space.lattice.delta_index
-    rows = []
-    src = k3_space.dim
-    for i in range(k3n_space.dim):
-        row = [0] * src
-        rows.append(row)
-    # alpha
-    rows[0][0] = 1
-    # middle: K3 basis occupies the first base.rank slots of the K3n base
-    for i in range(k3_space.base.rank):
-        rows[1 + i][1 + i] = 1
-    rows[k3n_space.beta_index][k3_space.beta_index] = 1
-    return la.mat(rows)
+def _theta_index(k3_space, k3n_space):
+    """The K3n-space index of each K3-space basis vector; the K3 basis goes
+    to the first base.rank slots of the K3n base; the image is delta-perp."""
+    return ([k3n_space.alpha_index]
+            + [1 + i for i in range(k3_space.base.rank)]
+            + [k3n_space.beta_index])
 
 
 def theta_tilde(k3_space, k3n_space, x):
-    """Apply the embedding to a vector of the K3 extended lattice."""
-    m = theta_embedding(k3_space, k3n_space)
-    return LatVec(k3n_space.lattice, la.mat_vec(m, x.coords))
+    """The isometric embedding of the K3 extended lattice into the K3n one,
+    applied to a vector."""
+    coords = [0] * k3n_space.dim
+    for c, i in zip(x.coords, _theta_index(k3_space, k3n_space)):
+        coords[i] = c
+    return LatVec(k3n_space.lattice, coords)
 
 
 def extend_to_llv(space, g):
@@ -258,8 +255,7 @@ def iota_tilde(k3_space, k3n_space, g):
     itself) to the K3n extended lattice, fixing delta."""
     if g.lattice == k3_space.base:
         g = extend_to_llv(k3_space, g)
-    # emb[s] = index in the K3n space of the s-th K3-space basis vector
-    emb = [0] + [1 + i for i in range(k3_space.base.rank)] + [k3n_space.beta_index]
+    emb = _theta_index(k3_space, k3n_space)
     return QIsometry(k3n_space.lattice,
                      la.embed_block(k3n_space.dim, g.matrix, emb), _trusted=True)
 

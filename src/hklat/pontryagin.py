@@ -131,9 +131,8 @@ class SHModel:
     # -- gradings -------------------------------------------------------------
 
     def mono_eigenvalue(self, m):
-        a = sum(1 for i in m if i == self.space.alpha_index)
-        b = sum(1 for i in m if i == self.space.beta_index)
-        return 2 * (b - a)
+        h = self.space.h_diag
+        return sum(h[i] for i in m)
 
     def eigenvalue(self, x):
         """The h-eigenvalue of a homogeneous element (None for 0)."""
@@ -289,13 +288,13 @@ class SHModel:
             Fraction(1, factorial(self.n)),
             sn.sym_power(self.space.beta().coords, self.n)))
 
-    def random_element(self, rng, terms=6, bound=3):
+    def random_element(self, rng):
         d = self.base_rank
         words = {}
-        for _ in range(terms):
+        for _ in range(6):
             k = rng.randint(0, 2 * self.n)
             w = tuple(sorted(rng.randrange(d) for _ in range(k)))
-            c = rng.randint(-bound, bound)
+            c = rng.randint(-3, 3)
             if c:
                 words[w] = words.get(w, 0) + c
         return self.element(self.from_words(words))
@@ -409,33 +408,11 @@ class SHElt:
 # -- conjugation identities ---------------------------------------------------
 
 
-def graded_type(space, g):
-    """(+1, t) for graded g with g(alpha) = t alpha; (-1, t) for
-    anti-graded g with g(alpha) = t^-1 beta; NotGraded otherwise."""
-    m = g.matrix
-    h = llv_mod.grading(space)
-    mh = la.mat_mul(m, h)
-    hm = la.mat_mul(h, m)
-    ai, bi = space.alpha_index, space.beta_index
-    col = tuple(row[ai] for row in m)
-    if mh == hm:
-        t = col[ai]
-        if t == 0 or any(col[i] for i in range(space.dim) if i != ai):
-            raise NotGraded("graded isometry must scale alpha")
-        return 1, t
-    if mh == la.mat_scale(-1, hm):
-        c = col[bi]
-        if c == 0 or any(col[i] for i in range(space.dim) if i != bi):
-            raise NotGraded("degree-reversing isometry must map alpha to span(beta)")
-        return -1, la.ratio(1, c)
-    raise NotGraded("isometry neither commutes nor anti-commutes with h")
-
-
 def conjugation_check(model, g, pairs):
     """For graded g: rho_{mu_t g} is a cup-ring map; for anti-graded g it
     turns cup into star.  Checked exactly on the given element pairs."""
     space = model.space
-    kind, t = graded_type(space, g)
+    kind, t = llv_mod.graded_type(space, g)
     mg = llv_mod.mu(space, t) * g
 
     def act(x):
@@ -457,7 +434,7 @@ def star_via(model, g, x, y):
     """The Pontryagin product built from an arbitrary degree-reversing g:
     rho_{g^-1 mu_{1/t}}( rho_{mu_t g}(x) cup rho_{mu_t g}(y) )."""
     space = model.space
-    kind, t = graded_type(space, g)
+    kind, t = llv_mod.graded_type(space, g)
     if kind != -1:
         raise NotGraded("star_via needs a degree-reversing isometry")
     mt = llv_mod.mu(space, t)
@@ -480,7 +457,7 @@ def proportionality_check_degree2(model, phi):
     with eta_tau is one global scalar times the middle-block restriction of
     phi o tau; returns the scalar (nonzero)."""
     space = model.space
-    kind, t = graded_type(space, phi)
+    kind, t = llv_mod.graded_type(space, phi)
     if kind != -1:
         raise NotGraded("expected a degree-reversing isometry")
     tau = llv_mod.tau(space)

@@ -26,6 +26,7 @@ from math import comb, factorial, gcd
 from operator import mul
 
 from . import linalg as la
+from . import llv as llv_mod
 from .errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
                      NotDecomposable, NotGraded, ScalarInconsistency,
                      SolveFailure)
@@ -602,7 +603,6 @@ def psi(llv_space, lams, n):
     """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a sparse Sym^n element.
 
     Words longer than 2n give zero (documented, not an error)."""
-    from . import llv as llv_mod
     sym = SymSpace(llv_space.lattice, n)
     x = sym_scale(Fraction(1, factorial(n)),
                   sym_power(llv_space.alpha().coords, n))
@@ -618,27 +618,15 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
     """k in {0,1} with phi~ h = (-1)^k h phi~ on the extended lattice and
     the matching relation for the induced action on S_[n]; raises NotGraded
     when neither sign works."""
-    from . import llv as llv_mod
-    hm = llv_mod.grading(llv_space)
-    pv = phi_v.matrix
-    lhs = la.mat_mul(pv, hm)
-    k_v = None
-    for k in (0, 1):
-        if lhs == la.mat_scale((-1) ** k, la.mat_mul(hm, pv)):
-            k_v = k
-            break
-    hc = sparse_columns(hm)
+    k_v = {1: 0, -1: 1}.get(llv_mod.grading_sign(llv_space, phi_v.matrix))
+    hc = sparse_columns(llv_mod.grading(llv_space))
     basis, _ = sym_space.kernel_basis()
     k_s = None
     for k in (0, 1):
-        ok = True
-        for b in basis:
-            l = phi_s_apply(sym_space.derivation_apply(hc, b))
-            r = sym_scale((-1) ** k, sym_space.derivation_apply(hc, phi_s_apply(b)))
-            if not sym_eq(l, r):
-                ok = False
-                break
-        if ok:
+        if all(sym_eq(phi_s_apply(sym_space.derivation_apply(hc, b)),
+                      sym_scale((-1) ** k,
+                                sym_space.derivation_apply(hc, phi_s_apply(b))))
+               for b in basis):
             k_s = k
             break
     if k_v is None or k_s is None:

@@ -326,6 +326,26 @@ def test_llv_hilblift_needs_no_lattice(capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_integer_fields_must_be_json_ints(capsys):
+    from hklat import llv
+    phi = io.isometry_to_json(llv.tau(llv.LLVSpace(lt.preset("K3"))))
+    for argv in (["llv", "hilblift", "--json", json.dumps({"n": 2.0, "phi": phi})],
+                 ["snrep", "dim", "--preset", "Kummer:2", "--json", '{"n": true}'],
+                 ["snrep", "dim", "--preset", "Kummer:2", "--json", '{"n": "2"}']):
+        code, out = run_cli(argv, capsys)
+        assert code == 3, argv
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and "'n'" in err["message"], argv
+
+
+def test_report_lists_only_printed_formats(capsys):
+    for argv in (["pontryagin", "table", "--preset", "K3", "--report", "text"],
+                 ["verify", "all", "--report", "csv"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert json.loads(out)["error"]["type"] == "ArgumentError", argv
+
+
 def test_pontryagin_n_needs_a_delta_summand(capsys):
     # a custom lattice has no delta index, so n is not guessed from its gram
     gram = lt.preset("Kummer", 2).gram

@@ -414,8 +414,8 @@ gate(lambda: fc._move_rational_items(lat, x), "Witt map")
 fc.witt_isometry = real_witt
 # delta-moving words that do not fix delta: g1 replaced by the identity
 real_ref = fc._reference_vector
-fc._reference_vector = lambda lattice: (real_ref(lattice)[:2]
-    + (lt.QIsometry.identity(lattice),) + real_ref(lattice)[3:])
+fc._reference_vector = lambda lattice: (real_ref(lattice)[:1]
+    + (lt.QIsometry.identity(lattice),) + real_ref(lattice)[2:])
 gate(lambda: fc.decompose(lat, _rewrite_input(lat)), "do not fix delta")
 fc._reference_vector = real_ref
 # phi(delta) = -2 e1 - delta has isotropic L-part, and the delta fix

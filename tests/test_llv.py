@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import canonical, rand_anisotropic, rand_vec
+from conftest import (canonical, rand_anisotropic, rand_reflection_word,
+                      rand_vec)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -59,7 +60,6 @@ def test_e_op(H, k3):
     # [h, e] = 2e
     h = llv.grading(H)
     assert llv.commutator(h, e) == la.mat_scale(2, e)
-    assert llv.h_degree(H, e) == 2
 
 
 def test_b_field(H, k3):
@@ -94,6 +94,32 @@ def test_tau_mu_grading(H, Hn2):
         llv.mu(H, 0)
     # block determinant on the rank-25 space: (-1) * (-1)^23 = +1
     assert llv.tau(Hn2).det() == 1
+
+
+@pytest.mark.parametrize("name", ["H", "Hn2"])
+def test_grading_sign_matches_dense_definition(name, request):
+    # graded mu_s o extend(f), anti-graded tau o ..., ungraded B_lam o ...
+    space = request.getfixturevalue(name)
+    rng = random.Random(109)
+    h = llv.grading(space)
+    for _ in range(3):
+        f = rand_reflection_word(rng, space.base, count=2)
+        g = llv.mu(space, rng.choice([1, 3, Fraction(-2, 5)])) \
+            * llv.extend_to_llv(space, f)
+        bg = llv.b_field(space, rand_anisotropic(rng, space.base)) * g
+        for m, want in ((g, 1), (llv.tau(space) * g, -1), (bg, None)):
+            mh, hm = la.mat_mul(m.matrix, h), la.mat_mul(h, m.matrix)
+            dense = 1 if mh == hm else -1 if mh == la.mat_scale(-1, hm) else None
+            assert llv.grading_sign(space, m.matrix) == dense == want
+            assert llv.is_degree_reversing(space, m) == (want == -1)
+            if want is None:
+                with pytest.raises(NotGraded):
+                    llv.graded_type(space, m)
+                continue
+            kind, t = llv.graded_type(space, m)
+            assert kind == want
+            img = t * space.alpha() if kind == 1 else la.ratio(1, t) * space.beta()
+            assert m.apply(space.alpha()) == img
 
 
 def test_fm_beta_image(H, k3):
