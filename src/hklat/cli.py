@@ -9,6 +9,7 @@ import argparse
 import json
 import random
 import sys
+from math import gcd
 
 from . import factor as fc
 from . import jsonio as io
@@ -317,11 +318,17 @@ def _rand_primitive(rng, lat):
 
 
 def _rand_reflection(rng, lat):
+    """The reflection in the first primitive draw with 0 < |norm| <= 12,
+    negated on a coin flip.  Each try draws the same rank values as
+    _rand_primitive; its norm and gcd are read off the ints, and only the
+    accepted vector becomes a LatVec."""
+    rows = lat._gram_rows
     while True:
-        v = _rand_primitive(rng, lat)
-        nv = v.norm()
-        if nv != 0 and abs(nv) <= 12:
-            r = fc.reflect(lat, v)
+        c = [rng.randint(-2, 2) for _ in range(lat.rank)]
+        nv = sum([x * sum([g * c[j] for j, g in row])
+                  for x, row in zip(c, rows) if x])
+        if nv and abs(nv) <= 12 and gcd(*c) == 1:
+            r = fc.reflect(lat, lat.vec(c))
             return -r if rng.random() < 0.5 else r
 
 

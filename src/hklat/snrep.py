@@ -5,11 +5,14 @@ indices; elements are sparse {monomial: scalar} dicts.  The arithmetic
 kernels (sym_power, apply_linear, derivation_apply, sn_coords) scale each
 operand once to integer numerators over one common denominator, work on
 plain ints, and divide once at the end, as the linalg kernels do;
-what they return holds ints or reduced Fractions and no zero entries.  For
-n = 2, apply_linear is the congruence f X f^T on integer numerators.  The
-distinguished subspace S_[n] is computed as the kernel of the contraction
-that pairs two slots with the bilinear form -- the span of n-th powers of
-isotropic vectors, which is checked against it where feasible.
+what they return holds ints or reduced Fractions and no zero entries.
+sym_power returns a SymPower, a dict that records its root and degree, and
+apply_linear sends such a pure power v^n to (f v)^n, which holds for every
+n; only other elements pay for Sym^n(f) itself, for n = 2 the congruence
+f X f^T on integer numerators.  The distinguished subspace S_[n] is
+computed as the kernel of the contraction that pairs two slots with the
+bilinear form -- the span of n-th powers of isotropic vectors, which is
+checked against it where feasible.
 
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
@@ -17,7 +20,9 @@ powers v^n of an isotropic spanning set: each image is split as c w^n on
 integer numerators, and the lines (c, w) alone fix the isometry.
 compose_rule_check() works on lines as well: Sym^n(f1) sends v^n to
 (f1 v)^n, and Sym^n(f2) sends c w^n to c (f2 w)^n, so neither is applied
-as an operator on Sym^n.
+as an operator on Sym^n.  A Phi built from apply_linear therefore maps
+each v^n by one matrix-vector product and one sym_power; its images are
+still split and checked entry by entry.
 """
 
 from fractions import Fraction
@@ -66,29 +71,67 @@ def sym_eq(x, y):
     return sym_sub(x, y) == {}
 
 
+class SymPower(dict):
+    """The element v^n that sym_power returns: a plain sparse dict that also
+    records power = (v, n), which apply_linear reads to send it to (f v)^n.
+
+    Copies (dict(x), sym_scale, sym_add) are plain dicts, and any in-place
+    change sets power to None, so the record never outlives the entries it
+    describes.
+    """
+
+    __slots__ = ("power",)
+
+
+def _forgetting(name):
+    method = getattr(dict, name)
+
+    def forget(self, *args, **kwargs):
+        self.power = None
+        return method(self, *args, **kwargs)
+    forget.__name__ = name
+    return forget
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(SymPower, _name, _forgetting(_name))
+
+
 def sym_power(v_coords, n):
-    """v^n as a sparse polynomial in the basis variables.
+    """v^n as a sparse polynomial in the basis variables, a SymPower.
 
     The multinomial expansion runs on the integer numerators of v (one
-    common denominator d) and is divided by d^n once at the end.
+    common denominator d) and is divided by d^n once at the end; for n = 2
+    it is c_i^2 on the diagonal and 2 c_i c_j off it.
     """
-    nums, d = la.scaled_vec(v_coords)
+    v = tuple(v_coords)
+    nums, d = la.scaled_vec(v)
     support = [(i, c) for i, c in enumerate(nums) if c]
-    nf = factorial(n)
     out = {}
-    for terms in combinations_with_replacement(support, n):
-        # n! / prod(mu_i!) * prod(c_i^mu_i), the factorials divided out
-        # one repeat at a time
-        coef, prod, prev, run = nf, 1, None, 0
-        for i, c in terms:
-            prod *= c
-            if i == prev:
-                run += 1
-                coef //= run
-            else:
-                prev, run = i, 1
-        out[tuple([i for i, _ in terms])] = coef * prod
-    return sym_quotient(out, d ** n)
+    if n == 2:
+        for a, (i, ci) in enumerate(support):
+            out[(i, i)] = ci * ci
+            ci2 = 2 * ci
+            for j, cj in support[a + 1:]:
+                out[(i, j)] = ci2 * cj
+    else:
+        nf = factorial(n)
+        for terms in combinations_with_replacement(support, n):
+            # n! / prod(mu_i!) * prod(c_i^mu_i), the factorials divided out
+            # one repeat at a time
+            coef, prod, prev, run = nf, 1, None, 0
+            for i, c in terms:
+                prod *= c
+                if i == prev:
+                    run += 1
+                    coef //= run
+                else:
+                    prev, run = i, 1
+            out[tuple([i for i, _ in terms])] = coef * prod
+    x = SymPower(sym_quotient(out, d ** n))
+    x.power = (v, n)
+    return x
 
 
 def sym_scaled(x):
@@ -258,8 +301,12 @@ class SymSpace:
     # -- functorial action ---------------------------------------------------
 
     def apply_linear(self, f_matrix, x):
-        """Sym^n(f) applied to a sparse element: slot by slot through the
-        columns of f, or for n = 2 as the congruence f X f^T."""
+        """Sym^n(f) applied to a sparse element.  A pure power v^n from
+        sym_power goes to (f v)^n; any other element goes slot by slot
+        through the columns of f, or for n = 2 as the congruence f X f^T."""
+        power = getattr(x, "power", None)
+        if power is not None and power[1] == self.n:
+            return sym_power(la.mat_vec(f_matrix, power[0]), self.n)
         if self.n == 2:
             return self._apply_linear_quadratic(f_matrix, x)
         cols, fd = sparse_columns(f_matrix)

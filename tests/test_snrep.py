@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, factorial
 
 import pytest
 
@@ -332,6 +333,12 @@ def test_apply_linear_matches_fraction_reference(H5, H7):
               (llv.mu(space, 3) * _rand_iso(rng, space.lattice)).matrix,
               (llv.b_field(space, lam) * llv.mu(space, Fraction(2, 5))).matrix]
         assert any(type(c) is Fraction for f in fs for row in f for c in row)
+        d = space.dim
+        powers = [[rng.randint(-4, 4) for _ in range(d)],
+                  [Fraction(rng.randint(-5, 5), 2) for _ in range(d)],
+                  [Fraction(rng.randint(-5, 5), rng.choice((1, 3)))
+                   for _ in range(d)],
+                  [0, Fraction(-7, 3)] + [0] * (d - 2)]
         for n in (1, 2, 3):
             sym = sn.SymSpace(space.lattice, n)
             for f in fs:
@@ -344,6 +351,13 @@ def test_apply_linear_matches_fraction_reference(H5, H7):
                     got = sym.derivation_apply(sn.sparse_columns(f), x)
                     assert got == _ref_derive(f, x)
                     _assert_entries(got)
+                # pure powers v^n go to (f v)^n, equal to the general path
+                for v in powers:
+                    x = sn.sym_power(v, n)
+                    got = sym.apply_linear(f, x)
+                    assert got == _ref_apply(f, x, n)
+                    _assert_entries(got)
+                    assert got == sym.apply_linear(f, dict(x))
             # a cancelling input: Sym^n(f) of Sym^n(f^-1) of a monomial
             f = fs[2]
             finv = la.inverse(f)
@@ -401,6 +415,64 @@ def test_sym_power_matches_fraction_reference():
             assert all(list(m) == sorted(m) for m in got)
     assert sn.sym_power(la.vec([0] * 3), 0) == {(): 1}
     assert sn.sym_power(la.vec([0] * 3), 2) == {}
+
+
+def _multinomial_power(v, n):
+    """v^n by the multinomial formula in Fractions, one monomial at a
+    time."""
+    out = {}
+    for m in combinations_with_replacement(range(len(v)), n):
+        coef = Fraction(factorial(n))
+        for i in set(m):
+            coef = coef / factorial(m.count(i)) * Fraction(v[i]) ** m.count(i)
+        if coef:
+            out[m] = la.frac(coef)
+    return out
+
+
+def test_sym_power_square_matches_multinomial():
+    # n = 2 has its own expansion, c_i^2 and 2 c_i c_j; compare it with
+    # the formula the other degrees use, values and their types alike
+    rng = random.Random(263)
+    vecs = [[Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 6, 10)))
+             for _ in range(7)] for _ in range(6)]
+    vecs += [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+              if rng.random() < 0.4 else 0 for _ in range(7)]
+             for _ in range(6)]
+    vecs += [[0, 0, Fraction(-3, 4), 0], [0, 6, 0, 0], [0] * 4]
+    for v in vecs:
+        got = sn.sym_power(v, 2)
+        ref = _multinomial_power(v, 2)
+        assert got == ref
+        assert {m: type(c) for m, c in got.items()} \
+            == {m: type(c) for m, c in ref.items()}
+        _assert_entries(got)
+
+
+def test_sym_power_record_survives_no_change(H5):
+    # the (v, n) record is only ever read off an untouched sym_power
+    # result: copies drop it, and so does any in-place change
+    sym = sn.SymSpace(H5.lattice, 2)
+    f = _rand_iso(random.Random(269), H5.lattice).matrix
+    v = [1, Fraction(1, 2), 0, -2, 3]
+    x = sn.sym_power(v, 2)
+    assert x.power == (tuple(v), 2)
+    assert x == _ref_power(v, 2)
+    # the image of a power is the power (f v)^2, recorded as such
+    fx = sym.apply_linear(f, x)
+    assert fx.power == (la.mat_vec(f, v), 2)
+    for copy in (dict(x), sn.sym_scale(1, x), sn.sym_add(x, {})):
+        assert type(copy) is dict
+        assert sym.apply_linear(f, copy) == sym.apply_linear(f, x)
+    x[(0, 0)] = 5
+    assert x.power is None
+    assert sym.apply_linear(f, x) == _ref_apply(f, x, 2)
+    y = sn.sym_power(v, 2)
+    y.pop((0, 0))
+    assert y.power is None
+    z = sn.sym_power(v, 2)
+    z.update({(4, 4): 1})
+    assert z.power is None
 
 
 def _rand_qvec(rng, d):
