@@ -270,6 +270,22 @@ def divisibility(lattice, x):
     return la.content(gx)
 
 
+def _check_isometry(lattice, m):
+    """Raises NotAnIsometry unless M^T G M = G, checked on M = N / d as
+    n_i . (G n_j) = d^2 G_ij for the columns n_i, i <= j (the product is
+    symmetric), with G n_j read off the sparse Gram rows."""
+    nums, d = la.scaled_mat(m)
+    cols = list(zip(*nums))
+    dd = d * d
+    for j, cj in enumerate(cols):
+        gc = lattice.gram_times(cj)
+        grow = lattice.gram[j]
+        for i in range(j + 1):
+            ci = cols[i]
+            if sum([ci[k] * s for k, s in gc]) != dd * grow[i]:
+                raise NotAnIsometry("matrix does not preserve the pairing")
+
+
 class QIsometry:
     """A rational matrix M with M^T G M = G, acting on column coordinates."""
 
@@ -281,9 +297,7 @@ class QIsometry:
         if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
             raise DimensionMismatch("matrix size does not match rank")
         if not _trusted:
-            g = lattice.gram
-            if la.mat_mul(la.mat_mul(la.transpose(m), g), m) != g:
-                raise NotAnIsometry("matrix does not preserve the pairing")
+            _check_isometry(lattice, m)
         self.lattice = lattice
         self.matrix = m
         self._det = None

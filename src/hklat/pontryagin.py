@@ -17,6 +17,15 @@ visited.  The Pontryagin product is the conjugate
 
 by the degree-reversing involution tau.  The star unit is beta^n/n!, the
 model avatar of [pt] / n!.
+
+Products work in word coordinates.  Each table entry holds the basis-word
+coordinates of Psi(w1 w2), one object per product word, solved the first
+time a cup needs it; a second table holds those of rho_tau Psi(b) for each
+basis word b, also filled on first use.  cup, star and rho_tau return an
+SHData, a dict that records the word coordinates it was built from (as
+integer numerators over one denominator), and to_words reads that record
+instead of solving, so a chain of products never goes back through the
+piece solvers.
 """
 
 from fractions import Fraction
@@ -40,7 +49,92 @@ def _axpy(out, a, src):
             del out[k]
 
 
+def _combine(terms, d):
+    """sum_t v_t (sum_k n_k [k]) / (e_t d) over terms (v_t, entries_t, e_t)
+    with entries (k, n_k), all ints and e_t, d > 0, as (nums, e): integer
+    numerators over one denominator, which grows when a term needs it,
+    in lowest terms and with no zero entries."""
+    out = {}
+    get = out.get
+    den = 1
+    for v, entries, e in terms:
+        if den % e:
+            s = e // gcd(den, e)
+            for k in out:
+                out[k] *= s
+            den *= s
+        a = v * (den // e)
+        for k, n in entries:
+            out[k] = get(k, 0) + a * n
+    den *= d
+    g = gcd(den, *out.values())
+    return {k: v // g for k, v in out.items() if v}, den // g
+
+
+def _tau_swap(x, ai, bi):
+    """The signed slot permutation of tau on a sparse Sym^n element: alpha
+    and beta trade places, every other slot changes sign.  It permutes the
+    monomials, so no two terms meet."""
+    out = {}
+    for m, c in x.items():
+        if not c:
+            continue
+        img = []
+        for i in m:
+            if i == ai:
+                img.append(bi)
+            elif i == bi:
+                img.append(ai)
+            else:
+                img.append(i)
+                c = -c
+        out[tuple(sorted(img))] = c
+    return out
+
+
 _ZERO_FORM = ({}, 1)
+
+
+class _Coords:
+    """Basis-word coordinates sum_b n_b Psi(b) / d of Psi(word), or of
+    rho_tau Psi(word) in the rho_tau table: pairs = ((b, n_b), ...) on
+    integers with no common factor with d > 0, None until set.  Hashed by
+    identity: the tables share one object per word, and cup sums on those
+    objects."""
+
+    __slots__ = ("word", "pairs", "d")
+
+    def __init__(self, word):
+        self.word = word
+        self.pairs = None
+
+    def set(self, combo, d):
+        g = gcd(d, *combo.values())
+        self.pairs = tuple([(b, c // g) for b, c in combo.items()])
+        self.d = d // g
+        return self
+
+
+class SHData(dict):
+    """A sparse Sym^n element that also records its word coordinates in a
+    model: words = (nums, d) with self = sum nums[b] Psi(b) / d over the
+    basis words b of the model whose record key is key (a bare object, so
+    that no data keeps a model alive).
+
+    SHModel.cup, star and rho_tau return one, SHElt stores its data as one,
+    and to_words stores what it solves on one.  Like snrep.SymPower, copies
+    are plain dicts and any in-place change sets words to None.
+    """
+
+    __slots__ = ("key", "words")
+
+    def __init__(self, data, key=None, words=None):
+        dict.__init__(self, data)
+        self.key = key
+        self.words = words
+
+
+sn.forget_on_change(SHData, "words")
 
 
 class _PieceSolver:
@@ -99,12 +193,14 @@ class _PieceSolver:
         self.pivots.append((key, vec[key], vec, combo))
         return True
 
-    def solve(self, x):
-        vec, d = sn.sym_scaled(x)
+    def solve(self, nums, d):
+        """(combo, e) with nums / d = sum_w combo[w] Psi(w) / e, on
+        integers; raises SolveFailure when nums leaves a residue."""
+        vec = dict(nums)
         combo, scale = self._reduce(vec)
         if any(vec.values()):
             raise SolveFailure("element is outside the spanned piece")
-        return sn.sym_quotient(combo, scale * d)
+        return combo, scale * d
 
 
 class SHModel:
@@ -125,8 +221,12 @@ class SHModel:
         self._solvers = {}
         self._basis_words = []   # every piece's basis words, shortest first
         self._rows = {}
+        self._coords = {}   # product word -> _Coords, made by _row
+        self._tau = {}      # basis word b -> _Coords of rho_tau Psi(b)
+        self._key = object()   # marks the SHData that record words here
         self._piece_dims = self._compute_piece_dims()
         self._build_word_sets()
+        self._basis_set = frozenset(self._basis_words)
 
     # -- gradings -------------------------------------------------------------
 
@@ -228,39 +328,64 @@ class SHModel:
                     % (got, want, j))
             self._solvers[j] = solver
 
+    def _record(self, x):
+        """The word coordinates x records in this model, or None."""
+        if type(x) is SHData and x.key is self._key:
+            return x.words
+        return None
+
     def to_words(self, x):
-        """Decompose into word coefficients, {word: coeff}, degreewise."""
-        out = {}
-        for j, piece in self.pieces(x).items():
-            if j not in self._solvers:
-                raise SolveFailure("eigenvalue %d outside the model" % j)
-            out.update(self._solvers[j].solve(piece))
-        return out
+        """Decompose into basis-word coefficients, {word: coeff},
+        degreewise.  The record of an SHData is read, not solved; an SHData
+        without one stores what is solved here."""
+        words = self._record(x)
+        if words is None:
+            terms = []
+            for j, piece in self.pieces(x).items():
+                if j not in self._solvers:
+                    raise SolveFailure("eigenvalue %d outside the model" % j)
+                combo, e = self._solvers[j].solve(*sn.sym_scaled(piece))
+                terms.append((1, combo.items(), e))
+            words = _combine(terms, 1)
+            if type(x) is SHData:
+                x.key, x.words = self._key, words
+        return sn.sym_quotient(*words)
+
+    def _worded(self, x):
+        """x, or an SHData copy of a plain dict, recording its word
+        coordinates here; to_words solves them when it has none."""
+        if type(x) is not SHData:
+            x = SHData(x)
+        if self._record(x) is None:
+            self.to_words(x)
+        return x
 
     def from_words(self, words):
         """sum c_w Psi(w), accumulated on integers over one denominator."""
         nums, cd = la.scaled_vec(list(words.values()))
-        out = {}
-        get = out.get
-        d = 1
-        for w, c in zip(words, nums):
-            if not c:
-                continue
-            pnums, pd = self._psi_form(tuple(sorted(w)))
-            if d % pd:
-                s = pd // gcd(d, pd)
-                for m in out:
-                    out[m] *= s
-                d *= s
-            a = c * (d // pd)
-            for m, v in pnums.items():
-                out[m] = get(m, 0) + a * v
-        return sn.sym_quotient(out, cd * d)
+        return sn.sym_quotient(*self._psi_sum(zip(words, nums), cd))
+
+    def _psi_sum(self, words, d):
+        """sum c_w Psi(w) / d over the (w, c_w) in words, c_w ints, as
+        (nums, e) from _combine."""
+        terms = []
+        for w, c in words:
+            if c:
+                pnums, pd = self._psi_form(tuple(sorted(w)))
+                terms.append((c, pnums.items(), pd))
+        return _combine(terms, d)
+
+    def _recorded(self, words):
+        """The SHData sum nums[b] Psi(b) / d for words = (nums, d),
+        recording words."""
+        nums, d = words
+        return SHData(sn.sym_quotient(*self._psi_sum(nums.items(), d)),
+                      self._key, words)
 
     def _row(self, w1):
-        """{w2: w1 w2 sorted} over the basis words w2 of every piece with
-        len(w1) + len(w2) <= 2n and Psi(w1 w2) != 0; memoized, filled on
-        first use."""
+        """{w2: coordinates of Psi(w1 w2)} over the basis words w2 of every
+        piece with len(w1) + len(w2) <= 2n and Psi(w1 w2) != 0; memoized,
+        filled on first use."""
         row = self._rows.get(w1)
         if row is None:
             room = 2 * self.n - len(w1)
@@ -269,10 +394,38 @@ class SHModel:
                 if len(w2) > room:
                     break
                 p = tuple(sorted(w1 + w2))
-                if self._psi_form(p)[0]:
-                    row[w2] = p
+                r = self._coords.get(p)
+                if r is None:
+                    if not self._psi_form(p)[0]:
+                        continue
+                    r = self._coords[p] = _Coords(p)
+                row[w2] = r
             self._rows[w1] = row
         return row
+
+    def _product_coords(self, r):
+        """The _Coords r of a product word p with Psi(p) != 0, set on first
+        use: p itself when it is a basis word, else solved once in the
+        piece of eigenvalue 2 len(p) - 2n."""
+        if r.pairs is None:
+            p = r.word
+            if p in self._basis_set:
+                r.set({p: 1}, 1)
+            else:
+                j = 2 * len(p) - 2 * self.n
+                r.set(*self._solvers[j].solve(*self._psi_form(p)))
+        return r
+
+    def _tau_coords(self, b):
+        """The _Coords of rho_tau Psi(b) for a basis word b, memoized;
+        solved once in the piece of eigenvalue 2n - 2 len(b)."""
+        r = self._tau.get(b)
+        if r is None:
+            nums, d = self._psi_form(b)
+            img = _tau_swap(nums, self.space.alpha_index, self.space.beta_index)
+            j = 2 * self.n - 2 * len(b)
+            r = self._tau[b] = _Coords(b).set(*self._solvers[j].solve(img, d))
+        return r
 
     # -- elements ------------------------------------------------------------
 
@@ -280,13 +433,11 @@ class SHModel:
         return SHElt(self, x)
 
     def unit_cup(self):
-        return self.element(self.psi_word(()))
+        return self.element(self._recorded(({(): 1}, 1)))
 
     def unit_star(self):
-        """beta^n/n!, the model avatar of [pt]/n!."""
-        return self.element(sn.sym_scale(
-            Fraction(1, factorial(self.n)),
-            sn.sym_power(self.space.beta().coords, self.n)))
+        """beta^n/n! = rho_tau(alpha^n/n!), the model avatar of [pt]/n!."""
+        return self.unit_cup().rho_tau()
 
     def random_element(self, rng):
         d = self.base_rank
@@ -303,42 +454,44 @@ class SHModel:
 
     def cup(self, x, y):
         """Psi(w1) cup Psi(w2) = Psi(w1 w2), summed over the pairs of basis
-        words of x and y that _row keeps, on integer numerators."""
-        xn, xd = sn.sym_scaled(self.to_words(x))
-        yn, yd = sn.sym_scaled(self.to_words(y))
+        words of x and y that _row keeps, on integer numerators, then
+        written in basis words; an SHData recording them."""
+        xn, xd = self._worded(x).words
+        yn, yd = self._worded(y).words
         out = {}
         get = out.get
         for w1, c1 in xn.items():
-            for w2, p in self._row(w1).items():
+            for w2, r in self._row(w1).items():
                 c2 = yn.get(w2)
                 if c2:
-                    out[p] = get(p, 0) + c1 * c2
-        return self.from_words(sn.sym_quotient(out, xd * yd))
+                    out[r] = get(r, 0) + c1 * c2
+        terms = []
+        for r, v in out.items():
+            r = self._product_coords(r)
+            terms.append((v, r.pairs, r.d))
+        return self._recorded(_combine(terms, xd * yd))
 
     def rho_tau(self, x):
-        """The involution induced by tau; a signed slot permutation."""
-        ai, bi = self.space.alpha_index, self.space.beta_index
-        out = {}
-        for m, c in x.items():
-            sign = 1
-            img = []
-            for i in m:
-                if i == ai:
-                    img.append(bi)
-                elif i == bi:
-                    img.append(ai)
-                else:
-                    img.append(i)
-                    sign = -sign
-            key = tuple(sorted(img))
-            v = out.get(key, 0) + sign * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        """The involution induced by tau, a signed slot permutation, as an
+        SHData; when x records its words, the image records its own, read
+        off the rho_tau table."""
+        out = SHData(_tau_swap(x, self.space.alpha_index,
+                               self.space.beta_index), self._key)
+        words = self._record(x)
+        if words is not None:
+            wn, wd = words
+            terms = []
+            for b, v in wn.items():
+                r = self._tau_coords(b)
+                terms.append((v, r.pairs, r.d))
+            out.words = _combine(terms, wd)
         return out
 
     def star(self, x, y):
+        """rho_tau(rho_tau(x) cup rho_tau(y)).  The factors are decomposed
+        first (an SHData keeps its decomposition), so both rho_tau images
+        record their words and the cup solves nothing."""
+        x, y = self._worded(x), self._worded(y)
         return self.rho_tau(self.cup(self.rho_tau(x), self.rho_tau(y)))
 
     def mu_action(self, t, x):
@@ -358,13 +511,15 @@ class SHModel:
 
 
 class SHElt:
-    """An element of the model, stored by its sparse Sym^n coordinates."""
+    """An element of the model, stored by its sparse Sym^n coordinates as
+    an SHData, which keeps the word record of the data it is built from."""
 
     __slots__ = ("model", "data")
 
     def __init__(self, model, data):
         self.model = model
-        self.data = {m: la.frac(c) for m, c in data.items() if c}
+        self.data = SHData({m: la.frac(c) for m, c in data.items() if c},
+                           model._key, model._record(data))
 
     def __eq__(self, other):
         return isinstance(other, SHElt) and self.model is other.model \

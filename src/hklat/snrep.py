@@ -83,19 +83,25 @@ class SymPower(dict):
     __slots__ = ("power",)
 
 
-def _forgetting(name):
+def _forgetting(name, attr):
     method = getattr(dict, name)
 
     def forget(self, *args, **kwargs):
-        self.power = None
+        setattr(self, attr, None)
         return method(self, *args, **kwargs)
     forget.__name__ = name
     return forget
 
 
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
-              "popitem", "setdefault", "update"):
-    setattr(SymPower, _name, _forgetting(_name))
+def forget_on_change(cls, attr):
+    """Makes every in-place change of the dict subclass cls set its record
+    attribute attr to None first; copies are plain dicts."""
+    for name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+                 "popitem", "setdefault", "update"):
+        setattr(cls, name, _forgetting(name, attr))
+
+
+forget_on_change(SymPower, "power")
 
 
 def sym_power(v_coords, n):
@@ -540,41 +546,53 @@ def _extract_power_line(space, x):
     return la.ratio(px, xd * pw), tuple(w)
 
 
+def _isotropic_frame(lattice):
+    """(vs, V^T G V, V^-1) for the isotropic spanning set vs of the lattice
+    and the matrix V of its columns; built once per lattice and kept in its
+    cache."""
+    frame = lattice._cache.get("isotropic_frame")
+    if frame is None:
+        vs = isotropic_spanning_set(lattice)
+        vmat = la.transpose([v.coords for v in vs])
+        p = la.mat_mul(la.mat_mul(la.transpose(vmat), lattice.gram), vmat)
+        frame = (vs, p, la.inverse(vmat))
+        lattice._cache["isotropic_frame"] = frame
+    return frame
+
+
 def _spanning_lines(space_1, space_2, phi_apply, f1=None):
-    """The isotropic spanning vectors v_i of space_1 and the lines
-    Phi(u_i^n) = c_i w_i^n in space_2, for u_i = v_i, or u_i = f1 v_i when
+    """The lines Phi(u_i^n) = c_i w_i^n in space_2 for the isotropic
+    spanning vectors v_i of space_1, with u_i = v_i, or u_i = f1 v_i when
     an isometry f1 is given; Phi is called once per v_i."""
     n = space_1.n
     if n % 2 == 0 and space_1.dim_v % 2 == 0:
         raise LatticeError("even symmetric powers need odd dimension")
-    vs = isotropic_spanning_set(space_1.lattice)
-    us = [v.coords for v in vs]
+    us = [v.coords for v in _isotropic_frame(space_1.lattice)[0]]
     if f1 is not None:
         us = la.transpose(la.mat_mul(f1.matrix, la.transpose(us)))
-    lines = [_extract_power_line(space_2, phi_apply(sym_power(u, n)))
-             for u in us]
-    return vs, lines
+    return [_extract_power_line(space_2, phi_apply(sym_power(u, n)))
+            for u in us]
 
 
-def _isometry_from_lines(space_1, space_2, vs, lines):
+def _isometry_from_lines(space_1, space_2, lines):
     """The isometry f with f(v_i) = t_i w_i, for the lines
-    Phi(v_i^n) = c_i w_i^n of the spanning vectors vs.
+    Phi(v_i^n) = c_i w_i^n of the isotropic spanning vectors v_i of space_1.
 
     The scalars satisfy t_i^n = c_i (n odd) or t_i^n = |c_i| (n even, the
     signs fixed by the pairings with v_0 and then the determinant twist),
     so any rescaling of a w_i cancels.  The pairings are read off the Gram
-    matrices V^T G V and W^T G W of the columns v_i and w_i.
+    matrices V^T G V (cached with V^-1 per lattice) and W^T G W of the
+    columns v_i and w_i.
     """
     n = space_1.n
+    vs, p, vinv = _isotropic_frame(space_1.lattice)
     ts = []
     for c, _ in lines:
         t = _nth_root_fraction(c if n % 2 == 1 else abs(c), n)
         if t is None:
             raise ScalarInconsistency("image scalar is not an exact n-th power")
         ts.append(t)
-    vmat = la.transpose([v.coords for v in vs])
     wmat = la.transpose([w for _, w in lines])
-    p = la.mat_mul(la.mat_mul(la.transpose(vmat), space_1.lattice.gram), vmat)
     q = la.mat_mul(la.mat_mul(la.transpose(wmat), space_2.lattice.gram), wmat)
     if n % 2 == 0:
         # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
@@ -597,8 +615,7 @@ def _isometry_from_lines(space_1, space_2, vs, lines):
     if space_1.lattice.gram != space_2.lattice.gram:
         raise LatticeError("recover expects identified source and target spaces")
     # f = W diag(t) V^-1; with the pairings checked it is an isometry
-    tvinv = la.mat([[t * x for x in row]
-                    for t, row in zip(ts, la.inverse(vmat))])
+    tvinv = la.mat([[t * x for x in row] for t, row in zip(ts, vinv)])
     iso = QIsometry(space_2.lattice, la.mat_mul(wmat, tvinv), _trusted=True)
     if n % 2 == 0:
         # det(f) S(f) = Phi fixes the representative among {f, -f}: both
@@ -618,8 +635,8 @@ def recover(space_1, space_2, phi_apply):
     are resolved by n-th roots and pairing consistency against the first
     spanning vector.  Phi is called once per spanning vector, d times.
     """
-    vs, lines = _spanning_lines(space_1, space_2, phi_apply)
-    return _isometry_from_lines(space_1, space_2, vs, lines)
+    return _isometry_from_lines(space_1, space_2,
+                                _spanning_lines(space_1, space_2, phi_apply))
 
 
 def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
@@ -631,10 +648,10 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     Phi((f1 v)^n) = c w^n, S(f2) sends that to c (f2 w)^n.  So Phi is
     called d times and S(f1), S(f2) are never applied.
     """
-    vs, lines = _spanning_lines(space, space, phi_apply, f1)
+    lines = _spanning_lines(space, space, phi_apply, f1)
     f2ws = la.mat_mul(f2.matrix, la.transpose([w for _, w in lines]))
     lines = [(c, w) for (c, _), w in zip(lines, la.transpose(f2ws))]
-    h_comp = _isometry_from_lines(space, space, vs, lines)
+    h_comp = _isometry_from_lines(space, space, lines)
     if h_phi is None:
         h_phi = recover(space, space, phi_apply)
     expect = f2 * h_phi * f1

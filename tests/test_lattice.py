@@ -226,6 +226,30 @@ def test_isometry_det_checks_without_assert():
     assert lt.QIsometry.minus_identity(u).det() == 1
 
 
+def test_untrusted_isometry_checks_every_pairing(k3n2):
+    # both columns keep their norm 2, but (m_1, m_2) = 6/5 instead of 0
+    two = lt.Lattice([[2, 0], [0, 2]])
+    with pytest.raises(NotAnIsometry):
+        lt.QIsometry(two, [[1, Fraction(3, 5)], [0, Fraction(4, 5)]])
+    rot = lt.QIsometry(two, [[Fraction(3, 5), Fraction(-4, 5)],
+                             [Fraction(4, 5), Fraction(3, 5)]])
+    assert rot.det() == 1
+    # the integer check agrees with the dense M^T G M = G on rational
+    # isometries of K3n:2 and on one-entry perturbations of them
+    rng = random.Random(271)
+    gram = k3n2.gram
+    for _ in range(4):
+        f = rand_reflection_word(rng, k3n2, 2)
+        assert lt.QIsometry(k3n2, f.matrix).matrix == f.matrix
+        i, j = rng.randrange(k3n2.rank), rng.randrange(k3n2.rank)
+        bent = [list(row) for row in f.matrix]
+        bent[i][j] += Fraction(1, rng.choice((1, 2, 3)))
+        dense = la.mat_mul(la.mat_mul(la.transpose(bent), gram), bent) == gram
+        assert not dense
+        with pytest.raises(NotAnIsometry):
+            lt.QIsometry(k3n2, bent)
+
+
 def test_isometry_det_is_computed_once(k3n2, monkeypatch):
     calls = []
     real_det = lt.la.det_mod_p

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -259,6 +262,119 @@ def test_piece_solver_rejects_residue(small_model):
         small_model.to_words({(3, 3): 1})
 
 
+def _residue_product():
+    """A fresh small model whose Psi of one non-basis product word w1 w2 is
+    replaced by the residue monomial (3, 3), and the basis words w1, w2."""
+    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, -2]], name="t3",
+                      u_blocks=((0, 1),))
+    M = pg.SHModel(llv.LLVSpace(base), 2)
+    basis = set(M._basis_words)
+    for w1 in M._basis_words:
+        for w2 in M._basis_words:
+            p = tuple(sorted(w1 + w2))
+            if len(p) <= 2 * M.n and p not in basis and M.psi_word(p):
+                M._psi_memo[p] = ({(3, 3): 1}, 1)
+                return M, w1, w2
+    raise AssertionError("no non-basis product word")
+
+
+def test_product_word_rejects_residue():
+    M, w1, w2 = _residue_product()
+    with pytest.raises(SolveFailure):
+        M.cup(M.psi_word(w1), M.psi_word(w2))
+
+
+_RESIDUE_SCRIPT = """
+from hklat.errors import SolveFailure
+from test_pontryagin import _residue_product
+M, w1, w2 = _residue_product()
+try:
+    M.cup(M.psi_word(w1), M.psi_word(w2))
+    print("returned")
+except SolveFailure:
+    print("raised", __debug__)
+"""
+
+
+def test_product_word_rejects_residue_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _RESIDUE_SCRIPT],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "False"]
+
+
+def _assert_recorded(M, got, plain):
+    """got, built from recorded inputs, equals plain, built from plain dict
+    copies, and records the decomposition that to_words solves."""
+    assert type(got) is pg.SHData and got.words is not None
+    assert got == plain
+    words = M.to_words(got)   # read off the record
+    assert words == M.to_words(dict(got))
+    _assert_entries(got)
+    _assert_entries(words)
+
+
+def test_recorded_products_match_record_free(small_model, big_model):
+    rng = random.Random(239)
+    for M, count in ((small_model, 4), (big_model, 1)):
+        elts = [M.element(x).data for x in _mixed_elements(rng, M, count)]
+        elts += [M.random_element(rng).data for _ in range(2)]
+        for x, y, z in zip(elts, elts[1:], elts[2:]):
+            for e in (x, y, z):
+                M.to_words(e)   # stores the record on the SHData
+                assert e.words is not None
+            fx, fy, fz = dict(x), dict(y), dict(z)
+            for op in (M.cup, M.star):
+                _assert_recorded(M, op(op(x, y), z),
+                                 op(dict(op(fx, fy)), fz))
+            _assert_recorded(M, M.rho_tau(x), M.rho_tau(fx))
+            assert M.rho_tau(fx).words is None
+            # an SHElt keeps the record of the data it is built from
+            xy = M.cup(x, y)
+            assert M.element(xy).data.words == xy.words
+
+
+def test_rho_tau_table(small_model, big_model):
+    for M in (small_model, big_model):
+        for b in M._basis_words:
+            r = M._tau_coords(b)
+            got = M.from_words({w: Fraction(c, r.d) for w, c in r.pairs})
+            assert got == M.rho_tau(M.psi_word(b))
+            _assert_entries(got)
+    # on K3n:2 rho_tau sends every basis word to a multiple of one other
+    assert len(big_model._tau) == 324
+    assert all(len(r.pairs) == 1 for r in big_model._tau.values())
+
+
+def test_changed_record_is_forgotten(small_model):
+    M = small_model
+    rng = random.Random(241)
+    x, y = (M.random_element(rng).data for _ in range(2))
+    p = M.cup(x, y)
+    assert p and p.words is not None and type(dict(p)) is dict
+    words = M.to_words(p)
+    for m in list(p):
+        p[m] = 2 * p[m]
+    assert p.words is None
+    assert M.to_words(p) == {w: 2 * c for w, c in words.items()}
+    changes = [lambda d, m: d.__delitem__(m), lambda d, m: d.pop(m),
+               lambda d, m: d.popitem(), lambda d, m: d.setdefault((0, 0), 1),
+               lambda d, m: d.update({m: 1}), lambda d, m: d.__ior__({m: 1}),
+               lambda d, m: d.clear()]
+    for change in changes:
+        p = M.cup(x, y)
+        change(p, next(iter(p)))
+        assert p.words is None
+    p = M.cup(x, y)
+    p.clear()
+    assert M.to_words(p) == {} and p.words == ({}, 1)
+
+
 def test_proportionality_gate(small_model, monkeypatch):
     rng = random.Random(199)
     M = small_model
@@ -321,10 +437,17 @@ def test_rows_keep_only_nonzero_products(big_model):
     basis = set(M._basis_words)
     assert M._rows
     for w1, row in M._rows.items():
-        for w2, p in row.items():
+        for w2, r in row.items():
             assert w2 in basis and len(w1) + len(w2) <= 2 * M.n
-            assert p == tuple(sorted(w1 + w2))
-            assert M.psi_word(p)
+            # one object per product word p = w1 w2 with Psi(p) != 0, which
+            # holds its basis-word coordinates once a cup has needed them
+            p = tuple(sorted(w1 + w2))
+            assert r is M._coords[p] and r.word == p
+            want = M.psi_word(p)
+            assert want
+            if r.pairs is not None:
+                got = M.from_words({b: Fraction(c, r.d) for b, c in r.pairs})
+                assert got == want
 
 
 def test_dense_middle_cup_matches_sym_mul(big_model):

@@ -252,6 +252,22 @@ def test_recover_identity_and_negation(H5):
     assert gneg == -g
 
 
+def test_isotropic_frame_is_built_once(H5, monkeypatch):
+    """recover and compose_rule_check read V^T G V and V^-1 of the
+    isotropic spanning set from the lattice's cache: one inverse per
+    lattice, however many calls."""
+    lat = lt.Lattice(H5.lattice.gram, u_blocks=H5.lattice.u_blocks)
+    sym = sn.SymSpace(lat, 2)
+    ident = lt.QIsometry.identity(lat)
+    calls = []
+    real = la.inverse
+    monkeypatch.setattr(la, "inverse", lambda m: calls.append(m) or real(m))
+    for _ in range(3):
+        assert sn.recover(sym, sym, lambda x: x).is_identity()
+        assert sn.compose_rule_check(sym, ident, ident, lambda x: x)
+    assert len(calls) == 1
+
+
 def test_compose_rule(H5):
     rng = random.Random(151)
     sym3 = sn.SymSpace(H5.lattice, 3)
