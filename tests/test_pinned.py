@@ -44,6 +44,27 @@ def test_decompose_certificate_bytes(k3n2):
                           "fc7110b698fd99a2903ca274d7d31440")
 
 
+@pytest.mark.parametrize("pool_seed, digest", [
+    (1009, "ca51c3eb6aceafcd8ff0895e703fd26c239811f78bbe86908f44dae6b5bd0a85"),
+    (9001, "c83c17ef13582e5e51713425b51c1e01659753bb9e46ac565b35e62fc1774337"),
+], ids=["pool1009", "pool9001"])
+def test_shmodel_deck_bytes(pool_seed, digest, monkeypatch):
+    """One pass, in deck order, over the shmodel-k3n2 deck of perfbench
+    (star_via on K3n:2, n = 2): the sha256 of the concatenated digest
+    texts, and every op passes the workload's own checks."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    deck = workloads.ShmodelK3n2(pool_seed=pool_seed)
+    ctx = deck.setup()
+    text = ""
+    for inp in deck.deck():
+        out = deck.op(ctx, inp)
+        assert deck.check(ctx, inp, out) == []
+        text += deck.digest_text(out)
+    assert _sha(text.encode()) == digest
+
+
 def test_trace_targets_resolve():
     """Every name in perfbench/spans.py TARGETS is bound in hklat; the
     tracer raises on an unbound one."""
