@@ -225,7 +225,12 @@ def cmd_snrep(args):
 
 def cmd_pontryagin(args):
     lat = _lattice_from_args(args, _load_payload(args))
-    if args.action == "table" and lat.delta_index is None:
+    surface_table = args.action == "table" and lat.delta_index is None
+    if args.report == "csv" and not surface_table:
+        raise argparse.ArgumentError(
+            None, "--report csv prints only the star table of a lattice "
+            "with no delta summand")
+    if surface_table:
         # surface case: closed-form degree-2 table
         table = mk.k3_star_table(lat)
         if args.report == "csv":

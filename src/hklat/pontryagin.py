@@ -21,11 +21,11 @@ model avatar of [pt] / n!.
 Products work in word coordinates.  Each table entry holds the basis-word
 coordinates of Psi(w1 w2), one object per product word, solved the first
 time a cup needs it; a second table holds those of rho_tau Psi(b) for each
-basis word b, also filled on first use.  cup, star and rho_tau return an
-SHData, a dict that records the word coordinates it was built from (as
-integer numerators over one denominator), and to_words reads that record
-instead of solving, so a chain of products never goes back through the
-piece solvers.
+basis word b, also filled on first use.  An SHElt holds its Sym^n data,
+its word coordinates (integer numerators over one denominator) or both,
+and computes each from the other on first use.  cup, star and rho_tau take
+and return SHElts and read only word coordinates, so a chain of products
+never goes back through the piece solvers.
 """
 
 from fractions import Fraction
@@ -72,13 +72,11 @@ def _combine(terms, d):
 
 
 def _tau_swap(x, ai, bi):
-    """The signed slot permutation of tau on a sparse Sym^n element: alpha
-    and beta trade places, every other slot changes sign.  It permutes the
-    monomials, so no two terms meet."""
+    """The signed slot permutation of tau on a sparse Sym^n element with no
+    zero entries: alpha and beta trade places, every other slot changes
+    sign.  It permutes the monomials, so no two terms meet."""
     out = {}
     for m, c in x.items():
-        if not c:
-            continue
         img = []
         for i in m:
             if i == ai:
@@ -113,28 +111,6 @@ class _Coords:
         self.pairs = tuple([(b, c // g) for b, c in combo.items()])
         self.d = d // g
         return self
-
-
-class SHData(dict):
-    """A sparse Sym^n element that also records its word coordinates in a
-    model: words = (nums, d) with self = sum nums[b] Psi(b) / d over the
-    basis words b of the model whose record key is key (a bare object, so
-    that no data keeps a model alive).
-
-    SHModel.cup, star and rho_tau return one, SHElt stores its data as one,
-    and to_words stores what it solves on one.  Like snrep.SymPower, copies
-    are plain dicts and any in-place change sets words to None.
-    """
-
-    __slots__ = ("key", "words")
-
-    def __init__(self, data, key=None, words=None):
-        dict.__init__(self, data)
-        self.key = key
-        self.words = words
-
-
-sn.forget_on_change(SHData, "words")
 
 
 class _PieceSolver:
@@ -223,7 +199,6 @@ class SHModel:
         self._rows = {}
         self._coords = {}   # product word -> _Coords, made by _row
         self._tau = {}      # basis word b -> _Coords of rho_tau Psi(b)
-        self._key = object()   # marks the SHData that record words here
         self._piece_dims = self._compute_piece_dims()
         self._build_word_sets()
         self._basis_set = frozenset(self._basis_words)
@@ -328,37 +303,33 @@ class SHModel:
                     % (got, want, j))
             self._solvers[j] = solver
 
-    def _record(self, x):
-        """The word coordinates x records in this model, or None."""
-        if type(x) is SHData and x.key is self._key:
-            return x.words
-        return None
-
     def to_words(self, x):
-        """Decompose into basis-word coefficients, {word: coeff},
-        degreewise.  The record of an SHData is read, not solved; an SHData
-        without one stores what is solved here."""
-        words = self._record(x)
+        """Decompose x, a sparse Sym^n dict or an SHElt of this model, into
+        basis-word coefficients, {word: coeff}, degreewise.  An SHElt is
+        solved only when it has no word coordinates yet, and keeps the ones
+        solved."""
+        elt = type(x) is SHElt
+        if elt and x.model is not self:
+            raise LatticeError("the element belongs to another model")
+        words = x._words if elt else None
         if words is None:
             terms = []
-            for j, piece in self.pieces(x).items():
+            for j, piece in self.pieces(x.data if elt else x).items():
                 if j not in self._solvers:
                     raise SolveFailure("eigenvalue %d outside the model" % j)
                 combo, e = self._solvers[j].solve(*sn.sym_scaled(piece))
                 terms.append((1, combo.items(), e))
             words = _combine(terms, 1)
-            if type(x) is SHData:
-                x.key, x.words = self._key, words
+            if elt:
+                x._words = words
         return sn.sym_quotient(*words)
 
-    def _worded(self, x):
-        """x, or an SHData copy of a plain dict, recording its word
-        coordinates here; to_words solves them when it has none."""
-        if type(x) is not SHData:
-            x = SHData(x)
-        if self._record(x) is None:
-            self.to_words(x)
-        return x
+    def _words_of(self, x):
+        """The word coordinates of x, which must be an SHElt of this model:
+        another model's words index other basis words."""
+        if x.model is not self:
+            raise LatticeError("the element belongs to another model")
+        return x.words
 
     def from_words(self, words):
         """sum c_w Psi(w), accumulated on integers over one denominator."""
@@ -374,13 +345,6 @@ class SHModel:
                 pnums, pd = self._psi_form(tuple(sorted(w)))
                 terms.append((c, pnums.items(), pd))
         return _combine(terms, d)
-
-    def _recorded(self, words):
-        """The SHData sum nums[b] Psi(b) / d for words = (nums, d),
-        recording words."""
-        nums, d = words
-        return SHData(sn.sym_quotient(*self._psi_sum(nums.items(), d)),
-                      self._key, words)
 
     def _row(self, w1):
         """{w2: coordinates of Psi(w1 w2)} over the basis words w2 of every
@@ -433,7 +397,7 @@ class SHModel:
         return SHElt(self, x)
 
     def unit_cup(self):
-        return self.element(self._recorded(({(): 1}, 1)))
+        return SHElt(self, words=({(): 1}, 1))
 
     def unit_star(self):
         """beta^n/n! = rho_tau(alpha^n/n!), the model avatar of [pt]/n!."""
@@ -454,10 +418,10 @@ class SHModel:
 
     def cup(self, x, y):
         """Psi(w1) cup Psi(w2) = Psi(w1 w2), summed over the pairs of basis
-        words of x and y that _row keeps, on integer numerators, then
-        written in basis words; an SHData recording them."""
-        xn, xd = self._worded(x).words
-        yn, yd = self._worded(y).words
+        words of the SHElts x and y that _row keeps, on integer numerators,
+        then written in basis words."""
+        xn, xd = self._words_of(x)
+        yn, yd = self._words_of(y)
         out = {}
         get = out.get
         for w1, c1 in xn.items():
@@ -469,29 +433,20 @@ class SHModel:
         for r, v in out.items():
             r = self._product_coords(r)
             terms.append((v, r.pairs, r.d))
-        return self._recorded(_combine(terms, xd * yd))
+        return SHElt(self, words=_combine(terms, xd * yd))
 
     def rho_tau(self, x):
-        """The involution induced by tau, a signed slot permutation, as an
-        SHData; when x records its words, the image records its own, read
-        off the rho_tau table."""
-        out = SHData(_tau_swap(x, self.space.alpha_index,
-                               self.space.beta_index), self._key)
-        words = self._record(x)
-        if words is not None:
-            wn, wd = words
-            terms = []
-            for b, v in wn.items():
-                r = self._tau_coords(b)
-                terms.append((v, r.pairs, r.d))
-            out.words = _combine(terms, wd)
-        return out
+        """The involution induced by tau (a signed slot permutation on
+        Sym^n), on the word coordinates of x, read off the rho_tau table."""
+        wn, wd = self._words_of(x)
+        terms = []
+        for b, v in wn.items():
+            r = self._tau_coords(b)
+            terms.append((v, r.pairs, r.d))
+        return SHElt(self, words=_combine(terms, wd))
 
     def star(self, x, y):
-        """rho_tau(rho_tau(x) cup rho_tau(y)).  The factors are decomposed
-        first (an SHData keeps its decomposition), so both rho_tau images
-        record their words and the cup solves nothing."""
-        x, y = self._worded(x), self._worded(y)
+        """rho_tau(rho_tau(x) cup rho_tau(y))."""
         return self.rho_tau(self.cup(self.rho_tau(x), self.rho_tau(y)))
 
     def mu_action(self, t, x):
@@ -511,15 +466,33 @@ class SHModel:
 
 
 class SHElt:
-    """An element of the model, stored by its sparse Sym^n coordinates as
-    an SHData, which keeps the word record of the data it is built from."""
+    """An element of the model, held by its sparse Sym^n data, its word
+    coordinates words = (nums, d) with the element sum nums[b] Psi(b) / d
+    over basis words b, or both.  Each is computed from the other on first
+    use: data by summing the Psi(b), words by the piece solvers through
+    to_words.  Neither is ever mutated, so elements share them freely."""
 
-    __slots__ = ("model", "data")
+    __slots__ = ("model", "_data", "_words")
 
-    def __init__(self, model, data):
+    def __init__(self, model, data=None, words=None):
         self.model = model
-        self.data = SHData({m: la.frac(c) for m, c in data.items() if c},
-                           model._key, model._record(data))
+        if data is not None:
+            data = {m: la.frac(c) for m, c in data.items() if c}
+        self._data = data
+        self._words = words
+
+    @property
+    def data(self):
+        if self._data is None:
+            nums, d = self._words
+            self._data = sn.sym_quotient(*self.model._psi_sum(nums.items(), d))
+        return self._data
+
+    @property
+    def words(self):
+        if self._words is None:
+            self.model.to_words(self)
+        return self._words
 
     def __eq__(self, other):
         return isinstance(other, SHElt) and self.model is other.model \
@@ -548,13 +521,13 @@ class SHElt:
         return None if j is None else self.model.degree_of_eigenvalue(j)
 
     def cup(self, other):
-        return SHElt(self.model, self.model.cup(self.data, other.data))
+        return self.model.cup(self, other)
 
     def star(self, other):
-        return SHElt(self.model, self.model.star(self.data, other.data))
+        return self.model.star(self, other)
 
     def rho_tau(self):
-        return SHElt(self.model, self.model.rho_tau(self.data))
+        return self.model.rho_tau(self)
 
     def mu(self, t):
         return SHElt(self.model, self.model.mu_action(t, self.data))
@@ -568,19 +541,11 @@ def conjugation_check(model, g, pairs):
     turns cup into star.  Checked exactly on the given element pairs."""
     space = model.space
     kind, t = llv_mod.graded_type(space, g)
-    mg = llv_mod.mu(space, t) * g
-
-    def act(x):
-        return model.apply_llv(mg, x)
-
+    act = eta(model, llv_mod.mu(space, t) * g)
     for x, y in pairs:
-        lhs = act(model.cup(x.data, y.data))
-        ax, ay = model.element(act(x.data)), model.element(act(y.data))
-        if kind == 1:
-            rhs = model.cup(ax.data, ay.data)
-        else:
-            rhs = model.star(ax.data, ay.data)
-        if not sn.sym_eq(lhs, rhs):
+        ax, ay = act(x), act(y)
+        rhs = ax.cup(ay) if kind == 1 else ax.star(ay)
+        if act(x.cup(y)) != rhs:
             return False, {"kind": kind, "t": t}
     return True, {"kind": kind, "t": t}
 
@@ -592,12 +557,9 @@ def star_via(model, g, x, y):
     kind, t = llv_mod.graded_type(space, g)
     if kind != -1:
         raise NotGraded("star_via needs a degree-reversing isometry")
-    mt = llv_mod.mu(space, t)
-    fwd = (mt * g)
-    back = fwd.inverse()
-    a = model.apply_llv(fwd, x.data)
-    b = model.apply_llv(fwd, y.data)
-    return model.element(model.apply_llv(back, model.cup(a, b)))
+    fwd = llv_mod.mu(space, t) * g
+    go, back = eta(model, fwd), eta(model, fwd.inverse())
+    return back(go(x).cup(go(y)))
 
 
 def eta(model, f):

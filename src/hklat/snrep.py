@@ -83,25 +83,19 @@ class SymPower(dict):
     __slots__ = ("power",)
 
 
-def _forgetting(name, attr):
+def _forgetting(name):
     method = getattr(dict, name)
 
     def forget(self, *args, **kwargs):
-        setattr(self, attr, None)
+        self.power = None
         return method(self, *args, **kwargs)
     forget.__name__ = name
     return forget
 
 
-def forget_on_change(cls, attr):
-    """Makes every in-place change of the dict subclass cls set its record
-    attribute attr to None first; copies are plain dicts."""
-    for name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
-                 "popitem", "setdefault", "update"):
-        setattr(cls, name, _forgetting(name, attr))
-
-
-forget_on_change(SymPower, "power")
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(SymPower, _name, _forgetting(_name))
 
 
 def sym_power(v_coords, n):

@@ -340,7 +340,13 @@ def test_integer_fields_must_be_json_ints(capsys):
 
 def test_report_lists_only_printed_formats(capsys):
     for argv in (["pontryagin", "table", "--preset", "K3", "--report", "text"],
-                 ["verify", "all", "--report", "csv"]):
+                 ["verify", "all", "--report", "csv"],
+                 # csv is printed only by the surface-case star table
+                 ["pontryagin", "table", "--preset", "Kummer:2",
+                  "--report", "csv"],
+                 ["pontryagin", "unit", "--preset", "K3n:2", "--report", "csv"],
+                 ["pontryagin", "verify", "--preset", "K3n:2",
+                  "--report", "csv"]):
         code, out = run_cli(argv, capsys)
         assert code == 3, argv
         assert json.loads(out)["error"]["type"] == "ArgumentError", argv

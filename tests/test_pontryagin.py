@@ -12,7 +12,8 @@ from hklat import lattice as lt
 from hklat import llv
 from hklat import pontryagin as pg
 from hklat import snrep as sn
-from hklat.errors import EvenDimensionalGuard, NotGraded, SolveFailure
+from hklat.errors import (EvenDimensionalGuard, LatticeError, NotGraded,
+                          SolveFailure)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_star_ring(small_model):
         py = M.pieces(y.data)
         for jx, dx in px.items():
             for jy, dy in py.items():
-                p = M.element(M.star(dx, dy))
+                p = M.element(dx).star(M.element(dy))
                 if not p.is_zero():
                     degx = M.degree_of_eigenvalue(jx)
                     degy = M.degree_of_eigenvalue(jy)
@@ -191,6 +192,23 @@ def test_conjugation_check(small_model):
                              pairs)
 
 
+def test_conjugation_check_rejects_a_non_ring_map(small_model, monkeypatch):
+    """With apply_llv doubling its image, (2x)(2y) = 4xy != 2xy, so the check
+    fails for a graded and for an anti-graded g."""
+    rng = random.Random(181)
+    M = small_model
+    one = M.unit_cup()
+    pairs = [(one, M.random_element(rng)) for _ in range(2)]
+    assert all(not x.cup(y).is_zero() for x, y in pairs)
+    apply_llv = M.apply_llv
+    monkeypatch.setattr(M, "apply_llv",
+                        lambda g, x: sn.sym_scale(2, apply_llv(g, x)))
+    for g, kind in ((_rand_graded(rng, M.space), 1),
+                    (llv.tau(M.space) * _rand_graded(rng, M.space), -1)):
+        ok, info = pg.conjugation_check(M, g, pairs)
+        assert ok is False and info["kind"] == kind
+
+
 def test_star_independent_of_reversing_isometry(small_model):
     rng = random.Random(181)
     M = small_model
@@ -236,30 +254,61 @@ def test_big_model_fast_paths(big_model):
         assert x.cup(y).rho_tau() == x.rho_tau().star(y.rho_tau())
 
 
+def _ref_rho_tau(M, x):
+    """rho_tau on Sym^n data, the signed slot permutation of tau."""
+    return pg._tau_swap(x, M.space.alpha_index, M.space.beta_index)
+
+
 def test_cup_star_match_fraction_reference(small_model, big_model):
     rng = random.Random(197)
     for M, count in ((small_model, 6), (big_model, 1)):
-        elts = _mixed_elements(rng, M, count) + [{}]
-        assert any(type(c) is Fraction for x in elts for c in x.values())
+        elts = [M.element(x) for x in _mixed_elements(rng, M, count)]
+        elts.append(M.element({}))
+        assert any(type(c) is Fraction for x in elts for c in x.data.values())
+        # elements born from words, and the same rebuilt from their data
+        born = [elts[0].cup(elts[0]), elts[0].star(elts[0]),
+                elts[0].rho_tau(), M.unit_cup(), M.unit_star()]
+        assert all(e._data is None for e in born)
+        rebuilt = [M.element(e.data) for e in born]
+        for b, r in zip(born, rebuilt):
+            assert r._words is None
+            for y in elts[:3] + born:
+                assert b.cup(y) == r.cup(y) and y.cup(b) == y.cup(r)
+                assert b.star(y) == r.star(y)
+            assert b.rho_tau() == r.rho_tau()
+            assert b.words == r.words
+            _assert_entries(M.to_words(b))
+        elts += born
         for i, x in enumerate(elts):
             for y in elts[i:i + 3]:
-                got = M.cup(x, y)
-                assert got == _ref_cup(M, x, y)
+                got = x.cup(y).data
+                assert got == _ref_cup(M, x.data, y.data)
                 _assert_entries(got)
-                got = M.star(x, y)
-                assert got == M.rho_tau(_ref_cup(M, M.rho_tau(x), M.rho_tau(y)))
+                got = x.star(y).data
+                assert got == _ref_rho_tau(M, _ref_cup(
+                    M, _ref_rho_tau(M, x.data), _ref_rho_tau(M, y.data)))
                 _assert_entries(got)
         # x cup (-x') cancels against x cup x'
         x, y = elts[0], elts[1]
-        neg = {m: -c for m, c in y.items()}
-        assert sn.sym_add(M.cup(x, y), M.cup(x, neg)) == {}
-        _assert_entries(M.from_words(M.to_words(y)))
+        assert (x.cup(y) + x.cup(-1 * y)).is_zero()
+        _assert_entries(M.from_words(M.to_words(y.data)))
 
 
 def test_piece_solver_rejects_residue(small_model):
     # (e_3, e_3) = -2: the monomial is not in S_[n], nothing spans it
     with pytest.raises(SolveFailure):
         small_model.to_words({(3, 3): 1})
+
+
+def test_products_reject_another_models_element(small_model, big_model):
+    """Word coordinates index the basis words of one model, so products and
+    to_words refuse an element of another."""
+    rng = random.Random(211)
+    x, y = small_model.random_element(rng), big_model.random_element(rng)
+    for op in (lambda: x.cup(y), lambda: y.cup(x), lambda: x.star(y),
+               lambda: big_model.rho_tau(x), lambda: big_model.to_words(x)):
+        with pytest.raises(LatticeError):
+            op()
 
 
 def _residue_product():
@@ -278,18 +327,22 @@ def _residue_product():
     raise AssertionError("no non-basis product word")
 
 
+def _residue_cup(M, w1, w2):
+    return M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2)))
+
+
 def test_product_word_rejects_residue():
     M, w1, w2 = _residue_product()
     with pytest.raises(SolveFailure):
-        M.cup(M.psi_word(w1), M.psi_word(w2))
+        _residue_cup(M, w1, w2)
 
 
 _RESIDUE_SCRIPT = """
 from hklat.errors import SolveFailure
-from test_pontryagin import _residue_product
+from test_pontryagin import _residue_cup, _residue_product
 M, w1, w2 = _residue_product()
 try:
-    M.cup(M.psi_word(w1), M.psi_word(w2))
+    _residue_cup(M, w1, w2)
     print("returned")
 except SolveFailure:
     print("raised", __debug__)
@@ -308,35 +361,36 @@ def test_product_word_rejects_residue_under_O():
     assert r.stdout.split() == ["raised", "False"]
 
 
-def _assert_recorded(M, got, plain):
-    """got, built from recorded inputs, equals plain, built from plain dict
-    copies, and records the decomposition that to_words solves."""
-    assert type(got) is pg.SHData and got.words is not None
-    assert got == plain
-    words = M.to_words(got)   # read off the record
-    assert words == M.to_words(dict(got))
-    _assert_entries(got)
-    _assert_entries(words)
-
-
-def test_recorded_products_match_record_free(small_model, big_model):
+def test_products_solve_only_their_factors(big_model, monkeypatch):
+    """On a warm model, a product keeps its word coordinates: a chain of
+    products solves each factor built from data once and never its own
+    results."""
+    M = big_model
     rng = random.Random(239)
-    for M, count in ((small_model, 4), (big_model, 1)):
-        elts = [M.element(x).data for x in _mixed_elements(rng, M, count)]
-        elts += [M.random_element(rng).data for _ in range(2)]
-        for x, y, z in zip(elts, elts[1:], elts[2:]):
-            for e in (x, y, z):
-                M.to_words(e)   # stores the record on the SHData
-                assert e.words is not None
-            fx, fy, fz = dict(x), dict(y), dict(z)
-            for op in (M.cup, M.star):
-                _assert_recorded(M, op(op(x, y), z),
-                                 op(dict(op(fx, fy)), fz))
-            _assert_recorded(M, M.rho_tau(x), M.rho_tau(fx))
-            assert M.rho_tau(fx).words is None
-            # an SHElt keeps the record of the data it is built from
-            xy = M.cup(x, y)
-            assert M.element(xy).data.words == xy.words
+    data = [M.random_element(rng).data for _ in range(3)]
+
+    def fresh():
+        return [M.element(d) for d in data]
+
+    x, y, z = fresh()   # warms the tables
+    assert not x.cup(y).is_zero() and not x.star(y).is_zero()
+    x.cup(y).cup(z), x.star(y).star(z), x.cup(y).rho_tau()
+    solved = []
+    to_words = M.to_words
+
+    def counting(e):
+        solved.append(e)
+        return to_words(e)
+    monkeypatch.setattr(M, "to_words", counting)
+    for chain, want in ((lambda x, y, z: x.cup(y).cup(z), 3),
+                        (lambda x, y, z: x.star(y).star(z), 3),
+                        (lambda x, y, z: x.cup(y).rho_tau(), 2)):
+        x, y, z = fresh()
+        del solved[:]
+        out = chain(x, y, z)
+        assert len(solved) == want
+        assert all(any(e is f for f in (x, y, z)) for e in solved)
+        assert out._data is None
 
 
 def test_rho_tau_table(small_model, big_model):
@@ -344,35 +398,11 @@ def test_rho_tau_table(small_model, big_model):
         for b in M._basis_words:
             r = M._tau_coords(b)
             got = M.from_words({w: Fraction(c, r.d) for w, c in r.pairs})
-            assert got == M.rho_tau(M.psi_word(b))
+            assert got == _ref_rho_tau(M, M.psi_word(b))
             _assert_entries(got)
     # on K3n:2 rho_tau sends every basis word to a multiple of one other
     assert len(big_model._tau) == 324
     assert all(len(r.pairs) == 1 for r in big_model._tau.values())
-
-
-def test_changed_record_is_forgotten(small_model):
-    M = small_model
-    rng = random.Random(241)
-    x, y = (M.random_element(rng).data for _ in range(2))
-    p = M.cup(x, y)
-    assert p and p.words is not None and type(dict(p)) is dict
-    words = M.to_words(p)
-    for m in list(p):
-        p[m] = 2 * p[m]
-    assert p.words is None
-    assert M.to_words(p) == {w: 2 * c for w, c in words.items()}
-    changes = [lambda d, m: d.__delitem__(m), lambda d, m: d.pop(m),
-               lambda d, m: d.popitem(), lambda d, m: d.setdefault((0, 0), 1),
-               lambda d, m: d.update({m: 1}), lambda d, m: d.__ior__({m: 1}),
-               lambda d, m: d.clear()]
-    for change in changes:
-        p = M.cup(x, y)
-        change(p, next(iter(p)))
-        assert p.words is None
-    p = M.cup(x, y)
-    p.clear()
-    assert M.to_words(p) == {} and p.words == ({}, 1)
 
 
 def test_proportionality_gate(small_model, monkeypatch):
@@ -416,7 +446,7 @@ def test_top_piece_matches_polarized_fujiki(big_model):
     seen = set()
     for _ in range(30):
         w1, w2 = word(), word()
-        got = M.cup(M.psi_word(w1), M.psi_word(w2))
+        got = M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2))).data
         f = _matching_sum(q, w1 + w2)
         seen.add(f == 0)
         if f and kappa is None:
@@ -433,7 +463,7 @@ def test_rows_keep_only_nonzero_products(big_model):
     M = big_model
     rng = random.Random(229)
     for _ in range(3):
-        M.cup(M.random_element(rng).data, M.random_element(rng).data)
+        M.random_element(rng).cup(M.random_element(rng))
     basis = set(M._basis_words)
     assert M._rows
     for w1, row in M._rows.items():
@@ -465,6 +495,6 @@ def test_dense_middle_cup_matches_sym_mul(big_model):
     assert len(wx) == len(wy) == 276
     want = M.from_words(sym_mul(wx, wy, 2 * M.n))
     assert want and M.eigenvalue(want) == 2 * M.n
-    got = M.cup(x, y)
+    got = M.element(x).cup(M.element(y)).data
     assert got == want
     _assert_entries(got)

@@ -483,12 +483,14 @@ def test_sym_power_record_survives_no_change(H5):
     x[(0, 0)] = 5
     assert x.power is None
     assert sym.apply_linear(f, x) == _ref_apply(f, x, 2)
-    y = sn.sym_power(v, 2)
-    y.pop((0, 0))
-    assert y.power is None
-    z = sn.sym_power(v, 2)
-    z.update({(4, 4): 1})
-    assert z.power is None
+    changes = [lambda d, m: d.__delitem__(m), lambda d, m: d.pop(m),
+               lambda d, m: d.popitem(), lambda d, m: d.setdefault((4, 4), 1),
+               lambda d, m: d.update({m: 1}), lambda d, m: d.__ior__({m: 1}),
+               lambda d, m: d.clear()]
+    for change in changes:
+        y = sn.sym_power(v, 2)
+        change(y, (0, 0))
+        assert y.power is None
 
 
 def _rand_qvec(rng, d):
