@@ -213,10 +213,8 @@ def cmd_snrep(args):
         return 0
     # recover round trip on a given isometry of the extended lattice
     f = io.isometry_from_json(payload["f"], space.lattice)
-    if n % 2 == 0:
-        phi = lambda x: sn.sym_scale(f.det(), sym.apply_linear(f.matrix, x))
-    else:
-        phi = lambda x: sym.apply_linear(f.matrix, x)
+    s = f.det() if n % 2 == 0 else 1
+    phi = lambda x: sn.sym_scale(s, sym.apply_linear(f, x))
     g = sn.recover(sym, sym, phi)
     _emit(args, {"recovered": io.isometry_to_json(g),
                  "matches_input": g == f or (n % 2 == 0 and g == -f)})
@@ -399,8 +397,8 @@ def cmd_verify(args):
     space = llv_mod.LLVSpace(k3)
     lam = _rand_vec(rng, k3)
     mu_v = _rand_vec(rng, k3)
-    bb = (llv_mod.b_field(space, lam) * llv_mod.b_field(space, mu_v)).matrix \
-        == llv_mod.b_field(space, lam + mu_v).matrix
+    bb = (llv_mod.b_field(space, lam) * llv_mod.b_field(space, mu_v)
+          == llv_mod.b_field(space, lam + mu_v))
     iso_ok = all(llv_mod.fm_beta_image(space, rng.randint(1, 5),
                                        _rand_vec(rng, k3)).norm() == 0
                  for _ in range(5))
@@ -426,7 +424,7 @@ def cmd_verify(args):
             if v.norm() != 0:
                 break
         f0 = fc.reflect(small.lattice, v) * f0
-    phi = lambda x: sn.sym_scale(f0.det(), s2.apply_linear(f0.matrix, x))
+    phi = lambda x: sn.sym_scale(f0.det(), s2.apply_linear(f0, x))
     rec = sn.recover(s2, s2, phi)
     item("snrep_recover", dims_ok and (rec == f0 or rec == -f0))
 

@@ -15,8 +15,6 @@ certificates.  Every reflection, in reflect_times and in
 NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
 """
 
-from math import gcd
-
 from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, NotIntegral,
@@ -55,16 +53,13 @@ def reflect(lattice, u):
 
 
 def reflect_times(lattice, u, g):
-    """rho_u o g by the integer kernel _reflect_rows on g's numerators;
-    the rows where u is zero come back as g's own tuples."""
+    """rho_u o g by the integer kernel _reflect_rows on g's integer form,
+    over g.d (u, u); rho_u depends only on the line of u."""
     nu, _ = la.scaled_vec(u.coords)
-    num, d = la.scaled_mat(g.matrix)
-    uu, moved = _reflect_rows(lattice, nu, num)
-    rows = list(g.matrix)
-    d *= uu
-    for i, row in moved.items():
-        rows[i] = tuple([la.quotient(x, d) for x in row])
-    return QIsometry(lattice, tuple(rows), _trusted=True)
+    uu, moved = _reflect_rows(lattice, nu, g.nums)
+    rows = [moved[i] if i in moved else [uu * x for x in row]
+            for i, row in enumerate(g.nums)]
+    return QIsometry._of(lattice, rows, g.d * uu)
 
 
 def witt_map(lattice, x, y):
@@ -124,9 +119,8 @@ def cartan_dieudonne(lattice, f):
     fixed = [False] * len(candidates)
     refs = []
     g = f
-    ident = la.identity(n)
     budget = n + 4
-    while g.matrix != ident:
+    while not g.is_identity():
         if budget <= 0:
             raise AssertionError("cartan_dieudonne failed to terminate")
         budget -= 1
@@ -134,7 +128,7 @@ def cartan_dieudonne(lattice, f):
         for idx, x in enumerate(candidates):
             if fixed[idx]:
                 continue
-            gx = la.mat_vec(g.matrix, x)
+            gx = g.apply_coords(x)
             w = la.vec_sub(gx, x)
             if la.is_zero_vec(w):
                 fixed[idx] = True
@@ -150,7 +144,7 @@ def cartan_dieudonne(lattice, f):
         # anisotropic vector that g actually moves, then continue
         broke = False
         for idx, z in enumerate(zbasis):
-            gz = la.mat_vec(g.matrix, z)
+            gz = g.apply_coords(z)
             if gz != z:
                 refs.append(lattice.vec(z))
                 g = reflect_times(lattice, refs[-1], g)
@@ -201,8 +195,8 @@ def extend_l_isometry(lattice, g):
     """Extend an isometry of the L-part to Lambda fixing delta."""
     di = lattice.delta_index
     idx = [i for i in range(lattice.rank) if i != di]
-    return QIsometry(lattice, la.embed_block(lattice.rank, g.matrix, idx),
-                     _trusted=True)
+    return QIsometry._of(lattice, la.embed_block(lattice.rank, g.nums, idx, g.d),
+                         g.d)
 
 
 def _d_value(lattice):
@@ -392,29 +386,12 @@ class NormalForm:
         return tuple(cert for _, cert in self.memberships())
 
     def evaluate(self):
-        """The product, carried as one integer matrix m over one
-        denominator d: rho_u is the kernel _reflect_rows over (u,u), each
-        gamma an integer product, and the common content of m and d is
-        divided out after every factor.  Entries are normalized once, at
-        the end."""
-        lat = self.lattice
-        m, d = la.scaled_mat(self.gammas[0].matrix)
+        """The product, on the isometries' integer forms: each rho_u by
+        reflect_times, each gamma by one integer product."""
+        g = self.gammas[0]
         for u, gamma in zip(self.us, self.gammas[1:]):
-            # rho_u depends only on the line of u
-            nu, _ = la.scaled_vec(u.coords)
-            uu, moved = _reflect_rows(lat, nu, m)
-            m = [moved[i] if i in moved else [uu * x for x in row]
-                 for i, row in enumerate(m)]
-            gnum, gd = la.scaled_mat(gamma.matrix)
-            m = la.int_mat_mul(gnum, m)
-            d *= uu * gd
-            c = gcd(d, *[x for row in m for x in row])
-            if c > 1:
-                m = [[x // c for x in row] for row in m]
-                d //= c
-        sign = -1 if self.k % 2 == 1 else 1
-        return QIsometry(lat, [tuple([la.quotient(sign * x, d) for x in row])
-                               for row in m], _trusted=True)
+            g = gamma * reflect_times(self.lattice, u, g)
+        return -g if self.k % 2 else g
 
 
 def _split_delta(lattice, v):

@@ -20,6 +20,8 @@ Conventions
 All scalars are int or Fraction; nothing here is ever floating point.
 """
 
+from math import gcd
+
 from . import linalg as la
 from .errors import (DegenerateGram, DimensionMismatch, LatticeError,
                      NotAnIsometry, NotIntegral)
@@ -270,11 +272,10 @@ def divisibility(lattice, x):
     return la.content(gx)
 
 
-def _check_isometry(lattice, m):
-    """Raises NotAnIsometry unless M^T G M = G, checked on M = N / d as
+def _check_isometry(lattice, nums, d):
+    """Raises NotAnIsometry unless M^T G M = G, checked on M = nums / d as
     n_i . (G n_j) = d^2 G_ij for the columns n_i, i <= j (the product is
     symmetric), with G n_j read off the sparse Gram rows."""
-    nums, d = la.scaled_mat(m)
     cols = list(zip(*nums))
     dd = d * d
     for j, cj in enumerate(cols):
@@ -287,37 +288,67 @@ def _check_isometry(lattice, m):
 
 
 class QIsometry:
-    """A rational matrix M with M^T G M = G, acting on column coordinates."""
+    """A rational matrix M with M^T G M = G, acting on column coordinates.
 
-    __slots__ = ("lattice", "matrix", "_det", "_integral")
+    M is held in one canonical form: integer rows nums and a denominator
+    d > 0 with M = nums / d and gcd(d, content of nums) = 1.  Products,
+    inverses, negation, det and every kernel that reads an isometry work
+    on that form, and == and hash compare it.  matrix is the normalized
+    view (ints and reduced Fractions), built on first read; a constructor
+    handed a normalized matrix keeps it as that view.  Neither form is
+    ever mutated.
+    """
+
+    __slots__ = ("lattice", "nums", "d", "_matrix", "_det")
 
     def __init__(self, lattice, matrix, _trusted=False):
         # trusted entries already are ints and reduced Fractions
         m = tuple(map(tuple, matrix)) if _trusted else la.mat(matrix)
         if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
             raise DimensionMismatch("matrix size does not match rank")
+        nums, d = la.scaled_mat(m)
         if not _trusted:
-            _check_isometry(lattice, m)
-        self.lattice = lattice
-        self.matrix = m
-        self._det = None
-        self._integral = None
+            _check_isometry(lattice, nums, d)
+        self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
+        self._matrix, self._det = m, None
+
+    @classmethod
+    def _of(cls, lattice, nums, d):
+        """The trusted isometry nums / d, for integer rows nums and d > 0;
+        the common content of nums and d is divided out here."""
+        if d > 1:
+            c = gcd(d, *[x for row in nums for x in row])
+            if c > 1:
+                nums = [[x // c for x in row] for row in nums]
+                d //= c
+        self = object.__new__(cls)
+        self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
+        self._matrix = self._det = None
+        return self
 
     @classmethod
     def identity(cls, lattice):
-        return cls(lattice, la.identity(lattice.rank), _trusted=True)
+        return cls._of(lattice, la.identity(lattice.rank), 1)
 
     @classmethod
     def minus_identity(cls, lattice):
-        n = lattice.rank
-        return cls(lattice, la.mat_scale(-1, la.identity(n)), _trusted=True)
+        return -cls.identity(lattice)
+
+    @property
+    def matrix(self):
+        """M as rows of ints and reduced Fractions, built on first read."""
+        if self._matrix is None:
+            d = self.d
+            self._matrix = self.nums if d == 1 else tuple(
+                tuple([la.quotient(x, d) for x in row]) for row in self.nums)
+        return self._matrix
 
     def __eq__(self, other):
         return (isinstance(other, QIsometry) and self.lattice == other.lattice
-                and self.matrix == other.matrix)
+                and self.d == other.d and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.lattice.gram, self.matrix))
+        return hash((self.lattice.gram, self.d, self.nums))
 
     def __repr__(self):
         return "QIsometry(rank=%d)" % self.lattice.rank
@@ -326,30 +357,40 @@ class QIsometry:
         """Composition self o other (other applied first)."""
         if self.lattice != other.lattice:
             raise DimensionMismatch("isometries of different lattices")
-        return QIsometry(self.lattice, la.mat_mul(self.matrix, other.matrix),
-                         _trusted=True)
+        return QIsometry._of(self.lattice, la.int_mat_mul(self.nums, other.nums),
+                             self.d * other.d)
 
     def __neg__(self):
-        return QIsometry(self.lattice, la.mat_scale(-1, self.matrix),
-                         _trusted=True)
+        return QIsometry._of(self.lattice,
+                             [[-x for x in row] for row in self.nums], self.d)
 
     def inverse(self):
-        # for isometries the inverse is G^-1 M^T G; no elimination needed
-        g = self.lattice.gram
-        inv = la.mat_mul(la.mat_mul(self.lattice.dual_gram(),
-                                    la.transpose(self.matrix)), g)
-        return QIsometry(self.lattice, inv, _trusted=True)
+        """G^-1 M^T G, with no elimination: M^T G on the integer rows over
+        the sparse Gram rows, then G^-1 = D / e, the lattice's dual Gram
+        scaled to integers once and cached."""
+        lat = self.lattice
+        if "dual_nums" not in lat._cache:
+            lat._cache["dual_nums"] = la.scaled_mat(lat.dual_gram())
+        dual, e = lat._cache["dual_nums"]
+        mtg = la.int_mat_mul(la.transpose(self.nums), lat.gram)
+        return QIsometry._of(lat, la.int_mat_mul(dual, mtg), e * self.d)
+
+    def apply_coords(self, x):
+        """M x for coordinates x, reading only the columns where x is
+        nonzero."""
+        nx, dx = la.scaled_vec(x)
+        nz = [(k, y) for k, y in enumerate(nx) if y]
+        d = self.d * dx
+        return tuple([la.quotient(sum([row[k] * y for k, y in nz]), d)
+                      for row in self.nums])
 
     def apply(self, v):
         if v.lattice != self.lattice:
             raise DimensionMismatch("vector lives in a different lattice")
-        return LatVec(self.lattice, la.mat_vec(self.matrix, v.coords))
+        return LatVec(self.lattice, self.apply_coords(v.coords))
 
     def is_integral(self):
-        """Whether every entry is an int; the matrix is scanned once."""
-        if self._integral is None:
-            self._integral = la.is_integral_mat(self.matrix)
-        return self._integral
+        return self.d == 1
 
     def det(self):
         """+-1, computed once; anything else raises NotAnIsometry on every
@@ -357,26 +398,26 @@ class QIsometry:
 
         M^T G M = G gives det(M)^2 = 1: the untrusted constructor checks
         that identity and every trusted construction holds it.  So det(M)
-        is +1 or -1, and its residue mod an odd prime p that divides no
-        denominator of M (la.det_mod_p) tells which; a residue other than
-        +-1 mod p means M is no isometry.  Bareiss's exact det is the
-        fallback when every prime det_mod_p tries divides a denominator.
+        is +1 or -1, and det(nums) = det(M) d^rank mod the prime p of
+        la.det_mod_p tells which; any other residue means M is no
+        isometry.  Bareiss's exact det decides when p divides d.
         """
         if self._det is None:
-            res = la.det_mod_p(self.matrix)
-            if res is None:
-                d = shown = la.det(self.matrix)
-            else:
-                r, p = res
+            r, p = la.det_mod_p(self.nums)
+            dn = pow(self.d, self.lattice.rank, p)
+            if dn:
+                r = r * pow(dn, -1, p) % p
                 d = 1 if r == 1 else -1 if r == p - 1 else None
-                shown = "%d mod %d" % res
+                shown = "%d mod %d" % (r, p)
+            else:
+                d = shown = la.det(self.matrix)
             if d not in (1, -1):
                 raise NotAnIsometry("determinant %s is not +-1" % (shown,))
             self._det = d
         return self._det
 
     def is_identity(self):
-        return self.matrix == la.identity(self.lattice.rank)
+        return self.d == 1 and self.nums == la.identity(self.lattice.rank)
 
 
 class DiscGroup:
@@ -456,9 +497,8 @@ def disc_action(g):
     disc = g.lattice.disc_group()
     if disc.is_trivial():
         return 1
-    m = g.matrix
     images = [disc.class_of_nums([sum([row[c] * y for c, y in sup])
-                                  for row in m], d)
+                                  for row in g.nums], d)
               for sup, d in disc._gen_nums]
     if images == disc._plus:
         return 1
@@ -494,8 +534,9 @@ def nu_character(g, positive_basis=None):
     positive, so its determinant has the sign of det(B^T G g B).  Scaling
     a b_j or g by a positive number keeps that sign too, so the p x p
     determinant is taken on integer numerators: the sparse G b_i and the
-    supports of the b_j are kept per lattice, and g is read only in the
-    rows and columns they reach.
+    supports of the b_j are kept per lattice, and g's integer rows are
+    read only in the rows and columns they reach.  A zero determinant
+    means g is no isometry, and raises NotAnIsometry.
     """
     lat = g.lattice
     if positive_basis is not None:
@@ -505,26 +546,20 @@ def nu_character(g, positive_basis=None):
     else:
         data = lat._cache["nu"] = _nu_data(lat, lat.positive_basis())
     rows, cols, bsups, gsups = data
-    m = g.matrix
-    sub, _ = la.scaled_mat([[m[r][c] for c in cols] for r in rows])
-    # (g b_j) on the rows R, times the positive scale of g
+    sub = [[g.nums[r][c] for c in cols] for r in rows]
+    # (g b_j) on the rows R, times the positive scale g.d
     gb = [[sum([row[k] * y for k, y in bsup]) for row in sub] for bsup in bsups]
     d = la.det([[sum([s * x[r] for r, s in gsup]) for x in gb]
                 for gsup in gsups])
-    assert d != 0, "projection degenerate; input is not an isometry"
+    if d == 0:
+        raise NotAnIsometry("projection degenerate; input is not an isometry")
     return 1 if d > 0 else -1
 
 
 def characters(g):
     """(nu, det, disc) of a rational isometry; disc is 'n/a' unless g is
     integral."""
-    nu = nu_character(g)
-    dt = g.det()
-    if g.is_integral():
-        disc = disc_action(g)
-    else:
-        disc = "n/a"
-    return nu, dt, disc
+    return nu_character(g), g.det(), disc_action(g) if g.is_integral() else "n/a"
 
 
 _GROUPS = ("O", "O+", "Gamma", "Gamma0", "Mon_K3n")

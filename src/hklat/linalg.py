@@ -1,28 +1,27 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals; never floating point.
 
-Matrices are tuples of tuples of scalars (immutable); vectors are tuples.
-Scalars are Python ints when integral and reduced Fractions otherwise; the
-two mix transparently under arithmetic, equality and hashing.  Every
-matrix and vector this module returns keeps that contract entry by entry,
-which the JSON encoding and the certificates rely on.  Nothing in this
-module ever touches floating point.
+A plain matrix is a tuple of tuples of scalars and a vector a tuple:
+ints when integral, reduced Fractions otherwise, which mix transparently
+under arithmetic, equality and hashing.  Every matrix and vector returned
+here keeps that contract entry by entry; the JSON encoding and the
+certificates rely on it.  A rational isometry (lattice.QIsometry) is held
+instead in one scaled-integer form, integer rows N over a denominator
+d > 0 with gcd(d, content of N) = 1, which int_mat_mul and det_mod_p
+read directly; its plain matrix is a view built from that form.
 
 The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
 and rank built on it) never do arithmetic on Fractions.  Each operand is
-scaled once to integer numerators over a common denominator (one per
-matrix for products, one per row for elimination), the work runs on plain
-ints with zero entries skipped, and the entries are turned back into
-int/Fraction only at the end.  rref is fraction-free Gauss-Jordan
-elimination that keeps every row primitive.  The reduced row echelon form
-is canonical, so its entries and pivots do not depend on how it is
-computed.
+scaled once to integer numerators over a common denominator (scaled_mat,
+scaled_vec), the work runs on plain ints with zero entries skipped, and
+entries become int/Fraction again only at the end.  rref is
+fraction-free Gauss-Jordan elimination on primitive rows, and its output
+is canonical.
 
-Two determinants serve two kinds of input.  det, Bareiss's fraction-free
-elimination, is exact and serves any matrix: Gram matrices and other
-untrusted input.  det_mod_p is elimination over GF(p) on residues below
-2^15; it serves matrices whose determinant is already known up to a
-residue, such as isometries, where det^2 = 1 and the residue mod an odd
-prime decides between +1 and -1.
+det, Bareiss's fraction-free elimination, is exact and serves any matrix:
+Gram matrices and other untrusted input.  det_mod_p is elimination over
+GF(p) on residues below 2^15; it serves matrices whose determinant is
+known up to a residue, such as isometries, where det^2 = 1 and the
+residue mod an odd prime decides between +1 and -1.
 """
 
 from fractions import Fraction
@@ -118,10 +117,10 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def embed_block(n, a, idx):
-    """The n x n matrix with a[s][t] at (idx[s], idx[t]) and the identity
-    on the indices outside idx."""
-    rows = [list(row) for row in identity(n)]
+def embed_block(n, a, idx, d=1):
+    """The n x n matrix with a[s][t] at (idx[s], idx[t]) and d times the
+    identity on the indices outside idx."""
+    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
     for i, arow in zip(idx, a):
         row = rows[i]
         for j, x in zip(idx, arow):

@@ -94,12 +94,8 @@ def b_field(space, lam):
 def tau(space):
     """Interchanges alpha and beta, multiplies the middle block by -1."""
     n = space.dim
-    rows = [[0] * n for _ in range(n)]
-    rows[0][n - 1] = 1
-    rows[n - 1][0] = 1
-    for i in range(1, n - 1):
-        rows[i][i] = -1
-    return QIsometry(space.lattice, rows, _trusted=True)
+    swap = la.embed_block(n, ((0, 1), (1, 0)), (0, n - 1), -1)
+    return QIsometry._of(space.lattice, swap, 1)
 
 
 def mu(space, t):
@@ -108,12 +104,9 @@ def mu(space, t):
     if t == 0:
         raise LatticeError("mu_t needs t != 0")
     n = space.dim
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = la.ratio(1, t)
-    rows[n - 1][n - 1] = t
-    for i in range(1, n - 1):
-        rows[i][i] = 1
-    return QIsometry(space.lattice, rows, _trusted=True)
+    block = ((la.ratio(1, t), 0), (0, t))
+    return QIsometry(space.lattice, la.embed_block(n, block, (0, n - 1)),
+                     _trusted=True)
 
 
 def grading(space):
@@ -140,21 +133,22 @@ def grading_sign(space, m):
 def graded_type(space, g):
     """(+1, t) for graded g with g(alpha) = t alpha; (-1, t) for
     anti-graded g with g(alpha) = t^-1 beta; NotGraded otherwise.  For an
-    isometry the sign places g(alpha): at alpha if s = 1, at beta if -1."""
-    m = g.matrix
+    isometry the sign places g(alpha): at alpha if s = 1, at beta if -1.
+    Read off g's integer form."""
+    m, d = g.nums, g.d
     ai, bi = space.alpha_index, space.beta_index
     s = grading_sign(space, m)
     if s == 1:
-        return 1, m[ai][ai]
+        return 1, la.quotient(m[ai][ai], d)
     if s == -1:
-        return -1, la.ratio(1, m[bi][ai])
+        return -1, la.ratio(d, m[bi][ai])
     raise NotGraded("isometry neither commutes nor anti-commutes with h")
 
 
 def is_degree_reversing(space, g):
     """g maps span(alpha) <-> span(beta) and the middle block to itself;
     equivalently g anti-commutes with the grading operator."""
-    return grading_sign(space, g.matrix) == -1
+    return grading_sign(space, g.nums) == -1
 
 
 def fm_beta_image(space, r, lam):
@@ -246,8 +240,8 @@ def extend_to_llv(space, g):
     """Extend a base-lattice isometry to the extended lattice, fixing
     alpha and beta."""
     idx = range(1, space.beta_index)
-    return QIsometry(space.lattice, la.embed_block(space.dim, g.matrix, idx),
-                     _trusted=True)
+    return QIsometry._of(space.lattice,
+                         la.embed_block(space.dim, g.nums, idx, g.d), g.d)
 
 
 def iota_tilde(k3_space, k3n_space, g):
@@ -256,8 +250,8 @@ def iota_tilde(k3_space, k3n_space, g):
     if g.lattice == k3_space.base:
         g = extend_to_llv(k3_space, g)
     emb = _theta_index(k3_space, k3n_space)
-    return QIsometry(k3n_space.lattice,
-                     la.embed_block(k3n_space.dim, g.matrix, emb), _trusted=True)
+    return QIsometry._of(k3n_space.lattice,
+                         la.embed_block(k3n_space.dim, g.nums, emb, g.d), g.d)
 
 
 def delta_half_bfield(k3n_space, sign):

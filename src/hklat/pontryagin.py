@@ -309,20 +309,18 @@ class SHModel:
         solved only when it has no word coordinates yet, and keeps the ones
         solved."""
         elt = type(x) is SHElt
-        if elt and x.model is not self:
-            raise LatticeError("the element belongs to another model")
-        words = x._words if elt else None
-        if words is None:
-            terms = []
-            for j, piece in self.pieces(x.data if elt else x).items():
-                if j not in self._solvers:
-                    raise SolveFailure("eigenvalue %d outside the model" % j)
-                combo, e = self._solvers[j].solve(*sn.sym_scaled(piece))
-                terms.append((1, combo.items(), e))
-            words = _combine(terms, 1)
-            if elt:
-                x._words = words
-        return sn.sym_quotient(*words)
+        return sn.sym_quotient(*(self._words_of(x) if elt else self._solve(x)))
+
+    def _solve(self, data):
+        """The word coordinates (nums, d) of sparse Sym^n data, solved
+        piece by piece."""
+        terms = []
+        for j, piece in self.pieces(data).items():
+            if j not in self._solvers:
+                raise SolveFailure("eigenvalue %d outside the model" % j)
+            combo, e = self._solvers[j].solve(*sn.sym_scaled(piece))
+            terms.append((1, combo.items(), e))
+        return _combine(terms, 1)
 
     def _words_of(self, x):
         """The word coordinates of x, which must be an SHElt of this model:
@@ -462,15 +460,15 @@ class SHModel:
 
     def apply_llv(self, g, x):
         """The action of an isometry of the extended lattice via Sym^n."""
-        return self.sym.apply_linear(g.matrix, x)
+        return self.sym.apply_linear(g, x)
 
 
 class SHElt:
     """An element of the model, held by its sparse Sym^n data, its word
     coordinates words = (nums, d) with the element sum nums[b] Psi(b) / d
     over basis words b, or both.  Each is computed from the other on first
-    use: data by summing the Psi(b), words by the piece solvers through
-    to_words.  Neither is ever mutated, so elements share them freely."""
+    use: data by summing the Psi(b), words by the piece solvers.  Neither
+    is ever mutated, so elements share them freely."""
 
     __slots__ = ("model", "_data", "_words")
 
@@ -491,7 +489,7 @@ class SHElt:
     @property
     def words(self):
         if self._words is None:
-            self.model.to_words(self)
+            self._words = self.model._solve(self.data)
         return self._words
 
     def __eq__(self, other):

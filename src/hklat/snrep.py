@@ -300,16 +300,21 @@ class SymSpace:
 
     # -- functorial action ---------------------------------------------------
 
-    def apply_linear(self, f_matrix, x):
-        """Sym^n(f) applied to a sparse element.  A pure power v^n from
-        sym_power goes to (f v)^n; any other element goes slot by slot
-        through the columns of f, or for n = 2 as the congruence f X f^T."""
+    def apply_linear(self, f, x):
+        """Sym^n(f) applied to a sparse element, for a QIsometry f, read on
+        its integer form, or a plain matrix f, scaled to integers once on
+        entry.  A pure power v^n from sym_power goes to (f v)^n; any other
+        element goes slot by slot through the columns of f, or for n = 2 as
+        the congruence f X f^T."""
+        iso = isinstance(f, QIsometry)
         power = getattr(x, "power", None)
         if power is not None and power[1] == self.n:
-            return sym_power(la.mat_vec(f_matrix, power[0]), self.n)
+            fv = f.apply_coords(power[0]) if iso else la.mat_vec(f, power[0])
+            return sym_power(fv, self.n)
+        fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
         if self.n == 2:
-            return self._apply_linear_quadratic(f_matrix, x)
-        cols, fd = sparse_columns(f_matrix)
+            return self._apply_linear_quadratic(fnums, fd, x)
+        cols, _ = sparse_columns(fnums)
         xn, xd = sym_scaled(x)
         out = {}
         get = out.get
@@ -329,15 +334,13 @@ class SymSpace:
                 out[mm] = get(mm, 0) + cc
         return sym_quotient(out, xd * fd ** self.n)
 
-    def _apply_linear_quadratic(self, fm, x):
-        """Sym^2(f) x as the congruence M = F (2X) F^T, X the symmetric
-        matrix of x, on integer numerators over one denominator: upper
-        triangle only, each entry summed over the nonzero entries of its
-        row of F (2X).  Then
+    def _apply_linear_quadratic(self, frows, fd, x):
+        """Sym^2(f) x for f = frows / fd as the congruence M = F (2X) F^T,
+        X the symmetric matrix of x, on integer numerators over one
+        denominator: upper triangle only, each entry summed over the
+        nonzero entries of its row of F (2X).  Then
         x' = M_ii / 2 on the diagonal and M_ij off it."""
         d = self.dim_v
-        fnums, fd = la.scaled_vec([v for row in fm for v in row])
-        frows = [fnums[i * d:(i + 1) * d] for i in range(d)]
         xn, xd = sym_scaled(x)
         # the nonzero rows of xd * 2X, which is symmetric: row j is column j
         nrows = {}
@@ -456,7 +459,7 @@ def restrict_sym(space, f):
     """The restriction of Sym^n(f) to the isotropic-power subspace, in the
     kernel-basis coordinates."""
     basis, _ = space.kernel_basis()
-    cols = [space.sn_coords(space.apply_linear(f.matrix, b)) for b in basis]
+    cols = [space.sn_coords(space.apply_linear(f, b)) for b in basis]
     return tuple(zip(*cols))
 
 
@@ -561,11 +564,9 @@ def _spanning_lines(space_1, space_2, phi_apply, f1=None):
     n = space_1.n
     if n % 2 == 0 and space_1.dim_v % 2 == 0:
         raise LatticeError("even symmetric powers need odd dimension")
-    us = [v.coords for v in _isotropic_frame(space_1.lattice)[0]]
-    if f1 is not None:
-        us = la.transpose(la.mat_mul(f1.matrix, la.transpose(us)))
-    return [_extract_power_line(space_2, phi_apply(sym_power(u, n)))
-            for u in us]
+    frame = _isotropic_frame(space_1.lattice)[0]
+    us = [v.coords if f1 is None else f1.apply_coords(v.coords) for v in frame]
+    return [_extract_power_line(space_2, phi_apply(sym_power(u, n))) for u in us]
 
 
 def _isometry_from_lines(space_1, space_2, lines):
@@ -643,17 +644,13 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     called d times and S(f1), S(f2) are never applied.
     """
     lines = _spanning_lines(space, space, phi_apply, f1)
-    f2ws = la.mat_mul(f2.matrix, la.transpose([w for _, w in lines]))
-    lines = [(c, w) for (c, _), w in zip(lines, la.transpose(f2ws))]
+    lines = [(c, f2.apply_coords(w)) for c, w in lines]
     h_comp = _isometry_from_lines(space, space, lines)
     if h_phi is None:
         h_phi = recover(space, space, phi_apply)
     expect = f2 * h_phi * f1
-    if space.n % 2 == 0:
-        d1 = f1.det()
-        d2 = f2.det()
-        if d1 * d2 == -1:
-            expect = -expect
+    if space.n % 2 == 0 and f1.det() * f2.det() == -1:
+        expect = -expect
     return h_comp == expect
 
 
@@ -676,7 +673,7 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
     """k in {0,1} with phi~ h = (-1)^k h phi~ on the extended lattice and
     the matching relation for the induced action on S_[n]; raises NotGraded
     when neither sign works."""
-    k_v = {1: 0, -1: 1}.get(llv_mod.grading_sign(llv_space, phi_v.matrix))
+    k_v = {1: 0, -1: 1}.get(llv_mod.grading_sign(llv_space, phi_v.nums))
     hc = sparse_columns(llv_mod.grading(llv_space))
     basis, _ = sym_space.kernel_basis()
     k_s = None

@@ -100,6 +100,15 @@ def canonical(x):
             and gcd(x.numerator, x.denominator) == 1)
 
 
+def canonical_form(g):
+    """Whether a QIsometry holds the canonical integer form: a tuple of
+    tuples of ints nums and an int d > 0 with gcd(d, content) = 1."""
+    return (type(g.nums) is tuple and type(g.d) is int and g.d > 0
+            and all(type(row) is tuple and all(type(x) is int for x in row)
+                    for row in g.nums)
+            and gcd(g.d, *[x for row in g.nums for x in row]) == 1)
+
+
 def frac_pair(lat, x, y):
     """(x, y) as a plain double sum over Fractions, an oracle for the
     library's integer pairing."""

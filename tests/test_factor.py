@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canonical, frac_pair, rand_anisotropic,
+from conftest import (canonical, canonical_form, frac_pair, rand_anisotropic,
                       rand_orientation_preserving, rand_primitive,
                       rand_transvection, rand_vec)
 from hklat import factor as fc
@@ -458,13 +458,14 @@ def test_reflect_times_against_textbook_formula(k3):
         uu = frac_pair(k3, u.coords, u.coords)
         want = [tuple(Fraction(c) - 2 * frac_pair(k3, u.coords, col) / uu * ui
                       for c, ui in zip(col, u.coords)) for col in cols]
-        got = fc.reflect_times(k3, u, g).matrix
+        r = fc.reflect_times(k3, u, g)
+        got = r.matrix
         assert tuple(zip(*got)) == tuple(want)
-        assert canonical(got)
-        # rows where u is zero are g's own tuples
+        assert canonical(got) and canonical_form(r)
+        # rows where u is zero are g's own rows
         untouched = [i for i, c in enumerate(u.coords) if c == 0]
         assert untouched
-        assert all(got[i] is g.matrix[i] for i in untouched)
+        assert all(got[i] == g.matrix[i] for i in untouched)
 
 
 def _textbook_rewrite_factor(lat, u):

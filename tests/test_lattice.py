@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +229,43 @@ def test_isometry_det_checks_without_assert():
     assert lt.QIsometry.minus_identity(u).det() == 1
 
 
+def _degenerate_nu():
+    # trusted on purpose: (1, 1; 1, 1) sends the positive basis vector
+    # e1 - e2 of U to 0, so the projection P -> g(P) -> P is degenerate
+    fake = lt.QIsometry(lt.preset("U"), ((1, 1), (1, 1)), _trusted=True)
+    return lt.nu_character(fake)
+
+
+def test_nu_rejects_a_degenerate_projection():
+    with pytest.raises(NotAnIsometry):
+        _degenerate_nu()
+
+
+_NU_SCRIPT = """
+from hklat import lattice as lt
+from hklat.errors import NotAnIsometry
+fake = lt.QIsometry(lt.preset("U"), ((1, 1), (1, 1)), _trusted=True)
+try:
+    lt.nu_character(fake)
+    print("returned")
+except NotAnIsometry:
+    print("raised")
+print(__debug__)
+"""
+
+
+def test_nu_rejects_a_degenerate_projection_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-O", "-c", _NU_SCRIPT],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "False"]
+
+
 def test_untrusted_isometry_checks_every_pairing(k3n2):
     # both columns keep their norm 2, but (m_1, m_2) = 6/5 instead of 0
     two = lt.Lattice([[2, 0], [0, 2]])
@@ -374,4 +414,5 @@ def test_membership_scans_entries_once(k3n2, monkeypatch):
     ok, cert = lt.membership(c, "Gamma")
     assert ok and cert == {"integral": True, "nu": 1, "det": c.det(),
                            "disc": cert["disc"]}
-    assert len(calls) == 1
+    # integrality is read off the canonical denominator: no entry scan
+    assert c.d == 1 and calls == []

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canonical, rand_anisotropic, rand_reflection_word,
-                      rand_vec)
+from conftest import (canonical, canonical_form, rand_anisotropic,
+                      rand_reflection_word, rand_vec)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -303,27 +303,38 @@ def test_llv_gates_raise_under_O():
     assert r.stdout.split() == ["raised"] * 4 + ["False"]
 
 
-# every library function that builds a QIsometry on the trusted path
+# every library function that builds a QIsometry on a trusted path: the
+# constructor with _trusted=True, or QIsometry._of from an integer form
 _TRUSTED_SITES = {
-    "identity", "minus_identity", "__mul__", "__neg__", "inverse", "b_field",
+    "identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
     "extend_l_isometry", "isometry", "_isometry_from_lines"}
 
 
 def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
                                                    monkeypatch):
-    """The trusted path of QIsometry does not normalize entries, so every
-    site that uses it must hand over ints and reduced Fractions."""
+    """Neither trusted path checks its input, so every site that uses one
+    must yield the canonical form (d > 0, gcd(d, content) = 1) and a
+    matrix view of ints and reduced Fractions."""
     seen = {}
-    real = lt.QIsometry.__init__
+    real_init, real_of = lt.QIsometry.__init__, lt.QIsometry._of.__func__
 
-    def checked(self, lattice, matrix, _trusted=False):
-        real(self, lattice, matrix, _trusted)
+    def record(g):
+        site = sys._getframe(2).f_code.co_name
+        ok = canonical_form(g) and canonical(g.matrix)
+        seen[site] = seen.get(site, True) and ok
+
+    def checked_init(self, lattice, matrix, _trusted=False):
+        real_init(self, lattice, matrix, _trusted)
         if _trusted:
-            site = sys._getframe(1).f_code.co_name
-            ok = type(self.matrix) is tuple and canonical(self.matrix)
-            seen[site] = seen.get(site, True) and ok
-    monkeypatch.setattr(lt.QIsometry, "__init__", checked)
+            record(self)
+
+    def checked_of(cls, lattice, nums, d):
+        g = real_of(cls, lattice, nums, d)
+        record(g)
+        return g
+    monkeypatch.setattr(lt.QIsometry, "__init__", checked_init)
+    monkeypatch.setattr(lt.QIsometry, "_of", classmethod(checked_of))
     rng = random.Random(257)
     lam = la.ratio(1, 3) * rand_vec(rng, k3)
     f = fc.reflect(k3, k3.vec([1, -1] + [0] * 20))   # det -1

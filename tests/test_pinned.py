@@ -80,3 +80,28 @@ def test_trace_targets_resolve():
             for part in attr.split("."):
                 obj = getattr(obj, part)
             assert callable(obj), (module, attr)
+
+
+def test_tracer_installs_and_uninstalls():
+    """perfbench/spans.py's Tracer wraps every target, raising on a renamed
+    or unbound one, and uninstall puts back every binding it replaced."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans_guard", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, _ in spans.TARGETS:
+        importlib.import_module(module)
+    mods = [m for n, m in sorted(sys.modules.items())
+            if m is not None and (n == "hklat" or n.startswith("hklat."))]
+    owners = mods + [obj for m in mods for obj in vars(m).values()
+                     if isinstance(obj, type) and obj.__module__ == m.__name__]
+    before = [(o, dict(vars(o))) for o in owners]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert len(tracer._undo) >= len(spans.TARGETS)
+    finally:
+        tracer.uninstall()
+    for owner, names in before:
+        now = vars(owner)
+        assert all(now.get(k) is v for k, v in names.items()), owner

@@ -376,12 +376,12 @@ def test_products_solve_only_their_factors(big_model, monkeypatch):
     assert not x.cup(y).is_zero() and not x.star(y).is_zero()
     x.cup(y).cup(z), x.star(y).star(z), x.cup(y).rho_tau()
     solved = []
-    to_words = M.to_words
+    solve = M._solve
 
-    def counting(e):
-        solved.append(e)
-        return to_words(e)
-    monkeypatch.setattr(M, "to_words", counting)
+    def counting(data):
+        solved.append(data)
+        return solve(data)
+    monkeypatch.setattr(M, "_solve", counting)
     for chain, want in ((lambda x, y, z: x.cup(y).cup(z), 3),
                         (lambda x, y, z: x.star(y).star(z), 3),
                         (lambda x, y, z: x.cup(y).rho_tau(), 2)):
@@ -389,7 +389,7 @@ def test_products_solve_only_their_factors(big_model, monkeypatch):
         del solved[:]
         out = chain(x, y, z)
         assert len(solved) == want
-        assert all(any(e is f for f in (x, y, z)) for e in solved)
+        assert all(any(e is f._data for f in (x, y, z)) for e in solved)
         assert out._data is None
 
 
