@@ -103,10 +103,11 @@ def mu(space, t):
     t = la.frac(t)
     if t == 0:
         raise LatticeError("mu_t needs t != 0")
-    n = space.dim
-    block = ((la.ratio(1, t), 0), (0, t))
-    return QIsometry(space.lattice, la.embed_block(n, block, (0, n - 1)),
-                     _trusted=True)
+    # t = p/q over d = |p| q: t^-1 and t are (d q / p) / d and (d p / q) / d
+    n, p, q = space.dim, t.numerator, t.denominator
+    d = abs(p) * q
+    block = ((d * q // p, 0), (0, d * p // q))
+    return QIsometry._of(space.lattice, la.embed_block(n, block, (0, n - 1), d), d)
 
 
 def grading(space):
