@@ -65,6 +65,32 @@ def test_shmodel_deck_bytes(pool_seed, digest, monkeypatch):
     assert _sha(text.encode()) == digest
 
 
+@pytest.mark.parametrize("pool_seed, digest, ks", [
+    (1001, "2e6c366fcb36bffd0e95743d30c37ae1d154de23ab5d7cb8775b6c11d859dc14",
+     [25, 25, 24, 0, 23, 25, 7]),
+    (9001, "5c4fd1d6cf2ad7f81f62ed9822d7f544e390f039db9f4826834ec721a6baa6f6",
+     [24, 9, 24, 0, 23, 25, 3]),
+], ids=["pool1001", "pool9001"])
+def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
+    """One pass, in deck order, over the factor-k3n2 deck of perfbench
+    (decompose, JSON, verify on K3n:2): the sha256 of the concatenated
+    certificate texts, each certificate's k, and every op passes the
+    workload's own checks."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    deck = workloads.FactorK3n2(pool_seed=pool_seed)
+    ctx = deck.setup()
+    text = ""
+    for i, inp in enumerate(deck.deck()):
+        inp = dict(inp, check_seed=i)
+        out = deck.op(ctx, inp)
+        assert deck.check(ctx, inp, out) == []
+        assert out["nf"].k == ks[i]
+        text += deck.digest_text(out)
+    assert _sha(text.encode()) == digest
+
+
 def test_trace_targets_resolve():
     """Every name in perfbench/spans.py TARGETS is bound in hklat; the
     tracer raises on an unbound one."""
