@@ -309,8 +309,20 @@ def cmd_mukai(args):
 # -- the deterministic full suite ---------------------------------------------
 
 
+def _rand_coords(rng, n):
+    """n draws of rng.randint(-2, 2), made as CPython makes them: each is
+    getrandbits(3), drawn again while >= 5, minus 2."""
+    bits = rng.getrandbits
+    out = []
+    while len(out) < n:
+        r = bits(3)
+        if r < 5:
+            out.append(r - 2)
+    return out
+
+
 def _rand_vec(rng, lat):
-    return lat.vec([rng.randint(-2, 2) for _ in range(lat.rank)])
+    return lat.vec(_rand_coords(rng, lat.rank))
 
 
 def _rand_primitive(rng, lat):
@@ -327,7 +339,7 @@ def _rand_reflection(rng, lat):
     accepted vector becomes a LatVec."""
     rows = lat._gram_rows
     while True:
-        c = [rng.randint(-2, 2) for _ in range(lat.rank)]
+        c = _rand_coords(rng, lat.rank)
         nv = sum([x * sum([g * c[j] for j, g in row])
                   for x, row in zip(c, rows) if x])
         if nv and abs(nv) <= 12 and gcd(*c) == 1:

@@ -93,10 +93,34 @@ def witt_isometry(lattice, sign_w):
     return r if sign == 1 else -r
 
 
-def _orthogonal_anisotropic_basis(lattice):
-    p, d = la.congruent_diagonalize(lattice.gram)
-    assert all(x != 0 for x in d)
-    return [la.vec(row) for row in p]
+def _cd_candidates(lattice):
+    """What cartan_dieudonne scans, built once per lattice: an orthogonal
+    anisotropic basis z_1..z_n, then the candidates z_i and z_i + z_j
+    (i < j), each as its nonzero (index, numerator) pairs over one
+    denominator > 0."""
+    if "cartan_dieudonne" not in lattice._cache:
+        p, d = la.congruent_diagonalize(lattice.gram)
+        if not all(d):
+            raise AssertionError("the diagonalized Gram matrix has a zero")
+        n = lattice.rank
+        xs = list(p) + [la.vec_add(p[i], p[j])
+                        for i in range(n) for j in range(i + 1, n)]
+        cands = []
+        for x in xs:
+            nums, dx = la.scaled_vec(x)
+            cands.append(([(k, y) for k, y in enumerate(nums) if y], dx))
+        lattice._cache["cartan_dieudonne"] = tuple(cands)
+    return lattice._cache["cartan_dieudonne"]
+
+
+def _moved(g, nz):
+    """d dx (g x - x) as integers, for x with nonzero numerators nz over
+    dx: zero exactly when g fixes x, and isotropic exactly when g x - x
+    is."""
+    w = [sum([row[k] * y for k, y in nz]) for row in g.nums]
+    for k, y in nz:
+        w[k] -= g.d * y
+    return w
 
 
 def cartan_dieudonne(lattice, f):
@@ -106,14 +130,12 @@ def cartan_dieudonne(lattice, f):
     Standard constructive argument: while f != id, find x with
     w := f(x) - x anisotropic (such x exists among z_i and z_i + z_j for an
     orthogonal basis z unless the moved space is totally isotropic, in
-    which case one extra reflection breaks the degeneracy).
+    which case one extra reflection breaks the degeneracy).  The scan runs
+    on the integer candidates of _cd_candidates, and only the accepted w
+    is divided back out.
     """
-    zbasis = _orthogonal_anisotropic_basis(lattice)
+    candidates = _cd_candidates(lattice)
     n = lattice.rank
-    candidates = list(zbasis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(la.vec_add(zbasis[i], zbasis[j]))
     # once a candidate is fixed it stays fixed: each step's reflection
     # vector pairs to zero with every vector the current isometry fixes
     fixed = [False] * len(candidates)
@@ -125,34 +147,33 @@ def cartan_dieudonne(lattice, f):
             raise AssertionError("cartan_dieudonne failed to terminate")
         budget -= 1
         found = None
-        for idx, x in enumerate(candidates):
+        for idx, (nz, dx) in enumerate(candidates):
             if fixed[idx]:
                 continue
-            gx = g.apply_coords(x)
-            w = la.vec_sub(gx, x)
-            if la.is_zero_vec(w):
+            w = _moved(g, nz)
+            if not any(w):
                 fixed[idx] = True
                 continue
-            if lattice.pair_coords(w, w) != 0:
-                found = w
+            if lattice.pair_coords(w, w):
+                found = [la.quotient(x, g.d * dx) for x in w]
                 break
-        if found is not None:
-            refs.append(lattice.vec(found))
-            g = reflect_times(lattice, refs[-1], g)
-            continue
-        # moved space totally isotropic: compose with one reflection in an
-        # anisotropic vector that g actually moves, then continue
-        broke = False
-        for idx, z in enumerate(zbasis):
-            gz = g.apply_coords(z)
-            if gz != z:
-                refs.append(lattice.vec(z))
-                g = reflect_times(lattice, refs[-1], g)
-                fixed = [False] * len(candidates)
-                broke = True
-                break
-        assert broke, "non-identity isometry fixing an anisotropic basis"
-    assert len(refs) <= n, "reflection count exceeded the rank"
+        if found is None:
+            # moved space totally isotropic: compose with one reflection
+            # in an anisotropic basis vector z that g actually moves
+            for nz, dx in candidates[:n]:
+                if any(_moved(g, nz)):
+                    found = [0] * n
+                    for k, y in nz:
+                        found[k] = la.quotient(y, dx)
+                    fixed = [False] * len(candidates)
+                    break
+            else:
+                raise AssertionError(
+                    "non-identity isometry fixing an anisotropic basis")
+        refs.append(lattice.vec(found))
+        g = reflect_times(lattice, refs[-1], g)
+    if len(refs) > n:
+        raise AssertionError("reflection count exceeded the rank")
     return refs
 
 
@@ -314,6 +335,24 @@ def _delta_fix_vector(lattice, work, lam, target):
     raise SearchExhausted("no usable norm-%d vector for the delta fix" % target)
 
 
+def _plane_negation(lattice, n1, n2):
+    """The isometry that is -1 on the plane of the isotropic integer
+    vectors n1, n2 and 1 on its orthogonal complement."""
+    g1, g2 = lattice.gram_times(n1), lattice.gram_times(n2)
+    c = sum([n1[k] * s for k, s in g2])
+    n = lattice.rank
+    rows = [[c if r == t else 0 for t in range(n)] for r in range(n)]
+    for x, gy in ((n1, g2), (n2, g1)):
+        for r, xr in enumerate(x):
+            if xr:
+                row = rows[r]
+                for t, s in gy:
+                    row[t] -= 2 * xr * s
+    if c < 0:
+        c, rows = -c, [[-y for y in row] for row in rows]
+    return QIsometry._of(lattice, rows, c)
+
+
 def positive_reflection_rewrite(lattice, u):
     """For primitive integral u with (u,u) = -2m < 0 in a unimodular lattice
     containing U + U: h integral and w with (w,w) = 2m and rho_u = h rho_w.
@@ -332,10 +371,11 @@ def positive_reflection_rewrite(lattice, u):
     i, j = lattice.u_blocks[0]
     f1, f2 = ginv.apply_columns((lattice.basis_vec(i).coords,
                                  lattice.basis_vec(j).coords))
-    # sigma = rho_{e1-e2} rho_{e1+e2} (orthogonal, norms 2 and -2), so its
-    # conjugate h is the product of the reflections in f1 - f2 and f1 + f2
-    h = reflect_times(lattice, LatVec(lattice, la.vec_sub(f1, f2)),
-                      reflect(lattice, la.vec_add(f1, f2)))
+    # sigma is -1 on U1 and 1 on its complement, so its conjugate h is -1
+    # on the hyperbolic plane (f1, f2) and 1 on its complement:
+    # h = 1 - (2/c)(f1 (G f2)^T + f2 (G f1)^T) with c = (f1, f2), one
+    # integer rank-2 update of c times the identity over c
+    h = _plane_negation(lattice, la.scaled_vec(f1)[0], la.scaled_vec(f2)[0])
     # rho_{e1+m e2} = sigma o rho_{e1-m e2}, and (e1 - m e2)^2 = 2m
     w = LatVec(lattice, la.vec_sub(f1, la.vec_scale(m, f2)))
     # rho_u = h rho_w itself is covered by the recomposition check that

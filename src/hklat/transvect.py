@@ -107,8 +107,8 @@ def eichler_transvection(lattice, e, a):
 class TransvectionWord:
     """An ordered word of transvections; steps[0] is applied first.
 
-    steps holds the (e, a) coordinates; _data the same steps as kernel
-    integers.
+    steps holds the (e, a) coordinates as int tuples; _data the same steps
+    as kernel integers.
     """
 
     __slots__ = ("lattice", "steps", "_data")
@@ -121,8 +121,13 @@ class TransvectionWord:
             self.append(e, a)
 
     def append(self, e_coords, a_coords):
-        self._data.append(_step_data(self.lattice, e_coords, a_coords))
-        self.steps.append((la.vec(e_coords), la.vec(a_coords)))
+        data = _step_data(self.lattice, e_coords, a_coords)
+        self._push(tuple(map(int, e_coords)), tuple(map(int, a_coords)), data)
+
+    def _push(self, e, a, data):
+        """Append the step (e, a), int tuples, with its kernel data."""
+        self.steps.append((e, a))
+        self._data.append(data)
 
     def apply_columns(self, xs):
         """The images of the coordinate vectors xs, in one pass."""
@@ -217,30 +222,41 @@ class _Reducer:
         c[i] = scale
         return tuple(c)
 
-    def _emit(self, e_coords, a_coords):
+    def _emit(self, e_coords, a_coords, data=None):
+        """Record E(e, a) and apply it to x; data, when given, is the
+        step's kernel data, else it is built and checked by append."""
         self.budget -= 1
         if self.budget <= 0:
             raise SearchExhausted("transvection reduction exceeded step budget")
-        self.word.append(e_coords, a_coords)
+        if data is None:
+            self.word.append(e_coords, a_coords)
+        else:
+            self.word._push(e_coords, a_coords, data)
         if _step_columns(self.word._data[-1:], [self.x]) != 1:
             raise NotIntegral("a reduction step left the integers")
 
+    def _move(self, i, j, k):
+        """E(e_i, k e_j), its data read off the Gram rows: G e_i is row i,
+        G(k e_j) is k times row j and (k e_j, k e_j) = k^2 G_jj."""
+        if k:
+            rows = self.lat._gram_rows
+            self._emit(self._basis(i), self._basis(j, k),
+                       ([(i, 1)], [(j, k)], list(rows[i]),
+                        [(t, k * g) for t, g in rows[j]],
+                        k * k * self.lat.gram[j][j]))
+
     # -- the four elementary SL2 x SL2 moves ------------------------------
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
-        if k:
-            self._emit(self._basis(self.e1), self._basis(self.f1, k))
+        self._move(self.e1, self.f1, k)
 
     def op_col2(self, k):   # P: col2 += k col1   <->  E(f2, k e2)
-        if k:
-            self._emit(self._basis(self.f2), self._basis(self.e2, k))
+        self._move(self.f2, self.e2, k)
 
     def op_row1(self, k):   # P: row1 += k row2   <->  E(e1, k f2)
-        if k:
-            self._emit(self._basis(self.e1), self._basis(self.f2, k))
+        self._move(self.e1, self.f2, k)
 
     def op_row2(self, k):   # P: row2 += k row1   <->  E(f1, k e2)
-        if k:
-            self._emit(self._basis(self.f1), self._basis(self.e2, k))
+        self._move(self.f1, self.e2, k)
 
     def _p(self):
         x = self.x
@@ -287,7 +303,8 @@ class _Reducer:
     def _finish_with_unit(self):
         """From diagonal P with P22 = 1, reach [[1,0],[0,P11]]."""
         p = self._p()
-        assert p[1][1] == 1 and p[0][1] == 0 and p[1][0] == 0
+        if not (p[1][1] == 1 and p[0][1] == 0 and p[1][0] == 0):
+            raise AssertionError("P is not diagonal with P22 = 1")
         v = p[0][0]
         self.op_row1(1)
         self.op_col1(1 - v)

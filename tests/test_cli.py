@@ -5,6 +5,7 @@ import sys
 
 from hklat import jsonio as io
 from hklat import lattice as lt
+from hklat import cli
 from hklat.cli import main
 
 
@@ -12,6 +13,16 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_rand_coords_is_randint():
+    """verify all's coordinate draws give the stream of randint(-2, 2),
+    draw for draw, and leave the generator in the same state."""
+    for seed in (0, 1, 7, 42, 2024, 99991):
+        want, got = random.Random(seed), random.Random(seed)
+        assert cli._rand_coords(got, 5000) == [want.randint(-2, 2)
+                                               for _ in range(5000)]
+        assert got.getstate() == want.getstate()
 
 
 def test_lattice_preset(capsys):

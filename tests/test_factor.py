@@ -11,6 +11,7 @@ from conftest import (canonical, canonical_form, frac_pair, rand_anisotropic,
                       rand_orientation_preserving, rand_primitive,
                       rand_transvection, rand_vec)
 from hklat import factor as fc
+from hklat import linalg as la
 from hklat import jsonio as jio
 from hklat import lattice as lt
 from hklat import transvect as tv
@@ -110,6 +111,106 @@ def test_positive_reflection_rewrite(k3):
         assert w.norm() == -v.norm()
         assert h.is_integral()
         assert (h * fc.reflect(k3, w)).matrix == fc.reflect(k3, v).matrix
+
+
+def _cartan_dieudonne_fractions(lattice, f):
+    """cartan_dieudonne as a plain-Fraction scan: the candidates z_i and
+    z_i + z_j as rational vectors, each tested through apply_coords and
+    pair_coords."""
+    p, _ = la.congruent_diagonalize(lattice.gram)
+    zbasis = [la.vec(row) for row in p]
+    n = lattice.rank
+    candidates = list(zbasis) + [la.vec_add(zbasis[i], zbasis[j])
+                                 for i in range(n) for j in range(i + 1, n)]
+    fixed = [False] * len(candidates)
+    refs = []
+    g = f
+    while not g.is_identity():
+        found = None
+        for idx, x in enumerate(candidates):
+            if fixed[idx]:
+                continue
+            w = la.vec_sub(g.apply_coords(x), x)
+            if la.is_zero_vec(w):
+                fixed[idx] = True
+                continue
+            if lattice.pair_coords(w, w) != 0:
+                found = w
+                break
+        if found is None:
+            found = next(z for z in zbasis if g.apply_coords(z) != z)
+            fixed = [False] * len(candidates)
+        refs.append(lattice.vec(found))
+        g = fc.reflect_times(lattice, refs[-1], g)
+    return refs
+
+
+def test_cartan_dieudonne_matches_fraction_scan(k3, k3n2):
+    """The integer scan returns exactly the vectors of the Fraction scan:
+    on test_cartan_dieudonne's words, on words of the K3n:2 L-part and on
+    the totally isotropic branch."""
+    def same(lat, f):
+        refs = fc.cartan_dieudonne(lat, f)
+        assert refs == _cartan_dieudonne_fractions(lat, f)
+        assert all(canonical(w.coords) for w in refs)
+        return refs
+
+    rng = random.Random(59)
+    same(k3, fc.reflect(k3, rand_anisotropic(rng, k3)))
+    for _ in range(6):
+        f = lt.QIsometry.identity(k3)
+        for _ in range(5):
+            f = fc.reflect(k3, rand_anisotropic(rng, k3)) * f
+        same(k3, f)
+    lsub = fc.l_sublattice(k3n2)
+    rng = random.Random(60)
+    for _ in range(4):
+        same(lsub, rand_orientation_preserving(rng, lsub, count=4))
+    E = tv.eichler_transvection(k3, k3.basis_vec(0), k3.basis_vec(4))
+    assert len(same(k3, E)) >= 2
+
+
+def test_cartan_dieudonne_diagonalizes_once(monkeypatch):
+    """The orthogonal basis and its candidates are built once per lattice,
+    however many decompose calls reach cartan_dieudonne."""
+    calls = []
+    real = la.congruent_diagonalize
+    monkeypatch.setattr(la, "congruent_diagonalize",
+                        lambda g: calls.append(g) or real(g))
+    lat = lt.preset("K3n", 2)
+    rng = random.Random(62)
+    reached = []
+    real_cd = fc.cartan_dieudonne
+    monkeypatch.setattr(fc, "cartan_dieudonne",
+                        lambda lattice, f: reached.append(f) or real_cd(lattice, f))
+    for phi in [_rewrite_input(lat)] + [
+            rand_orientation_preserving(rng, lat, count=2) for _ in range(2)]:
+        fc.decompose(lat, phi)
+    assert len(reached) == 3
+    # signature() diagonalizes too, once per lattice and through its cache
+    assert [len(g) for g in calls].count(lat.rank - 1) == 1
+
+
+def test_rewrite_factor_is_the_reflection_pair(k3, k3n2):
+    """positive_reflection_rewrite's closed-form h is the product of the
+    reflections in f1 - f2 and f1 + f2, on K3 and on the K3n:2 L-part."""
+    for lat, seed in ((k3, 63), (fc.l_sublattice(k3n2), 64)):
+        rng = random.Random(seed)
+        done = 0
+        while done < 5:
+            u = rand_primitive(rng, lat)
+            if u.norm() >= 0:
+                continue
+            done += 1
+            h, w = fc.positive_reflection_rewrite(lat, u)
+            ginv = tv.reduce_to_canonical(lat, u).inverse()
+            i, j = lat.u_blocks[0]
+            f1, f2 = ginv.apply_columns((lat.basis_vec(i).coords,
+                                         lat.basis_vec(j).coords))
+            want = fc.reflect_times(lat, lat.vec(la.vec_sub(f1, f2)),
+                                    fc.reflect(lat, la.vec_add(f1, f2)))
+            assert h == want and canonical_form(h)
+            assert h * fc.reflect(lat, w) == fc.reflect(lat, u)
 
 
 def test_move_rational_into_LQ(k3n2):

@@ -235,13 +235,70 @@ else:
 """ % (_BUDGET_VECTOR,)
 
 
-def test_reduction_budget_raises_under_O():
+def _under_O(script):
+    """The stdout words of script run under python -O."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    r = subprocess.run([sys.executable, "-O", "-c", _BUDGET_SCRIPT],
+    r = subprocess.run([sys.executable, "-O", "-c", script],
                        capture_output=True, text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["raised", "1", "True"]
+    return r.stdout.split()
+
+
+def test_reduction_budget_raises_under_O():
+    assert _under_O(_BUDGET_SCRIPT) == ["raised", "1", "True"]
+
+
+_FINISH_SCRIPT = """
+import sys
+from hklat import lattice as lt, transvect as tv
+k3 = lt.preset("K3")
+# x = e1 + 2 e2 gives P = [[1, 0], [0, -2]], not diag(., 1)
+reducer = tv._Reducer(k3, (1, 2) + (0,) * 20)
+try:
+    reducer._finish_with_unit()
+except AssertionError as exc:
+    print("raised", sys.flags.optimize, "P22 = 1" in str(exc),
+          len(reducer.word))
+else:
+    print("returned", sys.flags.optimize)
+"""
+
+
+def test_finish_with_unit_raises_under_O():
+    """The reducer's invariant checks are raises, so they still run under
+    python -O."""
+    assert _under_O(_FINISH_SCRIPT) == ["raised", "1", "True", "0"]
+
+
+def test_reducer_steps_read_gram_rows(k3, k3n2):
+    """Each reducer step's data, read off the Gram rows, equals what
+    _step_data builds from its (e, a); steps are int tuples; eichler_move
+    and inverse still round-trip."""
+    rng = random.Random(83)
+    general = 0
+    for lat in (k3, k3n2):
+        for _ in range(6):
+            x = rand_primitive(rng, lat)
+            if lat is k3:
+                word = tv.reduce_to_canonical(lat, x)
+            else:
+                word = tv.move_into_L(lat, x)
+            assert len(word.steps) == len(word._data) == len(word)
+            for (e, a), data in zip(word.steps, word._data):
+                assert type(e) is tuple and type(a) is tuple
+                assert all(type(c) is int for c in e + a)
+                assert data == tv._step_data(lat, e, a)
+                general += sum(1 for c in a if c) > 1
+            y = word.apply(x)
+            assert word.inverse().apply(y) == x
+    # the Bezout and pivot moves of _kill_w went through append
+    assert general
+    for norm in (-2, 2, 4):
+        x = rand_primitive_norm(rng, k3, norm)
+        y = rand_primitive_norm(rng, k3, norm)
+        word = tv.eichler_move(k3, x, y)
+        assert word.apply(x) == y and word.inverse().apply(y) == x
