@@ -13,6 +13,9 @@ verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
 certificates.  Every reflection, in reflect_times and in
 NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
+Cartan-Dieudonne scans integer candidates built once per lattice, and the
+rewrite factor h, -1 on a hyperbolic plane and 1 on its complement, is
+built in closed form as one integer rank-2 update.
 """
 
 from . import linalg as la

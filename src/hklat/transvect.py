@@ -11,11 +11,17 @@ isometry here runs through the one integer kernel _step_columns: the input
 columns are scaled once to integer numerators over one denominator, each
 step reads the pairings (e,x), (a,x) off the nonzero entries of G e and G a
 and changes only the coordinates in supp(e) + supp(a), and the entries are
-normalized once at the end.  For a lattice containing two
-orthogonal hyperbolic planes U1 = (e1,e2), U2 = (f1,f2), the group
-generated by transvections acts transitively on primitive vectors of fixed
-norm and divisibility 1; the reduction below maps such a vector to the
-canonical e1 - (N/2) e2 and records the word of transvections.
+normalized once at the end.  A word holds its steps (e, a) as int tuples.
+The reduction's elementary moves E(e_i, k e_j) read their data straight
+off the Gram rows (G e_i is row i, G(k e_j) is k times row j); every other
+step, the reduction's two general moves included, is checked by
+_step_data.
+
+For a lattice containing two orthogonal hyperbolic planes U1 = (e1,e2),
+U2 = (f1,f2), the group generated by transvections acts transitively on
+primitive vectors of fixed norm and divisibility 1; the reduction below
+maps such a vector to the canonical e1 - (N/2) e2 and records the word of
+transvections.
 
 The reduction works on the 2x2 integer matrix
 
@@ -222,16 +228,12 @@ class _Reducer:
         c[i] = scale
         return tuple(c)
 
-    def _emit(self, e_coords, a_coords, data=None):
-        """Record E(e, a) and apply it to x; data, when given, is the
-        step's kernel data, else it is built and checked by append."""
+    def _emit(self, e, a, data):
+        """Record E(e, a), int tuples with kernel data, and apply it to x."""
         self.budget -= 1
         if self.budget <= 0:
             raise SearchExhausted("transvection reduction exceeded step budget")
-        if data is None:
-            self.word.append(e_coords, a_coords)
-        else:
-            self.word._push(e_coords, a_coords, data)
+        self.word._push(e, a, data)
         if _step_columns(self.word._data[-1:], [self.x]) != 1:
             raise NotIntegral("a reduction step left the integers")
 
@@ -244,6 +246,11 @@ class _Reducer:
                        ([(i, 1)], [(j, k)], list(rows[i]),
                         [(t, k * g) for t, g in rows[j]],
                         k * k * self.lat.gram[j][j]))
+
+    def _general_move(self, i, a):
+        """E(e_i, a) for an integer list a, its data checked by _step_data."""
+        e, a = self._basis(i), tuple(a)
+        self._emit(e, a, _step_data(self.lat, e, a))
 
     # -- the four elementary SL2 x SL2 moves ------------------------------
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
@@ -350,14 +357,14 @@ class _Reducer:
         y = [0] * self.lat.rank
         for i, c in zip(idxs, coeffs):
             y[i] = -c
-        self._emit(self._basis(self.f2), tuple(y))
+        self._general_move(self.f2, y)
         if self.x[self.f2] != 1 or self.x[self.f1] != 0:
             raise AssertionError("pivot move did not set (c, d) = (0, 1)")
         # pivot on d = 1: E(f1, w) removes the whole remainder
         w = [0] * self.lat.rank
         for k in self.w_idx:
             w[k] = self.x[k]
-        self._emit(self._basis(self.f1), tuple(w))
+        self._general_move(self.f1, w)
         if any(v != 0 for v in self._w_part()):
             raise AssertionError("pivot move left a remainder outside U1 + U2")
 
