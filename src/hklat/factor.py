@@ -343,17 +343,19 @@ def _plane_negation(lattice, n1, n2):
     vectors n1, n2 and 1 on its orthogonal complement."""
     g1, g2 = lattice.gram_times(n1), lattice.gram_times(n2)
     c = sum([n1[k] * s for k, s in g2])
-    n = lattice.rank
-    rows = [[c if r == t else 0 for t in range(n)] for r in range(n)]
+    # h = (c - 2 F) / c for F = n1 (G n2)^T + n2 (G n1)^T, with the sign
+    # of c folded into the numerators
+    d, two = (c, -2) if c > 0 else (-c, 2)
+    rows = [[0] * lattice.rank for _ in range(lattice.rank)]
+    for r, row in enumerate(rows):
+        row[r] = d
     for x, gy in ((n1, g2), (n2, g1)):
         for r, xr in enumerate(x):
             if xr:
-                row = rows[r]
+                row, xr = rows[r], two * xr
                 for t, s in gy:
-                    row[t] -= 2 * xr * s
-    if c < 0:
-        c, rows = -c, [[-y for y in row] for row in rows]
-    return QIsometry._of(lattice, rows, c)
+                    row[t] += xr * s
+    return QIsometry._of(lattice, rows, d)
 
 
 def positive_reflection_rewrite(lattice, u):
