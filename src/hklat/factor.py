@@ -377,9 +377,7 @@ def positive_reflection_rewrite(lattice, u):
     f1, f2 = ginv.apply_columns((lattice.basis_vec(i).coords,
                                  lattice.basis_vec(j).coords))
     # sigma is -1 on U1 and 1 on its complement, so its conjugate h is -1
-    # on the hyperbolic plane (f1, f2) and 1 on its complement:
-    # h = 1 - (2/c)(f1 (G f2)^T + f2 (G f1)^T) with c = (f1, f2), one
-    # integer rank-2 update of c times the identity over c
+    # on the hyperbolic plane (f1, f2) and 1 on its complement
     h = _plane_negation(lattice, la.scaled_vec(f1)[0], la.scaled_vec(f2)[0])
     # rho_{e1+m e2} = sigma o rho_{e1-m e2}, and (e1 - m e2)^2 = 2m
     w = LatVec(lattice, la.vec_sub(f1, la.vec_scale(m, f2)))
