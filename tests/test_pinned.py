@@ -4,15 +4,20 @@ perfbench traces, which must keep resolving in hklat."""
 import hashlib
 import importlib
 import importlib.util
+import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from conftest import rand_primitive_norm
 from hklat import factor as fc
 from hklat import jsonio as jio
+from hklat import mukai as mk
 from hklat import transvect as tv
+from hklat.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,6 +47,45 @@ def test_decompose_certificate_bytes(k3n2):
     assert len(text) == 19928
     assert _sha(text) == ("25b3c4535d6860fb29bc13c7cd9b67c0"
                           "fc7110b698fd99a2903ca274d7d31440")
+
+
+def test_eichler_move_and_double_orbit_bytes(k3):
+    """Seeded eichler_move words on K3 (length, steps and isometry JSON) and
+    double_orbit_connect's h1, h2, hashed together."""
+    rng = random.Random(181)
+    text = ""
+    for norm in (2, 4, -2, 6, 0):
+        x = rand_primitive_norm(rng, k3, norm)
+        y = rand_primitive_norm(rng, k3, norm)
+        word = tv.eichler_move(k3, x, y)
+        text += "%d %r %s\n" % (len(word), list(word.steps),
+                                jio.dumps(jio.isometry_to_json(word.isometry())))
+        if norm:
+            h1, h2 = mk.double_orbit_connect(k3, x, y)
+            text += "%s %s\n" % (jio.dumps(jio.isometry_to_json(h1)),
+                                 jio.dumps(jio.isometry_to_json(h2)))
+    assert len(text) == 46411
+    assert _sha(text.encode()) == ("30e2fe75199afc53e13b8b26983213cf"
+                                   "dd792d1e1d7c976f38bbb2c13c4dfa4a")
+
+
+_X2 = [2, 1, -2, 2, 3, 0, -1, -1] + [0] * 14
+_Y2 = [-3, 2, 2, 2, 0, -2, 1, 1, 1, 1] + [0] * 12
+_X4 = [3, -2, 0, 0, 3, 1, 1, 1] + [0] * 14
+_Y4 = [1, 1, -2, 2, -2, 0, -1, -1, -1, -1] + [0] * 12
+
+
+@pytest.mark.parametrize("argv, payload, digest", [
+    (["orbit", "move"], {"lattice": "K3", "x": _X2, "y": _Y2},
+     "8e511f13e557c94e3e033cde976d53e846a46c6dfda409d47b754f820284cced"),
+    (["orbit", "connect"], {"lattice": "K3", "u": _X4, "u2": _Y4},
+     "5e2acd91f29b79be73d56dc4fca681bfcc353ef2d70c72681d97403d0d9bb32d"),
+    (["mukai", "cyclic"], {"u": _X2},
+     "5b9bedd07f3602f2487654be709ac9c7772ed7d90080eb59c0e2b27057141742"),
+], ids=["orbit-move", "orbit-connect", "mukai-cyclic"])
+def test_cli_word_bytes(argv, payload, digest, capsys):
+    assert main(argv + ["--json", json.dumps(payload)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == digest
 
 
 @pytest.mark.parametrize("pool_seed, digest", [
