@@ -384,8 +384,7 @@ def cmd_verify(args):
     const_ok = True
     for d in range(1, 6):
         lat = preset("K3n", d + 1)
-        u = fc.embed_l_vector(lat, tv.canonical_vector(fc.l_sublattice(lat),
-                                                       2 * d + 2))
+        u = tv.canonical_vector(lat, 2 * d + 2)
         ud = list(u.coords)
         ud[lat.delta_index] += 1
         w = LatVec(lat, ud)

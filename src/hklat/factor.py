@@ -15,7 +15,10 @@ certificates.  Every reflection, in reflect_times and in
 NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
 Cartan-Dieudonne scans integer candidates built once per lattice, and the
 rewrite factor h, -1 on a hyperbolic plane and 1 on its complement, is
-built in closed form as one integer rank-2 update.
+built in closed form as one integer rank-2 update.  A negative u lies in
+the L-part and so has divisibility 1 in Lambda too: its rewrite runs in
+Lambda itself, and the O(L_Q) residue is cut from the integer form of an
+isometry that fixes delta.
 """
 
 from . import linalg as la
@@ -207,22 +210,6 @@ def embed_l_vector(lattice, v):
     return LatVec(lattice, coords)
 
 
-def restrict_to_l(lattice, v):
-    di = lattice.delta_index
-    if v.coords[di] != 0:
-        raise LatticeError("vector has a nonzero delta coordinate")
-    return LatVec(l_sublattice(lattice), tuple(c for i, c in enumerate(v.coords)
-                                               if i != di))
-
-
-def extend_l_isometry(lattice, g):
-    """Extend an isometry of the L-part to Lambda fixing delta."""
-    di = lattice.delta_index
-    idx = [i for i in range(lattice.rank) if i != di]
-    return QIsometry._of(lattice, la.embed_block(lattice.rank, g.nums, idx, g.d),
-                         g.d)
-
-
 def _d_value(lattice):
     dd = -lattice.gram[lattice.delta_index][lattice.delta_index]
     if dd <= 0 or dd % 2 != 0:
@@ -359,8 +346,10 @@ def _plane_negation(lattice, n1, n2):
 
 
 def positive_reflection_rewrite(lattice, u):
-    """For primitive integral u with (u,u) = -2m < 0 in a unimodular lattice
-    containing U + U: h integral and w with (w,w) = 2m and rho_u = h rho_w.
+    """For primitive integral u of divisibility 1 with (u,u) = -2m < 0 in a
+    lattice containing U + U: h integral and w with (w,w) = 2m and
+    rho_u = h rho_w.  A primitive u of the L-part of L + Z*delta qualifies,
+    since L is unimodular and (u, delta) = 0.
 
     h = g^-1 sigma g and w = g^-1(e1 - m e2) for the transvection word g
     moving u to the canonical vector e1 + m e2, where sigma is -id on
@@ -483,9 +472,7 @@ def _reference_vector(lattice):
     if "decompose_ref" in lattice._cache:
         return lattice._cache["decompose_ref"]
     d = _d_value(lattice)
-    u0 = embed_l_vector(lattice, canonical_vector(l_sublattice(lattice),
-                                                  2 * d + 2))
-    c0 = neg_reflection_u_delta(lattice, u0)
+    c0 = neg_reflection_u_delta(lattice, canonical_vector(lattice, 2 * d + 2))
     delta = lattice.basis_vec(lattice.delta_index)
     x = c0.apply(delta)
     g1, g1_items = _move_rational_items(lattice, x)
@@ -551,13 +538,12 @@ def decompose(lattice, phi):
         if work.apply(delta) != delta:
             raise LatticeError("the delta-moving words do not fix delta")
 
-    # residue in O(L_Q)
+    # residue in O(L_Q): work fixes delta, so its delta row and column
+    # vanish off the diagonal and the rest is already in canonical form
     lsub = l_sublattice(lattice)
-    di = lattice.delta_index
-    res_rows = tuple(tuple(work.matrix[i][j]
-                           for j in range(lattice.rank) if j != di)
-                     for i in range(lattice.rank) if i != di)
-    residue = QIsometry(lsub, res_rows)
+    idx = [i for i in range(lattice.rank) if i != lattice.delta_index]
+    residue = QIsometry._of(lsub, [[work.nums[i][j] for j in idx] for i in idx],
+                            work.d)
     for w in cartan_dieudonne(lsub, residue):
         factors.append(("refl", embed_l_vector(lattice, w)))
 
@@ -566,7 +552,6 @@ def decompose(lattice, phi):
 
 def _assemble(lattice, phi, factors):
     """Normalize an outer-to-inner item list into a NormalForm."""
-    lsub = l_sublattice(lattice)
     normalized = []
     for item in factors:
         if item[0] != "refl":
@@ -576,10 +561,9 @@ def _assemble(lattice, phi, factors):
         if u.norm() > 0:
             normalized.append(("refl", u))
         else:
-            ul = restrict_to_l(lattice, u)
-            h, w = positive_reflection_rewrite(lsub, ul)
-            normalized.append(("gamma", extend_l_isometry(lattice, h)))
-            normalized.append(("refl", embed_l_vector(lattice, w)))
+            h, w = positive_reflection_rewrite(lattice, u)
+            normalized.append(("gamma", h))
+            normalized.append(("refl", w))
     # collapse: [gamma-run] refl [gamma-run] ... refl [gamma-run], with
     # each gamma of nu = -1 negated into Gamma
     gammas_rev = []   # gamma_k first (outer-to-inner scan)

@@ -268,8 +268,7 @@ def divisibility(lattice, x):
         raise LatticeError("divisibility of the zero vector is undefined")
     if not x.is_integral():
         raise NotIntegral("divisibility requires an integral vector")
-    gx = la.mat_vec(lattice.gram, x.coords)
-    return la.content(gx)
+    return gcd(*[s for _, s in lattice.gram_times(x.coords)])
 
 
 def _check_isometry(lattice, nums, d):

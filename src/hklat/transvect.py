@@ -11,11 +11,11 @@ isometry here runs through the one integer kernel _step_columns: the input
 columns are scaled once to integer numerators over one denominator, each
 step reads the pairings (e,x), (a,x) off the nonzero entries of G e and G a
 and changes only the coordinates in supp(e) + supp(a), and the entries are
-normalized once at the end.  A word holds its steps (e, a) as int tuples.
-The reduction's elementary moves E(e_i, k e_j) read their data straight
-off the Gram rows (G e_i is row i, G(k e_j) is k times row j); every other
-step, the reduction's two general moves included, is checked by
-_step_data.
+normalized once at the end.  A word holds only that data, and rebuilds
+its steps (e, a) as int tuples from it on request.  The reduction's
+elementary moves E(e_i, k e_j) read their data straight off the Gram rows
+(G e_i is row i, G(k e_j) is k times row j); every other step, the
+reduction's two general moves included, is checked by _step_data.
 
 For a lattice containing two orthogonal hyperbolic planes U1 = (e1,e2),
 U2 = (f1,f2), the group generated by transvections acts transitively on
@@ -57,6 +57,14 @@ def _step_data(lattice, e, a):
 
 def _nonzero(v):
     return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _dense(pairs, n):
+    """The length-n int tuple with the given nonzero (index, entry) pairs."""
+    c = [0] * n
+    for i, x in pairs:
+        c[i] = x
+    return tuple(c)
 
 
 def _step_columns(data, cols):
@@ -111,29 +119,25 @@ def eichler_transvection(lattice, e, a):
 
 
 class TransvectionWord:
-    """An ordered word of transvections; steps[0] is applied first.
+    """An ordered word of transvections; the first step is applied first.
 
-    steps holds the (e, a) coordinates as int tuples; _data the same steps
-    as kernel integers.
+    _data holds each step once, as the kernel integers of _step_data.
     """
 
-    __slots__ = ("lattice", "steps", "_data")
+    __slots__ = ("lattice", "_data")
 
     def __init__(self, lattice, steps=()):
         self.lattice = lattice
-        self.steps = []
-        self._data = []
-        for e, a in steps:
-            self.append(e, a)
+        self._data = [_step_data(lattice, e, a) for e, a in steps]
+
+    @property
+    def steps(self):
+        """The (e, a) coordinates of each step, as int tuples."""
+        n = self.lattice.rank
+        return [(_dense(e, n), _dense(a, n)) for e, a, _, _, _ in self._data]
 
     def append(self, e_coords, a_coords):
-        data = _step_data(self.lattice, e_coords, a_coords)
-        self._push(tuple(map(int, e_coords)), tuple(map(int, a_coords)), data)
-
-    def _push(self, e, a, data):
-        """Append the step (e, a), int tuples, with its kernel data."""
-        self.steps.append((e, a))
-        self._data.append(data)
+        self._data.append(_step_data(self.lattice, e_coords, a_coords))
 
     def apply_columns(self, xs):
         """The images of the coordinate vectors xs, in one pass."""
@@ -148,19 +152,20 @@ class TransvectionWord:
         return LatVec(self.lattice, self.apply_coords(v.coords))
 
     def isometry(self):
-        cols = self.apply_columns(la.identity(self.lattice.rank))
-        return QIsometry(self.lattice, la.transpose(cols), _trusted=True)
+        """The word as an isometry, run on the identity's integer columns."""
+        cols = [list(c) for c in la.identity(self.lattice.rank)]
+        d = _step_columns(self._data, cols)
+        return QIsometry._of(self.lattice, la.transpose(cols), d)
 
     def inverse(self):
         # E(e, a)^-1 = E(e, -a): negate a and G a, keep e, G e and (a,a)
         inv = TransvectionWord(self.lattice)
-        inv.steps = [(e, tuple(-x for x in a)) for e, a in reversed(self.steps)]
         inv._data = [(e, [(i, -x) for i, x in a], ge, [(i, -x) for i, x in ga],
                       aa) for e, a, ge, ga, aa in reversed(self._data)]
         return inv
 
     def __len__(self):
-        return len(self.steps)
+        return len(self._data)
 
 
 def _bezout_combo(values):
@@ -223,18 +228,13 @@ class _Reducer:
         self.word = TransvectionWord(lattice)
         self.budget = _MAX_REDUCE_STEPS
 
-    def _basis(self, i, scale=1):
-        c = [0] * self.lat.rank
-        c[i] = scale
-        return tuple(c)
-
-    def _emit(self, e, a, data):
-        """Record E(e, a), int tuples with kernel data, and apply it to x."""
+    def _emit(self, data):
+        """Record the step with kernel data data and apply it to x."""
         self.budget -= 1
         if self.budget <= 0:
             raise SearchExhausted("transvection reduction exceeded step budget")
-        self.word._push(e, a, data)
-        if _step_columns(self.word._data[-1:], [self.x]) != 1:
+        self.word._data.append(data)
+        if _step_columns([data], [self.x]) != 1:
             raise NotIntegral("a reduction step left the integers")
 
     def _move(self, i, j, k):
@@ -242,15 +242,15 @@ class _Reducer:
         G(k e_j) is k times row j and (k e_j, k e_j) = k^2 G_jj."""
         if k:
             rows = self.lat._gram_rows
-            self._emit(self._basis(i), self._basis(j, k),
-                       ([(i, 1)], [(j, k)], list(rows[i]),
+            self._emit(([(i, 1)], [(j, k)], list(rows[i]),
                         [(t, k * g) for t, g in rows[j]],
                         k * k * self.lat.gram[j][j]))
 
     def _general_move(self, i, a):
         """E(e_i, a) for an integer list a, its data checked by _step_data."""
-        e, a = self._basis(i), tuple(a)
-        self._emit(e, a, _step_data(self.lat, e, a))
+        e = [0] * self.lat.rank
+        e[i] = 1
+        self._emit(_step_data(self.lat, e, a))
 
     # -- the four elementary SL2 x SL2 moves ------------------------------
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
@@ -348,9 +348,9 @@ class _Reducer:
             return
         self._diagonalize()   # now c = d = 0, w untouched
         # one pure move E(f2, y) with (y, alpha) = -1 sets the f2-coord to 1
-        pair_rows = la.mat_vec(self.lat.gram, self.x)
+        gx = dict(self.lat.gram_times(self.x))
         idxs = [self.e1, self.e2] + list(self.w_idx)
-        vals = [int(pair_rows[i]) for i in idxs]
+        vals = [gx.get(i, 0) for i in idxs]
         g, coeffs = _bezout_combo(vals)
         if g != 1:
             raise AssertionError("divisibility was not 1")
@@ -409,7 +409,9 @@ def eichler_move(lattice, x, y):
         raise DivisibilityMismatch("divisibilities differ: %d vs %d" % (dx, dy))
     wx = reduce_to_canonical(lattice, x)
     wy = reduce_to_canonical(lattice, y)
-    word = TransvectionWord(lattice, wx.steps + wy.inverse().steps)
+    # both halves were checked as they were built
+    word = TransvectionWord(lattice)
+    word._data = wx._data + wy.inverse()._data
     if word.apply(x) != y:
         raise AssertionError("transvection word does not map x to y")
     return word
@@ -427,7 +429,9 @@ def move_into_L(lattice, alpha):
     lam = [c for i, c in enumerate(alpha.coords) if i != di]
     if la.is_zero_vec(lam) or la.content(lam) != 1:
         raise NonPrimitiveLambda("the L-part must be primitive in L")
-    word = _Reducer(lattice, alpha.coords).run()
-    if word.apply(alpha).coords[di] != 0:
+    reducer = _Reducer(lattice, alpha.coords)
+    word = reducer.run()
+    # run() checked the reducer's tracked image of alpha, so read it there
+    if reducer.x[di] != 0:
         raise AssertionError("moved vector has a nonzero delta coordinate")
     return word

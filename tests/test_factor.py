@@ -113,6 +113,27 @@ def test_positive_reflection_rewrite(k3):
         assert (h * fc.reflect(k3, w)).matrix == fc.reflect(k3, v).matrix
 
 
+def test_rewrite_in_lambda_matches_the_l_part_route(k3n2):
+    """positive_reflection_rewrite on Lambda gives the h and w of the
+    L-part route: restrict u to L, rewrite there, then extend h by the
+    identity on delta and embed w."""
+    lat, lsub = k3n2, fc.l_sublattice(k3n2)
+    di = lat.delta_index
+    rng = random.Random(89)
+    done = 0
+    while done < 5:
+        ul = rand_primitive(rng, lsub)
+        if ul.norm() >= 0:
+            continue
+        done += 1
+        h, w = fc.positive_reflection_rewrite(lat, fc.embed_l_vector(lat, ul))
+        hl, wl = fc.positive_reflection_rewrite(lsub, ul)
+        rows = [list(row[:di]) + [0] + list(row[di:]) for row in hl.matrix]
+        rows.insert(di, [int(j == di) for j in range(lat.rank)])
+        assert h == lt.QIsometry(lat, rows)
+        assert w == fc.embed_l_vector(lat, wl)
+
+
 def _cartan_dieudonne_fractions(lattice, f):
     """cartan_dieudonne as a plain-Fraction scan: the candidates z_i and
     z_i + z_j as rational vectors, each tested through apply_coords and
@@ -342,6 +363,14 @@ def test_verify_normal_form_tamper(k3n2):
                             nf.us + (u2,))
     rep = fc.verify_normal_form(flipped, phi)
     assert rep["failures"] == [("recomposition", None, "product != phi")]
+    # the same, in a norm-4 vector with delta-coordinate 1: outside the L-part
+    u4 = k3n2.vec([1, -3] + [0] * 20 + [1])
+    outside = fc.NormalForm(k3n2, nf.k + 1,
+                            nf.gammas + (lt.QIsometry.identity(k3n2),),
+                            nf.us + (u4,))
+    rep = fc.verify_normal_form(outside, phi)
+    assert rep["failures"] == [("u", nf.k, ["not in the L-part"]),
+                               ("recomposition", None, "product != phi")]
 
 
 def _fraction_product(nf):
@@ -505,7 +534,6 @@ def gate(fn, words):
 # u + delta of norm 0, not 2
 gate(lambda: fc.neg_reflection_u_delta(lat, lat.vec([1, -1] + [0] * 21)),
      "u + delta has norm 0")
-gate(lambda: fc.restrict_to_l(lat, delta), "nonzero delta coordinate")
 # a Witt map that leaves q*x non-integral: rho of e1 + 4 e2 (norm -8)
 real_witt = fc.witt_isometry
 fc.witt_isometry = lambda lattice, sw: fc.reflect(
@@ -540,7 +568,7 @@ def test_certificate_gates_raise_under_O():
     r = subprocess.run([sys.executable, "-O", "-c", _GATES_SCRIPT],
                        capture_output=True, text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["1", "NormMismatch", "LatticeError",
+    assert r.stdout.split() == ["1", "NormMismatch",
                                 "NotIntegral", "LatticeError",
                                 "IsotropicLambda"]
 

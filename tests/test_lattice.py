@@ -93,6 +93,22 @@ def test_divisibility():
         lt.divisibility(k3, k3.zero())
 
 
+def test_divisibility_matches_the_dense_content(k3, k3n2, kummer2):
+    """divisibility, read off the sparse G x, is the content of the dense
+    rational product G x, for primitive vectors and multiples alike."""
+    rng = random.Random(97)
+    for lat in (k3, k3n2, kummer2, lt.preset("Mukai"),
+                lt.preset("custom", gram=_NO_U_GRAM)):
+        xs = ([lat.basis_vec(lat.delta_index)]
+              if lat.delta_index is not None else [])
+        xs += [rand_primitive(rng, lat) for _ in range(6)]
+        for x in xs:
+            for c in (1, 2, -3):
+                y = c * x
+                assert lt.divisibility(lat, y) == la.content(
+                    la.mat_vec(lat.gram, y.coords))
+
+
 def test_disc_action():
     k32 = lt.preset("K3n", 2)
     rng = random.Random(13)

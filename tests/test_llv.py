@@ -308,7 +308,7 @@ def test_llv_gates_raise_under_O():
 _TRUSTED_SITES = {
     "identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
-    "extend_l_isometry", "isometry", "_isometry_from_lines"}
+    "isometry", "_isometry_from_lines", "_plane_negation", "decompose"}
 
 
 def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
@@ -344,7 +344,9 @@ def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
     lt.QIsometry.minus_identity(k3)
     lsub = fc.l_sublattice(k3n2)
     fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
-    fc.extend_l_isometry(k3n2, fc.reflect(lsub, lsub.vec([1, 1] + [0] * 20)))
+    # a rational phi fixing delta: decompose's O(L_Q) residue is trusted
+    fc.decompose(k3n2, fc.reflect(k3n2, k3n2.vec([1, -2] + [0] * 21))
+                 * fc.reflect(k3n2, k3n2.vec([0, 0, 1, -2] + [0] * 19)))
     tv.reduce_to_canonical(k3, k3.vec([2, 3, 1] + [0] * 19)).isometry()
     sym = sn.SymSpace(Hn2.lattice, 2)
     sn.recover(sym, sym, lambda x: x)

@@ -15,6 +15,7 @@ import pytest
 from conftest import rand_primitive_norm
 from hklat import factor as fc
 from hklat import jsonio as jio
+from hklat import lattice as lt
 from hklat import mukai as mk
 from hklat import transvect as tv
 from hklat.cli import main
@@ -37,7 +38,7 @@ def test_verify_all_seed_42_bytes(flags):
 
 def test_decompose_certificate_bytes(k3n2):
     # factor-k3n2's warm-up input: k = 5, through the delta fix and the
-    # positive rewrite, so extend_l_isometry is on the path
+    # positive rewrite, which runs in Lambda
     lat = k3n2
     e = lat.basis_vec(0)
     delta = lat.basis_vec(lat.delta_index)
@@ -119,10 +120,24 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
     """One pass, in deck order, over the factor-k3n2 deck of perfbench
     (decompose, JSON, verify on K3n:2): the sha256 of the concatenated
     certificate texts, each certificate's k, and every op passes the
-    workload's own checks."""
+    workload's own checks; each word's O(L_Q) residue equals the untrusted
+    restriction of decompose's work."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     workloads = importlib.import_module("workloads")
+    residues = []
+    real_cd = fc.cartan_dieudonne
+
+    def spy(lsub, residue):
+        # decompose's trusted residue against the untrusted restriction of
+        # its work, read from decompose's frame
+        work = sys._getframe(1).f_locals["work"]
+        idx = [i for i in range(work.lattice.rank)
+               if i != work.lattice.delta_index]
+        residues.append(residue == lt.QIsometry(
+            lsub, [[work.matrix[i][j] for j in idx] for i in idx]))
+        return real_cd(lsub, residue)
+    monkeypatch.setattr(fc, "cartan_dieudonne", spy)
     deck = workloads.FactorK3n2(pool_seed=pool_seed)
     ctx = deck.setup()
     text = ""
@@ -133,6 +148,8 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
         assert out["nf"].k == ks[i]
         text += deck.digest_text(out)
     assert _sha(text.encode()) == digest
+    # setup's warm-up input and every word outside Gamma reach the residue
+    assert residues == [True] * (1 + len(ks) - ks.count(0))
 
 
 def test_trace_targets_resolve():

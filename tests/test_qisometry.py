@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import canonical, canonical_form, rand_anisotropic
 from hklat import factor as fc
 from hklat import jsonio as jio
+from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import llv
 from hklat import transvect as tv
@@ -167,6 +168,44 @@ def test_words_keep_the_canonical_form(space, base_ops, llv_ops):
     gl, lref = _word(space.lattice, llv_ops, gl, lref, space)
     assert canonical(gl.matrix) and _fmat(gl.matrix) == lref
     assert gl.is_integral() == all(x.denominator == 1 for row in lref for x in row)
+
+
+def _transvection_word(lat, ops):
+    """A TransvectionWord on lat of single steps E(e, a), a random and
+    orthogonal to a basis vector e of a U block, and whole reducer words."""
+    word = tv.TransvectionWord(lat)
+    for kind, s in ops:
+        rng = random.Random(s)
+        if kind == "reduce":
+            x = lat.vec([rng.randint(-2, 2) for _ in range(lat.rank)])
+            if not x.is_zero() and x.is_primitive():
+                word = tv.TransvectionWord(
+                    lat, word.steps + tv.reduce_to_canonical(lat, x).steps)
+            continue
+        i, j = rng.choice(lat.u_blocks)
+        if rng.random() < 0.5:
+            i, j = j, i
+        e = [0] * lat.rank
+        e[i] = 1
+        a = [rng.randint(-2, 2) for _ in range(lat.rank)]
+        a[j] = 0   # (e_i, a) = -a_j
+        word.append(e, a)
+    return word
+
+
+@seed(16003)
+@PINNED
+@given(ops=st.lists(st.tuples(st.sampled_from(("step", "reduce")),
+                              st.integers(0, 1 << 16)), min_size=1, max_size=5))
+def test_word_data_isometry_and_inverse(k3, ops):
+    """A word's data rebuilds from its steps, its isometry is the checked
+    matrix of its column images, and its inverse undoes it."""
+    w = _transvection_word(k3, ops)
+    assert tv.TransvectionWord(k3, w.steps)._data == w._data
+    g = w.isometry()
+    cols = w.apply_columns(la.identity(k3.rank))
+    assert g == lt.QIsometry(k3, la.transpose(cols)) and canonical_form(g)
+    assert (w.inverse().isometry() * g).is_identity()
 
 
 def _paths(g):

@@ -302,3 +302,7 @@ def test_reducer_steps_read_gram_rows(k3, k3n2):
         y = rand_primitive_norm(rng, k3, norm)
         word = tv.eichler_move(k3, x, y)
         assert word.apply(x) == y and word.inverse().apply(y) == x
+        # the joined data is what checking the joined steps again gives
+        wx, wy = tv.reduce_to_canonical(k3, x), tv.reduce_to_canonical(k3, y)
+        assert word._data == tv.TransvectionWord(
+            k3, wx.steps + wy.inverse().steps)._data
