@@ -110,6 +110,28 @@ def test_shmodel_deck_bytes(pool_seed, digest, monkeypatch):
     assert _sha(text.encode()) == digest
 
 
+@pytest.mark.parametrize("pool_seed, digest", [
+    (1004, "53cd4a8129ebda6ad548481b00a588a481cf0ce38764d5af9d36b1dded923071"),
+    (9001, "6acccc9a2a558415ca68ac6d63f6ad997f5987cc9902b04f4ad4d8c00564b3bd"),
+], ids=["pool1004", "pool9001"])
+def test_symrep_deck_bytes(pool_seed, digest, monkeypatch):
+    """One pass, in deck order, over the symrep-k3n2 deck of perfbench
+    (recover and compose_rule_check on Sym^2 at d = 25): the sha256 of the
+    concatenated digest texts, and every op passes the workload's own
+    checks."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    deck = workloads.SymrepK3n2(pool_seed=pool_seed)
+    ctx = deck.setup()
+    text = ""
+    for inp in deck.deck():
+        out = deck.op(ctx, inp)
+        assert deck.check(ctx, inp, out) == []
+        text += deck.digest_text(out)
+    assert _sha(text.encode()) == digest
+
+
 @pytest.mark.parametrize("pool_seed, digest, ks", [
     (1001, "2e6c366fcb36bffd0e95743d30c37ae1d154de23ab5d7cb8775b6c11d859dc14",
      [25, 25, 24, 0, 23, 25, 7]),
