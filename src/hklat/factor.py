@@ -99,23 +99,19 @@ def witt_isometry(lattice, sign_w):
     return r if sign == 1 else -r
 
 
-def _cd_candidates(lattice):
-    """What cartan_dieudonne scans, built once per lattice: an orthogonal
-    anisotropic basis z_1..z_n, then the candidates z_i and z_i + z_j
-    (i < j), each as its nonzero (index, numerator) pairs over one
-    denominator > 0."""
+def _cd_basis(lattice):
+    """The orthogonal anisotropic basis z_1..z_n that cartan_dieudonne
+    scans, built once per lattice: each z_i as its nonzero (index,
+    numerator) pairs over one denominator dx_i > 0."""
     if "cartan_dieudonne" not in lattice._cache:
         p, d = la.congruent_diagonalize(lattice.gram)
         if not all(d):
             raise AssertionError("the diagonalized Gram matrix has a zero")
-        n = lattice.rank
-        xs = list(p) + [la.vec_add(p[i], p[j])
-                        for i in range(n) for j in range(i + 1, n)]
-        cands = []
-        for x in xs:
-            nums, dx = la.scaled_vec(x)
-            cands.append(([(k, y) for k, y in enumerate(nums) if y], dx))
-        lattice._cache["cartan_dieudonne"] = tuple(cands)
+        basis = []
+        for z in p:
+            nums, dx = la.scaled_vec(z)
+            basis.append(([(k, y) for k, y in enumerate(nums) if y], dx))
+        lattice._cache["cartan_dieudonne"] = tuple(basis)
     return lattice._cache["cartan_dieudonne"]
 
 
@@ -129,6 +125,21 @@ def _moved(g, nz):
     return w
 
 
+def _cd_candidate(g, basis, ws, i, j):
+    """(moved, den) for the candidate x = z_i (j None) or z_i + z_j (i < j)
+    of _cd_basis: moved is the integer vector den (g x - x).  ws caches
+    W_k = d dx_k (g z_k - z_k), computed on first use, and a pair's moved
+    vector is dx_j W_i + dx_i W_j over d dx_i dx_j."""
+    for k in (i, j):
+        if k is not None and ws[k] is None:
+            ws[k] = _moved(g, basis[k][0])
+    di = basis[i][1]
+    if j is None:
+        return ws[i], g.d * di
+    dj = basis[j][1]
+    return [dj * x + di * y for x, y in zip(ws[i], ws[j])], g.d * di * dj
+
+
 def cartan_dieudonne(lattice, f):
     """Reflection vectors w_1..w_m (LatVecs) with
     rho_{w_1} o ... o rho_{w_m} = f and m <= rank.
@@ -137,14 +148,17 @@ def cartan_dieudonne(lattice, f):
     w := f(x) - x anisotropic (such x exists among z_i and z_i + z_j for an
     orthogonal basis z unless the moved space is totally isotropic, in
     which case one extra reflection breaks the degeneracy).  The scan runs
-    on the integer candidates of _cd_candidates, and only the accepted w
-    is divided back out.
+    on integers: _cd_candidate forms each candidate's moved vector from
+    the rows z_i of _cd_basis, and only the accepted w is divided back
+    out.
     """
-    candidates = _cd_candidates(lattice)
+    basis = _cd_basis(lattice)
     n = lattice.rank
+    order = ([(i, None) for i in range(n)]
+             + [(i, j) for i in range(n) for j in range(i + 1, n)])
     # once a candidate is fixed it stays fixed: each step's reflection
     # vector pairs to zero with every vector the current isometry fixes
-    fixed = [False] * len(candidates)
+    fixed = [False] * len(order)
     refs = []
     g = f
     budget = n + 4
@@ -153,25 +167,26 @@ def cartan_dieudonne(lattice, f):
             raise AssertionError("cartan_dieudonne failed to terminate")
         budget -= 1
         found = None
-        for idx, (nz, dx) in enumerate(candidates):
+        ws = [None] * n
+        for idx, (i, j) in enumerate(order):
             if fixed[idx]:
                 continue
-            w = _moved(g, nz)
+            w, den = _cd_candidate(g, basis, ws, i, j)
             if not any(w):
                 fixed[idx] = True
                 continue
             if lattice.pair_coords(w, w):
-                found = [la.quotient(x, g.d * dx) for x in w]
+                found = [la.quotient(x, den) for x in w]
                 break
         if found is None:
             # moved space totally isotropic: compose with one reflection
             # in an anisotropic basis vector z that g actually moves
-            for nz, dx in candidates[:n]:
-                if any(_moved(g, nz)):
+            for i, (nz, dx) in enumerate(basis):
+                if any(_cd_candidate(g, basis, ws, i, None)[0]):
                     found = [0] * n
                     for k, y in nz:
                         found[k] = la.quotient(y, dx)
-                    fixed = [False] * len(candidates)
+                    fixed = [False] * len(order)
                     break
             else:
                 raise AssertionError(

@@ -293,22 +293,28 @@ class QIsometry:
     d > 0 with M = nums / d and gcd(d, content of nums) = 1.  Products,
     inverses, negation, det and every kernel that reads an isometry work
     on that form, and == and hash compare it.  matrix is the normalized
-    view (ints and reduced Fractions), built on first read; a constructor
-    handed a normalized matrix keeps it as that view.  Neither form is
-    ever mutated.
+    view (ints and reduced Fractions), built on first read, a
+    la.ScaledMatrix that carries the form along, so that la.scaled_mat and
+    la.mat_vec read it without rescaling; a constructor handed a
+    normalized matrix keeps it as that view.  Neither form is ever mutated.
     """
 
     __slots__ = ("lattice", "nums", "d", "_matrix", "_det")
 
     def __init__(self, lattice, matrix, _trusted=False):
-        # trusted entries already are ints and reduced Fractions
-        m = tuple(map(tuple, matrix)) if _trusted else la.mat(matrix)
+        if _trusted and type(matrix) is la.ScaledMatrix:
+            m = matrix
+        else:
+            # trusted entries already are ints and reduced Fractions
+            m = tuple(map(tuple, matrix)) if _trusted else la.mat(matrix)
         if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
             raise DimensionMismatch("matrix size does not match rank")
         nums, d = la.scaled_mat(m)
         if not _trusted:
             _check_isometry(lattice, nums, d)
-        self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
+        if type(m) is not la.ScaledMatrix:
+            m = la.scaled_view(m, tuple(map(tuple, nums)), d)
+        self.lattice, self.nums, self.d = lattice, m.nums, d
         self._matrix, self._det = m, None
 
     @classmethod
@@ -335,11 +341,13 @@ class QIsometry:
 
     @property
     def matrix(self):
-        """M as rows of ints and reduced Fractions, built on first read."""
+        """M as rows of ints and reduced Fractions, a la.ScaledMatrix
+        carrying (nums, d), built on first read."""
         if self._matrix is None:
-            d = self.d
-            self._matrix = self.nums if d == 1 else tuple(
-                tuple([la.quotient(x, d) for x in row]) for row in self.nums)
+            nums, d = self.nums, self.d
+            self._matrix = la.scaled_view(nums if d == 1 else tuple(
+                tuple([la.quotient(x, d) for x in row]) for row in nums),
+                nums, d)
         return self._matrix
 
     def __eq__(self, other):
@@ -377,11 +385,7 @@ class QIsometry:
     def apply_coords(self, x):
         """M x for coordinates x, reading only the columns where x is
         nonzero."""
-        nx, dx = la.scaled_vec(x)
-        nz = [(k, y) for k, y in enumerate(nx) if y]
-        d = self.d * dx
-        return tuple([la.quotient(sum([row[k] * y for k, y in nz]), d)
-                      for row in self.nums])
+        return la.scaled_mat_vec(self.nums, self.d, x)
 
     def apply(self, v):
         if v.lattice != self.lattice:

@@ -7,7 +7,9 @@ here keeps that contract entry by entry; the JSON encoding and the
 certificates rely on it.  A rational isometry (lattice.QIsometry) is held
 instead in one scaled-integer form, integer rows N over a denominator
 d > 0 with gcd(d, content of N) = 1, which int_mat_mul and det_mod_p
-read directly; its plain matrix is a view built from that form.
+read directly; its plain matrix is a view built from that form, a
+ScaledMatrix that carries (N, d) along, so that scaled_mat and mat_vec
+read it without rescaling.
 
 The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
 and rank built on it) never do arithmetic on Fractions.  Each operand is
@@ -78,9 +80,27 @@ def scaled_vec(v):
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+class ScaledMatrix(tuple):
+    """A plain matrix (a tuple of rows of ints and reduced Fractions) that
+    also carries its scaled-integer form: integer rows nums over d > 0 with
+    gcd(d, content of nums) = 1.  It equals and hashes as the tuple of its
+    rows; scaled_mat and mat_vec read nums and d.  Build it with
+    scaled_view, and never mutate either form."""
+
+
+def scaled_view(rows, nums, d):
+    """The ScaledMatrix of the normalized rows, whose scaled form is
+    (nums, d); the caller vouches that the two agree."""
+    view = ScaledMatrix(rows)
+    view.nums, view.d = nums, d
+    return view
+
+
 def scaled_mat(a):
     """(integer rows, d): one common denominator d > 0 for the matrix a;
-    read-only, like scaled_vec."""
+    read-only, like scaled_vec.  A ScaledMatrix gives its own form."""
+    if type(a) is ScaledMatrix:
+        return a.nums, a.d
     if all([type(x) is int for row in a for x in row]):
         return a, 1
     d = lcm(*[x.denominator for row in a for x in row])
@@ -154,8 +174,20 @@ def mat_mul(a, b):
     return tuple(tuple([quotient(s, d) for s in row]) for row in prod)
 
 
+def scaled_mat_vec(nums, d, v):
+    """(nums / d) v for integer rows nums and d > 0, reading only the
+    columns where v is nonzero."""
+    nv, dv = scaled_vec(v)
+    nz = [(k, y) for k, y in enumerate(nv) if y]
+    d *= dv
+    return tuple([quotient(sum([row[k] * y for k, y in nz]), d) for row in nums])
+
+
 def mat_vec(a, v):
-    """a v, reading only the columns of a where v is nonzero."""
+    """a v, reading only the columns of a where v is nonzero; a
+    ScaledMatrix is read on its integer form."""
+    if type(a) is ScaledMatrix:
+        return scaled_mat_vec(a.nums, a.d, v)
     nv, dv = scaled_vec(v)
     nz = [(k, y) for k, y in enumerate(nv) if y]
     na, da = scaled_mat([[row[k] for k, _ in nz] for row in a])
@@ -180,9 +212,6 @@ def vec_scale(c, v):
 def is_zero_vec(v):
     return all(x == 0 for x in v)
 
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))

@@ -7,7 +7,6 @@ is modelled by the nilpotent e_lambda sending alpha -> lambda -> (.,.)beta;
 its exponential B_lambda = 1 + e + e^2/2 is the B-field isometry.
 """
 
-from fractions import Fraction
 from math import factorial
 
 from . import linalg as la
@@ -65,30 +64,44 @@ class LLVSpace:
         return self.lattice.pair_coords(x.coords, y.coords)
 
 
+def _middle_coords(space, lam):
+    """The base-lattice coordinates of lam, a vector of the base lattice or
+    of the middle block; anything else raises LatticeError."""
+    if lam.lattice == space.base:
+        return lam.coords
+    if lam.coords[0] or lam.coords[-1]:
+        raise LatticeError("e_op needs a vector of the middle block")
+    return lam.coords[1:-1]
+
+
 def e_op(space, lam):
     """The nilpotent operator with e(alpha) = lam, e(beta) = 0 and
     e(mu) = (lam,mu) beta on the middle block.  Skew-adjoint, e^3 = 0."""
-    if lam.lattice == space.base:
-        lam = space.embed(lam)
-    elif lam.coords[0] or lam.coords[-1]:
-        raise LatticeError("e_op needs a vector of the middle block")
-    r = space.base.rank
+    lam = _middle_coords(space, lam)
     n = space.dim
     rows = [[0] * n for _ in range(n)]
-    for i in range(r):
-        rows[1 + i][0] = lam.coords[1 + i]
-    glam = la.mat_vec(space.lattice.gram, lam.coords)
-    for j in range(r):
-        rows[n - 1][1 + j] = glam[1 + j]
+    for i, x in enumerate(lam):
+        rows[1 + i][0] = x
+    glam = la.mat_vec(space.base.gram, lam)
+    rows[n - 1][1:n - 1] = glam
     return la.mat(rows)
 
 
 def b_field(space, lam):
-    """B_lambda = exp(e_lambda) = 1 + e + e^2/2, an isometry."""
-    e = e_op(space, lam)
-    e2 = la.mat_mul(e, e)
-    m = la.mat_add(la.mat_add(la.identity(space.dim), e), la.mat_scale(Fraction(1, 2), e2))
-    return QIsometry(space.lattice, la.mat(m), _trusted=True)
+    """B_lambda = exp(e_lambda) = 1 + e + e^2/2, an isometry, in closed
+    form: alpha -> alpha + lam + ((lam,lam)/2) beta, mu -> mu + (lam,mu)
+    beta on the middle block, beta -> beta.  For lam = l / D over one
+    denominator it is built on integers over 2 D^2."""
+    nums, dl = la.scaled_vec(_middle_coords(space, lam))
+    gl = space.base.gram_times(nums)
+    n, d = space.dim, 2 * dl * dl
+    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, x in enumerate(nums):
+        rows[1 + i][0] = 2 * dl * x
+    for j, s in gl:
+        rows[n - 1][1 + j] = 2 * dl * s
+    rows[n - 1][0] = sum([nums[j] * s for j, s in gl])
+    return QIsometry._of(space.lattice, rows, d)
 
 
 def tau(space):

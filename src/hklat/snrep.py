@@ -17,12 +17,16 @@ checked against it where feasible.
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
 powers v^n of an isotropic spanning set: each image is split as c w^n on
-integer numerators, and the lines (c, w) alone fix the isometry.
+integer numerators, the line of w read off the coordinates at i^n and
+i^(n-1) j for the first pure power i^n of the image, and the lines
+(c, w) alone fix the isometry, whose pairings are checked and whose
+matrix is assembled on integers over one denominator.
 compose_rule_check() works on lines as well: Sym^n(f1) sends v^n to
 (f1 v)^n, and Sym^n(f2) sends c w^n to c (f2 w)^n, so neither is applied
 as an operator on Sym^n.  A Phi built from apply_linear therefore maps
-each v^n by one matrix-vector product and one sym_power; its images are
-still split and checked entry by entry.
+each v^n by one matrix-vector product and one sym_power, and when it is
+handed an isometry's matrix view, that product reads the isometry's
+integer form; its images are still split and checked entry by entry.
 """
 
 from fractions import Fraction
@@ -500,11 +504,14 @@ def _extract_power_line(space, x):
     """Write x = c * w^n; returns (c, w_coords) with w a primitive integer
     vector, or raises NotDecomposable.
 
-    Contracting n - 1 slots of c w^n with a covector z gives a multiple of
-    (z, w)^(n-1) w, so the first Gram row z = (e_k, .) that leaves a nonzero
-    vector fixes the line of w, and x has symmetric rank 1 exactly when it
-    is a multiple of that w^n.  The contraction and the comparison run on
-    the integer numerators of x.
+    c w^n has the entry c w_i^n at the pure power i^n, nonzero exactly
+    when w_i is, and n c w_i^(n-1) w_j at i^(n-1) j for j != i.  So the
+    first pure power i^n in x fixes the line of w by one coordinate
+    functional: w_j is the entry at i^(n-1) j and w_i is n times the entry
+    at i^n, with the gcd divided out.  x has symmetric rank 1 exactly when
+    it is a multiple of that w^n, which the cross products then check.  An
+    x with no pure power is no c w^n.  Everything runs on the integer
+    numerators of x.
     """
     n = space.n
     if not x:
@@ -512,25 +519,13 @@ def _extract_power_line(space, x):
     rank_2 = "image of an isotropic power has symmetric rank > 1"
     xn, xd = sym_scaled(x)
     xn = {m: c for m, c in xn.items() if c}
-    for z in space.lattice.gram:
-        cur = xn
-        for _ in range(n - 1):
-            nxt = {}
-            for m, c in cur.items():
-                for i, mu_i in _multiplicities(m).items():
-                    if z[i]:
-                        rem = list(m)
-                        rem.remove(i)
-                        key = tuple(rem)
-                        nxt[key] = nxt.get(key, 0) + c * mu_i * z[i]
-            cur = {m: c for m, c in nxt.items() if c}
-        if cur:
-            break
-    else:
+    dim = space.dim_v
+    i = next((i for i in range(dim) if (i,) * n in xn), None)
+    if i is None:
         raise NotDecomposable(rank_2)
-    w = [0] * space.dim_v
-    for m, c in cur.items():
-        w[m[0]] = c
+    head = (i,) * (n - 1)
+    w = [xn.get((j,) + head if j < i else head + (j,), 0) for j in range(dim)]
+    w[i] = n * xn[(i,) * n]
     g = gcd(*w)
     w = [c // g for c in w]
     wn = sym_power(w, n)
@@ -545,14 +540,14 @@ def _extract_power_line(space, x):
 
 def _isotropic_frame(lattice):
     """(vs, V^T G V, V^-1) for the isotropic spanning set vs of the lattice
-    and the matrix V of its columns; built once per lattice and kept in its
-    cache."""
+    and the matrix V of its columns, both matrices as (integer rows, d) by
+    la.scaled_mat; built once per lattice and kept in its cache."""
     frame = lattice._cache.get("isotropic_frame")
     if frame is None:
         vs = isotropic_spanning_set(lattice)
         vmat = la.transpose([v.coords for v in vs])
         p = la.mat_mul(la.mat_mul(la.transpose(vmat), lattice.gram), vmat)
-        frame = (vs, p, la.inverse(vmat))
+        frame = (vs, la.scaled_mat(p), la.scaled_mat(la.inverse(vmat)))
         lattice._cache["isotropic_frame"] = frame
     return frame
 
@@ -576,42 +571,50 @@ def _isometry_from_lines(space_1, space_2, lines):
     The scalars satisfy t_i^n = c_i (n odd) or t_i^n = |c_i| (n even, the
     signs fixed by the pairings with v_0 and then the determinant twist),
     so any rescaling of a w_i cancels.  The pairings are read off the Gram
-    matrices V^T G V (cached with V^-1 per lattice) and W^T G W of the
-    columns v_i and w_i.
+    matrices P = V^T G V (cached with V^-1 per lattice) and W^T G W of the
+    columns v_i and w_i.  Everything after the n-th roots runs on
+    integers: with t_i = a_i / b, W = W' / c, P = N / e and V^-1 = V' / e'
+    over one denominator each, the constraint t_i t_j (w_i, w_j) = P_ij
+    reads a_i a_j (W'^T G W')_ij e = N_ij (b c)^2, and f = W diag(t) V^-1
+    is the one integer product W' diag(a) V' over b c e'.
     """
     n = space_1.n
-    vs, p, vinv = _isotropic_frame(space_1.lattice)
+    vs, (pn, pd), (vinv, vd) = _isotropic_frame(space_1.lattice)
     ts = []
     for c, _ in lines:
         t = _nth_root_fraction(c if n % 2 == 1 else abs(c), n)
         if t is None:
             raise ScalarInconsistency("image scalar is not an exact n-th power")
         ts.append(t)
-    wmat = la.transpose([w for _, w in lines])
+    a, b = la.scaled_vec(ts)
+    wmat, c = la.scaled_mat(la.transpose([w for _, w in lines]))
+    a, bc = list(a), b * c
+    bc2 = bc * bc
     q = la.mat_mul(la.mat_mul(la.transpose(wmat), space_2.lattice.gram), wmat)
     if n % 2 == 0:
         # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
         for i in range(1, len(vs)):
-            if p[0][i] == 0:
+            if pn[0][i] == 0:
                 raise ScalarInconsistency("spanning set pairing graph split")
             if q[0][i] == 0:
                 raise ScalarInconsistency("image lines orthogonal where the "
                                           "spanning vectors pair")
-            # t_0 t_i q_0i = p_0i
-            want = la.ratio(p[0][i], ts[0] * ts[i] * q[0][i])
-            if want == -1:
-                ts[i] = -ts[i]
-            elif want != 1:
+            # t_0 t_i q_0i = p_0i, times (b c)^2 e
+            lhs, rhs = a[0] * a[i] * q[0][i] * pd, pn[0][i] * bc2
+            if lhs == -rhs:
+                a[i] = -a[i]
+            elif lhs != rhs:
                 raise ScalarInconsistency("pairing constraint has no sign solution")
     for i in range(len(vs)):
+        ai, qi, pi = a[i] * pd, q[i], pn[i]
         for j in range(i, len(vs)):
-            if ts[i] * ts[j] * q[i][j] != p[i][j]:
+            if ai * a[j] * qi[j] != pi[j] * bc2:
                 raise NotConjugating("candidate images do not preserve the form")
     if space_1.lattice.gram != space_2.lattice.gram:
         raise LatticeError("recover expects identified source and target spaces")
     # f = W diag(t) V^-1; with the pairings checked it is an isometry
-    tvinv = la.mat([[t * x for x in row] for t, row in zip(ts, vinv)])
-    iso = QIsometry(space_2.lattice, la.mat_mul(wmat, tvinv), _trusted=True)
+    wa = [[x * y for x, y in zip(row, a)] for row in wmat]
+    iso = QIsometry._of(space_2.lattice, la.int_mat_mul(wa, vinv), bc * vd)
     if n % 2 == 0:
         # det(f) S(f) = Phi fixes the representative among {f, -f}: both
         # send v_0^n to t_0^n w_0^n = |c_0| w_0^n, and Phi(v_0^n) = c_0 w_0^n

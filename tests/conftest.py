@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,19 @@ from hklat import lattice as lt
 from hklat import snrep as sn
 from hklat import transvect as tv
 from hklat.errors import NotIntegral
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def subprocess_env(*dirs):
+    """os.environ with this checkout's src, then dirs, prepended to
+    PYTHONPATH: a subprocess that imports hklat runs the code under test,
+    whether or not some other tree is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *dirs] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -247,3 +261,45 @@ def disc_class_dense(disc, v):
         raise NotIntegral("vector does not lie in the dual lattice")
     um = la.mat_vec(u, m)
     return tuple(int(um[i]) % di for i, di in enumerate(d) if di > 1)
+
+
+def power_line_by_contraction(space, x):
+    """(c, w) with x = c w^n and w a primitive integer vector, by the
+    Gram-row contraction: contracting n - 1 slots of c w^n with a covector
+    z leaves a multiple of (z, w)^(n-1) w, so the first Gram row that
+    leaves a nonzero vector fixes the line of w.  The reference for
+    snrep._extract_power_line, which reads the line off one coordinate;
+    None when x is no c w^n."""
+    n = space.n
+    xn, xd = sn.sym_scaled(x)
+    xn = {m: c for m, c in xn.items() if c}
+    if not xn:
+        return None
+    for z in space.lattice.gram:
+        cur = xn
+        for _ in range(n - 1):
+            nxt = {}
+            for m, c in cur.items():
+                for k in set(m):
+                    if z[k]:
+                        rem = list(m)
+                        rem.remove(k)
+                        key = tuple(rem)
+                        nxt[key] = nxt.get(key, 0) + c * m.count(k) * z[k]
+            cur = {m: c for m, c in nxt.items() if c}
+        if cur:
+            break
+    else:
+        return None
+    w = [0] * space.dim_v
+    for m, c in cur.items():
+        w[m[0]] = c
+    g = gcd(*w)
+    w = tuple(c // g for c in w)
+    wn = sn.sym_scaled(sn.sym_power(w, n))[0]
+    pivot, pw = next(iter(wn.items()))
+    px = xn.get(pivot)
+    if not (px and len(wn) == len(xn)
+            and all(xn.get(m, 0) * pw == px * c for m, c in wn.items())):
+        return None
+    return Fraction(px, xd * pw), w

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import (isotropic_samples, rand_anisotropic, rand_primitive,
                       rand_primitive_norm, rand_transvection, rand_vec,
-                      span_rank_mod_p)
+                      span_rank_mod_p, subprocess_env)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -360,8 +360,10 @@ def test_criterion_10_double_orbit(k3):
 
 def test_criterion_11_cli_determinism():
     cmd = [sys.executable, "-m", "hklat.cli", "verify", "all", "--seed", "42"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    r2 = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                        env=subprocess_env())
+    r2 = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                        env=subprocess_env())
     ok = (r1.returncode == 0 and r2.returncode == 0
           and r1.stdout == r2.stdout and len(r1.stdout) > 0
           and json.loads(r1.stdout)["ok"] is True)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+from conftest import subprocess_env
 from hklat import jsonio as io
 from hklat import lattice as lt
 from hklat import cli
@@ -83,7 +84,8 @@ def test_factor_verify_bad_shape_exits_2(capsys):
         # the shape check is a raise, so -O exits the same way
         r = subprocess.run([sys.executable, "-O", "-m", "hklat.cli", "factor",
                             "verify", "--json", payload],
-                           capture_output=True, text=True, timeout=60)
+                           capture_output=True, text=True, timeout=60,
+                           env=subprocess_env())
         assert r.returncode == 2 and r.stdout == out
 
 
@@ -143,21 +145,24 @@ def test_snrep_dim_over_monomial_budget_exits_2():
     # the budget check refuses it before enumerating any
     cmd = [sys.executable, "-m", "hklat.cli", "snrep", "dim",
            "--preset", "Kummer:2", "--n", "400"]
-    r = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=30,
+                       env=subprocess_env())
     assert r.returncode == 2
     assert json.loads(r.stdout)["error"]["type"] == "LatticeError"
 
 
 def test_verify_all_deterministic():
     cmd = [sys.executable, "-m", "hklat.cli", "verify", "all", "--seed", "7"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    r2 = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                        env=subprocess_env())
+    r2 = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                        env=subprocess_env())
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert json.loads(r1.stdout)["ok"] is True
     # the certificate gates are explicit raises, so -O prints the same bytes
     r3 = subprocess.run([sys.executable, "-O"] + cmd[1:], capture_output=True,
-                        timeout=600)
+                        timeout=600, env=subprocess_env())
     assert r3.returncode == 0
     assert r3.stdout == r1.stdout.encode()
 
@@ -175,9 +180,10 @@ sys.exit(code)
 def test_verify_all_without_numpy():
     """The library runs with numpy unimportable and prints the same bytes."""
     cmd = [sys.executable, "-m", "hklat.cli", "verify", "all", "--seed", "42"]
-    r1 = subprocess.run(cmd, capture_output=True, timeout=600)
+    r1 = subprocess.run(cmd, capture_output=True, timeout=600,
+                        env=subprocess_env())
     r2 = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True,
-                        timeout=600)
+                        timeout=600, env=subprocess_env())
     assert r1.returncode == 0 and r2.returncode == 0, r2.stderr
     assert r2.stdout == r1.stdout
 
@@ -298,7 +304,8 @@ def test_reducer_out_of_budget_exits_2(capsys):
     assert json.loads(out)["error"]["type"] == "SearchExhausted"
     r = subprocess.run([sys.executable, "-O", "-m", "hklat.cli", "factor",
                         "decompose", "--json", payload],
-                       capture_output=True, text=True, timeout=120)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env())
     assert r.returncode == 2 and r.stdout == out
 
 

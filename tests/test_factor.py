@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 from conftest import (canonical, canonical_form, frac_pair, rand_anisotropic,
                       rand_orientation_preserving, rand_primitive,
-                      rand_transvection, rand_vec)
+                      rand_transvection, rand_vec, subprocess_env, TESTS)
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import jsonio as jio
@@ -499,13 +498,9 @@ else:
 
 
 def test_broken_rewrite_is_caught_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _BROKEN_REWRITE_SCRIPT],
-                       capture_output=True, text=True, timeout=300, env=env)
+                       capture_output=True, text=True, timeout=300,
+                       env=subprocess_env(TESTS))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised", "1", "True", "True"]
 
@@ -560,13 +555,9 @@ print(sys.flags.optimize, *out)
 
 
 def test_certificate_gates_raise_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _GATES_SCRIPT],
-                       capture_output=True, text=True, timeout=300, env=env)
+                       capture_output=True, text=True, timeout=300,
+                       env=subprocess_env(TESTS))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["1", "NormMismatch",
                                 "NotIntegral", "LatticeError",

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import sympy
 
 from conftest import (disc_class_dense, nu_projection,
                       rand_orientation_preserving, rand_primitive,
-                      rand_reflection_word, rand_vec)
+                      rand_reflection_word, rand_vec, subprocess_env)
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import lattice as lt
@@ -271,13 +270,9 @@ print(__debug__)
 
 
 def test_nu_rejects_a_degenerate_projection_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _NU_SCRIPT],
-                       capture_output=True, text=True, timeout=120, env=env)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised", "False"]
 

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (canonical, canonical_form, rand_anisotropic,
-                      rand_reflection_word, rand_vec)
+                      rand_reflection_word, rand_vec, subprocess_env, TESTS)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -77,6 +76,43 @@ def test_b_field(H, k3):
     v = llv.fm_beta_image(H, r, lam)
     assert llv.b_field(H, la.ratio(-1, r) * lam).apply(v) \
         == H.vec(r, k3.zero(), 0)
+
+
+def _exp_e(space, lam):
+    """1 + e + e^2/2 for e = e_lam, in plain Fractions from the formulas
+    e(alpha) = lam, e(mu) = (lam, mu) beta, e(beta) = 0."""
+    n, r = space.dim, space.base.rank
+    g = space.base.gram
+    lam = [Fraction(x) for x in lam.coords]
+    e = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(r):
+        e[1 + i][0] = lam[i]
+        e[n - 1][1 + i] = sum(lam[k] * g[k][i] for k in range(r))
+    e2 = [[sum(e[i][k] * e[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[(i == j) + e[i][j] + e2[i][j] / 2 for j in range(n)]
+            for i in range(n)]
+
+
+def test_b_field_matches_the_exponential(H, Hn2, k3, k3n2):
+    """The closed-form B_lam equals 1 + e + e^2/2 for rational lam on K3 and
+    K3n:2, among them -e_i / R and +-delta / 2, as given in the base
+    lattice or in the middle block."""
+    rng = random.Random(263)
+    R = Fraction(6)
+    for space, base in ((H, k3), (Hn2, k3n2)):
+        lams = [la.ratio(-1, R) * base.basis_vec(i) for i in (0, 1, 7)]
+        lams += [Fraction(1, 3) * rand_vec(rng, base) for _ in range(3)]
+        if base.delta_index is not None:
+            delta = base.basis_vec(base.delta_index)
+            lams += [Fraction(s, 2) * delta for s in (1, -1)]
+            lams.append(Fraction(2, 5) * rand_vec(rng, base) + Fraction(1, 2) * delta)
+        for lam in lams:
+            B = llv.b_field(space, lam)
+            assert [[Fraction(x) for x in row] for row in B.matrix] \
+                == _exp_e(space, lam)
+            assert llv.b_field(space, space.embed(lam)) == B
+            assert canonical_form(B)
 
 
 def test_tau_mu_grading(H, Hn2):
@@ -292,13 +328,9 @@ print(__debug__)
 
 
 def test_llv_gates_raise_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src"), here]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _LLV_GATES_SCRIPT],
-                       capture_output=True, text=True, timeout=120, env=env)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env(TESTS))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised"] * 4 + ["False"]
 

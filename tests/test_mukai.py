@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -6,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_orientation_preserving, rand_primitive_norm, rand_vec
+from conftest import (rand_orientation_preserving, rand_primitive_norm,
+                      rand_vec, subprocess_env, TESTS)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -183,13 +183,9 @@ print(sys.flags.optimize, *out)
 
 
 def test_certificate_gates_raise_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src"), here]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _GATES_SCRIPT],
-                       capture_output=True, text=True, timeout=120, env=env)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env(TESTS))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["1", "OrientationReversing", "NotConjugating",
                                 "BadMonodromy"]

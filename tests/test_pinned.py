@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import rand_primitive_norm
+from conftest import rand_primitive_norm, subprocess_env
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import lattice as lt
@@ -30,7 +30,8 @@ def _sha(data):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_verify_all_seed_42_bytes(flags):
     r = subprocess.run([sys.executable, *flags, "-m", "hklat.cli", "verify",
-                        "all", "--seed", "42"], capture_output=True, timeout=600)
+                        "all", "--seed", "42"], capture_output=True, timeout=600,
+                       env=subprocess_env())
     assert r.returncode == 0
     assert _sha(r.stdout) == ("677426890e65f46f567155162221e8c5"
                               "1671673af832d573a97246a09dc81232")

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -6,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sym_mul, sym_to_dense
+from conftest import TESTS, subprocess_env, sym_mul, sym_to_dense
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import llv
@@ -350,13 +349,9 @@ except SolveFailure:
 
 
 def test_product_word_rejects_residue_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src"), here]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _RESIDUE_SCRIPT],
-                       capture_output=True, text=True, timeout=120, env=env)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env(TESTS))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised", "False"]
 

@@ -19,7 +19,7 @@ import sympy
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import canonical, canonical_form, rand_anisotropic
+from conftest import canonical, canonical_form, rand_anisotropic, rand_qcoords
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import linalg as la
@@ -233,3 +233,28 @@ def test_eq_and_hash_agree_across_construction_paths(space, base_ops, llv_ops):
             assert (other.nums, other.d) == (h.nums, h.d)
             assert other.matrix == h.matrix
         assert -h != h and h * h.inverse() == lt.QIsometry.identity(h.lattice)
+
+
+def test_matrix_view_carries_the_integer_form(k3n2):
+    """g.matrix, at d = 1 and at d > 1, hands la.scaled_mat and la.mat_vec
+    g's own form, equals and hashes like the tuple of its normalized rows,
+    and a trusted constructor handed it keeps it and gives g back."""
+    rng = random.Random(277)
+    integral = tv.eichler_transvection(k3n2, k3n2.basis_vec(0),
+                                       k3n2.basis_vec(4))
+    rational = fc.reflect(k3n2, k3n2.vec([1, -3] + [0] * 21))   # norm 6
+    assert integral.d == 1 and rational.d > 1
+    for g in (integral, rational, -rational.inverse()):
+        m = g.matrix
+        rows = tuple(tuple(la.frac(Fraction(x, g.d)) for x in row)
+                     for row in g.nums)
+        assert la.scaled_mat(m) == (g.nums, g.d)
+        assert m == rows and rows == m and hash(m) == hash(rows)
+        assert {rows: 1}[m] == 1
+        for _ in range(4):
+            v = rand_qcoords(rng, k3n2)
+            assert la.mat_vec(m, v) == g.apply_coords(v)
+            assert la.mat_vec(m, v) == la.mat_vec(rows, v)
+        h = lt.QIsometry(k3n2, m, _trusted=True)
+        assert h == g and h.matrix is m
+        assert lt.QIsometry(k3n2, m) == g and lt.QIsometry(k3n2, rows) == g

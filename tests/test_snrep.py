@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -8,7 +7,8 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import canonical, isotropic_samples, span_rank_mod_p, sym_mul
+from conftest import (canonical, isotropic_samples, power_line_by_contraction,
+                      span_rank_mod_p, subprocess_env, sym_mul)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -527,28 +527,41 @@ def _rand_qvec(rng, d):
 
 
 def test_extract_power_line_round_trips(H5, H7):
+    """The coordinate read gives a primitive integer w on the line of the
+    Gram-row contraction's, with the same c w^n: for n = 2 and 3, rational
+    c, and w whose leading coordinates vanish, so that the first pure power
+    is not at index 0."""
     rng = random.Random(233)
     for space in (H5, H7):
         d = space.dim
         for n in (2, 3):
             sym = sn.SymSpace(space.lattice, n)
-            for _ in range(6):
+            for trial in range(8):
                 c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                              rng.randint(1, 6))
                 w = _rand_qvec(rng, d)
+                if trial % 2:
+                    lead = rng.randint(1, d - 1)
+                    w = (0,) * lead + w[lead:] if any(w[lead:]) else w
                 x = sn.sym_scale(c, sn.sym_power(w, n))
                 c2, w2 = sn._extract_power_line(sym, x)
                 assert sn.sym_scale(c2, sn.sym_power(w2, n)) == x
                 assert all(type(t) is int for t in w2)
                 assert la.rank([w, w2]) == 1
+                c1, w1 = power_line_by_contraction(sym, x)
+                sign = 1 if w2 == w1 else -1
+                assert w2 == tuple(sign * t for t in w1)
+                assert c2 == c1 * sign ** n
             # two independent squares (cubes) have symmetric rank 2
             u = la.vec([1, 0, 2] + [0] * (d - 3))
             v = la.vec([0, 1, 0] + [Fraction(1, 2)] * (d - 3))
-            with pytest.raises(NotDecomposable):
-                sn._extract_power_line(
-                    sym, sn.sym_add(sn.sym_power(u, n), sn.sym_power(v, n)))
-            with pytest.raises(NotDecomposable):
-                sn._extract_power_line(sym, {})
+            rank_2 = sn.sym_add(sn.sym_power(u, n), sn.sym_power(v, n))
+            # e_i e_j (times e_k for n = 3) has no pure power at all
+            mixed = {(0, 1) if n == 2 else (0, 1, 2): Fraction(3, 2)}
+            for x in (rank_2, mixed, {}):
+                assert power_line_by_contraction(sym, x) is None
+                with pytest.raises(NotDecomposable):
+                    sn._extract_power_line(sym, x)
 
 
 def _counting(fn):
@@ -650,12 +663,8 @@ except NoHyperbolicPlanes:
 
 
 def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair_under_O():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(here), "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", _BAD_PAIR_SCRIPT],
-                       capture_output=True, text=True, timeout=120, env=env)
+                       capture_output=True, text=True, timeout=120,
+                       env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["raised", "False"]

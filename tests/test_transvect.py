@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -7,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (canonical, frac_pair, rand_primitive,
-                      rand_primitive_norm, rand_qcoords, rand_vec)
+                      rand_primitive_norm, rand_qcoords, rand_vec,
+                      subprocess_env)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import transvect as tv
@@ -237,13 +237,9 @@ else:
 
 def _under_O(script):
     """The stdout words of script run under python -O."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-O", "-c", script],
-                       capture_output=True, text=True, timeout=300, env=env)
+                       capture_output=True, text=True, timeout=300,
+                       env=subprocess_env())
     assert r.returncode == 0, r.stderr
     return r.stdout.split()
 
