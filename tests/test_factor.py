@@ -190,6 +190,63 @@ def test_cartan_dieudonne_matches_fraction_scan(k3, k3n2):
     assert len(same(k3, E)) >= 2
 
 
+def _cartan_dieudonne_l_route(lat, f):
+    """cartan_dieudonne on a Lattice of the L Gram of Lambda = L + Z*delta,
+    run on the restriction of the delta-fixing f, each vector with
+    delta = 0 added."""
+    di = lat.delta_index
+    idx = [i for i in range(lat.rank) if i != di]
+    lpart = lt.Lattice([[lat.gram[i][j] for j in idx] for i in idx])
+    fl = lt.QIsometry(lpart, [[f.matrix[i][j] for j in idx] for i in idx])
+    return [lat.vec(list(w.coords[:di]) + [0] + list(w.coords[di:]))
+            for w in fc.cartan_dieudonne(lpart, fl)]
+
+
+def test_cartan_dieudonne_on_lambda_matches_l_part_route(monkeypatch):
+    """On delta-fixing words, cartan_dieudonne on Lambda itself returns the
+    vectors of the L-part route: reflection words in L-part vectors, an
+    Eichler transvection of L (the totally isotropic branch) and the work
+    that decompose hands over for a random word."""
+    works = []
+    real_cd = fc.cartan_dieudonne
+
+    def spy(lattice, f):
+        works.append(sys._getframe(1).f_locals["work"])
+        return real_cd(lattice, f)
+    for name, n, seed in (("K3n", 2, 271), ("K3n", 3, 272), ("Kummer", 2, 273)):
+        lat = lt.preset(name, n)
+        di = lat.delta_index
+        rng = random.Random(seed)
+        words = []
+        for _ in range(3):
+            f = lt.QIsometry.identity(lat)
+            for _ in range(4):
+                while True:
+                    c = [rng.randint(-2, 2) for _ in range(lat.rank)]
+                    c[di] = 0
+                    if lat.pair_coords(c, c):
+                        break
+                f = fc.reflect(lat, lat.vec(c)) * f
+            words.append(f)
+        words.append(tv.eichler_transvection(lat, lat.basis_vec(0),
+                                             lat.basis_vec(4)))
+        works.clear()
+        monkeypatch.setattr(fc, "cartan_dieudonne", spy)
+        phi = _random_word(rng, lat, 3)
+        while phi.is_integral() and lt.membership(phi, "Gamma")[0]:
+            phi = _random_word(rng, lat, 3)
+        fc.decompose(lat, phi)
+        monkeypatch.setattr(fc, "cartan_dieudonne", real_cd)
+        assert len(works) == 1
+        words.append(works[0])
+        delta = lat.basis_vec(di)
+        for f in words:
+            assert f.apply(delta) == delta
+            refs = fc.cartan_dieudonne(lat, f)
+            assert refs == _cartan_dieudonne_l_route(lat, f)
+        assert len(fc.cartan_dieudonne(lat, words[3])) >= 2
+
+
 def test_cartan_dieudonne_diagonalizes_once(monkeypatch):
     """The orthogonal basis and its candidates are built once per lattice,
     however many decompose calls reach cartan_dieudonne."""

@@ -19,6 +19,7 @@ from hklat import lattice as lt
 from hklat import mukai as mk
 from hklat import transvect as tv
 from hklat.cli import main
+from hklat.errors import SearchExhausted
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -69,6 +70,49 @@ def test_eichler_move_and_double_orbit_bytes(k3):
     assert len(text) == 46411
     assert _sha(text.encode()) == ("30e2fe75199afc53e13b8b26983213cf"
                                    "dd792d1e1d7c976f38bbb2c13c4dfa4a")
+
+
+# lambdas on K3n:2 for find_orthogonal_norm_vector: one missing a U block
+# (the U scan), three met by a multiple of one kernel vector, and two that
+# need a pair, the last with a delta coordinate and exhausted at target 6
+_ORTHO_LAMS = (
+    [1, 3, -2, 1, 0, 0, 2, 2, -1, 0, -1, -1, 0, 0, -2, -3, 0, 3, 1, -2, 2,
+     0, 0],
+    [2, 1, 2, -3, 3, -1, -1, 1, 2, 2, -1, 3] + [0] * 11,
+    [-3, -1, -1, 3, -1, 0, 2, -1, -2, 0, 0, 2] + [0] * 11,
+    [3, 2, -2, 1, -3] + [0] * 18,
+    [2, -1, 3, 2, 3, 2, 2, 1, -3, 3, 0, 3] + [0] * 11,
+    [3, -3, 1, -2, 2, 2] + [0] * 16 + [1],
+)
+
+
+def test_orthogonal_search_bytes(k3n2):
+    """find_orthogonal_norm_vector on K3n:2 for targets 4, 6 and 12 over
+    every branch, and _delta_fix_vector on the decompose pin's input (the
+    orthogonal search) and on a lambda whose search is exhausted (the
+    U-block candidates), hashed together."""
+    lat = k3n2
+    text = ""
+    for c in _ORTHO_LAMS:
+        for target in (4, 6, 12):
+            try:
+                u = fc.find_orthogonal_norm_vector(lat, lat.vec(c), target)
+                text += "%r\n" % (list(u.coords),)
+            except SearchExhausted:
+                text += "exhausted\n"
+    e = lat.basis_vec(0)
+    delta = lat.basis_vec(lat.delta_index)
+    phi = (tv.eichler_transvection(lat, e, delta)
+           * fc.reflect(lat, lat.vec([0, 0, 1, 2] + [0] * 19)))
+    lam = lat.vec(list(phi.apply(delta).coords[:-1]) + [0])
+    for work, lam in ((phi, lam),
+                      (lt.QIsometry.identity(lat),
+                       lat.vec([-3, -3, 1, 1, 3, 3] + [0] * 17))):
+        u = fc._delta_fix_vector(lat, work, lam, 4)
+        text += "%r\n" % (list(u.coords),)
+    assert text.count("exhausted") == 1 and len(text) == 1363
+    assert _sha(text.encode()) == ("5d766174cd2d2f387ae3bb91259056c8"
+                                   "def235899a962b384c30d67edc0376c5")
 
 
 _X2 = [2, 1, -2, 2, 3, 0, -1, -1] + [0] * 14
