@@ -13,20 +13,23 @@ verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
 certificates.  Every reflection, in reflect_times and in
 NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
-Cartan-Dieudonne scans integer candidates built once per lattice, and the
-rewrite factor h, -1 on a hyperbolic plane and 1 on its complement, is
-built in closed form as one integer rank-2 update.  A negative u lies in
-the L-part and so has divisibility 1 in Lambda too: its rewrite runs in
-Lambda itself, and the O(L_Q) residue is cut from the integer form of an
-isometry that fixes delta.
+Every factor is built in Lambda itself.  Cartan-Dieudonne runs on the
+delta-fixing residue as it stands, scanning integer candidates built once
+per lattice from the lattice's one diagonalization: delta is one of its
+rows and stays fixed, and a candidate z_i + delta moves as z_i alone, so
+the scan picks the vectors it would pick on L, each in the L-part.  The
+orthogonal search of the delta fix pairs its kernel vectors in Lambda
+too.  The rewrite factor h, -1 on a hyperbolic plane and 1 on its
+complement, is built in closed form as one integer rank-2 update; a
+negative u lies in the L-part and so has divisibility 1 in Lambda, and
+its rewrite runs in Lambda.
 """
 
 from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, NotIntegral,
                      OrientationReversing, SearchExhausted)
-from .lattice import (LatVec, Lattice, QIsometry, l_part_coords,
-                      membership, nu_character)
+from .lattice import LatVec, QIsometry, membership, nu_character
 from .transvect import canonical_vector, move_into_L, reduce_to_canonical
 
 
@@ -101,14 +104,12 @@ def witt_isometry(lattice, sign_w):
 
 def _cd_basis(lattice):
     """The orthogonal anisotropic basis z_1..z_n that cartan_dieudonne
-    scans, built once per lattice: each z_i as its nonzero (index,
-    numerator) pairs over one denominator dx_i > 0."""
+    scans, the rows of the lattice's one diagonalization, kept per lattice:
+    each z_i as its nonzero (index, numerator) pairs over one denominator
+    dx_i > 0."""
     if "cartan_dieudonne" not in lattice._cache:
-        p, d = la.congruent_diagonalize(lattice.gram)
-        if not all(d):
-            raise AssertionError("the diagonalized Gram matrix has a zero")
         basis = []
-        for z in p:
+        for z in lattice.diagonalization()[0]:
             nums, dx = la.scaled_vec(z)
             basis.append(([(k, y) for k, y in enumerate(nums) if y], dx))
         lattice._cache["cartan_dieudonne"] = tuple(basis)
@@ -202,29 +203,6 @@ def cartan_dieudonne(lattice, f):
 # L + Z*delta helpers
 
 
-def l_sublattice(lattice):
-    """The L-part of an L + Z*delta lattice, with matching U-blocks."""
-    di = lattice.delta_index
-    if di is None:
-        raise LatticeError("lattice has no delta summand")
-    if "l_part" not in lattice._cache:
-        idx = [i for i in range(lattice.rank) if i != di]
-        gram = tuple(tuple(lattice.gram[i][j] for j in idx) for i in idx)
-        ub = tuple((i if i < di else i - 1, j if j < di else j - 1)
-                   for i, j in lattice.u_blocks)
-        name = (lattice.name or "").split(":")[0] or None
-        lattice._cache["l_part"] = Lattice(gram, name=("%s-L" % name if name else None),
-                                           u_blocks=ub)
-    return lattice._cache["l_part"]
-
-
-def embed_l_vector(lattice, v):
-    di = lattice.delta_index
-    coords = list(v.coords)
-    coords.insert(di, 0)
-    return LatVec(lattice, coords)
-
-
 def _d_value(lattice):
     dd = -lattice.gram[lattice.delta_index][lattice.delta_index]
     if dd <= 0 or dd % 2 != 0:
@@ -251,11 +229,15 @@ def find_orthogonal_norm_vector(lattice, lam, target):
 
     Scans the U summands missing from lam's support first, then falls back
     to an enumeration over pairs from an integral basis of the orthogonal
-    complement of lam in L, with coefficients up to _HEIGHT.
+    complement of lam in L, with coefficients up to _HEIGHT: the kernel of
+    lam's functional on the L coordinates, each kernel vector with 0 put
+    back at delta and paired in Lambda itself.
     """
     di = lattice.delta_index
     n = lattice.rank
-    assert target % 2 == 0 and target > 0
+    if target % 2 or target <= 0:
+        raise NormMismatch("the target norm must be even and positive, not %s"
+                           % (target,))
     for (i, j) in lattice.u_blocks:
         if lam.coords[i] == 0 and lam.coords[j] == 0:
             c = [0] * n
@@ -269,28 +251,29 @@ def find_orthogonal_norm_vector(lattice, lam, target):
         raise AssertionError("lam = 0 should have been caught by the U scan")
     func = la.primitive_part(row)
     d, u, v = la.smith_normal_form([[int(x) for x in func]])
-    # kernel basis of the functional: columns 1.. of v
+    # kernel basis of the functional: columns 1.. of v, in Lambda
     kb = []
     m = len(row)
     for c in range(1, m):
         col = [int(v[r][c]) for r in range(m)]
+        col.insert(di, 0)
         kb.append(col)
-    lsub = l_sublattice(lattice)
+    pair = lattice.pair_coords
     for a in range(len(kb)):
-        qaa = lsub.pair_coords(la.vec(kb[a]), la.vec(kb[a]))
+        qaa = pair(kb[a], kb[a])
         for s in range(1, _HEIGHT + 1):
             if qaa * s * s == target:
-                return embed_l_vector(lattice, lsub.vec([s * x for x in kb[a]]))
+                return LatVec(lattice, [s * x for x in kb[a]])
     for a in range(len(kb)):
-        qaa = lsub.pair_coords(la.vec(kb[a]), la.vec(kb[a]))
+        qaa = pair(kb[a], kb[a])
         for b in range(a + 1, len(kb)):
-            qab = lsub.pair_coords(la.vec(kb[a]), la.vec(kb[b]))
-            qbb = lsub.pair_coords(la.vec(kb[b]), la.vec(kb[b]))
+            qab = pair(kb[a], kb[b])
+            qbb = pair(kb[b], kb[b])
             for s in range(-_HEIGHT, _HEIGHT + 1):
                 for t in range(-_HEIGHT, _HEIGHT + 1):
                     if qaa * s * s + 2 * qab * s * t + qbb * t * t == target:
-                        w = [s * x + t * y for x, y in zip(kb[a], kb[b])]
-                        return embed_l_vector(lattice, lsub.vec(w))
+                        return LatVec(lattice, [s * x + t * y
+                                                for x, y in zip(kb[a], kb[b])])
     raise SearchExhausted(
         "no orthogonal vector of norm %d within height %d" % (target, _HEIGHT))
 
@@ -334,7 +317,9 @@ def _delta_fix_vector(lattice, work, lam, target):
                 c[k], c[l] = s, -1
                 candidates.append(LatVec(lattice, c))
     for u in candidates:
-        assert u.norm() == target
+        if u.norm() != target:
+            raise NormMismatch("candidate has norm %s, not %d"
+                               % (u.norm(), target))
         if outcome_ok(u):
             return u
     raise SearchExhausted("no usable norm-%d vector for the delta fix" % target)
@@ -442,8 +427,13 @@ class NormalForm:
 
 
 def _split_delta(lattice, v):
-    lam_coords, t = l_part_coords(lattice, v)
-    return LatVec(lattice, lam_coords), t
+    """(lambda, t) with v = lambda + t*delta, lambda in the L-part."""
+    di = lattice.delta_index
+    if di is None:
+        raise LatticeError("lattice has no delta summand")
+    lam = list(v.coords)
+    t, lam[di] = lam[di], 0
+    return LatVec(lattice, lam), t
 
 
 def _move_rational_items(lattice, x):
@@ -553,14 +543,10 @@ def decompose(lattice, phi):
         if work.apply(delta) != delta:
             raise LatticeError("the delta-moving words do not fix delta")
 
-    # residue in O(L_Q): work fixes delta, so its delta row and column
-    # vanish off the diagonal and the rest is already in canonical form
-    lsub = l_sublattice(lattice)
-    idx = [i for i in range(lattice.rank) if i != lattice.delta_index]
-    residue = QIsometry._of(lsub, [[work.nums[i][j] for j in idx] for i in idx],
-                            work.d)
-    for w in cartan_dieudonne(lsub, residue):
-        factors.append(("refl", embed_l_vector(lattice, w)))
+    # residue in O(L_Q): work fixes delta, so cartan_dieudonne on Lambda
+    # itself returns vectors of the L-part
+    for w in cartan_dieudonne(lattice, work):
+        factors.append(("refl", w))
 
     return _assemble(lattice, phi, factors)
 

@@ -75,7 +75,8 @@ class Lattice:
             raise NotIntegral("gram matrix must have integer entries")
         if g != la.transpose(g):
             raise DegenerateGram("gram matrix must be symmetric")
-        if la.det(g) == 0:
+        det = la.det(g)
+        if det == 0:
             raise DegenerateGram("gram matrix must be nondegenerate")
         self.rank = n
         self.gram = g
@@ -85,7 +86,7 @@ class Lattice:
         self.name = name
         self.u_blocks = tuple(u_blocks) if u_blocks else self._scan_u_blocks(g)
         self.delta_index = delta_index
-        self._cache = {}
+        self._cache = {"det": det}
 
     @staticmethod
     def _scan_u_blocks(g):
@@ -142,16 +143,21 @@ class Lattice:
                     acc[i] = acc.get(i, 0) + g * x
         return [(i, s) for i, s in acc.items() if s]
 
+    def diagonalization(self):
+        """(P, d) with P G P^T = diag(d), by la.congruent_diagonalize,
+        computed once; G is nondegenerate, so no d_i is zero."""
+        if "diag" not in self._cache:
+            self._cache["diag"] = la.congruent_diagonalize(self.gram)
+        return self._cache["diag"]
+
     def signature(self):
         if "sig" not in self._cache:
-            pos, neg, zero = la.signature(self.gram)
-            assert zero == 0
-            self._cache["sig"] = (pos, neg)
+            pos = sum(1 for x in self.diagonalization()[1] if x > 0)
+            self._cache["sig"] = (pos, self.rank - pos)
         return self._cache["sig"]
 
     def det(self):
-        if "det" not in self._cache:
-            self._cache["det"] = la.det(self.gram)
+        """det G, computed once by the nondegeneracy check."""
         return self._cache["det"]
 
     def is_even(self):
@@ -171,12 +177,9 @@ class Lattice:
                 c[i], c[j] = 1, -1
                 basis.append(tuple(c))
             if len(basis) != pos:
-                basis = []
-                p, d = la.congruent_diagonalize(self.gram)
-                for row, dd in zip(p, d):
-                    if dd > 0:
-                        basis.append(row)
-            assert len(basis) == pos
+                # the diagonalization that counted pos
+                p, d = self.diagonalization()
+                basis = [row for row, dd in zip(p, d) if dd > 0]
             self._cache["posbasis"] = tuple(basis)
         return self._cache["posbasis"]
 
@@ -455,7 +458,9 @@ class DiscGroup:
         order = 1
         for di in divisors:
             order *= di
-        assert order == abs(int(lattice.det()))
+        if order != abs(int(lattice.det())):
+            raise AssertionError("the divisors' product %d is not |det| %d"
+                                 % (order, abs(int(lattice.det()))))
         # the classes an action by +1 or -1 sends the generators to
         self._plus = [self.class_of(x) for x in gens]
         self._minus = [self.class_of(-x) for x in gens]
@@ -670,15 +675,3 @@ def delta_vector(lattice):
     if lattice.delta_index is None:
         raise LatticeError("lattice has no delta summand")
     return lattice.basis_vec(lattice.delta_index)
-
-
-def l_part_coords(lattice, v):
-    """Split v in an L + Z*delta lattice into (lambda-coords, t) with
-    v = lambda + t*delta."""
-    di = lattice.delta_index
-    if di is None:
-        raise LatticeError("lattice has no delta summand")
-    lam = list(v.coords)
-    t = lam[di]
-    lam[di] = 0
-    return tuple(lam), t

@@ -417,7 +417,10 @@ def congruent_diagonalize(g):
 
     Rows of P form a basis in which the form g is diagonal.  Standard
     symmetric Gaussian elimination; a zero diagonal with a nonzero
-    off-diagonal entry is repaired by adding the partner row first.
+    off-diagonal entry b_ij is repaired by adding c times the partner row
+    first, c = 1 unless 2 b_ij + b_jj = 0 and then c = -1, so that the new
+    b_ii = 2 c b_ij + b_jj is nonzero.  So d has a zero only when g is
+    degenerate.
     """
     n = len(g)
     b = [list(row) for row in g]
@@ -436,7 +439,7 @@ def congruent_diagonalize(g):
         if b[i][i] == 0:
             for j in range(i + 1, n):
                 if b[i][j] != 0:
-                    addrow(i, j, ONE)
+                    addrow(i, j, -ONE if 2 * b[i][j] + b[j][j] == 0 else ONE)
                     break
         if b[i][i] == 0:
             continue
@@ -446,14 +449,6 @@ def congruent_diagonalize(g):
                 addrow(j, i, -b[j][i] * inv)
     d = tuple(b[i][i] for i in range(n))
     return mat(p), d
-
-
-def signature(g):
-    """(positive, negative, zero) inertia counts of a symmetric matrix."""
-    _, d = congruent_diagonalize(g)
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return pos, neg, len(d) - pos - neg
 
 
 def smith_normal_form(a):

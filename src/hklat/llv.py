@@ -174,7 +174,8 @@ def fm_beta_image(space, r, lam):
         lam = space.middle_part(lam)
     s = la.ratio(lam.norm(), 2 * r)
     out = space.vec(r, lam, s)
-    assert out.norm() == 0
+    if out.norm() != 0:
+        raise AssertionError("fm_beta_image has norm %s, not 0" % (out.norm(),))
     return out
 
 

@@ -109,7 +109,8 @@ def k3_star_table(lattice):
         for j in range(lattice.rank):
             p = k3_star(MukaiVector(0, lattice.basis_vec(i), 0),
                         MukaiVector(0, lattice.basis_vec(j), 0))
-            assert p.c.is_zero() and p.s == 0
+            if not p.c.is_zero() or p.s != 0:
+                raise AssertionError("lam_%d * lam_%d leaves degree 2" % (i, j))
             row.append(p.r)
         out.append(tuple(row))
     return tuple(out)

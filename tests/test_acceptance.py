@@ -105,8 +105,9 @@ def test_criterion_3_reflection_constants():
     ok = True
     for d in range(1, 6):
         lat = lt.preset("K3n", d + 1)
-        lsub = fc.l_sublattice(lat)
-        u = fc.embed_l_vector(lat, tv.canonical_vector(lsub, 2 * d + 2))
+        # K3 is the L-part of K3n:d+1; delta = 0 is appended
+        u = lat.vec(list(tv.canonical_vector(lt.preset("K3"), 2 * d + 2).coords)
+                    + [0])
         ud = list(u.coords)
         ud[lat.delta_index] += 1
         w = lt.LatVec(lat, ud)

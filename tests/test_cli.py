@@ -35,10 +35,14 @@ def test_lattice_preset(capsys):
 
 
 def test_lattice_info_custom(capsys):
-    code, out = run_cli(["lattice", "info", "--json",
-                         '{"lattice": {"gram": [[0,-1],[-1,0]]}}'], capsys)
-    assert code == 0
-    assert json.loads(out)["det"] == -1
+    # [[0,1],[1,-2]]: (e1 + e2)^2 = 0, so the diagonalization's zero-pivot
+    # repair must add -e2, not e2
+    for gram in ([[0, -1], [-1, 0]], [[0, 1], [1, -2]]):
+        code, out = run_cli(["lattice", "info", "--json",
+                             json.dumps({"lattice": {"gram": gram}})], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["det"] == -1 and obj["signature"] == [1, 1]
 
 
 def test_isom_characters_and_membership(capsys):

@@ -114,9 +114,9 @@ def test_positive_reflection_rewrite(k3):
 
 def test_rewrite_in_lambda_matches_the_l_part_route(k3n2):
     """positive_reflection_rewrite on Lambda gives the h and w of the
-    L-part route: restrict u to L, rewrite there, then extend h by the
-    identity on delta and embed w."""
-    lat, lsub = k3n2, fc.l_sublattice(k3n2)
+    L-part route: restrict u to L (K3), rewrite there, then extend h by the
+    identity on delta and append delta = 0 to w."""
+    lat, lsub = k3n2, lt.preset("K3")
     di = lat.delta_index
     rng = random.Random(89)
     done = 0
@@ -125,12 +125,12 @@ def test_rewrite_in_lambda_matches_the_l_part_route(k3n2):
         if ul.norm() >= 0:
             continue
         done += 1
-        h, w = fc.positive_reflection_rewrite(lat, fc.embed_l_vector(lat, ul))
+        h, w = fc.positive_reflection_rewrite(lat, lat.vec(list(ul.coords) + [0]))
         hl, wl = fc.positive_reflection_rewrite(lsub, ul)
         rows = [list(row[:di]) + [0] + list(row[di:]) for row in hl.matrix]
         rows.insert(di, [int(j == di) for j in range(lat.rank)])
         assert h == lt.QIsometry(lat, rows)
-        assert w == fc.embed_l_vector(lat, wl)
+        assert w == lat.vec(list(wl.coords) + [0])
 
 
 def _cartan_dieudonne_fractions(lattice, f):
@@ -165,7 +165,7 @@ def _cartan_dieudonne_fractions(lattice, f):
     return refs
 
 
-def test_cartan_dieudonne_matches_fraction_scan(k3, k3n2):
+def test_cartan_dieudonne_matches_fraction_scan(k3):
     """The integer scan returns exactly the vectors of the Fraction scan:
     on test_cartan_dieudonne's words, on words of the K3n:2 L-part and on
     the totally isotropic branch."""
@@ -182,7 +182,7 @@ def test_cartan_dieudonne_matches_fraction_scan(k3, k3n2):
         for _ in range(5):
             f = fc.reflect(k3, rand_anisotropic(rng, k3)) * f
         same(k3, f)
-    lsub = fc.l_sublattice(k3n2)
+    lsub = lt.preset("K3")   # the K3n:2 L-part
     rng = random.Random(60)
     for _ in range(4):
         same(lsub, rand_orientation_preserving(rng, lsub, count=4))
@@ -264,14 +264,14 @@ def test_cartan_dieudonne_diagonalizes_once(monkeypatch):
             rand_orientation_preserving(rng, lat, count=2) for _ in range(2)]:
         fc.decompose(lat, phi)
     assert len(reached) == 3
-    # signature() diagonalizes too, once per lattice and through its cache
-    assert [len(g) for g in calls].count(lat.rank - 1) == 1
+    # one diagonalization serves signature() and cartan_dieudonne
+    assert [len(g) for g in calls].count(lat.rank) == 1
 
 
-def test_rewrite_factor_is_the_reflection_pair(k3, k3n2):
+def test_rewrite_factor_is_the_reflection_pair(k3):
     """positive_reflection_rewrite's closed-form h is the product of the
     reflections in f1 - f2 and f1 + f2, on K3 and on the K3n:2 L-part."""
-    for lat, seed in ((k3, 63), (fc.l_sublattice(k3n2), 64)):
+    for lat, seed in ((k3, 63), (lt.preset("K3"), 64)):
         rng = random.Random(seed)
         done = 0
         while done < 5:
@@ -621,6 +621,30 @@ def test_certificate_gates_raise_under_O():
                                 "IsotropicLambda"]
 
 
+_TARGET_SCRIPT = """
+from hklat import factor as fc, lattice as lt
+from hklat.errors import NormMismatch
+lat = lt.preset("K3n", 2)
+# lam misses U2, so a target past the gate would return at once
+lam = lat.basis_vec(0)
+for target in (3, 0, -4):
+    try:
+        fc.find_orthogonal_norm_vector(lat, lam, target)
+        print("returned")
+    except NormMismatch:
+        print("NormMismatch")
+"""
+
+
+def test_orthogonal_search_target_gate_raises_under_O():
+    """An odd or non-positive target raises NormMismatch, also under -O."""
+    r = subprocess.run([sys.executable, "-O", "-c", _TARGET_SCRIPT],
+                       capture_output=True, text=True, timeout=300,
+                       env=subprocess_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["NormMismatch"] * 3
+
+
 def test_reflect_times_against_textbook_formula(k3):
     rng = random.Random(83)
     # a Witt map x -> y with x - y = 2(f1 + 3 f2) of norm -24: entries in
@@ -668,7 +692,7 @@ def test_rewrite_factor_against_textbook_formula(k3n2, monkeypatch):
         seen.append((lattice, u, h))
         return h, w
     monkeypatch.setattr(fc, "positive_reflection_rewrite", recorded)
-    lsub = fc.l_sublattice(k3n2)
+    lsub = lt.preset("K3")   # the K3n:2 L-part
     fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
     fc.decompose(k3n2, _rewrite_input(k3n2))
     assert len(seen) > 1
@@ -677,8 +701,8 @@ def test_rewrite_factor_against_textbook_formula(k3n2, monkeypatch):
 
 
 def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
-    # a fresh lattice: the session fixture's caches (decompose_ref, l_part,
-    # disc) would make the call counts depend on which tests ran first
+    # a fresh lattice: the session fixture's caches (decompose_ref, disc)
+    # would make the call counts depend on which tests ran first
     lat = lt.preset("K3n", 2)
     seen, seen_steps = [], []
     real, real_times = fc._reflect_rows, fc.reflect_times
@@ -709,7 +733,7 @@ def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
     for phi in (_rewrite_input(lat), _random_word(random.Random(73), lat, 3)):
         nf = fc.decompose(lat, phi)
         assert fc.verify_normal_form(nf, phi)["ok"]
-    lsub = fc.l_sublattice(lat)
+    lsub = lt.preset("K3")   # the K3n:2 L-part
     h, w = fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
     assert h.is_integral() and w.is_integral()
     assert len(seen) > 20 and all(seen)

@@ -48,6 +48,37 @@ def la_det(lat):
     return int(lat.det())
 
 
+def test_gram_det_is_computed_once(monkeypatch):
+    """The nondegeneracy check's Bareiss det is the one det() returns: one
+    la.det call over a fresh lattice, det() and its discriminant group."""
+    calls = []
+    real = la.det
+    monkeypatch.setattr(la, "det", lambda m: calls.append(m) or real(m))
+    lat = lt.preset("K3n", 2)
+    assert lat.det() == 2 and lat.disc_group().divisors == (2,)
+    assert len(calls) == 1
+
+
+def test_one_diagonalization_per_lattice(monkeypatch):
+    """signature(), positive_basis()'s fallback and the Cartan-Dieudonne
+    basis read one cached diagonalization; a zero diagonal entry whose
+    repair by c = +1 would stay zero is repaired by c = -1."""
+    calls = []
+    real = la.congruent_diagonalize
+    monkeypatch.setattr(la, "congruent_diagonalize",
+                        lambda g: calls.append(g) or real(g))
+    custom = lt.preset("custom", gram=_NO_U_GRAM)
+    assert custom.signature() == (2, 2) and len(custom.positive_basis()) == 2
+    fc.cartan_dieudonne(custom, fc.reflect(custom, custom.vec([1, 0, 0, 0])))
+    assert len(calls) == 1
+    # (e1 + e2)^2 = 0 here, so the repair of b_00 = 0 needs e1 - e2
+    lat = lt.Lattice([[0, 1], [1, -2]])
+    p, d = lat.diagonalization()
+    assert all(d) and lat.signature() == (1, 1)
+    assert la.mat_mul(la.mat_mul(p, lat.gram), la.transpose(p)) == (
+        (d[0], 0), (0, d[1]))
+
+
 def test_disc_group_via_sympy_snf():
     from sympy.matrices.normalforms import smith_normal_form
     for n in (2, 3, 5):

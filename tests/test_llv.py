@@ -340,7 +340,7 @@ def test_llv_gates_raise_under_O():
 _TRUSTED_SITES = {
     "identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
-    "isometry", "_isometry_from_lines", "_plane_negation", "decompose"}
+    "isometry", "_isometry_from_lines", "_plane_negation"}
 
 
 def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
@@ -374,9 +374,8 @@ def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
     llv.tau(H) * g.inverse()
     llv.hilb_lift(H, Hn2, llv.extend_to_llv(H, f), 2)   # det^3 = -1: negation
     lt.QIsometry.minus_identity(k3)
-    lsub = fc.l_sublattice(k3n2)
-    fc.positive_reflection_rewrite(lsub, lsub.vec([1, 2, 1, -1, 1] + [0] * 17))
-    # a rational phi fixing delta: decompose's O(L_Q) residue is trusted
+    fc.positive_reflection_rewrite(k3, k3.vec([1, 2, 1, -1, 1] + [0] * 17))
+    # a rational phi fixing delta: decompose reflects it down in Lambda
     fc.decompose(k3n2, fc.reflect(k3n2, k3n2.vec([1, -2] + [0] * 21))
                  * fc.reflect(k3n2, k3n2.vec([0, 0, 1, -2] + [0] * 19)))
     tv.reduce_to_canonical(k3, k3.vec([2, 3, 1] + [0] * 19)).isometry()

@@ -187,23 +187,18 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
     """One pass, in deck order, over the factor-k3n2 deck of perfbench
     (decompose, JSON, verify on K3n:2): the sha256 of the concatenated
     certificate texts, each certificate's k, and every op passes the
-    workload's own checks; each word's O(L_Q) residue equals the untrusted
-    restriction of decompose's work."""
+    workload's own checks; decompose hands its delta-fixing work to
+    cartan_dieudonne as it stands."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     workloads = importlib.import_module("workloads")
     residues = []
     real_cd = fc.cartan_dieudonne
 
-    def spy(lsub, residue):
-        # decompose's trusted residue against the untrusted restriction of
-        # its work, read from decompose's frame
-        work = sys._getframe(1).f_locals["work"]
-        idx = [i for i in range(work.lattice.rank)
-               if i != work.lattice.delta_index]
-        residues.append(residue == lt.QIsometry(
-            lsub, [[work.matrix[i][j] for j in idx] for i in idx]))
-        return real_cd(lsub, residue)
+    def spy(lattice, residue):
+        # the residue is decompose's work itself, read from its frame
+        residues.append(residue is sys._getframe(1).f_locals["work"])
+        return real_cd(lattice, residue)
     monkeypatch.setattr(fc, "cartan_dieudonne", spy)
     deck = workloads.FactorK3n2(pool_seed=pool_seed)
     ctx = deck.setup()
