@@ -7,30 +7,34 @@ monomial words in degree-2 classes under
 
     Psi(l_1 ... l_k) = e_{l_1} ... e_{l_k} (alpha^n / n!).
 
-Cup product is Psi(w1) cup Psi(w2) = Psi(w1 w2) on word decompositions
-(the subring is Sym* H^2 / (lambda^{n+1} : q(lambda) = 0), Verbitsky).  A
-memoized table, filled on first use, lists for each basis word w1 the basis
-words w2 with Psi(w1 w2) != 0, so no pair whose product vanishes is
-visited.  The Pontryagin product is the conjugate
+The piece of eigenvalue 2k - 2n is Sym^m H^2 with m = min(k, 2n - k), of
+dimension C(b + m - 1, m) for the base rank b.  Cup product is
+Psi(w1) cup Psi(w2) = Psi(w1 w2) on word decompositions (the subring is
+Sym* H^2 / (lambda^{n+1} : q(lambda) = 0), Verbitsky).  A memoized table,
+filled on first use, lists for each basis word w1 the basis words w2 with
+Psi(w1 w2) != 0, so no pair whose product vanishes is visited.  The
+Pontryagin product is the conjugate
 
     x * y = rho_tau( rho_tau(x) cup rho_tau(y) )
 
 by the degree-reversing involution tau.  The star unit is beta^n/n!, the
 model avatar of [pt] / n!.
 
-Products work in word coordinates.  Each table entry holds the basis-word
-coordinates of Psi(w1 w2), one object per product word, solved the first
-time a cup needs it; a second table holds those of rho_tau Psi(b) for each
-basis word b, also filled on first use.  An SHElt holds its Sym^n data,
-its word coordinates (integer numerators over one denominator) or both,
-and computes each from the other on first use.  cup, star and rho_tau take
-and return SHElts and read only word coordinates, so a chain of products
-never goes back through the piece solvers.
+Sym^n data and word coordinates {word: coeff} are both snrep.SymElts:
+integer numerators over one denominator, immutable, so the memoized
+Psi(w), the piece solvers and SHElt pass them on unchanged.  Products work
+in word coordinates.  Each table entry holds the basis-word coordinates of
+Psi(w1 w2), one object per product word, solved the first time a cup needs
+it; a second table holds those of rho_tau Psi(b) for each basis word b,
+also filled on first use.  An SHElt holds its Sym^n data, its word
+coordinates or both, and computes each from the other on first use.  cup,
+star and rho_tau take and return SHElts and read only word coordinates, so
+a chain of products never goes back through the piece solvers.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from . import linalg as la
 from . import llv as llv_mod
@@ -51,9 +55,8 @@ def _axpy(out, a, src):
 
 def _combine(terms, d):
     """sum_t v_t (sum_k n_k [k]) / (e_t d) over terms (v_t, entries_t, e_t)
-    with entries (k, n_k), all ints and e_t, d > 0, as (nums, e): integer
-    numerators over one denominator, which grows when a term needs it,
-    in lowest terms and with no zero entries."""
+    with entries (k, n_k), all ints and e_t, d > 0, as a SymElt; the
+    numerators share one denominator, which grows when a term needs it."""
     out = {}
     get = out.get
     den = 1
@@ -66,9 +69,7 @@ def _combine(terms, d):
         a = v * (den // e)
         for k, n in entries:
             out[k] = get(k, 0) + a * n
-    den *= d
-    g = gcd(den, *out.values())
-    return {k: v // g for k, v in out.items() if v}, den // g
+    return sn.SymElt.of(out, den * d)
 
 
 def _tau_swap(x, ai, bi):
@@ -90,7 +91,7 @@ def _tau_swap(x, ai, bi):
     return out
 
 
-_ZERO_FORM = ({}, 1)
+_ZERO = sn.SymElt({})   # Psi of most long words; shared
 
 
 class _Coords:
@@ -150,16 +151,15 @@ class _PieceSolver:
         return combo, scale
 
     def try_add(self, word, form):
-        """Adds Psi(word), given as its integer form (numerators, d), when it
-        is independent of the pivots so far."""
-        nums, d = form
-        vec = dict(nums)
+        """Adds Psi(word), given as a SymElt, when it is independent of the
+        pivots so far."""
+        vec = dict(form.nums)
         rest, scale = self._reduce(vec)
         if not vec:
             return False
         # scale * nums = vec + sum rest[w] Psi(w), and nums = d Psi(word)
         combo = {w: -c for w, c in rest.items()}
-        combo[word] = scale * d
+        combo[word] = scale * form.d
         key = min(vec)
         g = gcd(*vec.values(), *combo.values())
         if vec[key] < 0:
@@ -177,6 +177,16 @@ class _PieceSolver:
         if any(vec.values()):
             raise SolveFailure("element is outside the spanned piece")
         return combo, scale * d
+
+
+def piece_dims(base_rank, n):
+    """{j: dimension of the eigenvalue-j piece of the model}: the piece of
+    eigenvalue 2k - 2n is Sym^m H^2 with m = min(k, 2n - k)."""
+    dims = {}
+    for k in range(2 * n + 1):
+        m = min(k, 2 * n - k)
+        dims[2 * k - 2 * n] = comb(base_rank + m - 1, m)
+    return dims
 
 
 class SHModel:
@@ -199,7 +209,7 @@ class SHModel:
         self._rows = {}
         self._coords = {}   # product word -> _Coords, made by _row
         self._tau = {}      # basis word b -> _Coords of rho_tau Psi(b)
-        self._piece_dims = self._compute_piece_dims()
+        self._piece_dims = piece_dims(self.base_rank, n)
         self._build_word_sets()
         self._basis_set = frozenset(self._basis_words)
 
@@ -219,25 +229,16 @@ class SHModel:
         return vals.pop()
 
     def pieces(self, x):
+        """{j: the eigenvalue-j part of x} as SymElts."""
+        x = sn.sym_form(x)
         out = {}
-        for m, c in x.items():
+        for m, c in x.nums.items():
             out.setdefault(self.mono_eigenvalue(m), {})[m] = c
-        return out
+        return {j: sn.SymElt.of(nums, x.d) for j, nums in out.items()}
 
     def degree_of_eigenvalue(self, j):
         """Cohomological degree of the eigenvalue-j piece."""
         return 2 * self.n + j
-
-    def _compute_piece_dims(self):
-        """{j: dim of the eigenvalue-j piece of S_[n]}.  The contraction
-        keeps the h-eigenvalue of a monomial, so its matrix is block
-        diagonal by eigenvalue and each piece has as many free monomials in
-        kernel_basis() as its dimension."""
-        dims = {}
-        for m in self.sym.kernel_basis()[1]:
-            j = self.mono_eigenvalue(m)
-            dims[j] = dims.get(j, 0) + 1
-        return dims
 
     def piece_dim(self, j):
         return self._piece_dims.get(j, 0)
@@ -245,32 +246,19 @@ class SHModel:
     # -- Psi and word sets ----------------------------------------------------
 
     def psi_word(self, word):
-        """Psi of a sorted tuple of base-basis indices."""
-        return sn.sym_quotient(*self._psi_form(word))
-
-    def _psi_form(self, word):
-        """Psi(word) as (numerators, d) with d > 0 and no common factor,
-        memoized."""
-        form = self._psi_memo.get(word)
-        if form is None:
-            if len(word) == 0:
-                nums, d = sn.sym_scaled(
-                    sn.sym_power(self.space.alpha().coords, self.n))
-                d *= factorial(self.n)
+        """Psi of a sorted tuple of base-basis indices, memoized."""
+        x = self._psi_memo.get(word)
+        if x is None:
+            if word:
+                x = self.psi_word(word[1:])
+                if x:
+                    x = self.sym.derivation_apply(
+                        self._e_basis(word[0]), x) or _ZERO
             else:
-                rest, d = self._psi_form(word[1:])
-                nums = {}
-                if rest:
-                    nums, ed = sn.sym_scaled(self.sym.derivation_apply(
-                        self._e_basis(word[0]), rest))
-                    d *= ed
-            if nums:
-                g = gcd(d, *nums.values())
-                form = ({m: c // g for m, c in nums.items()}, d // g)
-            else:
-                form = _ZERO_FORM   # most long words; shared, never mutated
-            self._psi_memo[word] = form
-        return form
+                x = sn.sym_scale(Fraction(1, factorial(self.n)), sn.sym_power(
+                    self.space.alpha().coords, self.n))
+            self._psi_memo[word] = x
+        return x
 
     def _e_basis(self, i):
         key = ("e", i)
@@ -293,8 +281,8 @@ class SHModel:
             for word in combinations_with_replacement(range(d), k):
                 if got == want:
                     break
-                form = self._psi_form(word)
-                if form[0] and solver.try_add(word, form):
+                form = self.psi_word(word)
+                if form and solver.try_add(word, form):
                     self._basis_words.append(word)
                     got += 1
             if got != want:
@@ -304,21 +292,19 @@ class SHModel:
             self._solvers[j] = solver
 
     def to_words(self, x):
-        """Decompose x, a sparse Sym^n dict or an SHElt of this model, into
-        basis-word coefficients, {word: coeff}, degreewise.  An SHElt is
-        solved only when it has no word coordinates yet, and keeps the ones
-        solved."""
-        elt = type(x) is SHElt
-        return sn.sym_quotient(*(self._words_of(x) if elt else self._solve(x)))
+        """Decompose x, Sym^n data or an SHElt of this model, into
+        basis-word coefficients, a SymElt {word: coeff}, degreewise.  An
+        SHElt is solved only when it has no word coordinates yet, and keeps
+        the ones solved."""
+        return self._words_of(x) if type(x) is SHElt else self._solve(x)
 
     def _solve(self, data):
-        """The word coordinates (nums, d) of sparse Sym^n data, solved
-        piece by piece."""
+        """The word coordinates of Sym^n data, solved piece by piece."""
         terms = []
         for j, piece in self.pieces(data).items():
             if j not in self._solvers:
                 raise SolveFailure("eigenvalue %d outside the model" % j)
-            combo, e = self._solvers[j].solve(*sn.sym_scaled(piece))
+            combo, e = self._solvers[j].solve(piece.nums, piece.d)
             terms.append((1, combo.items(), e))
         return _combine(terms, 1)
 
@@ -331,18 +317,12 @@ class SHModel:
 
     def from_words(self, words):
         """sum c_w Psi(w), accumulated on integers over one denominator."""
-        nums, cd = la.scaled_vec(list(words.values()))
-        return sn.sym_quotient(*self._psi_sum(zip(words, nums), cd))
-
-    def _psi_sum(self, words, d):
-        """sum c_w Psi(w) / d over the (w, c_w) in words, c_w ints, as
-        (nums, e) from _combine."""
+        words = sn.sym_form(words)
         terms = []
-        for w, c in words:
-            if c:
-                pnums, pd = self._psi_form(tuple(sorted(w)))
-                terms.append((c, pnums.items(), pd))
-        return _combine(terms, d)
+        for w, c in words.nums.items():
+            p = self.psi_word(tuple(sorted(w)))
+            terms.append((c, p.nums.items(), p.d))
+        return _combine(terms, words.d)
 
     def _row(self, w1):
         """{w2: coordinates of Psi(w1 w2)} over the basis words w2 of every
@@ -358,7 +338,7 @@ class SHModel:
                 p = tuple(sorted(w1 + w2))
                 r = self._coords.get(p)
                 if r is None:
-                    if not self._psi_form(p)[0]:
+                    if not self.psi_word(p):
                         continue
                     r = self._coords[p] = _Coords(p)
                 row[w2] = r
@@ -375,7 +355,8 @@ class SHModel:
                 r.set({p: 1}, 1)
             else:
                 j = 2 * len(p) - 2 * self.n
-                r.set(*self._solvers[j].solve(*self._psi_form(p)))
+                x = self.psi_word(p)
+                r.set(*self._solvers[j].solve(x.nums, x.d))
         return r
 
     def _tau_coords(self, b):
@@ -383,10 +364,10 @@ class SHModel:
         solved once in the piece of eigenvalue 2n - 2 len(b)."""
         r = self._tau.get(b)
         if r is None:
-            nums, d = self._psi_form(b)
-            img = _tau_swap(nums, self.space.alpha_index, self.space.beta_index)
+            x = self.psi_word(b)
+            img = _tau_swap(x.nums, self.space.alpha_index, self.space.beta_index)
             j = 2 * self.n - 2 * len(b)
-            r = self._tau[b] = _Coords(b).set(*self._solvers[j].solve(img, d))
+            r = self._tau[b] = _Coords(b).set(*self._solvers[j].solve(img, x.d))
         return r
 
     # -- elements ------------------------------------------------------------
@@ -395,7 +376,7 @@ class SHModel:
         return SHElt(self, x)
 
     def unit_cup(self):
-        return SHElt(self, words=({(): 1}, 1))
+        return SHElt(self, words=sn.SymElt({(): 1}))
 
     def unit_star(self):
         """beta^n/n! = rho_tau(alpha^n/n!), the model avatar of [pt]/n!."""
@@ -418,11 +399,11 @@ class SHModel:
         """Psi(w1) cup Psi(w2) = Psi(w1 w2), summed over the pairs of basis
         words of the SHElts x and y that _row keeps, on integer numerators,
         then written in basis words."""
-        xn, xd = self._words_of(x)
-        yn, yd = self._words_of(y)
+        xw, yw = self._words_of(x), self._words_of(y)
+        yn = yw.nums
         out = {}
         get = out.get
-        for w1, c1 in xn.items():
+        for w1, c1 in xw.nums.items():
             for w2, r in self._row(w1).items():
                 c2 = yn.get(w2)
                 if c2:
@@ -431,32 +412,35 @@ class SHModel:
         for r, v in out.items():
             r = self._product_coords(r)
             terms.append((v, r.pairs, r.d))
-        return SHElt(self, words=_combine(terms, xd * yd))
+        return SHElt(self, words=_combine(terms, xw.d * yw.d))
 
     def rho_tau(self, x):
         """The involution induced by tau (a signed slot permutation on
         Sym^n), on the word coordinates of x, read off the rho_tau table."""
-        wn, wd = self._words_of(x)
+        w = self._words_of(x)
         terms = []
-        for b, v in wn.items():
+        for b, v in w.nums.items():
             r = self._tau_coords(b)
             terms.append((v, r.pairs, r.d))
-        return SHElt(self, words=_combine(terms, wd))
+        return SHElt(self, words=_combine(terms, w.d))
 
     def star(self, x, y):
         """rho_tau(rho_tau(x) cup rho_tau(y))."""
         return self.rho_tau(self.cup(self.rho_tau(x), self.rho_tau(y)))
 
     def mu_action(self, t, x):
-        """Multiplies the eigenvalue-2j piece by t^j."""
-        t = la.frac(t)
-        if t == 0:
+        """Multiplies the eigenvalue-2j piece by t^j.  With t = p / q and
+        |j| <= n, that is p^(n+j) q^(n-j) / (p q)^n on integer numerators."""
+        p, q = Fraction(t).as_integer_ratio()
+        if p == 0:
             raise LatticeError("mu action needs t != 0")
+        x, n = sn.sym_form(x), self.n
+        sign = -1 if p < 0 and n % 2 else 1
         out = {}
-        for m, c in x.items():
+        for m, c in x.nums.items():
             j = self.mono_eigenvalue(m) // 2
-            out[m] = la.frac(c * Fraction(t) ** j)
-        return out
+            out[m] = sign * c * p ** (n + j) * q ** (n - j)
+        return sn.SymElt.of(out, x.d * abs(p * q) ** n)
 
     def apply_llv(self, g, x):
         """The action of an isometry of the extended lattice via Sym^n."""
@@ -464,26 +448,22 @@ class SHModel:
 
 
 class SHElt:
-    """An element of the model, held by its sparse Sym^n data, its word
-    coordinates words = (nums, d) with the element sum nums[b] Psi(b) / d
-    over basis words b, or both.  Each is computed from the other on first
-    use: data by summing the Psi(b), words by the piece solvers.  Neither
-    is ever mutated, so elements share them freely."""
+    """An element of the model, held by its Sym^n data, its word
+    coordinates words = {b: c_b} with the element sum c_b Psi(b) over basis
+    words b, or both, each a SymElt.  Each is computed from the other on
+    first use: data by summing the Psi(b), words by the piece solvers."""
 
     __slots__ = ("model", "_data", "_words")
 
     def __init__(self, model, data=None, words=None):
         self.model = model
-        if data is not None:
-            data = {m: la.frac(c) for m, c in data.items() if c}
-        self._data = data
+        self._data = None if data is None else sn.sym_form(data)
         self._words = words
 
     @property
     def data(self):
         if self._data is None:
-            nums, d = self._words
-            self._data = sn.sym_quotient(*self.model._psi_sum(nums.items(), d))
+            self._data = self.model.from_words(self._words)
         return self._data
 
     @property

@@ -1,18 +1,20 @@
 """Symmetric powers of a quadratic space and the isotropic-power subspace.
 
 Sym^n V is handled in the monomial basis indexed by sorted n-tuples of basis
-indices; elements are sparse {monomial: scalar} dicts.  The arithmetic
-kernels (sym_power, apply_linear, derivation_apply, sn_coords) scale each
-operand once to integer numerators over one common denominator, work on
-plain ints, and divide once at the end, as the linalg kernels do;
-what they return holds ints or reduced Fractions and no zero entries.
-sym_power returns a SymPower, a dict that records its root and degree, and
-apply_linear sends such a pure power v^n to (f v)^n, which holds for every
-n; only other elements pay for Sym^n(f) itself, for n = 2 the congruence
-f X f^T on integer numerators.  The distinguished subspace S_[n] is
-computed as the kernel of the contraction that pairs two slots with the
-bilinear form -- the span of n-th powers of isotropic vectors, which is
-checked against it where feasible.
+indices.  An element is a SymElt: integer numerators {monomial: int}, with
+no zero entries, over one denominator d > 0 in lowest terms, immutable.
+Read as a mapping it gives {monomial: int or reduced Fraction}, built on
+reading; the arithmetic kernels (sym_power, apply_linear,
+derivation_apply, sn_coords, sym_add, sym_scale) read and return the
+integer form, so no kernel normalizes entries for the next one to scale
+back.  A plain dict handed to a kernel is scaled once by sym_form.
+sym_power also records power = (v, n) on its result, and apply_linear
+sends such a pure power v^n to (f v)^n, which holds for every n; only
+other elements pay for Sym^n(f) itself, for n = 2 the congruence f X f^T
+on integer numerators.  The distinguished subspace S_[n] is computed as
+the kernel of the contraction that pairs two slots with the bilinear form
+-- the span of n-th powers of isotropic vectors, which is checked against
+it where feasible.
 
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
@@ -29,9 +31,10 @@ handed an isometry's matrix view, that product reads the isometry's
 integer form; its images are still split and checked entry by entry.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from . import linalg as la
@@ -42,29 +45,86 @@ from .errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
 from .lattice import QIsometry
 
 
-# -- sparse symmetric-tensor helpers ----------------------------------------
+# -- the sparse symmetric-tensor element -------------------------------------
+
+
+class SymElt(Mapping):
+    """An element sum nums[m] m / d of Sym^n: nums maps monomials to
+    nonzero ints and d > 0 has no common factor with them, so equal
+    elements have equal forms.  power = (v, n) when the element is v^n, as
+    sym_power and apply_linear record it, else None.
+
+    Read as a mapping it gives {monomial: int or reduced Fraction}, one
+    entry at a time; it has no item assignment, and nothing changes its
+    form, so elements share their nums freely.  It equals another SymElt
+    when the forms agree and a plain mapping when the values do.
+    """
+
+    __slots__ = ("nums", "d", "power")
+
+    def __init__(self, nums, d=1, power=None):
+        self.nums = nums
+        self.d = d
+        self.power = power
+
+    @classmethod
+    def of(cls, nums, d):
+        """nums / d for int nums and d > 0, zeros dropped, in lowest terms."""
+        nums = {m: c for m, c in nums.items() if c}
+        g = gcd(d, *nums.values())
+        if g > 1:
+            nums = {m: c // g for m, c in nums.items()}
+            d //= g
+        return cls(nums, d)
+
+    def __getitem__(self, m):
+        return la.quotient(self.nums[m], self.d)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __eq__(self, other):
+        if type(other) is SymElt:
+            return self.d == other.d and self.nums == other.nums
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self):
+        return "SymElt(%r)" % dict(self.items())
+
+
+def sym_form(x):
+    """x as a SymElt: x itself when it is one, else a mapping of scalars
+    scaled once to integer numerators over their least denominator."""
+    if type(x) is SymElt:
+        return x
+    items = [(m, la.frac(c)) for m, c in x.items() if c]
+    nums, d = la.scaled_vec([c for _, c in items])
+    return SymElt(dict(zip([m for m, _ in items], nums)), d)
 
 
 def sym_add(x, y):
-    out = dict(x)
-    for m, c in y.items():
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
+    x, y = sym_form(x), sym_form(y)
+    d = lcm(x.d, y.d)
+    a, b = d // x.d, d // y.d
+    out = {m: a * c for m, c in x.nums.items()}
+    get = out.get
+    for m, c in y.nums.items():
+        out[m] = get(m, 0) + b * c
+    return SymElt.of(out, d)
 
 
 def sym_scale(c, x):
-    c = la.frac(c)
-    if c == 1:
-        return dict(x)
-    if c == -1:
-        return {m: -v for m, v in x.items()}
-    if not c:
-        return {}
-    return {m: la.frac(c * v) for m, v in x.items()}
+    """c x, with no power record."""
+    x = sym_form(x)
+    cn, cd = (c, 1) if type(c) is int else Fraction(c).as_integer_ratio()
+    if cn == 1 and cd == 1:
+        return SymElt(x.nums, x.d)
+    if cn == -1 and cd == 1:
+        return SymElt({m: -v for m, v in x.nums.items()}, x.d)
+    return SymElt.of({m: cn * v for m, v in x.nums.items()}, cd * x.d)
 
 
 def sym_sub(x, y):
@@ -72,42 +132,16 @@ def sym_sub(x, y):
 
 
 def sym_eq(x, y):
-    return sym_sub(x, y) == {}
-
-
-class SymPower(dict):
-    """The element v^n that sym_power returns: a plain sparse dict that also
-    records power = (v, n), which apply_linear reads to send it to (f v)^n.
-
-    Copies (dict(x), sym_scale, sym_add) are plain dicts, and any in-place
-    change sets power to None, so the record never outlives the entries it
-    describes.
-    """
-
-    __slots__ = ("power",)
-
-
-def _forgetting(name):
-    method = getattr(dict, name)
-
-    def forget(self, *args, **kwargs):
-        self.power = None
-        return method(self, *args, **kwargs)
-    forget.__name__ = name
-    return forget
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
-              "popitem", "setdefault", "update"):
-    setattr(SymPower, _name, _forgetting(_name))
+    return sym_form(x) == sym_form(y)
 
 
 def sym_power(v_coords, n):
-    """v^n as a sparse polynomial in the basis variables, a SymPower.
+    """v^n as a SymElt that records power = (v, n).
 
     The multinomial expansion runs on the integer numerators of v (one
-    common denominator d) and is divided by d^n once at the end; for n = 2
-    it is c_i^2 on the diagonal and 2 c_i c_j off it.
+    common denominator d) over d^n, already in lowest terms by Gauss's
+    lemma: the content of (sum c_i x_i)^n is the n-th power of that of c.
+    For n = 2 it is c_i^2 on the diagonal and 2 c_i c_j off it.
     """
     v = tuple(v_coords)
     nums, d = la.scaled_vec(v)
@@ -133,24 +167,7 @@ def sym_power(v_coords, n):
                 else:
                     prev, run = i, 1
             out[tuple([i for i, _ in terms])] = coef * prod
-    x = SymPower(sym_quotient(out, d ** n))
-    x.power = (v, n)
-    return x
-
-
-def sym_scaled(x):
-    """(numerators, d) of a sparse element: the least d > 0 and a new dict
-    of ints with x[m] = numerators[m] / d."""
-    nums, d = la.scaled_vec(list(x.values()))
-    return dict(zip(x, nums)), d
-
-
-def sym_quotient(nums, d):
-    """The sparse element nums / d (d > 0): int or reduced Fraction values,
-    zero entries dropped."""
-    if d == 1:
-        return {m: v for m, v in nums.items() if v}
-    return {m: la.quotient(v, d) for m, v in nums.items() if v}
+    return SymElt(out, d ** n, (v, n))
 
 
 def sparse_columns(a):
@@ -215,10 +232,12 @@ class SymSpace:
     def contract(self, x):
         """Pair two slots with the form; Sym^n -> Sym^{n-2} (0 for n < 2)."""
         if self.n < 2:
-            return {}
+            return SymElt({})
+        x = sym_form(x)
         g = self.lattice.gram
         out = {}
-        for m, c in x.items():
+        get = out.get
+        for m, c in x.nums.items():
             mult = _multiplicities(m)
             items = sorted(mult)
             for ai in range(len(items)):
@@ -235,15 +254,11 @@ class SymSpace:
                     rem.remove(i)
                     rem.remove(j)
                     key = tuple(rem)
-                    val = out.get(key, 0) + c * cnt * g[i][j]
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-        return out
+                    out[key] = get(key, 0) + c * cnt * g[i][j]
+        return SymElt.of(out, x.d)
 
     def in_kernel(self, x):
-        return self.contract(x) == {}
+        return not self.contract(x)
 
     def kernel_basis(self):
         """Sparse basis of ker(contract), memoized.
@@ -256,13 +271,14 @@ class SymSpace:
         if "kernel" in self._cache:
             return self._cache["kernel"]
         if self.n < 2:
-            info = ([{m: 1} for m in self.monomials], list(self.monomials))
+            info = ([SymElt({m: 1}) for m in self.monomials],
+                    list(self.monomials))
         else:
             # the contraction as a dense matrix over the lower monomial basis
             lindex = SymSpace(self.lattice, self.n - 2).index
             mat = [[0] * len(self.monomials) for _ in range(len(lindex))]
             for j, m in enumerate(self.monomials):
-                for mm, c in self.contract({m: 1}).items():
+                for mm, c in self.contract(SymElt({m: 1})).nums.items():
                     mat[lindex[mm]][j] = c
             r, pivots, _ = la.rref(mat)
             free = [c for c in range(len(self.monomials)) if c not in pivots]
@@ -272,24 +288,25 @@ class SymSpace:
                 for i, pcol in enumerate(pivots):
                     c = r[i][fcol]
                     if c:
-                        vec[self.monomials[pcol]] = la.frac(-c)
-                basis.append(vec)
+                        vec[self.monomials[pcol]] = -c
+                basis.append(sym_form(vec))
             info = (basis, [self.monomials[f] for f in free])
         self._cache["kernel"] = info
         return info
 
     def sn_coords(self, x):
         """Coordinates of a kernel element over kernel_basis(); exact."""
+        x = sym_form(x)
         basis, free = self.kernel_basis()
-        coords = [x.get(m, 0) for m in free]
-        # verify: rebuild x from the basis, scaled once to ints over bd
+        coords = tuple([x.get(m, 0) for m in free])
+        # verify: rebuild x from the basis, scaled to ints over one bd
         if "kernel_ints" not in self._cache:
-            nums, bd = la.scaled_vec([c for b in basis for c in b.values()])
-            it = iter(nums)
-            self._cache["kernel_ints"] = ([{m: next(it) for m in b}
+            bd = lcm(*[b.d for b in basis])
+            self._cache["kernel_ints"] = ([{m: c * (bd // b.d)
+                                            for m, c in b.nums.items()}
                                            for b in basis], bd)
         bnums, bd = self._cache["kernel_ints"]
-        xn, xd = sym_scaled(x)
+        xn = x.nums
         rebuilt = {}
         get = rebuilt.get
         for m, b in zip(free, bnums):
@@ -298,20 +315,21 @@ class SymSpace:
                 for mm, v in b.items():
                     rebuilt[mm] = get(mm, 0) + c * v
         if ({m: v for m, v in rebuilt.items() if v}
-                != {m: bd * v for m, v in xn.items() if v}):
+                != {m: bd * v for m, v in xn.items()}):
             raise SolveFailure("element does not lie in the isotropic-power subspace")
-        return tuple(coords)
+        return coords
 
     # -- functorial action ---------------------------------------------------
 
     def apply_linear(self, f, x):
-        """Sym^n(f) applied to a sparse element, for a QIsometry f, read on
-        its integer form, or a plain matrix f, scaled to integers once on
-        entry.  A pure power v^n from sym_power goes to (f v)^n; any other
-        element goes slot by slot through the columns of f, or for n = 2 as
-        the congruence f X f^T."""
+        """Sym^n(f) applied to an element, for a QIsometry f, read on its
+        integer form, or a plain matrix f, scaled to integers once on
+        entry.  A pure power v^n, as sym_power records it, goes to
+        (f v)^n; any other element goes slot by slot through the columns
+        of f, or for n = 2 as the congruence f X f^T."""
         iso = isinstance(f, QIsometry)
-        power = getattr(x, "power", None)
+        x = sym_form(x)
+        power = x.power
         if power is not None and power[1] == self.n:
             fv = f.apply_coords(power[0]) if iso else la.mat_vec(f, power[0])
             return sym_power(fv, self.n)
@@ -319,12 +337,9 @@ class SymSpace:
         if self.n == 2:
             return self._apply_linear_quadratic(fnums, fd, x)
         cols, _ = sparse_columns(fnums)
-        xn, xd = sym_scaled(x)
         out = {}
         get = out.get
-        for m, c in xn.items():
-            if not c:
-                continue
+        for m, c in x.nums.items():
             acc = {(): c}
             for i in m:
                 col = cols.get(i, ())
@@ -336,25 +351,23 @@ class SymSpace:
                 acc = nxt
             for mm, cc in acc.items():
                 out[mm] = get(mm, 0) + cc
-        return sym_quotient(out, xd * fd ** self.n)
+        return SymElt.of(out, x.d * fd ** self.n)
 
     def _apply_linear_quadratic(self, frows, fd, x):
         """Sym^2(f) x for f = frows / fd as the congruence M = F (2X) F^T,
         X the symmetric matrix of x, on integer numerators over one
         denominator: upper triangle only, each entry summed over the
         nonzero entries of its row of F (2X).  Then
-        x' = M_ii / 2 on the diagonal and M_ij off it."""
+        x' = M_ii / 2 on the diagonal, which is even, and M_ij off it."""
         d = self.dim_v
-        xn, xd = sym_scaled(x)
-        # the nonzero rows of xd * 2X, which is symmetric: row j is column j
+        # the nonzero rows of x.d * 2X, which is symmetric: row j is column j
         nrows = {}
-        for (i, j), c in xn.items():
+        for (i, j), c in x.nums.items():
             if i == j:
                 nrows.setdefault(i, [0] * d)[i] = 2 * c
-            elif c:
+            else:
                 nrows.setdefault(i, [0] * d)[j] = c
                 nrows.setdefault(j, [0] * d)[i] = c
-        den = xd * fd * fd
         out = {}
         for i in range(d):
             fi = frows[i]
@@ -367,20 +380,18 @@ class SymSpace:
             sums = [sum([a * frows[j][k] for k, a in nz]) for j in range(i, d)]
             for j, s in enumerate(sums, i):
                 if s:
-                    out[(i, j)] = la.quotient(s, 2 * den if i == j else den)
-        return out
+                    out[(i, j)] = s // 2 if i == j else s
+        return SymElt.of(out, x.d * fd * fd)
 
     def derivation_apply(self, op, x):
         """Product-rule extension of an operator of V to Sym^n.  op is
         sparse_columns(matrix), which a caller that applies one operator
         many times builds once."""
         cols, od = op
-        xn, xd = sym_scaled(x)
+        x = sym_form(x)
         out = {}
         get = out.get
-        for m, c in xn.items():
-            if not c:
-                continue
+        for m, c in x.nums.items():
             for i, mu_i in _multiplicities(m).items():
                 col = cols.get(i)
                 if not col:
@@ -391,17 +402,15 @@ class SymSpace:
                 for k, ev in col:
                     key = tuple(sorted(rem + [k]))
                     out[key] = get(key, 0) + cm * ev
-        return sym_quotient(out, xd * od)
+        return SymElt.of(out, x.d * od)
 
     def pair(self, x, y):
         """Induced pairing: on pure products, perm[(v_i, w_j)] / n!."""
-        if self.n == 0:
-            return la.frac(x.get((), 0) * y.get((), 0))
+        x, y = sym_form(x), sym_form(y)
         g = self.lattice.gram
         total = 0
-        nf = factorial(self.n)
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
+        for m1, c1 in x.nums.items():
+            for m2, c2 in y.nums.items():
                 perm_sum = 0
                 for p in permutations(range(self.n)):
                     prod = 1
@@ -415,7 +424,7 @@ class SymSpace:
                 if perm_sum:
                     # monomials denote plain products of basis vectors
                     total += c1 * c2 * perm_sum
-        return la.ratio(total, nf)
+        return la.ratio(total, factorial(self.n) * x.d * y.d)
 
 
 def s_n_subspace(lattice, n):
@@ -514,11 +523,11 @@ def _extract_power_line(space, x):
     numerators of x.
     """
     n = space.n
+    x = sym_form(x)
     if not x:
         raise NotDecomposable("zero image cannot be a power of a nonzero vector")
     rank_2 = "image of an isotropic power has symmetric rank > 1"
-    xn, xd = sym_scaled(x)
-    xn = {m: c for m, c in xn.items() if c}
+    xn, xd = x.nums, x.d
     dim = space.dim_v
     i = next((i for i in range(dim) if (i,) * n in xn), None)
     if i is None:
@@ -528,7 +537,7 @@ def _extract_power_line(space, x):
     w[i] = n * xn[(i,) * n]
     g = gcd(*w)
     w = [c // g for c in w]
-    wn = sym_power(w, n)
+    wn = sym_power(w, n).nums   # w is integral, so d = 1
     # x = (px / (xd pw)) w^n exactly when the cross products agree
     pivot, pw = next(iter(wn.items()))
     px = xn.get(pivot)
@@ -658,7 +667,7 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
 
 
 def psi(llv_space, lams, n):
-    """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a sparse Sym^n element.
+    """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a SymElt.
 
     Words longer than 2n give zero (documented, not an error)."""
     sym = SymSpace(llv_space.lattice, n)
@@ -668,7 +677,7 @@ def psi(llv_space, lams, n):
         e = sparse_columns(llv_mod.e_op(llv_space, lam))
         x = sym.derivation_apply(e, x)
         if not x:
-            return {}
+            break
     return x
 
 

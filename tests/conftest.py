@@ -149,24 +149,29 @@ def sym_mul(x, y, max_deg=None):
     bucketed by degree so that no pair over max_deg is visited, and the sum
     is divided once at the end.
     """
-    xn, xd = sn.sym_scaled(x)
-    yn, yd = sn.sym_scaled(y)
+    xn, xd = _scaled(x)
+    yn, yd = _scaled(y)
     by_deg = {}
     for m, c in yn.items():
-        if c:
-            by_deg.setdefault(len(m), []).append((m, c))
+        by_deg.setdefault(len(m), []).append((m, c))
     out = {}
     get = out.get
     for m1, c1 in xn.items():
-        if not c1:
-            continue
         for k, terms in by_deg.items():
             if max_deg is not None and len(m1) + k > max_deg:
                 continue
             for m2, c2 in terms:
                 key = tuple(sorted(m1 + m2))
                 out[key] = get(key, 0) + c1 * c2
-    return sn.sym_quotient(out, xd * yd)
+    return {m: la.frac(Fraction(c, xd * yd)) for m, c in out.items() if c}
+
+
+def _scaled(x):
+    """({monomial: int numerator}, d) of a sparse element, zeros dropped,
+    scaled with la.scaled_vec rather than the library's element type."""
+    x = {m: c for m, c in x.items() if c}
+    nums, d = la.scaled_vec([Fraction(c) for c in x.values()])
+    return dict(zip(x, nums)), d
 
 
 def isotropic_samples(lattice, rng, count, bound=2):
@@ -271,8 +276,7 @@ def power_line_by_contraction(space, x):
     snrep._extract_power_line, which reads the line off one coordinate;
     None when x is no c w^n."""
     n = space.n
-    xn, xd = sn.sym_scaled(x)
-    xn = {m: c for m, c in xn.items() if c}
+    xn, xd = _scaled(x)
     if not xn:
         return None
     for z in space.lattice.gram:
@@ -296,7 +300,7 @@ def power_line_by_contraction(space, x):
         w[m[0]] = c
     g = gcd(*w)
     w = tuple(c // g for c in w)
-    wn = sn.sym_scaled(sn.sym_power(w, n))[0]
+    wn = dict(sn.sym_power(w, n))   # ints, w being integral
     pivot, pw = next(iter(wn.items()))
     px = xn.get(pivot)
     if not (px and len(wn) == len(xn)

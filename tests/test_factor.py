@@ -331,7 +331,9 @@ def _random_word(rng, lat, maxlen=5):
         elif kind == 1:
             gens.append(rand_transvection(rng, lat))
         else:
-            u = lat.vec([1, -2] + [0] * (lat.rank - 2))
+            # (u, u) = 2d + 2 for (delta, delta) = -2d
+            d = -lt.delta_vector(lat).norm() // 2
+            u = tv.canonical_vector(lat, 2 * d + 2)
             gens.append(fc.neg_reflection_u_delta(lat, u)
                         * rand_transvection(rng, lat))
     phi = lt.QIsometry.identity(lat)
@@ -340,6 +342,19 @@ def _random_word(rng, lat, maxlen=5):
     if lt.nu_character(phi) == -1:
         phi = fc.reflect(lat, lat.vec([1, -1] + [0] * (lat.rank - 2))) * phi
     return phi
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_normal_form_round_trip_beyond_k3n2(n):
+    """Random words on K3n:n decompose, survive JSON and verify; the third
+    generator kind builds -rho_{u + delta} with (u, u) = 2n."""
+    lat = lt.preset("K3n", n)
+    for seed in range(10):
+        phi = _random_word(random.Random(seed), lat, 3)
+        nf = fc.decompose(lat, phi)
+        text = jio.dumps(jio.normal_form_to_json(nf))
+        loaded = jio.normal_form_from_json(json.loads(text), lat)
+        assert fc.verify_normal_form(loaded, phi)["ok"]
 
 
 def test_decompose_gamma_shortcut(k3n2):

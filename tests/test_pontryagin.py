@@ -87,6 +87,39 @@ def test_even_dimensional_guard(k3):
         pg.SHModel(llv.LLVSpace(k3), 2)
 
 
+def test_mu_action_is_the_llv_mu(small_model):
+    """mu_action(t) multiplies the eigenvalue-2j piece by t^j, which is
+    Sym^n of llv.mu(t); n = 3 with t < 0 flips the sign of (p q)^n."""
+    base = small_model.space.base
+    rng = random.Random(281)
+    for M in (small_model, pg.SHModel(llv.LLVSpace(base), 3)):
+        for t in (2, -3, Fraction(-2, 5), Fraction(1, 7)):
+            g = llv.mu(M.space, t)
+            for _ in range(3):
+                x = M.random_element(rng).data
+                got = M.mu_action(t, x)
+                assert got == M.apply_llv(g, x)
+                assert got == {m: c * Fraction(t) ** (M.mono_eigenvalue(m) // 2)
+                               for m, c in x.items()}
+                _assert_entries(got)
+        with pytest.raises(LatticeError):
+            M.mu_action(0, x)
+
+
+def test_piece_dims_match_kernel_counts():
+    """The closed form dim Sym^m H^2, m = min(k, 2n - k), for eigenvalue
+    2k - 2n agrees with the free monomials of kernel_basis counted by
+    h-eigenvalue (the contraction keeps the eigenvalue)."""
+    for name, k in (("K3n", 2), ("Kummer", 2), ("K3n", 3)):
+        space = llv.LLVSpace(lt.preset(name, k))
+        for n in (1, 2, 3):
+            counts = {}
+            for m in sn.SymSpace(space.lattice, n).kernel_basis()[1]:
+                j = sum(space.h_diag[i] for i in m)
+                counts[j] = counts.get(j, 0) + 1
+            assert counts == pg.piece_dims(space.base.rank, n), (name, k, n)
+
+
 def test_piece_dims(small_model, big_model):
     assert small_model._piece_dims == {-4: 1, -2: 3, 0: 6, 2: 3, 4: 1}
     assert big_model._piece_dims == {-4: 1, -2: 23, 0: 276, 2: 23, 4: 1}
@@ -321,7 +354,7 @@ def _residue_product():
         for w2 in M._basis_words:
             p = tuple(sorted(w1 + w2))
             if len(p) <= 2 * M.n and p not in basis and M.psi_word(p):
-                M._psi_memo[p] = ({(3, 3): 1}, 1)
+                M._psi_memo[p] = sn.SymElt({(3, 3): 1})
                 return M, w1, w2
     raise AssertionError("no non-basis product word")
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+import math
 from math import comb, factorial
 
 import pytest
@@ -490,32 +491,39 @@ def test_sym_power_square_matches_multinomial():
         _assert_entries(got)
 
 
-def test_sym_power_record_survives_no_change(H5):
-    # the (v, n) record is only ever read off an untouched sym_power
-    # result: copies drop it, and so does any in-place change
+def test_sym_elt_power_record_and_immutability(H5):
+    """sym_power and apply_linear on a power record (v, n); sums and
+    multiples carry none; no element takes item assignment; an element
+    equals the plain dict of its normalized values."""
     sym = sn.SymSpace(H5.lattice, 2)
     f = _rand_iso(random.Random(269), H5.lattice).matrix
     v = [1, Fraction(1, 2), 0, -2, 3]
     x = sn.sym_power(v, 2)
     assert x.power == (tuple(v), 2)
-    assert x == _ref_power(v, 2)
+    assert x == _ref_power(v, 2) and _ref_power(v, 2) == x
+    assert dict(x) == _ref_power(v, 2)
     # the image of a power is the power (f v)^2, recorded as such
     fx = sym.apply_linear(f, x)
     assert fx.power == (la.mat_vec(f, v), 2)
-    for copy in (dict(x), sn.sym_scale(1, x), sn.sym_add(x, {})):
-        assert type(copy) is dict
-        assert sym.apply_linear(f, copy) == sym.apply_linear(f, x)
-    x[(0, 0)] = 5
-    assert x.power is None
-    assert sym.apply_linear(f, x) == _ref_apply(f, x, 2)
-    changes = [lambda d, m: d.__delitem__(m), lambda d, m: d.pop(m),
-               lambda d, m: d.popitem(), lambda d, m: d.setdefault((4, 4), 1),
-               lambda d, m: d.update({m: 1}), lambda d, m: d.__ior__({m: 1}),
-               lambda d, m: d.clear()]
-    for change in changes:
-        y = sn.sym_power(v, 2)
-        change(y, (0, 0))
+    for y in (sn.sym_scale(1, x), sn.sym_scale(-3, x), sn.sym_add(x, {}),
+              sn.sym_add(x, x), sn.sym_sub(x, {(0, 0): 1})):
         assert y.power is None
+    assert sn.sym_scale(1, x) == x and sn.sym_add(x, {}) == x
+    assert sym.apply_linear(f, dict(x)) == fx
+    assert sym.apply_linear(f, dict(x)).power is None
+    for elt in (x, fx, sn.sym_scale(2, x), sn.sym_add(x, x)):
+        with pytest.raises(TypeError):
+            elt[(0, 0)] = 5
+        with pytest.raises(TypeError):
+            del elt[(0, 0)]
+    assert x == _ref_power(v, 2) and x.power == (tuple(v), 2)
+    # the form: nonzero integer numerators over d > 0 in lowest terms
+    y = sn.sym_scale(Fraction(2, 3), x)
+    assert y.d > 0 and all(type(c) is int and c for c in y.nums.values())
+    assert math.gcd(y.d, *y.nums.values()) == 1
+    assert y == {m: Fraction(2, 3) * c for m, c in _ref_power(v, 2).items()}
+    assert sn.sym_form({(0, 1): Fraction(4, 2), (1, 1): 0}) == {(0, 1): 2}
+    assert sn.sym_form({(0, 1): Fraction(4, 2)}).nums == {(0, 1): 2}
 
 
 def _rand_qvec(rng, d):
