@@ -93,8 +93,14 @@ def _isometry(payload):
 
 def cmd_lattice(args):
     if args.action == "preset":
-        lat = io.parse_preset_name(args.name if ":" in args.name or args.n is None
-                                   else "%s:%d" % (args.name, args.n))
+        name = args.name
+        if args.n is not None:
+            if ":" not in name:
+                name = "%s:%d" % (name, args.n)
+            elif int(name.split(":")[1]) != args.n:
+                raise LatticeError("--n %d disagrees with the preset name %r"
+                                   % (args.n, name))
+        lat = io.parse_preset_name(name)
     else:
         lat = _lattice_from_args(args, _load_payload(args))
     pos, neg = lat.signature()

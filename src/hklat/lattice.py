@@ -404,12 +404,13 @@ class QIsometry:
 
         M^T G M = G gives det(M)^2 = 1: the untrusted constructor checks
         that identity and every trusted construction holds it.  So det(M)
-        is +1 or -1, and det(nums) = det(M) d^rank mod the prime p of
-        la.det_mod_p tells which; any other residue means M is no
-        isometry.  Bareiss's exact det decides when p divides d.
+        is +1 or -1, and det(nums) = det(M) d^rank mod the prime la.P
+        of la.det_mod_p tells which; any other residue means M is no
+        isometry.  Bareiss's exact det decides when P divides d.
         """
         if self._det is None:
-            r, p = la.det_mod_p(self.nums)
+            p = la.P
+            r = la.det_mod_p(self.nums)
             dn = pow(self.d, self.lattice.rank, p)
             if dn:
                 r = r * pow(dn, -1, p) % p
@@ -607,15 +608,15 @@ def membership(g, group):
     return ok, cert
 
 
-def _preset_u(params):
+def _preset_u():
     return Lattice(U_GRAM, name="U", u_blocks=((0, 1),))
 
 
-def _preset_e8neg(params):
+def _preset_e8neg():
     return Lattice(E8_NEG_GRAM, name="E8-", u_blocks=())
 
 
-def _preset_k3(params):
+def _preset_k3():
     g = _block_diag(U_GRAM, U_GRAM, U_GRAM, E8_NEG_GRAM, E8_NEG_GRAM)
     return Lattice(g, name="K3", u_blocks=((0, 1), (2, 3), (4, 5)))
 
@@ -637,30 +638,31 @@ def _preset_kummer(n):
                    delta_index=6)
 
 
-def _preset_mukai(params):
+def _preset_mukai():
     g = _block_diag(U_GRAM, U_GRAM, U_GRAM, U_GRAM, E8_NEG_GRAM, E8_NEG_GRAM)
     return Lattice(g, name="Mukai", u_blocks=((0, 1), (2, 3), (4, 5), (6, 7)))
+
+
+_FIXED_PRESETS = {"u": _preset_u, "e8-": _preset_e8neg, "k3": _preset_k3,
+                  "mukai": _preset_mukai}
 
 
 def preset(name, n=None, gram=None):
     """Construct a named lattice.
 
     name in {"U", "E8-", "K3", "K3n", "Kummer", "Mukai", "custom"};
-    K3n and Kummer take the integer n >= 2, custom takes a Gram matrix.
+    K3n and Kummer take the integer n >= 2, custom takes a Gram matrix,
+    and the others take no n.
     """
     key = name.lower().replace("e8neg", "e8-")
-    if key == "u":
-        return _preset_u(n)
-    if key == "e8-":
-        return _preset_e8neg(n)
-    if key == "k3":
-        return _preset_k3(n)
+    if key in _FIXED_PRESETS:
+        if n is not None:
+            raise LatticeError("preset %r takes no n" % (name,))
+        return _FIXED_PRESETS[key]()
     if key == "k3n":
         return _preset_k3n(n)
     if key == "kummer":
         return _preset_kummer(n)
-    if key == "mukai":
-        return _preset_mukai(n)
     if key == "custom":
         if gram is None:
             raise LatticeError("custom preset needs a gram matrix")

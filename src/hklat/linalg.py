@@ -21,28 +21,26 @@ is canonical.
 
 det, Bareiss's fraction-free elimination, is exact and serves any matrix:
 Gram matrices and other untrusted input.  det_mod_p is elimination over
-GF(p) on residues below 2^15; it serves matrices whose determinant is
-known up to a residue, such as isometries, where det^2 = 1 and the
-residue mod an odd prime decides between +1 and -1.
+GF(P), P = 32749, on integer rows; it serves matrices whose determinant
+is known up to a residue, such as the numerators of an isometry, where
+det^2 = 1 and the residue decides between +1 and -1.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 ONE = Fraction(1)
 _new = object.__new__
 
 
 def frac(x):
-    """Normalize to int (when integral) or Fraction."""
+    """Normalize an int or a Fraction to int (when integral) or Fraction;
+    any other type (a float, a bool, a string) raises TypeError."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x._numerator if x._denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    f = Fraction(x)
-    return f._numerator if f._denominator == 1 else f
+    raise TypeError("scalar %r is not an int or a Fraction" % (x,))
 
 
 def ratio(a, b):
@@ -75,8 +73,6 @@ def scaled_vec(v):
     if all([type(x) is int for x in v]):
         return v, 1
     d = lcm(*[x.denominator for x in v])
-    if d == 1:
-        return [x.numerator for x in v], 1
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
@@ -104,8 +100,6 @@ def scaled_mat(a):
     if all([type(x) is int for row in a for x in row]):
         return a, 1
     d = lcm(*[x.denominator for row in a for x in row])
-    if d == 1:
-        return [[x.numerator for x in row] for row in a], 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
@@ -345,47 +339,22 @@ def det(a):
     return quotient(sign * num * prev, den)
 
 
-def _prime_flags(n):
-    """flags[q] == 1 exactly for the primes q < n (Eratosthenes)."""
-    flags = bytearray([1]) * n
-    flags[:2] = b"\0\0"
-    for i in range(2, isqrt(n - 1) + 1):
-        if flags[i]:
-            flags[i * i::i] = bytes(len(range(i * i, n, i)))
-    return flags
-
-
-# det_mod_p's primes lie below 2^15, so a residue minus the product of two
-# residues stays below 2^30 in size: one machine word (one CPython digit)
-_P_BOUND = 1 << 15
-_IS_PRIME = _prime_flags(_P_BOUND)
+# a residue minus the product of two residues mod P < 2^15 stays below 2^30
+# in size: one machine word (one CPython digit)
+P = 32749
 
 
 def det_mod_p(a):
-    """(det(a) mod p, p) for the largest prime p < 2^15 that divides no
-    denominator of a (32749 first, then the next prime below), by
-    elimination over GF(p); None when every odd prime below 2^15 divides a
-    denominator.  The residue lies in range(p).
-    """
+    """det(a) mod P, in range(P), for an integer matrix a, by elimination
+    over GF(P)."""
     n = len(a)
-    for p in range(_P_BOUND - 1, 2, -2):
-        if not _IS_PRIME[p]:
-            continue
-        try:
-            m = [[x % p if type(x) is int
-                  else x.numerator * pow(x.denominator, -1, p) % p
-                  for x in row] for row in a]
-        except ValueError:
-            # p divides a denominator: no inverse mod p
-            continue
-        break
-    else:
-        return None
+    p = P
+    m = [[x % p for x in row] for row in a]
     acc = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return 0, p
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             acc = -acc
@@ -400,7 +369,7 @@ def det_mod_p(a):
                 f = f * inv % p
                 for j, y in tail:
                     ri[j] = (ri[j] - f * y) % p
-    return acc % p, p
+    return acc % p
 
 
 def inverse(a):

@@ -492,16 +492,12 @@ def _integer_nth_root(m, n):
 
 
 def _nth_root_fraction(c, n):
-    """Exact rational n-th root, or None."""
+    """The exact rational n-th root of a nonzero image scalar c, or None:
+    of c for odd n, and of |c| for even n, where _isometry_from_lines fixes
+    the signs from the pairings."""
     c = Fraction(c)
-    if c == 0:
-        return Fraction(0)
-    sign = 1
-    if c < 0:
-        if n % 2 == 0:
-            return None
-        sign = -1
-        c = -c
+    sign = -1 if c < 0 and n % 2 == 1 else 1
+    c = abs(c)
     num = _integer_nth_root(c.numerator, n)
     den = _integer_nth_root(c.denominator, n)
     if num ** n == c.numerator and den ** n == c.denominator:
@@ -591,7 +587,7 @@ def _isometry_from_lines(space_1, space_2, lines):
     vs, (pn, pd), (vinv, vd) = _isotropic_frame(space_1.lattice)
     ts = []
     for c, _ in lines:
-        t = _nth_root_fraction(c if n % 2 == 1 else abs(c), n)
+        t = _nth_root_fraction(c, n)
         if t is None:
             raise ScalarInconsistency("image scalar is not an exact n-th power")
         ts.append(t)

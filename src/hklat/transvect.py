@@ -288,12 +288,10 @@ class _Reducer:
             if p[0][1] == 0 and p[1][0] == 0:
                 return
             if p[0][0] == 0:
+                # the loop has returned unless P12 or P21 is nonzero
                 if p[1][0] != 0:
                     self.op_row1(1)
-                elif p[0][1] != 0:
-                    self.op_col1(1)
                 else:
-                    self.op_row1(1)
                     self.op_col1(1)
                 continue
             if p[1][0] != 0:

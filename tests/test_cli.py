@@ -400,3 +400,145 @@ def test_scalar_rule_exits_3(capsys):
                          '{"lattice": {"gram": [[2.0, 1], [1, 2]]}}'], capsys)
     assert code == 3
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_lattice_preset_never_drops_n(capsys):
+    for argv in (["lattice", "preset", "--name", "K3", "--n", "3"],
+                 ["lattice", "info", "--json", '{"lattice": "K3:7"}'],
+                 ["lattice", "info", "--json", '{"lattice": "Mukai:2"}'],
+                 ["lattice", "preset", "--name", "K3n:2", "--n", "3"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "LatticeError", argv
+    outs = []
+    for argv in (["lattice", "preset", "--name", "K3n", "--n", "2"],
+                 ["lattice", "preset", "--name", "K3n:2", "--n", "2"],
+                 ["lattice", "preset", "--name", "K3n:2"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    obj = json.loads(outs[0])
+    assert obj["name"] == "K3n:2" and obj["det"] == 2 and obj["rank"] == 23
+
+
+def test_lattice_info_repairs_smith_divisibility(capsys):
+    # elimination alone leaves the divisors (6, 2)
+    code, out = run_cli(["lattice", "info", "--json",
+                         '{"lattice": {"gram": [[6, 0], [0, 2]]}}'], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["disc_divisors"] == [2, 6] and obj["det"] == 12
+
+
+def test_isom_characters_other_disc_action(capsys):
+    # on diag(2, 2), L*/L = (Z/2)^2 and the swap exchanges its generators,
+    # an action that is neither +1 nor -1
+    payload = json.dumps({"lattice": {"gram": [[2, 0], [0, 2]]},
+                          "matrix": [[0, 1], [1, 0]]})
+    code, out = run_cli(["isom", "characters", "--json", payload], capsys)
+    assert code == 0
+    assert json.loads(out) == {"nu": -1, "det": -1,
+                               "disc": ["other", [[0, 1], [1, 0]]]}
+
+
+def test_cli_llv_normalize_and_lefschetz(capsys):
+    from hklat import linalg as la
+    from hklat import llv
+    k3 = lt.preset("K3")
+    space = llv.LLVSpace(k3)
+    core = llv.tau(space) * llv.mu(space, 2)
+    lam_x, lam_y = k3.vec([1, -1] + [0] * 20), k3.vec([0, 0, 1, 2] + [0] * 18)
+    phi = (llv.b_field(space, la.ratio(1, 2) * lam_y) * core
+           * llv.b_field(space, la.ratio(1, 2) * lam_x))
+    # normalizing B_{lam_y/2} tau mu_2 B_{lam_x/2} gives back tau mu_2, and
+    # the B-twists with other vectors do not keep tau mu_2 degree reversing
+    want = json.loads(io.dumps(io.isometry_to_json(core)))
+    for isom, lx, ly, rev in ((phi, lam_x, lam_y, True),
+                              (core, lam_x, lam_x, False)):
+        payload = json.dumps({"phi": io.isometry_to_json(isom), "r": 2,
+                              "lam_x": list(lx.coords), "lam_y": list(ly.coords)})
+        code, out = run_cli(["llv", "normalize", "--preset", "K3",
+                             "--json", payload], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert set(obj) == {"isometry", "degree_reversing"}
+        assert obj["degree_reversing"] is rev
+        assert (obj["isometry"] == want) is rev
+    # the dual Lefschetz operator of tau mu_2 (t = 2) completes an sl2 triple
+    payload = json.dumps({"phi": io.isometry_to_json(core),
+                          "lam": list(lam_x.coords)})
+    code, out = run_cli(["llv", "lefschetz", "--preset", "K3", "--json", payload],
+                        capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert set(obj) == {"e_dual", "t"} and obj["t"] == 2
+    e_dual = la.mat([[io.scalar_from_json(c) for c in row] for row in obj["e_dual"]])
+    assert llv.sl2_check(space, llv.e_op(space, lam_x), e_dual, llv.grading(space))
+
+
+def test_cli_snrep_recover(capsys):
+    from hklat import factor as fc
+    from hklat import llv
+    lat = llv.LLVSpace(lt.preset("Kummer", 2)).lattice
+    f = lt.QIsometry.identity(lat)
+    for coords in ([0, 1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 1, 1],
+                   [0, 0, 0, 1, 1, 0, 0, 1, 0]):
+        f = fc.reflect(lat, lat.vec(coords)) * f
+    assert f.det() == -1
+    code, out = run_cli(["snrep", "recover", "--preset", "Kummer:2", "--n", "2",
+                         "--json", json.dumps({"f": io.isometry_to_json(f)})],
+                        capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert set(obj) == {"recovered", "matches_input"}
+    assert obj["matches_input"] is True
+    assert io.isometry_from_json(obj["recovered"], lat) in (f, -f)
+
+
+def test_cli_pontryagin_tables(capsys):
+    # for n >= 2, rho_tau sends the degree-2 piece to k = 2n - 1, and a cup
+    # of two such pieces lands at k = 4n - 2 > 2n: every star product of two
+    # psi(lambda_i) vanishes
+    code, out = run_cli(["pontryagin", "table", "--preset", "Kummer:2"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["basis"] == "psi(lambda_i)" and len(obj["star_table"]) == 7
+    assert all(len(row) == 7 and all(e["coords"] == {} for e in row)
+               for row in obj["star_table"])
+    # the surface table as csv is the Gram matrix
+    code, out = run_cli(["pontryagin", "table", "--preset", "K3",
+                         "--report", "csv"], capsys)
+    assert code == 0
+    rows = [[int(x) for x in line.split(",")]
+            for line in json.loads(out)["csv"].split("\n")]
+    assert rows == [list(r) for r in lt.preset("K3").gram]
+
+
+def test_verify_all_text_report(capsys):
+    code, out = run_cli(["verify", "all", "--seed", "42"], capsys)
+    assert code == 0
+    items = json.loads(out)["items"]
+    code, text = run_cli(["verify", "all", "--seed", "42", "--report", "text"],
+                         capsys)
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[-1] == "suite ok (seed 42)"
+    assert [line.split() for line in lines[:-1]] == \
+        [[it["name"], "ok" if it["ok"] else "FAIL"] for it in items]
+
+
+def test_in_and_out_files_round_trip(capsys, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, out = run_cli(["lattice", "preset", "--name", "Kummer:2",
+                         "--out", str(first)], capsys)
+    assert code == 0 and out == ""
+    emitted = json.loads(first.read_text())
+    # an emitted lattice is accepted back unchanged
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps({"lattice": emitted}))
+    code, out = run_cli(["lattice", "info", "--in", str(payload),
+                         "--out", str(second)], capsys)
+    assert code == 0 and out == ""
+    assert second.read_text() == first.read_text()
+    assert emitted["name"] == "Kummer:2" and emitted["det"] == 2

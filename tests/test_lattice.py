@@ -44,6 +44,16 @@ def test_preset_shapes():
     assert lt.preset("E8-").signature() == (0, 8)
 
 
+def test_preset_without_n_refuses_one():
+    for name in ("U", "E8-", "E8neg", "K3", "Mukai"):
+        assert lt.preset(name).rank in (2, 8, 22, 24)
+        with pytest.raises(LatticeError, match="takes no n"):
+            lt.preset(name, 2)
+    for name in ("K3n", "Kummer"):
+        with pytest.raises(LatticeError):
+            lt.preset(name)
+
+
 def la_det(lat):
     return int(lat.det())
 
@@ -355,15 +365,13 @@ def test_isometry_det_is_computed_once(k3n2, monkeypatch):
 
 
 def test_isometry_det_falls_back_to_bareiss():
-    # every odd prime below 2^15 divides a denominator: no residue, so the
-    # exact determinant decides
-    every = 1
-    for q in sympy.primerange(3, 1 << 15):
-        every *= q
+    # la.P divides the denominator d, so det(nums) = det(M) d^2 reads 0 mod
+    # P whatever det(M) is, and the exact determinant decides
+    p = lt.la.P
     u = lt.preset("U")
-    f = lt.QIsometry(u, ((Fraction(1, every), 0), (0, every)), _trusted=True)
-    assert f.det() == 1
-    fake = lt.QIsometry(u, ((Fraction(2, every), 0), (0, every)), _trusted=True)
+    f = lt.QIsometry(u, ((Fraction(1, p), 0), (0, p)), _trusted=True)
+    assert f.d == p and f.det() == 1
+    fake = lt.QIsometry(u, ((Fraction(2, p), 0), (0, p)), _trusted=True)
     with pytest.raises(NotAnIsometry):
         fake.det()
 

@@ -15,8 +15,8 @@ from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
-from hklat.errors import (NoHyperbolicPlanes, NotDecomposable, NotGraded,
-                          ScalarInconsistency, SolveFailure)
+from hklat.errors import (NoHyperbolicPlanes, NotConjugating, NotDecomposable,
+                          NotGraded, ScalarInconsistency, SolveFailure)
 
 
 @pytest.fixture(scope="module")
@@ -649,6 +649,40 @@ def test_recover_orthogonal_image_lines_raise(H5):
     sym = sn.SymSpace(H5.lattice, 2)
     with pytest.raises(ScalarInconsistency):
         sn.recover(sym, sym, lambda x: {(0, 0): 1})
+
+
+def test_nth_root_fraction_reads_the_sign_only_for_odd_n():
+    assert sn._nth_root_fraction(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert sn._nth_root_fraction(Fraction(8, 27), 3) == Fraction(2, 3)
+    assert sn._nth_root_fraction(Fraction(-4, 9), 2) == Fraction(2, 3)
+    assert sn._nth_root_fraction(-2, 3) is None
+    assert sn._nth_root_fraction(Fraction(2, 9), 2) is None
+
+
+def test_recover_scalar_branches():
+    lat = llv.LLVSpace(lt.preset("Kummer", 2)).lattice     # d = 9
+    f = lt.QIsometry.identity(lat)
+    for coords in ([0, 1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 1, 1],
+                   [0, 0, 0, 1, 1, 0, 0, 1, 0]):
+        f = fc.reflect(lat, lat.vec(coords)) * f
+    sym3, sym2 = sn.SymSpace(lat, 3), sn.SymSpace(lat, 2)
+    # -Sym^3(f) = Sym^3(-f); the sign travels in the image lines w_i, so
+    # the scalars c_i stay positive
+    assert sn.recover(sym3, sym3,
+                      lambda x: sn.sym_scale(-1, sym3.apply_linear(f, x))) == -f
+    # 2 is neither a cube nor a square
+    for sym in (sym3, sym2):
+        with pytest.raises(ScalarInconsistency, match="n-th power"):
+            sn.recover(sym, sym, lambda x: sn.sym_scale(2, sym.apply_linear(f, x)))
+    # a non-isometric integer matrix: doubling alpha
+    a = [list(row) for row in la.identity(9)]
+    a[0][0] = 2
+    a = la.mat(a)
+    with pytest.raises(NotConjugating):
+        sn.recover(sym3, sym3, lambda x: sym3.apply_linear(a, x))
+    # at n = 2 the sign propagation meets it first
+    with pytest.raises(ScalarInconsistency, match="no sign solution"):
+        sn.recover(sym2, sym2, lambda x: sym2.apply_linear(a, x))
 
 
 def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair():
