@@ -107,13 +107,13 @@ def _cd_basis(lattice):
     scans, the rows of the lattice's one diagonalization, kept per lattice:
     each z_i as its nonzero (index, numerator) pairs over one denominator
     dx_i > 0."""
-    if "cartan_dieudonne" not in lattice._cache:
+    def build(lattice):
         basis = []
         for z in lattice.diagonalization()[0]:
             nums, dx = la.scaled_vec(z)
             basis.append(([(k, y) for k, y in enumerate(nums) if y], dx))
-        lattice._cache["cartan_dieudonne"] = tuple(basis)
-    return lattice._cache["cartan_dieudonne"]
+        return tuple(basis)
+    return lattice.memo("cartan_dieudonne", build)
 
 
 def _moved(g, nz):
@@ -355,8 +355,6 @@ def positive_reflection_rewrite(lattice, u):
     moving u to the canonical vector e1 + m e2, where sigma is -id on
     U1 = (e1, e2) and id on its complement.
     """
-    if not isinstance(u, LatVec):
-        u = lattice.vec(u)
     uu = u.norm()
     if uu >= 0:
         raise NormMismatch("rewrite applies to negative-norm vectors")
@@ -473,17 +471,14 @@ def _invert_items(items):
 
 def _reference_vector(lattice):
     """(c0, g1, g1 items, y0): c0 = -rho_{u0+delta} for the canonical u0
-    of norm 2d+2, and y0 = g1(c0(delta)) in L_Q."""
-    if "decompose_ref" in lattice._cache:
-        return lattice._cache["decompose_ref"]
-    d = _d_value(lattice)
-    c0 = neg_reflection_u_delta(lattice, canonical_vector(lattice, 2 * d + 2))
-    delta = lattice.basis_vec(lattice.delta_index)
-    x = c0.apply(delta)
-    g1, g1_items = _move_rational_items(lattice, x)
-    y0 = g1.apply(x)
-    lattice._cache["decompose_ref"] = (c0, g1, g1_items, y0)
-    return lattice._cache["decompose_ref"]
+    of norm 2d+2, and y0 = g1(c0(delta)) in L_Q, kept per lattice."""
+    def build(lattice):
+        d = _d_value(lattice)
+        c0 = neg_reflection_u_delta(lattice, canonical_vector(lattice, 2 * d + 2))
+        x = c0.apply(lattice.basis_vec(lattice.delta_index))
+        g1, g1_items = _move_rational_items(lattice, x)
+        return c0, g1, g1_items, g1.apply(x)
+    return lattice.memo("decompose_ref", build)
 
 
 def decompose(lattice, phi):

@@ -61,9 +61,10 @@ def lattice_from_json(obj):
         gram = ([[scalar_from_json(c) for c in row] for row in obj["gram"]]
                 if "gram" in obj else None)
         if "name" in obj:
+            # a name that is no preset, as "llv(K3n:2)", labels the gram
             try:
                 lat = parse_preset_name(obj["name"])
-            except LatticeError:
+            except (LatticeError, ValueError):
                 lat = None
             if lat is not None:
                 if gram is not None and la.mat(gram) != lat.gram:

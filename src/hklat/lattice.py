@@ -143,18 +143,22 @@ class Lattice:
                     acc[i] = acc.get(i, 0) + g * x
         return [(i, s) for i, s in acc.items() if s]
 
+    def memo(self, key, build):
+        """The per-lattice constant build(self), built on first use and
+        kept under key: the one place a lattice keeps derived data."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build(self)
+        return cache[key]
+
     def diagonalization(self):
         """(P, d) with P G P^T = diag(d), by la.congruent_diagonalize,
         computed once; G is nondegenerate, so no d_i is zero."""
-        if "diag" not in self._cache:
-            self._cache["diag"] = la.congruent_diagonalize(self.gram)
-        return self._cache["diag"]
+        return self.memo("diag", lambda lat: la.congruent_diagonalize(lat.gram))
 
     def signature(self):
-        if "sig" not in self._cache:
-            pos = sum(1 for x in self.diagonalization()[1] if x > 0)
-            self._cache["sig"] = (pos, self.rank - pos)
-        return self._cache["sig"]
+        pos = sum(1 for x in self.diagonalization()[1] if x > 0)
+        return pos, self.rank - pos
 
     def det(self):
         """det G, computed once by the nondegeneracy check."""
@@ -169,29 +173,29 @@ class Lattice:
     def positive_basis(self):
         """Orthogonal positive-norm vectors spanning the fixed positive
         subspace used for nu."""
-        if "posbasis" not in self._cache:
-            pos = self.signature()[0]
-            basis = []
-            for (i, j) in self.u_blocks:
-                c = [0] * self.rank
-                c[i], c[j] = 1, -1
-                basis.append(tuple(c))
-            if len(basis) != pos:
-                # the diagonalization that counted pos
-                p, d = self.diagonalization()
-                basis = [row for row, dd in zip(p, d) if dd > 0]
-            self._cache["posbasis"] = tuple(basis)
-        return self._cache["posbasis"]
+        return self.memo("posbasis", _positive_basis)
 
     def dual_gram(self):
-        if "dualgram" not in self._cache:
-            self._cache["dualgram"] = la.inverse(self.gram)
-        return self._cache["dualgram"]
+        return self.memo("dualgram", lambda lat: la.inverse(lat.gram))
 
     def disc_group(self):
-        if "disc" not in self._cache:
-            self._cache["disc"] = DiscGroup(self)
-        return self._cache["disc"]
+        return self.memo("disc", DiscGroup)
+
+
+def _positive_basis(lattice):
+    """e1 - e2 of each U summand when they span a maximal positive
+    subspace, else the positive rows of the diagonalization."""
+    pos = lattice.signature()[0]
+    basis = []
+    for (i, j) in lattice.u_blocks:
+        c = [0] * lattice.rank
+        c[i], c[j] = 1, -1
+        basis.append(tuple(c))
+    if len(basis) != pos:
+        # the diagonalization that counted pos
+        p, d = lattice.diagonalization()
+        basis = [row for row, dd in zip(p, d) if dd > 0]
+    return tuple(basis)
 
 
 class LatVec:
@@ -265,8 +269,6 @@ def pair(lattice, x, y):
 
 def divisibility(lattice, x):
     """Positive generator of the pairing ideal (x, L)."""
-    if not isinstance(x, LatVec):
-        x = lattice.vec(x)
     if x.is_zero():
         raise LatticeError("divisibility of the zero vector is undefined")
     if not x.is_integral():
@@ -379,9 +381,8 @@ class QIsometry:
         the sparse Gram rows, then G^-1 = D / e, the lattice's dual Gram
         scaled to integers once and cached."""
         lat = self.lattice
-        if "dual_nums" not in lat._cache:
-            lat._cache["dual_nums"] = la.scaled_mat(lat.dual_gram())
-        dual, e = lat._cache["dual_nums"]
+        dual, e = lat.memo("dual_nums",
+                           lambda lat: la.scaled_mat(lat.dual_gram()))
         mtg = la.int_mat_mul(la.transpose(self.nums), lat.gram)
         return QIsometry._of(lat, la.int_mat_mul(dual, mtg), e * self.d)
 
@@ -489,10 +490,6 @@ class DiscGroup:
                      for di, urow in self._urows)
 
 
-def disc_group(lattice):
-    return lattice.disc_group()
-
-
 def disc_action(g):
     """Classify the action of an integral isometry on L*/L.
 
@@ -550,10 +547,8 @@ def nu_character(g, positive_basis=None):
     lat = g.lattice
     if positive_basis is not None:
         data = _nu_data(lat, positive_basis)
-    elif "nu" in lat._cache:
-        data = lat._cache["nu"]
     else:
-        data = lat._cache["nu"] = _nu_data(lat, lat.positive_basis())
+        data = lat.memo("nu", lambda lat: _nu_data(lat, lat.positive_basis()))
     rows, cols, bsups, gsups = data
     sub = [[g.nums[r][c] for c in cols] for r in rows]
     # (g b_j) on the rows R, times the positive scale g.d

@@ -44,8 +44,9 @@ def frac(x):
 
 
 def ratio(a, b):
-    """Exact a/b staying in int/Fraction (never float)."""
-    return frac(Fraction(a) / Fraction(b))
+    """Exact a/b for ints and Fractions a and b, as frac normalizes it;
+    any other type raises TypeError, as in frac."""
+    return frac(Fraction(frac(a), frac(b)))
 
 
 def quotient(n, d):

@@ -37,9 +37,6 @@ class LLVSpace:
         self.beta_index = r + 1
         self.h_diag = (-2,) + (0,) * r + (2,)   # the grading operator h
 
-    def __eq__(self, other):
-        return isinstance(other, LLVSpace) and self.lattice == other.lattice
-
     def __repr__(self):
         return "LLVSpace(%s)" % (self.base.name or "custom")
 
@@ -59,9 +56,6 @@ class LLVSpace:
     def vec(self, a_coeff, v, b_coeff):
         return LatVec(self.lattice,
                       (la.frac(a_coeff),) + tuple(v.coords) + (la.frac(b_coeff),))
-
-    def pair(self, x, y):
-        return self.lattice.pair_coords(x.coords, y.coords)
 
 
 def _middle_coords(space, lam):

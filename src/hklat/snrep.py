@@ -492,16 +492,17 @@ def _integer_nth_root(m, n):
 
 
 def _nth_root_fraction(c, n):
-    """The exact rational n-th root of a nonzero image scalar c, or None:
-    of c for odd n, and of |c| for even n, where _isometry_from_lines fixes
-    the signs from the pairings."""
-    c = Fraction(c)
-    sign = -1 if c < 0 and n % 2 == 1 else 1
-    c = abs(c)
+    """The exact positive rational n-th root of |c|, for the nonzero scalar
+    c of an image line c w^n, or None.  For odd n, c > 0 already:
+    _extract_power_line reads x = a v^n as c w^n with w = lambda v and
+    sign(lambda) = sign(a) sign(v_i)^(n-1), so c = a / lambda^n is
+    positive.  For even n, _isometry_from_lines fixes the signs from the
+    pairings."""
+    c = abs(Fraction(c))
     num = _integer_nth_root(c.numerator, n)
     den = _integer_nth_root(c.denominator, n)
     if num ** n == c.numerator and den ** n == c.denominator:
-        return sign * Fraction(num, den)
+        return Fraction(num, den)
     return None
 
 
@@ -546,15 +547,13 @@ def _extract_power_line(space, x):
 def _isotropic_frame(lattice):
     """(vs, V^T G V, V^-1) for the isotropic spanning set vs of the lattice
     and the matrix V of its columns, both matrices as (integer rows, d) by
-    la.scaled_mat; built once per lattice and kept in its cache."""
-    frame = lattice._cache.get("isotropic_frame")
-    if frame is None:
+    la.scaled_mat; built once per lattice by Lattice.memo."""
+    def build(lattice):
         vs = isotropic_spanning_set(lattice)
         vmat = la.transpose([v.coords for v in vs])
         p = la.mat_mul(la.mat_mul(la.transpose(vmat), lattice.gram), vmat)
-        frame = (vs, la.scaled_mat(p), la.scaled_mat(la.inverse(vmat)))
-        lattice._cache["isotropic_frame"] = frame
-    return frame
+        return vs, la.scaled_mat(p), la.scaled_mat(la.inverse(vmat))
+    return lattice.memo("isotropic_frame", build)
 
 
 def _spanning_lines(space_1, space_2, phi_apply, f1=None):

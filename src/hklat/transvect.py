@@ -380,8 +380,6 @@ class _Reducer:
 def reduce_to_canonical(lattice, x):
     """Transvection word g with g(x) = e1 - (N/2) e2, for x primitive
     integral of divisibility 1."""
-    if not isinstance(x, LatVec):
-        x = lattice.vec(x)
     if not x.is_integral():
         raise NotIntegral("reduction needs an integral vector")
     if not x.is_primitive():

@@ -16,6 +16,13 @@ from hklat.errors import NotIntegral
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
+# every library function that builds a QIsometry on a trusted path: the
+# constructor with _trusted=True, or QIsometry._of from an integer form
+TRUSTED_SITES = {
+    "identity", "__mul__", "__neg__", "inverse", "b_field",
+    "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
+    "isometry", "_isometry_from_lines", "_plane_negation"}
+
 
 def subprocess_env(*dirs):
     """os.environ with this checkout's src, then dirs, prepended to

@@ -6,6 +6,7 @@ import sys
 from conftest import subprocess_env
 from hklat import jsonio as io
 from hklat import lattice as lt
+from hklat import llv
 from hklat import cli
 from hklat.cli import main
 
@@ -223,6 +224,25 @@ def test_cli_llv_ops(capsys):
     assert code == 0
     v = json.loads(out)
     assert v["coords"][0] == 2
+
+
+def test_emitted_extended_isometry_loads_back(capsys):
+    """An emitted isometry of the extended lattice of K3n:2 is named
+    "llv(K3n:2)", which is no preset name, so reading it back takes the
+    name as a label of its gram; a malformed preset name still exits 3."""
+    lam = [1, -1] + [0] * 21
+    code, out = run_cli(["llv", "bfield", "--preset", "K3n:2",
+                         "--json", json.dumps({"lam": lam})], capsys)
+    assert code == 0 and json.loads(out)["lattice"]["name"] == "llv(K3n:2)"
+    code, got = run_cli(["isom", "characters", "--json", out], capsys)
+    assert code == 0
+    base = lt.preset("K3n", 2)
+    nu, dt, disc = lt.characters(llv.b_field(llv.LLVSpace(base), base.vec(lam)))
+    assert json.loads(got) == {"nu": nu, "det": dt, "disc": disc} == {
+        "nu": 1, "det": 1, "disc": 1}
+    code, out = run_cli(["lattice", "info", "--json",
+                         json.dumps({"lattice": "K3n:x"})], capsys)
+    assert code == 3 and json.loads(out)["error"]["type"] == "ValueError"
 
 
 def test_cli_snrep(capsys):

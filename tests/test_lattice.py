@@ -13,6 +13,8 @@ from conftest import (disc_class_dense, nu_projection,
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import lattice as lt
+from hklat import llv
+from hklat import snrep as sn
 from hklat import transvect as tv
 from hklat.errors import LatticeError, NotAnIsometry, NotIntegral
 
@@ -87,6 +89,39 @@ def test_one_diagonalization_per_lattice(monkeypatch):
     assert all(d) and lat.signature() == (1, 1)
     assert la.mat_mul(la.mat_mul(p, lat.gram), la.transpose(p)) == (
         (d[0], 0), (0, d[1]))
+
+
+def test_per_lattice_constants_are_built_once(monkeypatch):
+    """Lattice.memo builds each per-lattice constant once: two decompose
+    calls on K3n:2 and two recover calls at d = 25 build every key they
+    read once per lattice, and they read the keys the hot paths keep."""
+    builds = {}
+    lattices = []      # every lattice stays alive, so no id is reused
+    real = lt.Lattice.memo
+
+    def counting(self, key, build):
+        def counted(lat):
+            lattices.append(lat)
+            builds[id(lat), key] = builds.get((id(lat), key), 0) + 1
+            return build(lat)
+        return real(self, key, counted)
+    monkeypatch.setattr(lt.Lattice, "memo", counting)
+    k3n2 = lt.preset("K3n", 2)
+    for seed in (0, 1):
+        phi = rand_orientation_preserving(random.Random(seed), k3n2)
+        assert fc.verify_normal_form(fc.decompose(k3n2, phi), phi)["ok"]
+    lat = llv.LLVSpace(lt.preset("K3n", 2)).lattice
+    sym = sn.SymSpace(lat, 2)
+    for seed in (0, 1):
+        f = rand_reflection_word(random.Random(seed), lat, 2)
+        h = sn.recover(sym, sym, lambda x: sn.sym_scale(
+            f.det(), sym.apply_linear(f.matrix, x)))
+        assert h in (f, -f)
+    assert set(builds.values()) == {1}, builds
+    assert {key for i, key in builds if i == id(k3n2)} >= {
+        "diag", "posbasis", "nu", "dualgram", "dual_nums", "disc",
+        "cartan_dieudonne", "decompose_ref"}
+    assert (id(lat), "isotropic_frame") in builds
 
 
 def test_disc_group_via_sympy_snf():

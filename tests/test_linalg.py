@@ -86,6 +86,7 @@ def test_scalar_normalization_keeps_ints():
     assert la.frac(7) == 7 and la.frac(Fraction(1, 2)) == Fraction(1, 2)
     assert la.ratio(1, 2) == Fraction(1, 2)
     assert isinstance(la.ratio(4, 2), int)
+    assert la.ratio(Fraction(1, 3), Fraction(-2, 3)) == Fraction(-1, 2)
     # int and Fraction only: no float, bool or string reaches a matrix
     k3 = lt.preset("K3")
     u = lt.preset("U")
@@ -97,6 +98,9 @@ def test_scalar_normalization_keeps_ints():
     for bad in (0.5, True, "1/2"):
         with pytest.raises(TypeError):
             la.frac(bad)
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError):
+                la.ratio(*args)
         with pytest.raises(TypeError):
             lt.LatVec(u, (bad, 0))
         with pytest.raises(TypeError):

