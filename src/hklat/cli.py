@@ -24,14 +24,19 @@ from .lattice import (_GROUPS, LatVec, QIsometry, characters, membership,
                       nu_character, preset)
 
 
-def _load_payload(args):
+def _load_payload(args, optional=False):
+    """The JSON object of --json or --in; with neither, None if the handler
+    can do without one, else ArgumentError."""
     if args.json:
         payload = json.loads(args.json)
     elif args.infile:
         with open(args.infile) as fh:
             payload = json.load(fh)
-    else:
+    elif optional:
         return None
+    else:
+        raise argparse.ArgumentError(
+            None, "no input given (use --json or --in)")
     if not isinstance(payload, dict):
         raise TypeError("the JSON payload must be an object, not %s"
                         % type(payload).__name__)
@@ -102,7 +107,7 @@ def cmd_lattice(args):
                                    % (args.n, name))
         lat = io.parse_preset_name(name)
     else:
-        lat = _lattice_from_args(args, _load_payload(args))
+        lat = _lattice_from_args(args, _load_payload(args, optional=True))
     pos, neg = lat.signature()
     out = io.lattice_to_json(lat)
     out.update({"rank": lat.rank, "signature": [pos, neg],
@@ -202,7 +207,7 @@ def cmd_llv(args):
 
 
 def cmd_snrep(args):
-    payload = _load_payload(args) or {}
+    payload = _load_payload(args, optional=args.action == "dim") or {}
     lat = _lattice_from_args(args, payload)
     space = llv_mod.LLVSpace(lat)
     n = args.n if args.n is not None else _int_field(payload, "n", 2)
@@ -228,7 +233,7 @@ def cmd_snrep(args):
 
 
 def cmd_pontryagin(args):
-    lat = _lattice_from_args(args, _load_payload(args))
+    lat = _lattice_from_args(args, _load_payload(args, optional=True))
     surface_table = args.action == "table" and lat.delta_index is None
     if args.report == "csv" and not surface_table:
         raise argparse.ArgumentError(

@@ -25,6 +25,9 @@ negative u lies in the L-part and so has divisibility 1 in Lambda, and
 its rewrite runs in Lambda.
 """
 
+from functools import reduce
+from operator import mul
+
 from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, NotIntegral,
@@ -561,18 +564,18 @@ def _assemble(lattice, phi, factors):
             normalized.append(("gamma", h))
             normalized.append(("refl", w))
     # collapse: [gamma-run] refl [gamma-run] ... refl [gamma-run], with
-    # each gamma of nu = -1 negated into Gamma
-    gammas_rev = []   # gamma_k first (outer-to-inner scan)
+    # each gamma of nu = -1 negated into Gamma; a run starts from its first
+    # factor, and an empty run is the identity
+    runs = [[]]       # the gamma-runs, gamma_k's first (outer-to-inner scan)
     us_rev = []
-    cur = QIsometry.identity(lattice)
     for kind, x in normalized:
         if kind == "gamma":
-            cur = cur * (-x if nu_character(x) == -1 else x)
+            runs[-1].append(-x if nu_character(x) == -1 else x)
         else:
-            gammas_rev.append(cur)
             us_rev.append(x)
-            cur = QIsometry.identity(lattice)
-    gammas_rev.append(cur)
+            runs.append([])
+    gammas_rev = [reduce(mul, run) if run else QIsometry.identity(lattice)
+                  for run in runs]
     # the items compose to phi up to sign; the sign is (-1)^k, and this one
     # check certifies it together with the rewrites and every gamma, and
     # fills the certificates

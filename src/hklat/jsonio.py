@@ -8,6 +8,7 @@ so every emitted document is accepted back unchanged.
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from . import linalg as la
 from .errors import LatticeError
@@ -39,10 +40,29 @@ def scalar_from_json(s):
     raise ValueError("scalar %r is not an int or a 'p/q' string" % (s,))
 
 
-def lattice_to_json(lat):
-    out = {"gram": [[int(x) for x in row] for row in lat.gram]}
+def _lattice_ref(lat):
+    out = {"gram": [list(row) for row in lat.gram]}
     if lat.name:
         out["name"] = lat.name
+    return out
+
+
+def lattice_to_json(lat):
+    """The lattice's reference, built once per lattice: a fresh top-level
+    dict on every call, so callers may add keys, over shared gram rows,
+    which nobody may mutate."""
+    return dict(lat.memo("json", _lattice_ref))
+
+
+def _scaled_to_json(nums, d):
+    """The entries n / d of integer numerators nums over d > 0 as JSON
+    scalars: the ints themselves when d == 1, else each in lowest terms."""
+    if d == 1:
+        return list(nums)
+    out = []
+    for x in nums:
+        g = gcd(x, d)
+        out.append(x // d if g == d else "%d/%d" % (x // g, d // g))
     return out
 
 
@@ -77,7 +97,7 @@ def lattice_from_json(obj):
 
 def vector_to_json(v):
     return {"lattice": lattice_to_json(v.lattice),
-            "coords": [scalar_to_json(c) for c in v.coords]}
+            "coords": _scaled_to_json(*la.scaled_vec(v.coords))}
 
 
 def vector_from_json(obj, lattice=None):
@@ -87,12 +107,17 @@ def vector_from_json(obj, lattice=None):
 
 def isometry_to_json(g):
     return {"lattice": lattice_to_json(g.lattice),
-            "matrix": [[scalar_to_json(c) for c in row] for row in g.matrix]}
+            "matrix": [_scaled_to_json(row, g.d) for row in g.nums]}
 
 
 def isometry_from_json(obj, lattice=None):
+    """The isometry of an emitted matrix, checked by the untrusted
+    constructor; rows of JSON ints go to it as they are, and any other
+    entry is read by scalar_from_json first."""
     lat = lattice if lattice is not None else lattice_from_json(obj["lattice"])
-    rows = [[scalar_from_json(c) for c in row] for row in obj["matrix"]]
+    rows = obj["matrix"]
+    if not all([type(x) is int for row in rows for x in row]):
+        rows = [[scalar_from_json(c) for c in row] for row in rows]
     return QIsometry(lat, rows)
 
 

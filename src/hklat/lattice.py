@@ -279,16 +279,20 @@ def divisibility(lattice, x):
 def _check_isometry(lattice, nums, d):
     """Raises NotAnIsometry unless M^T G M = G, checked on M = nums / d as
     n_i . (G n_j) = d^2 G_ij for the columns n_i, i <= j (the product is
-    symmetric), with G n_j read off the sparse Gram rows."""
-    cols = list(zip(*nums))
+    symmetric).  Column j of the product is accumulated over the nonzero
+    entries (k, s) of G n_j, read off the sparse Gram rows, and the
+    nonzero entries (i, x) of row k of nums with i <= j."""
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in nums]
     dd = d * d
-    for j, cj in enumerate(cols):
-        gc = lattice.gram_times(cj)
-        grow = lattice.gram[j]
-        for i in range(j + 1):
-            ci = cols[i]
-            if sum([ci[k] * s for k, s in gc]) != dd * grow[i]:
-                raise NotAnIsometry("matrix does not preserve the pairing")
+    for j, cj in enumerate(zip(*nums)):
+        acc = [0] * (j + 1)
+        for k, s in lattice.gram_times(cj):
+            for i, x in rows[k]:
+                if i > j:
+                    break
+                acc[i] += x * s
+        if acc != [dd * g for g in lattice.gram[j][:j + 1]]:
+            raise NotAnIsometry("matrix does not preserve the pairing")
 
 
 class QIsometry:
@@ -310,8 +314,11 @@ class QIsometry:
         if _trusted and type(matrix) is la.ScaledMatrix:
             m = matrix
         else:
-            # trusted entries already are ints and reduced Fractions
-            m = tuple(map(tuple, matrix)) if _trusted else la.mat(matrix)
+            # trusted entries already are ints and reduced Fractions, and
+            # rows of ints are their own integer form
+            m = tuple(map(tuple, matrix))
+            if not _trusted and not all([type(x) is int for r in m for x in r]):
+                m = la.mat(m)
         if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
             raise DimensionMismatch("matrix size does not match rank")
         nums, d = la.scaled_mat(m)

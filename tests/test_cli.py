@@ -145,6 +145,39 @@ def test_non_object_payload_exits_3(capsys):
             assert json.loads(out)["error"]["type"] == "TypeError"
 
 
+def _exits_3_naming_the_input(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 3, argv
+    err = json.loads(out)["error"]
+    assert err["type"] == "ArgumentError"
+    assert "--json" in err["message"] and "--in" in err["message"]
+
+
+def test_factor_decompose_without_input_exits_3(capsys):
+    _exits_3_naming_the_input(["factor", "decompose"], capsys)
+
+
+def test_isom_characters_without_input_exits_3(capsys):
+    _exits_3_naming_the_input(["isom", "characters"], capsys)
+
+
+def test_mukai_v_without_input_exits_3(capsys):
+    _exits_3_naming_the_input(["mukai", "v"], capsys)
+
+
+def test_only_handlers_that_read_an_input_require_one(capsys):
+    # a preset is a lattice, not an input
+    for argv in (["orbit", "move", "--preset", "K3"],
+                 ["llv", "bfield", "--preset", "K3"],
+                 ["snrep", "psi", "--preset", "K3"]):
+        _exits_3_naming_the_input(argv, capsys)
+    # the handlers that can do without one still do
+    for argv in (["lattice", "info", "--preset", "K3"],
+                 ["snrep", "dim", "--preset", "Kummer:2"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and "error" not in json.loads(out), argv
+
+
 def test_snrep_dim_over_monomial_budget_exits_2():
     # Sym^400 of the rank-9 extended Kummer lattice has ~1.8e16 monomials;
     # the budget check refuses it before enumerating any

@@ -531,6 +531,45 @@ def test_decompose_certifies_once(k3n2, monkeypatch):
                       "verify_normal_form": 2}
 
 
+def test_assemble_starts_each_run_from_its_first_factor(k3n2, monkeypatch):
+    """A gamma-run is the product of its own factors, with no identity
+    product, and only an empty run (two adjacent reflections) builds the
+    identity; the certificate is the one the identity-started runs gave."""
+    rng = random.Random(293)
+    a, b, c = (rand_transvection(rng, k3n2) for _ in range(3))
+    u = k3n2.vec([1, -1] + [0] * 21)
+    w = k3n2.vec([0, 0, 1, -2] + [0] * 19)
+    assert u.norm() == 2 and w.norm() == 4
+    ru, rw = fc.reflect(k3n2, u), fc.reflect(k3n2, w)
+    phi = a * b * ru * rw * c
+    products, identities, verifying = [], [], []
+    real_mul, real_identity = lt.QIsometry.__mul__, lt.QIsometry.identity
+    real_verify = fc.verify_normal_form
+
+    def mul(self, other):
+        # the products _assemble makes, not those of its verification
+        if not verifying:
+            products.append(self.is_identity() or other.is_identity())
+        return real_mul(self, other)
+
+    def identity(lattice):
+        identities.append(lattice)
+        return real_identity(lattice)
+
+    def verify(nf, phi):
+        verifying.append(nf)
+        return real_verify(nf, phi)
+    monkeypatch.setattr(lt.QIsometry, "__mul__", mul)
+    monkeypatch.setattr(lt.QIsometry, "identity", identity)
+    monkeypatch.setattr(fc, "verify_normal_form", verify)
+    nf = fc._assemble(k3n2, phi, [("gamma", a), ("gamma", b), ("refl", u),
+                                  ("refl", w), ("gamma", c)])
+    assert verifying == [nf] and identities == [k3n2]
+    assert products == [False]
+    assert nf.k == 2 and nf.us == (w, u)
+    assert nf.gammas == (c, real_identity(k3n2), real_mul(a, b))
+
+
 def _broken_rewrite(real, calls):
     """positive_reflection_rewrite with h composed with an extra element of
     Gamma, so that only the recomposition check can tell."""

@@ -1,5 +1,8 @@
+import importlib
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,11 @@ import pytest
 from conftest import rand_orientation_preserving, rand_vec
 from hklat import factor as fc
 from hklat import jsonio as io
+from hklat import linalg as la
 from hklat import lattice as lt
+from hklat import llv
+from hklat.cli import main
+from hklat.errors import DimensionMismatch, NotAnIsometry
 
 
 def test_scalar_roundtrip():
@@ -78,3 +85,122 @@ def test_scalar_rule_refuses_bools_floats_and_float_strings():
         io.lattice_from_json({"name": "U", "gram": [[0, True], [-1, 0]]})
     assert io.lattice_from_json({"gram": [["0", -1], [-1, "0/3"]]}).gram \
         == ((0, -1), (-1, 0))
+
+
+# -- the integer-form emitter against the per-entry encoder it replaced -------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _per_entry_scalar(x):
+    x = la.frac(x)
+    if isinstance(x, int):
+        return x
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _per_entry_lattice(lat):
+    out = {"gram": [[int(x) for x in row] for row in lat.gram]}
+    if lat.name:
+        out["name"] = lat.name
+    return out
+
+
+def _per_entry_vector(v):
+    return {"lattice": _per_entry_lattice(v.lattice),
+            "coords": [_per_entry_scalar(c) for c in v.coords]}
+
+
+def _per_entry_isometry(g):
+    return {"lattice": _per_entry_lattice(g.lattice),
+            "matrix": [[_per_entry_scalar(c) for c in row] for row in g.matrix]}
+
+
+def _per_entry_normal_form(nf):
+    """The encoder that wrote every entry of the Fraction view through
+    la.frac and built each lattice reference afresh."""
+    return {"k": nf.k,
+            "gammas": [_per_entry_isometry(g) for g in nf.gammas],
+            "us": [_per_entry_vector(u) for u in nf.us]}
+
+
+@pytest.fixture(scope="module")
+def deck_certificates():
+    """The normal forms of the factor-k3n2 deck of perfbench (pool 1001)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        inputs = importlib.import_module("workloads").FactorK3n2(
+            pool_seed=1001).deck()
+    lat = lt.preset("K3n", 2)
+    return [fc.decompose(lat, io.isometry_from_json(inp["phi"], lat))
+            for inp in inputs]
+
+
+def test_emitter_matches_the_per_entry_encoder(deck_certificates, k3n2):
+    assert [nf.k for nf in deck_certificates] == [25, 25, 24, 0, 23, 25, 7]
+    for nf in deck_certificates:
+        assert (io.dumps(io.normal_form_to_json(nf))
+                == io.dumps(_per_entry_normal_form(nf)))
+    # a reflection in a norm-4 vector of divisibility 1 has d = 2, and a
+    # B-field of a rational lambda a larger d
+    v = k3n2.vec([1, -2] + [0] * 21)
+    r = fc.reflect(k3n2, v)
+    space = llv.LLVSpace(k3n2)
+    lam = k3n2.vec([Fraction(1, 3), 1, 0, -2] + [0] * 18 + [Fraction(1, 2)])
+    b = llv.b_field(space, lam)
+    assert v.norm() == 4 and r.d == 2 and b.d > 2
+    rng = random.Random(241)
+    for g in (r, b, llv.b_field(space, rand_vec(rng, k3n2)),
+              rand_orientation_preserving(rng, k3n2, 2)):
+        assert io.dumps(io.isometry_to_json(g)) == io.dumps(_per_entry_isometry(g))
+    for x in (v, Fraction(-5, 6) * rand_vec(rng, k3n2), lam, k3n2.zero()):
+        assert io.dumps(io.vector_to_json(x)) == io.dumps(_per_entry_vector(x))
+
+
+def test_lattice_reference_is_fresh_per_call(capsys, monkeypatch):
+    """cmd_lattice adds rank, signature, det, ... to the reference it gets;
+    the next isometry of the same lattice object carries none of them."""
+    lat = lt.preset("K3n", 2)
+    monkeypatch.setattr(io, "parse_preset_name", lambda name: lat)
+    assert main(["lattice", "info", "--preset", "K3n:2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 23
+    ref = io.isometry_to_json(lt.QIsometry.identity(lat))["lattice"]
+    assert set(ref) == {"gram", "name"}
+    assert io.lattice_to_json(lat) == ref and io.lattice_to_json(lat) is not ref
+
+
+# -- the untrusted loader ------------------------------------------------------
+
+
+def test_loader_refuses_what_it_refused(deck_certificates, k3n2):
+    gid = io.isometry_to_json(lt.QIsometry.identity(k3n2))
+    for bad in (True, 1.0):
+        obj = json.loads(json.dumps(gid))
+        obj["matrix"][3][3] = bad
+        # the scalar rule of the JSON reader, as before
+        with pytest.raises(ValueError):
+            io.isometry_from_json(obj)
+        # the untrusted constructor's own entry rule
+        with pytest.raises(TypeError):
+            lt.QIsometry(k3n2, obj["matrix"])
+    for rows in ([row[:-1] if i == 5 else row
+                  for i, row in enumerate(gid["matrix"])],
+                 gid["matrix"][:-1]):
+        with pytest.raises(DimensionMismatch):
+            io.isometry_from_json(dict(gid, matrix=rows))
+        with pytest.raises(DimensionMismatch):
+            lt.QIsometry(k3n2, rows)
+    # one entry of a deck gamma changed, on the diagonal and off it
+    g = max((g for nf in deck_certificates for g in nf.gammas),
+            key=lambda g: sum(1 for row in g.nums for x in row if x))
+    obj = io.isometry_to_json(g)
+    assert io.isometry_from_json(obj) == g
+    for i, j in ((4, 4), (0, 9), (17, 2)):
+        bent = json.loads(json.dumps(obj))
+        bent["matrix"][i][j] += 1
+        with pytest.raises(NotAnIsometry):
+            io.isometry_from_json(bent)
+        bent["matrix"][i][j] = "%d/2" % (2 * g.nums[i][j] + 1)
+        with pytest.raises(NotAnIsometry):
+            io.isometry_from_json(bent)

@@ -377,6 +377,38 @@ def test_untrusted_isometry_checks_every_pairing(k3n2):
             lt.QIsometry(k3n2, bent)
 
 
+def _preserves_pairing(lat, nums, d):
+    """Whether the row-sparse integer check passes nums / d."""
+    try:
+        lt._check_isometry(lat, nums, d)
+    except NotAnIsometry:
+        return False
+    return True
+
+
+def test_row_sparse_check_matches_dense_product(k3n2, kummer2):
+    """_check_isometry, accumulated over the nonzero entries of G n_j and of
+    the rows of nums, agrees with the dense M^T G M = G on seeded rational
+    isometries and on one-entry tampers of them, on the diagonal, above it
+    and below it."""
+    rng = random.Random(283)
+    for lat in (k3n2, kummer2, lt.Lattice(_NO_U_GRAM)):
+        gram, n = lat.gram, lat.rank
+        for _ in range(5):
+            f = rand_reflection_word(rng, lat, rng.randint(1, 3))
+            cases = [f.nums, (-f).nums]
+            for i, j in ((0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0),
+                         (rng.randrange(n), rng.randrange(n))):
+                bent = [list(row) for row in f.nums]
+                bent[i][j] += rng.choice((-1, 1))
+                cases.append(bent)
+            for nums in cases:
+                m = [[Fraction(x, f.d) for x in row] for row in nums]
+                dense = la.mat_mul(la.mat_mul(la.transpose(m), gram), m) == gram
+                assert _preserves_pairing(lat, nums, f.d) == dense
+                assert dense == (nums in (f.nums, (-f).nums))
+
+
 def test_isometry_det_is_computed_once(k3n2, monkeypatch):
     calls = []
     real_det = lt.la.det_mod_p
