@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import rand_primitive_norm, subprocess_env
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import lattice as lt
+from hklat import llv
 from hklat import mukai as mk
 from hklat import transvect as tv
 from hklat.cli import main
@@ -131,6 +133,56 @@ _Y4 = [1, 1, -2, 2, -2, 0, -1, -1, -1, -1] + [0] * 12
 ], ids=["orbit-move", "orbit-connect", "mukai-cyclic"])
 def test_cli_word_bytes(argv, payload, digest, capsys):
     assert main(argv + ["--json", json.dumps(payload)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == digest
+
+
+def _lefschetz_payload():
+    """phi = tau mu_{2/3} ext(rho_u) on the extended K3 lattice, u = e1 - 3 e2
+    (norm 6), so that phi has rational entries."""
+    k3 = lt.preset("K3")
+    space = llv.LLVSpace(k3)
+    rho = fc.reflect(k3, k3.vec([1, -3] + [0] * 20))
+    phi = (llv.tau(space) * llv.mu(space, Fraction(2, 3))
+           * llv.extend_to_llv(space, rho))
+    return {"phi": jio.isometry_to_json(phi), "lam": [1, 2, 0, -1, 1] + [0] * 17}
+
+
+def _recover_payload():
+    """f = B_lam ext(rho_u) on the extended Kummer:2 lattice, rational."""
+    km = lt.preset("Kummer", 2)
+    space = llv.LLVSpace(km)
+    lam = km.vec([Fraction(1, 2), 0, 1, 0, 0, Fraction(-1, 3), 0])
+    f = (llv.b_field(space, lam)
+         * llv.extend_to_llv(space, fc.reflect(km, km.vec([1, -3, 0, 0, 0, 0, 0]))))
+    return {"f": jio.isometry_to_json(f)}
+
+
+@pytest.mark.parametrize("argv, payload, digest", [
+    (["llv", "lefschetz", "--preset", "K3"], _lefschetz_payload,
+     "60b21a8359e66b825df963446001b4633fd55e1b5bfa2b3a633cacb9b3b4a0c9"),
+    (["snrep", "psi", "--preset", "K3n:2", "--n", "2"],
+     lambda: {"lams": [[1, "1/2"] + [0] * 20 + [1], [0, 0, 2, -1] + [0] * 19,
+                       ["-2/3", 0, 0, 0, 1] + [0] * 18]},
+     "d552e653c544ad1545c23c11600c1b6bb6b6ef88f68d9cce108ae5918856b508"),
+    (["snrep", "psi", "--preset", "Kummer:2", "--n", "3"],
+     lambda: {"lams": [[1, 0, "1/2", 0, 0, 0, 1], [0, 1, 0, -1, 0, 2, 0],
+                       ["3/2", 0, 0, 0, 1, 0, -1], [0, 0, 1, 1, 0, 0, 0]]},
+     "9ec20965960e1bd44c6e2d1418f299af3b129fbc4b56cc2f18c2c98a091fc95a"),
+    (["pontryagin", "table", "--preset", "Kummer:2", "--n", "2"], None,
+     "37c7a9d81ac455fb6e65aea9e5afc0058510b0b6b3ecf9bdea8a2da7cc2fa11b"),
+    (["pontryagin", "unit", "--preset", "K3n:2", "--n", "2"], None,
+     "4259319eca5ad418af44b4530feaebd972ab585e5093661e062bed87a18907cd"),
+    (["snrep", "recover", "--preset", "Kummer:2", "--n", "3"], _recover_payload,
+     "9d6d19201ed26dd55417013ab7b48f9294ddc4c14911764762d96eb68edc4df0"),
+], ids=["llv-lefschetz", "snrep-psi-k3n2", "snrep-psi-kummer2",
+        "pontryagin-table-kummer2", "pontryagin-unit-k3n2",
+        "snrep-recover-kummer2"])
+def test_cli_operator_bytes(argv, payload, digest, capsys):
+    """CLI outputs built from the extended-lattice operators, the Sym^n
+    model and the inverse functor."""
+    if payload is not None:
+        argv = argv + ["--json", json.dumps(payload())]
+    assert main(argv) == 0
     assert _sha(capsys.readouterr().out.encode()) == digest
 
 
