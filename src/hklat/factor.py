@@ -248,8 +248,10 @@ def find_orthogonal_norm_vector(lattice, lam, target):
             c[j] = -target // 2
             return LatVec(lattice, c)
     # orthogonal-complement enumeration: lam-perp inside the L-part
-    glam = la.mat_vec(lattice.gram, lam.coords)
-    row = [glam[i] for i in range(n) if i != di]
+    # G lam on lam's integer numerators: a positive multiple, so the same
+    # primitive functional
+    glam = dict(lattice.gram_times(la.scaled_vec(lam.coords)[0]))
+    row = [glam.get(i, 0) for i in range(n) if i != di]
     if la.is_zero_vec(row):
         raise AssertionError("lam = 0 should have been caught by the U scan")
     func = la.primitive_part(row)

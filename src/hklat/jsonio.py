@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg as la
-from .errors import LatticeError
+from .errors import DimensionMismatch, LatticeError
 from .factor import NormalForm
 from .lattice import LatVec, Lattice, QIsometry, preset
 from .mukai import MukaiVector
@@ -128,11 +128,16 @@ def normal_form_to_json(nf):
 
 
 def normal_form_from_json(obj, lattice=None):
-    k = obj["k"]
-    gammas = [isometry_from_json(g, lattice) for g in obj["gammas"]]
-    lat = lattice if lattice is not None else gammas[0].lattice
-    us = [vector_from_json(u, lat) for u in obj["us"]]
-    return NormalForm(lat, k, gammas, us)
+    """The certificate obj with every gamma and u on one lattice: the given
+    one, else the one the first gamma's reference names."""
+    gammas = obj["gammas"]
+    if lattice is None:
+        if not gammas:
+            raise DimensionMismatch("a normal form needs at least one gamma")
+        lattice = lattice_from_json(gammas[0]["lattice"])
+    return NormalForm(lattice, obj["k"],
+                      [isometry_from_json(g, lattice) for g in gammas],
+                      [vector_from_json(u, lattice) for u in obj["us"]])
 
 
 def mukai_to_json(m):

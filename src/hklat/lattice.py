@@ -302,32 +302,29 @@ class QIsometry:
     d > 0 with M = nums / d and gcd(d, content of nums) = 1.  Products,
     inverses, negation, det and every kernel that reads an isometry work
     on that form, and == and hash compare it.  matrix is the normalized
-    view (ints and reduced Fractions), built on first read, a
+    view (ints and reduced Fractions) for callers outside the library, a
     la.ScaledMatrix that carries the form along, so that la.scaled_mat and
-    la.mat_vec read it without rescaling; a constructor handed a
-    normalized matrix keeps it as that view.  Neither form is ever mutated.
+    la.mat_vec read it without rescaling.  A constructor handed such a view
+    keeps it; otherwise the view is built on first read.  Neither form is
+    ever mutated.
     """
 
     __slots__ = ("lattice", "nums", "d", "_matrix", "_det")
 
     def __init__(self, lattice, matrix, _trusted=False):
-        if _trusted and type(matrix) is la.ScaledMatrix:
-            m = matrix
-        else:
-            # trusted entries already are ints and reduced Fractions, and
-            # rows of ints are their own integer form
-            m = tuple(map(tuple, matrix))
-            if not _trusted and not all([type(x) is int for r in m for x in r]):
-                m = la.mat(m)
-        if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
+        # a view and trusted rows already hold ints and reduced Fractions,
+        # and rows of ints are their own integer form
+        view = matrix if type(matrix) is la.ScaledMatrix else None
+        if not (view is not None or _trusted
+                or all([type(x) is int for r in matrix for x in r])):
+            matrix = la.mat(matrix)
+        if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
             raise DimensionMismatch("matrix size does not match rank")
-        nums, d = la.scaled_mat(m)
+        nums, d = la.scaled_mat(matrix)
         if not _trusted:
             _check_isometry(lattice, nums, d)
-        if type(m) is not la.ScaledMatrix:
-            m = la.scaled_view(m, tuple(map(tuple, nums)), d)
-        self.lattice, self.nums, self.d = lattice, m.nums, d
-        self._matrix, self._det = m, None
+        self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
+        self._matrix, self._det = view, None
 
     @classmethod
     def _of(cls, lattice, nums, d):
@@ -345,7 +342,7 @@ class QIsometry:
 
     @classmethod
     def identity(cls, lattice):
-        return cls._of(lattice, la.identity(lattice.rank), 1)
+        return cls._of(lattice, _identity_rows(lattice), 1)
 
     @classmethod
     def minus_identity(cls, lattice):
@@ -356,10 +353,7 @@ class QIsometry:
         """M as rows of ints and reduced Fractions, a la.ScaledMatrix
         carrying (nums, d), built on first read."""
         if self._matrix is None:
-            nums, d = self.nums, self.d
-            self._matrix = la.scaled_view(nums if d == 1 else tuple(
-                tuple([la.quotient(x, d) for x in row]) for row in nums),
-                nums, d)
+            self._matrix = la.scaled_view(self.nums, self.d)
         return self._matrix
 
     def __eq__(self, other):
@@ -425,14 +419,20 @@ class QIsometry:
                 d = 1 if r == 1 else -1 if r == p - 1 else None
                 shown = "%d mod %d" % (r, p)
             else:
-                d = shown = la.det(self.matrix)
+                d = shown = la.ratio(la.det(self.nums),
+                                     self.d ** self.lattice.rank)
             if d not in (1, -1):
                 raise NotAnIsometry("determinant %s is not +-1" % (shown,))
             self._det = d
         return self._det
 
     def is_identity(self):
-        return self.d == 1 and self.nums == la.identity(self.lattice.rank)
+        return self.d == 1 and self.nums == _identity_rows(self.lattice)
+
+
+def _identity_rows(lattice):
+    """The identity's integer rows, built once per lattice."""
+    return lattice.memo("identity", lambda lat: la.identity(lat.rank))
 
 
 class DiscGroup:

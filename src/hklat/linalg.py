@@ -4,12 +4,13 @@ A plain matrix is a tuple of tuples of scalars and a vector a tuple:
 ints when integral, reduced Fractions otherwise, which mix transparently
 under arithmetic, equality and hashing.  Every matrix and vector returned
 here keeps that contract entry by entry; the JSON encoding and the
-certificates rely on it.  A rational isometry (lattice.QIsometry) is held
-instead in one scaled-integer form, integer rows N over a denominator
-d > 0 with gcd(d, content of N) = 1, which int_mat_mul and det_mod_p
-read directly; its plain matrix is a view built from that form, a
+certificates rely on it.  Inside the library a rational matrix (an
+isometry, an operator of the extended lattice, a frame) is held instead
+in one scaled-integer form, integer rows N over a denominator d > 0,
+which int_mat_mul and det_mod_p read directly.  Its plain matrix is a
+view built from that form only for a caller that asks for one, a
 ScaledMatrix that carries (N, d) along, so that scaled_mat and mat_vec
-read it without rescaling.
+read it back without rescaling.
 
 The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
 and rank built on it) never do arithmetic on Fractions.  Each operand is
@@ -81,14 +82,17 @@ class ScaledMatrix(tuple):
     """A plain matrix (a tuple of rows of ints and reduced Fractions) that
     also carries its scaled-integer form: integer rows nums over d > 0 with
     gcd(d, content of nums) = 1.  It equals and hashes as the tuple of its
-    rows; scaled_mat and mat_vec read nums and d.  Build it with
+    rows; scaled_mat and mat_vec read nums and d, so a caller that hands a
+    dense view back to the library pays no rescaling.  Build it with
     scaled_view, and never mutate either form."""
 
 
-def scaled_view(rows, nums, d):
-    """The ScaledMatrix of the normalized rows, whose scaled form is
-    (nums, d); the caller vouches that the two agree."""
-    view = ScaledMatrix(rows)
+def scaled_view(nums, d):
+    """The plain matrix nums / d as a ScaledMatrix carrying that form, for
+    integer rows nums and d > 0 with gcd(d, content of nums) = 1."""
+    nums = tuple(map(tuple, nums))
+    view = ScaledMatrix(nums if d == 1 else [
+        tuple([quotient(x, d) for x in row]) for row in nums])
     view.nums, view.d = nums, d
     return view
 

@@ -68,17 +68,35 @@ def _middle_coords(space, lam):
     return lam.coords[1:-1]
 
 
+def e_columns(space, lam):
+    """The nilpotent operator e_lam as (cols, d), the form
+    SymSpace.derivation_apply reads: e = n / d over the least common
+    denominator d of lam, and cols[i] lists the nonzero (k, n[k][i]) of
+    column i.  Column alpha is lam's numerators, and column 1 + j holds
+    (G lam)_j at beta, read off the sparse Gram rows."""
+    nums, d = la.scaled_vec(_middle_coords(space, lam))
+    beta = space.beta_index
+    cols = {1 + j: [(beta, s)] for j, s in space.base.gram_times(nums)}
+    if any(nums):
+        cols[space.alpha_index] = [(1 + i, x) for i, x in enumerate(nums) if x]
+    return cols, d
+
+
+def _dense_rows(space, cols):
+    """The integer rows of the operator whose nonzero columns are cols."""
+    rows = [[0] * space.dim for _ in range(space.dim)]
+    for i, col in cols.items():
+        for k, x in col:
+            rows[k][i] = x
+    return rows
+
+
 def e_op(space, lam):
     """The nilpotent operator with e(alpha) = lam, e(beta) = 0 and
-    e(mu) = (lam,mu) beta on the middle block.  Skew-adjoint, e^3 = 0."""
-    lam = _middle_coords(space, lam)
-    n = space.dim
-    rows = [[0] * n for _ in range(n)]
-    for i, x in enumerate(lam):
-        rows[1 + i][0] = x
-    glam = la.mat_vec(space.base.gram, lam)
-    rows[n - 1][1:n - 1] = glam
-    return la.mat(rows)
+    e(mu) = (lam,mu) beta on the middle block, dense: the view of
+    e_columns.  Skew-adjoint, e^3 = 0."""
+    cols, d = e_columns(space, lam)
+    return la.scaled_view(_dense_rows(space, cols), d)
 
 
 def b_field(space, lam):
@@ -197,11 +215,15 @@ def dual_lefschetz_check(space, phi, lam):
     nl = lam.norm()
     if nl == 0:
         raise IsotropicVector("dual Lefschetz needs (lam,lam) != 0")
-    t = phi.matrix[space.alpha_index][space.beta_index]
+    t = la.quotient(phi.nums[space.alpha_index][space.beta_index], phi.d)
     phi_lam = space.middle_part(phi.apply(space.embed(lam)))
-    e_im = e_op(space, phi_lam)
-    inv = phi.inverse().matrix
-    psi = la.mat_mul(inv, la.mat_mul(e_im, phi.matrix))
+    # psi = phi^-1 e phi on integer numerators over one denominator
+    cols, de = e_columns(space, phi_lam)
+    inv = phi.inverse()
+    prod = la.int_mat_mul(inv.nums, la.int_mat_mul(_dense_rows(space, cols),
+                                                   phi.nums))
+    de *= inv.d * phi.d
+    psi = tuple(tuple([la.quotient(x, de) for x in row]) for row in prod)
     e_lam = e_op(space, lam)
     h = grading(space)
     c1 = commutator(e_lam, psi)

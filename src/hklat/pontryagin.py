@@ -203,6 +203,9 @@ class SHModel:
         self.n = n
         self.sym = sn.SymSpace(llv_space.lattice, n)
         self.base_rank = llv_space.base.rank
+        # e_lambda of each base basis vector, as derivation_apply reads it
+        self._e_cols = [llv_mod.e_columns(llv_space, llv_space.base.basis_vec(i))
+                        for i in range(self.base_rank)]
         self._psi_memo = {}
         self._solvers = {}
         self._basis_words = []   # every piece's basis words, shortest first
@@ -253,19 +256,12 @@ class SHModel:
                 x = self.psi_word(word[1:])
                 if x:
                     x = self.sym.derivation_apply(
-                        self._e_basis(word[0]), x) or _ZERO
+                        self._e_cols[word[0]], x) or _ZERO
             else:
                 x = sn.sym_scale(Fraction(1, factorial(self.n)), sn.sym_power(
                     self.space.alpha().coords, self.n))
             self._psi_memo[word] = x
         return x
-
-    def _e_basis(self, i):
-        key = ("e", i)
-        if key not in self._psi_memo:
-            lam = self.space.base.basis_vec(i)
-            self._psi_memo[key] = sn.sparse_columns(llv_mod.e_op(self.space, lam))
-        return self._psi_memo[key]
 
     def psi(self, lams):
         """Psi of a list of base-lattice vectors (not just basis ones)."""
@@ -555,33 +551,32 @@ def proportionality_check_degree2(model, phi):
     kind, t = llv_mod.graded_type(space, phi)
     if kind != -1:
         raise NotGraded("expected a degree-reversing isometry")
-    tau = llv_mod.tau(space)
-    comp = phi * tau
+    comp = phi * llv_mod.tau(space)
     d = model.base_rank
     # matrix of the model action on the eigenvalue 2-2n piece (span of
     # alpha^{n-1} lambda_i / (n-1)!)
     cols = []
     for i in range(d):
-        x = model.psi_word((i,))
-        img = model.apply_llv(comp, x)
+        img = model.apply_llv(comp, model.psi_word((i,)))
         col = [0] * d
         for w, c in model.to_words(img).items():
             if len(w) != 1:
                 raise NotGraded("composite does not preserve the degree-2 piece")
             col[w[0]] = c
         cols.append(col)
-    a = la.transpose(la.mat(cols))
-    r = tuple(tuple(comp.matrix[1 + i][1 + j] for j in range(d)) for i in range(d))
+    # entry (i, j) of the action is cols[j][i]; over the middle block of
+    # comp = nums / e, the ratio is e cols[j][i] / nums[1 + i][1 + j]
+    r, e = comp.nums, comp.d
     scalar = None
     for i in range(d):
         for j in range(d):
-            if r[i][j]:
-                s = la.ratio(a[i][j], r[i][j])
+            if r[1 + i][1 + j]:
+                s = la.ratio(e * cols[j][i], r[1 + i][1 + j])
                 if scalar is None:
                     scalar = s
                 elif scalar != s:
                     raise SolveFailure("restriction is not a scalar multiple")
-            elif a[i][j]:
+            elif cols[j][i]:
                 raise SolveFailure("restriction is not a scalar multiple")
     if not scalar:
         raise SolveFailure("the degree-2 restriction vanishes")

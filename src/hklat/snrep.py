@@ -384,9 +384,9 @@ class SymSpace:
         return SymElt.of(out, x.d * fd * fd)
 
     def derivation_apply(self, op, x):
-        """Product-rule extension of an operator of V to Sym^n.  op is
-        sparse_columns(matrix), which a caller that applies one operator
-        many times builds once."""
+        """Product-rule extension of an operator of V to Sym^n.  op is the
+        operator n / d as (cols, d), cols[i] the nonzero (k, n[k][i]) of
+        column i, the form llv.e_columns builds."""
         cols, od = op
         x = sym_form(x)
         out = {}
@@ -546,13 +546,16 @@ def _extract_power_line(space, x):
 
 def _isotropic_frame(lattice):
     """(vs, V^T G V, V^-1) for the isotropic spanning set vs of the lattice
-    and the matrix V of its columns, both matrices as (integer rows, d) by
-    la.scaled_mat; built once per lattice by Lattice.memo."""
+    and the matrix V of its columns, both matrices as (integer rows, d):
+    V^T G V on the numerators of V, over the square of their denominator,
+    which need not be in lowest terms.  Built once per lattice by
+    Lattice.memo."""
     def build(lattice):
         vs = isotropic_spanning_set(lattice)
         vmat = la.transpose([v.coords for v in vs])
-        p = la.mat_mul(la.mat_mul(la.transpose(vmat), lattice.gram), vmat)
-        return vs, la.scaled_mat(p), la.scaled_mat(la.inverse(vmat))
+        vn, vd = la.scaled_mat(vmat)
+        p = la.int_mat_mul(la.int_mat_mul(la.transpose(vn), lattice.gram), vn)
+        return vs, (p, vd * vd), la.scaled_mat(la.inverse(vmat))
     return lattice.memo("isotropic_frame", build)
 
 
@@ -561,6 +564,8 @@ def _spanning_lines(space_1, space_2, phi_apply, f1=None):
     spanning vectors v_i of space_1, with u_i = v_i, or u_i = f1 v_i when
     an isometry f1 is given; Phi is called once per v_i."""
     n = space_1.n
+    if n < 1:
+        raise LatticeError("the inverse functor needs n >= 1")
     if n % 2 == 0 and space_1.dim_v % 2 == 0:
         raise LatticeError("even symmetric powers need odd dimension")
     frame = _isotropic_frame(space_1.lattice)[0]
@@ -579,8 +584,9 @@ def _isometry_from_lines(space_1, space_2, lines):
     columns v_i and w_i.  Everything after the n-th roots runs on
     integers: with t_i = a_i / b, W = W' / c, P = N / e and V^-1 = V' / e'
     over one denominator each, the constraint t_i t_j (w_i, w_j) = P_ij
-    reads a_i a_j (W'^T G W')_ij e = N_ij (b c)^2, and f = W diag(t) V^-1
-    is the one integer product W' diag(a) V' over b c e'.
+    reads a_i a_j (W'^T G W')_ij e = N_ij (b c)^2, homogeneous in (N, e),
+    and f = W diag(t) V^-1 is the one integer product W' diag(a) V' over
+    b c e'.
     """
     n = space_1.n
     vs, (pn, pd), (vinv, vd) = _isotropic_frame(space_1.lattice)
@@ -594,7 +600,8 @@ def _isometry_from_lines(space_1, space_2, lines):
     wmat, c = la.scaled_mat(la.transpose([w for _, w in lines]))
     a, bc = list(a), b * c
     bc2 = bc * bc
-    q = la.mat_mul(la.mat_mul(la.transpose(wmat), space_2.lattice.gram), wmat)
+    q = la.int_mat_mul(la.int_mat_mul(la.transpose(wmat), space_2.lattice.gram),
+                       wmat)
     if n % 2 == 0:
         # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
         for i in range(1, len(vs)):
@@ -669,8 +676,7 @@ def psi(llv_space, lams, n):
     x = sym_scale(Fraction(1, factorial(n)),
                   sym_power(llv_space.alpha().coords, n))
     for lam in reversed(lams):
-        e = sparse_columns(llv_mod.e_op(llv_space, lam))
-        x = sym.derivation_apply(e, x)
+        x = sym.derivation_apply(llv_mod.e_columns(llv_space, lam), x)
         if not x:
             break
     return x
@@ -681,7 +687,7 @@ def grading_correspondence(llv_space, sym_space, phi_s_apply, phi_v):
     the matching relation for the induced action on S_[n]; raises NotGraded
     when neither sign works."""
     k_v = {1: 0, -1: 1}.get(llv_mod.grading_sign(llv_space, phi_v.nums))
-    hc = sparse_columns(llv_mod.grading(llv_space))
+    hc = ({i: [(i, c)] for i, c in enumerate(llv_space.h_diag) if c}, 1)
     basis, _ = sym_space.kernel_basis()
     k_s = None
     for k in (0, 1):

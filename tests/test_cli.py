@@ -549,6 +549,24 @@ def test_cli_snrep_recover(capsys):
     assert io.isometry_from_json(obj["recovered"], lat) in (f, -f)
 
 
+def test_snrep_recover_n0_exits_2(capsys):
+    """Sym^0 has no power lines to read an isometry from: recover at n = 0
+    exits 2 with a structured error, while n = 1 recovers the input and
+    dim still answers at n = 0."""
+    lat = llv.LLVSpace(lt.preset("Kummer", 2)).lattice
+    payload = json.dumps({"f": io.isometry_to_json(lt.QIsometry.identity(lat))})
+    code, out = run_cli(["snrep", "recover", "--preset", "Kummer:2", "--n", "0",
+                         "--json", payload], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "LatticeError"
+    code, out = run_cli(["snrep", "recover", "--preset", "Kummer:2", "--n", "1",
+                         "--json", payload], capsys)
+    assert code == 0 and json.loads(out)["matches_input"] is True
+    code, out = run_cli(["snrep", "dim", "--preset", "Kummer:2", "--n", "0"],
+                        capsys)
+    assert code == 0 and json.loads(out)["sym_dim"] == 1
+
+
 def test_cli_pontryagin_tables(capsys):
     # for n >= 2, rho_tau sends the degree-2 piece to k = 2n - 1, and a cup
     # of two such pieces lands at k = 4n - 2 > 2n: every star product of two

@@ -158,6 +158,34 @@ def test_emitter_matches_the_per_entry_encoder(deck_certificates, k3n2):
         assert io.dumps(io.vector_to_json(x)) == io.dumps(_per_entry_vector(x))
 
 
+def test_certificate_loads_onto_one_lattice(deck_certificates, k3n2):
+    """A certificate read with no lattice given puts every gamma and u on
+    the one lattice its first gamma names, and verifies as it does when
+    the lattice is given; with no gamma there is no lattice to read."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        phi_obj = importlib.import_module("workloads").FactorK3n2(
+            pool_seed=1001).deck()[0]["phi"]
+    nf = deck_certificates[0]
+    assert nf.k == 25
+    obj = json.loads(io.dumps(io.normal_form_to_json(nf)))
+    loaded = io.normal_form_from_json(obj)
+    lat = loaded.lattice
+    assert lat == k3n2 and lat is not k3n2
+    assert all(g.lattice is lat for g in loaded.gammas)
+    assert all(u.lattice is lat for u in loaded.us)
+    assert loaded.gammas == nf.gammas and loaded.us == nf.us
+    report = fc.verify_normal_form(loaded, io.isometry_from_json(phi_obj, lat))
+    given = io.normal_form_from_json(obj, k3n2)
+    assert report["ok"] and report == fc.verify_normal_form(
+        given, io.isometry_from_json(phi_obj, k3n2))
+    with pytest.raises(DimensionMismatch):
+        io.normal_form_from_json({"k": 0, "gammas": [], "us": []})
+    with pytest.raises(DimensionMismatch):
+        io.normal_form_from_json({"k": 0, "gammas": [], "us": []}, k3n2)
+
+
 def test_lattice_reference_is_fresh_per_call(capsys, monkeypatch):
     """cmd_lattice adds rank, signature, det, ... to the reference it gets;
     the next isometry of the same lattice object carries none of them."""

@@ -270,6 +270,25 @@ def test_qisometry_contracts():
     assert (f * f.inverse()).is_identity()
 
 
+def test_is_identity_builds_no_identity_per_call(monkeypatch):
+    """is_identity compares with the lattice's own identity rows, so no
+    call builds an identity matrix."""
+    k3n2 = lt.preset("K3n", 2)
+    f = rand_orientation_preserving(random.Random(271), k3n2, 3)
+    words = (f, -f, f.inverse(), f * f.inverse(), lt.QIsometry.identity(k3n2),
+             lt.QIsometry.minus_identity(k3n2))
+    built = []
+    real = la.identity
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+    monkeypatch.setattr(la, "identity", counting)
+    assert [g.is_identity() for g in words] == [False, False, False, True,
+                                                True, False]
+    assert built == []
+
+
 def test_custom_lattice_validation():
     with pytest.raises(LatticeError):
         lt.preset("custom", gram=[[1, 0], [0, 1]])   # custom presets must be even

@@ -62,6 +62,31 @@ def test_e_op(H, k3):
     assert llv.commutator(h, e) == la.mat_scale(2, e)
 
 
+@pytest.mark.parametrize("name, n", [("K3", None), ("K3n", 2), ("Kummer", 2)])
+def test_e_columns_is_the_sparse_form_of_e_op(name, n):
+    """e_columns gives sparse_columns(e_op(...)) up to the order of the
+    entries, for seeded rational lambda given as base vectors and as
+    middle-block vectors; a lambda with an alpha or beta part is refused."""
+    base = lt.preset(name, n)
+    space = llv.LLVSpace(base)
+    rng = random.Random(263)
+
+    def unordered(op):
+        cols, d = op
+        return {i: sorted(col) for i, col in cols.items()}, d
+    for _ in range(12):
+        lam = base.vec([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+                        if rng.random() < 0.5 else 0 for _ in range(base.rank)])
+        for v in (lam, space.embed(lam)):
+            want = unordered(sn.sparse_columns(llv.e_op(space, v)))
+            assert unordered(llv.e_columns(space, v)) == want
+    assert llv.e_columns(space, base.zero()) == ({}, 1)
+    lam = space.embed(base.basis_vec(0))
+    for bad in (lam + space.alpha(), lam + la.ratio(1, 2) * space.beta()):
+        with pytest.raises(LatticeError):
+            llv.e_columns(space, bad)
+
+
 def test_b_field(H, k3):
     rng = random.Random(89)
     lam = rand_vec(rng, k3)

@@ -15,8 +15,9 @@ from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
 from hklat import snrep as sn
-from hklat.errors import (NoHyperbolicPlanes, NotConjugating, NotDecomposable,
-                          NotGraded, ScalarInconsistency, SolveFailure)
+from hklat.errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
+                          NotDecomposable, NotGraded, ScalarInconsistency,
+                          SolveFailure)
 
 
 @pytest.fixture(scope="module")
@@ -642,6 +643,22 @@ def test_compose_rule_check_rank_two_image_raises(H5):
             return sn.sym_add(img, extra) if x == target else img
         with pytest.raises(NotDecomposable):
             sn.compose_rule_check(sym, f1, f2, phi, h_phi=f0)
+
+
+def test_inverse_functor_refuses_n0(H5):
+    """Sym^0 carries no power lines: recover and compose_rule_check raise
+    LatticeError at n = 0 before calling Phi, and keep working at n = 1."""
+    sym0, sym1 = sn.SymSpace(H5.lattice, 0), sn.SymSpace(H5.lattice, 1)
+    f = _rand_iso(random.Random(269), H5.lattice)
+
+    def phi(x):
+        raise AssertionError("Phi called at n = 0")
+    with pytest.raises(LatticeError):
+        sn.recover(sym0, sym0, phi)
+    with pytest.raises(LatticeError):
+        sn.compose_rule_check(sym0, f, f, phi, h_phi=f)
+    assert sn.recover(sym1, sym1, _sym_phi(sym1, f)) == f
+    assert sn.compose_rule_check(sym1, f, f, _sym_phi(sym1, f))
 
 
 def test_recover_orthogonal_image_lines_raise(H5):

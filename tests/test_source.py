@@ -93,3 +93,42 @@ def test_trusted_constructions_sit_in_named_sites():
                     outside.append("%s:%d in %s" % (name, node.lineno, scope))
     assert outside == []
     assert sites == TRUSTED_SITES
+
+
+def _calls(fname):
+    """(module, line, scope) of every call of fname, as an attribute
+    (la.fname) or a bare name, in the package."""
+    for name, tree in _modules():
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if called == fname:
+                    yield name, node.lineno, scope
+
+
+def test_no_matrix_view_read_in_src():
+    """Inside the library an isometry is read on its integer form: no
+    module reads the Fraction view .matrix, which is for outside callers."""
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert found == []
+
+
+def test_dense_rational_product_only_in_commutator():
+    """la.mat_mul, the product of dense rational matrices, serves only
+    llv.commutator, whose operands are the public dense operators; every
+    other product runs on integer numerators (la.int_mat_mul)."""
+    found = ["%s:%d in %s" % site for site in _calls("mat_mul")
+             if site[0] != "llv.py" or site[2] != "commutator"]
+    assert found == []
+
+
+def test_sparse_columns_only_in_apply_linear():
+    """Operators of the extended lattice are built as columns
+    (llv.e_columns); snrep.sparse_columns, which scales a dense matrix to
+    columns, serves only SymSpace.apply_linear."""
+    found = ["%s:%d in %s" % site for site in _calls("sparse_columns")
+             if site[0] != "snrep.py" or site[2] != "apply_linear"]
+    assert found == []
