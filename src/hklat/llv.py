@@ -222,8 +222,8 @@ def dual_lefschetz_check(space, phi, lam):
     inv = phi.inverse()
     prod = la.int_mat_mul(inv.nums, la.int_mat_mul(_dense_rows(space, cols),
                                                    phi.nums))
-    de *= inv.d * phi.d
-    psi = tuple(tuple([la.quotient(x, de) for x in row]) for row in prod)
+    d = inv.d * de * phi.d
+    psi = tuple(tuple([la.quotient(x, d) for x in row]) for row in prod)
     e_lam = e_op(space, lam)
     h = grading(space)
     c1 = commutator(e_lam, psi)
