@@ -20,7 +20,7 @@ from . import pontryagin as pg
 from . import snrep as sn
 from . import transvect as tv
 from .errors import LatticeError
-from .lattice import (_GROUPS, LatVec, QIsometry, characters, membership,
+from .lattice import (_GROUPS, QIsometry, characters, membership,
                       nu_character, preset)
 
 
@@ -85,7 +85,7 @@ def _n_from_args(args, lat):
 
 def _vec(lat, coords):
     """The vector of lat with the given JSON scalar coordinates."""
-    return LatVec(lat, [io.scalar_from_json(c) for c in coords])
+    return io.vector_from_json({"coords": coords}, lat)
 
 
 def _isometry(payload):
@@ -348,11 +348,9 @@ def _rand_reflection(rng, lat):
     negated on a coin flip.  Each try draws the same rank values as
     _rand_primitive; its norm and gcd are read off the ints, and only the
     accepted vector becomes a LatVec."""
-    rows = lat._gram_rows
     while True:
         c = _rand_coords(rng, lat.rank)
-        nv = sum([x * sum([g * c[j] for j, g in row])
-                  for x, row in zip(c, rows) if x])
+        nv = lat.pair_nums(c, c)
         if nv and abs(nv) <= 12 and gcd(*c) == 1:
             r = fc.reflect(lat, lat.vec(c))
             return -r if rng.random() < 0.5 else r
@@ -396,9 +394,7 @@ def cmd_verify(args):
     for d in range(1, 6):
         lat = preset("K3n", d + 1)
         u = tv.canonical_vector(lat, 2 * d + 2)
-        ud = list(u.coords)
-        ud[lat.delta_index] += 1
-        w = LatVec(lat, ud)
+        w = u + lat.basis_vec(lat.delta_index)
         const_ok = const_ok and w.norm() == 2
         img = fc.reflect(lat, w).apply(lat.basis_vec(lat.delta_index))
         want = (2 * d) * u + (1 + 2 * d) * lat.basis_vec(lat.delta_index)

@@ -67,8 +67,7 @@ def reflect(lattice, u):
 def reflect_times(lattice, u, g):
     """rho_u o g by the integer kernel _reflect_rows on g's integer form,
     over g.d (u, u); rho_u depends only on the line of u."""
-    nu, _ = la.scaled_vec(u.coords)
-    uu, moved = _reflect_rows(lattice, nu, g.nums)
+    uu, moved = _reflect_rows(lattice, u.nums, g.nums)
     rows = [moved[i] if i in moved else [uu * x for x in row]
             for i, row in enumerate(g.nums)]
     return QIsometry._of(lattice, rows, g.d * uu)
@@ -179,24 +178,22 @@ def cartan_dieudonne(lattice, f):
             if not any(w):
                 fixed[idx] = True
                 continue
-            if lattice.pair_coords(w, w):
-                found = [la.quotient(x, den) for x in w]
+            if lattice.pair_nums(w, w):
+                found = LatVec._from_nums(lattice, w, den)
                 break
         if found is None:
             # moved space totally isotropic: compose with one reflection
             # in an anisotropic basis vector z that g actually moves
-            for i, (nz, dx) in enumerate(basis):
+            for i in range(n):
                 if any(_cd_candidate(g, basis, ws, i, None)[0]):
-                    found = [0] * n
-                    for k, y in nz:
-                        found[k] = la.quotient(y, dx)
+                    found = lattice.vec(lattice.diagonalization()[0][i])
                     fixed = [False] * len(order)
                     break
             else:
                 raise AssertionError(
                     "non-identity isometry fixing an anisotropic basis")
-        refs.append(lattice.vec(found))
-        g = reflect_times(lattice, refs[-1], g)
+        refs.append(found)
+        g = reflect_times(lattice, found, g)
     if len(refs) > n:
         raise AssertionError("reflection count exceeded the rank")
     return refs
@@ -215,10 +212,7 @@ def _d_value(lattice):
 
 def neg_reflection_u_delta(lattice, u):
     """-rho_{u+delta} for u in L with (u,u) = 2d+2; a Gamma element."""
-    di = lattice.delta_index
-    coords = list(u.coords)
-    coords[di] += 1
-    v = LatVec(lattice, coords)
+    v = u + lattice.basis_vec(lattice.delta_index)
     if v.norm() != 2:
         raise NormMismatch("u + delta has norm %s, not 2" % (v.norm(),))
     return -reflect(lattice, v)
@@ -242,33 +236,32 @@ def find_orthogonal_norm_vector(lattice, lam, target):
         raise NormMismatch("the target norm must be even and positive, not %s"
                            % (target,))
     for (i, j) in lattice.u_blocks:
-        if lam.coords[i] == 0 and lam.coords[j] == 0:
+        if lam.nums[i] == 0 and lam.nums[j] == 0:
             c = [0] * n
             c[i] = 1
             c[j] = -target // 2
-            return LatVec(lattice, c)
+            return LatVec._from_nums(lattice, c)
     # orthogonal-complement enumeration: lam-perp inside the L-part
     # G lam on lam's integer numerators: a positive multiple, so the same
     # primitive functional
-    glam = dict(lattice.gram_times(la.scaled_vec(lam.coords)[0]))
+    glam = dict(lattice.gram_times(lam.nums))
     row = [glam.get(i, 0) for i in range(n) if i != di]
-    if la.is_zero_vec(row):
+    if not any(row):
         raise AssertionError("lam = 0 should have been caught by the U scan")
-    func = la.primitive_part(row)
-    d, u, v = la.smith_normal_form([[int(x) for x in func]])
+    d, u, v = la.smith_normal_form([la.primitive_part(row)])
     # kernel basis of the functional: columns 1.. of v, in Lambda
     kb = []
     m = len(row)
     for c in range(1, m):
-        col = [int(v[r][c]) for r in range(m)]
+        col = [v[r][c] for r in range(m)]
         col.insert(di, 0)
         kb.append(col)
-    pair = lattice.pair_coords
+    pair = lattice.pair_nums
     for a in range(len(kb)):
         qaa = pair(kb[a], kb[a])
         for s in range(1, _HEIGHT + 1):
             if qaa * s * s == target:
-                return LatVec(lattice, [s * x for x in kb[a]])
+                return LatVec._from_nums(lattice, [s * x for x in kb[a]])
     for a in range(len(kb)):
         qaa = pair(kb[a], kb[a])
         for b in range(a + 1, len(kb)):
@@ -277,8 +270,8 @@ def find_orthogonal_norm_vector(lattice, lam, target):
             for s in range(-_HEIGHT, _HEIGHT + 1):
                 for t in range(-_HEIGHT, _HEIGHT + 1):
                     if qaa * s * s + 2 * qab * s * t + qbb * t * t == target:
-                        return LatVec(lattice, [s * x + t * y
-                                                for x, y in zip(kb[a], kb[b])])
+                        return LatVec._from_nums(lattice, [
+                            s * x + t * y for x, y in zip(kb[a], kb[b])])
     raise SearchExhausted(
         "no orthogonal vector of norm %d within height %d" % (target, _HEIGHT))
 
@@ -310,7 +303,7 @@ def _delta_fix_vector(lattice, work, lam, target):
         for (a, b) in ((1, -m), (-1, m), (m, -1), (-m, 1)):
             c = [0] * lattice.rank
             c[i], c[j] = a, b
-            candidates.append(LatVec(lattice, c))
+            candidates.append(LatVec._from_nums(lattice, c))
     for (i, j) in lattice.u_blocks:
         for (k, l) in lattice.u_blocks:
             if (i, j) == (k, l):
@@ -320,7 +313,7 @@ def _delta_fix_vector(lattice, work, lam, target):
                 c = [0] * lattice.rank
                 c[i], c[j] = 1, s - m
                 c[k], c[l] = s, -1
-                candidates.append(LatVec(lattice, c))
+                candidates.append(LatVec._from_nums(lattice, c))
     for u in candidates:
         if u.norm() != target:
             raise NormMismatch("candidate has norm %s, not %d"
@@ -366,13 +359,13 @@ def positive_reflection_rewrite(lattice, u):
     m = -uu // 2
     ginv = reduce_to_canonical(lattice, u).inverse()   # e1 + m e2 -> u
     i, j = lattice.u_blocks[0]
-    f1, f2 = ginv.apply_columns((lattice.basis_vec(i).coords,
-                                 lattice.basis_vec(j).coords))
+    f1, f2 = (LatVec(lattice, f) for f in ginv.apply_columns(
+        (lattice.basis_vec(i).coords, lattice.basis_vec(j).coords)))
     # sigma is -1 on U1 and 1 on its complement, so its conjugate h is -1
     # on the hyperbolic plane (f1, f2) and 1 on its complement
-    h = _plane_negation(lattice, la.scaled_vec(f1)[0], la.scaled_vec(f2)[0])
+    h = _plane_negation(lattice, f1.nums, f2.nums)
     # rho_{e1+m e2} = sigma o rho_{e1-m e2}, and (e1 - m e2)^2 = 2m
-    w = LatVec(lattice, la.vec_sub(f1, la.vec_scale(m, f2)))
+    w = f1 - m * f2
     # rho_u = h rho_w itself is covered by the recomposition check that
     # every decompose() result passes
     if w.norm() != 2 * m:
@@ -434,9 +427,9 @@ def _split_delta(lattice, v):
     di = lattice.delta_index
     if di is None:
         raise LatticeError("lattice has no delta summand")
-    lam = list(v.coords)
-    t, lam[di] = lam[di], 0
-    return LatVec(lattice, lam), t
+    lam = list(v.nums)
+    t, lam[di] = la.quotient(lam[di], v.d), 0
+    return LatVec._from_nums(lattice, lam, v.d), t
 
 
 def _move_rational_items(lattice, x):
@@ -450,7 +443,7 @@ def _move_rational_items(lattice, x):
     nl = lam.norm()
     if nl == 0:
         raise IsotropicLambda("the L-part must be anisotropic")
-    _, q = la.scaled_vec(x.coords)
+    q = x.d
     lam_q = q * lam
     target_norm = q * q * nl
     lam_prime = canonical_vector(lattice, target_norm)
@@ -604,7 +597,7 @@ def verify_normal_form(nf, phi):
             problems.append("not integral")
         elif not u.is_primitive():
             problems.append("not primitive")
-        if di is not None and u.coords[di] != 0:
+        if di is not None and u.nums[di] != 0:
             problems.append("not in the L-part")
         if u.norm() < 2:
             problems.append("norm < 2")

@@ -7,8 +7,7 @@ so every emitted document is accepted back unchanged.
 """
 
 import json
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg as la
 from .errors import DimensionMismatch, LatticeError
@@ -24,20 +23,32 @@ def scalar_to_json(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _scaled_from_json(row):
+    """(nums, d): a JSON row of ints and int or "p/q" strings as integer
+    numerators over their least common denominator d > 0, each entry read
+    once; anything else (a bool, a float, "1/0", ...) raises ValueError."""
+    if all([type(x) is int for x in row]):
+        return list(row), 1
+    ratios = []
+    for s in row:
+        if type(s) is not int and type(s) is not str:
+            raise ValueError("scalar %r is not an int or a 'p/q' string" % (s,))
+        num, den = s.split("/") if type(s) is str and "/" in s else (s, 1)
+        p, q = int(num), int(den)
+        if q == 0:
+            raise ValueError("scalar %r has a zero denominator" % (s,))
+        # each p/q in lowest terms with q > 0, so gcd(d, content) = 1
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        ratios.append((p // g, q // g))
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
 def scalar_from_json(s):
-    """An int, or an int or "p/q" string, as an int or reduced Fraction;
-    anything else (a bool, a float, ...) raises ValueError."""
-    if type(s) is int:
-        return s
-    if type(s) is str:
-        if "/" in s:
-            num, den = s.split("/")
-            den = int(den)
-            if den == 0:
-                raise ValueError("scalar %r has a zero denominator" % (s,))
-            return la.frac(Fraction(int(num), den))
-        return int(s)
-    raise ValueError("scalar %r is not an int or a 'p/q' string" % (s,))
+    """A JSON scalar, by the rule of _scaled_from_json, as an int or a
+    reduced Fraction."""
+    (n,), d = _scaled_from_json([s])
+    return la.quotient(n, d)
 
 
 def _lattice_ref(lat):
@@ -97,12 +108,15 @@ def lattice_from_json(obj):
 
 def vector_to_json(v):
     return {"lattice": lattice_to_json(v.lattice),
-            "coords": _scaled_to_json(*la.scaled_vec(v.coords))}
+            "coords": _scaled_to_json(v.nums, v.d)}
 
 
 def vector_from_json(obj, lattice=None):
     lat = lattice if lattice is not None else lattice_from_json(obj["lattice"])
-    return LatVec(lat, [scalar_from_json(c) for c in obj["coords"]])
+    nums, d = _scaled_from_json(obj["coords"])
+    if len(nums) != lat.rank:
+        raise DimensionMismatch("coordinate length does not match rank")
+    return LatVec._from_nums(lat, nums, d)
 
 
 def isometry_to_json(g):
@@ -112,12 +126,14 @@ def isometry_to_json(g):
 
 def isometry_from_json(obj, lattice=None):
     """The isometry of an emitted matrix, checked by the untrusted
-    constructor; rows of JSON ints go to it as they are, and any other
-    entry is read by scalar_from_json first."""
+    constructor: rows of JSON ints as they are, any other matrix read once
+    by _scaled_from_json, as the la.ScaledMatrix view of that form."""
     lat = lattice if lattice is not None else lattice_from_json(obj["lattice"])
     rows = obj["matrix"]
     if not all([type(x) is int for row in rows for x in row]):
-        rows = [[scalar_from_json(c) for c in row] for row in rows]
+        flat, d = _scaled_from_json([x for row in rows for x in row])
+        entries = iter(flat)
+        rows = la.scaled_view([[next(entries) for _ in row] for row in rows], d)
     return QIsometry(lat, rows)
 
 

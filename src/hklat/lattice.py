@@ -20,7 +20,7 @@ Conventions
 All scalars are int or Fraction; nothing here is ever floating point.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg as la
 from .errors import (DegenerateGram, DimensionMismatch, LatticeError,
@@ -117,22 +117,22 @@ class Lattice:
         return LatVec(self, coords)
 
     def basis_vec(self, i):
-        return LatVec(self, tuple(1 if j == i else 0 for j in range(self.rank)))
+        return LatVec._from_nums(self, [int(j == i) for j in range(self.rank)])
 
     def zero(self):
-        return LatVec(self, (0,) * self.rank)
+        return LatVec._from_nums(self, (0,) * self.rank)
 
     def pair_coords(self, x, y):
-        """x^T G y on integer numerators, walking the sparse Gram rows."""
-        if len(x) != self.rank or len(y) != self.rank:
-            raise DimensionMismatch("coordinate length does not match rank")
-        nx, dx = la.scaled_vec(x)
-        ny, dy = (nx, dx) if y is x else la.scaled_vec(y)
+        """x^T G y for coordinate tuples x and y, as LatVec.pair."""
+        return LatVec(self, x).pair(LatVec(self, y))
+
+    def pair_nums(self, x, y):
+        """x^T G y for integer vectors, walking the sparse Gram rows."""
         total = 0
-        for xi, row in zip(nx, self._gram_rows):
+        for xi, row in zip(x, self._gram_rows):
             if xi:
-                total += xi * sum([g * ny[j] for j, g in row])
-        return la.quotient(total, dx * dy)
+                total += xi * sum([g * y[j] for j, g in row])
+        return total
 
     def gram_times(self, v):
         """The nonzero entries (i, (G v)_i) of G v, for integer v."""
@@ -199,40 +199,71 @@ def _positive_basis(lattice):
 
 
 class LatVec:
-    """Exact-rational coordinate vector in a fixed lattice."""
+    """An exact-rational coordinate vector in a fixed lattice, held as
+    QIsometry holds a matrix: integer numerators nums (a tuple) over one
+    d > 0 with gcd(d, content of nums) = 1, on which every kernel, == and
+    hash work.  coords is the normalized view (ints and reduced Fractions),
+    built on first read.  The constructor scales its coordinates once;
+    library code builds from integers by the trusted _from_nums."""
 
-    __slots__ = ("lattice", "coords")
+    __slots__ = ("lattice", "nums", "d", "_coords")
 
     def __init__(self, lattice, coords):
-        coords = la.vec(coords)
+        coords = la.vec(coords)   # refuses a float, a bool or a string
         if len(coords) != lattice.rank:
             raise DimensionMismatch("coordinate length does not match rank")
-        self.lattice = lattice
-        self.coords = coords
+        nums, self.d = la.scaled_vec(coords)
+        self.lattice, self.nums, self._coords = lattice, tuple(nums), coords
+
+    @classmethod
+    def _from_nums(cls, lattice, nums, d=1):
+        """The trusted vector nums / d, for rank-many ints nums and d > 0;
+        the common content of nums and d is divided out here."""
+        if d > 1:
+            c = gcd(d, *nums)
+            if c > 1:
+                nums = [x // c for x in nums]
+                d //= c
+        self = object.__new__(cls)
+        self.lattice, self.nums, self.d = lattice, tuple(nums), d
+        self._coords = None
+        return self
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            d = self.d
+            self._coords = (self.nums if d == 1 else
+                            tuple([la.quotient(x, d) for x in self.nums]))
+        return self._coords
 
     def __eq__(self, other):
         return (isinstance(other, LatVec) and self.lattice == other.lattice
-                and self.coords == other.coords)
+                and self.d == other.d and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.lattice.gram, self.coords))
+        return hash((self.lattice.gram, self.d, self.nums))
 
     def __repr__(self):
         return "LatVec(%s)" % (",".join(str(c) for c in self.coords))
 
     def __add__(self, other):
         self._same(other)
-        return LatVec(self.lattice, la.vec_add(self.coords, other.coords))
+        d = lcm(self.d, other.d)
+        a, b = d // self.d, d // other.d
+        return LatVec._from_nums(self.lattice, [
+            a * x + b * y for x, y in zip(self.nums, other.nums)], d)
 
     def __sub__(self, other):
-        self._same(other)
-        return LatVec(self.lattice, la.vec_sub(self.coords, other.coords))
+        return self + -other
 
     def __neg__(self):
-        return LatVec(self.lattice, tuple(-c for c in self.coords))
+        return LatVec._from_nums(self.lattice, [-x for x in self.nums], self.d)
 
     def __rmul__(self, c):
-        return LatVec(self.lattice, la.vec_scale(c, self.coords))
+        c = la.frac(c)
+        return LatVec._from_nums(self.lattice, [
+            c.numerator * x for x in self.nums], c.denominator * self.d)
 
     def _same(self, other):
         if self.lattice != other.lattice:
@@ -240,24 +271,26 @@ class LatVec:
 
     def pair(self, other):
         self._same(other)
-        return self.lattice.pair_coords(self.coords, other.coords)
+        return la.quotient(self.lattice.pair_nums(self.nums, other.nums),
+                           self.d * other.d)
 
     def norm(self):
-        return self.lattice.pair_coords(self.coords, self.coords)
+        return self.pair(self)
 
     def is_zero(self):
-        return la.is_zero_vec(self.coords)
+        return not any(self.nums)
 
     def is_integral(self):
-        return la.is_integral_vec(self.coords)
+        return self.d == 1
 
     def is_primitive(self):
-        return self.is_integral() and la.content(self.coords) == 1
+        return self.d == 1 and gcd(*self.nums) == 1
 
     def primitive_part(self):
         if self.is_zero():
             raise LatticeError("zero vector has no primitive part")
-        return LatVec(self.lattice, la.primitive_part(self.coords))
+        c = gcd(*self.nums)
+        return LatVec._from_nums(self.lattice, [x // c for x in self.nums])
 
 
 def pair(lattice, x, y):
@@ -273,7 +306,7 @@ def divisibility(lattice, x):
         raise LatticeError("divisibility of the zero vector is undefined")
     if not x.is_integral():
         raise NotIntegral("divisibility requires an integral vector")
-    return gcd(*[s for _, s in lattice.gram_times(x.coords)])
+    return gcd(*[s for _, s in lattice.gram_times(x.nums)])
 
 
 def _check_isometry(lattice, nums, d):
@@ -395,7 +428,10 @@ class QIsometry:
     def apply(self, v):
         if v.lattice != self.lattice:
             raise DimensionMismatch("vector lives in a different lattice")
-        return LatVec(self.lattice, self.apply_coords(v.coords))
+        nz = [(k, y) for k, y in enumerate(v.nums) if y]
+        return LatVec._from_nums(self.lattice, [
+            sum([row[k] * y for k, y in nz]) for row in self.nums],
+            self.d * v.d)
 
     def is_integral(self):
         return self.d == 1
@@ -439,18 +475,16 @@ class DiscGroup:
     """The finite quadratic group L*/L presented by its elementary divisors
     together with generator lifts in L* (rational coordinates)."""
 
-    __slots__ = ("lattice", "divisors", "generators", "_urows", "_gen_nums",
-                 "_plus", "_minus")
+    __slots__ = ("lattice", "divisors", "generators", "_urows", "_plus",
+                 "_minus")
 
     def __init__(self, lattice):
-        g = [[int(x) for x in row] for row in lattice.gram]
-        d, u, v = la.smith_normal_form(g)
+        d, u, v = la.smith_normal_form(lattice.gram)
         uinv = la.inverse(u)
         dual = lattice.dual_gram()
         divisors = []
         gens = []
         for i, di in enumerate(d):
-            di = int(di)
             if di > 1:
                 divisors.append(di)
                 col = tuple(uinv[r][i] for r in range(lattice.rank))
@@ -460,10 +494,6 @@ class DiscGroup:
         self.generators = tuple(gens)
         # the rows of u whose divisor is > 1: the others only give 0 mod 1
         self._urows = tuple((di, u[i]) for i, di in enumerate(d) if di > 1)
-        # each generator lift as (nonzero (index, numerator) pairs, d)
-        self._gen_nums = tuple(
-            ([(c, y) for c, y in enumerate(nums) if y], dx)
-            for nums, dx in (la.scaled_vec(x.coords) for x in gens))
         order = 1
         for di in divisors:
             order *= di
@@ -479,18 +509,15 @@ class DiscGroup:
 
     def class_of(self, v):
         """Coordinates of [v] in the cyclic decomposition; v must pair
-        integrally with the lattice (i.e. lie in L*).  Computed on v's
-        integer numerators by class_of_nums."""
-        return self.class_of_nums(*la.scaled_vec(v.coords))
+        integrally with the lattice (i.e. lie in L*).
 
-    def class_of_nums(self, nums, d):
-        """class_of for v = nums / d, nums integers and d > 0.
-
-        v lies in L* when d divides every entry of the integer vector
-        G nums; then the class is (U G v) mod the divisors, read only from
-        the rows of the Smith transform U whose divisor is > 1.
+        On v = nums / d: v lies in L* when d divides every entry of the
+        integer vector G nums; then the class is (U G v) mod the divisors,
+        read only from the rows of the Smith transform U whose divisor is
+        > 1.
         """
-        gv = self.lattice.gram_times(nums)
+        d = v.d
+        gv = self.lattice.gram_times(v.nums)
         if any([s % d for _, s in gv]):
             raise NotIntegral("vector does not lie in the dual lattice")
         return tuple(sum([urow[i] * s for i, s in gv]) // d % di
@@ -501,18 +528,14 @@ def disc_action(g):
     """Classify the action of an integral isometry on L*/L.
 
     Returns +1, -1, or ("other", matrix) where the matrix gives the images
-    of the generators in generator coordinates.  The image of a generator
-    lift x = nums / d is (g nums) / d, read from the columns of g where x
-    is nonzero.
+    of the generators in generator coordinates.
     """
     if not g.is_integral():
         raise NotIntegral("discriminant action needs an integral isometry")
     disc = g.lattice.disc_group()
     if disc.is_trivial():
         return 1
-    images = [disc.class_of_nums([sum([row[c] * y for c, y in sup])
-                                  for row in g.nums], d)
-              for sup, d in disc._gen_nums]
+    images = [disc.class_of(g.apply(x)) for x in disc.generators]
     if images == disc._plus:
         return 1
     if images == disc._minus:

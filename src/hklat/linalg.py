@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the rationals; never floating point.
 
-A plain matrix is a tuple of tuples of scalars and a vector a tuple:
-ints when integral, reduced Fractions otherwise, which mix transparently
-under arithmetic, equality and hashing.  Every matrix and vector returned
-here keeps that contract entry by entry; the JSON encoding and the
-certificates rely on it.  Inside the library a rational matrix (an
-isometry, an operator of the extended lattice, a frame) is held instead
-in one scaled-integer form, integer rows N over a denominator d > 0,
-which int_mat_mul and det_mod_p read directly.  Its plain matrix is a
-view built from that form only for a caller that asks for one, a
-ScaledMatrix that carries (N, d) along, so that scaled_mat and mat_vec
-read it back without rescaling.
+A plain matrix is a tuple of tuples of scalars and a plain vector a
+tuple: ints when integral, reduced Fractions otherwise, which mix
+transparently under arithmetic, equality and hashing; frac, vec and mat
+check entries into that form (a float, bool or string raises TypeError),
+and every plain result here keeps it.  Inside the library a rational
+matrix (an isometry, an operator of the extended lattice, a frame) and a
+lattice vector (lattice.LatVec) are held instead in one scaled-integer
+form, integer numerators N over d > 0 with gcd(d, content of N) = 1,
+which int_mat_mul, det_mod_p and the lattice kernels read directly.  The
+plain form is a view built from it for a caller that asks for one; a
+matrix's view is a ScaledMatrix that carries (N, d) along, so that
+scaled_mat and mat_vec read it back without rescaling.
 
 The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
 and rank built on it) never do arithmetic on Fractions.  Each operand is
@@ -193,23 +194,6 @@ def mat_vec(a, v):
     ys = [y for _, y in nz]
     d = da * dv
     return tuple(quotient(sum([x * y for x, y in zip(row, ys)]), d) for row in na)
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = frac(c)
-    return tuple(c * x for x in v)
-
-
-def is_zero_vec(v):
-    return all(x == 0 for x in v)
 
 
 def mat_sub(a, b):
@@ -514,18 +498,6 @@ def smith_normal_form(a):
             u[i] = [-x for x in u[i]]
     d = tuple(m[i][i] for i in range(k))
     return d, mat(u), mat(v)
-
-
-def content(v):
-    """gcd of the entries of an integer vector (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
-def is_integral_vec(v):
-    return all([type(x) is int or frac(x).denominator == 1 for x in v])
 
 
 def is_integral_mat(a):

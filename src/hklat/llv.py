@@ -48,24 +48,23 @@ class LLVSpace:
 
     def embed(self, v):
         """Middle-block inclusion of a base-lattice vector."""
-        return LatVec(self.lattice, (0,) + tuple(v.coords) + (0,))
+        return LatVec(self.lattice, (0,) + v.coords + (0,))
 
     def middle_part(self, w):
         return LatVec(self.base, w.coords[1:-1])
 
     def vec(self, a_coeff, v, b_coeff):
-        return LatVec(self.lattice,
-                      (la.frac(a_coeff),) + tuple(v.coords) + (la.frac(b_coeff),))
+        return LatVec(self.lattice, (a_coeff,) + v.coords + (b_coeff,))
 
 
-def _middle_coords(space, lam):
-    """The base-lattice coordinates of lam, a vector of the base lattice or
-    of the middle block; anything else raises LatticeError."""
+def _middle_nums(space, lam):
+    """lam's base-lattice coordinates as (nums, d), for lam in the base
+    lattice or the middle block; anything else raises LatticeError."""
     if lam.lattice == space.base:
-        return lam.coords
-    if lam.coords[0] or lam.coords[-1]:
+        return lam.nums, lam.d
+    if lam.nums[0] or lam.nums[-1]:
         raise LatticeError("e_op needs a vector of the middle block")
-    return lam.coords[1:-1]
+    return lam.nums[1:-1], lam.d
 
 
 def e_columns(space, lam):
@@ -74,7 +73,7 @@ def e_columns(space, lam):
     denominator d of lam, and cols[i] lists the nonzero (k, n[k][i]) of
     column i.  Column alpha is lam's numerators, and column 1 + j holds
     (G lam)_j at beta, read off the sparse Gram rows."""
-    nums, d = la.scaled_vec(_middle_coords(space, lam))
+    nums, d = _middle_nums(space, lam)
     beta = space.beta_index
     cols = {1 + j: [(beta, s)] for j, s in space.base.gram_times(nums)}
     if any(nums):
@@ -104,7 +103,7 @@ def b_field(space, lam):
     form: alpha -> alpha + lam + ((lam,lam)/2) beta, mu -> mu + (lam,mu)
     beta on the middle block, beta -> beta.  For lam = l / D over one
     denominator it is built on integers over 2 D^2."""
-    nums, dl = la.scaled_vec(_middle_coords(space, lam))
+    nums, dl = _middle_nums(space, lam)
     gl = space.base.gram_times(nums)
     n, d = space.dim, 2 * dl * dl
     rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
@@ -261,10 +260,10 @@ def _theta_index(k3_space, k3n_space):
 def theta_tilde(k3_space, k3n_space, x):
     """The isometric embedding of the K3 extended lattice into the K3n one,
     applied to a vector."""
-    coords = [0] * k3n_space.dim
-    for c, i in zip(x.coords, _theta_index(k3_space, k3n_space)):
-        coords[i] = c
-    return LatVec(k3n_space.lattice, coords)
+    nums = [0] * k3n_space.dim
+    for c, i in zip(x.nums, _theta_index(k3_space, k3n_space)):
+        nums[i] = c
+    return LatVec._from_nums(k3n_space.lattice, nums, x.d)
 
 
 def extend_to_llv(space, g):
@@ -319,8 +318,8 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
     R = factorial(n) * r ** n
     base = k3n_space.base
     delta = base.basis_vec(base.delta_index)
-    th1 = LatVec(base, tuple(a1.coords) + (0,))
-    th2 = LatVec(base, tuple(a2.coords) + (0,))
+    th1 = LatVec(base, a1.coords + (0,))
+    th2 = LatVec(base, a2.coords + (0,))
     lam1 = la.ratio(1, r) * th1 + la.ratio(1, 2) * delta
     lam2 = la.ratio(1, r) * th2 - la.ratio(1, 2) * delta
     e1 = R * lam1
@@ -336,8 +335,8 @@ def verify_kernel_identity(k3_space, k3n_space, phi, n, r, a1, a2):
     with phi' = B_{-a2/r} o phi o B_{-a1/r}."""
     e1, e2, R = kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n)
     lift = hilb_lift(k3_space, k3n_space, phi, n)
-    b1 = b_field(k3n_space, la.ratio(-1, R) * LatVec(k3n_space.base, e1.coords))
-    b2 = b_field(k3n_space, la.ratio(-1, R) * LatVec(k3n_space.base, e2.coords))
+    b1 = b_field(k3n_space, la.ratio(-1, R) * e1)
+    b2 = b_field(k3n_space, la.ratio(-1, R) * e2)
     lhs = b2 * lift * b1
     varphi = (b_field(k3_space, la.ratio(-1, r) * a2) * phi
               * b_field(k3_space, la.ratio(-1, r) * a1))

@@ -42,7 +42,7 @@ from . import llv as llv_mod
 from .errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
                      NotDecomposable, NotGraded, ScalarInconsistency,
                      SolveFailure)
-from .lattice import QIsometry
+from .lattice import LatVec, QIsometry
 
 
 # -- the sparse symmetric-tensor element -------------------------------------
@@ -451,15 +451,12 @@ def isotropic_spanning_set(lattice):
     d = lattice.rank
     out = []
     for k in range(d):
-        c = [Fraction(0)] * d
-        if k == i or k == j:
-            c[k] = Fraction(1)
-        else:
-            nk = lattice.gram[k][k]
-            c[k] = Fraction(1)
-            c[i] = la.ratio(nk, 2)
-            c[j] = Fraction(1)
-        v = lattice.vec(c)
+        # e_k, or e_k + ((e_k, e_k)/2) e_i + e_j, over 2
+        c = [0] * d
+        c[k] = 2
+        if k != i and k != j:
+            c[i], c[j] = lattice.gram[k][k], 2
+        v = LatVec._from_nums(lattice, c, 2)
         if v.norm() != 0:
             raise NoHyperbolicPlanes("u_blocks[0] = %r is not a hyperbolic "
                                      "plane: basis vector %d gives a vector "

@@ -33,6 +33,8 @@ reduction of P plus two pivot moves eliminating the remainder w give the
 canonical form.
 """
 
+from math import gcd
+
 from . import linalg as la
 from .errors import (DimensionMismatch, DivisibilityMismatch, LatticeError,
                      NoHyperbolicPlanes, NonPrimitiveLambda, NormMismatch,
@@ -43,13 +45,12 @@ _MAX_REDUCE_STEPS = 20000
 
 
 def _step_data(lattice, e, a):
-    """One step E(e, a) as integers: the nonzero (index, entry) pairs of e,
-    a, G e and G a, and (a,a)."""
+    """One step E(e, a), for integer coordinates e and a, as integers: the
+    nonzero (index, entry) pairs of e, a, G e and G a, and (a,a)."""
     if len(e) != lattice.rank or len(a) != lattice.rank:
         raise DimensionMismatch("coordinate length does not match rank")
-    if not (la.is_integral_vec(e) and la.is_integral_vec(a)):
+    if not all([type(x) is int for x in (*e, *a)]):
         raise NotIntegral("transvection data must be integral")
-    e, a = [int(x) for x in e], [int(x) for x in a]
     ga = lattice.gram_times(a)
     return (_nonzero(e), _nonzero(a), lattice.gram_times(e), ga,
             sum([a[i] * s for i, s in ga]))
@@ -111,7 +112,7 @@ def eichler_transvection(lattice, e, a):
         raise LatticeError("transvection base vector must be isotropic")
     if e.pair(a) != 0:
         raise LatticeError("transvection requires (e,a) = 0")
-    iso = TransvectionWord(lattice, [(e.coords, a.coords)]).isometry()
+    iso = TransvectionWord(lattice, [(e.nums, a.nums)]).isometry()
     # trusted path double-checked cheaply on the defining relations
     if iso.apply(e) != e:
         raise AssertionError("transvection does not fix its base vector")
@@ -149,7 +150,9 @@ class TransvectionWord:
         return self.apply_columns((x,))[0]
 
     def apply(self, v):
-        return LatVec(self.lattice, self.apply_coords(v.coords))
+        x = list(v.nums)
+        d = v.d * _step_columns(self._data, [x])
+        return LatVec._from_nums(self.lattice, x, d)
 
     def isometry(self):
         """The word as an isometry, run on the identity's integer columns."""
@@ -208,14 +211,14 @@ def canonical_vector(lattice, norm):
     c = [0] * lattice.rank
     c[i] = 1
     c[j] = -norm // 2
-    return LatVec(lattice, c)
+    return LatVec._from_nums(lattice, c)
 
 
 class _Reducer:
-    """Stateful reduction of one primitive divisibility-1 vector to the
-    canonical vector, recording a transvection word."""
+    """Stateful reduction of one primitive divisibility-1 integer vector to
+    the canonical vector, recording a transvection word."""
 
-    def __init__(self, lattice, coords):
+    def __init__(self, lattice, nums):
         if len(lattice.u_blocks) < 2:
             raise NoHyperbolicPlanes(
                 "reduction needs two orthogonal hyperbolic planes")
@@ -224,7 +227,7 @@ class _Reducer:
         self.f1, self.f2 = lattice.u_blocks[1]
         self.u_idx = (self.e1, self.e2, self.f1, self.f2)
         self.w_idx = tuple(k for k in range(lattice.rank) if k not in self.u_idx)
-        self.x = list(la.vec(coords))
+        self.x = list(nums)
         self.word = TransvectionWord(lattice)
         self.budget = _MAX_REDUCE_STEPS
 
@@ -370,9 +373,9 @@ class _Reducer:
         self._kill_w()
         self._snf_to_one()
         p = self._p()
-        norm = self.lat.pair_coords(self.x, self.x)
+        norm = self.lat.pair_nums(self.x, self.x)
         if (p != [[1, 0], [0, p[1][1]]]
-                or tuple(self.x) != canonical_vector(self.lat, norm).coords):
+                or tuple(self.x) != canonical_vector(self.lat, norm).nums):
             raise AssertionError("reduction did not reach canonical form")
         return self.word
 
@@ -387,7 +390,7 @@ def reduce_to_canonical(lattice, x):
     if divisibility(lattice, x) != 1:
         raise DivisibilityMismatch(
             "transvection reduction implemented for divisibility 1 only")
-    return _Reducer(lattice, x.coords).run()
+    return _Reducer(lattice, x.nums).run()
 
 
 def eichler_move(lattice, x, y):
@@ -422,10 +425,9 @@ def move_into_L(lattice, alpha):
         raise LatticeError("move_into_L needs an L + Z*delta lattice")
     if not alpha.is_integral():
         raise NotIntegral("move_into_L needs an integral vector")
-    lam = [c for i, c in enumerate(alpha.coords) if i != di]
-    if la.is_zero_vec(lam) or la.content(lam) != 1:
+    if gcd(*[c for i, c in enumerate(alpha.nums) if i != di]) != 1:
         raise NonPrimitiveLambda("the L-part must be primitive in L")
-    reducer = _Reducer(lattice, alpha.coords)
+    reducer = _Reducer(lattice, alpha.nums)
     word = reducer.run()
     # run() checked the reducer's tracked image of alpha, so read it there
     if reducer.x[di] != 0:

@@ -1,10 +1,8 @@
 import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-import numpy as np
 import pytest
-import sympy
 
 from hklat import factor as fc
 from hklat import linalg as la
@@ -139,6 +137,49 @@ def frac_pair(lat, x, y):
                for i in range(n) if x[i])
 
 
+# -- plain-Fraction vector helpers: the reference for LatVec's integer form --
+
+
+def vec_add(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vec_scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def is_zero_vec(v):
+    return all(x == 0 for x in v)
+
+
+def is_integral_vec(v):
+    return all(Fraction(x).denominator == 1 for x in v)
+
+
+def content(v):
+    """gcd of the entries of an integer vector (0 for the zero vector)."""
+    return gcd(*[int(x) for x in v])
+
+
+def frac_divisibility(lat, x):
+    """The positive generator of (x, L) for an integral x: the content of
+    G x, a dense product over Fractions."""
+    return content([sum(Fraction(g) * y for g, y in zip(row, x))
+                    for row in lat.gram])
+
+
+def frac_primitive_part(x):
+    """The primitive integer vector on the line of a nonzero rational x."""
+    d = lcm(*[Fraction(y).denominator for y in x])
+    nums = [int(Fraction(y) * d) for y in x]
+    c = content(nums)
+    return tuple(y // c for y in nums)
+
+
 def rand_qcoords(rng, lat, bound=5, dens=(1, 2, 3, 7)):
     """Random rational coordinates (ints and reduced Fractions), about a
     third of them zero."""
@@ -203,6 +244,8 @@ def isotropic_samples(lattice, rng, count, bound=2):
 def span_rank_mod_p(space, vectors, p=46337):
     """Rank over F_p of the given Sym^n elements (a lower bound for the
     rational rank, so full rank certifies spanning)."""
+    import numpy as np   # here, not at the top: -O subprocesses import conftest
+
     dense = []
     for v in vectors:
         row = [0] * len(space.monomials)
@@ -257,6 +300,8 @@ def nu_projection(g, basis=None):
         gb = [sum(Fraction(x) * y for x, y in zip(row, bj)) for row in g.matrix]
         rows.append([frac_pair(lat, gb, bi) / ni
                      for bi, ni in zip(basis, norms)])
+    import sympy   # here, not at the top: -O subprocesses import conftest
+
     d = sympy.Matrix(rows).det()
     assert d != 0
     return 1 if d > 0 else -1
@@ -269,7 +314,7 @@ def disc_class_dense(disc, v):
     gram = disc.lattice.gram
     d, u, _ = la.smith_normal_form(gram)
     m = la.mat_vec(gram, v.coords)
-    if not la.is_integral_vec(m):
+    if not is_integral_vec(m):
         raise NotIntegral("vector does not lie in the dual lattice")
     um = la.mat_vec(u, m)
     return tuple(int(um[i]) % di for i, di in enumerate(d) if di > 1)

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canonical, canonical_form, frac_pair, rand_anisotropic,
-                      rand_orientation_preserving, rand_primitive,
-                      rand_transvection, rand_vec, subprocess_env, TESTS)
+from conftest import (canonical, canonical_form, frac_pair, is_zero_vec,
+                      rand_anisotropic, rand_orientation_preserving,
+                      rand_primitive, rand_transvection, rand_vec,
+                      subprocess_env, TESTS, vec_add, vec_sub)
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import jsonio as jio
@@ -140,7 +141,7 @@ def _cartan_dieudonne_fractions(lattice, f):
     p, _ = la.congruent_diagonalize(lattice.gram)
     zbasis = [la.vec(row) for row in p]
     n = lattice.rank
-    candidates = list(zbasis) + [la.vec_add(zbasis[i], zbasis[j])
+    candidates = list(zbasis) + [vec_add(zbasis[i], zbasis[j])
                                  for i in range(n) for j in range(i + 1, n)]
     fixed = [False] * len(candidates)
     refs = []
@@ -150,8 +151,8 @@ def _cartan_dieudonne_fractions(lattice, f):
         for idx, x in enumerate(candidates):
             if fixed[idx]:
                 continue
-            w = la.vec_sub(g.apply_coords(x), x)
-            if la.is_zero_vec(w):
+            w = vec_sub(g.apply_coords(x), x)
+            if is_zero_vec(w):
                 fixed[idx] = True
                 continue
             if lattice.pair_coords(w, w) != 0:
@@ -284,8 +285,8 @@ def test_rewrite_factor_is_the_reflection_pair(k3):
             i, j = lat.u_blocks[0]
             f1, f2 = ginv.apply_columns((lat.basis_vec(i).coords,
                                          lat.basis_vec(j).coords))
-            want = fc.reflect_times(lat, lat.vec(la.vec_sub(f1, f2)),
-                                    fc.reflect(lat, la.vec_add(f1, f2)))
+            want = fc.reflect_times(lat, lat.vec(vec_sub(f1, f2)),
+                                    fc.reflect(lat, vec_add(f1, f2)))
             assert h == want and canonical_form(h)
             assert h * fc.reflect(lat, w) == fc.reflect(lat, u)
 

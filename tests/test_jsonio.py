@@ -87,6 +87,24 @@ def test_scalar_rule_refuses_bools_floats_and_float_strings():
         == ((0, -1), (-1, 0))
 
 
+def test_vector_reader_refuses_bad_coords(k3n2):
+    """vector_from_json reads each entry by the scalar rule: a bool, a
+    float, a zero denominator or a non-numeric string raises ValueError (a
+    CLI exit 3), and a coordinate list of the wrong length
+    DimensionMismatch; "p/q" entries in any terms give the reduced
+    vector."""
+    obj = io.vector_to_json(k3n2.vec([1, -2] + [0] * 21))
+    for bad in (True, 1.0, "1/0", "x"):
+        with pytest.raises(ValueError):
+            io.vector_from_json(dict(obj, coords=[bad] + obj["coords"][1:]))
+    for coords in (obj["coords"][:-1], obj["coords"] + [0]):
+        with pytest.raises(DimensionMismatch):
+            io.vector_from_json(dict(obj, coords=coords))
+    v = io.vector_from_json(dict(obj, coords=["2/4", "-6/-3", "3/-9"] + [0] * 20))
+    assert v == k3n2.vec([Fraction(1, 2), 2, Fraction(-1, 3)] + [0] * 20)
+    assert (v.nums[:3], v.d) == ((3, 12, -2), 6)
+
+
 # -- the integer-form emitter against the per-entry encoder it replaced -------
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (disc_class_dense, nu_projection,
+from conftest import (content, disc_class_dense, nu_projection,
                       rand_orientation_preserving, rand_primitive,
                       rand_reflection_word, rand_vec, subprocess_env)
 from hklat import factor as fc
@@ -180,7 +180,7 @@ def test_divisibility_matches_the_dense_content(k3, k3n2, kummer2):
         for x in xs:
             for c in (1, 2, -3):
                 y = c * x
-                assert lt.divisibility(lat, y) == la.content(
+                assert lt.divisibility(lat, y) == content(
                     la.mat_vec(lat.gram, y.coords))
 
 

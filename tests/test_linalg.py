@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import canonical
+from conftest import canonical, content
 from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
@@ -114,7 +114,7 @@ def test_scalar_normalization_keeps_ints():
 def test_primitive_part_and_content():
     v = (Fraction(2, 3), Fraction(4, 3), 2)
     assert la.primitive_part(v) == (1, 2, 3)
-    assert la.content((4, 6, 10)) == 2
+    assert content((4, 6, 10)) == 2
 
 
 # -- kernel contract: seeded rational matrices against sympy -----------------

@@ -1,31 +1,37 @@
-"""Property tests of QIsometry's canonical integer form, on K3n:2 and on
-its LLV space.
+"""Property tests of the canonical integer forms of QIsometry, on K3n:2
+and on its LLV space, and of LatVec, on K3n:2 and on a rank-4 lattice.
 
 Words of reflections, Eichler transvections, mu, tau, extend_to_llv,
 inverses and negations must keep d > 0 and gcd(d, content) = 1, match a
 product of plain-Fraction reference matrices built from the textbook
 formulas, and give equal isometries with equal hashes along every
-construction path.  Hypothesis runs under a derandomized profile with no
-example database, and each test is pinned to a seed, so tier-1 stays
-deterministic.
+construction path.  Vector arithmetic, pairing, divisibility and
+primitive parts must match the plain-Fraction helpers of conftest.
+Hypothesis runs under a derandomized profile with no example database,
+and each test is pinned to a seed, so tier-1 stays deterministic.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import canonical, canonical_form, rand_anisotropic, rand_qcoords
+from conftest import (canonical, canonical_form, content, frac_divisibility,
+                      frac_pair, frac_primitive_part, is_integral_vec,
+                      is_zero_vec, rand_anisotropic, rand_qcoords, vec_add,
+                      vec_scale, vec_sub)
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import llv
 from hklat import transvect as tv
+from hklat.errors import LatticeError, NotIntegral
 
 settings.register_profile(
     "hklat-pinned", derandomize=True, database=None, deadline=None,
@@ -258,3 +264,80 @@ def test_matrix_view_carries_the_integer_form(k3n2):
         h = lt.QIsometry(k3n2, m, _trusted=True)
         assert h == g and h.matrix is m
         assert lt.QIsometry(k3n2, m) == g and lt.QIsometry(k3n2, rows) == g
+
+
+# -- LatVec ------------------------------------------------------------------
+
+# an even rank-4 lattice with det -7 and no delta: U + [[2, 1], [1, 4]]
+RANK4 = lt.preset("custom", gram=((0, -1, 0, 0), (-1, 0, 0, 0),
+                                  (0, 0, 2, 1), (0, 0, 1, 4)))
+SCALARS = (0, 1, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 7))
+
+
+def _fvec(rng, lat):
+    """Random plain-Fraction coordinates (about half zero, denominators up
+    to 9, not reduced to ints)."""
+    return [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+            if rng.random() < 0.5 else Fraction(0) for _ in range(lat.rank)]
+
+
+def _vec_form(v):
+    """Whether v holds the canonical form, with coords as its view."""
+    return (type(v.nums) is tuple and all(type(x) is int for x in v.nums)
+            and type(v.d) is int and v.d > 0 and gcd(v.d, *v.nums) == 1
+            and canonical(v.coords)
+            and v.coords == tuple(Fraction(x, v.d) for x in v.nums))
+
+
+def _same(v, ref):
+    """v is in canonical form and equals the plain-Fraction vector ref."""
+    assert _vec_form(v) and v.coords == tuple(ref)
+
+
+@seed(16004)
+@PINNED
+@given(seeds=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4))
+def test_latvec_matches_the_fraction_reference(k3n2, seeds):
+    """Every LatVec operation agrees with the plain-Fraction helpers, on
+    rational, integral and zero vectors, and keeps the canonical form."""
+    for s in seeds:
+        rng = random.Random(s)
+        for lat in (k3n2, RANK4):
+            fx, fy = _fvec(rng, lat), _fvec(rng, lat)
+            x, y = lat.vec(fx), lat.vec(fy)
+            den = lcm(*[c.denominator for c in fx])
+            fz = vec_scale(den, fx)
+            for v, fv in ((x, fx), (y, fy), (x - x, vec_sub(fx, fx)),
+                          (den * x, fz)):
+                _same(v, fv)
+                _same(-v, vec_scale(-1, fv))
+                _same(v + y, vec_add(fv, fy))
+                _same(v - y, vec_sub(fv, fy))
+                for c in SCALARS:
+                    _same(c * v, vec_scale(c, fv))
+                assert v.pair(y) == frac_pair(lat, fv, fy)
+                assert v.pair(y) == lat.pair_coords(v.coords, y.coords)
+                assert v.norm() == frac_pair(lat, fv, fv)
+                assert v.is_zero() == is_zero_vec(fv)
+                assert v.is_integral() == is_integral_vec(fv)
+                assert v.is_primitive() == (is_integral_vec(fv)
+                                            and content(fv) == 1)
+                if is_zero_vec(fv):
+                    with pytest.raises(LatticeError):
+                        v.primitive_part()
+                    with pytest.raises(LatticeError):
+                        lt.divisibility(lat, v)
+                    continue
+                _same(v.primitive_part(), frac_primitive_part(fv))
+                if is_integral_vec(fv):
+                    assert lt.divisibility(lat, v) == frac_divisibility(lat, fv)
+                else:
+                    with pytest.raises(NotIntegral):
+                        lt.divisibility(lat, v)
+            # equal vectors built along different paths hash alike
+            for v in ((x + y) - y, -(-x), Fraction(1, 2) * (2 * x),
+                      lat.vec(x.coords), lt.LatVec(lat, fx),
+                      jio.vector_from_json(jio.vector_to_json(x), lat)):
+                assert v == x and hash(v) == hash(x)
+                assert (v.nums, v.d) == (x.nums, x.d)
+            assert (x == y) == (fx == fy) and (x + y != x) == any(fy)

@@ -107,6 +107,65 @@ def _calls(fname):
                     yield name, node.lineno, scope
 
 
+def _qualified(tree, scope=""):
+    """(node, dotted name of its enclosing classes and functions) for every
+    node below tree."""
+    for child in ast.iter_child_nodes(tree):
+        yield child, scope
+        inner = (scope + "." + child.name if scope else child.name) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _qualified(child, inner)
+
+
+def test_no_coords_view_scaled_in_src():
+    """A LatVec is read on its integer form (nums, d): no module hands a
+    .coords read to la.scaled_vec, which would scale its view back."""
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "scaled_vec"
+                    or isinstance(f, ast.Name) and f.id == "scaled_vec"):
+                found += ["%s:%d" % (name, sub.lineno)
+                          for arg in node.args for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Attribute)
+                          and sub.attr == "coords"]
+    assert found == []
+
+
+# where a scalar or a coordinate list enters from outside the library, the
+# only places that may normalize one entry by entry (la.frac, la.vec)
+ENTRY_SITES = {
+    "lattice.py": {"LatVec.__init__", "LatVec.__rmul__"},
+    "mukai.py": {"MukaiVector.__init__", "MukaiVector.pair", "mukai_v",
+                 "kappa", "k3_cup"},
+    "llv.py": {"mu", "fm_beta_image", "normalize_fm"},
+    "snrep.py": {"sym_form"},
+}
+
+
+def test_entry_normalization_only_at_the_boundary():
+    """la.frac and la.vec run only in ENTRY_SITES, each of which uses one,
+    and in jsonio and cli: every kernel reads the integer forms of vectors
+    and matrices."""
+    sites, found = {}, []
+    for name, tree in _modules():
+        if name in ("linalg.py", "jsonio.py", "cli.py"):
+            continue
+        for node, scope in _qualified(tree):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr in ("frac", "vec")
+                    and isinstance(f.value, ast.Name) and f.value.id == "la"):
+                sites.setdefault(name, set()).add(scope)
+                if scope not in ENTRY_SITES.get(name, ()):
+                    found.append("%s:%d in %s" % (name, node.lineno, scope))
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                found += ["%s:%d" % (name, node.lineno) for a in node.names
+                          if a.name in ("frac", "vec")]
+    assert found == []
+    assert sites == ENTRY_SITES
+
+
 def test_no_matrix_view_read_in_src():
     """Inside the library an isometry is read on its integer form: no
     module reads the Fraction view .matrix, which is for outside callers."""
