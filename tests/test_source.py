@@ -112,8 +112,9 @@ def _qualified(tree, scope=""):
     node below tree."""
     for child in ast.iter_child_nodes(tree):
         yield child, scope
-        inner = (scope + "." + child.name if scope else child.name) if isinstance(
-            child, (ast.FunctionDef, ast.ClassDef)) else scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + "." + child.name if scope else child.name
         yield from _qualified(child, inner)
 
 
