@@ -343,17 +343,89 @@ def _rand_primitive(rng, lat):
             return v
 
 
+# _rand_reflection reads the randint(-2, 2) stream in batches of
+# _BATCH_WORDS Mersenne Twister outputs: getrandbits(32 B) returns B
+# consecutive 32-bit outputs least significant first, so byte 4w + 3 of
+# its little-endian bytes is the high byte of output w, and getrandbits(3)
+# of that output is the high byte >> 5.  _REDRAWN are the high bytes whose
+# draw randint redraws (>= 5), _TOP3 maps the rest to b = x + 2.
+_BATCH_WORDS = 4096
+_TOP3 = bytes(h >> 5 for h in range(256))
+_REDRAWN = bytes(range(160, 256))
+
+
+def _norm_tables(lat):
+    """(tables, hits) for the batched norm test of _rand_reflection: one
+    (i, j, table) per nonzero Gram term i <= j, the 256-byte translate
+    table mapping 5 b_i + b_j to c x_i x_j + off (c = G_ii on the diagonal,
+    2 G_ij off it, x = b - 2), and the lane sums norm + base of the norms
+    0 < |norm| <= 12, where base = off times the number of terms.  Raises
+    LatticeError when a table value or a lane sum would not fit 8 or 16
+    bits."""
+    n = lat.rank
+    terms = [(i, j, lat.gram[i][i] if i == j else 2 * lat.gram[i][j])
+             for i in range(n) for j in range(i, n) if lat.gram[i][j]]
+    off = 4 * max(abs(c) for _, _, c in terms)
+    if 2 * off > 0xFF or 2 * off * len(terms) > 0xFFFF:
+        raise LatticeError("Gram entries too large for the batched sampler")
+    tables = []
+    for i, j, c in terms:
+        table = bytearray(256)
+        for bi in range(5):
+            for bj in range(5):
+                table[5 * bi + bj] = c * (bi - 2) * (bj - 2) + off
+        tables.append((i, j, bytes(table)))
+    base = off * len(terms)
+    return tables, frozenset(base + v for v in range(-12, 13) if v)
+
+
 def _rand_reflection(rng, lat):
     """The reflection in the first primitive draw with 0 < |norm| <= 12,
-    negated on a coin flip.  Each try draws the same rank values as
-    _rand_primitive; its norm and gcd are read off the ints, and only the
-    accepted vector becomes a LatVec."""
+    negated on a coin flip: the draws, the flip and the generator state
+    after the call are those of drawing rank values of _rand_coords per
+    try.  A batch's complete tries are tested at once: int column i holds
+    coordinate i of every try, one byte each, so col_i 5 + col_j is every
+    try's table index for term (i, j); the translated terms, widened to
+    16-bit lanes, add up to norm + base per try (_norm_tables).  Draws of
+    an incomplete try carry over to the next batch.  The generator is then
+    rewound to the start of the last batch and replays its words up to the
+    last draw used."""
+    rank = lat.rank
+    tables, hits = lat.memo("rand_norm", _norm_tables)
+    draws = b""
     while True:
-        c = _rand_coords(rng, lat.rank)
-        nv = lat.pair_nums(c, c)
-        if nv and abs(nv) <= 12 and gcd(*c) == 1:
-            r = fc.reflect(lat, lat.vec(c))
-            return -r if rng.random() < 0.5 else r
+        state = rng.getstate()
+        high = rng.getrandbits(32 * _BATCH_WORDS).to_bytes(
+            4 * _BATCH_WORDS, "little")[3::4]
+        carried = len(draws)
+        draws += high.translate(_TOP3, _REDRAWN)
+        m = len(draws) // rank
+        if m:
+            cols = [int.from_bytes(draws[i:m * rank:rank], "little")
+                    for i in range(rank)]
+            lane = bytearray(2 * m)
+            total = 0
+            for i, j, table in tables:
+                lane[::2] = (cols[i] * 5 + cols[j]).to_bytes(
+                    m, "little").translate(table)
+                total += int.from_bytes(lane, "little")
+            sums = total.to_bytes(2 * m, "little")
+            for t in range(m):
+                if sums[2 * t] | sums[2 * t + 1] << 8 not in hits:
+                    continue
+                c = [b - 2 for b in draws[t * rank:(t + 1) * rank]]
+                if gcd(*c) == 1:
+                    # the words of this batch up to its last draw used:
+                    # the fewest whose high bytes keep `last` draws
+                    last = used = (t + 1) * rank - carried
+                    while (kept := len(high[:used].translate(
+                            None, _REDRAWN))) < last:
+                        used += last - kept
+                    rng.setstate(state)
+                    rng.getrandbits(32 * used)
+                    r = fc.reflect(lat, lat.vec(c))
+                    return -r if rng.random() < 0.5 else r
+        draws = draws[m * rank:]
 
 
 def cmd_verify(args):

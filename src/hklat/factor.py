@@ -33,7 +33,8 @@ from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, NotIntegral,
                      OrientationReversing, SearchExhausted)
 from .lattice import LatVec, QIsometry, membership, nu_character
-from .transvect import canonical_vector, move_into_L, reduce_to_canonical
+from .transvect import (_step_columns, canonical_vector, move_into_L,
+                        reduce_to_canonical)
 
 
 def _reflect_rows(lattice, nu, m):
@@ -359,8 +360,10 @@ def positive_reflection_rewrite(lattice, u):
     m = -uu // 2
     ginv = reduce_to_canonical(lattice, u).inverse()   # e1 + m e2 -> u
     i, j = lattice.u_blocks[0]
-    f1, f2 = (LatVec(lattice, f) for f in ginv.apply_columns(
-        (lattice.basis_vec(i).coords, lattice.basis_vec(j).coords)))
+    # f1, f2 = g^-1 e_i, g^-1 e_j, from one integer pass over (e_i, e_j)
+    cols = [[int(k == c) for k in range(lattice.rank)] for c in (i, j)]
+    d = _step_columns(ginv._data, cols)
+    f1, f2 = (LatVec._from_nums(lattice, c, d) for c in cols)
     # sigma is -1 on U1 and 1 on its complement, so its conjugate h is -1
     # on the hyperbolic plane (f1, f2) and 1 on its complement
     h = _plane_negation(lattice, f1.nums, f2.nums)

@@ -125,16 +125,15 @@ def isometry_to_json(g):
 
 
 def isometry_from_json(obj, lattice=None):
-    """The isometry of an emitted matrix, checked by the untrusted
-    constructor: rows of JSON ints as they are, any other matrix read once
-    by _scaled_from_json, as the la.ScaledMatrix view of that form."""
+    """The isometry of an emitted matrix: its entries read once by
+    _scaled_from_json into integer rows over one denominator, checked by
+    the untrusted QIsometry.from_scaled."""
     lat = lattice if lattice is not None else lattice_from_json(obj["lattice"])
     rows = obj["matrix"]
-    if not all([type(x) is int for row in rows for x in row]):
-        flat, d = _scaled_from_json([x for row in rows for x in row])
-        entries = iter(flat)
-        rows = la.scaled_view([[next(entries) for _ in row] for row in rows], d)
-    return QIsometry(lat, rows)
+    flat, d = _scaled_from_json([x for row in rows for x in row])
+    entries = iter(flat)
+    return QIsometry.from_scaled(
+        lat, [[next(entries) for _ in row] for row in rows], d)
 
 
 def normal_form_to_json(nf):

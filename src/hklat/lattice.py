@@ -374,6 +374,16 @@ class QIsometry:
         return self
 
     @classmethod
+    def from_scaled(cls, lattice, nums, d):
+        """The isometry nums / d, for integer rows nums and d > 0, checked
+        as the constructor checks a matrix (its shape, then M^T G M = G)
+        but with no normalized view built."""
+        if len(nums) != lattice.rank or any(len(r) != lattice.rank for r in nums):
+            raise DimensionMismatch("matrix size does not match rank")
+        _check_isometry(lattice, nums, d)
+        return cls._of(lattice, nums, d)
+
+    @classmethod
     def identity(cls, lattice):
         return cls._of(lattice, _identity_rows(lattice), 1)
 

@@ -2,8 +2,12 @@ import json
 import random
 import subprocess
 import sys
+from math import gcd
+
+import pytest
 
 from conftest import subprocess_env
+from hklat import factor as fc
 from hklat import jsonio as io
 from hklat import lattice as lt
 from hklat import llv
@@ -25,6 +29,39 @@ def test_rand_coords_is_randint():
         assert cli._rand_coords(got, 5000) == [want.randint(-2, 2)
                                                for _ in range(5000)]
         assert got.getstate() == want.getstate()
+
+
+def _reference_reflection(rng, lat):
+    """verify all's reflection sampler drawn one try at a time: rank draws
+    of _rand_coords, the norm and gcd read off the ints, then the flip."""
+    while True:
+        c = cli._rand_coords(rng, lat.rank)
+        nv = lat.pair_nums(c, c)
+        if nv and abs(nv) <= 12 and gcd(*c) == 1:
+            r = fc.reflect(lat, lat.vec(c))
+            return -r if rng.random() < 0.5 else r
+
+
+@pytest.mark.parametrize("name", ["K3n:2", "K3n:3", "Kummer:2", "K3"])
+def test_rand_reflection_replays_the_stream(name, monkeypatch):
+    """The batched sampler returns the reference's reflections and leaves
+    the generator in its state after every call: two calls at the default
+    batch and at 997 words (tries straddle batches), and the first call at
+    rank words (most batches hold no complete try) and at 2 rank, where
+    each call takes about a thousand batches."""
+    lat = io.parse_preset_name(name)
+    batches = ((cli._BATCH_WORDS, 2), (997, 2), (lat.rank, 1),
+               (2 * lat.rank, 1))
+    for seed in (0, 1, 7, 42, 2024, 99991):
+        want = random.Random(seed)
+        calls = [(_reference_reflection(want, lat), want.getstate())
+                 for _ in range(2)]
+        for words, count in batches:
+            monkeypatch.setattr(cli, "_BATCH_WORDS", words)
+            got = random.Random(seed)
+            for r, state in calls[:count]:
+                assert cli._rand_reflection(got, lat) == r
+                assert got.getstate() == state
 
 
 def test_lattice_preset(capsys):

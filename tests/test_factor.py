@@ -761,7 +761,7 @@ def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
     lat = lt.preset("K3n", 2)
     seen, seen_steps = [], []
     real, real_times = fc._reflect_rows, fc.reflect_times
-    real_steps = tv._run_steps
+    real_steps = fc._step_columns
 
     def checked(lattice, nu, m):
         uu, moved = real(lattice, nu, m)
@@ -777,13 +777,16 @@ def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
         seen.append(canonical(out.matrix))
         return out
 
-    def checked_steps(data, xs):
-        out = real_steps(data, xs)
-        seen_steps.append(canonical(out))
-        return out
+    def checked_steps(data, cols):
+        # integer columns over a power-of-2 factor
+        scale = real_steps(data, cols)
+        seen_steps.append(type(scale) is int and scale > 0
+                          and scale & (scale - 1) == 0
+                          and all(type(x) is int for c in cols for x in c))
+        return scale
     monkeypatch.setattr(fc, "_reflect_rows", checked)
     monkeypatch.setattr(fc, "reflect_times", checked_times)
-    monkeypatch.setattr(tv, "_run_steps", checked_steps)
+    monkeypatch.setattr(fc, "_step_columns", checked_steps)
     # the fixed rewrite input and the tamper test's word (k = 5 and 23)
     for phi in (_rewrite_input(lat), _random_word(random.Random(73), lat, 3)):
         nf = fc.decompose(lat, phi)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_orientation_preserving, rand_vec
+from conftest import canonical_form, rand_orientation_preserving, rand_vec
 from hklat import factor as fc
 from hklat import jsonio as io
 from hklat import linalg as la
@@ -250,3 +250,20 @@ def test_loader_refuses_what_it_refused(deck_certificates, k3n2):
         bent["matrix"][i][j] = "%d/2" % (2 * g.nums[i][j] + 1)
         with pytest.raises(NotAnIsometry):
             io.isometry_from_json(bent)
+
+
+def test_rational_isometry_loads_without_a_view(k3n2):
+    """A rational matrix is read into (nums, d) and checked by
+    QIsometry.from_scaled: the loaded isometry equals the emitted one, holds
+    the canonical form and has built no normalized view."""
+    g = fc.reflect(k3n2, k3n2.vec([1, 2] + [0] * 21))   # norm -4, d = 2
+    assert g.d == 2
+    h = io.isometry_from_json(io.isometry_to_json(g))
+    assert h == g and canonical_form(h) and h._matrix is None
+    # the content common to nums and d is divided out, as by _of
+    doubled = [[2 * x for x in row] for row in g.nums]
+    assert lt.QIsometry.from_scaled(k3n2, doubled, 2 * g.d) == g
+    with pytest.raises(NotAnIsometry):
+        lt.QIsometry.from_scaled(k3n2, doubled, g.d)
+    with pytest.raises(DimensionMismatch):
+        lt.QIsometry.from_scaled(k3n2, g.nums[:-1], g.d)

@@ -390,6 +390,7 @@ def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
     f = fc.reflect(k3, k3.vec([1, -1] + [0] * 20))   # det -1
     g = llv.mu(H, Fraction(2, 3)) * llv.extend_to_llv(H, f) * llv.b_field(H, lam)
     llv.tau(H) * g.inverse()
+    lt.QIsometry.from_scaled(H.lattice, g.nums, g.d)   # the JSON loader's
     llv.hilb_lift(H, Hn2, llv.extend_to_llv(H, f), 2)   # det^3 = -1: negation
     lt.QIsometry.minus_identity(k3)
     fc.positive_reflection_rewrite(k3, k3.vec([1, 2, 1, -1, 1] + [0] * 17))

@@ -188,25 +188,28 @@ def test_word_isometry_matches_its_steps(k3, monkeypatch):
     got = word.apply_columns((x, y))
     assert got == (_textbook_word(k3, word, x), _textbook_word(k3, word, y))
     assert canonical(got)
-    # the rewrite's f1 and f2 come from one pass of the inverse word over
-    # (e_i, e_j)
+    # the rewrite's f1 and f2 come from one integer pass of the inverse
+    # word over (e_i, e_j)
     passes = []
-    real = tv.TransvectionWord.apply_columns
+    real = tv._step_columns
 
-    def recorded(self, xs):
-        out = real(self, xs)
-        passes.append((self, xs, out))
-        return out
-    monkeypatch.setattr(tv.TransvectionWord, "apply_columns", recorded)
+    def recorded(data, cols):
+        xs = [list(c) for c in cols]
+        scale = real(data, cols)
+        passes.append((data, xs, [Fraction(x, scale) for c in cols for x in c]))
+        return scale
+    monkeypatch.setattr(fc, "_step_columns", recorded)
     u = k3.vec([1, 2, 1, -1, 1] + [0] * 17)
     assert u.norm() < 0
     fc.positive_reflection_rewrite(k3, u)
-    [(ginv, xs, (f1, f2))] = passes
+    [(data, xs, images)] = passes
+    ginv = tv.reduce_to_canonical(k3, u).inverse()
+    assert data == ginv._data and len(ginv) > 3
     i, j = k3.u_blocks[0]
-    assert xs == (k3.basis_vec(i).coords, k3.basis_vec(j).coords)
-    assert len(ginv) > 3
-    assert f1 == _textbook_word(k3, ginv, xs[0])
-    assert f2 == _textbook_word(k3, ginv, xs[1])
+    assert xs == [list(k3.basis_vec(i).nums), list(k3.basis_vec(j).nums)]
+    f1, f2 = images[:k3.rank], images[k3.rank:]
+    assert tuple(f1) == _textbook_word(k3, ginv, k3.basis_vec(i).coords)
+    assert tuple(f2) == _textbook_word(k3, ginv, k3.basis_vec(j).coords)
 
 
 # primitive, divisibility 1; its reduction takes 20 steps
