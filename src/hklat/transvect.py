@@ -8,10 +8,10 @@ an integral isometry with determinant +1, trivial discriminant action and
 nu = +1.  Transvection data is integral, so each step is kept once as
 integers (e, a, G e, G a, (a,a)) and every transvection, word and word
 isometry here runs through the one integer kernel _step_columns: the input
-columns are scaled once to integer numerators over one denominator, each
-step reads the pairings (e,x), (a,x) off the nonzero entries of G e and G a
-and changes only the coordinates in supp(e) + supp(a), and the entries are
-normalized once at the end.  A word holds only that data, and rebuilds
+columns are integer numerators over one denominator, each step reads the
+pairings (e,x), (a,x) off the nonzero entries of G e and G a and changes
+only the coordinates in supp(e) + supp(a), and the result stays in that
+form.  A word holds only that data, and rebuilds
 its steps (e, a) as int tuples from it on request.  The reduction's
 elementary moves E(e_i, k e_j) read their data straight off the Gram rows
 (G e_i is row i, G(k e_j) is k times row j); every other step, the
@@ -95,15 +95,6 @@ def _step_columns(data, cols):
     return scale
 
 
-def _run_steps(data, xs):
-    """The images of the coordinate vectors xs under the steps, in one pass
-    over one common denominator."""
-    nums, d = la.scaled_mat(xs)
-    cols = [list(c) for c in nums]
-    d *= _step_columns(data, cols)
-    return tuple(tuple([la.quotient(x, d) for x in c]) for c in cols)
-
-
 def eichler_transvection(lattice, e, a):
     """E(e,a) as a certified isometry.  e, a must be integral."""
     if not (e.is_integral() and a.is_integral()):
@@ -139,15 +130,6 @@ class TransvectionWord:
 
     def append(self, e_coords, a_coords):
         self._data.append(_step_data(self.lattice, e_coords, a_coords))
-
-    def apply_columns(self, xs):
-        """The images of the coordinate vectors xs, in one pass."""
-        if any(len(x) != self.lattice.rank for x in xs):
-            raise DimensionMismatch("coordinate length does not match rank")
-        return _run_steps(self._data, xs)
-
-    def apply_coords(self, x):
-        return self.apply_columns((x,))[0]
 
     def apply(self, v):
         x = list(v.nums)

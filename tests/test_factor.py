@@ -283,8 +283,7 @@ def test_rewrite_factor_is_the_reflection_pair(k3):
             h, w = fc.positive_reflection_rewrite(lat, u)
             ginv = tv.reduce_to_canonical(lat, u).inverse()
             i, j = lat.u_blocks[0]
-            f1, f2 = ginv.apply_columns((lat.basis_vec(i).coords,
-                                         lat.basis_vec(j).coords))
+            f1, f2 = (ginv.apply(lat.basis_vec(c)).coords for c in (i, j))
             want = fc.reflect_times(lat, lat.vec(vec_sub(f1, f2)),
                                     fc.reflect(lat, vec_add(f1, f2)))
             assert h == want and canonical_form(h)

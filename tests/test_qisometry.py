@@ -209,7 +209,7 @@ def test_word_data_isometry_and_inverse(k3, ops):
     w = _transvection_word(k3, ops)
     assert tv.TransvectionWord(k3, w.steps)._data == w._data
     g = w.isometry()
-    cols = w.apply_columns(la.identity(k3.rank))
+    cols = [w.apply(k3.basis_vec(i)).coords for i in range(k3.rank)]
     assert g == lt.QIsometry(k3, la.transpose(cols)) and canonical_form(g)
     assert (w.inverse().isometry() * g).is_identity()
 

@@ -150,7 +150,7 @@ def test_transvection_against_textbook_formula(k3):
                 x = rand_qcoords(rng, k3)
                 want = _textbook_transvection(k3, e.coords, a.coords, x)
                 assert E.apply(k3.vec(x)).coords == want
-                got = word.apply_coords(x)
+                got = word.apply(k3.vec(x)).coords
                 assert got == want and canonical(got)
     assert anisotropic_a >= 4
     # an odd lattice U + <1> + <-1>: (a,a) = 1 makes E(e,a) non-integral
@@ -164,7 +164,7 @@ def test_transvection_against_textbook_formula(k3):
         want = _textbook_transvection(odd, e.coords, a.coords, x)
         assert E.apply(odd.vec(x)).coords == want
         want = _textbook_transvection(odd, e.coords, a.coords, want)
-        got = word.apply_coords(x)
+        got = word.apply(odd.vec(x)).coords
         assert got == want and canonical(got)
 
 
@@ -182,12 +182,11 @@ def test_word_isometry_matches_its_steps(k3, monkeypatch):
         x = rand_qcoords(rng, k3)
         want = _textbook_word(k3, word, x)
         assert word.isometry().apply(k3.vec(x)).coords == want
-        assert word.apply_coords(x) == want
-    # two rational columns with different denominators, in one pass
-    x, y = rand_qcoords(rng, k3), rand_qcoords(rng, k3, dens=(5, 9))
-    got = word.apply_columns((x, y))
-    assert got == (_textbook_word(k3, word, x), _textbook_word(k3, word, y))
-    assert canonical(got)
+        assert word.apply(k3.vec(x)).coords == want
+    # rational vectors with other denominators
+    x = rand_qcoords(rng, k3, dens=(5, 9))
+    got = word.apply(k3.vec(x)).coords
+    assert got == _textbook_word(k3, word, x) and canonical(got)
     # the rewrite's f1 and f2 come from one integer pass of the inverse
     # word over (e_i, e_j)
     passes = []
