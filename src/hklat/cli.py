@@ -240,7 +240,11 @@ def cmd_pontryagin(args):
             None, "--report csv prints only the star table of a lattice "
             "with no delta summand")
     if surface_table:
-        # surface case: closed-form degree-2 table
+        # surface case: closed-form degree-2 table, which is n = 1
+        if args.n not in (None, 1):
+            raise LatticeError("the star table of a lattice with no delta "
+                               "summand is the surface case n = 1, not "
+                               "--n %d" % args.n)
         table = mk.k3_star_table(lat)
         if args.report == "csv":
             lines = [",".join(str(x) for x in row) for row in table]

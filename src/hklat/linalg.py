@@ -45,6 +45,12 @@ def frac(x):
     raise TypeError("scalar %r is not an int or a Fraction" % (x,))
 
 
+def int_ratio(x):
+    """(p, q) with x = p / q, q > 0 and gcd(p, q) = 1, for an int or a
+    Fraction x; any other type raises TypeError, as in frac."""
+    return frac(x).as_integer_ratio()
+
+
 def ratio(a, b):
     """Exact a/b for ints and Fractions a and b, as frac normalizes it;
     any other type raises TypeError, as in frac."""

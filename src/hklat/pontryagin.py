@@ -30,6 +30,16 @@ also filled on first use.  An SHElt holds its Sym^n data, its word
 coordinates or both, and computes each from the other on first use.  cup,
 star and rho_tau take and return SHElts and read only word coordinates, so
 a chain of products never goes back through the piece solvers.
+
+Graded and anti-graded isometries act on word coordinates as well
+(SHModel.graded_action): Sym^n(ext(f)) sends Psi(w) to Psi(f w), so a piece
+of words of length k <= n maps by Sym^k(f) and a longer one by
+rho_tau Sym^{2n-k}(f) rho_tau; an anti-graded isometry is ext(f) tau up to
+mu_t, which scales each piece.  conjugation_check, star_via and
+proportionality_check_degree2 act that way, so they solve only the elements
+they are handed as Sym^n data; eta, the action on Sym^n data through
+apply_llv, stays the general definition.  Two SHElts that both hold word
+coordinates are compared on them.
 """
 
 from fractions import Fraction
@@ -212,6 +222,7 @@ class SHModel:
         self._rows = {}
         self._coords = {}   # product word -> _Coords, made by _row
         self._tau = {}      # basis word b -> _Coords of rho_tau Psi(b)
+        self._base_syms = {}   # k -> Sym^k of the base, for graded_action
         self._piece_dims = piece_dims(self.base_rank, n)
         self._build_word_sets()
         self._basis_set = frozenset(self._basis_words)
@@ -427,7 +438,7 @@ class SHModel:
     def mu_action(self, t, x):
         """Multiplies the eigenvalue-2j piece by t^j.  With t = p / q and
         |j| <= n, that is p^(n+j) q^(n-j) / (p q)^n on integer numerators."""
-        p, q = Fraction(t).as_integer_ratio()
+        p, q = la.int_ratio(t)
         if p == 0:
             raise LatticeError("mu action needs t != 0")
         x, n = sn.sym_form(x), self.n
@@ -442,12 +453,101 @@ class SHModel:
         """The action of an isometry of the extended lattice via Sym^n."""
         return self.sym.apply_linear(g, x)
 
+    def graded_action(self, g):
+        """Sym^n(g) on word coordinates, for an isometry g of the extended
+        lattice that llv.graded_type accepts (NotGraded otherwise): a map
+        from SHElts of this model to SHElts that hold word coordinates
+        only, equal to eta(self, g), with no Sym^n data and no solve.
+
+        With (kind, t) = graded_type(g), write g = mu_{1/t} F, so that
+        F = mu_t g fixes alpha (kind 1) or sends it to beta (kind -1).
+        mu_t is the identity on the middle block, so F's middle block is
+        g's.
+
+        Graded F.  F fixes alpha, hence beta, and F = ext(f) for its middle
+        block f.  As ext(f) e_lam ext(f)^-1 = e_{f lam} and ext(f) fixes
+        alpha^n / n!, Sym^n(F) Psi(l_1 ... l_k) = Psi(f l_1 ... f l_k):
+        Psi of words of length k is Sym^k H^2 -> (the length-k piece), and
+        it carries Sym^k(f) to Sym^n(F).
+        - k <= n: that map is injective, so every word of length k is a
+          basis word and the piece's word coordinates are monomial
+          coordinates on Sym^k H^2; the piece maps by Sym^k(f).
+        - k > n: rho_tau maps the length-k piece onto the length-(2n - k)
+          one, and tau commutes with ext(f) (it swaps alpha and beta, which
+          ext(f) fixes, and is -1 on the middle block).  So the piece maps
+          by rho_tau Sym^{2n-k}(f) rho_tau, rho_tau read off its table.
+        Sym^0(f) is the identity and Sym^1(f) is f, read on its columns;
+        Sym^m(f) for m >= 2 is SymSpace(base, m).apply_linear, each space
+        built on first use.
+        Anti-graded F.  F(alpha) = beta forces F(beta) = alpha, so F tau
+        fixes both: F tau = ext(f) for f minus F's middle block, and
+        F = ext(f) tau acts by rho_tau, then the graded action of ext(f).
+        Scaling.  mu_{1/t} multiplies alpha by t and beta by 1/t, so it
+        multiplies the length-k piece, of eigenvalue 2k - 2n, by t^(n-k).
+        """
+        space, n = self.space, self.n
+        kind, t = llv_mod.graded_type(space, g)
+        # f = rows / g.d, so Sym^m(f) = Sym^m(rows) / g.d^m
+        mid = range(1, space.beta_index)
+        rows = [[kind * g.nums[i][j] for j in mid] for i in mid]
+        cols = {}   # j -> the nonzero (i, rows[i][j])
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    cols.setdefault(j, []).append((i, x))
+        p, q = t.as_integer_ratio()
+        scale = {}   # k -> t^(n-k) / g.d^m as (v, e) with e > 0
+        for k in range(2 * n + 1):
+            m = n - k
+            v, e = (p ** m, q ** m) if m >= 0 else (q ** -m, p ** -m)
+            e *= g.d ** min(k, 2 * n - k)
+            scale[k] = (-v, -e) if e < 0 else (v, e)
+        syms = self._base_syms
+
+        def sym_rows(m, piece):
+            """Sym^m(rows) on a piece of words of length m."""
+            if m == 0:
+                return piece
+            if m == 1:
+                out = {}
+                get = out.get
+                for (j,), c in piece.nums.items():
+                    for i, x in cols.get(j, ()):
+                        out[(i,)] = get((i,), 0) + c * x
+                return sn.SymElt.of(out, piece.d)
+            sym = syms.get(m)
+            if sym is None:
+                sym = syms[m] = sn.SymSpace(space.base, m)
+            return sym.apply_linear(rows, piece)
+
+        def op(x):
+            w = self.rho_tau(x).words if kind == -1 else self._words_of(x)
+            pieces = {}
+            for b, c in w.nums.items():
+                pieces.setdefault(len(b), {})[b] = c
+            terms = []
+            for k, nums in pieces.items():
+                piece = sn.SymElt(nums)
+                if k <= n:
+                    img = sym_rows(k, piece)
+                else:
+                    img = self.rho_tau(SHElt(self, words=piece)).words
+                    img = self.rho_tau(
+                        SHElt(self, words=sym_rows(2 * n - k, img))).words
+                v, e = scale[k]
+                terms.append((v, img.nums.items(), img.d * e))
+            return SHElt(self, words=_combine(terms, w.d))
+        return op
+
 
 class SHElt:
     """An element of the model, held by its Sym^n data, its word
     coordinates words = {b: c_b} with the element sum c_b Psi(b) over basis
     words b, or both, each a SymElt.  Each is computed from the other on
-    first use: data by summing the Psi(b), words by the piece solvers."""
+    first use: data by summing the Psi(b), words by the piece solvers.
+    Sums, differences and scalar multiples work on the data, and refuse an
+    element of another model and a scalar that is not an int or a
+    Fraction."""
 
     __slots__ = ("model", "_data", "_words")
 
@@ -469,17 +569,25 @@ class SHElt:
         return self._words
 
     def __eq__(self, other):
-        return isinstance(other, SHElt) and self.model is other.model \
-            and self.data == other.data
+        """Same model and same element: word coordinates are coordinates
+        on the model's fixed basis words, in lowest terms, so they are
+        compared when both sides hold them, and the Sym^n data otherwise."""
+        if not (isinstance(other, SHElt) and self.model is other.model):
+            return False
+        if self._words is not None and other._words is not None:
+            return self._words == other._words
+        return self.data == other.data
 
     def __repr__(self):
         return "SHElt(%d terms)" % len(self.data)
 
     def __add__(self, other):
+        if other.model is not self.model:
+            raise LatticeError("the element belongs to another model")
         return SHElt(self.model, sn.sym_add(self.data, other.data))
 
     def __sub__(self, other):
-        return SHElt(self.model, sn.sym_sub(self.data, other.data))
+        return self + -1 * other
 
     def __rmul__(self, c):
         return SHElt(self.model, sn.sym_scale(c, self.data))
@@ -512,10 +620,11 @@ class SHElt:
 
 def conjugation_check(model, g, pairs):
     """For graded g: rho_{mu_t g} is a cup-ring map; for anti-graded g it
-    turns cup into star.  Checked exactly on the given element pairs."""
+    turns cup into star.  Checked exactly on the given element pairs, with
+    rho_{mu_t g} applied on word coordinates by graded_action."""
     space = model.space
     kind, t = llv_mod.graded_type(space, g)
-    act = eta(model, llv_mod.mu(space, t) * g)
+    act = model.graded_action(llv_mod.mu(space, t) * g)
     for x, y in pairs:
         ax, ay = act(x), act(y)
         rhs = ax.cup(ay) if kind == 1 else ax.star(ay)
@@ -526,18 +635,22 @@ def conjugation_check(model, g, pairs):
 
 def star_via(model, g, x, y):
     """The Pontryagin product built from an arbitrary degree-reversing g:
-    rho_{g^-1 mu_{1/t}}( rho_{mu_t g}(x) cup rho_{mu_t g}(y) )."""
+    rho_{g^-1 mu_{1/t}}( rho_{mu_t g}(x) cup rho_{mu_t g}(y) ), both
+    actions applied on word coordinates by graded_action."""
     space = model.space
     kind, t = llv_mod.graded_type(space, g)
     if kind != -1:
         raise NotGraded("star_via needs a degree-reversing isometry")
     fwd = llv_mod.mu(space, t) * g
-    go, back = eta(model, fwd), eta(model, fwd.inverse())
+    go = model.graded_action(fwd)
+    back = model.graded_action(fwd.inverse())
     return back(go(x).cup(go(y)))
 
 
 def eta(model, f):
-    """Psi-transported action of an isometry of the extended lattice."""
+    """Psi-transported action of any isometry of the extended lattice, by
+    Sym^n(f) on the Sym^n data: the general definition, against which the
+    word-coordinate action graded_action of a graded f is tested."""
     def op(x):
         return model.element(model.apply_llv(f, x.data))
     return op
@@ -552,17 +665,16 @@ def proportionality_check_degree2(model, phi):
     if kind != -1:
         raise NotGraded("expected a degree-reversing isometry")
     comp = phi * llv_mod.tau(space)
+    act = model.graded_action(comp)
     d = model.base_rank
     # matrix of the model action on the eigenvalue 2-2n piece (span of
-    # alpha^{n-1} lambda_i / (n-1)!)
+    # alpha^{n-1} lambda_i / (n-1)!), on word coordinates
     cols = []
     for i in range(d):
-        img = model.apply_llv(comp, model.psi_word((i,)))
+        img = act(SHElt(model, words=sn.SymElt({(i,): 1})))
         col = [0] * d
-        for w, c in model.to_words(img).items():
-            if len(w) != 1:
-                raise NotGraded("composite does not preserve the degree-2 piece")
-            col[w[0]] = c
+        for (j,), c in model.to_words(img).items():
+            col[j] = c
         cols.append(col)
     # entry (i, j) of the action is cols[j][i]; over the middle block of
     # comp = nums / e, the ratio is e cols[j][i] / nums[1 + i][1 + j]

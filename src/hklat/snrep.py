@@ -119,7 +119,7 @@ def sym_add(x, y):
 def sym_scale(c, x):
     """c x, with no power record."""
     x = sym_form(x)
-    cn, cd = (c, 1) if type(c) is int else Fraction(c).as_integer_ratio()
+    cn, cd = la.int_ratio(c)
     if cn == 1 and cd == 1:
         return SymElt(x.nums, x.d)
     if cn == -1 and cd == 1:

@@ -604,6 +604,25 @@ def test_snrep_recover_n0_exits_2(capsys):
     assert code == 0 and json.loads(out)["sym_dim"] == 1
 
 
+def test_surface_table_refuses_n_other_than_1(capsys):
+    """The surface star table is the n = 1 case: --n 1 gives the same bytes
+    as no --n, and any other --n exits 2 instead of being dropped."""
+    code, plain = run_cli(["pontryagin", "table", "--preset", "K3"], capsys)
+    assert code == 0
+    code, out = run_cli(["pontryagin", "table", "--preset", "K3", "--n", "1"],
+                        capsys)
+    assert code == 0 and out == plain
+    gram = json.dumps({"lattice": {"gram": [[0, -1], [-1, 0]]}})
+    for argv in (["pontryagin", "table", "--preset", "K3", "--n", "5"],
+                 ["pontryagin", "table", "--preset", "K3", "--n", "0"],
+                 ["pontryagin", "table", "--preset", "K3", "--n", "2",
+                  "--report", "csv"],
+                 ["pontryagin", "table", "--n", "2", "--json", gram]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "LatticeError", argv
+
+
 def test_cli_pontryagin_tables(capsys):
     # for n >= 2, rho_tau sends the degree-2 piece to k = 2n - 1, and a cup
     # of two such pieces lands at k = 4n - 2 > 2n: every star product of two

@@ -19,6 +19,7 @@ from hklat import jsonio as jio
 from hklat import lattice as lt
 from hklat import llv
 from hklat import mukai as mk
+from hklat import pontryagin as pg
 from hklat import transvect as tv
 from hklat.cli import main
 from hklat.errors import SearchExhausted
@@ -205,6 +206,40 @@ def test_shmodel_deck_bytes(pool_seed, digest, monkeypatch):
         assert deck.check(ctx, inp, out) == []
         text += deck.digest_text(out)
     assert _sha(text.encode()) == digest
+
+
+def test_shmodel_op_stays_on_word_coordinates(monkeypatch):
+    """On a graded and an anti-graded shmodel-k3n2 deck op, conjugation_check
+    and star_via never go through Sym^n: apply_llv is not called, and the
+    only piece solves are those of the elements built from input data (the
+    pairs and the triple), once each."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    deck = workloads.ShmodelK3n2()
+    ctx = deck.setup()
+    model = ctx["model"]
+    llv_calls, solved = [], []
+    apply_llv, solve = pg.SHModel.apply_llv, model._solve
+
+    def counting_llv(self, g, x):
+        llv_calls.append(g)
+        return apply_llv(self, g, x)
+
+    def counting_solve(data):
+        solved.append(data)
+        return solve(data)
+    monkeypatch.setattr(pg.SHModel, "apply_llv", counting_llv)
+    monkeypatch.setattr(model, "_solve", counting_solve)
+    inputs = deck.deck()[:2]
+    assert [inp["tau"] for inp in inputs] == [False, True]
+    for inp in inputs:
+        del solved[:]
+        out = deck.op(ctx, inp)
+        assert deck.check(ctx, inp, out) == []
+        given = [x for pair in inp["pairs"] for x in pair] + inp["triple"]
+        assert sorted(map(id, solved)) == sorted(map(id, given))
+    assert llv_calls == []
 
 
 @pytest.mark.parametrize("pool_seed, digest", [

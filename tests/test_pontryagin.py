@@ -225,20 +225,126 @@ def test_conjugation_check(small_model):
 
 
 def test_conjugation_check_rejects_a_non_ring_map(small_model, monkeypatch):
-    """With apply_llv doubling its image, (2x)(2y) = 4xy != 2xy, so the check
-    fails for a graded and for an anti-graded g."""
+    """With graded_action doubling its images, (2x)(2y) = 4xy != 2xy, so the
+    check fails for a graded and for an anti-graded g."""
     rng = random.Random(181)
     M = small_model
     one = M.unit_cup()
     pairs = [(one, M.random_element(rng)) for _ in range(2)]
     assert all(not x.cup(y).is_zero() for x, y in pairs)
-    apply_llv = M.apply_llv
-    monkeypatch.setattr(M, "apply_llv",
-                        lambda g, x: sn.sym_scale(2, apply_llv(g, x)))
+    graded_action = M.graded_action
+
+    def doubled(g):
+        act = graded_action(g)
+        return lambda x: 2 * act(x)
+    monkeypatch.setattr(M, "graded_action", doubled)
     for g, kind in ((_rand_graded(rng, M.space), 1),
                     (llv.tau(M.space) * _rand_graded(rng, M.space), -1)):
         ok, info = pg.conjugation_check(M, g, pairs)
         assert ok is False and info["kind"] == kind
+
+
+def _rank3_model(n, last=-2):
+    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, last]], name="t3",
+                      u_blocks=((0, 1),))
+    return pg.SHModel(llv.LLVSpace(base), n)
+
+
+def test_graded_action_matches_eta(small_model, big_model):
+    """graded_action(g) is Sym^n(g) on word coordinates: it equals eta, the
+    action on Sym^n data, for graded and anti-graded g = mu_s ext(f) and
+    tau mu_s ext(f) with f rational, so t = 1/s and t = s, on rank-3
+    models at n = 2, 3, 4 and on K3n:2 at n = 2, on elements born from
+    data, with mixed denominators, and from words; its images hold word
+    coordinates only."""
+    rng = random.Random(241)
+    models = [(small_model, 2), (_rank3_model(3), 2), (_rank3_model(4), 2),
+              (big_model, 1)]
+    scales = (1, 2, Fraction(1, 2), -1, -2)
+    cases, rational = 0, 0
+    for M, count in models:
+        elts = [M.element(x) for x in _mixed_elements(rng, M, count)]
+        elts.append(elts[0].cup(elts[1]).rho_tau())
+        for s in scales:
+            for anti in (False, True):
+                g = _rand_graded(rng, M.space, scale_choices=(s,))
+                if anti:
+                    g = llv.tau(M.space) * g
+                assert llv.graded_type(M.space, g) == ((-1, s) if anti
+                                                       else (1, 1 / Fraction(s)))
+                rational += g.d > 1
+                act, ref = M.graded_action(g), pg.eta(M, g)
+                for x in elts:
+                    got, want = act(x), ref(x)
+                    assert got._data is None and got.model is M
+                    assert got.data == want.data
+                    assert got.words == want.words
+                    _assert_entries(got.words)
+                    cases += 1
+    assert cases == 5 * 2 * (3 * 5 + 3) and rational
+
+
+def test_graded_action_refuses_an_ungraded_isometry(small_model):
+    M = small_model
+    bf = llv.b_field(M.space, M.space.base.vec([0, 0, 1]))
+    with pytest.raises(NotGraded):
+        M.graded_action(bf)
+    with pytest.raises(NotGraded):
+        M.graded_action(llv.tau(M.space) * bf)
+
+
+def test_word_equality_agrees_with_data_equality(small_model, big_model):
+    """Elements holding word coordinates compare them: equal elements
+    reached by different routes are equal by words and by data, and
+    elements one word apart differ by both."""
+    rng = random.Random(251)
+    for M in (small_model, big_model):
+        x, y = M.random_element(rng), M.random_element(rng)
+        g = _rand_graded(rng, M.space)
+        routes = [
+            (x.cup(y), y.cup(x)),
+            (x.star(y), x.rho_tau().cup(y.rho_tau()).rho_tau()),
+            (M.graded_action(g)(x), pg.eta(M, g)(x)),
+            (x, M.element(x.data)),
+            (M.unit_star(), M.unit_cup().rho_tau()),
+        ]
+        for a, b in routes:
+            a.words, b.words   # both sides hold words
+            assert a == b and b == a and a.data == b.data
+            w = dict(a.words.nums)
+            word = next(iter(w), ())
+            w[word] = w.get(word, 0) + 1
+            c = pg.SHElt(M, words=sn.SymElt.of(w, a.words.d))
+            assert c != a and a != c and c.data != a.data
+            # an element with data only compares data
+            assert pg.SHElt(M, a.data) == a and pg.SHElt(M, c.data) != a
+
+
+def test_arithmetic_refuses_another_models_element():
+    """Sums and differences refuse an element of another model, as products
+    do: its data lies in another Sym^n."""
+    rng = random.Random(263)
+    M, N = _rank3_model(2), _rank3_model(2, last=-4)
+    x, y, z = M.random_element(rng), N.random_element(rng), M.random_element(rng)
+    for op in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x):
+        with pytest.raises(LatticeError):
+            op()
+    assert (x + z) - z == x and (x - z).model is M
+
+
+def test_scalars_must_be_exact(small_model):
+    """A float scalar raises TypeError, as la.frac does, instead of entering
+    the model at its binary value."""
+    rng = random.Random(269)
+    M = small_model
+    x = M.random_element(rng)
+    for op in (lambda: 0.5 * x, lambda: x.mu(0.1), lambda: x.mu(2.0),
+               lambda: M.mu_action(0.5, x.data),
+               lambda: sn.sym_scale(0.5, x.data), lambda: True * x):
+        with pytest.raises(TypeError):
+            op()
+    assert Fraction(1, 2) * x == x.mu(1) - Fraction(1, 2) * x
+    assert x.mu(Fraction(1, 2)).mu(2) == x
 
 
 def test_star_independent_of_reversing_isometry(small_model):
