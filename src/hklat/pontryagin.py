@@ -505,7 +505,9 @@ class SHModel:
         syms = self._base_syms
 
         def sym_rows(m, piece):
-            """Sym^m(rows) on a piece of words of length m."""
+            """Sym^m(rows) on a piece of words of length m.  m <= 1 reads
+            cols, built once above: apply_linear's slot-by-slot path would
+            rebuild the columns of rows on every call."""
             if m == 0:
                 return piece
             if m == 1:

@@ -15,11 +15,15 @@ from hklat.errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                           SolveFailure)
 
 
+def _rank3_model(n, last=-2):
+    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, last]], name="t3",
+                      u_blocks=((0, 1),))
+    return pg.SHModel(llv.LLVSpace(base), n)
+
+
 @pytest.fixture(scope="module")
 def small_model():
-    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, -2]], name="t3",
-                      u_blocks=((0, 1),))
-    return pg.SHModel(llv.LLVSpace(base), 2)
+    return _rank3_model(2)
 
 
 @pytest.fixture(scope="module")
@@ -244,12 +248,6 @@ def test_conjugation_check_rejects_a_non_ring_map(small_model, monkeypatch):
         assert ok is False and info["kind"] == kind
 
 
-def _rank3_model(n, last=-2):
-    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, last]], name="t3",
-                      u_blocks=((0, 1),))
-    return pg.SHModel(llv.LLVSpace(base), n)
-
-
 def test_graded_action_matches_eta(small_model, big_model):
     """graded_action(g) is Sym^n(g) on word coordinates: it equals eta, the
     action on Sym^n data, for graded and anti-graded g = mu_s ext(f) and
@@ -452,9 +450,7 @@ def test_products_reject_another_models_element(small_model, big_model):
 def _residue_product():
     """A fresh small model whose Psi of one non-basis product word w1 w2 is
     replaced by the residue monomial (3, 3), and the basis words w1, w2."""
-    base = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, -2]], name="t3",
-                      u_blocks=((0, 1),))
-    M = pg.SHModel(llv.LLVSpace(base), 2)
+    M = _rank3_model(2)
     basis = set(M._basis_words)
     for w1 in M._basis_words:
         for w2 in M._basis_words:
