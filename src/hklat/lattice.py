@@ -342,7 +342,7 @@ class QIsometry:
     ever mutated.
     """
 
-    __slots__ = ("lattice", "nums", "d", "_matrix", "_det")
+    __slots__ = ("lattice", "nums", "d", "_matrix", "_det", "_cols")
 
     def __init__(self, lattice, matrix, _trusted=False):
         # a view and trusted rows already hold ints and reduced Fractions,
@@ -357,7 +357,7 @@ class QIsometry:
         if not _trusted:
             _check_isometry(lattice, nums, d)
         self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
-        self._matrix, self._det = view, None
+        self._matrix, self._det, self._cols = view, None, None
 
     @classmethod
     def _of(cls, lattice, nums, d):
@@ -370,7 +370,7 @@ class QIsometry:
                 d //= c
         self = object.__new__(cls)
         self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
-        self._matrix = self._det = None
+        self._matrix = self._det = self._cols = None
         return self
 
     @classmethod
@@ -398,6 +398,18 @@ class QIsometry:
         if self._matrix is None:
             self._matrix = la.scaled_view(self.nums, self.d)
         return self._matrix
+
+    def columns(self):
+        """{i: the nonzero (k, nums[k][i])} over the columns i of the
+        integer form that have any, built on first read."""
+        if self._cols is None:
+            cols = {}
+            for k, row in enumerate(self.nums):
+                for i, x in enumerate(row):
+                    if x:
+                        cols.setdefault(i, []).append((k, x))
+            self._cols = cols
+        return self._cols
 
     def __eq__(self, other):
         return (isinstance(other, QIsometry) and self.lattice == other.lattice

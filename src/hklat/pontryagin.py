@@ -35,11 +35,12 @@ Graded and anti-graded isometries act on word coordinates as well
 (SHModel.graded_action): Sym^n(ext(f)) sends Psi(w) to Psi(f w), so a piece
 of words of length k <= n maps by Sym^k(f) and a longer one by
 rho_tau Sym^{2n-k}(f) rho_tau; an anti-graded isometry is ext(f) tau up to
-mu_t, which scales each piece.  conjugation_check, star_via and
-proportionality_check_degree2 act that way, so they solve only the elements
-they are handed as Sym^n data; eta, the action on Sym^n data through
-apply_llv, stays the general definition.  Two SHElts that both hold word
-coordinates are compared on them.
+mu_t, so each piece goes through rho_tau once, and mu_t scales each piece.
+conjugation_check, star_via and proportionality_check_degree2 classify
+their isometry once and act that way, so they solve only the elements they
+are handed as Sym^n data; eta, the action on Sym^n data through apply_llv,
+stays the general definition.  Two SHElts that both hold word coordinates
+are compared on them.
 """
 
 from fractions import Fraction
@@ -51,6 +52,7 @@ from . import llv as llv_mod
 from . import snrep as sn
 from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                      SolveFailure)
+from .lattice import QIsometry
 
 
 def _axpy(out, a, src):
@@ -476,67 +478,63 @@ class SHModel:
           one, and tau commutes with ext(f) (it swaps alpha and beta, which
           ext(f) fixes, and is -1 on the middle block).  So the piece maps
           by rho_tau Sym^{2n-k}(f) rho_tau, rho_tau read off its table.
-        Sym^0(f) is the identity and Sym^1(f) is f, read on its columns;
-        Sym^m(f) for m >= 2 is SymSpace(base, m).apply_linear, each space
+        Sym^0(f) is the identity, and Sym^m(f) for m >= 1 is
+        SymSpace(base, m).apply_linear on f as a base isometry, each space
         built on first use.
         Anti-graded F.  F(alpha) = beta forces F(beta) = alpha, so F tau
         fixes both: F tau = ext(f) for f minus F's middle block, and
         F = ext(f) tau acts by rho_tau, then the graded action of ext(f).
+        rho_tau sends a piece of length j to length 2n - j, and as it is an
+        involution each piece goes through it once: before Sym^{2n-j}(f)
+        when 2n - j <= n, after Sym^j(f) otherwise.
         Scaling.  mu_{1/t} multiplies alpha by t and beta by 1/t, so it
-        multiplies the length-k piece, of eigenvalue 2k - 2n, by t^(n-k).
+        multiplies the image piece of length k, of eigenvalue 2k - 2n, by
+        t^(n-k).
         """
+        return self._graded_action(g, *llv_mod.graded_type(self.space, g))
+
+    def _graded_action(self, g, kind, t):
+        """graded_action for a g the caller has classified as (kind, t).
+        The action reads only kind, t and g's middle block, which mu leaves
+        alone: with t = 1 it is the action of mu_t g for g's own t."""
         space, n = self.space, self.n
-        kind, t = llv_mod.graded_type(space, g)
-        # f = rows / g.d, so Sym^m(f) = Sym^m(rows) / g.d^m
         mid = range(1, space.beta_index)
-        rows = [[kind * g.nums[i][j] for j in mid] for i in mid]
-        cols = {}   # j -> the nonzero (i, rows[i][j])
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x:
-                    cols.setdefault(j, []).append((i, x))
+        f = QIsometry._of(space.base, [[kind * g.nums[i][j] for j in mid]
+                                       for i in mid], g.d)
         p, q = t.as_integer_ratio()
-        scale = {}   # k -> t^(n-k) / g.d^m as (v, e) with e > 0
-        for k in range(2 * n + 1):
-            m = n - k
-            v, e = (p ** m, q ** m) if m >= 0 else (q ** -m, p ** -m)
-            e *= g.d ** min(k, 2 * n - k)
-            scale[k] = (-v, -e) if e < 0 else (v, e)
         syms = self._base_syms
 
-        def sym_rows(m, piece):
-            """Sym^m(rows) on a piece of words of length m.  m <= 1 reads
-            cols, built once above: apply_linear's slot-by-slot path would
-            rebuild the columns of rows on every call."""
+        def sym(m, piece):
             if m == 0:
                 return piece
-            if m == 1:
-                out = {}
-                get = out.get
-                for (j,), c in piece.nums.items():
-                    for i, x in cols.get(j, ()):
-                        out[(i,)] = get((i,), 0) + c * x
-                return sn.SymElt.of(out, piece.d)
-            sym = syms.get(m)
-            if sym is None:
-                sym = syms[m] = sn.SymSpace(space.base, m)
-            return sym.apply_linear(rows, piece)
+            s = syms.get(m)
+            if s is None:
+                s = syms[m] = sn.SymSpace(space.base, m)
+            return s.apply_linear(f, piece)
+
+        def tau(piece):
+            return self.rho_tau(SHElt(self, words=piece)).words
 
         def op(x):
-            w = self.rho_tau(x).words if kind == -1 else self._words_of(x)
+            w = self._words_of(x)
             pieces = {}
             for b, c in w.nums.items():
                 pieces.setdefault(len(b), {})[b] = c
             terms = []
-            for k, nums in pieces.items():
-                piece = sn.SymElt(nums)
-                if k <= n:
-                    img = sym_rows(k, piece)
-                else:
-                    img = self.rho_tau(SHElt(self, words=piece)).words
-                    img = self.rho_tau(
-                        SHElt(self, words=sym_rows(2 * n - k, img))).words
-                v, e = scale[k]
+            for j, nums in pieces.items():
+                k = j if kind == 1 else 2 * n - j   # length of the image
+                after = k > n
+                img = sn.SymElt(nums)
+                if after != (kind == -1):
+                    img = tau(img)
+                img = sym(min(j, 2 * n - j), img)
+                if after:
+                    img = tau(img)
+                # t^(n-k) = v / e with e > 0
+                m = n - k
+                v, e = (p ** m, q ** m) if m >= 0 else (q ** -m, p ** -m)
+                if e < 0:
+                    v, e = -v, -e
                 terms.append((v, img.nums.items(), img.d * e))
             return SHElt(self, words=_combine(terms, w.d))
         return op
@@ -589,7 +587,9 @@ class SHElt:
         return SHElt(self.model, sn.sym_add(self.data, other.data))
 
     def __sub__(self, other):
-        return self + -1 * other
+        if other.model is not self.model:
+            raise LatticeError("the element belongs to another model")
+        return SHElt(self.model, sn.sym_sub(self.data, other.data))
 
     def __rmul__(self, c):
         return SHElt(self.model, sn.sym_scale(c, self.data))
@@ -624,9 +624,8 @@ def conjugation_check(model, g, pairs):
     """For graded g: rho_{mu_t g} is a cup-ring map; for anti-graded g it
     turns cup into star.  Checked exactly on the given element pairs, with
     rho_{mu_t g} applied on word coordinates by graded_action."""
-    space = model.space
-    kind, t = llv_mod.graded_type(space, g)
-    act = model.graded_action(llv_mod.mu(space, t) * g)
+    kind, t = llv_mod.graded_type(model.space, g)
+    act = model._graded_action(g, kind, 1)   # mu_t g is (kind, 1)
     for x, y in pairs:
         ax, ay = act(x), act(y)
         rhs = ax.cup(ay) if kind == 1 else ax.star(ay)
@@ -639,13 +638,13 @@ def star_via(model, g, x, y):
     """The Pontryagin product built from an arbitrary degree-reversing g:
     rho_{g^-1 mu_{1/t}}( rho_{mu_t g}(x) cup rho_{mu_t g}(y) ), both
     actions applied on word coordinates by graded_action."""
-    space = model.space
-    kind, t = llv_mod.graded_type(space, g)
+    kind, t = llv_mod.graded_type(model.space, g)
     if kind != -1:
         raise NotGraded("star_via needs a degree-reversing isometry")
-    fwd = llv_mod.mu(space, t) * g
-    go = model.graded_action(fwd)
-    back = model.graded_action(fwd.inverse())
+    # mu_t g and its inverse g^-1 mu_{1/t} are anti-graded with t = 1, and
+    # mu leaves the middle blocks of g and g^-1 alone
+    go = model._graded_action(g, -1, 1)
+    back = model._graded_action(g.inverse(), -1, 1)
     return back(go(x).cup(go(y)))
 
 
@@ -667,7 +666,7 @@ def proportionality_check_degree2(model, phi):
     if kind != -1:
         raise NotGraded("expected a degree-reversing isometry")
     comp = phi * llv_mod.tau(space)
-    act = model.graded_action(comp)
+    act = model._graded_action(comp, 1, t)   # comp(alpha) = phi(beta) = t alpha
     d = model.base_rank
     # matrix of the model action on the eigenvalue 2-2n piece (span of
     # alpha^{n-1} lambda_i / (n-1)!), on word coordinates

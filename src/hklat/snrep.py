@@ -323,10 +323,10 @@ class SymSpace:
 
     def apply_linear(self, f, x):
         """Sym^n(f) applied to an element, for a QIsometry f, read on its
-        integer form, or a plain matrix f, scaled to integers once on
-        entry.  A pure power v^n, as sym_power records it, goes to
-        (f v)^n; any other element goes slot by slot through the columns
-        of f, or for n = 2 as the congruence f X f^T."""
+        integer form and its memoized columns, or a plain matrix f, scaled
+        to integers once on entry.  A pure power v^n, as sym_power records
+        it, goes to (f v)^n; any other element goes slot by slot through
+        the columns of f, or for n = 2 as the congruence f X f^T."""
         iso = isinstance(f, QIsometry)
         x = sym_form(x)
         power = x.power
@@ -336,7 +336,7 @@ class SymSpace:
         fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
         if self.n == 2:
             return self._apply_linear_quadratic(fnums, fd, x)
-        cols, _ = sparse_columns(fnums)
+        cols = f.columns() if iso else sparse_columns(fnums)[0]
         out = {}
         get = out.get
         for m, c in x.nums.items():

@@ -19,7 +19,8 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 TRUSTED_SITES = {
     "identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
-    "isometry", "_isometry_from_lines", "_plane_negation", "from_scaled"}
+    "isometry", "_isometry_from_lines", "_plane_negation", "from_scaled",
+    "_graded_action"}
 
 
 def subprocess_env(*dirs):

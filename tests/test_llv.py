@@ -12,6 +12,7 @@ from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
+from hklat import pontryagin as pg
 from hklat import snrep as sn
 from hklat import transvect as tv
 from hklat.errors import (IsotropicVector, LatticeError, NotAnIsometry,
@@ -398,6 +399,9 @@ def test_trusted_constructions_keep_entry_contract(H, Hn2, k3, k3n2,
     fc.decompose(k3n2, fc.reflect(k3n2, k3n2.vec([1, -2] + [0] * 21))
                  * fc.reflect(k3n2, k3n2.vec([0, 0, 1, -2] + [0] * 19)))
     tv.reduce_to_canonical(k3, k3.vec([2, 3, 1] + [0] * 19)).isometry()
+    # the middle block of mu_3 ext(f) is f, over d = 3 before reduction
+    pg.SHModel(Hn2, 2).graded_action(llv.mu(Hn2, 3) * llv.extend_to_llv(
+        Hn2, fc.reflect(k3n2, k3n2.vec([1, -2] + [0] * 21))))
     sym = sn.SymSpace(Hn2.lattice, 2)
     sn.recover(sym, sym, lambda x: x)
     assert TRUSTED_SITES <= set(seen), TRUSTED_SITES - set(seen)

@@ -229,19 +229,20 @@ def test_conjugation_check(small_model):
 
 
 def test_conjugation_check_rejects_a_non_ring_map(small_model, monkeypatch):
-    """With graded_action doubling its images, (2x)(2y) = 4xy != 2xy, so the
-    check fails for a graded and for an anti-graded g."""
+    """With the word-coordinate action doubling its images,
+    (2x)(2y) = 4xy != 2xy, so the check fails for a graded and for an
+    anti-graded g."""
     rng = random.Random(181)
     M = small_model
     one = M.unit_cup()
     pairs = [(one, M.random_element(rng)) for _ in range(2)]
     assert all(not x.cup(y).is_zero() for x, y in pairs)
-    graded_action = M.graded_action
+    graded_action = M._graded_action
 
-    def doubled(g):
-        act = graded_action(g)
+    def doubled(g, kind, t):
+        act = graded_action(g, kind, t)
         return lambda x: 2 * act(x)
-    monkeypatch.setattr(M, "graded_action", doubled)
+    monkeypatch.setattr(M, "_graded_action", doubled)
     for g, kind in ((_rand_graded(rng, M.space), 1),
                     (llv.tau(M.space) * _rand_graded(rng, M.space), -1)):
         ok, info = pg.conjugation_check(M, g, pairs)
@@ -280,6 +281,30 @@ def test_graded_action_matches_eta(small_model, big_model):
                     _assert_entries(got.words)
                     cases += 1
     assert cases == 5 * 2 * (3 * 5 + 3) and rational
+
+
+def test_graded_callers_classify_once(small_model, monkeypatch):
+    """conjugation_check, star_via and proportionality_check_degree2 each
+    call graded_type once, on the isometry they are handed, and hand its
+    (kind, t) on to the word-coordinate action."""
+    rng = random.Random(283)
+    M = small_model
+    x, y = M.random_element(rng), M.random_element(rng)
+    anti = llv.tau(M.space) * _rand_graded(rng, M.space)
+    graded_type, seen = llv.graded_type, []
+
+    def counting(space, g):
+        seen.append(g)
+        return graded_type(space, g)
+    monkeypatch.setattr(llv, "graded_type", counting)
+    for g, run in ((_rand_graded(rng, M.space),
+                    lambda g: pg.conjugation_check(M, g, [(x, y)])),
+                   (anti, lambda g: pg.conjugation_check(M, g, [(x, y)])),
+                   (anti, lambda g: pg.star_via(M, g, x, y)),
+                   (anti, lambda g: pg.proportionality_check_degree2(M, g))):
+        del seen[:]
+        run(g)
+        assert seen == [g]
 
 
 def test_graded_action_refuses_an_ungraded_isometry(small_model):

@@ -386,17 +386,19 @@ def test_apply_linear_matches_fraction_reference(H5, H7):
 
 
 def test_apply_linear_same_for_isometry_and_matrix(H7):
-    """A QIsometry is read on its integer form and a plain matrix is scaled
-    on entry; both give the same dict, entry types included, on the n = 2
-    congruence, at n = 3 and on pure powers."""
+    """A QIsometry is read on its integer form and its memoized columns, and
+    a plain matrix is scaled on entry; both give the same dict, entry types
+    included, on the n = 2 congruence, at n = 1 and 3 and on pure powers."""
     rng = random.Random(16003)
     big = llv.LLVSpace(lt.preset("K3n", 2))
     lam = H7.base.vec([1] * H7.base.rank)
     cases = [(big, 2, llv.mu(big, 3) * _rand_iso(rng, big.lattice, 2)),
              (H7, 2, llv.b_field(H7, lam) * _rand_iso(rng, H7.lattice)),
-             (H7, 3, llv.b_field(H7, lam) * llv.mu(H7, Fraction(2, 5)))]
+             (H7, 3, llv.b_field(H7, lam) * llv.mu(H7, Fraction(2, 5))),
+             (big, 1, llv.mu(big, 3) * _rand_iso(rng, big.lattice, 2))]
     for space, n, f in cases:
         assert not f.is_integral()
+        assert f.columns() == sn.sparse_columns(f.nums)[0]
         sym = sn.SymSpace(space.lattice, n)
         v = [Fraction(rng.randint(-5, 5), rng.choice((1, 3)))
              for _ in range(space.dim)]
