@@ -523,6 +523,8 @@ class SHModel:
             terms = []
             for j, nums in pieces.items():
                 k = j if kind == 1 else 2 * n - j   # length of the image
+                # a long image takes rho_tau after Sym^m(f), and one before
+                # makes the count even (graded) or odd (anti-graded)
                 after = k > n
                 img = sn.SymElt(nums)
                 if after != (kind == -1):
