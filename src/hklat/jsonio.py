@@ -144,13 +144,16 @@ def normal_form_to_json(nf):
 
 def normal_form_from_json(obj, lattice=None):
     """The certificate obj with every gamma and u on one lattice: the given
-    one, else the one the first gamma's reference names."""
-    gammas = obj["gammas"]
+    one, else the one the first gamma's reference names.  k must be a JSON
+    int: a bool, a float or a string raises ValueError."""
+    k, gammas = obj["k"], obj["gammas"]
+    if type(k) is not int:
+        raise ValueError("field 'k' must be an int, not %s" % json.dumps(k))
     if lattice is None:
         if not gammas:
             raise DimensionMismatch("a normal form needs at least one gamma")
         lattice = lattice_from_json(gammas[0]["lattice"])
-    return NormalForm(lattice, obj["k"],
+    return NormalForm(lattice, k,
                       [isometry_from_json(g, lattice) for g in gammas],
                       [vector_from_json(u, lattice) for u in obj["us"]])
 

@@ -20,7 +20,7 @@ Conventions
 All scalars are int or Fraction; nothing here is ever floating point.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg as la
 from .errors import (DegenerateGram, DimensionMismatch, LatticeError,
@@ -176,6 +176,8 @@ class Lattice:
         return self.memo("posbasis", _positive_basis)
 
     def dual_gram(self):
+        """G^-1 as (D, e), integer rows D over e > 0 in canonical form, by
+        la.inverse, computed once."""
         return self.memo("dualgram", lambda lat: la.inverse(lat.gram))
 
     def disc_group(self):
@@ -336,8 +338,8 @@ class QIsometry:
     inverses, negation, det and every kernel that reads an isometry work
     on that form, and == and hash compare it.  matrix is the normalized
     view (ints and reduced Fractions) for callers outside the library, a
-    la.ScaledMatrix that carries the form along, so that la.scaled_mat and
-    la.mat_vec read it without rescaling.  A constructor handed such a view
+    la.ScaledMatrix that carries the form along, so that la.scaled_mat
+    reads it without rescaling.  A constructor handed such a view
     keeps it; otherwise the view is built on first read.  Neither form is
     ever mutated.
     """
@@ -363,13 +365,9 @@ class QIsometry:
     def _of(cls, lattice, nums, d):
         """The trusted isometry nums / d, for integer rows nums and d > 0;
         the common content of nums and d is divided out here."""
-        if d > 1:
-            c = gcd(d, *[x for row in nums for x in row])
-            if c > 1:
-                nums = [[x // c for x in row] for row in nums]
-                d //= c
         self = object.__new__(cls)
-        self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
+        self.nums, self.d = la.reduce_scaled(nums, d)
+        self.lattice = lattice
         self._matrix = self._det = self._cols = None
         return self
 
@@ -433,12 +431,10 @@ class QIsometry:
                              [[-x for x in row] for row in self.nums], self.d)
 
     def inverse(self):
-        """G^-1 M^T G, with no elimination: M^T G on the integer rows over
-        the sparse Gram rows, then G^-1 = D / e, the lattice's dual Gram
-        scaled to integers once and cached."""
+        """G^-1 M^T G, with no elimination: M^T G on the integer rows,
+        then G^-1 = D / e, the lattice's dual Gram."""
         lat = self.lattice
-        dual, e = lat.memo("dual_nums",
-                           lambda lat: la.scaled_mat(lat.dual_gram()))
+        dual, e = lat.dual_gram()
         mtg = la.int_mat_mul(la.transpose(self.nums), lat.gram)
         return QIsometry._of(lat, la.int_mat_mul(dual, mtg), e * self.d)
 
@@ -501,27 +497,20 @@ class DiscGroup:
                  "_minus")
 
     def __init__(self, lattice):
-        d, u, v = la.smith_normal_form(lattice.gram)
-        uinv = la.inverse(u)
-        dual = lattice.dual_gram()
-        divisors = []
-        gens = []
-        for i, di in enumerate(d):
-            if di > 1:
-                divisors.append(di)
-                col = tuple(uinv[r][i] for r in range(lattice.rank))
-                gens.append(LatVec(lattice, la.mat_vec(dual, col)))
+        d, u, _ = la.smith_normal_form(lattice.gram)
+        dual, e = lattice.dual_gram()
+        # u is unimodular, so u^-1 is integral (its d is 1); the generator
+        # lifts are the columns of G^-1 u^-1 whose divisor is > 1
+        lifts = la.transpose(la.int_mat_mul(dual, la.inverse(u)[0]))
         self.lattice = lattice
-        self.divisors = tuple(divisors)
-        self.generators = tuple(gens)
+        self.divisors = tuple(di for di in d if di > 1)
+        self.generators = gens = tuple(LatVec._from_nums(lattice, col, e)
+                                       for col, di in zip(lifts, d) if di > 1)
         # the rows of u whose divisor is > 1: the others only give 0 mod 1
         self._urows = tuple((di, u[i]) for i, di in enumerate(d) if di > 1)
-        order = 1
-        for di in divisors:
-            order *= di
-        if order != abs(int(lattice.det())):
+        if prod(self.divisors) != abs(lattice.det()):
             raise AssertionError("the divisors' product %d is not |det| %d"
-                                 % (order, abs(int(lattice.det()))))
+                                 % (prod(self.divisors), abs(lattice.det())))
         # the classes an action by +1 or -1 sends the generators to
         self._plus = [self.class_of(x) for x in gens]
         self._minus = [self.class_of(-x) for x in gens]

@@ -11,15 +11,20 @@ form, integer numerators N over d > 0 with gcd(d, content of N) = 1,
 which int_mat_mul, det_mod_p and the lattice kernels read directly.  The
 plain form is a view built from it for a caller that asks for one; a
 matrix's view is a ScaledMatrix that carries (N, d) along, so that
-scaled_mat and mat_vec read it back without rescaling.
+scaled_mat reads it back without rescaling.  reduce_scaled brings any
+integer rows over d > 0 to that canonical form.
 
-The kernels (mat_mul, mat_vec, det, and rref with inverse, solve, kernel
-and rank built on it) never do arithmetic on Fractions.  Each operand is
-scaled once to integer numerators over a common denominator (scaled_mat,
-scaled_vec), the work runs on plain ints with zero entries skipped, and
-entries become int/Fraction again only at the end.  rref is
-fraction-free Gauss-Jordan elimination on primitive rows, and its output
-is canonical.
+The kernels (mat_mul, mat_vec, det, and the elimination _echelon with
+rref, inverse, solve, kernel and rank built on it) never do arithmetic on
+Fractions.  Each operand is scaled once to integer numerators over a
+common denominator (scaled_mat, scaled_vec), the work runs on plain ints
+with zero entries skipped, and entries become int/Fraction again only at
+the end.  _echelon is fraction-free Gauss-Jordan elimination on
+primitive integer rows (E. H. Bareiss, Math. Comp. 22, 1968); rref
+divides its rows by their pivots, and inverse reads a^-1 off them in the
+scaled-integer form (nums, d), with no Fraction built.  mat_mul, the
+product of plain matrices, is a public helper; inside the library
+products run on int_mat_mul.
 
 det, Bareiss's fraction-free elimination, is exact and serves any matrix:
 Gram matrices and other untrusted input.  det_mod_p is elimination over
@@ -89,15 +94,26 @@ class ScaledMatrix(tuple):
     """A plain matrix (a tuple of rows of ints and reduced Fractions) that
     also carries its scaled-integer form: integer rows nums over d > 0 with
     gcd(d, content of nums) = 1.  It equals and hashes as the tuple of its
-    rows; scaled_mat and mat_vec read nums and d, so a caller that hands a
-    dense view back to the library pays no rescaling.  Build it with
-    scaled_view, and never mutate either form."""
+    rows; scaled_mat reads nums and d, so a caller that hands a dense view
+    back to the library pays no rescaling.  Build it with scaled_view, and
+    never mutate either form."""
+
+
+def reduce_scaled(nums, d):
+    """(nums, d) for integer rows nums and d > 0, with the common content
+    of nums and d divided out, the rows as tuples: the canonical form."""
+    if d > 1:
+        g = gcd(d, *[x for row in nums for x in row])
+        if g > 1:
+            nums = [[x // g for x in row] for row in nums]
+            d //= g
+    return tuple(map(tuple, nums)), d
 
 
 def scaled_view(nums, d):
-    """The plain matrix nums / d as a ScaledMatrix carrying that form, for
-    integer rows nums and d > 0 with gcd(d, content of nums) = 1."""
-    nums = tuple(map(tuple, nums))
+    """The plain matrix nums / d as a ScaledMatrix carrying its canonical
+    form, for integer rows nums and d > 0."""
+    nums, d = reduce_scaled(nums, d)
     view = ScaledMatrix(nums if d == 1 else [
         tuple([quotient(x, d) for x in row]) for row in nums])
     view.nums, view.d = nums, d
@@ -171,13 +187,8 @@ def int_mat_mul(a, b):
 
 
 def mat_mul(a, b):
-    na, da = scaled_mat(a)
-    nb, db = scaled_mat(b)
-    d = da * db
-    prod = int_mat_mul(na, nb)
-    if d == 1:
-        return tuple(map(tuple, prod))
-    return tuple(tuple([quotient(s, d) for s in row]) for row in prod)
+    (na, da), (nb, db) = scaled_mat(a), scaled_mat(b)
+    return scaled_view(int_mat_mul(na, nb), da * db)
 
 
 def scaled_mat_vec(nums, d, v):
@@ -190,36 +201,22 @@ def scaled_mat_vec(nums, d, v):
 
 
 def mat_vec(a, v):
-    """a v, reading only the columns of a where v is nonzero; a
-    ScaledMatrix is read on its integer form."""
-    if type(a) is ScaledMatrix:
-        return scaled_mat_vec(a.nums, a.d, v)
-    nv, dv = scaled_vec(v)
-    nz = [(k, y) for k, y in enumerate(nv) if y]
-    na, da = scaled_mat([[row[k] for k, _ in nz] for row in a])
-    ys = [y for _, y in nz]
-    d = da * dv
-    return tuple(quotient(sum([x * y for x, y in zip(row, ys)]), d) for row in na)
+    """a v, reading only the columns of a where v is nonzero."""
+    return scaled_mat_vec(*scaled_mat(a), v)
 
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 def mat_scale(c, a):
     c = frac(c)
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns, rank).
-
-    Fraction-free Gauss-Jordan elimination on primitive integer rows: each
-    pivot is made positive and cleared from every other row by
-    row_i <- s*row_i - t*pivot_row, and the updated row is divided by its
-    content, so entries stay small.  Pivot row r ends as a positive
-    multiple of row r of R and is divided by its pivot only at the end;
-    rows past the rank end as zero.
-    """
+def _echelon(a):
+    """(rows, pivot_columns) of a by fraction-free Gauss-Jordan elimination
+    on primitive integer rows: each pivot is made positive and cleared from
+    every other row by row_i <- s*row_i - t*pivot_row, and the updated row
+    is divided by its content, so entries stay small.  Pivot row r ends as
+    a positive integer multiple of row r of the reduced echelon form of a;
+    rows past the rank end as zero."""
     m = [list(primitive_part(row)) for row in a]
     nrows = len(m)
     ncols = len(a[0]) if a else 0
@@ -253,11 +250,20 @@ def rref(a):
             h = gcd(*row)
             m[i] = [x // h for x in row] if h > 1 else row
         pivots.append(c)
+    return m, pivots
+
+
+def rref(a):
+    """Reduced row echelon form.  Returns (R, pivot_columns, rank).
+
+    The rows of _echelon, each pivot row divided by its pivot."""
+    m, pivots = _echelon(a)
+    ncols = len(a[0]) if a else 0
     out = []
     for row, c in zip(m, pivots):
         p = row[c]
         out.append(tuple([quotient(x, p) for x in row]))
-    out.extend((0,) * ncols for _ in range(nrows - len(pivots)))
+    out.extend((0,) * ncols for _ in range(len(m) - len(pivots)))
     return tuple(out), tuple(pivots), len(pivots)
 
 
@@ -368,12 +374,16 @@ def det_mod_p(a):
 
 
 def inverse(a):
+    """a^-1 of a square matrix as (integer rows, d), d > 0 with gcd(d,
+    content) = 1, read off _echelon of (a | 1): pivot row i ends as p_i
+    times (e_i | row i of a^-1).  A singular a raises ZeroDivisionError."""
     n = len(a)
-    aug = [tuple(row) + unit for row, unit in zip(a, identity(n))]
-    r, pivots, rk = rref(aug)
-    if pivots[:n] != tuple(range(n)):
+    m, pivots = _echelon([tuple(row) + unit for row, unit in zip(a, identity(n))])
+    if pivots != list(range(n)):
         raise ZeroDivisionError("matrix not invertible")
-    return tuple(row[n:] for row in r)
+    d = lcm(*[row[i] for i, row in enumerate(m)])
+    return reduce_scaled([[x * (d // row[i]) for x in row[n:]]
+                          for i, row in enumerate(m)], d)
 
 
 def congruent_diagonalize(g):
@@ -503,7 +513,7 @@ def smith_normal_form(a):
                 m[i][j] = -m[i][j]
             u[i] = [-x for x in u[i]]
     d = tuple(m[i][i] for i in range(k))
-    return d, mat(u), mat(v)
+    return d, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def is_integral_mat(a):

@@ -10,7 +10,8 @@ its exponential B_lambda = 1 + e + e^2/2 is the B-field isometry.
 from math import factorial
 
 from . import linalg as la
-from .errors import IsotropicVector, LatticeError, NotGraded, NotIntegral
+from .errors import (DimensionMismatch, IsotropicVector, LatticeError,
+                     NotGraded, NotIntegral)
 from .lattice import LatVec, Lattice, QIsometry
 
 
@@ -48,13 +49,17 @@ class LLVSpace:
 
     def embed(self, v):
         """Middle-block inclusion of a base-lattice vector."""
-        return LatVec(self.lattice, (0,) + v.coords + (0,))
+        if v.lattice != self.base:
+            raise DimensionMismatch("vector does not lie in the base lattice")
+        return LatVec._from_nums(self.lattice, (0,) + v.nums + (0,), v.d)
 
     def middle_part(self, w):
-        return LatVec(self.base, w.coords[1:-1])
+        if w.lattice != self.lattice:
+            raise DimensionMismatch("vector does not lie in the extended lattice")
+        return LatVec._from_nums(self.base, w.nums[1:-1], w.d)
 
     def vec(self, a_coeff, v, b_coeff):
-        return LatVec(self.lattice, (a_coeff,) + v.coords + (b_coeff,))
+        return a_coeff * self.alpha() + self.embed(v) + b_coeff * self.beta()
 
 
 def _middle_nums(space, lam):
@@ -141,7 +146,11 @@ def grading(space):
 
 
 def commutator(a, b):
-    return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
+    """[a, b] = ab - ba as a la.ScaledMatrix, on the integer forms of the
+    dense operators a and b."""
+    (na, da), (nb, db) = la.scaled_mat(a), la.scaled_mat(b)
+    return la.scaled_view([[x - y for x, y in zip(r, s)] for r, s in zip(
+        la.int_mat_mul(na, nb), la.int_mat_mul(nb, na))], da * db)
 
 
 def grading_sign(space, m):
@@ -221,8 +230,7 @@ def dual_lefschetz_check(space, phi, lam):
     inv = phi.inverse()
     prod = la.int_mat_mul(inv.nums, la.int_mat_mul(_dense_rows(space, cols),
                                                    phi.nums))
-    d = inv.d * de * phi.d
-    psi = tuple(tuple([la.quotient(x, d) for x in row]) for row in prod)
+    psi = la.scaled_view(prod, inv.d * de * phi.d)
     e_lam = e_op(space, lam)
     h = grading(space)
     c1 = commutator(e_lam, psi)
@@ -318,8 +326,8 @@ def kernel_c1_solve(k3_space, k3n_space, r, a1, a2, n):
     R = factorial(n) * r ** n
     base = k3n_space.base
     delta = base.basis_vec(base.delta_index)
-    th1 = LatVec(base, a1.coords + (0,))
-    th2 = LatVec(base, a2.coords + (0,))
+    th1 = LatVec._from_nums(base, a1.nums + (0,), a1.d)
+    th2 = LatVec._from_nums(base, a2.nums + (0,), a2.d)
     lam1 = la.ratio(1, r) * th1 + la.ratio(1, 2) * delta
     lam2 = la.ratio(1, r) * th2 - la.ratio(1, 2) * delta
     e1 = R * lam1

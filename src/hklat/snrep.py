@@ -190,6 +190,10 @@ def _multiplicities(m):
 
 
 MAX_MONOMIALS = 100_000
+# kernel_basis eliminates the contraction Sym^n -> Sym^(n-2) as a dense
+# R x C matrix, R = comb(d + n - 3, n - 2) and C = comb(d + n - 1, n), in
+# about R * R * C steps; past this budget it is refused
+MAX_ELIMINATION = 4 * 10 ** 9
 
 
 class SymSpace:
@@ -199,6 +203,10 @@ class SymSpace:
     MAX_MONOMIALS = 100,000 monomials (comb(d + n - 1, n) for rank d) is
     refused with a LatticeError before any enumeration.  The largest space
     the test suite and perfbench build, Sym^3 at d = 25, has 2,925.
+    kernel_basis refuses a contraction over MAX_ELIMINATION = 4 * 10^9
+    before building it: Sym^4 at d = 25 (R = 325, C = 20,475) is within
+    it, and Sym^3 at d = 25 (R = 25, C = 2,925), the largest the tests,
+    perfbench and verify all reduce, far below.
     """
 
     __slots__ = ("lattice", "n", "dim_v", "monomials", "index", "_cache")
@@ -267,6 +275,7 @@ class SymSpace:
         echelon form of the contraction, one per basis vector, and each
         basis vector has coefficient 1 at its free monomial and 0 at the
         others, so sn_coords reads a kernel element's coordinates off them.
+        A contraction over MAX_ELIMINATION raises LatticeError unbuilt.
         """
         if "kernel" in self._cache:
             return self._cache["kernel"]
@@ -274,6 +283,11 @@ class SymSpace:
             info = ([SymElt({m: 1}) for m in self.monomials],
                     list(self.monomials))
         else:
+            rows, cols = comb(self.dim_v + self.n - 3, self.n - 2), self.dim()
+            if rows * rows * cols > MAX_ELIMINATION:
+                raise LatticeError("the contraction of Sym^%d of rank %d is a "
+                                   "%d x %d elimination, over MAX_ELIMINATION"
+                                   % (self.n, self.dim_v, rows, cols))
             # the contraction as a dense matrix over the lower monomial basis
             lindex = SymSpace(self.lattice, self.n - 2).index
             mat = [[0] * len(self.monomials) for _ in range(len(lindex))]
@@ -328,12 +342,11 @@ class SymSpace:
         it, goes to (f v)^n; any other element goes slot by slot through
         the columns of f, or for n = 2 as the congruence f X f^T."""
         iso = isinstance(f, QIsometry)
+        fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
         x = sym_form(x)
         power = x.power
         if power is not None and power[1] == self.n:
-            fv = f.apply_coords(power[0]) if iso else la.mat_vec(f, power[0])
-            return sym_power(fv, self.n)
-        fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
+            return sym_power(la.scaled_mat_vec(fnums, fd, power[0]), self.n)
         if self.n == 2:
             return self._apply_linear_quadratic(fnums, fd, x)
         cols = f.columns() if iso else sparse_columns(fnums)[0]
@@ -552,7 +565,7 @@ def _isotropic_frame(lattice):
         vmat = la.transpose([v.coords for v in vs])
         vn, vd = la.scaled_mat(vmat)
         p = la.int_mat_mul(la.int_mat_mul(la.transpose(vn), lattice.gram), vn)
-        return vs, (p, vd * vd), la.scaled_mat(la.inverse(vmat))
+        return vs, (p, vd * vd), la.inverse(vmat)
     return lattice.memo("isotropic_frame", build)
 
 

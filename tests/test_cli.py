@@ -131,6 +131,20 @@ def test_factor_verify_bad_shape_exits_2(capsys):
         assert r.returncode == 2 and r.stdout == out
 
 
+def test_factor_verify_non_int_k_exits_3(capsys):
+    """k is read as a JSON int, as cli._int_field reads a field: a float,
+    a bool or a string is a ValueError (exit 3) naming k, and no float
+    reaches the output."""
+    gid = io.isometry_to_json(lt.QIsometry.identity(lt.preset("K3n", 2)))
+    for k in (0.0, False, "0"):
+        payload = json.dumps({"phi": gid, "normal_form": {
+            "k": k, "gammas": [gid], "us": []}})
+        code, out = run_cli(["factor", "verify", "--json", payload], capsys)
+        assert code == 3, k
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and "'k'" in err["message"], k
+
+
 def test_pontryagin_unit(capsys):
     code, out = run_cli(["pontryagin", "unit", "--preset", "K3n:2"], capsys)
     assert code == 0
@@ -224,6 +238,19 @@ def test_snrep_dim_over_monomial_budget_exits_2():
                        env=subprocess_env())
     assert r.returncode == 2
     assert json.loads(r.stdout)["error"]["type"] == "LatticeError"
+
+
+def test_snrep_dim_over_elimination_budget_exits_2():
+    # Sym^160 of the rank-3 extended lattice of <2> has 13,041 monomials,
+    # within MAX_MONOMIALS, but its contraction is a 12,720 x 13,041
+    # elimination; kernel_basis refuses it before building the matrix
+    cmd = [sys.executable, "-m", "hklat.cli", "snrep", "dim", "--json",
+           '{"lattice": {"gram": [[2]]}}', "--n", "160"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=30,
+                       env=subprocess_env())
+    assert r.returncode == 2
+    err = json.loads(r.stdout)["error"]
+    assert err["type"] == "LatticeError" and "12720 x 13041" in err["message"]
 
 
 def test_verify_all_deterministic():

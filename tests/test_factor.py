@@ -344,11 +344,16 @@ def _random_word(rng, lat, maxlen=5):
     return phi
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_normal_form_round_trip_beyond_k3n2(n):
-    """Random words on K3n:n decompose, survive JSON and verify; the third
-    generator kind builds -rho_{u + delta} with (u, u) = 2n."""
-    lat = lt.preset("K3n", n)
+# the K3n cases keep their ids, the bare n
+@pytest.mark.parametrize("name, n", [
+    pytest.param("K3n", 3, id="3"), pytest.param("K3n", 5, id="5"),
+    pytest.param("Kummer", 2, id="Kummer:2"),
+    pytest.param("Kummer", 3, id="Kummer:3")])
+def test_normal_form_round_trip_beyond_k3n2(name, n):
+    """Random words on K3n:n and Kummer:n decompose, survive JSON and
+    verify; the third generator kind builds -rho_{u + delta} with
+    (u, u) = 2n."""
+    lat = lt.preset(name, n)
     for seed in range(10):
         phi = _random_word(random.Random(seed), lat, 3)
         nf = fc.decompose(lat, phi)

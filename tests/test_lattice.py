@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -94,7 +95,9 @@ def test_one_diagonalization_per_lattice(monkeypatch):
 def test_per_lattice_constants_are_built_once(monkeypatch):
     """Lattice.memo builds each per-lattice constant once: two decompose
     calls on K3n:2 and two recover calls at d = 25 build every key they
-    read once per lattice, and they read the keys the hot paths keep."""
+    read once per lattice, and they read the keys the hot paths keep.  The
+    dual Gram is one key, already in the integer form (D, e) that
+    QIsometry.inverse and DiscGroup read."""
     builds = {}
     lattices = []      # every lattice stays alive, so no id is reused
     real = lt.Lattice.memo
@@ -118,9 +121,14 @@ def test_per_lattice_constants_are_built_once(monkeypatch):
             f.det(), sym.apply_linear(f.matrix, x)))
         assert h in (f, -f)
     assert set(builds.values()) == {1}, builds
-    assert {key for i, key in builds if i == id(k3n2)} >= {
-        "diag", "posbasis", "nu", "dualgram", "dual_nums", "disc",
-        "cartan_dieudonne", "decompose_ref"}
+    keys = {key for i, key in builds if i == id(k3n2)}
+    assert keys >= {"diag", "posbasis", "nu", "dualgram", "disc",
+                    "cartan_dieudonne", "decompose_ref"}
+    assert "dual_nums" not in keys
+    dual, e = k3n2.dual_gram()
+    assert e == 2 and gcd(e, *[x for row in dual for x in row]) == 1
+    assert la.int_mat_mul(k3n2.gram, dual) == [[e * (i == j) for j in range(23)]
+                                               for i in range(23)]
     assert (id(lat), "isotropic_frame") in builds
 
 
@@ -504,10 +512,10 @@ def test_class_of_matches_dense_formula():
     lat = lt.Lattice(gram)
     disc = lat.disc_group()
     assert disc.divisors == (2, 2, 6)
-    dual = lat.dual_gram()
+    dual, e = lat.dual_gram()
     for _ in range(30):
         w = [rng.randint(-7, 7) for _ in range(lat.rank)]
-        v = lat.vec(la.mat_vec(dual, w))
+        v = lat.vec(la.scaled_mat_vec(dual, e, w))
         assert disc.class_of(v) == disc_class_dense(disc, v)
     off = lat.vec([0, 0, Fraction(1, 4), 0, 0])
     for cls in (disc.class_of, lambda v: disc_class_dense(disc, v)):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -9,6 +10,7 @@ from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
 from hklat import mukai as mk
+from hklat import snrep as sn
 
 
 def _rand_mat(rng, n, m, bound=5):
@@ -35,8 +37,9 @@ def test_det_and_inverse_against_sympy():
         d = la.det(la.mat(a))
         assert d == sympy.Matrix(a).det()
         if d != 0:
-            inv = la.inverse(la.mat(a))
-            assert la.mat_mul(la.mat(a), inv) == la.identity(n)
+            nums, e = _checked_inverse(la.mat(a))
+            assert la.int_mat_mul(a, nums) == [[e * (i == j) for j in range(n)]
+                                               for i in range(n)]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -216,6 +219,22 @@ def test_rref_values_and_pivots_against_sympy():
                           for i in range(n))
 
 
+def _checked_inverse(a):
+    """la.inverse(a), checked against sympy: the canonical (nums, d), a
+    tuple of tuples of ints over d > 0 with gcd(d, content) = 1, whose
+    entries nums[i][j] / d are those of sympy's inverse."""
+    nums, d = la.inverse(a)
+    assert type(d) is int and d > 0
+    assert type(nums) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in nums)
+    assert gcd(d, *[x for row in nums for x in row]) == 1
+    ref = _sym(a).inv()
+    n = len(a)
+    assert [[Fraction(x, d) for x in row] for row in nums] == [
+        [_from_sym(ref[i, j]) for j in range(n)] for i in range(n)]
+    return nums, d
+
+
 def test_inverse_and_solve_against_sympy():
     rng = random.Random(15)
     for trial in range(40):
@@ -223,12 +242,8 @@ def test_inverse_and_solve_against_sympy():
         a = _rand_qmat(rng, n, n)
         if la.det(a) == 0:
             continue
-        inv = la.inverse(a)
-        assert canonical(inv)
-        ref = _sym(a).inv()
-        assert inv == tuple(tuple(_from_sym(ref[i, j]) for j in range(n))
-                            for i in range(n))
-        assert la.mat_mul(a, inv) == la.identity(n)
+        nums, d = _checked_inverse(a)
+        assert la.mat_mul(a, la.scaled_view(nums, d)) == la.identity(n)
         b = tuple(_rand_rational(rng) for _ in range(n))
         x = la.solve(a, b)
         assert canonical(x) and la.mat_vec(a, x) == b
@@ -245,6 +260,21 @@ def test_inverse_and_solve_against_sympy():
         assert canonical(kb) and len(kb) == m - la.rank(a)
         assert all(la.mat_vec(a, k) == (0,) * n for k in kb)
     assert la.solve(((0, 0),), (1,)) is None
+    # integral inverses come with d = 1, and a 1 x 1 one is 1 / a
+    assert la.inverse(((2, 1), (1, 1))) == (((1, -1), (-1, 2)), 1)
+    assert la.inverse(((Fraction(-4, 6),),)) == (((-3,),), 2)
+    # the isotropic frame's V^-1 as (nums, d) is the form the frame memo
+    # keeps, with no Fraction matrix in between; (2/3) V is inverted as the
+    # rational matrix it is
+    for lat in (lt.preset("K3n", 2), lt.preset("Kummer", 3)):
+        vs = sn.isotropic_spanning_set(lat)
+        vmat = la.transpose([v.coords for v in vs])
+        nums, d = _checked_inverse(vmat)
+        assert (nums, d) == sn._isotropic_frame(lat)[2]
+        scaled = la.mat_scale(Fraction(2, 3), vmat)
+        assert any(type(x) is Fraction for row in scaled for x in row)
+        assert _checked_inverse(scaled) == la.reduce_scaled(
+            [[3 * x for x in row] for row in nums], 2 * d)
 
 
 def test_kernels_keep_ints_integral():

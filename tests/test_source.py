@@ -134,35 +134,38 @@ def test_no_coords_view_scaled_in_src():
     assert found == []
 
 
-# where a scalar or a coordinate list enters from outside the library, the
-# only places that may normalize one entry by entry (la.frac, la.vec)
+# where a scalar, a coordinate list or a matrix enters from outside the
+# library, the only places that may normalize one entry by entry (la.frac,
+# la.vec, la.mat)
 ENTRY_SITES = {
-    "lattice.py": {"LatVec.__init__", "LatVec.__rmul__"},
+    "lattice.py": {"Lattice.__init__", "LatVec.__init__", "LatVec.__rmul__",
+                   "QIsometry.__init__"},
     "mukai.py": {"MukaiVector.__init__", "MukaiVector.pair", "mukai_v",
                  "kappa", "k3_cup"},
-    "llv.py": {"mu", "fm_beta_image", "normalize_fm"},
+    "llv.py": {"mu", "fm_beta_image", "normalize_fm", "sl2_check"},
     "snrep.py": {"sym_form"},
 }
+NORMALIZERS = ("frac", "vec", "mat")
 
 
 def test_entry_normalization_only_at_the_boundary():
-    """la.frac and la.vec run only in ENTRY_SITES, each of which uses one,
-    and in jsonio and cli: every kernel reads the integer forms of vectors
-    and matrices."""
+    """la.frac, la.vec and la.mat run only in ENTRY_SITES, each of which
+    uses one, and in jsonio and cli: every kernel reads the integer forms
+    of vectors and matrices."""
     sites, found = {}, []
     for name, tree in _modules():
         if name in ("linalg.py", "jsonio.py", "cli.py"):
             continue
         for node, scope in _qualified(tree):
             f = node.func if isinstance(node, ast.Call) else None
-            if (isinstance(f, ast.Attribute) and f.attr in ("frac", "vec")
+            if (isinstance(f, ast.Attribute) and f.attr in NORMALIZERS
                     and isinstance(f.value, ast.Name) and f.value.id == "la"):
                 sites.setdefault(name, set()).add(scope)
                 if scope not in ENTRY_SITES.get(name, ()):
                     found.append("%s:%d in %s" % (name, node.lineno, scope))
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 found += ["%s:%d" % (name, node.lineno) for a in node.names
-                          if a.name in ("frac", "vec")]
+                          if a.name in NORMALIZERS]
     assert found == []
     assert sites == ENTRY_SITES
 
@@ -176,12 +179,24 @@ def test_no_matrix_view_read_in_src():
     assert found == []
 
 
-def test_dense_rational_product_only_in_commutator():
-    """la.mat_mul, the product of dense rational matrices, serves only
-    llv.commutator, whose operands are the public dense operators; every
-    other product runs on integer numerators (la.int_mat_mul)."""
-    found = ["%s:%d in %s" % site for site in _calls("mat_mul")
-             if site[0] != "llv.py" or site[2] != "commutator"]
+def test_no_fraction_matrix_round_trip_in_src():
+    """No module calls la.mat_mul or la.mat_sub, the dense products of
+    plain matrices: every product runs on integer numerators
+    (la.int_mat_mul), llv.commutator's included.  And none hands a
+    la.inverse result, already the integer form (nums, d), to
+    la.scaled_mat."""
+    found = ["%s:%d in %s" % site for fname in ("mat_mul", "mat_sub")
+             for site in _calls(fname)]
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            f = node.func if isinstance(node, ast.Call) else None
+            if getattr(f, "attr", getattr(f, "id", None)) != "scaled_mat":
+                continue
+            found += ["%s:%d" % (name, sub.lineno)
+                      for arg in node.args for sub in ast.walk(arg)
+                      if isinstance(sub, ast.Call)
+                      and getattr(sub.func, "attr",
+                                  getattr(sub.func, "id", None)) == "inverse"]
     assert found == []
 
 
