@@ -421,8 +421,7 @@ def congruent_diagonalize(g):
         for j in range(i + 1, n):
             if b[j][i] != 0:
                 addrow(j, i, -b[j][i] * inv)
-    d = tuple(b[i][i] for i in range(n))
-    return mat(p), d
+    return mat(p), vec(b[i][i] for i in range(n))
 
 
 def smith_normal_form(a):

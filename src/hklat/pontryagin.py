@@ -1,49 +1,54 @@
 """The subring generated by degree-2 classes, realized inside Sym^n of the
 extended lattice, with its cup and Pontryagin products.
 
-Elements live in the isotropic-power subspace S_[n]; the graded pieces are
-the eigenspaces of the induced grading action, spanned by images of
-monomial words in degree-2 classes under
+Elements live in the isotropic-power subspace S_[n].  A word w is a sorted
+tuple of base-basis indices, and
 
-    Psi(l_1 ... l_k) = e_{l_1} ... e_{l_k} (alpha^n / n!).
+    Psi(w) = e_{w_1} ... e_{w_k} (alpha^n / n!).
 
-The piece of eigenvalue 2k - 2n is Sym^m H^2 with m = min(k, 2n - k), of
-dimension C(b + m - 1, m) for the base rank b.  Cup product is
-Psi(w1) cup Psi(w2) = Psi(w1 w2) on word decompositions (the subring is
-Sym* H^2 / (lambda^{n+1} : q(lambda) = 0), Verbitsky).  A memoized table,
-filled on first use, lists for each basis word w1 the basis words w2 with
-Psi(w1 w2) != 0, so no pair whose product vanishes is visited.  The
-Pontryagin product is the conjugate
+The graded pieces are the eigenspaces of the grading operator h.  The
+piece of words of length k has eigenvalue 2k - 2n.  It is Sym^m H^2 with
+m = min(k, 2n - k), of dimension C(b + m - 1, m) for the base rank b.
 
-    x * y = rho_tau( rho_tau(x) cup rho_tau(y) )
+Each piece has a fixed basis in closed form:
+- a piece of length k <= n has Psi(w) for every word w of length k;
+- a longer piece has rho_tau Psi(v) for every word v of length 2n - k,
+  under the key (-1,) + v, which no word has.
 
-by the degree-reversing involution tau.  The star unit is beta^n/n!, the
-model avatar of [pt] / n!.
+The first rule holds because Sym^k H^2 -> H^{2k} is injective for k <= n
+(M. Verbitsky, GAFA 1996).  Concretely, e_lam sends alpha to lam and every
+other basis vector to a multiple of beta, so Psi(w) has exactly one
+beta-free monomial: alpha^(n-k) lam_{w_1} ... lam_{w_k}, with coefficient
+1 / (n-k)!.  The second holds because the involution rho_tau, Sym^n of
+tau, maps the piece of length 2n - k onto the piece of length k
+(E. Looijenga, V. Lunts, Invent. Math. 129, 1997).
 
-Sym^n data and word coordinates {word: coeff} are both snrep.SymElts:
-integer numerators over one denominator, immutable, so the memoized
-Psi(w), the piece solvers and SHElt pass them on unchanged.  Products work
-in word coordinates.  Each table entry holds the basis-word coordinates of
-Psi(w1 w2), one object per product word, solved the first time a cup needs
-it; a second table holds those of rho_tau Psi(b) for each basis word b,
-also filled on first use.  An SHElt holds its Sym^n data, its word
-coordinates or both, and computes each from the other on first use.  cup,
-star and rho_tau take and return SHElts and read only word coordinates, so
-a chain of products never goes back through the piece solvers.
+So coordinates are read, not solved.  On a piece of length k <= n,
+c_w = (n-k)! x[alpha^(n-k) m(w)].  On a longer piece, rho_tau comes
+first.  Every read is checked exactly by rebuilding the element from its
+coordinates; a residue raises SolveFailure.
 
-Graded and anti-graded isometries act on word coordinates as well
-(SHModel.graded_action): Sym^n(ext(f)) sends Psi(w) to Psi(f w), so a piece
-of words of length k <= n maps by Sym^k(f) and a longer one by
-rho_tau Sym^{2n-k}(f) rho_tau; an anti-graded isometry is ext(f) tau up to
-mu_t, so each piece goes through rho_tau once, and mu_t scales each piece.
-conjugation_check, star_via and proportionality_check_degree2 classify
-their isometry once and act that way, so they solve only the elements they
-are handed as Sym^n data; eta, the action on Sym^n data through apply_llv,
-stays the general definition.  Two SHElts that both hold word coordinates
-are compared on them.
+Sym^n data and word coordinates {key: coeff} are both snrep.SymElts:
+integer numerators over one denominator, immutable.  An SHElt holds its
+data, its word coordinates or both, and computes each from the other on
+first use.  cup, star and rho_tau read and return word coordinates only:
+- rho_tau relabels a short word w to (-1,) + w and back; only the middle
+  piece (k = n) keeps a table, each entry read once;
+- cup keeps, for each basis key, a memoized row of the keys whose product
+  with it is nonzero.  Two words multiply to Psi(w1 w2), a basis word when
+  it is short and read otherwise.  A tagged key (-1,) + v times a word w
+  with len(w) <= len(v) is e_w(rho_tau Psi(v)), read.  Two tagged keys
+  multiply to 0.
+- star is rho_tau(rho_tau(x) cup rho_tau(y)), with unit beta^n / n!, the
+  model avatar of [pt] / n!.
+
+Graded and anti-graded isometries act on word coordinates too
+(SHModel.graded_action): ext(f) sends Psi(w) to Psi(f w) and commutes with
+tau, so each piece maps by Sym^m(f), m the length of its keys' words.
+eta, the action on Sym^n data through apply_llv, stays the general
+definition.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 
@@ -54,15 +59,7 @@ from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                      SolveFailure)
 from .lattice import QIsometry
 
-
-def _axpy(out, a, src):
-    """out += a * src on sparse int dicts, dropping the zeros it makes."""
-    for k, c in src.items():
-        v = out.get(k, 0) + a * c
-        if v:
-            out[k] = v
-        else:
-            del out[k]
+_TAG = (-1,)   # the key of rho_tau Psi(v) is _TAG + v
 
 
 def _combine(terms, d):
@@ -107,88 +104,16 @@ _ZERO = sn.SymElt({})   # Psi of most long words; shared
 
 
 class _Coords:
-    """Basis-word coordinates sum_b n_b Psi(b) / d of Psi(word), or of
-    rho_tau Psi(word) in the rho_tau table: pairs = ((b, n_b), ...) on
-    integers with no common factor with d > 0, None until set.  Hashed by
-    identity: the tables share one object per word, and cup sums on those
-    objects."""
+    """The basis coordinates sum_b n_b [b] / d of one element, as
+    pairs = ((b, n_b), ...) on integers over d > 0 in lowest terms, read
+    from its Sym^n data, which lies in the piece of length k, on first use
+    (SHModel._read_coords).  Hashed by identity: the rows share one object
+    per product, and cup sums on those objects."""
 
-    __slots__ = ("word", "pairs", "d")
+    __slots__ = ("data", "k", "pairs", "d")
 
-    def __init__(self, word):
-        self.word = word
-        self.pairs = None
-
-    def set(self, combo, d):
-        g = gcd(d, *combo.values())
-        self.pairs = tuple([(b, c // g) for b, c in combo.items()])
-        self.d = d // g
-        return self
-
-
-class _PieceSolver:
-    """Incremental fraction-free elimination with combination tracking:
-    solve x = sum c_w Psi(w) over a selected independent word set.
-
-    A pivot is a primitive integer row (vec | combo) standing for the
-    identity vec = sum_w combo[w] Psi(w), with a positive entry at its key,
-    the least monomial of vec; later pivots vanish at every earlier key.
-    """
-
-    def __init__(self):
-        self.pivots = []   # (key, vec[key], vec, combo)
-
-    def _reduce(self, vec):
-        """Clears every pivot key from vec in place.  Returns (combo, s) with
-        s * (vec on entry) = (vec on exit) + sum_w combo[w] Psi(w)."""
-        combo = {}
-        scale = 1
-        for key, pv, pvec, pcombo in self.pivots:
-            a = vec.get(key)
-            if not a:
-                continue
-            if a % pv:
-                g = gcd(a, pv)
-                s = pv // g
-                a //= g
-                for m in vec:
-                    vec[m] *= s
-                for w in combo:
-                    combo[w] *= s
-                scale *= s
-            else:
-                a //= pv
-            _axpy(vec, -a, pvec)
-            _axpy(combo, a, pcombo)
-        return combo, scale
-
-    def try_add(self, word, form):
-        """Adds Psi(word), given as a SymElt, when it is independent of the
-        pivots so far."""
-        vec = dict(form.nums)
-        rest, scale = self._reduce(vec)
-        if not vec:
-            return False
-        # scale * nums = vec + sum rest[w] Psi(w), and nums = d Psi(word)
-        combo = {w: -c for w, c in rest.items()}
-        combo[word] = scale * form.d
-        key = min(vec)
-        g = gcd(*vec.values(), *combo.values())
-        if vec[key] < 0:
-            g = -g
-        vec = {m: c // g for m, c in vec.items()}
-        combo = {w: c // g for w, c in combo.items()}
-        self.pivots.append((key, vec[key], vec, combo))
-        return True
-
-    def solve(self, nums, d):
-        """(combo, e) with nums / d = sum_w combo[w] Psi(w) / e, on
-        integers; raises SolveFailure when nums leaves a residue."""
-        vec = dict(nums)
-        combo, scale = self._reduce(vec)
-        if any(vec.values()):
-            raise SolveFailure("element is outside the spanned piece")
-        return combo, scale * d
+    def __init__(self, data=None, k=None, pairs=None, d=1):
+        self.data, self.k, self.pairs, self.d = data, k, pairs, d
 
 
 def piece_dims(base_rank, n):
@@ -218,16 +143,15 @@ class SHModel:
         # e_lambda of each base basis vector, as derivation_apply reads it
         self._e_cols = [llv_mod.e_columns(llv_space, llv_space.base.basis_vec(i))
                         for i in range(self.base_rank)]
-        self._psi_memo = {}
-        self._solvers = {}
-        self._basis_words = []   # every piece's basis words, shortest first
+        # the words of each length k <= n: the keys of the short pieces
+        self._words = [list(combinations_with_replacement(range(self.base_rank), k))
+                       for k in range(n + 1)]
+        self._psi_memo = {}    # word, or tagged key -> its basis element
         self._rows = {}
-        self._coords = {}   # product word -> _Coords, made by _row
-        self._tau = {}      # basis word b -> _Coords of rho_tau Psi(b)
+        self._products = {}    # product word, or (tagged key, word) -> _Coords
+        self._tau = {}         # word w of length n -> _Coords of rho_tau Psi(w)
         self._base_syms = {}   # k -> Sym^k of the base, for graded_action
         self._piece_dims = piece_dims(self.base_rank, n)
-        self._build_word_sets()
-        self._basis_set = frozenset(self._basis_words)
 
     # -- gradings -------------------------------------------------------------
 
@@ -259,7 +183,7 @@ class SHModel:
     def piece_dim(self, j):
         return self._piece_dims.get(j, 0)
 
-    # -- Psi and word sets ----------------------------------------------------
+    # -- Psi and the basis ----------------------------------------------------
 
     def psi_word(self, word):
         """Psi of a sorted tuple of base-basis indices, memoized."""
@@ -271,8 +195,7 @@ class SHModel:
                     x = self.sym.derivation_apply(
                         self._e_cols[word[0]], x) or _ZERO
             else:
-                x = sn.sym_scale(Fraction(1, factorial(self.n)), sn.sym_power(
-                    self.space.alpha().coords, self.n))
+                x = sn.divided_alpha_power(self.space, self.n)
             self._psi_memo[word] = x
         return x
 
@@ -280,103 +203,153 @@ class SHModel:
         """Psi of a list of base-lattice vectors (not just basis ones)."""
         return sn.psi(self.space, lams, self.n)
 
-    def _build_word_sets(self):
-        d = self.base_rank
-        for k in range(0, 2 * self.n + 1):
-            j = 2 * k - 2 * self.n
-            want = self.piece_dim(j)
-            solver = _PieceSolver()
-            got = 0
-            for word in combinations_with_replacement(range(d), k):
-                if got == want:
-                    break
-                form = self.psi_word(word)
-                if form and solver.try_add(word, form):
-                    self._basis_words.append(word)
-                    got += 1
-            if got != want:
-                raise SolveFailure(
-                    "monomial words span only %d of %d in eigenvalue %d"
-                    % (got, want, j))
-            self._solvers[j] = solver
+    def _basis_data(self, key):
+        """Psi(key) for a word, rho_tau Psi(v) for a tagged key (-1,) + v;
+        memoized."""
+        if key[:1] != _TAG:
+            return self.psi_word(key)
+        x = self._psi_memo.get(key)
+        if x is None:
+            p = self.psi_word(key[1:])
+            x = self._psi_memo[key] = sn.SymElt(
+                _tau_swap(p.nums, self.space.alpha_index, self.space.beta_index),
+                p.d)
+        return x
+
+    def _read(self, x, k):
+        """The basis coordinates, a SymElt {key: c}, of the SymElt x in the
+        piece of length k.  On a short piece
+        c_w = (n-k)! x[alpha^(n-k) m(w)]; a long one is read through
+        rho_tau under tagged keys.  The element is rebuilt from the
+        coordinates, and a residue raises SolveFailure."""
+        n, ai, bi = self.n, self.space.alpha_index, self.space.beta_index
+        nums, tag = x.nums, ()
+        if k > n:
+            nums, k, tag = _tau_swap(nums, ai, bi), 2 * n - k, _TAG
+        f = factorial(n - k)
+        words = {}
+        for m, c in nums.items():
+            # alpha sorts first and beta last: the beta-free monomials with
+            # n - k alphas, which outside the piece the rebuild rejects
+            w = m[n - k:]
+            if m[-1] != bi and (not w or w[0] != ai):
+                words[tuple([i - 1 for i in w])] = f * c
+        terms = []
+        for w, c in words.items():
+            p = self.psi_word(w)
+            terms.append((c, p.nums.items(), p.d))
+        if _combine(terms, 1) != sn.SymElt(nums):
+            raise SolveFailure("element is outside the spanned piece")
+        return sn.SymElt.of({tag + w: c for w, c in words.items()}, x.d)
 
     def to_words(self, x):
-        """Decompose x, Sym^n data or an SHElt of this model, into
-        basis-word coefficients, a SymElt {word: coeff}, degreewise.  An
-        SHElt is solved only when it has no word coordinates yet, and keeps
-        the ones solved."""
+        """Decompose x, Sym^n data or an SHElt of this model, into basis
+        coordinates, a SymElt {key: coeff}, degreewise.  A key is a word w
+        for Psi(w) on a piece of length <= n, and (-1,) + v for
+        rho_tau Psi(v) on a longer one.  An SHElt is read only when it has
+        no word coordinates yet, and keeps the ones read."""
         return self._words_of(x) if type(x) is SHElt else self._solve(x)
 
     def _solve(self, data):
-        """The word coordinates of Sym^n data, solved piece by piece."""
+        """The word coordinates of Sym^n data, read piece by piece."""
         terms = []
         for j, piece in self.pieces(data).items():
-            if j not in self._solvers:
-                raise SolveFailure("eigenvalue %d outside the model" % j)
-            combo, e = self._solvers[j].solve(piece.nums, piece.d)
-            terms.append((1, combo.items(), e))
+            w = self._read(piece, j // 2 + self.n)
+            terms.append((1, w.nums.items(), w.d))
         return _combine(terms, 1)
 
     def _words_of(self, x):
         """The word coordinates of x, which must be an SHElt of this model:
-        another model's words index other basis words."""
+        another model's words index another basis."""
         if x.model is not self:
             raise LatticeError("the element belongs to another model")
         return x.words
 
     def from_words(self, words):
-        """sum c_w Psi(w), accumulated on integers over one denominator."""
+        """sum c_k [k], accumulated on integers over one denominator, where
+        [w] = Psi(w) for a word w of any length and
+        [(-1,) + v] = rho_tau Psi(v)."""
         words = sn.sym_form(words)
         terms = []
         for w, c in words.nums.items():
-            p = self.psi_word(tuple(sorted(w)))
+            p = self._basis_data(tuple(sorted(w)))
             terms.append((c, p.nums.items(), p.d))
         return _combine(terms, words.d)
 
-    def _row(self, w1):
-        """{w2: coordinates of Psi(w1 w2)} over the basis words w2 of every
-        piece with len(w1) + len(w2) <= 2n and Psi(w1 w2) != 0; memoized,
-        filled on first use."""
-        row = self._rows.get(w1)
+    def _row(self, k1):
+        """{k2: _Coords of [k1] cup [k2]} over the basis keys k2 whose
+        product with k1 is nonzero; memoized, filled on first use."""
+        row = self._rows.get(k1)
         if row is None:
-            room = 2 * self.n - len(w1)
             row = {}
-            for w2 in self._basis_words:
-                if len(w2) > room:
-                    break
-                p = tuple(sorted(w1 + w2))
-                r = self._coords.get(p)
-                if r is None:
-                    if not self.psi_word(p):
-                        continue
-                    r = self._coords[p] = _Coords(p)
-                row[w2] = r
-            self._rows[w1] = row
+            if k1[:1] == _TAG:
+                for ws in self._words[:len(k1)]:
+                    for w in ws:
+                        r = self._tagged_product(k1, w)
+                        if r:
+                            row[w] = r
+            else:
+                for ws in self._words:
+                    for w in ws:
+                        r = self._word_product(tuple(sorted(k1 + w)))
+                        if r:
+                            row[w] = r
+                for ws in self._words[len(k1):self.n]:
+                    for v in ws:
+                        k2 = _TAG + v
+                        r = self._tagged_product(k2, k1)
+                        if r:
+                            row[k2] = r
+            self._rows[k1] = row
         return row
 
-    def _product_coords(self, r):
-        """The _Coords r of a product word p with Psi(p) != 0, set on first
-        use: p itself when it is a basis word, else solved once in the
-        piece of eigenvalue 2 len(p) - 2n."""
-        if r.pairs is None:
-            p = r.word
-            if p in self._basis_set:
-                r.set({p: 1}, 1)
+    def _word_product(self, p):
+        """The _Coords of Psi(p) for a product word p, None when it is 0:
+        the basis word p when len(p) <= n, else read on first use;
+        memoized when nonzero (psi_word memoizes the zeros)."""
+        r = self._products.get(p)
+        if r is None:
+            if len(p) <= self.n:
+                r = _Coords(pairs=((p, 1),))
             else:
-                j = 2 * len(p) - 2 * self.n
                 x = self.psi_word(p)
-                r.set(*self._solvers[j].solve(x.nums, x.d))
+                if not x:
+                    return None
+                r = _Coords(x, len(p))
+            self._products[p] = r
         return r
 
-    def _tau_coords(self, b):
-        """The _Coords of rho_tau Psi(b) for a basis word b, memoized;
-        solved once in the piece of eigenvalue 2n - 2 len(b)."""
-        r = self._tau.get(b)
+    def _tagged_product(self, a, w):
+        """The _Coords of [a] cup Psi(w) = e_w(rho_tau Psi(v)) for
+        a = (-1,) + v and a word w with len(w) <= len(v), None when it is 0;
+        memoized."""
+        key = (a, w)
+        r = self._products.get(key, False)
+        if r is False:
+            if w:
+                x = self._basis_data(a)
+                for i in reversed(w):
+                    x = self.sym.derivation_apply(self._e_cols[i], x)
+                r = _Coords(x, 2 * self.n - len(a) + 1 + len(w)) if x else None
+            else:
+                r = _Coords(pairs=((a, 1),))
+            self._products[key] = r
+        return r
+
+    def _read_coords(self, r):
+        """The _Coords r, its pairs read from r.data on first use."""
+        if r.pairs is None:
+            x = self._read(r.data, r.k)
+            r.pairs, r.d, r.data = tuple(x.nums.items()), x.d, None
+        return r
+
+    def _tau_coords(self, w):
+        """The _Coords of rho_tau Psi(w) for a word w of length n, read
+        once."""
+        r = self._tau.get(w)
         if r is None:
-            x = self.psi_word(b)
-            img = _tau_swap(x.nums, self.space.alpha_index, self.space.beta_index)
-            j = 2 * self.n - 2 * len(b)
-            r = self._tau[b] = _Coords(b).set(*self._solvers[j].solve(img, x.d))
+            r = self._tau[w] = self._read_coords(
+                _Coords(self._basis_data(_TAG + w), self.n))
         return r
 
     # -- elements ------------------------------------------------------------
@@ -405,33 +378,44 @@ class SHModel:
     # -- products ------------------------------------------------------------
 
     def cup(self, x, y):
-        """Psi(w1) cup Psi(w2) = Psi(w1 w2), summed over the pairs of basis
-        words of the SHElts x and y that _row keeps, on integer numerators,
-        then written in basis words."""
+        """[k1] cup [k2] summed over the pairs of basis keys of the SHElts x
+        and y that _row keeps, on integer numerators, then written in basis
+        coordinates."""
         xw, yw = self._words_of(x), self._words_of(y)
         yn = yw.nums
         out = {}
         get = out.get
-        for w1, c1 in xw.nums.items():
-            for w2, r in self._row(w1).items():
-                c2 = yn.get(w2)
+        for k1, c1 in xw.nums.items():
+            for k2, r in self._row(k1).items():
+                c2 = yn.get(k2)
                 if c2:
                     out[r] = get(r, 0) + c1 * c2
         terms = []
         for r, v in out.items():
-            r = self._product_coords(r)
+            r = self._read_coords(r)
             terms.append((v, r.pairs, r.d))
         return SHElt(self, words=_combine(terms, xw.d * yw.d))
 
     def rho_tau(self, x):
         """The involution induced by tau (a signed slot permutation on
-        Sym^n), on the word coordinates of x, read off the rho_tau table."""
-        w = self._words_of(x)
-        terms = []
-        for b, v in w.nums.items():
-            r = self._tau_coords(b)
-            terms.append((v, r.pairs, r.d))
-        return SHElt(self, words=_combine(terms, w.d))
+        Sym^n), on the word coordinates of x."""
+        return SHElt(self, words=self._rho_tau_words(self._words_of(x)))
+
+    def _rho_tau_words(self, w):
+        """rho_tau on word coordinates: a short word w and (-1,) + w trade
+        places, and a word of length n is read off the middle table."""
+        n = self.n
+        out, terms = {}, []
+        for key, c in w.nums.items():
+            if key[:1] == _TAG:
+                out[key[1:]] = c
+            elif len(key) < n:
+                out[_TAG + key] = c
+            else:
+                r = self._tau_coords(key)
+                terms.append((c, r.pairs, r.d))
+        terms.append((1, out.items(), 1))
+        return _combine(terms, w.d)
 
     def star(self, x, y):
         """rho_tau(rho_tau(x) cup rho_tau(y))."""
@@ -459,7 +443,7 @@ class SHModel:
         """Sym^n(g) on word coordinates, for an isometry g of the extended
         lattice that llv.graded_type accepts (NotGraded otherwise): a map
         from SHElts of this model to SHElts that hold word coordinates
-        only, equal to eta(self, g), with no Sym^n data and no solve.
+        only, equal to eta(self, g), with no Sym^n data and no read.
 
         With (kind, t) = graded_type(g), write g = mu_{1/t} F, so that
         F = mu_t g fixes alpha (kind 1) or sends it to beta (kind -1).
@@ -468,25 +452,16 @@ class SHModel:
 
         Graded F.  F fixes alpha, hence beta, and F = ext(f) for its middle
         block f.  As ext(f) e_lam ext(f)^-1 = e_{f lam} and ext(f) fixes
-        alpha^n / n!, Sym^n(F) Psi(l_1 ... l_k) = Psi(f l_1 ... f l_k):
-        Psi of words of length k is Sym^k H^2 -> (the length-k piece), and
-        it carries Sym^k(f) to Sym^n(F).
-        - k <= n: that map is injective, so every word of length k is a
-          basis word and the piece's word coordinates are monomial
-          coordinates on Sym^k H^2; the piece maps by Sym^k(f).
-        - k > n: rho_tau maps the length-k piece onto the length-(2n - k)
-          one, and tau commutes with ext(f) (it swaps alpha and beta, which
-          ext(f) fixes, and is -1 on the middle block).  So the piece maps
-          by rho_tau Sym^{2n-k}(f) rho_tau, rho_tau read off its table.
-        Sym^0(f) is the identity, and Sym^m(f) for m >= 1 is
-        SymSpace(base, m).apply_linear on f as a base isometry, each space
-        built on first use.
+        alpha^n / n!, Sym^n(F) Psi(v) = Psi(f v), which is Sym^m(f) on the
+        words v of length m.  tau swaps alpha and beta, which ext(f) fixes,
+        and is -1 on the middle block, so it commutes with ext(f), and
+        rho_tau Psi(v) maps to rho_tau Psi(f v).  So every piece maps by
+        Sym^m(f), m the length of the word in its keys.  Sym^0(f) is the
+        identity, and Sym^m(f) for m >= 1 is SymSpace(base, m).apply_linear
+        on f as a base isometry, each space built on first use.
         Anti-graded F.  F(alpha) = beta forces F(beta) = alpha, so F tau
         fixes both: F tau = ext(f) for f minus F's middle block, and
         F = ext(f) tau acts by rho_tau, then the graded action of ext(f).
-        rho_tau sends a piece of length j to length 2n - j, and as it is an
-        involution each piece goes through it once: before Sym^{2n-j}(f)
-        when 2n - j <= n, after Sym^j(f) otherwise.
         Scaling.  mu_{1/t} multiplies alpha by t and beta by 1/t, so it
         multiplies the image piece of length k, of eigenvalue 2k - 2n, by
         t^(n-k).
@@ -504,49 +479,42 @@ class SHModel:
         p, q = t.as_integer_ratio()
         syms = self._base_syms
 
-        def sym(m, piece):
-            if m == 0:
-                return piece
-            s = syms.get(m)
-            if s is None:
-                s = syms[m] = sn.SymSpace(space.base, m)
-            return s.apply_linear(f, piece)
-
-        def tau(piece):
-            return self.rho_tau(SHElt(self, words=piece)).words
-
         def op(x):
             w = self._words_of(x)
+            if kind == -1:
+                w = self._rho_tau_words(w)
             pieces = {}
-            for b, c in w.nums.items():
-                pieces.setdefault(len(b), {})[b] = c
+            for key, c in w.nums.items():
+                s = 1 if key[:1] == _TAG else 0
+                pieces.setdefault((s, len(key) - s), {})[key[s:]] = c
             terms = []
-            for j, nums in pieces.items():
-                k = j if kind == 1 else 2 * n - j   # length of the image
-                # a long image takes rho_tau after Sym^m(f), and one before
-                # makes the count even (graded) or odd (anti-graded)
-                after = k > n
+            for (s, m), nums in pieces.items():
                 img = sn.SymElt(nums)
-                if after != (kind == -1):
-                    img = tau(img)
-                img = sym(min(j, 2 * n - j), img)
-                if after:
-                    img = tau(img)
-                # t^(n-k) = v / e with e > 0
-                m = n - k
-                v, e = (p ** m, q ** m) if m >= 0 else (q ** -m, p ** -m)
+                if m:
+                    sym = syms.get(m)
+                    if sym is None:
+                        sym = syms[m] = sn.SymSpace(space.base, m)
+                    img = sym.apply_linear(f, img)
+                # the image piece has length k = m, or 2n - m for tagged
+                # keys, and t^(n-k) = v / e with e > 0
+                r = m - n if s else n - m
+                v, e = (p ** r, q ** r) if r >= 0 else (q ** -r, p ** -r)
                 if e < 0:
                     v, e = -v, -e
-                terms.append((v, img.nums.items(), img.d * e))
+                entries = img.nums.items()
+                if s:
+                    entries = [(_TAG + b, c) for b, c in entries]
+                terms.append((v, entries, img.d * e))
             return SHElt(self, words=_combine(terms, w.d))
         return op
 
 
 class SHElt:
     """An element of the model, held by its Sym^n data, its word
-    coordinates words = {b: c_b} with the element sum c_b Psi(b) over basis
-    words b, or both, each a SymElt.  Each is computed from the other on
-    first use: data by summing the Psi(b), words by the piece solvers.
+    coordinates words = {b: c_b} with the element sum c_b [b] over basis
+    keys b, or both, each a SymElt.  Each is computed from the other on
+    first use: data by summing the basis elements, words by reading them
+    off (SHModel.to_words).
     Sums, differences and scalar multiples work on the data, and refuse an
     element of another model and a scalar that is not an int or a
     Fraction."""
@@ -572,7 +540,7 @@ class SHElt:
 
     def __eq__(self, other):
         """Same model and same element: word coordinates are coordinates
-        on the model's fixed basis words, in lowest terms, so they are
+        on the model's fixed basis, in lowest terms, so they are
         compared when both sides hold them, and the Sym^n data otherwise."""
         if not (isinstance(other, SHElt) and self.model is other.model):
             return False

@@ -32,7 +32,6 @@ integer form; its images are still split and checked entry by entry.
 """
 
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, gcd, lcm
 from operator import mul
@@ -294,44 +293,40 @@ class SymSpace:
             for j, m in enumerate(self.monomials):
                 for mm, c in self.contract(SymElt({m: 1})).nums.items():
                     mat[lindex[mm]][j] = c
-            r, pivots, _ = la.rref(mat)
-            free = [c for c in range(len(self.monomials)) if c not in pivots]
-            basis = []
-            for fcol in free:
-                vec = {self.monomials[fcol]: 1}
-                for i, pcol in enumerate(pivots):
-                    c = r[i][fcol]
-                    if c:
-                        vec[self.monomials[pcol]] = -c
-                basis.append(sym_form(vec))
-            info = (basis, [self.monomials[f] for f in free])
+            # _echelon's pivot row i is p_i times row i of the reduced
+            # echelon form, so the kernel vector of free column f is
+            # e_f - sum_i (m[i][f] / p_i) e_(pivot i), scaled to integers
+            # over the lcm of those p_i
+            ech, pivots = la._echelon(mat)
+            pivot_set = set(pivots)
+            hits = {}
+            for row, c in zip(ech, pivots):
+                for f, x in [(f, x) for f, x in enumerate(row) if x]:
+                    hits.setdefault(f, []).append((c, row[c], x))
+            basis, free = [], []
+            for f, m in enumerate(self.monomials):
+                if f in pivot_set:
+                    continue
+                col = hits.get(f, ())
+                d = lcm(*[p for _, p, _ in col])
+                vec = {m: d}
+                for c, p, x in col:
+                    vec[self.monomials[c]] = -x * (d // p)
+                basis.append(SymElt.of(vec, d))
+                free.append(m)
+            info = (basis, free)
         self._cache["kernel"] = info
         return info
 
     def sn_coords(self, x):
-        """Coordinates of a kernel element over kernel_basis(); exact."""
+        """Coordinates of a kernel element over kernel_basis(), read off its
+        free monomials; exact: an x whose contraction does not vanish
+        raises SolveFailure."""
         x = sym_form(x)
-        basis, free = self.kernel_basis()
-        coords = tuple([x.get(m, 0) for m in free])
-        # verify: rebuild x from the basis, scaled to ints over one bd
-        if "kernel_ints" not in self._cache:
-            bd = lcm(*[b.d for b in basis])
-            self._cache["kernel_ints"] = ([{m: c * (bd // b.d)
-                                            for m, c in b.nums.items()}
-                                           for b in basis], bd)
-        bnums, bd = self._cache["kernel_ints"]
-        xn = x.nums
-        rebuilt = {}
-        get = rebuilt.get
-        for m, b in zip(free, bnums):
-            c = xn.get(m)
-            if c:
-                for mm, v in b.items():
-                    rebuilt[mm] = get(mm, 0) + c * v
-        if ({m: v for m, v in rebuilt.items() if v}
-                != {m: bd * v for m, v in xn.items()}):
+        _, free = self.kernel_basis()
+        if self.contract(x):
             raise SolveFailure("element does not lie in the isotropic-power subspace")
-        return coords
+        return tuple([x.get(m, 0) for m in free])
 
     # -- functorial action ---------------------------------------------------
 
@@ -508,11 +503,11 @@ def _nth_root_fraction(c, n):
     sign(lambda) = sign(a) sign(v_i)^(n-1), so c = a / lambda^n is
     positive.  For even n, _isometry_from_lines fixes the signs from the
     pairings."""
-    c = abs(Fraction(c))
-    num = _integer_nth_root(c.numerator, n)
-    den = _integer_nth_root(c.denominator, n)
-    if num ** n == c.numerator and den ** n == c.denominator:
-        return Fraction(num, den)
+    p, q = la.int_ratio(c)
+    p = abs(p)
+    num, den = _integer_nth_root(p, n), _integer_nth_root(q, n)
+    if num ** n == p and den ** n == q:
+        return la.ratio(num, den)
     return None
 
 
@@ -678,13 +673,17 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     return h_comp == expect
 
 
+def divided_alpha_power(llv_space, n):
+    """alpha^n / n!, the single monomial of Psi of the empty word."""
+    return SymElt({(llv_space.alpha_index,) * n: 1}, factorial(n))
+
+
 def psi(llv_space, lams, n):
     """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a SymElt.
 
     Words longer than 2n give zero (documented, not an error)."""
     sym = SymSpace(llv_space.lattice, n)
-    x = sym_scale(Fraction(1, factorial(n)),
-                  sym_power(llv_space.alpha().coords, n))
+    x = divided_alpha_power(llv_space, n)
     for lam in reversed(lams):
         x = sym.derivation_apply(llv_mod.e_columns(llv_space, lam), x)
         if not x:

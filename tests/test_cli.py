@@ -153,6 +153,16 @@ def test_pontryagin_unit(capsys):
     assert obj["element"]["coords"] == {"24,24": "1/2"}
 
 
+def test_pontryagin_unit_at_n4(capsys):
+    """The star unit beta^4/4! of K3n:2 at n = 4, byte for byte: the model
+    is built without any elimination, and the unit is a relabelling."""
+    code, out = run_cli(["pontryagin", "unit", "--preset", "K3n:2", "--n", "4"],
+                        capsys)
+    assert code == 0
+    assert out == ('{"element":{"coords":{"24,24,24,24":"1/24"},'
+                   '"space":{"base":"llv","n":4}},"label":"c_X [pt]/n!"}\n')
+
+
 def test_mukai_star(capsys):
     k3 = lt.preset("K3")
     a = io.mukai_to_json(__import__("hklat").mukai.MukaiVector(

@@ -84,6 +84,20 @@ def test_congruent_diagonalize():
                 assert m[i][j] == (dvals[i] if i == j else 0)
 
 
+def test_congruent_diagonalize_keeps_the_plain_form():
+    """The diagonal is a plain vector like P: ints when integral, reduced
+    Fractions otherwise, never Fraction(-2, 1)."""
+    cases = [(lt.preset("U").diagonalization()[1], (-2, Fraction(1, 2))),
+             (la.congruent_diagonalize(((2, 1), (1, 2)))[1], (2, Fraction(3, 2)))]
+    p, d = lt.preset("K3").diagonalization()
+    cases.append((d, la.vec(d)))
+    for got, want in cases:
+        assert got == want
+        assert all(type(x) is int or x.denominator > 1 for x in got)
+        assert [type(x) for x in got] == [type(x) for x in want]
+    assert all(type(x) is int or x.denominator > 1 for row in p for x in row)
+
+
 def test_scalar_normalization_keeps_ints():
     assert la.frac(Fraction(6, 2)) == 3 and isinstance(la.frac(Fraction(6, 2)), int)
     assert la.frac(7) == 7 and la.frac(Fraction(1, 2)) == Fraction(1, 2)

@@ -2,6 +2,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -59,19 +61,51 @@ def _ref_from_words(M, words):
     return {m: c for m, c in out.items() if c}
 
 
+def _words(M, k):
+    """The sorted words of length k in the base-basis indices."""
+    return list(combinations_with_replacement(range(M.base_rank), k))
+
+
+def _ref_e_word(M, w, x):
+    """e_{w_1} ... e_{w_k} x on Sym^n data, as plain Fractions."""
+    x = sn.sym_form(x)
+    for i in reversed(w):
+        x = M.sym.derivation_apply(
+            llv.e_columns(M.space, M.space.base.basis_vec(i)), x)
+    return {m: Fraction(c) for m, c in x.items()}
+
+
+def _ref_split(M, x):
+    """(words, long) for Sym^n data x of the model: words {w: c} with
+    sum c Psi(w) the part of x on pieces of length k <= n, read by the
+    beta-free rule c_w = (n-k)! x[alpha^(n-k) m(w)] and checked, and long
+    the rest of x."""
+    n, bi = M.n, M.space.beta_index
+    words, short, long = {}, {}, {}
+    for m, c in x.items():
+        k = n + M.mono_eigenvalue(m) // 2
+        if k > n:
+            long[m] = Fraction(c)
+            continue
+        short[m] = Fraction(c)
+        if m[-1] != bi:
+            words[tuple(i - 1 for i in m[n - k:])] = c * factorial(n - k)
+    assert _ref_from_words(M, words) == short
+    return words, long
+
+
 def _ref_cup(M, x, y):
-    """Plain-Fraction cup: the polynomial product of the word
-    decompositions, pushed through psi_word."""
-    wx, wy = M.to_words(x), M.to_words(y)
-    assert _ref_from_words(M, wx) == x and _ref_from_words(M, wy) == y
-    prod = {}
-    for w1, c1 in wx.items():
-        for w2, c2 in wy.items():
-            if len(w1) + len(w2) <= 2 * M.n:
-                key = tuple(sorted(w1 + w2))
-                prod[key] = prod.get(key, Fraction(0)) \
-                    + Fraction(c1) * Fraction(c2)
-    return _ref_from_words(M, prod)
+    """Plain-Fraction cup, independent of the model's basis: with x and y
+    split into short pieces sum c_w Psi(w) and long ones, x cup y is
+    sum c_w e_w(y) over x's words plus sum d_u e_u(x_long) over y's words,
+    as the long pieces (length > n each) multiply to 0."""
+    (wx, lx), (wy, _) = _ref_split(M, x), _ref_split(M, y)
+    out = {}
+    for ws, z in ((wx, y), (wy, lx)):
+        for w, c in ws.items():
+            for m, v in _ref_e_word(M, w, z).items():
+                out[m] = out.get(m, 0) + c * v
+    return {m: c for m, c in out.items() if c}
 
 
 def _mixed_elements(rng, M, count):
@@ -188,6 +222,27 @@ def test_star_ring(small_model):
     # top * top lands in degree 4n
     top = M.unit_star()
     assert top.star(top).degree() == 4 * M.n
+
+
+@pytest.mark.parametrize("which", ["Kummer:2 n=3", "rank 3 n=4"])
+def test_ring_axioms_beyond_n2(which):
+    """The criterion-9 identities where rho_tau relabels two short pieces
+    on each side of the middle: Kummer:2 at n = 3 and a rank-3 base at
+    n = 4, the cup also against the Fraction reference."""
+    rng = random.Random(293)
+    if which == "Kummer:2 n=3":
+        M = pg.SHModel(llv.LLVSpace(lt.preset("Kummer", 2)), 3)
+    else:
+        M = _rank3_model(4)
+    one, pt = M.unit_cup(), M.unit_star()
+    for _ in range(6):
+        x, y, z = (M.random_element(rng) for _ in range(3))
+        assert one.cup(x) == x and x.star(pt) == x
+        assert x.cup(y) == y.cup(x) and x.star(y) == y.star(x)
+        assert x.cup(y).cup(z) == x.cup(y.cup(z))
+        assert x.star(y).star(z) == x.star(y.star(z))
+        assert x.cup(y).rho_tau() == x.rho_tau().star(y.rho_tau())
+        assert x.cup(y).data == _ref_cup(M, x.data, y.data)
 
 
 def test_rho_tau_is_ring_isomorphism(small_model):
@@ -473,17 +528,17 @@ def test_products_reject_another_models_element(small_model, big_model):
 
 
 def _residue_product():
-    """A fresh small model whose Psi of one non-basis product word w1 w2 is
-    replaced by the residue monomial (3, 3), and the basis words w1, w2."""
+    """A fresh small model whose Psi of one product word w1 w2 longer than n,
+    which a cup reads, is replaced by the residue monomial (3, 3), and the
+    basis words w1, w2."""
     M = _rank3_model(2)
-    basis = set(M._basis_words)
-    for w1 in M._basis_words:
-        for w2 in M._basis_words:
+    for w1 in _words(M, 1):
+        for w2 in _words(M, M.n):
             p = tuple(sorted(w1 + w2))
-            if len(p) <= 2 * M.n and p not in basis and M.psi_word(p):
+            if M.psi_word(p):
                 M._psi_memo[p] = sn.SymElt({(3, 3): 1})
                 return M, w1, w2
-    raise AssertionError("no non-basis product word")
+    raise AssertionError("no nonzero product word longer than n")
 
 
 def _residue_cup(M, w1, w2):
@@ -549,14 +604,26 @@ def test_products_solve_only_their_factors(big_model, monkeypatch):
 
 
 def test_rho_tau_table(small_model, big_model):
+    """rho_tau of every basis element against the slot permutation of tau
+    on its data: a short word w and its tagged key (-1,) + w trade places,
+    and a word of length n is read once into the middle table."""
     for M in (small_model, big_model):
-        for b in M._basis_words:
-            r = M._tau_coords(b)
-            got = M.from_words({w: Fraction(c, r.d) for w, c in r.pairs})
-            assert got == _ref_rho_tau(M, M.psi_word(b))
-            _assert_entries(got)
-    # on K3n:2 rho_tau sends every basis word to a multiple of one other
-    assert len(big_model._tau) == 324
+        short = [w for k in range(M.n) for w in _words(M, k)]
+        middle = _words(M, M.n)
+        keys = short + middle + [(-1,) + w for w in short]
+        assert len(keys) == sum(M._piece_dims.values())
+        for b in keys:
+            if b[:1] == (-1,):
+                data, img = _ref_rho_tau(M, M.psi_word(b[1:])), b[1:]
+            else:
+                data, img = M.psi_word(b), (-1,) + b
+            got = pg.SHElt(M, words=sn.SymElt({b: 1})).rho_tau()
+            assert got.data == _ref_rho_tau(M, data)
+            if b not in middle:
+                assert got.words == {img: 1}
+            _assert_entries(got.data)
+        assert sorted(M._tau) == middle
+    # on K3n:2 rho_tau sends every middle word to a multiple of one other
     assert all(len(r.pairs) == 1 for r in big_model._tau.values())
 
 
@@ -581,58 +648,79 @@ def _matching_sum(q, w):
 
 
 def test_top_piece_matches_polarized_fujiki(big_model):
-    """The eigenvalue-2n piece is one-dimensional, so a cup of two length-n
-    words is kappa times the polarized Fujiki form of their 2n indices,
-    times Psi of the top basis word; kappa is fixed by the first nonzero
-    case."""
+    """The eigenvalue-2n piece is one-dimensional, spanned by the top basis
+    element rho_tau Psi() = beta^n/n!, so a cup of two length-n words is
+    kappa times the polarized Fujiki form of their 2n indices times it;
+    kappa is fixed by the first nonzero case.  On K3n:2 at n = 2 and on a
+    rank-3 base at n = 3."""
     rng = random.Random(227)
-    M = big_model
-    q = M.space.base.gram
-    d, n = M.base_rank, M.n
-    top = M.psi_word(M._basis_words[-1])
-    linked = [(i, j) for i in range(d) for j in range(i, d) if q[i][j]]
+    for M in (big_model, _rank3_model(3)):
+        q = M.space.base.gram
+        d, n = M.base_rank, M.n
+        top = M.from_words({(-1,): 1})
+        assert top == {(M.space.beta_index,) * n: Fraction(1, factorial(n))}
+        linked = [(i, j) for i in range(d) for j in range(i, d) if q[i][j]]
 
-    def word():
-        if rng.random() < 0.6:
-            return tuple(sorted(rng.choice(linked)))
-        return tuple(sorted(rng.randrange(d) for _ in range(n)))
+        def word():
+            w = ()
+            while len(w) < n:
+                w += (rng.choice(linked) if rng.random() < 0.6
+                      else (rng.randrange(d),))
+            return tuple(sorted(w[:n]))
 
-    kappa = None
-    seen = set()
-    for _ in range(30):
-        w1, w2 = word(), word()
-        got = M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2))).data
-        f = _matching_sum(q, w1 + w2)
-        seen.add(f == 0)
-        if f and kappa is None:
-            m = next(iter(top))
-            kappa = Fraction(got[m]) / (f * top[m])
-        if kappa is not None:
-            assert got == sn.sym_scale(kappa * f, top)
-        else:
-            assert got == {}
-    assert kappa and seen == {True, False}
+        kappa = None
+        seen = set()
+        for _ in range(30):
+            w1, w2 = word(), word()
+            got = M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2))).data
+            f = _matching_sum(q, w1 + w2)
+            seen.add(f == 0)
+            if f and kappa is None:
+                m = next(iter(top))
+                kappa = Fraction(got[m]) / (f * top[m])
+            if kappa is not None:
+                assert got == sn.sym_scale(kappa * f, top)
+            else:
+                assert got == {}
+        assert kappa and seen == {True, False}, n
 
 
 def test_rows_keep_only_nonzero_products(big_model):
+    """Every row entry is a nonzero product of two basis elements, of one
+    of three kinds, and one object per product: word x word is Psi(w1 w2),
+    a basis word when it has length <= n; a tagged key (-1,) + v times a
+    word w with len(w) <= len(v) is e_w(rho_tau Psi(v)); two tagged keys
+    never meet."""
     M = big_model
     rng = random.Random(229)
     for _ in range(3):
         M.random_element(rng).cup(M.random_element(rng))
-    basis = set(M._basis_words)
+    M.unit_star().cup(M.random_element(rng))
     assert M._rows
-    for w1, row in M._rows.items():
-        for w2, r in row.items():
-            assert w2 in basis and len(w1) + len(w2) <= 2 * M.n
-            # one object per product word p = w1 w2 with Psi(p) != 0, which
-            # holds its basis-word coordinates once a cup has needed them
-            p = tuple(sorted(w1 + w2))
-            assert r is M._coords[p] and r.word == p
-            want = M.psi_word(p)
+    kinds = set()
+    for k1, row in M._rows.items():
+        for k2, r in row.items():
+            t1, t2 = k1[:1] == (-1,), k2[:1] == (-1,)
+            assert len(k1) - t1 <= M.n and len(k2) - t2 <= M.n
+            assert not (t1 and t2)
+            if t1 or t2:
+                (a, w) = (k1, k2) if t1 else (k2, k1)
+                assert len(w) <= len(a) - 1
+                assert r is M._products[(a, w)]
+                want = _ref_e_word(M, w, _ref_rho_tau(M, M.psi_word(a[1:])))
+                kinds.add("tagged")
+            else:
+                p = tuple(sorted(k1 + k2))
+                assert r is M._products[p]
+                want = M.psi_word(p)
+                kinds.add("short" if len(p) <= M.n else "long")
+                if len(p) <= M.n:
+                    assert r.pairs == ((p, 1),) and r.d == 1
             assert want
-            if r.pairs is not None:
-                got = M.from_words({b: Fraction(c, r.d) for b, c in r.pairs})
-                assert got == want
+            got = r.data if r.pairs is None else M.from_words(
+                {b: Fraction(c, r.d) for b, c in r.pairs})
+            assert got == want
+    assert kinds == {"short", "long", "tagged"}
 
 
 def test_dense_middle_cup_matches_sym_mul(big_model):
@@ -641,7 +729,7 @@ def test_dense_middle_cup_matches_sym_mul(big_model):
     decompositions."""
     rng = random.Random(233)
     M = big_model
-    mid = [w for w in M._basis_words if len(w) == M.n]
+    mid = _words(M, M.n)
     assert len(mid) == M.piece_dim(0) == 276
     x = M.from_words({w: Fraction(rng.choice((-3, -1, 1, 2, 5)),
                                   rng.choice((1, 2, 3))) for w in mid})

@@ -207,3 +207,23 @@ def test_sparse_columns_only_in_apply_linear():
     found = ["%s:%d in %s" % site for site in _calls("sparse_columns")
              if site[0] != "snrep.py" or site[2] != "apply_linear"]
     assert found == []
+
+
+def test_fractions_only_in_linalg():
+    """Only linalg imports the fractions module: every other module forms
+    its rationals through la (la.int_ratio, la.ratio) or keeps them as
+    integer numerators over a denominator."""
+    found = []
+    for name, tree in _modules():
+        if name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module]
+            else:
+                continue
+            found += ["%s:%d" % (name, node.lineno) for m in mods
+                      if m.split(".")[0] == "fractions"]
+    assert found == []
