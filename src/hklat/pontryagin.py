@@ -81,28 +81,6 @@ def _combine(terms, d):
     return sn.SymElt.of(out, den * d)
 
 
-def _tau_swap(x, ai, bi):
-    """The signed slot permutation of tau on a sparse Sym^n element with no
-    zero entries: alpha and beta trade places, every other slot changes
-    sign.  It permutes the monomials, so no two terms meet."""
-    out = {}
-    for m, c in x.items():
-        img = []
-        for i in m:
-            if i == ai:
-                img.append(bi)
-            elif i == bi:
-                img.append(ai)
-            else:
-                img.append(i)
-                c = -c
-        out[tuple(sorted(img))] = c
-    return out
-
-
-_ZERO = sn.SymElt({})   # Psi of most long words; shared
-
-
 class _Coords:
     """The basis coordinates sum_b n_b [b] / d of one element, as
     pairs = ((b, n_b), ...) on integers over d > 0 in lowest terms, read
@@ -140,13 +118,10 @@ class SHModel:
         self.n = n
         self.sym = sn.SymSpace(llv_space.lattice, n)
         self.base_rank = llv_space.base.rank
-        # e_lambda of each base basis vector, as derivation_apply reads it
-        self._e_cols = [llv_mod.e_columns(llv_space, llv_space.base.basis_vec(i))
-                        for i in range(self.base_rank)]
         # the words of each length k <= n: the keys of the short pieces
         self._words = [list(combinations_with_replacement(range(self.base_rank), k))
                        for k in range(n + 1)]
-        self._psi_memo = {}    # word, or tagged key -> its basis element
+        self._tagged = {}      # tagged key -> its basis element
         self._rows = {}
         self._products = {}    # product word, or (tagged key, word) -> _Coords
         self._tau = {}         # word w of length n -> _Coords of rho_tau Psi(w)
@@ -186,18 +161,9 @@ class SHModel:
     # -- Psi and the basis ----------------------------------------------------
 
     def psi_word(self, word):
-        """Psi of a sorted tuple of base-basis indices, memoized."""
-        x = self._psi_memo.get(word)
-        if x is None:
-            if word:
-                x = self.psi_word(word[1:])
-                if x:
-                    x = self.sym.derivation_apply(
-                        self._e_cols[word[0]], x) or _ZERO
-            else:
-                x = sn.divided_alpha_power(self.space, self.n)
-            self._psi_memo[word] = x
-        return x
+        """Psi of a sorted tuple of base-basis indices, memoized by
+        SymSpace.psi_word, which kernel_basis reads too."""
+        return self.sym.psi_word(word)
 
     def psi(self, lams):
         """Psi of a list of base-lattice vectors (not just basis ones)."""
@@ -208,11 +174,11 @@ class SHModel:
         memoized."""
         if key[:1] != _TAG:
             return self.psi_word(key)
-        x = self._psi_memo.get(key)
+        x = self._tagged.get(key)
         if x is None:
             p = self.psi_word(key[1:])
-            x = self._psi_memo[key] = sn.SymElt(
-                _tau_swap(p.nums, self.space.alpha_index, self.space.beta_index),
+            x = self._tagged[key] = sn.SymElt(
+                sn.tau_swap(p.nums, self.space.alpha_index, self.space.beta_index),
                 p.d)
         return x
 
@@ -225,7 +191,7 @@ class SHModel:
         n, ai, bi = self.n, self.space.alpha_index, self.space.beta_index
         nums, tag = x.nums, ()
         if k > n:
-            nums, k, tag = _tau_swap(nums, ai, bi), 2 * n - k, _TAG
+            nums, k, tag = sn.tau_swap(nums, ai, bi), 2 * n - k, _TAG
         f = factorial(n - k)
         words = {}
         for m, c in nums.items():
@@ -327,9 +293,9 @@ class SHModel:
         r = self._products.get(key, False)
         if r is False:
             if w:
-                x = self._basis_data(a)
+                x, ops = self._basis_data(a), self.sym.e_ops()
                 for i in reversed(w):
-                    x = self.sym.derivation_apply(self._e_cols[i], x)
+                    x = self.sym.derivation_apply(ops[i], x)
                 r = _Coords(x, 2 * self.n - len(a) + 1 + len(w)) if x else None
             else:
                 r = _Coords(pairs=((a, 1),))

@@ -11,10 +11,16 @@ back.  A plain dict handed to a kernel is scaled once by sym_form.
 sym_power also records power = (v, n) on its result, and apply_linear
 sends such a pure power v^n to (f v)^n, which holds for every n; only
 other elements pay for Sym^n(f) itself, for n = 2 the congruence f X f^T
-on integer numerators.  The distinguished subspace S_[n] is computed as
-the kernel of the contraction that pairs two slots with the bilinear form
--- the span of n-th powers of isotropic vectors, which is checked against
-it where feasible.
+on integer numerators.  The distinguished subspace S_[n] is the kernel of
+the contraction that pairs two slots with the bilinear form -- the span of
+n-th powers of isotropic vectors.  On an extended lattice (alpha, middle
+block, beta, as LLVSpace builds it) it is the Verbitsky component, an
+irreducible so-module with a basis in closed form (M. Verbitsky, GAFA
+1996; E. Looijenga, V. Lunts, Invent. Math. 129, 1997): its free
+monomials are those that do not hold both alpha and beta, and the basis
+vector of alpha^a lam_w is a! Psi(w), that of lam_v beta^c is
+(-1)^|v| c! rho_tau Psi(v).  That is the reduced echelon basis of the
+contraction, read off without elimination (SymSpace.kernel_basis).
 
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
@@ -189,10 +195,22 @@ def _multiplicities(m):
 
 
 MAX_MONOMIALS = 100_000
-# kernel_basis eliminates the contraction Sym^n -> Sym^(n-2) as a dense
-# R x C matrix, R = comb(d + n - 3, n - 2) and C = comb(d + n - 1, n), in
-# about R * R * C steps; past this budget it is refused
-MAX_ELIMINATION = 4 * 10 ** 9
+
+
+def tau_swap(x, ai, bi):
+    """tau on a sparse Sym^n element, with no zero entries, of an extended
+    lattice with alpha = ai first and beta = bi last: alpha^p lam beta^r
+    goes to (-1)^|lam| alpha^r lam beta^p.  It permutes the monomials, so
+    no two terms meet."""
+    out = {}
+    for m, c in x.items():
+        p, r = m.count(ai), m.count(bi)
+        lam = m[p:len(m) - r]
+        out[(ai,) * r + lam + (bi,) * p] = -c if len(lam) % 2 else c
+    return out
+
+
+_ZERO = SymElt({})   # Psi of most long words; shared
 
 
 class SymSpace:
@@ -202,13 +220,16 @@ class SymSpace:
     MAX_MONOMIALS = 100,000 monomials (comb(d + n - 1, n) for rank d) is
     refused with a LatticeError before any enumeration.  The largest space
     the test suite and perfbench build, Sym^3 at d = 25, has 2,925.
-    kernel_basis refuses a contraction over MAX_ELIMINATION = 4 * 10^9
-    before building it: Sym^4 at d = 25 (R = 325, C = 20,475) is within
-    it, and Sym^3 at d = 25 (R = 25, C = 2,925), the largest the tests,
-    perfbench and verify all reduce, far below.
+
+    kernel_basis, psi_word and e_ops need an extended lattice in
+    LLVSpace's basis shape: alpha first and beta last, both isotropic with
+    (alpha, beta) = -1 and orthogonal to the middle block.  There S_[n],
+    the kernel of the contraction, has a basis in closed form, built from
+    Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) by one derivation chain.
     """
 
-    __slots__ = ("lattice", "n", "dim_v", "monomials", "index", "_cache")
+    __slots__ = ("lattice", "n", "dim_v", "monomials", "index", "_cache",
+                 "_psi")
 
     def __init__(self, lattice, n):
         if n < 0:
@@ -224,6 +245,7 @@ class SymSpace:
         self.monomials = list(combinations_with_replacement(range(self.dim_v), n))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._cache = {}
+        self._psi = {}    # word -> Psi(word), zeros included
 
     def dim(self):
         return comb(self.dim_v + self.n - 1, self.n)
@@ -267,61 +289,92 @@ class SymSpace:
     def in_kernel(self, x):
         return not self.contract(x)
 
-    def kernel_basis(self):
-        """Sparse basis of ker(contract), memoized.
+    def e_ops(self):
+        """The operators e_i of the middle basis vectors, i = 0, 1, ..., as
+        derivation_apply reads them, memoized: e_i sends alpha to the middle
+        basis vector 1 + i and the middle basis vector j to
+        (e_(1+i), e_j) beta, the form llv.e_columns builds.  A lattice not in
+        LLVSpace's basis shape raises LatticeError."""
+        ops = self._cache.get("e")
+        if ops is None:
+            g, b = self.lattice.gram, self.dim_v - 1
+            if b < 1 or g[0][b] != -1 or any(g[0][:b]) or any(g[b][1:]):
+                raise LatticeError("the closed-form S_[n] needs an extended "
+                                   "lattice: alpha first and beta last, "
+                                   "isotropic, (alpha, beta) = -1, both "
+                                   "orthogonal to the middle block")
+            ops = self._cache["e"] = [
+                (dict([(j, [(b, g[i][j])]) for j in range(1, b) if g[i][j]]
+                      + [(0, [(i, 1)])]), 1)
+                for i in range(1, b)]
+        return ops
 
-        Returns (basis, free): free lists the free monomials of the reduced
-        echelon form of the contraction, one per basis vector, and each
-        basis vector has coefficient 1 at its free monomial and 0 at the
-        others, so sn_coords reads a kernel element's coordinates off them.
-        A contraction over MAX_ELIMINATION raises LatticeError unbuilt.
+    def psi_word(self, word):
+        """Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) for a sorted tuple w
+        of middle indices i (e_i of e_ops), memoized with its suffixes,
+        zeros included: each is one derivation_apply of the next."""
+        x = self._psi.get(word)
+        if x is None:
+            ops = self.e_ops()
+            if word:
+                x = self.psi_word(word[1:])
+                if x:
+                    x = self.derivation_apply(ops[word[0]], x) or _ZERO
+            else:
+                x = SymElt({(0,) * self.n: 1}, factorial(self.n))
+            self._psi[word] = x
+        return x
+
+    def kernel_basis(self):
+        """The reduced echelon basis of ker(contract) = S_[n], in closed
+        form, memoized.
+
+        Returns (basis, free).  free lists, in self.monomials order, the
+        monomials that do not hold both alpha and beta, and basis[i] is:
+        - a! Psi(w) for free[i] = alpha^a lam_w;
+        - (-1)^|v| c! rho_tau Psi(v) for free[i] = lam_v beta^c, c >= 1.
+
+        Psi(w) lies in the h-eigenspace of eigenvalue 2 |w| - 2n, where a
+        monomial alpha^p lam beta^r has eigenvalue 2 (r - p).  So its one
+        beta-free monomial is alpha^a lam_w, with coefficient 1 / a!, and
+        every other one holds both alpha and beta; rho_tau swaps alpha and
+        beta.  Each basis vector thus has exactly one free monomial, with
+        coefficient 1.  The monomials holding both are alpha beta times
+        those of Sym^(n-2), so there are sn_dim free monomials: the
+        vectors, each checked to lie in the kernel, form the basis the
+        reduced echelon form of the contraction gives with the alpha beta
+        monomials as pivots.  A vector outside the kernel raises
+        SolveFailure, also under python -O, and a lattice not in
+        LLVSpace's shape raises LatticeError.
         """
-        if "kernel" in self._cache:
-            return self._cache["kernel"]
-        if self.n < 2:
-            info = ([SymElt({m: 1}) for m in self.monomials],
-                    list(self.monomials))
-        else:
-            rows, cols = comb(self.dim_v + self.n - 3, self.n - 2), self.dim()
-            if rows * rows * cols > MAX_ELIMINATION:
-                raise LatticeError("the contraction of Sym^%d of rank %d is a "
-                                   "%d x %d elimination, over MAX_ELIMINATION"
-                                   % (self.n, self.dim_v, rows, cols))
-            # the contraction as a dense matrix over the lower monomial basis
-            lindex = SymSpace(self.lattice, self.n - 2).index
-            mat = [[0] * len(self.monomials) for _ in range(len(lindex))]
-            for j, m in enumerate(self.monomials):
-                for mm, c in self.contract(SymElt({m: 1})).nums.items():
-                    mat[lindex[mm]][j] = c
-            # _echelon's pivot row i is p_i times row i of the reduced
-            # echelon form, so the kernel vector of free column f is
-            # e_f - sum_i (m[i][f] / p_i) e_(pivot i), scaled to integers
-            # over the lcm of those p_i
-            ech, pivots = la._echelon(mat)
-            pivot_set = set(pivots)
-            hits = {}
-            for row, c in zip(ech, pivots):
-                for f, x in [(f, x) for f, x in enumerate(row) if x]:
-                    hits.setdefault(f, []).append((c, row[c], x))
+        if "kernel" not in self._cache:
+            self.e_ops()   # the shape check; at rank 1 the loop skips all
+            n, beta = self.n, self.dim_v - 1
             basis, free = [], []
-            for f, m in enumerate(self.monomials):
-                if f in pivot_set:
+            for m in self.monomials:
+                a, c = m.count(0), m.count(beta)
+                if a and c:
                     continue
-                col = hits.get(f, ())
-                d = lcm(*[p for _, p, _ in col])
-                vec = {m: d}
-                for c, p, x in col:
-                    vec[self.monomials[c]] = -x * (d // p)
-                basis.append(SymElt.of(vec, d))
+                if c:
+                    p = self.psi_word(tuple([i - 1 for i in m[:n - c]]))
+                    b = sym_scale((-1) ** (n - c) * factorial(c),
+                                  SymElt(tau_swap(p.nums, 0, beta), p.d))
+                else:
+                    b = sym_scale(factorial(a),
+                                  self.psi_word(tuple([i - 1 for i in m[a:]])))
+                if self.contract(b):
+                    raise SolveFailure("the closed-form vector of %r is outside "
+                                       "the kernel of the contraction" % (m,))
+                basis.append(b)
                 free.append(m)
-            info = (basis, free)
-        self._cache["kernel"] = info
-        return info
+            self._cache["kernel"] = (basis, free)
+        return self._cache["kernel"]
 
     def sn_coords(self, x):
         """Coordinates of a kernel element over kernel_basis(), read off its
-        free monomials; exact: an x whose contraction does not vanish
-        raises SolveFailure."""
+        free monomials: each basis vector is 1 at its own free monomial and
+        0 at the others, and a kernel element is fixed by its free entries.
+        Exact: an x whose contraction does not vanish raises SolveFailure."""
         x = sym_form(x)
         _, free = self.kernel_basis()
         if self.contract(x):
@@ -673,17 +726,13 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
     return h_comp == expect
 
 
-def divided_alpha_power(llv_space, n):
-    """alpha^n / n!, the single monomial of Psi of the empty word."""
-    return SymElt({(llv_space.alpha_index,) * n: 1}, factorial(n))
-
-
 def psi(llv_space, lams, n):
-    """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a SymElt.
+    """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a SymElt, for base-lattice
+    vectors lams; SymSpace.psi_word is its memoized form on basis words.
 
     Words longer than 2n give zero (documented, not an error)."""
     sym = SymSpace(llv_space.lattice, n)
-    x = divided_alpha_power(llv_space, n)
+    x = sym.psi_word(())
     for lam in reversed(lams):
         x = sym.derivation_apply(llv_mod.e_columns(llv_space, lam), x)
         if not x:

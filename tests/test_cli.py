@@ -250,17 +250,25 @@ def test_snrep_dim_over_monomial_budget_exits_2():
     assert json.loads(r.stdout)["error"]["type"] == "LatticeError"
 
 
-def test_snrep_dim_over_elimination_budget_exits_2():
+def test_snrep_dim_reads_large_kernels_in_closed_form():
     # Sym^160 of the rank-3 extended lattice of <2> has 13,041 monomials,
-    # within MAX_MONOMIALS, but its contraction is a 12,720 x 13,041
-    # elimination; kernel_basis refuses it before building the matrix
+    # within MAX_MONOMIALS; its contraction would be a 12,720 x 13,041
+    # elimination, but kernel_basis builds the 321 vectors in closed form
     cmd = [sys.executable, "-m", "hklat.cli", "snrep", "dim", "--json",
            '{"lattice": {"gram": [[2]]}}', "--n", "160"]
     r = subprocess.run(cmd, capture_output=True, text=True, timeout=30,
                        env=subprocess_env())
-    assert r.returncode == 2
-    err = json.loads(r.stdout)["error"]
-    assert err["type"] == "LatticeError" and "12720 x 13041" in err["message"]
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["kernel_rank"] == out["sn_dim"] == 321
+
+
+def test_snrep_dim_bytes_at_n4(capsys):
+    code, out = run_cli(["snrep", "dim", "--preset", "K3n:2", "--n", "4"],
+                        capsys)
+    assert code == 0
+    assert out == ('{"d":25,"kernel_rank":20150,"n":4,"sn_dim":20150,'
+                   '"sym_dim":20475}\n')
 
 
 def test_verify_all_deterministic():

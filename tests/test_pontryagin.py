@@ -472,7 +472,7 @@ def test_big_model_fast_paths(big_model):
 
 def _ref_rho_tau(M, x):
     """rho_tau on Sym^n data, the signed slot permutation of tau."""
-    return pg._tau_swap(x, M.space.alpha_index, M.space.beta_index)
+    return sn.tau_swap(x, M.space.alpha_index, M.space.beta_index)
 
 
 def test_cup_star_match_fraction_reference(small_model, big_model):
@@ -536,7 +536,7 @@ def _residue_product():
         for w2 in _words(M, M.n):
             p = tuple(sorted(w1 + w2))
             if M.psi_word(p):
-                M._psi_memo[p] = sn.SymElt({(3, 3): 1})
+                M.sym._psi[p] = sn.SymElt({(3, 3): 1})
                 return M, w1, w2
     raise AssertionError("no nonzero product word longer than n")
 

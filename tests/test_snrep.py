@@ -106,15 +106,43 @@ def test_dimension_formula(H5, H7):
     assert s53.sn_dim() == 30
 
 
-def test_kernel_against_sympy(H5):
+def test_kernel_against_sympy(H5, H7):
+    """kernel_basis is the reduced echelon basis of the contraction: entry
+    for entry sympy's nullspace, which is 1 at its own free column and 0 at
+    the others, and the free monomials are the non-pivot columns."""
     import sympy
-    sym = sn.SymSpace(H5.lattice, 2)
-    rows = []
-    for m in sym.monomials:
-        col = sym.contract({m: 1})
-        rows.append(col.get((), 0))
-    mat = sympy.Matrix([rows])
-    assert len(sym.kernel_basis()[0]) == sym.dim() - mat.rank()
+    cases = [(H5, (2, 3, 4)), (H7, (2, 3)),
+             (llv.LLVSpace(lt.preset("Kummer", 2)), (2, 3)),
+             (llv.LLVSpace(lt.Lattice([[1]])), (2, 3))]
+    for space, ns in cases:
+        for n in ns:
+            sym = sn.SymSpace(space.lattice, n)
+            lower = sn.SymSpace(space.lattice, n - 2).index
+            mat = sympy.zeros(len(lower), sym.dim())
+            for j, m in enumerate(sym.monomials):
+                for mm, c in sym.contract({m: 1}).items():
+                    mat[lower[mm], j] = c
+            pivots = set(mat.rref()[1])
+            want = [[Fraction(int(c.p), int(c.q)) for c in v]
+                    for v in mat.nullspace()]
+            basis, free = sym.kernel_basis()
+            assert free == [m for j, m in enumerate(sym.monomials)
+                            if j not in pivots]
+            assert [[b.get(m, 0) for m in sym.monomials] for b in basis] == want
+
+
+def test_kernel_needs_an_extended_lattice():
+    with pytest.raises(LatticeError):
+        sn.SymSpace(lt.Lattice([[2]]), 2).kernel_basis()
+
+
+def test_kernel_basis_checks_each_vector(H5, monkeypatch):
+    """Every closed-form vector is checked to lie in the kernel: a Psi off
+    the kernel raises SolveFailure (an explicit raise, so also under -O)."""
+    monkeypatch.setattr(sn.SymSpace, "psi_word",
+                        lambda self, w: sn.SymElt({(3, 3): 1}))
+    with pytest.raises(SolveFailure):
+        sn.SymSpace(H5.lattice, 2).kernel_basis()
 
 
 def test_isotropic_span_equals_kernel(H5, H7):

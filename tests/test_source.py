@@ -227,3 +227,23 @@ def test_fractions_only_in_linalg():
             found += ["%s:%d" % (name, node.lineno) for m in mods
                       if m.split(".")[0] == "fractions"]
     assert found == []
+
+
+def test_no_elimination_in_snrep_or_pontryagin():
+    """S_[n] and the Pontryagin model have bases in closed form, so snrep
+    and pontryagin read coordinates and never eliminate: they call none
+    of la._echelon, la.rref, la.solve, la.kernel or la.rank, and import
+    none of them from linalg."""
+    names = ("_echelon", "rref", "solve", "kernel", "rank")
+    found = []
+    for name, tree in _modules():
+        if name not in ("snrep.py", "pontryagin.py"):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "la"):
+                found.append("%s:%d" % (name, node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                found += ["%s:%d" % (name, node.lineno) for a in node.names
+                          if a.name in names]
+    assert found == []
