@@ -173,10 +173,10 @@ class SHModel:
         """Psi(key) for a word, rho_tau Psi(v) for a tagged key (-1,) + v;
         memoized."""
         if key[:1] != _TAG:
-            return self.psi_word(key)
+            return self.sym.psi_word(key)
         x = self._tagged.get(key)
         if x is None:
-            p = self.psi_word(key[1:])
+            p = self.sym.psi_word(key[1:])
             x = self._tagged[key] = sn.SymElt(
                 sn.tau_swap(p.nums, self.space.alpha_index, self.space.beta_index),
                 p.d)
@@ -202,7 +202,7 @@ class SHModel:
                 words[tuple([i - 1 for i in w])] = f * c
         terms = []
         for w, c in words.items():
-            p = self.psi_word(w)
+            p = self.sym.psi_word(w)
             terms.append((c, p.nums.items(), p.d))
         if _combine(terms, 1) != sn.SymElt(nums):
             raise SolveFailure("element is outside the spanned piece")
@@ -278,7 +278,7 @@ class SHModel:
             if len(p) <= self.n:
                 r = _Coords(pairs=((p, 1),))
             else:
-                x = self.psi_word(p)
+                x = self.sym.psi_word(p)
                 if not x:
                     return None
                 r = _Coords(x, len(p))

@@ -228,8 +228,7 @@ class SymSpace:
     Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) by one derivation chain.
     """
 
-    __slots__ = ("lattice", "n", "dim_v", "monomials", "index", "_cache",
-                 "_psi")
+    __slots__ = ("lattice", "n", "dim_v", "monomials", "_cache", "_psi")
 
     def __init__(self, lattice, n):
         if n < 0:
@@ -243,7 +242,6 @@ class SymSpace:
         self.n = n
         self.dim_v = lattice.rank
         self.monomials = list(combinations_with_replacement(range(self.dim_v), n))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
         self._cache = {}
         self._psi = {}    # word -> Psi(word), zeros included
 
@@ -348,7 +346,9 @@ class SymSpace:
         LLVSpace's shape raises LatticeError.
         """
         if "kernel" not in self._cache:
-            self.e_ops()   # the shape check; at rank 1 the loop skips all
+            # the shape check: at rank 1 alpha = beta, so the loop below
+            # skips every monomial and never reaches psi_word
+            self.e_ops()
             n, beta = self.n, self.dim_v - 1
             basis, free = [], []
             for m in self.monomials:

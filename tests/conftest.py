@@ -247,14 +247,15 @@ def span_rank_mod_p(space, vectors, p=46337):
     rational rank, so full rank certifies spanning)."""
     import numpy as np   # here, not at the top: -O subprocesses import conftest
 
+    index = {m: i for i, m in enumerate(space.monomials)}
     dense = []
     for v in vectors:
-        row = [0] * len(space.monomials)
+        row = [0] * len(index)
         mult = 1
         for m, c in v.items():
             mult = mult * c.denominator // gcd(mult, c.denominator)
         for m, c in v.items():
-            row[space.index[m]] = int(c * mult) % p
+            row[index[m]] = int(c * mult) % p
         dense.append(row)
     a = np.array(dense, dtype=np.int64) % p
     rows, cols = a.shape
@@ -282,9 +283,10 @@ def span_rank_mod_p(space, vectors, p=46337):
 def sym_to_dense(sym, x):
     """A sparse Sym^n element as its coordinate tuple in sym's monomial
     order."""
-    v = [0] * len(sym.monomials)
+    index = {m: i for i, m in enumerate(sym.monomials)}
+    v = [0] * len(index)
     for m, c in x.items():
-        v[sym.index[m]] = c
+        v[index[m]] = c
     return tuple(v)
 
 

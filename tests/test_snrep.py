@@ -117,7 +117,8 @@ def test_kernel_against_sympy(H5, H7):
     for space, ns in cases:
         for n in ns:
             sym = sn.SymSpace(space.lattice, n)
-            lower = sn.SymSpace(space.lattice, n - 2).index
+            lower = {m: i for i, m in
+                     enumerate(sn.SymSpace(space.lattice, n - 2).monomials)}
             mat = sympy.zeros(len(lower), sym.dim())
             for j, m in enumerate(sym.monomials):
                 for mm, c in sym.contract({m: 1}).items():
