@@ -10,33 +10,23 @@ The graded pieces are the eigenspaces of the grading operator h.  The
 piece of words of length k has eigenvalue 2k - 2n.  It is Sym^m H^2 with
 m = min(k, 2n - k), of dimension C(b + m - 1, m) for the base rank b.
 
-Each piece has a fixed basis in closed form:
-- a piece of length k <= n has Psi(w) for every word w of length k;
-- a longer piece has rho_tau Psi(v) for every word v of length 2n - k,
-  under the key (-1,) + v, which no word has.
-
-The first rule holds because Sym^k H^2 -> H^{2k} is injective for k <= n
-(M. Verbitsky, GAFA 1996).  Concretely, e_lam sends alpha to lam and every
-other basis vector to a multiple of beta, so Psi(w) has exactly one
-beta-free monomial: alpha^(n-k) lam_{w_1} ... lam_{w_k}, with coefficient
-1 / (n-k)!.  The second holds because the involution rho_tau, Sym^n of
-tau, maps the piece of length 2n - k onto the piece of length k
-(E. Looijenga, V. Lunts, Invent. Math. 129, 1997).
-
-So coordinates are read, not solved.  On a piece of length k <= n,
-c_w = (n-k)! x[alpha^(n-k) m(w)].  On a longer piece, rho_tau comes
-first.  Every read is checked exactly by rebuilding the element from its
+Each piece has a fixed basis in closed form, the one snrep.SymSpace builds
+and reads (basis_element, read; the rules and why they hold are in
+snrep): Psi(w) for the words w of a piece of length k <= n, and
+rho_tau Psi(v) under the tagged key snrep.TAG + v for the words v of
+length 2n - k on a longer one.  So coordinates are read, not solved, and
+every read is checked exactly by rebuilding the element from its
 coordinates; a residue raises SolveFailure.
 
 Sym^n data and word coordinates {key: coeff} are both snrep.SymElts:
 integer numerators over one denominator, immutable.  An SHElt holds its
 data, its word coordinates or both, and computes each from the other on
 first use.  cup, star and rho_tau read and return word coordinates only:
-- rho_tau relabels a short word w to (-1,) + w and back; only the middle
-  piece (k = n) keeps a table, each entry read once;
+- rho_tau relabels a short word w to the tagged key of w and back; only
+  the middle piece (k = n) keeps a table, each entry read once;
 - cup keeps, for each basis key, a memoized row of the keys whose product
   with it is nonzero.  Two words multiply to Psi(w1 w2), a basis word when
-  it is short and read otherwise.  A tagged key (-1,) + v times a word w
+  it is short and read otherwise.  The tagged key of v times a word w
   with len(w) <= len(v) is e_w(rho_tau Psi(v)), read.  Two tagged keys
   multiply to 0.
 - star is rho_tau(rho_tau(x) cup rho_tau(y)), with unit beta^n / n!, the
@@ -50,7 +40,7 @@ definition.
 """
 
 from itertools import combinations_with_replacement
-from math import comb, factorial, gcd
+from math import comb
 
 from . import linalg as la
 from . import llv as llv_mod
@@ -58,28 +48,6 @@ from . import snrep as sn
 from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                      SolveFailure)
 from .lattice import QIsometry
-
-_TAG = (-1,)   # the key of rho_tau Psi(v) is _TAG + v
-
-
-def _combine(terms, d):
-    """sum_t v_t (sum_k n_k [k]) / (e_t d) over terms (v_t, entries_t, e_t)
-    with entries (k, n_k), all ints and e_t, d > 0, as a SymElt; the
-    numerators share one denominator, which grows when a term needs it."""
-    out = {}
-    get = out.get
-    den = 1
-    for v, entries, e in terms:
-        if den % e:
-            s = e // gcd(den, e)
-            for k in out:
-                out[k] *= s
-            den *= s
-        a = v * (den // e)
-        for k, n in entries:
-            out[k] = get(k, 0) + a * n
-    return sn.SymElt.of(out, den * d)
-
 
 class _Coords:
     """The basis coordinates sum_b n_b [b] / d of one element, as
@@ -121,7 +89,6 @@ class SHModel:
         # the words of each length k <= n: the keys of the short pieces
         self._words = [list(combinations_with_replacement(range(self.base_rank), k))
                        for k in range(n + 1)]
-        self._tagged = {}      # tagged key -> its basis element
         self._rows = {}
         self._products = {}    # product word, or (tagged key, word) -> _Coords
         self._tau = {}         # word w of length n -> _Coords of rho_tau Psi(w)
@@ -162,51 +129,12 @@ class SHModel:
 
     def psi_word(self, word):
         """Psi of a sorted tuple of base-basis indices, memoized by
-        SymSpace.psi_word, which kernel_basis reads too."""
-        return self.sym.psi_word(word)
+        SymSpace.basis_element, which kernel_basis reads too."""
+        return self.sym.basis_element(word)
 
     def psi(self, lams):
         """Psi of a list of base-lattice vectors (not just basis ones)."""
         return sn.psi(self.space, lams, self.n)
-
-    def _basis_data(self, key):
-        """Psi(key) for a word, rho_tau Psi(v) for a tagged key (-1,) + v;
-        memoized."""
-        if key[:1] != _TAG:
-            return self.sym.psi_word(key)
-        x = self._tagged.get(key)
-        if x is None:
-            p = self.sym.psi_word(key[1:])
-            x = self._tagged[key] = sn.SymElt(
-                sn.tau_swap(p.nums, self.space.alpha_index, self.space.beta_index),
-                p.d)
-        return x
-
-    def _read(self, x, k):
-        """The basis coordinates, a SymElt {key: c}, of the SymElt x in the
-        piece of length k.  On a short piece
-        c_w = (n-k)! x[alpha^(n-k) m(w)]; a long one is read through
-        rho_tau under tagged keys.  The element is rebuilt from the
-        coordinates, and a residue raises SolveFailure."""
-        n, ai, bi = self.n, self.space.alpha_index, self.space.beta_index
-        nums, tag = x.nums, ()
-        if k > n:
-            nums, k, tag = sn.tau_swap(nums, ai, bi), 2 * n - k, _TAG
-        f = factorial(n - k)
-        words = {}
-        for m, c in nums.items():
-            # alpha sorts first and beta last: the beta-free monomials with
-            # n - k alphas, which outside the piece the rebuild rejects
-            w = m[n - k:]
-            if m[-1] != bi and (not w or w[0] != ai):
-                words[tuple([i - 1 for i in w])] = f * c
-        terms = []
-        for w, c in words.items():
-            p = self.sym.psi_word(w)
-            terms.append((c, p.nums.items(), p.d))
-        if _combine(terms, 1) != sn.SymElt(nums):
-            raise SolveFailure("element is outside the spanned piece")
-        return sn.SymElt.of({tag + w: c for w, c in words.items()}, x.d)
 
     def to_words(self, x):
         """Decompose x, Sym^n data or an SHElt of this model, into basis
@@ -220,9 +148,9 @@ class SHModel:
         """The word coordinates of Sym^n data, read piece by piece."""
         terms = []
         for j, piece in self.pieces(data).items():
-            w = self._read(piece, j // 2 + self.n)
+            w = self.sym.read(piece, j // 2 + self.n)
             terms.append((1, w.nums.items(), w.d))
-        return _combine(terms, 1)
+        return sn.sym_combine(terms, 1)
 
     def _words_of(self, x):
         """The word coordinates of x, which must be an SHElt of this model:
@@ -238,9 +166,9 @@ class SHModel:
         words = sn.sym_form(words)
         terms = []
         for w, c in words.nums.items():
-            p = self._basis_data(tuple(sorted(w)))
+            p = self.sym.basis_element(tuple(sorted(w)))
             terms.append((c, p.nums.items(), p.d))
-        return _combine(terms, words.d)
+        return sn.sym_combine(terms, words.d)
 
     def _row(self, k1):
         """{k2: _Coords of [k1] cup [k2]} over the basis keys k2 whose
@@ -248,7 +176,7 @@ class SHModel:
         row = self._rows.get(k1)
         if row is None:
             row = {}
-            if k1[:1] == _TAG:
+            if k1[:1] == sn.TAG:
                 for ws in self._words[:len(k1)]:
                     for w in ws:
                         r = self._tagged_product(k1, w)
@@ -262,7 +190,7 @@ class SHModel:
                             row[w] = r
                 for ws in self._words[len(k1):self.n]:
                     for v in ws:
-                        k2 = _TAG + v
+                        k2 = sn.TAG + v
                         r = self._tagged_product(k2, k1)
                         if r:
                             row[k2] = r
@@ -272,13 +200,13 @@ class SHModel:
     def _word_product(self, p):
         """The _Coords of Psi(p) for a product word p, None when it is 0:
         the basis word p when len(p) <= n, else read on first use;
-        memoized when nonzero (psi_word memoizes the zeros)."""
+        memoized when nonzero (basis_element memoizes the zeros)."""
         r = self._products.get(p)
         if r is None:
             if len(p) <= self.n:
                 r = _Coords(pairs=((p, 1),))
             else:
-                x = self.sym.psi_word(p)
+                x = self.sym.basis_element(p)
                 if not x:
                     return None
                 r = _Coords(x, len(p))
@@ -293,7 +221,7 @@ class SHModel:
         r = self._products.get(key, False)
         if r is False:
             if w:
-                x, ops = self._basis_data(a), self.sym.e_ops()
+                x, ops = self.sym.basis_element(a), self.sym.e_ops()
                 for i in reversed(w):
                     x = self.sym.derivation_apply(ops[i], x)
                 r = _Coords(x, 2 * self.n - len(a) + 1 + len(w)) if x else None
@@ -305,7 +233,7 @@ class SHModel:
     def _read_coords(self, r):
         """The _Coords r, its pairs read from r.data on first use."""
         if r.pairs is None:
-            x = self._read(r.data, r.k)
+            x = self.sym.read(r.data, r.k)
             r.pairs, r.d, r.data = tuple(x.nums.items()), x.d, None
         return r
 
@@ -315,7 +243,7 @@ class SHModel:
         r = self._tau.get(w)
         if r is None:
             r = self._tau[w] = self._read_coords(
-                _Coords(self._basis_data(_TAG + w), self.n))
+                _Coords(self.sym.basis_element(sn.TAG + w), self.n))
         return r
 
     # -- elements ------------------------------------------------------------
@@ -360,7 +288,7 @@ class SHModel:
         for r, v in out.items():
             r = self._read_coords(r)
             terms.append((v, r.pairs, r.d))
-        return SHElt(self, words=_combine(terms, xw.d * yw.d))
+        return SHElt(self, words=sn.sym_combine(terms, xw.d * yw.d))
 
     def rho_tau(self, x):
         """The involution induced by tau (a signed slot permutation on
@@ -373,15 +301,15 @@ class SHModel:
         n = self.n
         out, terms = {}, []
         for key, c in w.nums.items():
-            if key[:1] == _TAG:
+            if key[:1] == sn.TAG:
                 out[key[1:]] = c
             elif len(key) < n:
-                out[_TAG + key] = c
+                out[sn.TAG + key] = c
             else:
                 r = self._tau_coords(key)
                 terms.append((c, r.pairs, r.d))
         terms.append((1, out.items(), 1))
-        return _combine(terms, w.d)
+        return sn.sym_combine(terms, w.d)
 
     def star(self, x, y):
         """rho_tau(rho_tau(x) cup rho_tau(y))."""
@@ -451,7 +379,7 @@ class SHModel:
                 w = self._rho_tau_words(w)
             pieces = {}
             for key, c in w.nums.items():
-                s = 1 if key[:1] == _TAG else 0
+                s = 1 if key[:1] == sn.TAG else 0
                 pieces.setdefault((s, len(key) - s), {})[key[s:]] = c
             terms = []
             for (s, m), nums in pieces.items():
@@ -469,9 +397,9 @@ class SHModel:
                     v, e = -v, -e
                 entries = img.nums.items()
                 if s:
-                    entries = [(_TAG + b, c) for b, c in entries]
+                    entries = [(sn.TAG + b, c) for b, c in entries]
                 terms.append((v, entries, img.d * e))
-            return SHElt(self, words=_combine(terms, w.d))
+            return SHElt(self, words=sn.sym_combine(terms, w.d))
         return op
 
 

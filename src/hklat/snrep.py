@@ -22,6 +22,16 @@ vector of alpha^a lam_w is a! Psi(w), that of lam_v beta^c is
 (-1)^|v| c! rho_tau Psi(v).  That is the reduced echelon basis of the
 contraction, read off without elimination (SymSpace.kernel_basis).
 
+The same elements, unscaled, are the basis of the Pontryagin model, one
+per key: SymSpace.basis_element gives Psi(w) for a word w, a sorted tuple
+of middle indices, and rho_tau Psi(v) for the tagged key TAG + v.  On the
+h-eigenspace of words of length k <= n the Psi(w) are a basis, as
+Sym^k H^2 -> H^{2k} is injective (Verbitsky), and Psi(w) has exactly one
+beta-free monomial, alpha^(n-k) lam_w, with coefficient 1 / (n-k)!; the
+longer pieces are their rho_tau images (Looijenga-Lunts).  So
+SymSpace.read takes coordinates off those monomials, after rho_tau on a
+long piece, and checks them by rebuilding the element.
+
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
 powers v^n of an isotropic spanning set: each image is split as c w^n on
@@ -38,7 +48,7 @@ integer form; its images are still split and checked entry by entry.
 """
 
 from collections.abc import Mapping
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
@@ -197,6 +207,25 @@ def _multiplicities(m):
 MAX_MONOMIALS = 100_000
 
 
+def sym_combine(terms, d):
+    """sum_t v_t (sum_k n_k [k]) / (e_t d) over terms (v_t, entries_t, e_t)
+    with entries (k, n_k), all ints and e_t, d > 0, as a SymElt; the
+    numerators share one denominator, which grows when a term needs it."""
+    out = {}
+    get = out.get
+    den = 1
+    for v, entries, e in terms:
+        if den % e:
+            s = e // gcd(den, e)
+            for k in out:
+                out[k] *= s
+            den *= s
+        a = v * (den // e)
+        for k, n in entries:
+            out[k] = get(k, 0) + a * n
+    return SymElt.of(out, den * d)
+
+
 def tau_swap(x, ai, bi):
     """tau on a sparse Sym^n element, with no zero entries, of an extended
     lattice with alpha = ai first and beta = bi last: alpha^p lam beta^r
@@ -211,24 +240,27 @@ def tau_swap(x, ai, bi):
 
 
 _ZERO = SymElt({})   # Psi of most long words; shared
+TAG = (-1,)          # the key of rho_tau Psi(v) is TAG + v, which no word is
 
 
 class SymSpace:
     """Sym^n of a nondegenerate quadratic space (given as a Lattice).
 
-    The monomial basis is enumerated up front, so a space with more than
+    No monomial list is stored: elements are sparse, and kernel_basis walks
+    its free monomials directly.  A space with more than
     MAX_MONOMIALS = 100,000 monomials (comb(d + n - 1, n) for rank d) is
-    refused with a LatticeError before any enumeration.  The largest space
-    the test suite and perfbench build, Sym^3 at d = 25, has 2,925.
+    still refused with a LatticeError; that bounds the number of kernel
+    vectors, sn_dim, and any dense vector over the monomial basis.
 
-    kernel_basis, psi_word and e_ops need an extended lattice in
-    LLVSpace's basis shape: alpha first and beta last, both isotropic with
-    (alpha, beta) = -1 and orthogonal to the middle block.  There S_[n],
-    the kernel of the contraction, has a basis in closed form, built from
-    Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) by one derivation chain.
+    basis_element, kernel_basis, read and e_ops need an extended lattice
+    in LLVSpace's basis shape: alpha first and beta last, both isotropic
+    with (alpha, beta) = -1 and orthogonal to the middle block.  There
+    S_[n], the kernel of the contraction, has a basis in closed form, built
+    from Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) by one derivation
+    chain and from rho_tau Psi(v), under the tagged key TAG + v.
     """
 
-    __slots__ = ("lattice", "n", "dim_v", "monomials", "_cache", "_psi")
+    __slots__ = ("lattice", "n", "dim_v", "_cache", "_psi")
 
     def __init__(self, lattice, n):
         if n < 0:
@@ -241,9 +273,8 @@ class SymSpace:
         self.lattice = lattice
         self.n = n
         self.dim_v = lattice.rank
-        self.monomials = list(combinations_with_replacement(range(self.dim_v), n))
         self._cache = {}
-        self._psi = {}    # word -> Psi(word), zeros included
+        self._psi = {}    # basis key -> its basis element, zeros included
 
     def dim(self):
         return comb(self.dim_v + self.n - 1, self.n)
@@ -307,28 +338,60 @@ class SymSpace:
                 for i in range(1, b)]
         return ops
 
-    def psi_word(self, word):
-        """Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) for a sorted tuple w
-        of middle indices i (e_i of e_ops), memoized with its suffixes,
-        zeros included: each is one derivation_apply of the next."""
-        x = self._psi.get(word)
+    def basis_element(self, key):
+        """Psi(w) = e_(w_1) ... e_(w_k) (alpha^n / n!) for a word, a sorted
+        tuple w of middle indices i (e_i of e_ops), and rho_tau Psi(v) for
+        the tagged key TAG + v; memoized in one table with the suffixes of
+        each word, zeros included: each is one derivation_apply of the
+        next."""
+        x = self._psi.get(key)
         if x is None:
-            ops = self.e_ops()
-            if word:
-                x = self.psi_word(word[1:])
+            if key[:1] == TAG:
+                p = self.basis_element(key[1:])
+                x = SymElt(tau_swap(p.nums, 0, self.dim_v - 1), p.d)
+            elif key:
+                x = self.basis_element(key[1:])
                 if x:
-                    x = self.derivation_apply(ops[word[0]], x) or _ZERO
+                    x = self.derivation_apply(self.e_ops()[key[0]], x) or _ZERO
             else:
                 x = SymElt({(0,) * self.n: 1}, factorial(self.n))
-            self._psi[word] = x
+            self._psi[key] = x
         return x
+
+    def read(self, x, k):
+        """The basis coordinates, a SymElt {key: c}, of the SymElt x in the
+        piece of words of length k (h-eigenvalue 2k - 2n).  On a short
+        piece, k <= n, c_w = (n-k)! x[alpha^(n-k) m(w)], the one beta-free
+        monomial of Psi(w); a long one is read through rho_tau under tagged
+        keys.  The element is rebuilt from the coordinates, and a residue
+        raises SolveFailure."""
+        n, bi = self.n, self.dim_v - 1
+        nums, tag = x.nums, ()
+        if k > n:
+            nums, k, tag = tau_swap(nums, 0, bi), 2 * n - k, TAG
+        f = factorial(n - k)
+        words = {}
+        for m, c in nums.items():
+            # alpha sorts first and beta last: the beta-free monomials with
+            # n - k alphas, which outside the piece the rebuild rejects
+            w = m[n - k:]
+            if m[-1] != bi and (not w or w[0] != 0):
+                words[tuple([i - 1 for i in w])] = f * c
+        terms = []
+        for w, c in words.items():
+            p = self.basis_element(w)
+            terms.append((c, p.nums.items(), p.d))
+        if sym_combine(terms, 1) != SymElt(nums):
+            raise SolveFailure("element is outside the spanned piece")
+        return SymElt.of({tag + w: c for w, c in words.items()}, x.d)
 
     def kernel_basis(self):
         """The reduced echelon basis of ker(contract) = S_[n], in closed
         form, memoized.
 
-        Returns (basis, free).  free lists, in self.monomials order, the
-        monomials that do not hold both alpha and beta, and basis[i] is:
+        Returns (basis, free).  free lists, in lexicographic order, the
+        monomials that do not hold both alpha and beta, walked directly,
+        and basis[i] is:
         - a! Psi(w) for free[i] = alpha^a lam_w;
         - (-1)^|v| c! rho_tau Psi(v) for free[i] = lam_v beta^c, c >= 1.
 
@@ -346,27 +409,27 @@ class SymSpace:
         LLVSpace's shape raises LatticeError.
         """
         if "kernel" not in self._cache:
-            # the shape check: at rank 1 alpha = beta, so the loop below
-            # skips every monomial and never reaches psi_word
-            self.e_ops()
+            self.e_ops()   # the shape check
             n, beta = self.n, self.dim_v - 1
-            basis, free = [], []
-            for m in self.monomials:
+            # those with alpha and without beta, then those without alpha
+            cwr = combinations_with_replacement
+            free = (list(chain(((0,) + t for t in cwr(range(beta), n - 1)),
+                               cwr(range(1, beta + 1), n)))
+                    if n else [()])
+            basis = []
+            for m in free:
                 a, c = m.count(0), m.count(beta)
-                if a and c:
-                    continue
                 if c:
-                    p = self.psi_word(tuple([i - 1 for i in m[:n - c]]))
                     b = sym_scale((-1) ** (n - c) * factorial(c),
-                                  SymElt(tau_swap(p.nums, 0, beta), p.d))
+                                  self.basis_element(
+                                      TAG + tuple([i - 1 for i in m[:n - c]])))
                 else:
-                    b = sym_scale(factorial(a),
-                                  self.psi_word(tuple([i - 1 for i in m[a:]])))
+                    b = sym_scale(factorial(a), self.basis_element(
+                        tuple([i - 1 for i in m[a:]])))
                 if self.contract(b):
                     raise SolveFailure("the closed-form vector of %r is outside "
                                        "the kernel of the contraction" % (m,))
                 basis.append(b)
-                free.append(m)
             self._cache["kernel"] = (basis, free)
         return self._cache["kernel"]
 
@@ -728,11 +791,12 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
 
 def psi(llv_space, lams, n):
     """e_{lam_1} ... e_{lam_k} (alpha^n / n!) as a SymElt, for base-lattice
-    vectors lams; SymSpace.psi_word is its memoized form on basis words.
+    vectors lams; SymSpace.basis_element is its memoized form on basis
+    words.
 
     Words longer than 2n give zero (documented, not an error)."""
     sym = SymSpace(llv_space.lattice, n)
-    x = sym.psi_word(())
+    x = sym.basis_element(())
     for lam in reversed(lams):
         x = sym.derivation_apply(llv_mod.e_columns(llv_space, lam), x)
         if not x:

@@ -1,5 +1,6 @@
 import os
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -242,12 +243,19 @@ def isotropic_samples(lattice, rng, count, bound=2):
     return out
 
 
+def _monomial_index(sym):
+    """{monomial: position} over the sorted n-tuples of basis indices of a
+    SymSpace, in lexicographic order."""
+    return {m: i for i, m in enumerate(
+        combinations_with_replacement(range(sym.dim_v), sym.n))}
+
+
 def span_rank_mod_p(space, vectors, p=46337):
     """Rank over F_p of the given Sym^n elements (a lower bound for the
     rational rank, so full rank certifies spanning)."""
     import numpy as np   # here, not at the top: -O subprocesses import conftest
 
-    index = {m: i for i, m in enumerate(space.monomials)}
+    index = _monomial_index(space)
     dense = []
     for v in vectors:
         row = [0] * len(index)
@@ -281,9 +289,9 @@ def span_rank_mod_p(space, vectors, p=46337):
 
 
 def sym_to_dense(sym, x):
-    """A sparse Sym^n element as its coordinate tuple in sym's monomial
-    order."""
-    index = {m: i for i, m in enumerate(sym.monomials)}
+    """A sparse Sym^n element as its coordinate tuple in the lexicographic
+    order of the monomials."""
+    index = _monomial_index(sym)
     v = [0] * len(index)
     for m, c in x.items():
         v[index[m]] = c

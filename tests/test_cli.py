@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 from math import gcd
@@ -261,6 +262,27 @@ def test_snrep_dim_reads_large_kernels_in_closed_form():
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["kernel_rank"] == out["sn_dim"] == 321
+
+
+def _cap_address_space_at_1gib():
+    """preexec_fn: a child that builds too much fails alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_snrep_dim_long_power_builds_no_monomial_list():
+    # Sym^99999 of the rank-2 extended lattice of the empty base has 100,000
+    # monomials, within MAX_MONOMIALS, of 99,999 slots each; a list of them
+    # would need some 80 GB, while kernel_basis walks only its two free
+    # monomials, alpha^n and beta^n.  The child runs under a 1 GiB cap.
+    cmd = [sys.executable, "-m", "hklat.cli", "snrep", "dim", "--json",
+           '{"lattice": {"gram": []}}', "--n", "99999"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=30,
+                       env=subprocess_env(),
+                       preexec_fn=_cap_address_space_at_1gib)
+    assert r.returncode == 0, r.stderr[-2000:]
+    out = json.loads(r.stdout)
+    assert out["sym_dim"] == 100000
+    assert out["kernel_rank"] == out["sn_dim"] == 2
 
 
 def test_snrep_dim_bytes_at_n4(capsys):

@@ -649,12 +649,13 @@ def _matching_sum(q, w):
 
 def test_top_piece_matches_polarized_fujiki(big_model):
     """The eigenvalue-2n piece is one-dimensional, spanned by the top basis
-    element rho_tau Psi() = beta^n/n!, so a cup of two length-n words is
-    kappa times the polarized Fujiki form of their 2n indices times it;
-    kappa is fixed by the first nonzero case.  On K3n:2 at n = 2 and on a
-    rank-3 base at n = 3."""
+    element rho_tau Psi() = beta^n/n!, the avatar of [pt]/n!, so a cup of
+    two length-n words is kappa times the polarized Fujiki form of their 2n
+    indices times it, with kappa = n!.  For the word of lam 2n times the
+    form is (2n)! / (n! 2^n) q(lam)^n, so that is the Fujiki constant of
+    K3^[n].  On K3n:2 at n = 2 and on a rank-3 base at n = 3, 4 and 5."""
     rng = random.Random(227)
-    for M in (big_model, _rank3_model(3)):
+    for M in (big_model, _rank3_model(3), _rank3_model(4), _rank3_model(5)):
         q = M.space.base.gram
         d, n = M.base_rank, M.n
         top = M.from_words({(-1,): 1})
@@ -668,21 +669,14 @@ def test_top_piece_matches_polarized_fujiki(big_model):
                       else (rng.randrange(d),))
             return tuple(sorted(w[:n]))
 
-        kappa = None
         seen = set()
         for _ in range(30):
             w1, w2 = word(), word()
             got = M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2))).data
             f = _matching_sum(q, w1 + w2)
             seen.add(f == 0)
-            if f and kappa is None:
-                m = next(iter(top))
-                kappa = Fraction(got[m]) / (f * top[m])
-            if kappa is not None:
-                assert got == sn.sym_scale(kappa * f, top)
-            else:
-                assert got == {}
-        assert kappa and seen == {True, False}, n
+            assert got == sn.sym_scale(factorial(n) * f, top), (n, w1, w2)
+        assert seen == {True, False}, n
 
 
 def test_rows_keep_only_nonzero_products(big_model):

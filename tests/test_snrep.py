@@ -117,19 +117,20 @@ def test_kernel_against_sympy(H5, H7):
     for space, ns in cases:
         for n in ns:
             sym = sn.SymSpace(space.lattice, n)
-            lower = {m: i for i, m in
-                     enumerate(sn.SymSpace(space.lattice, n - 2).monomials)}
+            monomials = list(combinations_with_replacement(range(sym.dim_v), n))
+            lower = {m: i for i, m in enumerate(
+                combinations_with_replacement(range(sym.dim_v), n - 2))}
             mat = sympy.zeros(len(lower), sym.dim())
-            for j, m in enumerate(sym.monomials):
+            for j, m in enumerate(monomials):
                 for mm, c in sym.contract({m: 1}).items():
                     mat[lower[mm], j] = c
             pivots = set(mat.rref()[1])
             want = [[Fraction(int(c.p), int(c.q)) for c in v]
                     for v in mat.nullspace()]
             basis, free = sym.kernel_basis()
-            assert free == [m for j, m in enumerate(sym.monomials)
+            assert free == [m for j, m in enumerate(monomials)
                             if j not in pivots]
-            assert [[b.get(m, 0) for m in sym.monomials] for b in basis] == want
+            assert [[b.get(m, 0) for m in monomials] for b in basis] == want
 
 
 def test_kernel_needs_an_extended_lattice():
@@ -140,8 +141,8 @@ def test_kernel_needs_an_extended_lattice():
 def test_kernel_basis_checks_each_vector(H5, monkeypatch):
     """Every closed-form vector is checked to lie in the kernel: a Psi off
     the kernel raises SolveFailure (an explicit raise, so also under -O)."""
-    monkeypatch.setattr(sn.SymSpace, "psi_word",
-                        lambda self, w: sn.SymElt({(3, 3): 1}))
+    monkeypatch.setattr(sn.SymSpace, "basis_element",
+                        lambda self, key: sn.SymElt({(3, 3): 1}))
     with pytest.raises(SolveFailure):
         sn.SymSpace(H5.lattice, 2).kernel_basis()
 

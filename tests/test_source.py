@@ -247,3 +247,27 @@ def test_no_elimination_in_snrep_or_pontryagin():
                 found += ["%s:%d" % (name, node.lineno) for a in node.names
                           if a.name in names]
     assert found == []
+
+
+def test_basis_convention_only_in_snrep():
+    """The S_[n] basis convention, rho_tau by tau_swap and the tagged key
+    TAG + v of rho_tau Psi(v), lives in snrep alone: no other module calls
+    tau_swap or defines a tagged-key constant, a module-level TAG or _TAG
+    or a module-level name bound to the literal (-1,)."""
+    found = ["%s:%d" % site[:2] for site in _calls("tau_swap")
+             if site[0] != "snrep.py"]
+    for name, tree in _modules():
+        if name == "snrep.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if names & {"TAG", "_TAG"} or (
+                    names and value is not None and ast.unparse(value) == "(-1,)"):
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []
