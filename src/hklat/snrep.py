@@ -346,13 +346,14 @@ class SymSpace:
         next."""
         x = self._psi.get(key)
         if x is None:
+            ops = self.e_ops()   # the shape check, for the empty word too
             if key[:1] == TAG:
                 p = self.basis_element(key[1:])
                 x = SymElt(tau_swap(p.nums, 0, self.dim_v - 1), p.d)
             elif key:
                 x = self.basis_element(key[1:])
                 if x:
-                    x = self.derivation_apply(self.e_ops()[key[0]], x) or _ZERO
+                    x = self.derivation_apply(ops[key[0]], x) or _ZERO
             else:
                 x = SymElt({(0,) * self.n: 1}, factorial(self.n))
             self._psi[key] = x
