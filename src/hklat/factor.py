@@ -12,7 +12,10 @@ certificate for any phi in O^+(Lambda_Q) and checks it once with
 verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
 certificates.  Every reflection, in reflect_times and in
-NormalForm.evaluate, runs on the one integer kernel _reflect_rows.
+NormalForm.evaluate, runs on the one integer kernel: _reflection reads
+(u,u) and (Gu)^T m off the integer rows m, and _rank1_rows applies the
+rank-1 update; evaluate carries the product as integer rows over one
+denominator, with no isometry built per factor.
 Every factor is built in Lambda itself.  Cartan-Dieudonne runs on the
 delta-fixing residue as it stands, scanning integer candidates built once
 per lattice from the lattice's one diagonalization: delta is one of its
@@ -37,25 +40,34 @@ from .transvect import (_step_columns, canonical_vector, move_into_L,
                         reduce_to_canonical)
 
 
-def _reflect_rows(lattice, nu, m):
-    """rho_u on integer rows m, scaled by (u,u), for integer u = nu.
-
-    Returns (uu, moved): uu = |(u,u)| and moved[i] the row i of
-    uu m - 2 u (Gu)^T m (sign folded so that uu > 0) for each i with
-    nu[i] != 0; every other row is uu m[i].  Only the rows of m that Gu
-    or u reach are read.
-    """
+def _reflection(lattice, nu, m):
+    """(uu, r) for rho_u on integer rows m, for integer u = nu: uu = |(u,u)|
+    and r = +-(Gu)^T m, the sign folded so that uu > 0 and
+    rho_u m = (uu m - 2 u r^T) / uu.  Only the rows of m that Gu reaches
+    are read."""
     gu = lattice.gram_times(nu)
     uu = sum([nu[i] * s for i, s in gu])
     if uu == 0:
         raise IsotropicVector("cannot reflect in an isotropic vector")
-    r = [0] * len(m[gu[0][0]])
-    for i, s in gu:
-        r = [x + s * y for x, y in zip(r, m[i])]
     if uu < 0:
-        uu, r = -uu, [-x for x in r]
-    return uu, {i: [uu * y - 2 * x * z for y, z in zip(m[i], r)]
-                for i, x in enumerate(nu) if x}
+        uu, gu = -uu, [(i, -s) for i, s in gu]
+    (i, s), rest = gu[0], gu[1:]
+    r = [s * y for y in m[i]]
+    for i, s in rest:
+        r = [x + s * y for x, y in zip(r, m[i])]
+    return uu, r
+
+
+def _rank1_rows(uu, rows, v, r):
+    """uu rows - 2 v r^T as new integer rows, in one pass over the rows."""
+    out = []
+    for row, x in zip(rows, v):
+        if x:
+            c = 2 * x
+            out.append([uu * y - c * z for y, z in zip(row, r)])
+        else:
+            out.append([uu * y for y in row])
+    return out
 
 
 def reflect(lattice, u):
@@ -66,12 +78,12 @@ def reflect(lattice, u):
 
 
 def reflect_times(lattice, u, g):
-    """rho_u o g by the integer kernel _reflect_rows on g's integer form,
-    over g.d (u, u); rho_u depends only on the line of u."""
-    uu, moved = _reflect_rows(lattice, u.nums, g.nums)
-    rows = [moved[i] if i in moved else [uu * x for x in row]
-            for i, row in enumerate(g.nums)]
-    return QIsometry._of(lattice, rows, g.d * uu)
+    """rho_u o g on g's integer form, over g.d (u, u): the step of
+    NormalForm.evaluate with gamma the identity.  rho_u depends only on
+    the line of u, so u's numerators serve."""
+    uu, r = _reflection(lattice, u.nums, g.nums)
+    return QIsometry._of(lattice, _rank1_rows(uu, g.nums, u.nums, r),
+                         g.d * uu)
 
 
 def witt_map(lattice, x, y):
@@ -387,7 +399,8 @@ class NormalForm:
     """(-1)^k gamma_k rho_{u_k} ... gamma_1 rho_{u_1} gamma_0.
 
     us[0] is u_1 (applied first); gammas[0] is gamma_0.  Construction
-    checks only the shape.  The Gamma-membership result of each gamma is
+    checks only the shape: the counts, and that every gamma and u lives on
+    the form's own lattice.  The Gamma-membership result of each gamma is
     computed once, on first use, and kept.
     """
 
@@ -398,6 +411,9 @@ class NormalForm:
             raise DimensionMismatch(
                 "a normal form with k = %s needs k vectors u and k + 1 "
                 "gammas, not %d and %d" % (k, len(us), len(gammas)))
+        if any(x.lattice != lattice for x in (*gammas, *us)):
+            raise DimensionMismatch(
+                "a factor of the normal form lives in another lattice")
         self.lattice = lattice
         self.k = k
         self.gammas = tuple(gammas)
@@ -417,12 +433,31 @@ class NormalForm:
         return tuple(cert for _, cert in self.memberships())
 
     def evaluate(self):
-        """The product, on the isometries' integer forms: each rho_u by
-        reflect_times, each gamma by one integer product."""
-        g = self.gammas[0]
+        """The product, carried as integer rows m over one denominator d.
+
+        Each factor is one integer step,
+        gamma rho_u m = (uu gamma m - 2 (gamma u) r^T) / uu, with (uu, r)
+        from _reflection on the running rows: gamma's numerators multiply
+        the unscaled rows in one la.int_mat_mul, gamma u is one sparse
+        product, and _rank1_rows applies the correction and the uu scaling
+        in one pass; the content is then divided out of the rows over
+        d uu gamma.d.  A non-integral gamma, a rational u (by its line)
+        and a u of negative norm are exact; an isotropic u raises
+        IsotropicVector.
+        """
+        lat = self.lattice
+        m, d = self.gammas[0].nums, self.gammas[0].d
         for u, gamma in zip(self.us, self.gammas[1:]):
-            g = gamma * reflect_times(self.lattice, u, g)
-        return -g if self.k % 2 else g
+            nu = u.nums
+            uu, r = _reflection(lat, nu, m)
+            nz = [(k, y) for k, y in enumerate(nu) if y]
+            gu = [sum([row[k] * y for k, y in nz]) for row in gamma.nums]
+            m, d = la.reduce_scaled(
+                _rank1_rows(uu, la.int_mat_mul(gamma.nums, m), gu, r),
+                d * uu * gamma.d)
+        if self.k % 2:
+            m = [[-x for x in row] for row in m]
+        return QIsometry._of(lat, m, d)
 
 
 def _split_delta(lattice, v):

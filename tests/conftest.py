@@ -21,7 +21,7 @@ TRUSTED_SITES = {
     "identity", "__mul__", "__neg__", "inverse", "b_field",
     "tau", "mu", "extend_to_llv", "iota_tilde", "reflect_times",
     "isometry", "_isometry_from_lines", "_plane_negation", "from_scaled",
-    "_graded_action"}
+    "_graded_action", "evaluate"}
 
 
 def subprocess_env(*dirs):
@@ -128,6 +128,17 @@ def canonical_form(g):
             and all(type(row) is tuple and all(type(x) is int for x in row)
                     for row in g.nums)
             and gcd(g.d, *[x for row in g.nums for x in row]) == 1)
+
+
+def chain_evaluate(nf):
+    """(-1)^k gamma_k rho_{u_k} ... gamma_0 by the isometry chain:
+    fc.reflect_times on the running isometry, then the product
+    QIsometry.__mul__ with the next gamma; a reference for
+    NormalForm.evaluate, which fuses each factor into one integer step."""
+    g = nf.gammas[0]
+    for u, gamma in zip(nf.us, nf.gammas[1:]):
+        g = gamma * fc.reflect_times(nf.lattice, u, g)
+    return -g if nf.k % 2 else g
 
 
 def frac_pair(lat, x, y):

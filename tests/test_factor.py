@@ -3,20 +3,22 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import (canonical, canonical_form, frac_pair, is_zero_vec,
-                      rand_anisotropic, rand_orientation_preserving,
-                      rand_primitive, rand_transvection, rand_vec,
-                      subprocess_env, TESTS, vec_add, vec_sub)
+from conftest import (canonical, canonical_form, chain_evaluate, frac_pair,
+                      is_zero_vec, rand_anisotropic,
+                      rand_orientation_preserving, rand_primitive,
+                      rand_transvection, rand_vec, subprocess_env, TESTS,
+                      vec_add, vec_sub)
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import jsonio as jio
 from hklat import lattice as lt
 from hklat import transvect as tv
-from hklat.errors import (IsotropicLambda, IsotropicVector,
-                          OrientationReversing)
+from hklat.errors import (DimensionMismatch, IsotropicLambda,
+                          IsotropicVector, OrientationReversing)
 
 
 def test_reflect_basics(k3):
@@ -469,17 +471,44 @@ def test_evaluate_matches_fraction_product(k3n2):
     assert nf.k > 0
     ev = nf.evaluate()
     assert ev.matrix == _fraction_product(nf) == phi.matrix
-    assert canonical(ev.matrix)
+    assert canonical(ev.matrix) and canonical_form(ev)
     # untrusted shapes still evaluate exactly: non-integral gammas, a
-    # rational u and a u of negative norm
-    rational = fc.NormalForm(k3n2, 2, [phi, phi.inverse(), phi],
-                             [Fraction(2, 3) * nf.us[0],
-                              k3n2.vec([1, 2] + [0] * 21)])
-    assert rational.evaluate().matrix == _fraction_product(rational)
-    assert canonical(rational.evaluate().matrix)
+    # rational u, a u of negative norm, an identity gamma between two
+    # reflections, and a u whose norm shares a factor with the running
+    # denominator, which is phi.d after gamma_0 = phi
+    ident = lt.QIsometry.identity(k3n2)
+    neg = k3n2.vec([1, 2] + [0] * 21)
+    shared = k3n2.vec([0, 0, 1, -2] + [0] * 19)
+    assert phi.d > 1 and neg.norm() < 0 and gcd(phi.d, shared.norm()) > 1
+    forms = [
+        fc.NormalForm(k3n2, 2, [phi, phi.inverse(), phi],
+                      [Fraction(2, 3) * nf.us[0], neg]),
+        fc.NormalForm(k3n2, 2, [phi, ident, phi.inverse()], [nf.us[0], neg]),
+        fc.NormalForm(k3n2, 1, [phi, phi], [shared]),
+    ]
+    for form in forms:
+        ev = form.evaluate()
+        assert ev.matrix == _fraction_product(form)
+        assert canonical(ev.matrix) and canonical_form(ev)
     isotropic = fc.NormalForm(k3n2, 1, nf.gammas[:2], [k3n2.basis_vec(0)])
     with pytest.raises(IsotropicVector):
         isotropic.evaluate()
+
+
+def test_normal_form_refuses_factors_of_another_lattice(k3n2):
+    """A gamma or a u on another lattice of the same rank raises at
+    construction: evaluate reads the factors' integer forms only."""
+    k3n3 = lt.preset("K3n", 3)
+    assert k3n3.rank == k3n2.rank and k3n3 != k3n2
+    u2, u3 = (lat.vec([1, -1] + [0] * 21) for lat in (k3n2, k3n3))
+    i2, i3 = lt.QIsometry.identity(k3n2), lt.QIsometry.identity(k3n3)
+    for gammas, us in (([i3, i2], [u3]), ([i3, i2], [u2]), ([i2, i3], [u2]),
+                       ([i2, i2], [u3])):
+        with pytest.raises(DimensionMismatch):
+            fc.NormalForm(k3n2, 1, gammas, us)
+    # the same factors on the form's own lattice certify -rho_u
+    nf = fc.NormalForm(k3n2, 1, [i2, i2], [u2])
+    assert fc.verify_normal_form(nf, -fc.reflect(k3n2, u2))["ok"]
 
 
 def test_double_orbit_conjugation(k3):
@@ -534,6 +563,31 @@ def test_decompose_certifies_once(k3n2, monkeypatch):
     assert fc.verify_normal_form(loaded, phi)["ok"]
     assert counts == {"membership": 2 * (k + 1), "evaluate": 2,
                       "verify_normal_form": 2}
+
+
+def test_evaluate_is_one_integer_step_per_factor(k3n2, monkeypatch):
+    """One evaluate of a k-step certificate makes k calls of la.int_mat_mul,
+    none of reflect_times, and builds one QIsometry, the result."""
+    nf = fc.decompose(k3n2, _rewrite_input(k3n2))
+    forms = [nf, fc.NormalForm(k3n2, 0, nf.gammas[-1:], [])]
+    want = [chain_evaluate(form) for form in forms]
+    counts = {"int_mat_mul": 0, "reflect_times": 0, "_of": 0, "__init__": 0}
+    _count_calls(monkeypatch, la, "int_mat_mul", counts)
+    _count_calls(monkeypatch, fc, "reflect_times", counts)
+    _count_calls(monkeypatch, lt.QIsometry, "__init__", counts)
+    real_of = lt.QIsometry._of
+
+    def counted_of(*args):
+        counts["_of"] += 1
+        return real_of(*args)
+    monkeypatch.setattr(lt.QIsometry, "_of", staticmethod(counted_of))
+    for form, chained in zip(forms, want):
+        for key in counts:
+            counts[key] = 0
+        assert form.evaluate() == chained
+        assert counts == {"int_mat_mul": form.k, "reflect_times": 0,
+                          "_of": 1, "__init__": 0}
+    assert nf.k == 5
 
 
 def test_assemble_starts_each_run_from_its_first_factor(k3n2, monkeypatch):
@@ -764,17 +818,24 @@ def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
     # would make the call counts depend on which tests ran first
     lat = lt.preset("K3n", 2)
     seen, seen_steps = [], []
-    real, real_times = fc._reflect_rows, fc.reflect_times
-    real_steps = fc._step_columns
+    real, real_rows = fc._reflection, fc._rank1_rows
+    real_times, real_steps = fc.reflect_times, fc._step_columns
 
     def checked(lattice, nu, m):
-        uu, moved = real(lattice, nu, m)
-        # integer rows scaled by uu > 0, exactly where nu is nonzero
-        seen.append(type(uu) is int and uu > 0
-                    and set(moved) == {i for i, x in enumerate(nu) if x}
-                    and all(type(x) is int for row in moved.values()
-                            for x in row))
-        return uu, moved
+        uu, r = real(lattice, nu, m)
+        # a scale uu > 0 and one integer row of m's width
+        seen.append(type(uu) is int and uu > 0 and len(r) == len(m[0])
+                    and all(type(x) is int for x in r))
+        return uu, r
+
+    def checked_rows(uu, rows, v, r):
+        out = real_rows(uu, rows, v, r)
+        # integer rows, each row that v is zero on scaled by uu alone
+        seen.append(len(out) == len(rows)
+                    and all(type(x) is int for row in out for x in row)
+                    and all(o == [uu * y for y in row]
+                            for o, row, x in zip(out, rows, v) if not x))
+        return out
 
     def checked_times(lattice, u, g):
         out = real_times(lattice, u, g)
@@ -788,7 +849,8 @@ def test_reflection_kernel_outputs_keep_entry_contract(monkeypatch):
                           and scale & (scale - 1) == 0
                           and all(type(x) is int for c in cols for x in c))
         return scale
-    monkeypatch.setattr(fc, "_reflect_rows", checked)
+    monkeypatch.setattr(fc, "_reflection", checked)
+    monkeypatch.setattr(fc, "_rank1_rows", checked_rows)
     monkeypatch.setattr(fc, "reflect_times", checked_times)
     monkeypatch.setattr(fc, "_step_columns", checked_steps)
     # the fixed rewrite input and the tamper test's word (k = 5 and 23)

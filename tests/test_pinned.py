@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_primitive_norm, subprocess_env
+from conftest import chain_evaluate, rand_primitive_norm, subprocess_env
 from hklat import factor as fc
 from hklat import jsonio as jio
 from hklat import lattice as lt
@@ -275,18 +275,25 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
     (decompose, JSON, verify on K3n:2): the sha256 of the concatenated
     certificate texts, each certificate's k, and every op passes the
     workload's own checks; decompose hands its delta-fixing work to
-    cartan_dieudonne as it stands."""
+    cartan_dieudonne as it stands, and every evaluate, of a fresh and of
+    a reloaded certificate, equals the reflect_times-then-product chain."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     workloads = importlib.import_module("workloads")
-    residues = []
-    real_cd = fc.cartan_dieudonne
+    residues, evaluated = [], []
+    real_cd, real_evaluate = fc.cartan_dieudonne, fc.NormalForm.evaluate
 
     def spy(lattice, residue):
         # the residue is decompose's work itself, read from its frame
         residues.append(residue is sys._getframe(1).f_locals["work"])
         return real_cd(lattice, residue)
+
+    def chain_checked(nf):
+        out = real_evaluate(nf)
+        evaluated.append((nf.k, out == chain_evaluate(nf)))
+        return out
     monkeypatch.setattr(fc, "cartan_dieudonne", spy)
+    monkeypatch.setattr(fc.NormalForm, "evaluate", chain_checked)
     deck = workloads.FactorK3n2(pool_seed=pool_seed)
     ctx = deck.setup()
     text = ""
@@ -299,6 +306,10 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
     assert _sha(text.encode()) == digest
     # setup's warm-up input and every word outside Gamma reach the residue
     assert residues == [True] * (1 + len(ks) - ks.count(0))
+    # the warm-up's decompose (k = 5), then each op's: decompose's own
+    # check and the reloaded certificate's, and only the latter for k = 0
+    assert evaluated == [(k, True) for k in
+                         [5] + [j for k in ks for j in ([k, k] if k else [0])]]
 
 
 def test_trace_targets_resolve():
