@@ -85,25 +85,33 @@ def parse_preset_name(name):
 
 
 def lattice_from_json(obj):
+    """A lattice reference: a preset name, or an object with a "name", a
+    "gram" or both.  A reference of another JSON type raises TypeError and
+    an object with neither field ValueError (exit 3, schema mismatch); a
+    name that is no preset and carries no gram raises LatticeError."""
     if isinstance(obj, str):
         return parse_preset_name(obj)
-    if isinstance(obj, dict):
-        # gram entries follow the scalar rule; Lattice refuses non-integers
-        gram = ([[scalar_from_json(c) for c in row] for row in obj["gram"]]
-                if "gram" in obj else None)
-        if "name" in obj:
-            # a name that is no preset, as "llv(K3n:2)", labels the gram
-            try:
-                lat = parse_preset_name(obj["name"])
-            except (LatticeError, ValueError):
-                lat = None
-            if lat is not None:
-                if gram is not None and la.mat(gram) != lat.gram:
-                    raise LatticeError("gram does not match the named preset")
-                return lat
-        if gram is not None:
-            return Lattice(gram, name=obj.get("name"))
-    raise LatticeError("lattice reference must be a name or carry a gram")
+    if not isinstance(obj, dict):
+        raise TypeError("lattice reference must be a name or an object, "
+                        "not %s" % type(obj).__name__)
+    if "name" not in obj and "gram" not in obj:
+        raise ValueError("lattice reference object needs a 'name' or a 'gram'")
+    # gram entries follow the scalar rule; Lattice refuses non-integers
+    gram = ([[scalar_from_json(c) for c in row] for row in obj["gram"]]
+            if "gram" in obj else None)
+    if "name" in obj:
+        # a name that is no preset, as "llv(K3n:2)", labels the gram
+        try:
+            lat = parse_preset_name(obj["name"])
+        except (LatticeError, ValueError):
+            lat = None
+        if lat is not None:
+            if gram is not None and la.mat(gram) != lat.gram:
+                raise LatticeError("gram does not match the named preset")
+            return lat
+    if gram is None:
+        raise LatticeError("no preset %r and no gram" % (obj["name"],))
+    return Lattice(gram, name=obj.get("name"))
 
 
 def vector_to_json(v):

@@ -14,21 +14,43 @@ Each piece has a fixed basis in closed form, the one snrep.SymSpace builds
 and reads (basis_element, read; the rules and why they hold are in
 snrep): Psi(w) for the words w of a piece of length k <= n, and
 rho_tau Psi(v) under the tagged key snrep.TAG + v for the words v of
-length 2n - k on a longer one.  So coordinates are read, not solved, and
-every read is checked exactly by rebuilding the element from its
-coordinates; a residue raises SolveFailure.
+length 2n - k on a longer one.  So the coordinates of Sym^n data are
+read, not solved, and every read is checked exactly by rebuilding the
+element from its coordinates; a residue raises SolveFailure.
 
 Sym^n data and word coordinates {key: coeff} are both snrep.SymElts:
 integer numerators over one denominator, immutable.  An SHElt holds its
 data, its word coordinates or both, and computes each from the other on
-first use.  cup, star and rho_tau read and return word coordinates only:
-- rho_tau relabels a short word w to the tagged key of w and back; only
-  the middle piece (k = n) keeps a table, each entry read once;
+first use.  cup, star and rho_tau read and return word coordinates only,
+by closed-form rules in the base form G, and touch no Sym^n data.  Write
+[w] = Psi(w) and [TAG + u] = rho_tau Psi(u).
+- rho_tau relabels: a short word w and TAG + w trade places, and a word
+  of length n goes to (-1)^n times itself.  A monomial of the middle piece
+  is alpha^p lam beta^p with |lam| = n - 2p, and tau multiplies it by
+  (-1)^|lam|.
+- The letter rule.  For a word u of length m <= n and a letter b,
+      [TAG + u] cup [b] = -(n-m+1) sum_j G[b][u_j] [TAG + u - u_j]
+                          - sum_{i<j} G[u_i][u_j] [TAG + (u - u_i - u_j) b],
+  where m = n reads [w] = (-1)^n [TAG + w].  Why: exp(e_lam) alpha^n / n!
+  is (alpha + lam + (lam, lam) beta / 2)^n / n!, so
+      Psi(u) = sum_M (prod_M G) alpha^(n-m+|M|) lam_(u-M) beta^|M| / (n-m+|M|)!
+  over the sets M of disjoint letter pairs of u.  [b] acts by e_b, and
+  e_b rho_tau = rho_tau f_b for the derivation f_b = tau e_b tau, which
+  sends alpha to 0, lam to -(b, lam) alpha and beta to -lam_b.  The
+  beta-free monomials of f_b Psi(u), which SymSpace.read reads, come from
+  M = {} through the lam rule and from the one-pair M through the beta
+  rule, with the coefficients above.
 - cup keeps, for each basis key, a memoized row of the keys whose product
-  with it is nonzero.  Two words multiply to Psi(w1 w2), a basis word when
-  it is short and read otherwise.  The tagged key of v times a word w
-  with len(w) <= len(v) is e_w(rho_tau Psi(v)), read.  Two tagged keys
-  multiply to 0.
+  with it is nonzero.  Two words multiply to [p], p = sorted(w1 + w2): a
+  basis word when len(p) <= n, else the letters p[n:] applied in turn to
+  (-1)^n [TAG + p[:n]].  The tagged key TAG + v times a word w with
+  len(w) <= len(v) is the letters of w applied in turn to it.  Every
+  prefix is memoized, as a product of its own.  Two tagged keys multiply
+  to 0.  Unrolled, for k = len(p) > n,
+      Psi(p) = (-1)^k (k-n)! sum_M (prod_M G) [TAG + p - M]
+  over the sets M of k - n disjoint letter pairs of p.  So Psi(p) = 0
+  unless p holds k - n disjoint pairs that each pair nonzero; when it
+  does, Psi(p) vanishes only if the sum cancels.
 - star is rho_tau(rho_tau(x) cup rho_tau(y)), with unit beta^n / n!, the
   model avatar of [pt] / n!.
 
@@ -39,7 +61,7 @@ eta, the action on Sym^n data through apply_llv, stays the general
 definition.
 """
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg as la
@@ -50,16 +72,15 @@ from .errors import (EvenDimensionalGuard, LatticeError, NotGraded,
 from .lattice import QIsometry
 
 class _Coords:
-    """The basis coordinates sum_b n_b [b] / d of one element, as
-    pairs = ((b, n_b), ...) on integers over d > 0 in lowest terms, read
-    from its Sym^n data, which lies in the piece of length k, on first use
-    (SHModel._read_coords).  Hashed by identity: the rows share one object
-    per product, and cup sums on those objects."""
+    """The basis coordinates sum_b n_b [b] of the product of two basis
+    elements, as pairs = ((b, n_b), ...) with nonzero integers n_b: the
+    product rules have integer coefficients.  Hashed by identity: the rows
+    share one object per product, and cup sums on those objects."""
 
-    __slots__ = ("data", "k", "pairs", "d")
+    __slots__ = ("pairs",)
 
-    def __init__(self, data=None, k=None, pairs=None, d=1):
-        self.data, self.k, self.pairs, self.d = data, k, pairs, d
+    def __init__(self, pairs):
+        self.pairs = pairs
 
 
 def piece_dims(base_rank, n):
@@ -91,7 +112,6 @@ class SHModel:
                        for k in range(n + 1)]
         self._rows = {}
         self._products = {}    # product word, or (tagged key, word) -> _Coords
-        self._tau = {}         # word w of length n -> _Coords of rho_tau Psi(w)
         self._base_syms = {}   # k -> Sym^k of the base, for graded_action
         self._piece_dims = piece_dims(self.base_rank, n)
 
@@ -175,76 +195,71 @@ class SHModel:
         product with k1 is nonzero; memoized, filled on first use."""
         row = self._rows.get(k1)
         if row is None:
-            row = {}
+            words = chain.from_iterable
             if k1[:1] == sn.TAG:
-                for ws in self._words[:len(k1)]:
-                    for w in ws:
-                        r = self._tagged_product(k1, w)
-                        if r:
-                            row[w] = r
+                prods = [(w, self._tagged_product(k1, w))
+                         for w in words(self._words[:len(k1)])]
             else:
-                for ws in self._words:
-                    for w in ws:
-                        r = self._word_product(tuple(sorted(k1 + w)))
-                        if r:
-                            row[w] = r
-                for ws in self._words[len(k1):self.n]:
-                    for v in ws:
-                        k2 = sn.TAG + v
-                        r = self._tagged_product(k2, k1)
-                        if r:
-                            row[k2] = r
-            self._rows[k1] = row
+                prods = [(w, self._word_product(tuple(sorted(k1 + w))))
+                         for w in words(self._words)]
+                prods += [(sn.TAG + v, self._tagged_product(sn.TAG + v, k1))
+                          for v in words(self._words[len(k1):self.n])]
+            row = self._rows[k1] = {k2: r for k2, r in prods if r}
         return row
 
     def _word_product(self, p):
-        """The _Coords of Psi(p) for a product word p, None when it is 0:
-        the basis word p when len(p) <= n, else read on first use;
-        memoized when nonzero (basis_element memoizes the zeros)."""
-        r = self._products.get(p)
-        if r is None:
-            if len(p) <= self.n:
-                r = _Coords(pairs=((p, 1),))
+        """The _Coords of [p] = Psi(p) for a product word p, None when it is
+        0: the basis word p when len(p) <= n, else [p[:-1]] cup [p[-1]] by
+        the letter rule, from [p[:n]] = (-1)^n [TAG + p[:n]]; memoized."""
+        r = self._products.get(p, False)
+        if r is False:
+            n = self.n
+            if len(p) <= n:
+                r = _Coords(((p, 1),))
             else:
-                x = self.sym.basis_element(p)
-                if not x:
-                    return None
-                r = _Coords(x, len(p))
+                q = (_Coords(((sn.TAG + p[:n], (-1) ** n),)) if len(p) == n + 1
+                     else self._word_product(p[:-1]))
+                r = self._letter(q.pairs, p[-1]) if q else None
             self._products[p] = r
         return r
 
     def _tagged_product(self, a, w):
-        """The _Coords of [a] cup Psi(w) = e_w(rho_tau Psi(v)) for
-        a = (-1,) + v and a word w with len(w) <= len(v), None when it is 0;
-        memoized."""
+        """The _Coords of [a] cup [w] for a = TAG + v and a word w with
+        len(w) <= len(v), None when it is 0: [a] cup [w[:-1]] cup [w[-1]]
+        by the letter rule; memoized."""
         key = (a, w)
         r = self._products.get(key, False)
         if r is False:
             if w:
-                x, ops = self.sym.basis_element(a), self.sym.e_ops()
-                for i in reversed(w):
-                    x = self.sym.derivation_apply(ops[i], x)
-                r = _Coords(x, 2 * self.n - len(a) + 1 + len(w)) if x else None
+                q = self._tagged_product(a, w[:-1])
+                r = self._letter(q.pairs, w[-1]) if q else None
             else:
-                r = _Coords(pairs=((a, 1),))
+                r = _Coords(((a, 1),))
             self._products[key] = r
         return r
 
-    def _read_coords(self, r):
-        """The _Coords r, its pairs read from r.data on first use."""
-        if r.pairs is None:
-            x = self.sym.read(r.data, r.k)
-            r.pairs, r.d, r.data = tuple(x.nums.items()), x.d, None
-        return r
-
-    def _tau_coords(self, w):
-        """The _Coords of rho_tau Psi(w) for a word w of length n, read
-        once."""
-        r = self._tau.get(w)
-        if r is None:
-            r = self._tau[w] = self._read_coords(
-                _Coords(self.sym.basis_element(sn.TAG + w), self.n))
-        return r
+    def _letter(self, pairs, b):
+        """The _Coords of (sum_u c_u [TAG + u]) cup [b] for
+        pairs = ((TAG + u, c_u), ...) over words u of length <= n, None when
+        it is 0, by the letter rule (module docstring)."""
+        g, n = self.space.base.gram, self.n
+        gb, out = g[b], {}
+        get = out.get
+        for a, c in pairs:
+            u = a[1:]
+            s = (len(u) - n - 1) * c
+            for j, uj in enumerate(u):
+                if gb[uj]:
+                    v = sn.TAG + u[:j] + u[j + 1:]
+                    out[v] = get(v, 0) + s * gb[uj]
+            for i, j in combinations(range(len(u)), 2):
+                e = g[u[i]][u[j]]
+                if e:
+                    v = sn.TAG + tuple(sorted(u[:i] + u[i + 1:j] + u[j + 1:]
+                                              + (b,)))
+                    out[v] = get(v, 0) - c * e
+        pairs = tuple([(v, c) for v, c in out.items() if c])
+        return _Coords(pairs) if pairs else None
 
     # -- elements ------------------------------------------------------------
 
@@ -273,8 +288,8 @@ class SHModel:
 
     def cup(self, x, y):
         """[k1] cup [k2] summed over the pairs of basis keys of the SHElts x
-        and y that _row keeps, on integer numerators, then written in basis
-        coordinates."""
+        and y that _row keeps, on integer numerators, one sum per product,
+        then spread over that product's integer basis coordinates."""
         xw, yw = self._words_of(x), self._words_of(y)
         yn = yw.nums
         out = {}
@@ -284,11 +299,8 @@ class SHModel:
                 c2 = yn.get(k2)
                 if c2:
                     out[r] = get(r, 0) + c1 * c2
-        terms = []
-        for r, v in out.items():
-            r = self._read_coords(r)
-            terms.append((v, r.pairs, r.d))
-        return SHElt(self, words=sn.sym_combine(terms, xw.d * yw.d))
+        return SHElt(self, words=sn.sym_combine(
+            [(v, r.pairs, 1) for r, v in out.items()], xw.d * yw.d))
 
     def rho_tau(self, x):
         """The involution induced by tau (a signed slot permutation on
@@ -296,20 +308,19 @@ class SHModel:
         return SHElt(self, words=self._rho_tau_words(self._words_of(x)))
 
     def _rho_tau_words(self, w):
-        """rho_tau on word coordinates: a short word w and (-1,) + w trade
-        places, and a word of length n is read off the middle table."""
-        n = self.n
-        out, terms = {}, []
+        """rho_tau on word coordinates, a relabel: a short word w and
+        TAG + w trade places, and a word of length n goes to (-1)^n times
+        itself."""
+        n, sign = self.n, (-1) ** self.n
+        out = {}
         for key, c in w.nums.items():
             if key[:1] == sn.TAG:
                 out[key[1:]] = c
             elif len(key) < n:
                 out[sn.TAG + key] = c
             else:
-                r = self._tau_coords(key)
-                terms.append((c, r.pairs, r.d))
-        terms.append((1, out.items(), 1))
-        return sn.sym_combine(terms, w.d)
+                out[key] = sign * c
+        return sn.SymElt(out, w.d)
 
     def star(self, x, y):
         """rho_tau(rho_tau(x) cup rho_tau(y))."""

@@ -559,6 +559,42 @@ def test_scalar_rule_exits_3(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+def test_malformed_lattice_reference_exits_3(capsys):
+    """A lattice reference that is neither a name nor an object, or an
+    object with neither a name nor a gram, is a schema mismatch (exit 3),
+    as a gram that is no list of rows is; a name that is no preset stays
+    a lattice error (exit 2)."""
+    for ref, kind in (("5", "TypeError"), ("[]", "TypeError"),
+                      ("{}", "ValueError"), ('{"gram": 5}', "TypeError")):
+        code, out = run_cli(["lattice", "info", "--json",
+                             '{"lattice": %s}' % ref], capsys)
+        err = json.loads(out)["error"]
+        assert (code, err["type"]) == (3, kind), ref
+        if ref == "{}":
+            assert "'name'" in err["message"] and "'gram'" in err["message"]
+    code, out = run_cli(["lattice", "info", "--json",
+                         '{"lattice": {"name": "Foo"}}'], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "LatticeError"
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["lattice", "info", "--json", '{"lattice": {"gram": [[2], [1, 2]]}}'],
+     "DegenerateGram", "gram matrix must be square"),
+    (["lattice", "info", "--json", '{"lattice": {"gram": [["1/2"]]}}'],
+     "NotIntegral", "gram matrix must have integer entries"),
+    (["lattice", "info", "--json",
+      '{"lattice": {"name": "K3", "gram": [[2]]}}'],
+     "LatticeError", "gram does not match the named preset"),
+    (["snrep", "dim"], "LatticeError", "no lattice given"),
+])
+def test_input_checks_exit_2(argv, kind, message, capsys):
+    code, out = run_cli(argv, capsys)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == kind
+    assert err["message"].startswith(message)
+
+
 def test_lattice_preset_never_drops_n(capsys):
     for argv in (["lattice", "preset", "--name", "K3", "--n", "3"],
                  ["lattice", "info", "--json", '{"lattice": "K3:7"}'],

@@ -224,16 +224,17 @@ def test_star_ring(small_model):
     assert top.star(top).degree() == 4 * M.n
 
 
-@pytest.mark.parametrize("which", ["Kummer:2 n=3", "rank 3 n=4"])
+@pytest.mark.parametrize("which", ["Kummer:2 n=3", "rank 3 n=4",
+                                   "rank 3 n=5", "rank 3 n=6"])
 def test_ring_axioms_beyond_n2(which):
     """The criterion-9 identities where rho_tau relabels two short pieces
     on each side of the middle: Kummer:2 at n = 3 and a rank-3 base at
-    n = 4, the cup also against the Fraction reference."""
+    n = 4, 5 and 6, the cup also against the Fraction reference."""
     rng = random.Random(293)
     if which == "Kummer:2 n=3":
         M = pg.SHModel(llv.LLVSpace(lt.preset("Kummer", 2)), 3)
     else:
-        M = _rank3_model(4)
+        M = _rank3_model(int(which[-1]))
     one, pt = M.unit_cup(), M.unit_star()
     for _ in range(6):
         x, y, z = (M.random_element(rng) for _ in range(3))
@@ -527,43 +528,20 @@ def test_products_reject_another_models_element(small_model, big_model):
             op()
 
 
-def _residue_product():
-    """A fresh small model whose Psi of one product word w1 w2 longer than n,
-    which a cup reads, is replaced by the residue monomial (3, 3), and the
-    basis words w1, w2."""
-    M = _rank3_model(2)
-    for w1 in _words(M, 1):
-        for w2 in _words(M, M.n):
-            p = tuple(sorted(w1 + w2))
-            if M.psi_word(p):
-                M.sym._psi[p] = sn.SymElt({(3, 3): 1})
-                return M, w1, w2
-    raise AssertionError("no nonzero product word longer than n")
-
-
-def _residue_cup(M, w1, w2):
-    return M.element(M.psi_word(w1)).cup(M.element(M.psi_word(w2)))
-
-
-def test_product_word_rejects_residue():
-    M, w1, w2 = _residue_product()
-    with pytest.raises(SolveFailure):
-        _residue_cup(M, w1, w2)
-
-
 _RESIDUE_SCRIPT = """
 from hklat.errors import SolveFailure
-from test_pontryagin import _residue_cup, _residue_product
-M, w1, w2 = _residue_product()
+from test_pontryagin import _rank3_model
 try:
-    _residue_cup(M, w1, w2)
+    _rank3_model(2).to_words({(3, 3): 1})
     print("returned")
 except SolveFailure:
     print("raised", __debug__)
 """
 
 
-def test_product_word_rejects_residue_under_O():
+def test_piece_solver_rejects_residue_under_O():
+    """The read of Sym^n data, which products no longer take, still
+    rebuilds and rejects a residue under python -O."""
     r = subprocess.run([sys.executable, "-O", "-c", _RESIDUE_SCRIPT],
                        capture_output=True, text=True, timeout=120,
                        env=subprocess_env(TESTS))
@@ -606,25 +584,24 @@ def test_products_solve_only_their_factors(big_model, monkeypatch):
 def test_rho_tau_table(small_model, big_model):
     """rho_tau of every basis element against the slot permutation of tau
     on its data: a short word w and its tagged key (-1,) + w trade places,
-    and a word of length n is read once into the middle table."""
-    for M in (small_model, big_model):
+    and a word of length n goes to (-1)^n times itself, at n = 2 and at
+    the odd n = 3."""
+    for M in (small_model, big_model, _rank3_model(3)):
         short = [w for k in range(M.n) for w in _words(M, k)]
         middle = _words(M, M.n)
         keys = short + middle + [(-1,) + w for w in short]
         assert len(keys) == sum(M._piece_dims.values())
         for b in keys:
             if b[:1] == (-1,):
-                data, img = _ref_rho_tau(M, M.psi_word(b[1:])), b[1:]
+                data, img = _ref_rho_tau(M, M.psi_word(b[1:])), {b[1:]: 1}
+            elif b in middle:
+                data, img = M.psi_word(b), {b: (-1) ** M.n}
             else:
-                data, img = M.psi_word(b), (-1,) + b
+                data, img = M.psi_word(b), {(-1,) + b: 1}
             got = pg.SHElt(M, words=sn.SymElt({b: 1})).rho_tau()
+            assert got.words == img
             assert got.data == _ref_rho_tau(M, data)
-            if b not in middle:
-                assert got.words == {img: 1}
             _assert_entries(got.data)
-        assert sorted(M._tau) == middle
-    # on K3n:2 rho_tau sends every middle word to a multiple of one other
-    assert all(len(r.pairs) == 1 for r in big_model._tau.values())
 
 
 def test_proportionality_gate(small_model, monkeypatch):
@@ -684,37 +661,83 @@ def test_rows_keep_only_nonzero_products(big_model):
     of three kinds, and one object per product: word x word is Psi(w1 w2),
     a basis word when it has length <= n; a tagged key (-1,) + v times a
     word w with len(w) <= len(v) is e_w(rho_tau Psi(v)); two tagged keys
-    never meet."""
-    M = big_model
+    never meet.  Each entry's integer coordinates, from the closed-form
+    rules, rebuild its reference on Sym^n data, on K3n:2 at n = 2,
+    Kummer:2 at n = 3 and 4 and a rank-3 base at n = 5 and 6."""
     rng = random.Random(229)
-    for _ in range(3):
-        M.random_element(rng).cup(M.random_element(rng))
-    M.unit_star().cup(M.random_element(rng))
-    assert M._rows
-    kinds = set()
-    for k1, row in M._rows.items():
-        for k2, r in row.items():
-            t1, t2 = k1[:1] == (-1,), k2[:1] == (-1,)
-            assert len(k1) - t1 <= M.n and len(k2) - t2 <= M.n
-            assert not (t1 and t2)
-            if t1 or t2:
-                (a, w) = (k1, k2) if t1 else (k2, k1)
-                assert len(w) <= len(a) - 1
-                assert r is M._products[(a, w)]
-                want = _ref_e_word(M, w, _ref_rho_tau(M, M.psi_word(a[1:])))
-                kinds.add("tagged")
-            else:
-                p = tuple(sorted(k1 + k2))
-                assert r is M._products[p]
-                want = M.psi_word(p)
-                kinds.add("short" if len(p) <= M.n else "long")
-                if len(p) <= M.n:
-                    assert r.pairs == ((p, 1),) and r.d == 1
-            assert want
-            got = r.data if r.pairs is None else M.from_words(
-                {b: Fraction(c, r.d) for b, c in r.pairs})
-            assert got == want
-    assert kinds == {"short", "long", "tagged"}
+    kummer = llv.LLVSpace(lt.preset("Kummer", 2))
+    for M, count in ((big_model, 3), (pg.SHModel(kummer, 3), 2),
+                     (pg.SHModel(kummer, 4), 3), (_rank3_model(5), 3),
+                     (_rank3_model(6), 3)):
+        for _ in range(count):
+            M.random_element(rng).cup(M.random_element(rng))
+        M.unit_star().cup(M.random_element(rng))
+        assert M._rows
+        kinds = set()
+        for k1, row in M._rows.items():
+            for k2, r in row.items():
+                t1, t2 = k1[:1] == (-1,), k2[:1] == (-1,)
+                assert len(k1) - t1 <= M.n and len(k2) - t2 <= M.n
+                assert not (t1 and t2)
+                if t1 or t2:
+                    (a, w) = (k1, k2) if t1 else (k2, k1)
+                    assert len(w) <= len(a) - 1
+                    assert r is M._products[(a, w)]
+                    want = _ref_e_word(M, w, _ref_rho_tau(M, M.psi_word(a[1:])))
+                    kinds.add("tagged")
+                else:
+                    p = tuple(sorted(k1 + k2))
+                    assert r is M._products[p]
+                    want = M.psi_word(p)
+                    kinds.add("short" if len(p) <= M.n else "long")
+                    if len(p) <= M.n:
+                        assert r.pairs == ((p, 1),)
+                assert want and all(type(c) is int and c for _, c in r.pairs)
+                assert M.from_words(dict(r.pairs)) == want
+        assert kinds == {"short", "long", "tagged"}, M.n
+
+
+def _random_words(rng, M):
+    """Random word coordinates over the basis keys of M, with mixed
+    denominators, built with no Sym^n data."""
+    keys = ([w for k in range(M.n + 1) for w in _words(M, k)]
+            + [(-1,) + w for k in range(M.n) for w in _words(M, k)])
+    return sn.sym_form({rng.choice(keys): Fraction(rng.randint(-3, 3),
+                                                   rng.choice((1, 2, 3)))
+                        for _ in range(6)})
+
+
+def test_products_on_words_take_no_sym_data(k3n2, monkeypatch):
+    """cup, star, rho_tau and graded_action on word coordinates never touch
+    Sym^n data: on fresh models of K3n:2 at n = 2 and a rank-3 base at
+    n = 3, with SymSpace.basis_element, read and derivation_apply and
+    tau_swap raising, they give what a model built and run before the
+    patch gives, and its cup matches the Fraction reference."""
+    rng = random.Random(307)
+    cases = []
+    for space, n in ((llv.LLVSpace(k3n2), 2), (_rank3_model(3).space, 3)):
+        ref = pg.SHModel(space, n)
+        g = _rand_graded(rng, space, scale_choices=(2,))
+        anti = llv.tau(space) * _rand_graded(rng, space)
+        xs = [_random_words(rng, ref) for _ in range(3)]
+        x, y, z = (pg.SHElt(ref, words=w) for w in xs)
+        want = [x.cup(y).cup(z), x.star(y), y.star(z), z.rho_tau(),
+                ref.graded_action(g)(x), ref.graded_action(anti)(y)]
+        assert x.cup(y).data == _ref_cup(ref, x.data, y.data)
+        cases.append((space, n, g, anti, xs, [e.words for e in want]))
+
+    def refuse(*args):
+        raise AssertionError("Sym^n data touched")
+    for name in ("basis_element", "read", "derivation_apply"):
+        monkeypatch.setattr(sn.SymSpace, name, refuse)
+    monkeypatch.setattr(sn, "tau_swap", refuse)
+    for space, n, g, anti, xs, want in cases:
+        M = pg.SHModel(space, n)
+        x, y, z = (pg.SHElt(M, words=w) for w in xs)
+        got = [x.cup(y).cup(z), x.star(y), y.star(z), z.rho_tau(),
+               M.graded_action(g)(x), M.graded_action(anti)(y)]
+        assert [e.words for e in got] == want
+        assert all(e._data is None for e in got)
 
 
 def test_dense_middle_cup_matches_sym_mul(big_model):

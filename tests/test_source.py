@@ -271,3 +271,24 @@ def test_basis_convention_only_in_snrep():
                     names and value is not None and ast.unparse(value) == "(-1,)"):
                 found.append("%s:%d" % (name, node.lineno))
     assert found == []
+
+
+def test_products_read_no_sym_data():
+    """The products of the Pontryagin model work on word coordinates by
+    closed-form rules: cup, star, rho_tau and their helpers never reach
+    the model's Sym^n space, self.sym."""
+    with open(os.path.join(SRC, "hklat", "pontryagin.py")) as fh:
+        tree = ast.parse(fh.read(), filename="pontryagin.py")
+    names = {"cup", "star", "rho_tau", "_row", "_word_product",
+             "_tagged_product", "_rho_tau_words", "_letter"}
+    seen, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SHModel":
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                    seen.add(fn.name)
+                    found += ["%s:%d" % (fn.name, sub.lineno)
+                              for sub in ast.walk(fn)
+                              if isinstance(sub, ast.Attribute)
+                              and sub.attr == "sym"]
+    assert seen == names and found == []
