@@ -14,17 +14,21 @@ matrix's view is a ScaledMatrix that carries (N, d) along, so that
 scaled_mat reads it back without rescaling.  reduce_scaled brings any
 integer rows over d > 0 to that canonical form.
 
-The kernels (mat_mul, mat_vec, det, and the elimination _echelon with
-rref, inverse, solve, kernel and rank built on it) never do arithmetic on
-Fractions.  Each operand is scaled once to integer numerators over a
-common denominator (scaled_mat, scaled_vec), the work runs on plain ints
-with zero entries skipped, and entries become int/Fraction again only at
-the end.  _echelon is fraction-free Gauss-Jordan elimination on
-primitive integer rows (E. H. Bareiss, Math. Comp. 22, 1968); rref
-divides its rows by their pivots, and inverse reads a^-1 off them in the
-scaled-integer form (nums, d), with no Fraction built.  mat_mul, the
-product of plain matrices, is a public helper; inside the library
-products run on int_mat_mul.
+The kernels (mat_mul, mat_vec, det, the elimination _echelon with rref,
+inverse, solve, kernel and rank built on it, and congruent_diagonalize)
+never do arithmetic on Fractions.  Each operand is scaled once to integer
+numerators over a common denominator (scaled_mat, scaled_vec), the work
+runs on plain ints with zero entries skipped, and entries become
+int/Fraction again only at the end.  _echelon is fraction-free
+Gauss-Jordan elimination on primitive integer rows (E. H. Bareiss, Math.
+Comp. 22, 1968); rref divides its rows by their pivots, and inverse reads
+a^-1 off them in the scaled-integer form (nums, d), with no Fraction
+built.  congruent_diagonalize holds its rational rows as integer rows
+over one integer scale per row, S^-1 b S^-1 and S^-1 p, and divides each
+combined row by its content, so its entries stay the size of minors of
+the Gram matrix, as in Bareiss's elimination.  mat_mul, the product of
+plain matrices, is a public helper; inside the library products run on
+int_mat_mul.
 
 det, Bareiss's fraction-free elimination, is exact and serves any matrix:
 Gram matrices and other untrusted input.  det_mod_p is elimination over
@@ -36,7 +40,6 @@ det^2 = 1 and the residue decides between +1 and -1.
 from fractions import Fraction
 from math import gcd, lcm
 
-ONE = Fraction(1)
 _new = object.__new__
 
 
@@ -389,39 +392,77 @@ def inverse(a):
 def congruent_diagonalize(g):
     """Exact symmetric diagonalization: returns (P, d) with P g P^T = diag(d).
 
-    Rows of P form a basis in which the form g is diagonal.  Standard
-    symmetric Gaussian elimination; a zero diagonal with a nonzero
-    off-diagonal entry b_ij is repaired by adding c times the partner row
-    first, c = 1 unless 2 b_ij + b_jj = 0 and then c = -1, so that the new
-    b_ii = 2 c b_ij + b_jj is nonzero.  So d has a zero only when g is
-    degenerate.
+    Rows of P form a basis in which the form g is diagonal.  Symmetric
+    Gaussian elimination: pivot i clears row and column j > i by
+    row_j -= (B_ji / B_ii) row_i, applied congruently.  A zero pivot with a
+    nonzero B_ij is first repaired by row_i += c row_j, c = 1 unless
+    2 B_ij + B_jj = 0 and then c = -1, so that the new B_ii = 2 c B_ij + B_jj
+    is nonzero.  So d has a zero only when g is degenerate.
+
+    The work runs on integers.  With g = G / e scaled once (scaled_mat),
+    the rational B and P are held as B = S^-1 b S^-1 / e and P = S^-1 p for
+    integer matrices b and p and one integer scale s_i per row,
+    S = diag(s).  The elimination step is row_j <- b_ii row_j - b_ji row_i
+    on b (row, then column) and on p, with s_j <- b_ii s_j; the repair is
+    row_i <- s_j row_i + c s_i row_j with s_i <- s_i s_j, and its test is
+    2 b_ij s_j + b_jj s_i = 0.  Every zero test reads the same zero as on
+    B.  Each combined row r is then divided by a common factor c of s_r,
+    p_r and the off-diagonal of b's row r with c^2 | b_rr (b's column r by
+    c, b_rr by c^2), which leaves B and P alone.  Without it every step
+    multiplies a row by another pivot, so entry sizes double with each
+    pivot; with it they stay near the minors of g that are B's and P's
+    true numerators and denominators (Sylvester's identity, as in
+    Bareiss's elimination).  P and d are built only at the end:
+    P_r = p_r / s_r and d_r = b_rr / (e s_r^2), by quotient.
     """
     n = len(g)
-    b = [list(row) for row in g]
-    p = [list(row) for row in identity(n)]
+    b, e = scaled_mat(g)
+    b = [list(row) for row in b]
+    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    s = [1] * n
 
-    def addrow(i, j, c):
-        # row_i += c*row_j, applied congruently
+    def combine(r, y, a, t):
+        # row_r <- a row_r + t row_y on b (row, then column) and on p,
+        # s_r <- a s_r, and the content of row r divided out
+        row = [a * u + t * v for u, v in zip(b[r], b[y])]
+        row[r] = a * row[r] + t * row[y]
+        prow = [a * u + t * v for u, v in zip(p[r], p[y])]
+        s[r] *= a
+        # c = gcd(h, b_rr / h) for h = gcd(content, b_rr) divides the
+        # content and c^2 divides b_rr; it is the largest such c on every
+        # prime whose power p^k in the content has p^2k | b_rr
+        h = gcd(s[r], *prow, *row[:r], *row[r + 1:], row[r])
+        c = gcd(h, row[r] // h)
+        if c > 1:
+            row = [u // c for u in row]
+            row[r] //= c
+            prow = [u // c for u in prow]
+            s[r] //= c
+        b[r] = row
         for k in range(n):
-            b[i][k] += c * b[j][k]
-        for k in range(n):
-            b[k][i] += c * b[k][j]
-        for k in range(n):
-            p[i][k] += c * p[j][k]
+            if k != r:
+                b[k][r] = row[k]
+        p[r] = prow
 
     for i in range(n):
         if b[i][i] == 0:
-            for j in range(i + 1, n):
-                if b[i][j] != 0:
-                    addrow(i, j, -ONE if 2 * b[i][j] + b[j][j] == 0 else ONE)
-                    break
-        if b[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if b[i][j] != 0), None)
+            if j is not None:
+                c = -1 if 2 * b[i][j] * s[j] + b[j][j] * s[i] == 0 else 1
+                combine(i, j, s[j], c * s[i])
+        piv = b[i][i]
+        if piv == 0:
             continue
-        inv = ONE / b[i][i]
         for j in range(i + 1, n):
-            if b[j][i] != 0:
-                addrow(j, i, -b[j][i] * inv)
-    return mat(p), vec(b[i][i] for i in range(n))
+            f = b[j][i]
+            if f != 0:
+                combine(j, i, piv, -f)
+    ps = []
+    for prow, sr in zip(p, s):
+        if sr < 0:
+            prow, sr = [-x for x in prow], -sr
+        ps.append(tuple([quotient(x, sr) for x in prow]))
+    return tuple(ps), tuple([quotient(b[i][i], s[i] * s[i] * e) for i in range(n)])
 
 
 def smith_normal_form(a):

@@ -121,14 +121,16 @@ class SHModel:
         h = self.space.h_diag
         return sum(h[i] for i in m)
 
+    def key_eigenvalue(self, key):
+        """The h-eigenvalue of the basis element of a key: 2k - 2n for a
+        word of length k, 2n - 2 len(v) for the tagged key TAG + v."""
+        if key[:1] == sn.TAG:
+            return 2 * self.n - 2 * (len(key) - 1)
+        return 2 * len(key) - 2 * self.n
+
     def eigenvalue(self, x):
         """The h-eigenvalue of a homogeneous element (None for 0)."""
-        vals = {self.mono_eigenvalue(m) for m in x}
-        if not vals:
-            return None
-        if len(vals) != 1:
-            raise LatticeError("element is not homogeneous")
-        return vals.pop()
+        return _single({self.mono_eigenvalue(m) for m in x})
 
     def pieces(self, x):
         """{j: the eigenvalue-j part of x} as SymElts."""
@@ -414,15 +416,27 @@ class SHModel:
         return op
 
 
+def _single(vals):
+    """The one eigenvalue in vals, None when it is empty (the element is
+    0); more than one raises LatticeError."""
+    if not vals:
+        return None
+    if len(vals) != 1:
+        raise LatticeError("element is not homogeneous")
+    return vals.pop()
+
+
 class SHElt:
     """An element of the model, held by its Sym^n data, its word
     coordinates words = {b: c_b} with the element sum c_b [b] over basis
     keys b, or both, each a SymElt.  Each is computed from the other on
     first use: data by summing the basis elements, words by reading them
     off (SHModel.to_words).
-    Sums, differences and scalar multiples work on the data, and refuse an
-    element of another model and a scalar that is not an int or a
-    Fraction."""
+    Sums, differences, scalar multiples, is_zero, eigenvalue and degree
+    work on word coordinates when every operand holds them (they are
+    coordinates on a basis, so the results are exact), and on the data
+    otherwise.  Sums and differences refuse an element of another model,
+    and scalar multiples a scalar that is not an int or a Fraction."""
 
     __slots__ = ("model", "_data", "_words")
 
@@ -456,24 +470,31 @@ class SHElt:
     def __repr__(self):
         return "SHElt(%d terms)" % len(self.data)
 
-    def __add__(self, other):
+    def _linear(self, op, other):
         if other.model is not self.model:
             raise LatticeError("the element belongs to another model")
-        return SHElt(self.model, sn.sym_add(self.data, other.data))
+        if self._words is not None and other._words is not None:
+            return SHElt(self.model, words=op(self._words, other._words))
+        return SHElt(self.model, op(self.data, other.data))
+
+    def __add__(self, other):
+        return self._linear(sn.sym_add, other)
 
     def __sub__(self, other):
-        if other.model is not self.model:
-            raise LatticeError("the element belongs to another model")
-        return SHElt(self.model, sn.sym_sub(self.data, other.data))
+        return self._linear(sn.sym_sub, other)
 
     def __rmul__(self, c):
+        if self._words is not None:
+            return SHElt(self.model, words=sn.sym_scale(c, self._words))
         return SHElt(self.model, sn.sym_scale(c, self.data))
 
     def is_zero(self):
-        return not self.data
+        return not (self.data if self._words is None else self._words)
 
     def eigenvalue(self):
-        return self.model.eigenvalue(self.data)
+        if self._words is None:
+            return self.model.eigenvalue(self.data)
+        return _single({self.model.key_eigenvalue(k) for k in self._words})
 
     def degree(self):
         j = self.eigenvalue()

@@ -141,6 +141,48 @@ def chain_evaluate(nf):
     return -g if nf.k % 2 else g
 
 
+def congruent_diagonalize_ref(g):
+    """Exact symmetric diagonalization: returns (P, d) with P g P^T = diag(d).
+
+    The Fraction elimination la.congruent_diagonalize replaced, kept as its
+    reference: the integer kernel must return equal tuples.
+
+    Rows of P form a basis in which the form g is diagonal.  Standard
+    symmetric Gaussian elimination; a zero diagonal with a nonzero
+    off-diagonal entry b_ij is repaired by adding c times the partner row
+    first, c = 1 unless 2 b_ij + b_jj = 0 and then c = -1, so that the new
+    b_ii = 2 c b_ij + b_jj is nonzero.  So d has a zero only when g is
+    degenerate.
+    """
+    ONE = Fraction(1)
+    n = len(g)
+    b = [list(row) for row in g]
+    p = [list(row) for row in la.identity(n)]
+
+    def addrow(i, j, c):
+        # row_i += c*row_j, applied congruently
+        for k in range(n):
+            b[i][k] += c * b[j][k]
+        for k in range(n):
+            b[k][i] += c * b[k][j]
+        for k in range(n):
+            p[i][k] += c * p[j][k]
+
+    for i in range(n):
+        if b[i][i] == 0:
+            for j in range(i + 1, n):
+                if b[i][j] != 0:
+                    addrow(i, j, -ONE if 2 * b[i][j] + b[j][j] == 0 else ONE)
+                    break
+        if b[i][i] == 0:
+            continue
+        inv = ONE / b[i][i]
+        for j in range(i + 1, n):
+            if b[j][i] != 0:
+                addrow(j, i, -b[j][i] * inv)
+    return la.mat(p), la.vec(b[i][i] for i in range(n))
+
+
 def frac_pair(lat, x, y):
     """(x, y) as a plain double sum over Fractions, an oracle for the
     library's integer pairing."""

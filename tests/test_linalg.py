@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 import sympy
 
-from conftest import canonical, content
+from conftest import canonical, congruent_diagonalize_ref, content
 from hklat import lattice as lt
 from hklat import linalg as la
 from hklat import llv
@@ -82,6 +82,71 @@ def test_congruent_diagonalize():
         for i in range(n):
             for j in range(n):
                 assert m[i][j] == (dvals[i] if i == j else 0)
+
+
+def _symmetric(rng, n, bound=3):
+    """A random symmetric integer matrix with entries in [-bound, bound],
+    its diagonal zero with probability 1/2 per entry."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i < j or rng.random() < 0.5:
+                g[i][j] = g[j][i] = rng.randint(-bound, bound)
+    return g
+
+
+def _oracle_grams():
+    """The inputs on which the integer kernel must match the Fraction
+    reference: the presets, the empty Gram, two extended lattices, a
+    lattice with no U summand, both zero-pivot repairs, seeded symmetric
+    matrices (degenerate ones included) and one dense rank-30 Gram."""
+    from test_lattice import _NO_U_GRAM
+    grams = [lt.preset(*key).gram for key in (
+        ("U",), ("E8-",), ("K3",), ("K3n", 2), ("K3n", 7), ("Kummer", 3),
+        ("Mukai",))]
+    grams += [(), llv.LLVSpace(lt.preset("K3n", 2)).lattice.gram,
+              llv.LLVSpace(lt.preset("Kummer", 2)).lattice.gram, _NO_U_GRAM,
+              # b_00 = 0: 2 b_01 + b_11 = 0 forces c = -1, else c = +1
+              ((0, 1), (1, -2)), ((0, 1), (1, 2))]
+    rng = random.Random(35)
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        g = _symmetric(rng, n)
+        if n > 1 and rng.random() < 0.3:
+            # a repeated row and column: degenerate
+            k = rng.randrange(n - 1)
+            g[n - 1] = list(g[k])
+            for row in g:
+                row[n - 1] = row[k]
+            g[n - 1][n - 1] = g[k][k]
+        grams.append(g)
+    grams.append(_symmetric(random.Random(30), 30))
+    return grams
+
+
+def test_congruent_diagonalize_matches_fraction_reference():
+    """The integer kernel returns the tuples the Fraction elimination
+    returned, entry types included, and P g P^T = diag(d); the dense
+    rank-30 Gram guards against entry growth."""
+    seen = set()
+    for g in _oracle_grams():
+        p, d = la.congruent_diagonalize(g)
+        want = congruent_diagonalize_ref(g)
+        assert (p, d) == want
+        assert [type(x) for row in p for x in row] == [
+            type(x) for row in want[0] for x in row]
+        assert [type(x) for x in d] == [type(x) for x in want[1]]
+        n = len(g)
+        m = la.mat_mul(la.mat_mul(p, la.mat(g)), la.transpose(p)) if n else ()
+        assert m == tuple(tuple(d[i] if i == j else 0 for j in range(n))
+                          for i in range(n))
+        rank = sum(1 for x in d if x)
+        seen.add(rank)
+        if rank < n:
+            seen.add("degenerate")
+        if any(g[i][i] == 0 for i in range(n)):
+            seen.add("zero diagonal")
+    assert set(range(1, 11)) | {30, "degenerate", "zero diagonal"} <= seen
 
 
 def test_congruent_diagonalize_keeps_the_plain_form():

@@ -426,6 +426,90 @@ def test_scalars_must_be_exact(small_model):
     assert x.mu(Fraction(1, 2)).mu(2) == x
 
 
+def test_linear_operations_on_words_build_no_data(monkeypatch):
+    """Sums, scalar multiples and is_zero of elements that hold word
+    coordinates stay on them: on the rank-3 base at n = 3 neither
+    x.cup(y).is_zero() nor (x.cup(y) + x.cup(y)).cup(y) builds Sym^n data
+    (from_words) or reads it back (_solve)."""
+    M = _rank3_model(3)
+    rng = random.Random(349)
+    x, y = M.random_element(rng), M.random_element(rng)
+    x.words, y.words   # both factors hold words
+    assert not x.cup(y).is_zero()
+    calls = []
+    for name in ("from_words", "_solve"):
+        real = getattr(M, name)
+
+        def counting(arg, name=name, real=real):
+            calls.append(name)
+            return real(arg)
+        monkeypatch.setattr(M, name, counting)
+    assert not x.cup(y).is_zero()
+    out = (x.cup(y) + x.cup(y)).cup(y)
+    assert calls == [] and out._data is None
+    monkeypatch.undo()
+    assert out.data == (2 * M.element(x.cup(y).data)).cup(y).data
+
+
+def _data_only(x):
+    return pg.SHElt(x.model, x.data)
+
+
+def _linear_results(x, y):
+    """(x + y, x - y, scalar multiples, is_zero, eigenvalue and degree of
+    each homogeneous piece of x, and of x itself) as comparable values."""
+    out = [(x + y).data, (x - y).data, (x - x).data]
+    out += [(c * x).data for c in (0, 1, -1, 3, Fraction(-2, 3))]
+    out += [e.is_zero() for e in (x, x - x, 0 * x, x + y)]
+    return out
+
+
+def test_linear_operations_on_words_match_data(small_model, big_model):
+    """+, -, scalar *, is_zero, eigenvalue and degree on word coordinates
+    give what they give on Sym^n data: random elements of K3n:2 at n = 2
+    and of the rank-3 base at n = 3, their homogeneous pieces (a key of
+    a word of length k has eigenvalue 2k - 2n, TAG + v has 2n - 2 len(v)),
+    0 (eigenvalue None) and inhomogeneous sums (LatticeError); another
+    model's element and a float scalar are refused as on data."""
+    rng = random.Random(353)
+    for M in (big_model, _rank3_model(3)):
+        for _ in range(3):
+            x, y = M.random_element(rng), M.random_element(rng)
+            x.words, y.words
+            xy = x.cup(y)
+            for a, b in ((x, y), (xy, x), (x.star(y), xy)):
+                assert a._words is not None and b._words is not None
+                assert (_linear_results(a, b)
+                        == _linear_results(_data_only(a), _data_only(b)))
+            pieces = {}
+            for k, c in xy.words.nums.items():
+                pieces.setdefault(M.key_eigenvalue(k), {})[k] = c
+            elts = [pg.SHElt(M, words=sn.SymElt.of(w, xy.words.d))
+                    for w in pieces.values()]
+            elts += [x - x, 0 * x, M.unit_cup(), M.unit_star()]
+            for e in elts:
+                d = _data_only(e)
+                assert e.eigenvalue() == d.eigenvalue()
+                assert e.degree() == d.degree()
+                assert (e.eigenvalue() is None) == e.is_zero()
+            assert {e.eigenvalue() for e in elts[:len(pieces)]} == set(pieces)
+            if len(pieces) > 1:
+                for e in (xy, _data_only(xy)):
+                    with pytest.raises(LatticeError, match="not homogeneous"):
+                        e.eigenvalue()
+                    with pytest.raises(LatticeError, match="not homogeneous"):
+                        e.degree()
+    M, N = _rank3_model(3), _rank3_model(3, last=-4)
+    x, y = M.unit_cup().rho_tau(), N.unit_cup().rho_tau()
+    assert x._words is not None and y._words is not None
+    for op in (lambda: x + y, lambda: x - y, lambda: y + x):
+        with pytest.raises(LatticeError):
+            op()
+    for c in (0.5, True):
+        with pytest.raises(TypeError):
+            c * x
+
+
 def test_star_independent_of_reversing_isometry(small_model):
     rng = random.Random(181)
     M = small_model
