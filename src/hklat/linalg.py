@@ -406,14 +406,15 @@ def congruent_diagonalize(g):
     on b (row, then column) and on p, with s_j <- b_ii s_j; the repair is
     row_i <- s_j row_i + c s_i row_j with s_i <- s_i s_j, and its test is
     2 b_ij s_j + b_jj s_i = 0.  Every zero test reads the same zero as on
-    B.  Each combined row r is then divided by a common factor c of s_r,
-    p_r and the off-diagonal of b's row r with c^2 | b_rr (b's column r by
-    c, b_rr by c^2), which leaves B and P alone.  Without it every step
+    B.  Each combined row r is then divided by a common factor q of s_r,
+    p_r and the off-diagonal of b's row r with q^2 | b_rr (b's column r by
+    q, b_rr by q^2), which leaves B and P alone.  Without it every step
     multiplies a row by another pivot, so entry sizes double with each
     pivot; with it they stay near the minors of g that are B's and P's
     true numerators and denominators (Sylvester's identity, as in
-    Bareiss's elimination).  P and d are built only at the end:
-    P_r = p_r / s_r and d_r = b_rr / (e s_r^2), by quotient.
+    Bareiss's elimination).  The sign of q keeps s_r > 0, and P and d
+    are built only at the end: P_r = p_r / s_r and d_r = b_rr / (e s_r^2),
+    by quotient.
     """
     n = len(g)
     b, e = scaled_mat(g)
@@ -428,20 +429,21 @@ def congruent_diagonalize(g):
         row[r] = a * row[r] + t * row[y]
         prow = [a * u + t * v for u, v in zip(p[r], p[y])]
         s[r] *= a
-        # c = gcd(h, b_rr / h) for h = gcd(content, b_rr) divides the
-        # content and c^2 divides b_rr; it is the largest such c on every
-        # prime whose power p^k in the content has p^2k | b_rr
+        # q = gcd(h, b_rr / h) for h = gcd(content, b_rr) divides the
+        # content and q^2 divides b_rr; it is the largest such q on every
+        # prime l whose power l^k in the content has l^2k | b_rr
         h = gcd(s[r], *prow, *row[:r], *row[r + 1:], row[r])
-        c = gcd(h, row[r] // h)
-        if c > 1:
-            row = [u // c for u in row]
-            row[r] //= c
-            prow = [u // c for u in prow]
-            s[r] //= c
+        q = gcd(h, row[r] // h)
+        if s[r] < 0:
+            q = -q
+        if q != 1:
+            row = [u // q for u in row]
+            row[r] //= q
+            prow = [u // q for u in prow]
+            s[r] //= q
         b[r] = row
-        for k in range(n):
-            if k != r:
-                b[k][r] = row[k]
+        for brow, u in zip(b, row):
+            brow[r] = u
         p[r] = prow
 
     for i in range(n):
@@ -457,12 +459,8 @@ def congruent_diagonalize(g):
             f = b[j][i]
             if f != 0:
                 combine(j, i, piv, -f)
-    ps = []
-    for prow, sr in zip(p, s):
-        if sr < 0:
-            prow, sr = [-x for x in prow], -sr
-        ps.append(tuple([quotient(x, sr) for x in prow]))
-    return tuple(ps), tuple([quotient(b[i][i], s[i] * s[i] * e) for i in range(n)])
+    return (tuple([tuple([quotient(x, sr) for x in prow]) for prow, sr in zip(p, s)]),
+            tuple([quotient(b[i][i], s[i] * s[i] * e) for i in range(n)]))
 
 
 def smith_normal_form(a):

@@ -456,8 +456,8 @@ def _data_only(x):
 
 
 def _linear_results(x, y):
-    """(x + y, x - y, scalar multiples, is_zero, eigenvalue and degree of
-    each homogeneous piece of x, and of x itself) as comparable values."""
+    """The data of x + y, x - y, x - x and scalar multiples of x, and
+    is_zero of x, x - x, 0 x and x + y."""
     out = [(x + y).data, (x - y).data, (x - x).data]
     out += [(c * x).data for c in (0, 1, -1, 3, Fraction(-2, 3))]
     out += [e.is_zero() for e in (x, x - x, 0 * x, x + y)]
