@@ -187,6 +187,17 @@ def test_cli_operator_bytes(argv, payload, digest, capsys):
     assert _sha(capsys.readouterr().out.encode()) == digest
 
 
+@pytest.mark.parametrize("n, digest", [
+    (3, "9caed800ac5dd084fa6371ed9a730b8ab502530ef050cbdcd23abd2b8e0fd804"),
+], ids=["n3"])
+def test_pontryagin_verify_bytes(n, digest, capsys):
+    """pontryagin verify on K3n:2 with seed 0: ten ring-axiom triples of
+    the model at n, beyond the n = 2 of verify all."""
+    assert main(["pontryagin", "verify", "--preset", "K3n:2", "--n", str(n),
+                 "--seed", "0"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == digest
+
+
 @pytest.mark.parametrize("pool_seed, digest", [
     (1009, "ca51c3eb6aceafcd8ff0895e703fd26c239811f78bbe86908f44dae6b5bd0a85"),
     (9001, "c83c17ef13582e5e51713425b51c1e01659753bb9e46ac565b35e62fc1774337"),
