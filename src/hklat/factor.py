@@ -29,6 +29,7 @@ its rewrite runs in Lambda.
 """
 
 from functools import reduce
+from math import isqrt
 from operator import mul
 
 from . import linalg as la
@@ -281,12 +282,34 @@ def find_orthogonal_norm_vector(lattice, lam, target):
             qab = pair(kb[a], kb[b])
             qbb = pair(kb[b], kb[b])
             for s in range(-_HEIGHT, _HEIGHT + 1):
-                for t in range(-_HEIGHT, _HEIGHT + 1):
-                    if qaa * s * s + 2 * qab * s * t + qbb * t * t == target:
-                        return LatVec._from_nums(lattice, [
-                            s * x + t * y for x, y in zip(kb[a], kb[b])])
+                t = _least_root(qbb, qab * s, qaa * s * s - target)
+                if t is not None:
+                    return LatVec._from_nums(lattice, [
+                        s * x + t * y for x, y in zip(kb[a], kb[b])])
     raise SearchExhausted(
         "no orthogonal vector of norm %d within height %d" % (target, _HEIGHT))
+
+
+def _least_root(a, b, c):
+    """The least integer t with |t| <= _HEIGHT and a t^2 + 2 b t + c = 0,
+    None when there is none: the first hit of a scan over t upwards.  With
+    a = 0 the equation is linear, and with b = 0 as well every t solves it
+    when c = 0, so the least is -_HEIGHT.  Otherwise the roots are
+    (-b +- r) / a for r^2 = b^2 - a c, integral only when r is."""
+    if a == 0:
+        if b == 0:
+            return -_HEIGHT if c == 0 else None
+        t, rem = divmod(-c, 2 * b)
+        return t if rem == 0 and abs(t) <= _HEIGHT else None
+    disc = b * b - a * c
+    if disc < 0:
+        return None
+    r = isqrt(disc)
+    if r * r != disc:
+        return None
+    roots = [t for t, rem in (divmod(-b - r, a), divmod(-b + r, a))
+             if rem == 0 and abs(t) <= _HEIGHT]
+    return min(roots) if roots else None
 
 
 def _delta_fix_vector(lattice, work, lam, target):

@@ -40,13 +40,17 @@ by closed-form rules in the base form G, and touch no Sym^n data.  Write
   beta-free monomials of f_b Psi(u), which SymSpace.read reads, come from
   M = {} through the lam rule and from the one-pair M through the beta
   rule, with the coefficients above.
-- cup keeps, for each basis key, a memoized row of the keys whose product
-  with it is nonzero.  Two words multiply to [p], p = sorted(w1 + w2): a
-  basis word when len(p) <= n, else the letters p[n:] applied in turn to
+- cup computes, for each key k1 of x, only the products it reads: the
+  pairs of k1 with y's keys, until the pairs looked up for k1 add up to
+  half a walk over the basis keys, and from then on k1's memoized row of
+  the keys whose product with it is nonzero (SHModel.cup says why).  Two
+  words multiply to [p], p = sorted(w1 + w2): a basis word when
+  len(p) <= n, else the letters p[n:] applied in turn to
   (-1)^n [TAG + p[:n]].  The tagged key TAG + v times a word w with
-  len(w) <= len(v) is the letters of w applied in turn to it.  Every
-  prefix is memoized, as a product of its own.  Two tagged keys multiply
-  to 0.  Unrolled, for k = len(p) > n,
+  len(w) <= len(v) is the letters of w applied in turn to it.  Two tagged
+  keys, and TAG + v with a longer word, multiply to 0.  A product is
+  memoized when nonzero, and every prefix the letter rule reads, zero or
+  not, as a product of its own.  Unrolled, for k = len(p) > n,
       Psi(p) = (-1)^k (k-n)! sum_M (prod_M G) [TAG + p - M]
   over the sets M of k - n disjoint letter pairs of p.  So Psi(p) = 0
   unless p holds k - n disjoint pairs that each pair nonzero; when it
@@ -110,7 +114,9 @@ class SHModel:
         # the words of each length k <= n: the keys of the short pieces
         self._words = [list(combinations_with_replacement(range(self.base_rank), k))
                        for k in range(n + 1)]
+        self._sizes = [len(w) for w in self._words]
         self._rows = {}
+        self._paid = {}        # key -> pair lookups made for it with no row
         self._products = {}    # product word, or (tagged key, word) -> _Coords
         self._base_syms = {}   # k -> Sym^k of the base, for graded_action
         self._piece_dims = piece_dims(self.base_rank, n)
@@ -194,7 +200,9 @@ class SHModel:
 
     def _row(self, k1):
         """{k2: _Coords of [k1] cup [k2]} over the basis keys k2 whose
-        product with k1 is nonzero; memoized, filled on first use."""
+        product with k1 is nonzero: the walk over the _walk_size(k1) keys
+        that _pair does not rule out by length; memoized, filled on first
+        use."""
         row = self._rows.get(k1)
         if row is None:
             words = chain.from_iterable
@@ -209,10 +217,34 @@ class SHModel:
             row = self._rows[k1] = {k2: r for k2, r in prods if r}
         return row
 
-    def _word_product(self, p):
+    def _walk_size(self, k1):
+        """The number of keys _row(k1) visits: every word, and the tagged
+        keys TAG + v with len(v) >= len(k1), for a word k1; the words of
+        length <= len(v) for k1 = TAG + v."""
+        sizes = self._sizes
+        if k1[:1] == sn.TAG:
+            return sum(sizes[:len(k1)])
+        return sum(sizes) + sum(sizes[len(k1):self.n])
+
+    def _pair(self, k1, k2):
+        """The _Coords of [k1] cup [k2] for two basis keys, None when it is
+        0: two tagged keys, and TAG + v with a word longer than v, pass
+        the top degree and multiply to 0 with no lookup."""
+        if k1[:1] == sn.TAG:
+            if k2[:1] == sn.TAG or len(k2) >= len(k1):
+                return None
+            return self._tagged_product(k1, k2)
+        if k2[:1] == sn.TAG:
+            return (self._tagged_product(k2, k1) if len(k1) < len(k2)
+                    else None)
+        return self._word_product(tuple(sorted(k1 + k2)))
+
+    def _word_product(self, p, prefix=False):
         """The _Coords of [p] = Psi(p) for a product word p, None when it is
         0: the basis word p when len(p) <= n, else [p[:-1]] cup [p[-1]] by
-        the letter rule, from [p[:n]] = (-1)^n [TAG + p[:n]]; memoized."""
+        the letter rule, from [p[:n]] = (-1)^n [TAG + p[:n]].  Memoized
+        when nonzero or read as a prefix, which settles every extension of
+        a zero prefix with one lookup."""
         r = self._products.get(p, False)
         if r is False:
             n = self.n
@@ -220,24 +252,26 @@ class SHModel:
                 r = _Coords(((p, 1),))
             else:
                 q = (_Coords(((sn.TAG + p[:n], (-1) ** n),)) if len(p) == n + 1
-                     else self._word_product(p[:-1]))
+                     else self._word_product(p[:-1], True))
                 r = self._letter(q.pairs, p[-1]) if q else None
-            self._products[p] = r
+            if r or prefix:
+                self._products[p] = r
         return r
 
-    def _tagged_product(self, a, w):
+    def _tagged_product(self, a, w, prefix=False):
         """The _Coords of [a] cup [w] for a = TAG + v and a word w with
         len(w) <= len(v), None when it is 0: [a] cup [w[:-1]] cup [w[-1]]
-        by the letter rule; memoized."""
+        by the letter rule; memoized as _word_product is."""
         key = (a, w)
         r = self._products.get(key, False)
         if r is False:
             if w:
-                q = self._tagged_product(a, w[:-1])
+                q = self._tagged_product(a, w[:-1], True)
                 r = self._letter(q.pairs, w[-1]) if q else None
             else:
                 r = _Coords(((a, 1),))
-            self._products[key] = r
+            if r or prefix:
+                self._products[key] = r
         return r
 
     def _letter(self, pairs, b):
@@ -290,16 +324,42 @@ class SHModel:
 
     def cup(self, x, y):
         """[k1] cup [k2] summed over the pairs of basis keys of the SHElts x
-        and y that _row keeps, on integer numerators, one sum per product,
-        then spread over that product's integer basis coordinates."""
+        and y, on integer numerators, one sum per product, then spread over
+        that product's integer basis coordinates.
+
+        For each key k1 of x the products come from k1's row when it is
+        built, else from y's pairs through _pair, one product lookup each.
+        The row costs one walk of _walk_size(k1) lookups, after which cups
+        with k1 look up no product.  _paid[k1] counts the pair lookups made
+        for k1, and the cup that would bring that count to half a walk
+        builds the row instead: an operand dense enough to cover half the
+        walk takes the row at once, and sparse ones pay pairs until k1 has
+        recurred enough.  Whatever cups follow, the lookups spent on k1
+        stay within three times those of the better fixed choice, always
+        pairs or the row at once: short of half a walk, pairs are all that
+        was spent; past it, less than half a walk of pairs came before the
+        walk, and either choice cost at least half a walk."""
         xw, yw = self._words_of(x), self._words_of(y)
         yn = yw.nums
+        rows, paid, pair = self._rows, self._paid, self._pair
         out = {}
         get = out.get
         for k1, c1 in xw.nums.items():
-            for k2, r in self._row(k1).items():
-                c2 = yn.get(k2)
-                if c2:
+            row = rows.get(k1)
+            if row is None:
+                spent = paid.get(k1, 0) + len(yn)
+                if 2 * spent >= self._walk_size(k1):
+                    row = self._row(k1)
+                else:
+                    paid[k1] = spent
+            if row is None:
+                prods = [(pair(k1, k2), c2) for k2, c2 in yn.items()]
+            elif len(row) <= len(yn):
+                prods = [(r, yn.get(k2)) for k2, r in row.items()]
+            else:
+                prods = [(row.get(k2), c2) for k2, c2 in yn.items()]
+            for r, c2 in prods:
+                if r and c2:
                     out[r] = get(r, 0) + c1 * c2
         return SHElt(self, words=sn.sym_combine(
             [(v, r.pairs, 1) for r, v in out.items()], xw.d * yw.d))

@@ -319,6 +319,63 @@ def test_find_orthogonal_norm_vector(k3n2):
     assert u2.norm() == 4 and u2.pair(lam2) == 0
 
 
+def _pair_scan(qaa, qab, qbb, target):
+    """The first (s, t) of the height-64 double loop of the pair search,
+    t scanned upwards inside s; None when no pair hits."""
+    h = fc._HEIGHT
+    for s in range(-h, h + 1):
+        for t in range(-h, h + 1):
+            if qaa * s * s + 2 * qab * s * t + qbb * t * t == target:
+                return s, t
+    return None
+
+
+def _pair_roots(qaa, qab, qbb, target):
+    """The same search with t from fc._least_root."""
+    h = fc._HEIGHT
+    for s in range(-h, h + 1):
+        t = fc._least_root(qbb, qab * s, qaa * s * s - target)
+        if t is not None:
+            return s, t
+    return None
+
+
+def test_least_root_matches_the_t_scan():
+    """_least_root gives the first t of the scan it replaced, on every
+    branch: a = 0 with b = 0 (every t when c = 0, so -64), a = 0 linear
+    (hit, out of range, not divisible), and a != 0 with a negative, a
+    non-square and a square discriminant (two roots, the lesser out of
+    range, odd numerators, a < 0); and the pair search built on it gives
+    the first (s, t) of the double loop on seeded forms."""
+    h = fc._HEIGHT
+
+    def scan(a, b, c):
+        return next((t for t in range(-h, h + 1) if a * t * t + 2 * b * t + c == 0),
+                    None)
+    cases = [(0, 0, 0), (0, 0, 4), (0, 3, -12), (0, 1, 200), (0, 2, 3),
+             (2, 0, 8), (1, 1, 1), (1, 0, -2), (1, 0, -4), (1, -3, -16),
+             (1, 0, -10000), (3, 1, -5), (-2, 3, 8), (-1, 0, 4), (4, 2, 1)]
+    rng = random.Random(251)
+    cases += [(rng.randint(-6, 6), rng.randint(-6, 6) * rng.choice((1, 9)),
+               rng.randint(-400, 400)) for _ in range(3000)]
+    for a, b, c in cases:
+        assert fc._least_root(a, b, c) == scan(a, b, c), (a, b, c)
+    hits = {(a == 0, b == 0, scan(a, b, c) is None) for a, b, c in cases}
+    assert hits == {(x, y, z) for x in (True, False) for y in (True, False)
+                    for z in (True, False)}
+    forms = [(0, 0, 0, 6), (2, 1, 0, 4), (0, 1, 2, 4), (-2, 3, 2, 6),
+             (4, 0, -2, 12), (2, 0, 2, 6)]
+    forms += [(rng.choice((-4, -2, 0, 2, 4)), rng.randint(-3, 3),
+               rng.choice((-4, -2, 0, 2, 4)), rng.choice((2, 4, 6, 12)))
+              for _ in range(12)]
+    found = 0
+    for form in forms:
+        want = _pair_scan(*form)
+        assert _pair_roots(*form) == want, form
+        found += want is not None
+    assert 0 < found < len(forms)
+
+
 def _random_word(rng, lat, maxlen=5):
     gens = []
     for _ in range(rng.randint(1, maxlen)):

@@ -189,7 +189,8 @@ def test_cli_operator_bytes(argv, payload, digest, capsys):
 
 @pytest.mark.parametrize("n, digest", [
     (3, "9caed800ac5dd084fa6371ed9a730b8ab502530ef050cbdcd23abd2b8e0fd804"),
-], ids=["n3"])
+    (4, "95dd4c125f96c118b1dc489e5415b44103f90ace0ddf4a4fc14f585f21cbd8b4"),
+], ids=["n3", "n4"])
 def test_pontryagin_verify_bytes(n, digest, capsys):
     """pontryagin verify on K3n:2 with seed 0: ten ring-axiom triples of
     the model at n, beyond the n = 2 of verify all."""

@@ -13,6 +13,7 @@ from hklat import lattice as lt
 from hklat import llv
 from hklat import pontryagin as pg
 from hklat import snrep as sn
+from hklat.cli import _pontryagin_suite
 from hklat.errors import (EvenDimensionalGuard, LatticeError, NotGraded,
                           SolveFailure)
 
@@ -740,23 +741,59 @@ def test_top_piece_matches_polarized_fujiki(big_model):
         assert seen == {True, False}, n
 
 
-def test_rows_keep_only_nonzero_products(big_model):
-    """Every row entry is a nonzero product of two basis elements, of one
-    of three kinds, and one object per product: word x word is Psi(w1 w2),
-    a basis word when it has length <= n; a tagged key (-1,) + v times a
-    word w with len(w) <= len(v) is e_w(rho_tau Psi(v)); two tagged keys
-    never meet.  Each entry's integer coordinates, from the closed-form
-    rules, rebuild its reference on Sym^n data, on K3n:2 at n = 2,
-    Kummer:2 at n = 3 and 4 and a rank-3 base at n = 5 and 6."""
+def _recording_prefix_reads(M, monkeypatch):
+    """The set of product keys that the letter rule's prefix recursion
+    reads on M from now on: a product word p, or (tagged key, word)."""
+    reads = set()
+    word, tagged = M._word_product, M._tagged_product
+
+    def word_product(p, prefix=False):
+        if prefix:
+            reads.add(p)
+        return word(p, prefix)
+
+    def tagged_product(a, w, prefix=False):
+        if prefix:
+            reads.add((a, w))
+        return tagged(a, w, prefix)
+    monkeypatch.setattr(M, "_word_product", word_product)
+    monkeypatch.setattr(M, "_tagged_product", tagged_product)
+    return reads
+
+
+def _dense_words(rng, M):
+    """Word coordinates on every basis key of M, with mixed denominators."""
+    keys = ([w for k in range(M.n + 1) for w in _words(M, k)]
+            + [(-1,) + w for k in range(M.n) for w in _words(M, k)])
+    return sn.sym_form({k: Fraction(rng.choice((-3, -1, 1, 2)),
+                                    rng.choice((1, 2, 3))) for k in keys})
+
+
+def test_rows_keep_only_nonzero_products(big_model, monkeypatch):
+    """The rows and the product memo after cups on sparse and dense
+    operands.  A row entry is a nonzero product of two basis keys, of one
+    of three kinds, and the memo's object for it: word x word is
+    Psi(w1 w2), a basis word when it has length <= n; a tagged key
+    (-1,) + v times a word w with len(w) <= len(v) is
+    e_w(rho_tau Psi(v)); two tagged keys never meet.  Every nonzero memo
+    entry's integer coordinates, from the closed-form rules, rebuild its
+    reference on Sym^n data, and the memo holds a zero only where the
+    letter rule's prefix recursion read it.  On K3n:2 at n = 2, Kummer:2
+    at n = 3 and 4 and a rank-3 base at n = 5 and 6."""
     rng = random.Random(229)
     kummer = llv.LLVSpace(lt.preset("Kummer", 2))
-    for M, count in ((big_model, 3), (pg.SHModel(kummer, 3), 2),
-                     (pg.SHModel(kummer, 4), 3), (_rank3_model(5), 3),
-                     (_rank3_model(6), 3)):
+    for M, count in ((pg.SHModel(big_model.space, 2), 3),
+                     (pg.SHModel(kummer, 3), 2), (pg.SHModel(kummer, 4), 3),
+                     (_rank3_model(5), 3), (_rank3_model(6), 3)):
+        reads = _recording_prefix_reads(M, monkeypatch)
         for _ in range(count):
             M.random_element(rng).cup(M.random_element(rng))
         M.unit_star().cup(M.random_element(rng))
-        assert M._rows
+        dense = pg.SHElt(M, words=_dense_words(rng, M))
+        dense.cup(M.random_element(rng))
+        for _ in range(2):
+            pg.SHElt(M, words=_random_words(rng, M)).cup(dense)
+        assert M._rows and M._paid
         kinds = set()
         for k1, row in M._rows.items():
             for k2, r in row.items():
@@ -767,18 +804,76 @@ def test_rows_keep_only_nonzero_products(big_model):
                     (a, w) = (k1, k2) if t1 else (k2, k1)
                     assert len(w) <= len(a) - 1
                     assert r is M._products[(a, w)]
-                    want = _ref_e_word(M, w, _ref_rho_tau(M, M.psi_word(a[1:])))
                     kinds.add("tagged")
                 else:
                     p = tuple(sorted(k1 + k2))
                     assert r is M._products[p]
-                    want = M.psi_word(p)
                     kinds.add("short" if len(p) <= M.n else "long")
                     if len(p) <= M.n:
                         assert r.pairs == ((p, 1),)
-                assert want and all(type(c) is int and c for _, c in r.pairs)
-                assert M.from_words(dict(r.pairs)) == want
         assert kinds == {"short", "long", "tagged"}, M.n
+        zeros = {key for key, r in M._products.items() if r is None}
+        assert zeros and zeros <= reads, M.n
+        for key, r in M._products.items():
+            if r is None:
+                continue
+            if key and type(key[0]) is tuple:
+                a, w = key
+                want = _ref_e_word(M, w, _ref_rho_tau(M, M.psi_word(a[1:])))
+            else:
+                want = M.psi_word(key)
+            assert want and all(type(c) is int and c for _, c in r.pairs)
+            assert M.from_words(dict(r.pairs)) == want
+
+
+def test_memo_after_ring_axioms_at_n4(monkeypatch):
+    """Three ring-axiom triples of pontryagin verify on K3n:2 at n = 4
+    leave in the product memo no zero that the prefix recursion did not
+    read."""
+    M = pg.SHModel(llv.LLVSpace(lt.preset("K3n", 2)), 4)
+    reads = _recording_prefix_reads(M, monkeypatch)
+    assert _pontryagin_suite(M, random.Random(0), 3)["ok"]
+    zeros = {key for key, r in M._products.items() if r is None}
+    assert zeros <= reads
+
+
+def _row_cup(M, xw, yw):
+    """The eager row walk: [k1] cup [k2] over every key k1 of xw and every
+    entry of k1's full row, on M, a model that no other cup uses."""
+    terms = []
+    for k1, c1 in xw.nums.items():
+        for k2, r in M._row(k1).items():
+            c2 = yw.nums.get(k2)
+            if c2:
+                terms.append((c1 * c2, r.pairs, 1))
+    return sn.sym_combine(terms, xw.d * yw.d)
+
+
+@pytest.mark.parametrize("which", ["K3n:2 n=2", "Kummer:2 n=3", "rank 3 n=4",
+                                   "rank 3 n=5", "rank 3 n=6"])
+def test_cup_paths_match_row_walk_and_reference(which, k3n2):
+    """cup equals the eager row walk and the Fraction reference whichever
+    path each key of x takes: sparse operands take y's pairs, dense ones
+    build rows, and later cups reuse the rows and pairs built."""
+    rng = random.Random(241)
+    if which == "K3n:2 n=2":
+        space, n = llv.LLVSpace(k3n2), 2
+    elif which == "Kummer:2 n=3":
+        space, n = llv.LLVSpace(lt.preset("Kummer", 2)), 3
+    else:
+        space, n = _rank3_model(1).space, int(which[-1])
+    M, walk = pg.SHModel(space, n), pg.SHModel(space, n)
+    sparse = [_random_words(rng, M) for _ in range(3)]
+    dense = [_dense_words(rng, M) for _ in range(2)]
+    pairs = ([(a, b) for a in sparse for b in sparse]
+             + [(a, b) for a in sparse[:2] for b in dense]
+             + [(b, a) for a in sparse[:2] for b in dense] + [tuple(dense)])
+    for xw, yw in pairs:
+        x, y = pg.SHElt(M, words=xw), pg.SHElt(M, words=yw)
+        got = x.cup(y)
+        assert got.words == _row_cup(walk, xw, yw)
+        assert got.data == _ref_cup(M, x.data, y.data)
+    assert M._rows and M._paid
 
 
 def _random_words(rng, M):

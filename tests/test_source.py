@@ -279,8 +279,8 @@ def test_products_read_no_sym_data():
     the model's Sym^n space, self.sym."""
     with open(os.path.join(SRC, "hklat", "pontryagin.py")) as fh:
         tree = ast.parse(fh.read(), filename="pontryagin.py")
-    names = {"cup", "star", "rho_tau", "_row", "_word_product",
-             "_tagged_product", "_rho_tau_words", "_letter"}
+    names = {"cup", "star", "rho_tau", "_row", "_walk_size", "_pair",
+             "_word_product", "_tagged_product", "_rho_tau_words", "_letter"}
     seen, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "SHModel":
