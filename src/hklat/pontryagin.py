@@ -353,14 +353,20 @@ class SHModel:
                 else:
                     paid[k1] = spent
             if row is None:
-                prods = [(pair(k1, k2), c2) for k2, c2 in yn.items()]
+                for k2, c2 in yn.items():
+                    r = pair(k1, k2)
+                    if r:
+                        out[r] = get(r, 0) + c1 * c2
             elif len(row) <= len(yn):
-                prods = [(r, yn.get(k2)) for k2, r in row.items()]
+                for k2, r in row.items():
+                    c2 = yn.get(k2)
+                    if c2:
+                        out[r] = get(r, 0) + c1 * c2
             else:
-                prods = [(row.get(k2), c2) for k2, c2 in yn.items()]
-            for r, c2 in prods:
-                if r and c2:
-                    out[r] = get(r, 0) + c1 * c2
+                for k2, c2 in yn.items():
+                    r = row.get(k2)
+                    if r:
+                        out[r] = get(r, 0) + c1 * c2
         return SHElt(self, words=sn.sym_combine(
             [(v, r.pairs, 1) for r, v in out.items()], xw.d * yw.d))
 
