@@ -357,7 +357,7 @@ def test_least_root_matches_the_t_scan():
              (1, 0, -10000), (3, 1, -5), (-2, 3, 8), (-1, 0, 4), (4, 2, 1)]
     rng = random.Random(251)
     cases += [(rng.randint(-6, 6), rng.randint(-6, 6) * rng.choice((1, 9)),
-               rng.randint(-400, 400)) for _ in range(3000)]
+               rng.randint(-400, 400)) for _ in range(1000)]
     for a, b, c in cases:
         assert fc._least_root(a, b, c) == scan(a, b, c), (a, b, c)
     hits = {(a == 0, b == 0, scan(a, b, c) is None) for a, b, c in cases}
@@ -367,7 +367,7 @@ def test_least_root_matches_the_t_scan():
              (4, 0, -2, 12), (2, 0, 2, 6)]
     forms += [(rng.choice((-4, -2, 0, 2, 4)), rng.randint(-3, 3),
                rng.choice((-4, -2, 0, 2, 4)), rng.choice((2, 4, 6, 12)))
-              for _ in range(12)]
+              for _ in range(6)]
     found = 0
     for form in forms:
         want = _pair_scan(*form)

@@ -863,16 +863,16 @@ def test_cup_paths_match_row_walk_and_reference(which, k3n2):
     else:
         space, n = _rank3_model(1).space, int(which[-1])
     M, walk = pg.SHModel(space, n), pg.SHModel(space, n)
-    sparse = [_random_words(rng, M) for _ in range(3)]
-    dense = [_dense_words(rng, M) for _ in range(2)]
+    sparse = [_random_words(rng, M) for _ in range(2)]
+    dense = _dense_words(rng, M)
     pairs = ([(a, b) for a in sparse for b in sparse]
-             + [(a, b) for a in sparse[:2] for b in dense]
-             + [(b, a) for a in sparse[:2] for b in dense] + [tuple(dense)])
+             + [(a, dense) for a in sparse] + [(dense, a) for a in sparse]
+             + [(dense, dense)])
     for xw, yw in pairs:
         x, y = pg.SHElt(M, words=xw), pg.SHElt(M, words=yw)
         got = x.cup(y)
         assert got.words == _row_cup(walk, xw, yw)
-        if xw in sparse or yw in sparse:
+        if xw is not dense or yw is not dense:
             assert got.data == _ref_cup(M, x.data, y.data)
     assert M._rows and M._paid
 
