@@ -55,6 +55,26 @@ def test_decompose_certificate_bytes(k3n2):
                           "fc7110b698fd99a2903ca274d7d31440")
 
 
+def test_factor_verify_failure_bytes(k3n2, capsys):
+    """factor verify on the warm-up certificate with gamma_1 negated
+    (nu = -1): exit 2, and the failing gamma's entry carries its full
+    Gamma-membership certificate, det included."""
+    lat = k3n2
+    e = lat.basis_vec(0)
+    delta = lat.basis_vec(lat.delta_index)
+    phi = (tv.eichler_transvection(lat, e, delta)
+           * fc.reflect(lat, lat.vec([0, 0, 1, 2] + [0] * 19)))
+    cert = jio.normal_form_to_json(fc.decompose(lat, phi))
+    g1 = cert["gammas"][1]
+    g1["matrix"] = [[-x for x in row] for row in g1["matrix"]]
+    assert main(["factor", "verify", "--json", json.dumps(
+        {"phi": jio.isometry_to_json(phi), "normal_form": cert})]) == 2
+    assert capsys.readouterr().out == (
+        '{"failures":[["gamma","1","{\'integral\': True, \'nu\': -1, '
+        '\'det\': 1, \'disc\': 1}"],["recomposition","None",'
+        '"product != phi"]],"k":5,"ok":false}\n')
+
+
 def test_eichler_move_and_double_orbit_bytes(k3):
     """Seeded eichler_move words on K3 (length, steps and isometry JSON) and
     double_orbit_connect's h1, h2, hashed together."""
