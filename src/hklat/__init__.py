@@ -3,7 +3,7 @@ factorization with certificates, the extended-lattice operator calculus,
 symmetric-power functors, and Pontryagin products."""
 
 from .lattice import (Lattice, LatVec, QIsometry, DiscGroup, preset, pair,
-                      divisibility, disc_action, characters,
+                      divisibility, disc_action, characters, in_group,
                       membership, nu_character)
 from .transvect import (eichler_transvection, eichler_move, move_into_L,
                         reduce_to_canonical, canonical_vector, TransvectionWord)

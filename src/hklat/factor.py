@@ -11,7 +11,9 @@ vector of the L-part with (u_i,u_i) >= 2.  decompose() produces such a
 certificate for any phi in O^+(Lambda_Q) and checks it once with
 verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
-certificates.  Every reflection, in reflect_times and in
+certificates.  A gamma's Gamma membership is decided by integrality, nu
+and the discriminant action alone; det enters its certificate only when
+NormalForm.certificates is read.  Every reflection, in reflect_times and in
 NormalForm.evaluate, runs on the one integer kernel: _reflection reads
 (u,u) and (Gu)^T m off the integer rows m, and _rank1_rows applies the
 rank-1 update; evaluate carries the product as integer rows over one
@@ -36,7 +38,7 @@ from . import linalg as la
 from .errors import (DimensionMismatch, IsotropicLambda, IsotropicVector,
                      LatticeError, NormMismatch, NotIntegral,
                      OrientationReversing, SearchExhausted)
-from .lattice import LatVec, QIsometry, membership, nu_character
+from .lattice import LatVec, QIsometry, in_group, membership, nu_character
 from .transvect import (_step_columns, canonical_vector, move_into_L,
                         reduce_to_canonical)
 
@@ -121,14 +123,11 @@ def witt_isometry(lattice, sign_w):
 def _cd_basis(lattice):
     """The orthogonal anisotropic basis z_1..z_n that cartan_dieudonne
     scans, the rows of the lattice's one diagonalization, kept per lattice:
-    each z_i as its nonzero (index, numerator) pairs over one denominator
-    dx_i > 0."""
+    each z_i as its nonzero (index, numerator) pairs over its scale
+    dx_i > 0, read off Lattice.scaled_diagonalization."""
     def build(lattice):
-        basis = []
-        for z in lattice.diagonalization()[0]:
-            nums, dx = la.scaled_vec(z)
-            basis.append(([(k, y) for k, y in enumerate(nums) if y], dx))
-        return tuple(basis)
+        return tuple([([(k, y) for k, y in enumerate(nums) if y], dx)
+                      for nums, dx in lattice.scaled_diagonalization()[0]])
     return lattice.memo("cartan_dieudonne", build)
 
 
@@ -200,7 +199,8 @@ def cartan_dieudonne(lattice, f):
             # in an anisotropic basis vector z that g actually moves
             for i in range(n):
                 if any(_cd_candidate(g, basis, ws, i, None)[0]):
-                    found = lattice.vec(lattice.diagonalization()[0][i])
+                    found = LatVec._from_nums(
+                        lattice, *lattice.scaled_diagonalization()[0][i])
                     fixed = [False] * len(order)
                     break
             else:
@@ -423,11 +423,14 @@ class NormalForm:
 
     us[0] is u_1 (applied first); gammas[0] is gamma_0.  Construction
     checks only the shape: the counts, and that every gamma and u lives on
-    the form's own lattice.  The Gamma-membership result of each gamma is
-    computed once, on first use, and kept.
+    the form's own lattice.  Whether each gamma lies in Gamma is decided
+    by integrality, nu and the discriminant action alone, once, on first
+    use; det enters a gamma's certificate only when the certificates are
+    read.  Both are kept.
     """
 
-    __slots__ = ("lattice", "k", "gammas", "us", "_memberships")
+    __slots__ = ("lattice", "k", "gammas", "us", "_memberships",
+                 "_certificates")
 
     def __init__(self, lattice, k, gammas, us):
         if k != len(us) or len(gammas) != k + 1:
@@ -441,19 +444,26 @@ class NormalForm:
         self.k = k
         self.gammas = tuple(gammas)
         self.us = tuple(us)
-        self._memberships = None
+        self._memberships = self._certificates = None
 
     def memberships(self):
-        """(ok, certificate) of membership(gamma, "Gamma") for each gamma."""
+        """Whether each gamma lies in Gamma, by in_group(gamma, "Gamma"):
+        integral, nu = +1 and +-1 on the discriminant group, with no
+        determinant computed."""
         if self._memberships is None:
-            self._memberships = tuple(membership(g, "Gamma")
+            self._memberships = tuple(in_group(g, "Gamma")
                                       for g in self.gammas)
         return self._memberships
 
     @property
     def certificates(self):
-        """The Gamma-membership certificate of each gamma."""
-        return tuple(cert for _, cert in self.memberships())
+        """The full Gamma-membership certificate of each gamma,
+        membership(gamma, "Gamma")[1] with det included, built on first
+        read."""
+        if self._certificates is None:
+            self._certificates = tuple(membership(g, "Gamma")[1]
+                                       for g in self.gammas)
+        return self._certificates
 
     def evaluate(self):
         """The product, carried as integer rows m over one denominator d.
@@ -551,7 +561,7 @@ def decompose(lattice, phi):
         if ok:
             # phi in Gamma is its own certificate
             nf = NormalForm(lattice, 0, [phi], [])
-            nf._memberships = ((ok, cert),)
+            nf._memberships, nf._certificates = (ok,), (cert,)
             return nf
 
     d = _d_value(lattice)
@@ -633,8 +643,7 @@ def _assemble(lattice, phi, factors):
     gammas_rev = [reduce(mul, run) if run else QIsometry.identity(lattice)
                   for run in runs]
     # the items compose to phi up to sign; the sign is (-1)^k, and this one
-    # check certifies it together with the rewrites and every gamma, and
-    # fills the certificates
+    # check certifies it together with the rewrites and every gamma
     nf = NormalForm(lattice, len(us_rev), list(reversed(gammas_rev)),
                     list(reversed(us_rev)))
     report = verify_normal_form(nf, phi)
@@ -644,14 +653,19 @@ def _assemble(lattice, phi, factors):
 
 
 def verify_normal_form(nf, phi):
-    """Exact verification of a normal-form certificate."""
+    """Exact verification of a normal-form certificate.
+
+    Each gamma's Gamma membership is decided by NormalForm.memberships,
+    with no determinant; a failing gamma's entry carries its full
+    certificate, det included, from NormalForm.certificates.
+    """
     report = {"ok": True, "failures": [], "k": nf.k}
     lat = nf.lattice
     di = lat.delta_index
-    for i, (ok, cert) in enumerate(nf.memberships()):
+    for i, ok in enumerate(nf.memberships()):
         if not ok:
             report["ok"] = False
-            report["failures"].append(("gamma", i, cert))
+            report["failures"].append(("gamma", i, nf.certificates[i]))
     for i, u in enumerate(nf.us):
         problems = []
         if not u.is_integral():

@@ -134,14 +134,17 @@ def isometry_to_json(g):
 
 def isometry_from_json(obj, lattice=None):
     """The isometry of an emitted matrix: its entries read once by
-    _scaled_from_json into integer rows over one denominator, checked by
+    _scaled_from_json into integer numerators over one denominator, cut
+    back into rows of the JSON rows' lengths, and checked (shape first) by
     the untrusted QIsometry.from_scaled."""
     lat = lattice if lattice is not None else lattice_from_json(obj["lattice"])
     rows = obj["matrix"]
     flat, d = _scaled_from_json([x for row in rows for x in row])
-    entries = iter(flat)
-    return QIsometry.from_scaled(
-        lat, [[next(entries) for _ in row] for row in rows], d)
+    nums, end = [], 0
+    for row in rows:
+        start, end = end, end + len(row)
+        nums.append(flat[start:end])
+    return QIsometry.from_scaled(lat, nums, d)
 
 
 def normal_form_to_json(nf):

@@ -151,10 +151,21 @@ class Lattice:
             cache[key] = build(self)
         return cache[key]
 
+    def scaled_diagonalization(self):
+        """(rows, d) with P G P^T = diag(d), by
+        la.congruent_diagonalize_scaled, computed once: each row P_r as
+        integer numerators over s_r > 0 in lowest terms.  G is
+        nondegenerate, so no d_i is zero."""
+        return self.memo("diag_scaled",
+                         lambda lat: la.congruent_diagonalize_scaled(lat.gram))
+
     def diagonalization(self):
-        """(P, d) with P G P^T = diag(d), by la.congruent_diagonalize,
-        computed once; G is nondegenerate, so no d_i is zero."""
-        return self.memo("diag", lambda lat: la.congruent_diagonalize(lat.gram))
+        """(P, d) of scaled_diagonalization with the rows P_r as ints and
+        Fractions, built once."""
+        def build(lat):
+            rows, d = lat.scaled_diagonalization()
+            return la.plain_rows(rows), d
+        return self.memo("diag", build)
 
     def signature(self):
         pos = sum(1 for x in self.diagonalization()[1] if x > 0)
@@ -610,38 +621,67 @@ def characters(g):
 _GROUPS = ("O", "O+", "Gamma", "Gamma0", "Mon_K3n")
 
 
-def membership(g, group):
-    """Decide membership of g in one of the named subgroups, with a
-    certificate of the characters used.
+def _character(g, name):
+    """The character of g named "integral", "nu", "disc" or "det"."""
+    if name == "nu":
+        return nu_character(g)
+    if name == "disc":
+        return disc_action(g)
+    return g.is_integral() if name == "integral" else g.det()
+
+
+def _check_group(g, group):
+    if group not in _GROUPS:
+        raise LatticeError("unknown group tag %r" % (group,))
+    if group in ("Gamma", "Gamma0", "Mon_K3n") and g.lattice.delta_index is None:
+        raise LatticeError("%s requires an L + Z*delta shaped lattice" % group)
+
+
+def _decide(group, char):
+    """Whether an isometry whose characters char(name) gives lies in group.
 
     O      : integral isometry
     O+     : integral and nu = +1
     Gamma  : O+ acting on the discriminant group by +-1  (= Mon_K3n)
     Gamma0 : Gamma with det * xi = +1 (xi the discriminant character)
+
+    Each character is read at most once and only when the decision
+    reaches it, so the decision stops at the first failing one and reads
+    det for Gamma0 alone.
     """
-    if group not in _GROUPS:
-        raise LatticeError("unknown group tag %r" % (group,))
-    if group in ("Gamma", "Gamma0", "Mon_K3n") and g.lattice.delta_index is None:
-        raise LatticeError("%s requires an L + Z*delta shaped lattice" % group)
+    if not char("integral"):
+        return False
+    if group == "O":
+        return True
+    if char("nu") != 1:
+        return False
+    if group == "O+":
+        return True
+    disc = char("disc")
+    if disc not in (1, -1):
+        return False
+    return group != "Gamma0" or char("det") * disc == 1
+
+
+def in_group(g, group):
+    """Decide membership of g in one of the named subgroups (see _decide),
+    computing only the characters the decision reads: Gamma is decided by
+    integrality, nu and the discriminant action, with no determinant."""
+    _check_group(g, group)
+    return _decide(group, lambda name: _character(g, name))
+
+
+def membership(g, group):
+    """Decide membership of g in one of the named subgroups (see _decide),
+    with a certificate of the characters: "integral", then "nu", "det" and
+    "disc" when g is integral, all computed whatever the decision reads."""
+    _check_group(g, group)
     integral = g.is_integral()
     cert = {"integral": integral}
-    if not integral:
-        return False, cert
-    nu, dt, disc = characters(g)
-    cert.update({"nu": nu, "det": dt, "disc": disc})
-    if group == "O":
-        return True, cert
-    if nu != 1:
-        return False, cert
-    if group == "O+":
-        return True, cert
-    if disc not in (1, -1):
-        return False, cert
-    if group in ("Gamma", "Mon_K3n"):
-        return True, cert
-    # Gamma0: kernel of det * xi
-    ok = dt * disc == 1
-    return ok, cert
+    if integral:
+        nu, dt, disc = characters(g)
+        cert.update({"nu": nu, "det": dt, "disc": disc})
+    return _decide(group, cert.__getitem__), cert
 
 
 def _preset_u():

@@ -23,10 +23,11 @@ int/Fraction again only at the end.  _echelon is fraction-free
 Gauss-Jordan elimination on primitive integer rows (E. H. Bareiss, Math.
 Comp. 22, 1968); rref divides its rows by their pivots, and inverse reads
 a^-1 off them in the scaled-integer form (nums, d), with no Fraction
-built.  congruent_diagonalize holds its rational rows as integer rows
-over one integer scale per row, S^-1 b S^-1 and S^-1 p, and divides each
-combined row by its content, so its entries stay the size of minors of
-the Gram matrix, as in Bareiss's elimination.  mat_mul, the product of
+built.  congruent_diagonalize_scaled holds its rational rows as integer
+rows over one integer scale per row, S^-1 b S^-1 and S^-1 p, and divides
+each combined row by its content, so its entries stay the size of minors
+of the Gram matrix, as in Bareiss's elimination; it returns P in that
+form, and congruent_diagonalize builds the plain rows from it.  mat_mul, the product of
 plain matrices, is a public helper; inside the library products run on
 int_mat_mul.
 
@@ -390,7 +391,22 @@ def inverse(a):
 
 
 def congruent_diagonalize(g):
-    """Exact symmetric diagonalization: returns (P, d) with P g P^T = diag(d).
+    """Exact symmetric diagonalization: returns (P, d) with P g P^T = diag(d),
+    the rows of congruent_diagonalize_scaled as ints and Fractions."""
+    rows, d = congruent_diagonalize_scaled(g)
+    return plain_rows(rows), d
+
+
+def plain_rows(rows):
+    """The rows p / s of integer rows p over scales s > 0, given as (p, s)
+    pairs, as tuples of ints and Fractions."""
+    return tuple([tuple([quotient(x, s) for x in p]) for p, s in rows])
+
+
+def congruent_diagonalize_scaled(g):
+    """Exact symmetric diagonalization with P in scaled-integer form:
+    returns (rows, d) with P g P^T = diag(d), each row P_r given as
+    (p_r, s_r), integer numerators over s_r > 0 in lowest terms.
 
     Rows of P form a basis in which the form g is diagonal.  Symmetric
     Gaussian elimination: pivot i clears row and column j > i by
@@ -412,9 +428,9 @@ def congruent_diagonalize(g):
     multiplies a row by another pivot, so entry sizes double with each
     pivot; with it they stay near the minors of g that are B's and P's
     true numerators and denominators (Sylvester's identity, as in
-    Bareiss's elimination).  The sign of q keeps s_r > 0, and P and d
-    are built only at the end: P_r = p_r / s_r and d_r = b_rr / (e s_r^2),
-    by quotient.
+    Bareiss's elimination).  The sign of q keeps s_r > 0; at the end each
+    row p_r over s_r is brought to lowest terms, and d_r = b_rr / (e s_r^2)
+    is built by quotient.
     """
     n = len(g)
     b, e = scaled_mat(g)
@@ -459,8 +475,12 @@ def congruent_diagonalize(g):
             f = b[j][i]
             if f != 0:
                 combine(j, i, piv, -f)
-    return (tuple([tuple([quotient(x, sr) for x in prow]) for prow, sr in zip(p, s)]),
-            tuple([quotient(b[i][i], s[i] * s[i] * e) for i in range(n)]))
+    d = tuple([quotient(b[i][i], s[i] * s[i] * e) for i in range(n)])
+    rows = []
+    for prow, sr in zip(p, s):
+        c = gcd(sr, *prow)
+        rows.append((tuple([x // c for x in prow]), sr // c))
+    return tuple(rows), d
 
 
 def smith_normal_form(a):

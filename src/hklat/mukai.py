@@ -15,7 +15,7 @@ from . import linalg as la
 from .errors import (BadDivisibility, BadMonodromy, BadNorm, LatticeError,
                      NotConjugating, OrientationReversing)
 from .factor import reflect
-from .lattice import divisibility, membership, nu_character
+from .lattice import divisibility, in_group, membership, nu_character
 from .transvect import eichler_move
 
 
@@ -170,8 +170,7 @@ def verify_cyclic(f, certificate):
         return False
     if divisibility(lat, u) != 1:
         return False
-    ok, _ = membership(g, _monodromy_group_tag(lat))
-    if not ok:
+    if not in_group(g, _monodromy_group_tag(lat)):
         return False
     return f == -(g * reflect(lat, u))
 

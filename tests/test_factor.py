@@ -254,8 +254,8 @@ def test_cartan_dieudonne_diagonalizes_once(monkeypatch):
     """The orthogonal basis and its candidates are built once per lattice,
     however many decompose calls reach cartan_dieudonne."""
     calls = []
-    real = la.congruent_diagonalize
-    monkeypatch.setattr(la, "congruent_diagonalize",
+    real = la.congruent_diagonalize_scaled
+    monkeypatch.setattr(la, "congruent_diagonalize_scaled",
                         lambda g: calls.append(g) or real(g))
     lat = lt.preset("K3n", 2)
     rng = random.Random(62)
@@ -267,8 +267,12 @@ def test_cartan_dieudonne_diagonalizes_once(monkeypatch):
             rand_orientation_preserving(rng, lat, count=2) for _ in range(2)]:
         fc.decompose(lat, phi)
     assert len(reached) == 3
-    # one diagonalization serves signature() and cartan_dieudonne
+    # one diagonalization serves signature() and cartan_dieudonne, whose
+    # basis reads its integer rows
     assert [len(g) for g in calls].count(lat.rank) == 1
+    assert fc._cd_basis(lat) == tuple(
+        ([(k, y) for k, y in enumerate(nums) if y], dx)
+        for nums, dx in map(la.scaled_vec, lat.diagonalization()[0]))
 
 
 def test_rewrite_factor_is_the_reflection_pair(k3):
@@ -599,27 +603,33 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def test_decompose_certifies_once(k3n2, monkeypatch):
+    """decompose decides each gamma once, by in_group with no certificate;
+    the full certificates are built once, on first read; a reloaded
+    certificate is decided again only when verified."""
     phi = _rewrite_input(k3n2)
     assert not phi.is_integral()
-    counts = {"membership": 0, "evaluate": 0, "verify_normal_form": 0}
+    counts = {"in_group": 0, "membership": 0, "evaluate": 0,
+              "verify_normal_form": 0}
+    _count_calls(monkeypatch, fc, "in_group", counts)
     _count_calls(monkeypatch, fc, "membership", counts)
     _count_calls(monkeypatch, fc, "verify_normal_form", counts)
     _count_calls(monkeypatch, fc.NormalForm, "evaluate", counts)
     nf = fc.decompose(k3n2, phi)
     k = nf.k
     assert k > 0
-    assert counts == {"membership": k + 1, "evaluate": 1,
+    assert counts == {"in_group": k + 1, "membership": 0, "evaluate": 1,
                       "verify_normal_form": 1}
-    # the certificates are the ones the verification computed
+    # the certificates are built on first read and kept
     assert all(c["nu"] == 1 and c["disc"] in (1, -1) for c in nf.certificates)
+    assert nf.certificates is nf.certificates
     assert counts["membership"] == k + 1
     # loading a certificate checks only its shape
     text = jio.dumps(jio.normal_form_to_json(nf))
     loaded = jio.normal_form_from_json(json.loads(text), k3n2)
-    assert counts["membership"] == k + 1
+    assert counts["in_group"] == k + 1
     assert fc.verify_normal_form(loaded, phi)["ok"]
-    assert counts == {"membership": 2 * (k + 1), "evaluate": 2,
-                      "verify_normal_form": 2}
+    assert counts == {"in_group": 2 * (k + 1), "membership": k + 1,
+                      "evaluate": 2, "verify_normal_form": 2}
 
 
 def test_evaluate_is_one_integer_step_per_factor(k3n2, monkeypatch):

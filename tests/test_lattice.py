@@ -10,7 +10,8 @@ import sympy
 
 from conftest import (content, disc_class_dense, nu_projection,
                       rand_orientation_preserving, rand_primitive,
-                      rand_reflection_word, rand_vec, subprocess_env)
+                      rand_primitive_norm, rand_reflection_word,
+                      rand_transvection, rand_vec, subprocess_env)
 from hklat import factor as fc
 from hklat import linalg as la
 from hklat import lattice as lt
@@ -74,11 +75,12 @@ def test_gram_det_is_computed_once(monkeypatch):
 
 def test_one_diagonalization_per_lattice(monkeypatch):
     """signature(), positive_basis()'s fallback and the Cartan-Dieudonne
-    basis read one cached diagonalization; a zero diagonal entry whose
-    repair by c = +1 would stay zero is repaired by c = -1."""
+    basis read one cached diagonalization, the last its integer rows; a
+    zero diagonal entry whose repair by c = +1 would stay zero is repaired
+    by c = -1."""
     calls = []
-    real = la.congruent_diagonalize
-    monkeypatch.setattr(la, "congruent_diagonalize",
+    real = la.congruent_diagonalize_scaled
+    monkeypatch.setattr(la, "congruent_diagonalize_scaled",
                         lambda g: calls.append(g) or real(g))
     custom = lt.preset("custom", gram=_NO_U_GRAM)
     assert custom.signature() == (2, 2) and len(custom.positive_basis()) == 2
@@ -542,6 +544,63 @@ def test_class_of_matches_dense_formula():
             assert act == ("other", images)
         seen.add(act if act in (1, -1) else "other")
     assert seen == {1, -1, "other"}
+
+
+def _membership_kinds(rng, lat):
+    """Seeded integral and rational isometries of lat: two Eichler
+    transvections (in Gamma0), those times a (-2)-reflection (in Gamma,
+    not in Gamma0: det = -1 on a trivial discriminant action), times a
+    reflection in a norm-2 vector (nu = -1), and a reflection in a norm-4
+    vector (not integral)."""
+    gamma = rand_transvection(rng, lat) * rand_transvection(rng, lat)
+    return [gamma,
+            gamma * fc.reflect(lat, rand_primitive_norm(rng, lat, -2)),
+            gamma * fc.reflect(lat, rand_primitive_norm(rng, lat, 2)),
+            fc.reflect(lat, rand_primitive_norm(rng, lat, 4))]
+
+
+def test_in_group_decides_as_membership(monkeypatch):
+    """in_group(g, tag) is membership(g, tag)[0] for every group tag, and
+    reads det only for Gamma0.  The discriminant groups of K3n:2, K3n:3 and
+    Kummer:2 (Z/2, Z/4, Z/2) admit no action other than +-1, so the
+    'other' action comes from U^3 + <-2> + <-2>, delta the last basis
+    vector, whose (Z/2)^2 the swap of the two <-2> summands permutes."""
+    two = lt.Lattice(lt._block_diag(lt.U_GRAM, lt.U_GRAM, lt.U_GRAM,
+                                    ((-2,),), ((-2,),)),
+                     u_blocks=((0, 1), (2, 3), (4, 5)), delta_index=7)
+    swap = lt.QIsometry(two, [[int(j == {6: 7, 7: 6}.get(i, i))
+                               for j in range(8)] for i in range(8)])
+    deciding = []
+    real_det = lt.QIsometry.det
+
+    def det(g):
+        # membership's certificate reads det; in_group only for Gamma0
+        assert deciding in ([], ["Gamma0"]), deciding
+        return real_det(g)
+    monkeypatch.setattr(lt.QIsometry, "det", det)
+    kinds = set()
+    for seed, lat in enumerate([lt.preset("K3n", 2), lt.preset("K3n", 3),
+                                lt.preset("Kummer", 2), two]):
+        gs = _membership_kinds(random.Random(300 + seed), lat)
+        if lat is two:
+            gs.append(swap * gs[0])
+        for g in gs:
+            for tag in lt._GROUPS:
+                deciding.append(tag)
+                try:
+                    got = lt.in_group(g, tag)
+                finally:
+                    deciding.pop()
+                assert got == lt.membership(g, tag)[0], (lat.name, tag)
+            cert = lt.membership(g, "Gamma")[1]
+            kinds.add((seed, "not integral" if not cert["integral"]
+                       else "nu = -1" if cert["nu"] == -1
+                       else "disc other" if cert["disc"] not in (1, -1)
+                       else "Gamma0" if lt.in_group(g, "Gamma0")
+                       else "Gamma, not Gamma0"))
+    four = ("not integral", "nu = -1", "Gamma0", "Gamma, not Gamma0")
+    assert kinds == {(seed, kind) for seed in range(4) for kind in four} | {
+        (3, "disc other")}
 
 
 def test_membership_scans_entries_once(k3n2, monkeypatch):

@@ -3,12 +3,21 @@ wall budgets.  Each runs in one child process whose limits are set with
 resource.setrlimit in that child only, so a command that outgrows them
 fails here instead of slowing the machine."""
 
+import importlib
 import json
+import os
 import resource
 import subprocess
 import sys
 
+import pytest
+
 from conftest import subprocess_env
+from hklat import factor as fc
+from hklat import jsonio as jio
+from hklat import lattice as lt
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _ADDRESS_SPACE = 512 * 2 ** 20   # bytes
 _CPU_SECONDS = 2
@@ -34,3 +43,26 @@ def test_pontryagin_verify_n4_within_limits():
                       "--seed", "0"])
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["ok"] is True
+
+
+def test_factor_verify_k25_within_limits(tmp_path):
+    """The second certificate of the factor-k3n2 deck of perfbench (pool
+    1001): k = 25 with gamma entries of up to 651 bits, verified by
+    factor verify in 512 MB of address space and 2 CPU seconds, about
+    eight times the CPU time it takes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        inp = importlib.import_module("workloads").FactorK3n2(
+            pool_seed=1001).deck()[1]
+    lat = lt.preset("K3n", 2)
+    phi = jio.isometry_from_json(inp["phi"], lat)
+    nf = fc.decompose(lat, phi)
+    assert nf.k == 25 and max(abs(x).bit_length() for g in nf.gammas
+                              for row in g.nums for x in row) == 651
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps({"phi": jio.isometry_to_json(phi),
+                                "normal_form": jio.normal_form_to_json(nf)}))
+    r = _run_limited(["factor", "verify", "--in", str(path)])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"failures": [], "k": 25, "ok": True}

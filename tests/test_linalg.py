@@ -126,13 +126,17 @@ def _oracle_grams():
 
 def test_congruent_diagonalize_matches_fraction_reference():
     """The integer kernel returns the tuples the Fraction elimination
-    returned, entry types included, and P g P^T = diag(d); the dense
+    returned, entry types included, and P g P^T = diag(d); its scaled rows
+    are those rows as numerators over their least denominators.  The dense
     rank-30 Gram guards against entry growth."""
     seen = set()
     for g in _oracle_grams():
         p, d = la.congruent_diagonalize(g)
         want = congruent_diagonalize_ref(g)
         assert (p, d) == want
+        rows, ds = la.congruent_diagonalize_scaled(g)
+        assert ds == d and rows == tuple(
+            (tuple(nums), dx) for nums, dx in map(la.scaled_vec, p))
         assert [type(x) for row in p for x in row] == [
             type(x) for row in want[0] for x in row]
         assert [type(x) for x in d] == [type(x) for x in want[1]]

@@ -308,12 +308,31 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
     certificate texts, each certificate's k, and every op passes the
     workload's own checks; decompose hands its delta-fixing work to
     cartan_dieudonne as it stands, and every evaluate, of a fresh and of
-    a reloaded certificate, equals the reflect_times-then-product chain."""
+    a reloaded certificate, equals the reflect_times-then-product chain.
+    verify_normal_form, on fresh and on reloaded certificates, computes no
+    determinant, and the certificates read afterwards are the full
+    membership certificates."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     workloads = importlib.import_module("workloads")
     residues, evaluated = [], []
     real_cd, real_evaluate = fc.cartan_dieudonne, fc.NormalForm.evaluate
+    verifying, dets = [], []
+    real_verify = fc.verify_normal_form
+
+    def verify_watched(nf, phi):
+        verifying.append(nf.k)
+        try:
+            return real_verify(nf, phi)
+        finally:
+            verifying.pop()
+    monkeypatch.setattr(fc, "verify_normal_form", verify_watched)
+    for owner, name in ((lt.la, "det_mod_p"), (lt.QIsometry, "det")):
+        def watched(*args, real=getattr(owner, name), name=name):
+            if verifying:
+                dets.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, watched)
 
     def spy(lattice, residue):
         # the residue is decompose's work itself, read from its frame
@@ -333,9 +352,13 @@ def test_factor_deck_bytes(pool_seed, digest, ks, monkeypatch):
         inp = dict(inp, check_seed=i)
         out = deck.op(ctx, inp)
         assert deck.check(ctx, inp, out) == []
-        assert out["nf"].k == ks[i]
+        nf = out["nf"]
+        assert nf.k == ks[i]
+        assert nf.certificates == tuple(lt.membership(g, "Gamma")[1]
+                                        for g in nf.gammas)
         text += deck.digest_text(out)
     assert _sha(text.encode()) == digest
+    assert dets == []
     # setup's warm-up input and every word outside Gamma reach the residue
     assert residues == [True] * (1 + len(ks) - ks.count(0))
     # the warm-up's decompose (k = 5), then each op's: decompose's own

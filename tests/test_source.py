@@ -296,17 +296,20 @@ def test_products_read_no_sym_data():
 
 def test_diagonalization_on_integers():
     """la.congruent_diagonalize runs on integers: linalg defines no ONE,
-    and the kernel names none of Fraction, frac, ratio, mat or vec, so its
-    only rationals come from quotient at the return."""
+    and neither the kernel congruent_diagonalize_scaled nor its plain
+    wrapper names any of Fraction, frac, ratio, mat or vec, so their only
+    rationals come from quotient at the return."""
     with open(os.path.join(SRC, "hklat", "linalg.py")) as fh:
         tree = ast.parse(fh.read(), filename="linalg.py")
     defined = [t.id for node in tree.body if isinstance(node, ast.Assign)
                for t in node.targets if isinstance(t, ast.Name)]
     assert "ONE" not in defined
     kernel = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name == "congruent_diagonalize"]
-    assert len(kernel) == 1
+              and node.name in ("congruent_diagonalize",
+                                "congruent_diagonalize_scaled")]
+    assert len(kernel) == 2
     names = {"Fraction", "frac", "ratio", "mat", "vec"}
-    found = ["%s:%d" % (node.id, node.lineno) for node in ast.walk(kernel[0])
+    found = ["%s:%d" % (node.id, node.lineno) for fn in kernel
+             for node in ast.walk(fn)
              if isinstance(node, ast.Name) and node.id in names]
     assert found == []
