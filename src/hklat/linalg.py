@@ -27,9 +27,9 @@ built.  congruent_diagonalize_scaled holds its rational rows as integer
 rows over one integer scale per row, S^-1 b S^-1 and S^-1 p, and divides
 each combined row by its content, so its entries stay the size of minors
 of the Gram matrix, as in Bareiss's elimination; it returns P in that
-form, and congruent_diagonalize builds the plain rows from it.  mat_mul, the product of
-plain matrices, is a public helper; inside the library products run on
-int_mat_mul.
+form, and congruent_diagonalize builds the plain rows from it.  mat_mul,
+the product of plain matrices, is a public helper; inside the library
+products run on int_mat_mul.
 
 det, Bareiss's fraction-free elimination, is exact and serves any matrix:
 Gram matrices and other untrusted input.  det_mod_p is elimination over
