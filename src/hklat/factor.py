@@ -426,10 +426,11 @@ class NormalForm:
     the form's own lattice.  Whether each gamma lies in Gamma is decided
     by integrality, nu and the discriminant action alone, once, on first
     use; det enters a gamma's certificate only when the certificates are
-    read.  Both are kept.
+    read.  Both are kept, and so are the characters each gamma's decision
+    read, which its certificate then reuses.
     """
 
-    __slots__ = ("lattice", "k", "gammas", "us", "_memberships",
+    __slots__ = ("lattice", "k", "gammas", "us", "_chars", "_memberships",
                  "_certificates")
 
     def __init__(self, lattice, k, gammas, us):
@@ -444,6 +445,7 @@ class NormalForm:
         self.k = k
         self.gammas = tuple(gammas)
         self.us = tuple(us)
+        self._chars = [{} for _ in self.gammas]
         self._memberships = self._certificates = None
 
     def memberships(self):
@@ -451,18 +453,19 @@ class NormalForm:
         integral, nu = +1 and +-1 on the discriminant group, with no
         determinant computed."""
         if self._memberships is None:
-            self._memberships = tuple(in_group(g, "Gamma")
-                                      for g in self.gammas)
+            self._memberships = tuple(in_group(g, "Gamma", c)
+                                      for g, c in zip(self.gammas, self._chars))
         return self._memberships
 
     @property
     def certificates(self):
         """The full Gamma-membership certificate of each gamma,
         membership(gamma, "Gamma")[1] with det included, built on first
-        read."""
+        read from the characters memberships() kept and the missing ones."""
         if self._certificates is None:
-            self._certificates = tuple(membership(g, "Gamma")[1]
-                                       for g in self.gammas)
+            self._certificates = tuple(
+                membership(g, "Gamma", c)[1]
+                for g, c in zip(self.gammas, self._chars))
         return self._certificates
 
     def evaluate(self):

@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 
 from . import linalg as la
 from .errors import (DegenerateGram, DimensionMismatch, LatticeError,
-                     NotAnIsometry, NotIntegral)
+                     NoHyperbolicPlanes, NotAnIsometry, NotIntegral)
 
 U_GRAM = ((0, -1), (-1, 0))
 
@@ -59,9 +59,21 @@ def _block_diag(*blocks):
     return tuple(tuple(row) for row in g)
 
 
+def _is_u_plane(g, i, j):
+    """Whether (e_i, e_j) is a hyperbolic plane orthogonal to every other
+    basis vector: (e_i,e_i) = (e_j,e_j) = 0 and (e_i,e_j) = -1."""
+    return (g[i][i] == 0 and g[j][j] == 0 and g[i][j] == -1
+            and all(g[i][k] == 0 and g[j][k] == 0
+                    for k in range(len(g)) if k not in (i, j)))
+
+
 class Lattice:
     """A finitely generated free Z-module with a nondegenerate symmetric
-    integer Gram matrix."""
+    integer Gram matrix.
+
+    u_blocks are disjoint hyperbolic planes (e_i, e_j), each orthogonal to
+    every other basis vector: declared ones are checked (NoHyperbolicPlanes
+    otherwise), and without a declaration they are scanned for."""
 
     __slots__ = ("rank", "gram", "name", "u_blocks", "delta_index", "_cache",
                  "_gram_rows")
@@ -84,7 +96,8 @@ class Lattice:
         self._gram_rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
                                 for row in g)
         self.name = name
-        self.u_blocks = tuple(u_blocks) if u_blocks else self._scan_u_blocks(g)
+        self.u_blocks = (self._checked_u_blocks(g, u_blocks) if u_blocks
+                         else self._scan_u_blocks(g))
         self.delta_index = delta_index
         self._cache = {"det": det}
 
@@ -97,11 +110,30 @@ class Lattice:
             for j in range(i + 1, n):
                 if i in used or j in used:
                     continue
-                if g[i][i] == 0 and g[j][j] == 0 and g[i][j] == -1:
-                    if all(g[i][k] == 0 and g[j][k] == 0
-                           for k in range(n) if k not in (i, j)):
-                        blocks.append((i, j))
-                        used.update((i, j))
+                if _is_u_plane(g, i, j):
+                    blocks.append((i, j))
+                    used.update((i, j))
+        return tuple(blocks)
+
+    @staticmethod
+    def _checked_u_blocks(g, u_blocks):
+        """The declared blocks as int pairs, each a hyperbolic plane
+        disjoint from the blocks before it; raises NoHyperbolicPlanes
+        otherwise."""
+        n = len(g)
+        blocks = []
+        used = set()
+        for block in u_blocks:
+            pair = tuple(block)
+            if (len(pair) != 2 or not all(type(i) is int and 0 <= i < n
+                                          for i in pair)
+                    or used & set(pair) or not _is_u_plane(g, *pair)):
+                raise NoHyperbolicPlanes(
+                    "u_blocks entry %r is not a hyperbolic plane (e_i, e_j) "
+                    "= -1 orthogonal to the other basis vectors and to the "
+                    "other blocks" % (block,))
+            blocks.append(pair)
+            used.update(pair)
         return tuple(blocks)
 
     def __eq__(self, other):
@@ -663,24 +695,36 @@ def _decide(group, char):
     return group != "Gamma0" or char("det") * disc == 1
 
 
-def in_group(g, group):
+def _reader(g, chars):
+    """The character of g by name, taken from the dict chars when it holds
+    it, else computed and kept there."""
+    def char(name):
+        if name not in chars:
+            chars[name] = _character(g, name)
+        return chars[name]
+    return char
+
+
+def in_group(g, group, chars=None):
     """Decide membership of g in one of the named subgroups (see _decide),
     computing only the characters the decision reads: Gamma is decided by
-    integrality, nu and the discriminant action, with no determinant."""
+    integrality, nu and the discriminant action, with no determinant.  A
+    dict chars supplies the characters it holds and keeps those computed."""
     _check_group(g, group)
-    return _decide(group, lambda name: _character(g, name))
+    return _decide(group, _reader(g, {} if chars is None else chars))
 
 
-def membership(g, group):
+def membership(g, group, chars=None):
     """Decide membership of g in one of the named subgroups (see _decide),
     with a certificate of the characters: "integral", then "nu", "det" and
-    "disc" when g is integral, all computed whatever the decision reads."""
+    "disc" when g is integral, all computed whatever the decision reads
+    (chars as for in_group)."""
     _check_group(g, group)
-    integral = g.is_integral()
-    cert = {"integral": integral}
-    if integral:
-        nu, dt, disc = characters(g)
-        cert.update({"nu": nu, "det": dt, "disc": disc})
+    char = _reader(g, {} if chars is None else chars)
+    cert = {"integral": char("integral")}
+    if cert["integral"]:
+        for name in ("nu", "det", "disc"):
+            cert[name] = char(name)
     return _decide(group, cert.__getitem__), cert
 
 

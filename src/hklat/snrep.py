@@ -54,9 +54,8 @@ from operator import mul
 
 from . import linalg as la
 from . import llv as llv_mod
-from .errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
-                     NotDecomposable, NotGraded, ScalarInconsistency,
-                     SolveFailure)
+from .errors import (LatticeError, NotConjugating, NotDecomposable, NotGraded,
+                     ScalarInconsistency, SolveFailure)
 from .lattice import LatVec, QIsometry
 
 
@@ -567,9 +566,9 @@ def isotropic_spanning_set(lattice):
     """d isotropic vectors spanning the space, built from the first
     hyperbolic pair; every later vector pairs nontrivially with the first.
 
-    Raises NoHyperbolicPlanes when the first designated pair is not a
-    hyperbolic plane (e_i, e_j) = -1 orthogonal to the other basis vectors,
-    so that some vector built from it is not isotropic."""
+    The lattice admits only genuine hyperbolic planes (e_i, e_j) = -1,
+    orthogonal to the other basis vectors, as u_blocks, so each vector
+    built here is isotropic."""
     if not lattice.u_blocks:
         raise LatticeError("need a hyperbolic pair to produce isotropic vectors")
     i, j = lattice.u_blocks[0]
@@ -581,12 +580,7 @@ def isotropic_spanning_set(lattice):
         c[k] = 2
         if k != i and k != j:
             c[i], c[j] = lattice.gram[k][k], 2
-        v = LatVec._from_nums(lattice, c, 2)
-        if v.norm() != 0:
-            raise NoHyperbolicPlanes("u_blocks[0] = %r is not a hyperbolic "
-                                     "plane: basis vector %d gives a vector "
-                                     "of norm %s" % ((i, j), k, v.norm()))
-        out.append(v)
+        out.append(LatVec._from_nums(lattice, c, 2))
     return out
 
 

@@ -5,17 +5,7 @@ The transvection attached to an isotropic e and a vector a orthogonal to e is
     E(e,a)(x) = x + (e,x) (a - (a,a)/2 e) - (a,x) e,
 
 an integral isometry with determinant +1, trivial discriminant action and
-nu = +1.  Transvection data is integral, so each step is kept once as
-integers (e, a, G e, G a, (a,a)) and every transvection, word and word
-isometry here runs through the one integer kernel _step_columns: the input
-columns are integer numerators over one denominator, each step reads the
-pairings (e,x), (a,x) off the nonzero entries of G e and G a and changes
-only the coordinates in supp(e) + supp(a), and the result stays in that
-form.  A word holds only that data, and rebuilds
-its steps (e, a) as int tuples from it on request.  The reduction's
-elementary moves E(e_i, k e_j) read their data straight off the Gram rows
-(G e_i is row i, G(k e_j) is k times row j); every other step, the
-reduction's two general moves included, is checked by _step_data.
+nu = +1.
 
 For a lattice containing two orthogonal hyperbolic planes U1 = (e1,e2),
 U2 = (f1,f2), the group generated by transvections acts transitively on
@@ -28,9 +18,32 @@ The reduction works on the 2x2 integer matrix
     P = [[a, d], [c, -b]]       (alpha = a e1 + b e2 + c f1 + d f2 + w)
 
 on which the four transvections E(e1, k f1), E(f2, k e2), E(e1, k f2),
-E(f1, k e2) act as the elementary SL2 x SL2 row/column additions.  Smith
-reduction of P plus two pivot moves eliminating the remainder w give the
-canonical form.
+E(f1, k e2) act as the elementary SL2 x SL2 row/column additions, fixing
+w.  Smith reduction of P plus two pivot moves eliminating the remainder w
+give the canonical form.
+
+A word is a list of items, and every transvection, word and word isometry
+here runs through the one integer kernel _step_columns, which applies the
+items first to last to integer columns over one denominator:
+
+- a block, one maximal run of the reduction's elementary moves: a pair
+  (L, R) in SL2(Z) x SL2(Z) acting as P -> L P R, plus the run's list of
+  moves (i, j, k), one E(e_i, k e_j) each.  The lattice declares its
+  hyperbolic planes orthogonal to every other basis vector, so a run
+  reads and changes only the four U coordinates of any column, and a
+  block costs O(1) per column however long its run.  Its inverse is
+  (adj L, adj R) with the moves reversed and negated.  The reducer keeps
+  P, L and R as integers and updates them per move, at the cost of a few
+  small integer operations and one list append; no elementary move builds
+  step data or runs the kernel.
+- a general step E(e, a): the integers (e, a, G e, G a, (a,a)), checked
+  by _step_data.  It reads the pairings (e,x), (a,x) off the nonzero
+  entries of G e and G a and changes only the coordinates in
+  supp(e) + supp(a).  Words built from (e, a) pairs, and the reduction's
+  two pivot moves, are made of these.
+
+A word rebuilds its steps (e, a) as int tuples on request, a block move
+E(e_i, k e_j) as (e_i, k e_j).
 """
 
 from math import gcd
@@ -68,15 +81,48 @@ def _dense(pairs, n):
     return tuple(c)
 
 
+class _Block:
+    """A run of elementary moves on the planes u = (e1, e2, f1, f2) of a
+    word: P -> L P R, with l and r the entries (m11, m12, m21, m22) of L
+    and R, and moves the run's (i, j, k), one E(e_i, k e_j) each."""
+
+    __slots__ = ("u", "l", "r", "moves")
+
+    def __init__(self, u, l, r, moves):
+        self.u, self.l, self.r, self.moves = u, l, r, moves
+
+    def inverse(self):
+        # det L = det R = 1, so their inverses are their adjugates
+        (a, b, c, d), (p, q, s, t) = self.l, self.r
+        return _Block(self.u, (d, -b, -c, a), (t, -q, -s, p),
+                      [(i, j, -k) for i, j, k in reversed(self.moves)])
+
+    def apply(self, cols):
+        """P -> L P R on each column's U coordinates, in place."""
+        e1, e2, f1, f2 = self.u
+        (l11, l12, l21, l22), (r11, r12, r21, r22) = self.l, self.r
+        for c in cols:
+            p11, p12, p21, p22 = c[e1], c[f2], c[f1], -c[e2]
+            q11, q12 = l11 * p11 + l12 * p21, l11 * p12 + l12 * p22
+            q21, q22 = l21 * p11 + l22 * p21, l21 * p12 + l22 * p22
+            c[e1], c[f2] = q11 * r11 + q12 * r21, q11 * r12 + q12 * r22
+            c[f1], c[e2] = q21 * r11 + q22 * r21, -q21 * r12 - q22 * r22
+
+
 def _step_columns(data, cols):
-    """Apply the integer steps, first to last, to integer columns in place.
+    """Apply the word items (blocks and step data), first to last, to
+    integer columns in place.
 
     cols holds numerators over a common denominator; the returned factor
     (1, or a power of 2 when an odd (a,a) meets an odd (e,x)) multiplies
-    that denominator.
+    that denominator.  Blocks have (a,a) = 0 and never scale.
     """
     scale = 1
-    for e, a, ge, ga, aa in data:
+    for item in data:
+        if type(item) is _Block:
+            item.apply(cols)
+            continue
+        e, a, ge, ga, aa = item
         if aa & 1 and any(sum([g * c[i] for i, g in ge]) & 1 for c in cols):
             for c in cols:
                 c[:] = [2 * x for x in c]
@@ -93,6 +139,14 @@ def _step_columns(data, cols):
                 for i, x in e:
                     c[i] += t * x
     return scale
+
+
+def _inverse_item(item):
+    if type(item) is _Block:
+        return item.inverse()
+    # E(e, a)^-1 = E(e, -a): negate a and G a, keep e, G e and (a,a)
+    e, a, ge, ga, aa = item
+    return e, [(i, -x) for i, x in a], ge, [(i, -x) for i, x in ga], aa
 
 
 def eichler_transvection(lattice, e, a):
@@ -113,7 +167,8 @@ def eichler_transvection(lattice, e, a):
 class TransvectionWord:
     """An ordered word of transvections; the first step is applied first.
 
-    _data holds each step once, as the kernel integers of _step_data.
+    _data holds the word's items in order: blocks of elementary moves from
+    the reduction and general steps as the kernel integers of _step_data.
     """
 
     __slots__ = ("lattice", "_data")
@@ -126,7 +181,14 @@ class TransvectionWord:
     def steps(self):
         """The (e, a) coordinates of each step, as int tuples."""
         n = self.lattice.rank
-        return [(_dense(e, n), _dense(a, n)) for e, a, _, _, _ in self._data]
+        out = []
+        for item in self._data:
+            if type(item) is _Block:
+                out += [(_dense(((i, 1),), n), _dense(((j, k),), n))
+                        for i, j, k in item.moves]
+            else:
+                out.append((_dense(item[0], n), _dense(item[1], n)))
+        return out
 
     def append(self, e_coords, a_coords):
         self._data.append(_step_data(self.lattice, e_coords, a_coords))
@@ -143,14 +205,13 @@ class TransvectionWord:
         return QIsometry._of(self.lattice, la.transpose(cols), d)
 
     def inverse(self):
-        # E(e, a)^-1 = E(e, -a): negate a and G a, keep e, G e and (a,a)
         inv = TransvectionWord(self.lattice)
-        inv._data = [(e, [(i, -x) for i, x in a], ge, [(i, -x) for i, x in ga],
-                      aa) for e, a, ge, ga, aa in reversed(self._data)]
+        inv._data = [_inverse_item(item) for item in reversed(self._data)]
         return inv
 
     def __len__(self):
-        return len(self._data)
+        return sum([len(item.moves) if type(item) is _Block else 1
+                    for item in self._data])
 
 
 def _bezout_combo(values):
@@ -198,7 +259,11 @@ def canonical_vector(lattice, norm):
 
 class _Reducer:
     """Stateful reduction of one primitive divisibility-1 integer vector to
-    the canonical vector, recording a transvection word."""
+    the canonical vector, recording a transvection word.
+
+    The open block's P, L and R are kept as flat integer lists p, l and r
+    (entries m11, m12, m21, m22); x holds the vector as of the last
+    flush, and its coordinates outside U1 + U2 are always current."""
 
     def __init__(self, lattice, nums):
         if len(lattice.u_blocks) < 2:
@@ -212,47 +277,86 @@ class _Reducer:
         self.x = list(nums)
         self.word = TransvectionWord(lattice)
         self.budget = _MAX_REDUCE_STEPS
+        self.p, self.l, self.r, self.moves = [0] * 4, [0] * 4, [0] * 4, []
+        self._open()
 
-    def _emit(self, data):
-        """Record the step with kernel data data and apply it to x."""
+    def _open(self):
+        """Open an empty block at x."""
+        x = self.x
+        self.p[:] = x[self.e1], x[self.f2], x[self.f1], -x[self.e2]
+        self.l[:] = self.r[:] = 1, 0, 0, 1
+        self.moves = []
+
+    def _flush(self):
+        """Write P back into x, record the open block if it has moves, and
+        open the next one."""
+        x, p = self.x, self.p
+        x[self.e1], x[self.f2], x[self.f1], x[self.e2] = p[0], p[1], p[2], -p[3]
+        if self.moves:
+            self.word._data.append(_Block(self.u_idx, tuple(self.l),
+                                          tuple(self.r), self.moves))
+        self._open()
+
+    def _spend(self):
         self.budget -= 1
         if self.budget <= 0:
             raise SearchExhausted("transvection reduction exceeded step budget")
+
+    def _general_move(self, i, a):
+        """E(e_i, a) for an integer list a, its data checked by _step_data,
+        as a step of its own between blocks."""
+        e = [0] * self.lat.rank
+        e[i] = 1
+        data = _step_data(self.lat, e, a)
+        self._flush()
+        self._spend()
         self.word._data.append(data)
         if _step_columns([data], [self.x]) != 1:
             raise NotIntegral("a reduction step left the integers")
-
-    def _move(self, i, j, k):
-        """E(e_i, k e_j), its data read off the Gram rows: G e_i is row i,
-        G(k e_j) is k times row j and (k e_j, k e_j) = k^2 G_jj."""
-        if k:
-            rows = self.lat._gram_rows
-            self._emit(([(i, 1)], [(j, k)], list(rows[i]),
-                        [(t, k * g) for t, g in rows[j]],
-                        k * k * self.lat.gram[j][j]))
-
-    def _general_move(self, i, a):
-        """E(e_i, a) for an integer list a, its data checked by _step_data."""
-        e = [0] * self.lat.rank
-        e[i] = 1
-        self._emit(_step_data(self.lat, e, a))
+        self._open()
 
     # -- the four elementary SL2 x SL2 moves ------------------------------
+    # each spends one step, records E(e_i, k e_j) and updates P with L
+    # (rows: P -> M P, L -> M L) or with R (columns: P -> P M, R -> R M)
     def op_col1(self, k):   # P: col1 += k col2   <->  E(e1, k f1)
-        self._move(self.e1, self.f1, k)
+        if k:
+            self._spend()
+            self.moves.append((self.e1, self.f1, k))
+            p, r = self.p, self.r
+            p[0] += k * p[1]
+            p[2] += k * p[3]
+            r[0] += k * r[1]
+            r[2] += k * r[3]
 
     def op_col2(self, k):   # P: col2 += k col1   <->  E(f2, k e2)
-        self._move(self.f2, self.e2, k)
+        if k:
+            self._spend()
+            self.moves.append((self.f2, self.e2, k))
+            p, r = self.p, self.r
+            p[1] += k * p[0]
+            p[3] += k * p[2]
+            r[1] += k * r[0]
+            r[3] += k * r[2]
 
     def op_row1(self, k):   # P: row1 += k row2   <->  E(e1, k f2)
-        self._move(self.e1, self.f2, k)
+        if k:
+            self._spend()
+            self.moves.append((self.e1, self.f2, k))
+            p, l = self.p, self.l
+            p[0] += k * p[2]
+            p[1] += k * p[3]
+            l[0] += k * l[2]
+            l[1] += k * l[3]
 
     def op_row2(self, k):   # P: row2 += k row1   <->  E(f1, k e2)
-        self._move(self.f1, self.e2, k)
-
-    def _p(self):
-        x = self.x
-        return [[x[self.e1], x[self.f2]], [x[self.f1], -x[self.e2]]]
+        if k:
+            self._spend()
+            self.moves.append((self.f1, self.e2, k))
+            p, l = self.p, self.l
+            p[2] += k * p[0]
+            p[3] += k * p[1]
+            l[2] += k * l[0]
+            l[3] += k * l[1]
 
     def _rot_rows_B(self):
         # (r1, r2) -> (-r2, r1):  r1 -= r2; r2 += r1; r1 -= r2
@@ -268,34 +372,32 @@ class _Reducer:
 
     def _diagonalize(self):
         """Clear P12 and P21 by Euclid; terminates with P diagonal."""
+        p = self.p
         while True:
-            p = self._p()
-            if p[0][1] == 0 and p[1][0] == 0:
+            if p[1] == 0 and p[2] == 0:
                 return
-            if p[0][0] == 0:
+            if p[0] == 0:
                 # the loop has returned unless P12 or P21 is nonzero
-                if p[1][0] != 0:
+                if p[2] != 0:
                     self.op_row1(1)
                 else:
                     self.op_col1(1)
                 continue
-            if p[1][0] != 0:
-                q = p[1][0] // p[0][0]
-                self.op_row2(-q)
-                if self._p()[1][0] != 0:
+            if p[2] != 0:
+                self.op_row2(-(p[2] // p[0]))
+                if p[2] != 0:
                     self._rot_rows_B()
                 continue
-            q = p[0][1] // p[0][0]
-            self.op_col2(-q)
-            if self._p()[0][1] != 0:
+            self.op_col2(-(p[1] // p[0]))
+            if p[1] != 0:
                 self._rot_cols_A()
 
     def _finish_with_unit(self):
         """From diagonal P with P22 = 1, reach [[1,0],[0,P11]]."""
-        p = self._p()
-        if not (p[1][1] == 1 and p[0][1] == 0 and p[1][0] == 0):
+        p = self.p
+        if not (p[3] == 1 and p[1] == 0 and p[2] == 0):
             raise AssertionError("P is not diagonal with P22 = 1")
-        v = p[0][0]
+        v = p[0]
         self.op_row1(1)
         self.op_col1(1 - v)
         self.op_row2(-(1 - v))
@@ -303,10 +405,10 @@ class _Reducer:
 
     def _snf_to_one(self):
         """Drive diagonal P to [[1,0],[0,m]]; content must be 1."""
+        p = self.p
         while True:
             self._diagonalize()
-            p = self._p()
-            p11, p22 = p[0][0], p[1][1]
+            p11, p22 = p[0], p[3]
             if p11 == 1:
                 return
             if abs(p11) != 1:
@@ -318,7 +420,7 @@ class _Reducer:
             self._rot_rows_B()
             self._rot_cols_A()
             self._diagonalize()
-            if self._p()[1][1] == 1:
+            if p[3] == 1:
                 self._finish_with_unit()
             # loop re-checks; handles p22 = 0 and sign flips uniformly
 
@@ -330,6 +432,7 @@ class _Reducer:
         if all(v == 0 for v in self._w_part()):
             return
         self._diagonalize()   # now c = d = 0, w untouched
+        self._flush()
         # one pure move E(f2, y) with (y, alpha) = -1 sets the f2-coord to 1
         gx = dict(self.lat.gram_times(self.x))
         idxs = [self.e1, self.e2] + list(self.w_idx)
@@ -354,10 +457,9 @@ class _Reducer:
     def run(self):
         self._kill_w()
         self._snf_to_one()
-        p = self._p()
+        self._flush()
         norm = self.lat.pair_nums(self.x, self.x)
-        if (p != [[1, 0], [0, p[1][1]]]
-                or tuple(self.x) != canonical_vector(self.lat, norm).nums):
+        if tuple(self.x) != canonical_vector(self.lat, norm).nums:
             raise AssertionError("reduction did not reach canonical form")
         return self.word
 

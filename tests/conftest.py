@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -6,6 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from hklat import factor as fc
+from hklat import jsonio as jio
 from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import snrep as sn
@@ -108,6 +110,45 @@ def rand_transvection(rng, lat, bound=1):
         a = rand_vec(rng, lat, bound)
         if not a.is_zero() and lat.pair_coords(e.coords, a.coords) == 0:
             return tv.eichler_transvection(lat, e, a)
+
+
+def k3n5_word(rng, lat):
+    """A criterion-1-style word on K3n:5 (the factor-k3n2 recipe with the
+    norm-10 vector e1 - 5 e2 in the -rho_{u+delta} generators)."""
+    u = lat.vec([1, -5] + [0] * (lat.rank - 2))
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            while True:
+                v = rand_primitive(rng, lat)
+                if v.norm() != 0 and abs(v.norm()) <= 12:
+                    break
+            r = fc.reflect(lat, v)
+            gens.append(-r if rng.random() < 0.5 else r)
+        elif kind == 1:
+            gens.append(rand_transvection(rng, lat))
+        else:
+            gens.append(fc.neg_reflection_u_delta(lat, u) * rand_transvection(rng, lat))
+    phi = lt.QIsometry.identity(lat)
+    for g in gens:
+        phi = g * phi
+    if lt.nu_character(phi) == -1:
+        phi = fc.reflect(lat, lat.vec([1, -1] + [0] * (lat.rank - 2))) * phi
+    return phi
+
+
+@pytest.fixture(scope="session")
+def out_of_budget_payload():
+    """The JSON of the 24th word of Random(77) on K3n:5, whose decompose
+    sends positive_reflection_rewrite into a transvection reduction that
+    needs more than the step budget; drawing it takes seconds, so it is
+    drawn once per session."""
+    lat = lt.preset("K3n", 5)
+    rng = random.Random(77)
+    for _ in range(24):
+        phi = k3n5_word(rng, lat)
+    return jio.dumps(jio.isometry_to_json(phi)).strip()
 
 
 def canonical(x):

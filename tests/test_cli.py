@@ -424,42 +424,10 @@ def test_cli_mukai_v_kappa_cyclic(capsys):
 # -- total exits: every failure is exit 2 or 3 with JSON on stdout -------------
 
 
-def _k3n5_word(rng, lat):
-    """A criterion-1-style word on K3n:5 (the factor-k3n2 recipe with the
-    norm-10 vector e1 - 5 e2 in the -rho_{u+delta} generators)."""
-    from conftest import rand_primitive, rand_transvection
-    from hklat import factor as fc
-    u = lat.vec([1, -5] + [0] * (lat.rank - 2))
-    gens = []
-    for _ in range(rng.randint(1, 5)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            while True:
-                v = rand_primitive(rng, lat)
-                if v.norm() != 0 and abs(v.norm()) <= 12:
-                    break
-            r = fc.reflect(lat, v)
-            gens.append(-r if rng.random() < 0.5 else r)
-        elif kind == 1:
-            gens.append(rand_transvection(rng, lat))
-        else:
-            gens.append(fc.neg_reflection_u_delta(lat, u) * rand_transvection(rng, lat))
-    phi = lt.QIsometry.identity(lat)
-    for g in gens:
-        phi = g * phi
-    if lt.nu_character(phi) == -1:
-        phi = fc.reflect(lat, lat.vec([1, -1] + [0] * (lat.rank - 2))) * phi
-    return phi
-
-
-def test_reducer_out_of_budget_exits_2(capsys):
+def test_reducer_out_of_budget_exits_2(capsys, out_of_budget_payload):
     # the 24th word of Random(77) on K3n:5 sends positive_reflection_rewrite
     # into a transvection reduction that needs more than the step budget
-    lat = lt.preset("K3n", 5)
-    rng = random.Random(77)
-    for _ in range(24):
-        phi = _k3n5_word(rng, lat)
-    payload = io.dumps(io.isometry_to_json(phi)).strip()
+    payload = out_of_budget_payload
     code, out = run_cli(["factor", "decompose", "--json", payload], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SearchExhausted"

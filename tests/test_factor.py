@@ -632,6 +632,37 @@ def test_decompose_certifies_once(k3n2, monkeypatch):
                       "evaluate": 2, "verify_normal_form": 2}
 
 
+def test_certificates_reuse_the_decided_characters(k3n2, monkeypatch):
+    """NormalForm.certificates computes only what memberships() did not
+    read: nu and the discriminant action once per gamma over both, and the
+    same dicts, keys in the same order, as membership(gamma, "Gamma")."""
+    nf = fc.decompose(k3n2, _rewrite_input(k3n2))
+    fresh = fc.NormalForm(k3n2, nf.k, nf.gammas, nf.us)
+    counts = {"nu_character": 0, "disc_action": 0}
+    _count_calls(monkeypatch, lt, "nu_character", counts)
+    _count_calls(monkeypatch, lt, "disc_action", counts)
+    # decompose's own verification decided every gamma of nf already
+    certs = nf.certificates
+    assert counts == {"nu_character": 0, "disc_action": 0}
+    assert all(fresh.memberships())
+    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
+    assert fresh.certificates == certs
+    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
+    monkeypatch.undo()
+    for got in (certs, fresh.certificates):
+        for cert, g in zip(got, nf.gammas):
+            want = lt.membership(g, "Gamma")[1]
+            assert cert == want and list(cert) == list(want)
+    # a certificate read before any decision computes each character once
+    cold = fc.NormalForm(k3n2, nf.k, nf.gammas, nf.us)
+    counts = {"nu_character": 0, "disc_action": 0}
+    _count_calls(monkeypatch, lt, "nu_character", counts)
+    _count_calls(monkeypatch, lt, "disc_action", counts)
+    assert cold.certificates == certs and all(cold.memberships())
+    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
+
+
+
 def test_evaluate_is_one_integer_step_per_factor(k3n2, monkeypatch):
     """One evaluate of a k-step certificate makes k calls of la.int_mat_mul,
     none of reflect_times, and builds one QIsometry, the result."""

@@ -18,7 +18,8 @@ from hklat import lattice as lt
 from hklat import llv
 from hklat import snrep as sn
 from hklat import transvect as tv
-from hklat.errors import LatticeError, NotAnIsometry, NotIntegral
+from hklat.errors import (LatticeError, NoHyperbolicPlanes, NotAnIsometry,
+                          NotIntegral)
 
 
 def _float_signature(gram):
@@ -308,6 +309,30 @@ def test_custom_lattice_validation():
         lt.Lattice([[2, 2], [2, 2]])                 # degenerate
     # a plain odd symmetric gram is fine for the bare constructor
     assert lt.Lattice([[0, 1], [1, 1]]).rank == 2
+
+
+def test_declared_u_blocks_must_be_hyperbolic_planes():
+    """A declared u_block is a hyperbolic plane (e_i, e_j) = -1 orthogonal to
+    every other basis vector and disjoint from the other blocks; anything
+    else is refused at construction, where the reducer's closed-form moves
+    would otherwise act on a pair that is no plane."""
+    k3 = lt.preset("K3").gram
+    odd_pair = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+    leaky = [[0, -1, 1], [-1, 0, 0], [1, 0, -2]]   # e0 meets e2
+    for gram, blocks in ((k3, ((0, 2), (1, 3))),    # isotropic, not planes
+                         (k3, ((0, 1), (2, 3), (0, 1))),
+                         (k3, ((0, 1), (1, 0))),
+                         (k3, ((0, 1, 2),)), (k3, ((0, 22),)), (k3, ((-2, -1),)),
+                         (odd_pair, ((0, 1),)), (leaky, ((0, 1),))):
+        with pytest.raises(NoHyperbolicPlanes, match="not a hyperbolic plane"):
+            lt.Lattice(gram, u_blocks=blocks)
+    # a LatticeError, so the CLI exits 2 on it
+    assert issubclass(NoHyperbolicPlanes, LatticeError)
+    # the presets' planes pass, and a declaration keeps its order
+    assert lt.preset("K3").u_blocks == ((0, 1), (2, 3), (4, 5))
+    assert lt.preset("Mukai").u_blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert lt.Lattice(k3, u_blocks=[[4, 5], (0, 1)]).u_blocks == ((4, 5), (0, 1))
+    assert lt.Lattice(k3).u_blocks == ((0, 1), (2, 3), (4, 5))
 
 
 def test_disc_action_other_branch():

@@ -66,3 +66,13 @@ def test_factor_verify_k25_within_limits(tmp_path):
     r = _run_limited(["factor", "verify", "--in", str(path)])
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"failures": [], "k": 25, "ok": True}
+
+
+def test_reducer_budget_exits_2_within_limits(out_of_budget_payload):
+    """factor decompose of the K3n:5 word whose transvection reduction needs
+    more than _MAX_REDUCE_STEPS = 20,000 moves: the reducer spends its
+    whole budget and the command exits 2 with SearchExhausted JSON, in 512
+    MB of address space and 2 CPU seconds."""
+    r = _run_limited(["factor", "decompose", "--json", out_of_budget_payload])
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "SearchExhausted"

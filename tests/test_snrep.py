@@ -734,17 +734,18 @@ def test_recover_scalar_branches():
 
 
 def test_isotropic_spanning_set_rejects_bad_hyperbolic_pair():
-    # (e0, e1) = +1: e2 + (-1) e0 + e1 has norm -4, not 0
-    bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
+    # (e0, e1) = +1: e2 + (-1) e0 + e1 would have norm -4, not 0; the
+    # lattice refuses the pair before isotropic_spanning_set can read it
     with pytest.raises(NoHyperbolicPlanes):
+        bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
         sn.isotropic_spanning_set(bad)
 
 
 _BAD_PAIR_SCRIPT = """
 from hklat import lattice as lt, snrep as sn
 from hklat.errors import NoHyperbolicPlanes
-bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
 try:
+    bad = lt.Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]], u_blocks=((0, 1),))
     sn.isotropic_spanning_set(bad)
     print("returned")
 except NoHyperbolicPlanes:

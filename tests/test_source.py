@@ -313,3 +313,33 @@ def test_diagonalization_on_integers():
              for node in ast.walk(fn)
              if isinstance(node, ast.Name) and node.id in names]
     assert found == []
+
+
+def test_reducer_moves_build_no_step_data():
+    """The reducer's elementary moves, its Euclid and Smith phases and every
+    _Reducer method they call neither build step data (_step_data) nor run
+    the kernel (_step_columns): each move updates P and L or R of the open
+    block as integers."""
+    with open(os.path.join(SRC, "hklat", "transvect.py")) as fh:
+        tree = ast.parse(fh.read(), filename="transvect.py")
+    [reducer] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "_Reducer"]
+    methods = {fn.name: fn for fn in reducer.body
+               if isinstance(fn, ast.FunctionDef)}
+    todo = ["op_col1", "op_col2", "op_row1", "op_row2", "_rot_rows_B",
+            "_rot_cols_A", "_diagonalize", "_finish_with_unit", "_snf_to_one"]
+    seen, found = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.Name) and node.id in ("_step_data",
+                                                          "_step_columns"):
+                found.append("%s:%d" % (name, node.lineno))
+            if (isinstance(node, ast.Attribute) and node.attr in methods
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                todo.append(node.attr)
+    assert "_general_move" not in seen and found == []

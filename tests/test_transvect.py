@@ -2,17 +2,22 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from conftest import (canonical, frac_pair, rand_primitive,
-                      rand_primitive_norm, rand_qcoords, rand_vec,
-                      subprocess_env)
+                      rand_primitive_norm, rand_qcoords, rand_transvection,
+                      rand_vec, subprocess_env)
 from hklat import factor as fc
+from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import transvect as tv
 from hklat.errors import (LatticeError, NonPrimitiveLambda, NormMismatch,
                           SearchExhausted)
+from test_qisometry import PINNED
 
 
 def test_transvection_defining_properties(k3):
@@ -195,15 +200,15 @@ def test_word_isometry_matches_its_steps(k3, monkeypatch):
     def recorded(data, cols):
         xs = [list(c) for c in cols]
         scale = real(data, cols)
-        passes.append((data, xs, [Fraction(x, scale) for c in cols for x in c]))
+        passes.append((xs, [Fraction(x, scale) for c in cols for x in c]))
         return scale
     monkeypatch.setattr(fc, "_step_columns", recorded)
     u = k3.vec([1, 2, 1, -1, 1] + [0] * 17)
     assert u.norm() < 0
     fc.positive_reflection_rewrite(k3, u)
-    [(data, xs, images)] = passes
+    [(xs, images)] = passes
     ginv = tv.reduce_to_canonical(k3, u).inverse()
-    assert data == ginv._data and len(ginv) > 3
+    assert len(ginv) > 3
     i, j = k3.u_blocks[0]
     assert xs == [list(k3.basis_vec(i).nums), list(k3.basis_vec(j).nums)]
     f1, f2 = images[:k3.rank], images[k3.rank:]
@@ -272,10 +277,19 @@ def test_finish_with_unit_raises_under_O():
     assert _under_O(_FINISH_SCRIPT) == ["raised", "1", "True", "0"]
 
 
+def _is_move(lat, e, a):
+    """Whether (e, a) is a transvection step of the reduction: e a basis
+    vector of a U block, and (e, a) = 0."""
+    u = {i for block in lat.u_blocks for i in block}
+    return (sorted(e) == [0] * (lat.rank - 1) + [1] and e.index(1) in u
+            and lat.pair_coords(e, a) == 0)
+
+
 def test_reducer_steps_read_gram_rows(k3, k3n2):
-    """Each reducer step's data, read off the Gram rows, equals what
-    _step_data builds from its (e, a); steps are int tuples; eichler_move
-    and inverse still round-trip."""
+    """Each reducer step is E(e_i, a) with e_i a basis vector of a U block
+    and (e_i, a) = 0, as int tuples; the word rebuilt from its steps, each
+    checked by the constructor, acts as the word does; eichler_move and
+    inverse still round-trip."""
     rng = random.Random(83)
     general = 0
     for lat in (k3, k3n2):
@@ -285,22 +299,91 @@ def test_reducer_steps_read_gram_rows(k3, k3n2):
                 word = tv.reduce_to_canonical(lat, x)
             else:
                 word = tv.move_into_L(lat, x)
-            assert len(word.steps) == len(word._data) == len(word)
-            for (e, a), data in zip(word.steps, word._data):
+            steps = word.steps
+            assert len(steps) == len(word)
+            for e, a in steps:
                 assert type(e) is tuple and type(a) is tuple
                 assert all(type(c) is int for c in e + a)
-                assert data == tv._step_data(lat, e, a)
+                assert _is_move(lat, e, a)
                 general += sum(1 for c in a if c) > 1
+            rebuilt = tv.TransvectionWord(lat, steps)
+            assert rebuilt.apply(x) == word.apply(x)
+            assert rebuilt.isometry() == word.isometry()
             y = word.apply(x)
             assert word.inverse().apply(y) == x
-    # the Bezout and pivot moves of _kill_w went through append
+    # the Bezout and pivot moves of _kill_w are among the steps
     assert general
     for norm in (-2, 2, 4):
         x = rand_primitive_norm(rng, k3, norm)
         y = rand_primitive_norm(rng, k3, norm)
         word = tv.eichler_move(k3, x, y)
         assert word.apply(x) == y and word.inverse().apply(y) == x
-        # the joined data is what checking the joined steps again gives
+        # the joined word is the joined steps, checked again
         wx, wy = tv.reduce_to_canonical(k3, x), tv.reduce_to_canonical(k3, y)
-        assert word._data == tv.TransvectionWord(
-            k3, wx.steps + wy.inverse().steps)._data
+        joined = wx.steps + wy.inverse().steps
+        assert word.steps == joined
+        assert word.isometry() == tv.TransvectionWord(k3, joined).isometry()
+
+
+@lru_cache(maxsize=None)
+def _preset(name):
+    kind, _, n = name.partition(":")
+    return lt.preset(kind, int(n) if n else None)
+
+
+def _replay(lat, steps, cols):
+    """Apply steps to integer columns in place, one by one, each through
+    its own _step_data; the factor on the denominator."""
+    scale = 1
+    for e, a in steps:
+        scale *= tv._step_columns([tv._step_data(lat, e, a)], cols)
+    return scale
+
+
+def _replayed_isometry(lat, steps):
+    cols = [list(c) for c in la.identity(lat.rank)]
+    d = _replay(lat, steps, cols)
+    return lt.QIsometry(lat, [[Fraction(c[r], d) for c in cols]
+                              for r in range(lat.rank)])
+
+
+def _assert_replays(lat, word, v):
+    """word's apply, isometry and inverse are its steps, replayed one at a
+    time through the checked step data."""
+    steps = word.steps
+    assert len(word) == len(steps)
+    x = list(v.nums)
+    d = v.d * _replay(lat, steps, [x])
+    assert word.apply(v).coords == tuple(Fraction(c, d) for c in x)
+    assert word.isometry() == _replayed_isometry(lat, steps)
+    inv = word.inverse()
+    inv_steps = [(e, tuple(-c for c in a)) for e, a in reversed(steps)]
+    assert inv.steps == inv_steps and len(inv) == len(steps)
+    assert inv.isometry() == _replayed_isometry(lat, inv_steps)
+    assert inv.apply(word.apply(v)) == v
+
+
+@seed(38001)
+@PINNED
+@given(name=st.sampled_from(("K3", "K3n:2", "K3n:5", "Kummer:2")),
+       s=st.integers(0, 1 << 16))
+def test_words_replay_as_their_checked_steps(name, s):
+    """On K3, K3n:2, K3n:5 and Kummer:2, reduction words, move_into_L words
+    and eichler_move concatenations act, invert and count as their .steps
+    replayed one by one through _step_data."""
+    lat = _preset(name)
+    rng = random.Random(s)
+    while True:
+        x = rand_primitive(rng, lat, bound=3)
+        if lt.divisibility(lat, x) == 1:
+            break
+    v = lat.vec(rand_qcoords(rng, lat))
+    wx = tv.reduce_to_canonical(lat, x)
+    _assert_replays(lat, wx, v)
+    # y = E(x) has x's norm, divisibility and class
+    y = rand_transvection(rng, lat).apply(x)
+    move = tv.eichler_move(lat, x, y)
+    assert move.steps == wx.steps + tv.reduce_to_canonical(lat, y).inverse().steps
+    _assert_replays(lat, move, v)
+    if lat.delta_index is not None:
+        _assert_replays(lat, tv.move_into_L(lat, x), v)
