@@ -110,7 +110,8 @@ class Lattice:
             for j in range(i + 1, n):
                 if i in used or j in used:
                     continue
-                if _is_u_plane(g, i, j):
+                # most pairs fail on (e_i, e_j) alone, before any call
+                if g[i][j] == -1 and _is_u_plane(g, i, j):
                     blocks.append((i, j))
                     used.update((i, j))
         return tuple(blocks)
