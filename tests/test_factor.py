@@ -662,7 +662,6 @@ def test_certificates_reuse_the_decided_characters(k3n2, monkeypatch):
     assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
 
 
-
 def test_evaluate_is_one_integer_step_per_factor(k3n2, monkeypatch):
     """One evaluate of a k-step certificate makes k calls of la.int_mat_mul,
     none of reflect_times, and builds one QIsometry, the result."""
