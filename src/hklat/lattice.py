@@ -73,7 +73,8 @@ class Lattice:
 
     u_blocks are disjoint hyperbolic planes (e_i, e_j), each orthogonal to
     every other basis vector: declared ones are checked (NoHyperbolicPlanes
-    otherwise), and without a declaration they are scanned for."""
+    otherwise), an empty declaration declares none, and without a
+    declaration (None) they are scanned for."""
 
     __slots__ = ("rank", "gram", "name", "u_blocks", "delta_index", "_cache",
                  "_gram_rows")
@@ -96,8 +97,8 @@ class Lattice:
         self._gram_rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
                                 for row in g)
         self.name = name
-        self.u_blocks = (self._checked_u_blocks(g, u_blocks) if u_blocks
-                         else self._scan_u_blocks(g))
+        self.u_blocks = (self._scan_u_blocks(g) if u_blocks is None
+                         else self._checked_u_blocks(g, u_blocks))
         self.delta_index = delta_index
         self._cache = {"det": det}
 

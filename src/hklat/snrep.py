@@ -8,8 +8,11 @@ reading; the arithmetic kernels (sym_power, apply_linear,
 derivation_apply, sn_coords, sym_add, sym_scale) read and return the
 integer form, so no kernel normalizes entries for the next one to scale
 back.  A plain dict handed to a kernel is scaled once by sym_form.
-sym_power also records power = (v, n) on its result, and apply_linear
-sends such a pure power v^n to (f v)^n, which holds for every n; only
+A pure power v^n, as sym_power and apply_linear build it, holds its root
+as integer numerators over one denominator in lowest terms,
+power = ((r, e), n), and expands its monomial entries only on the first
+read of nums.  apply_linear sends it to the unexpanded (f v)^n, one
+integer matrix-vector product on the root, which holds for every n; only
 other elements pay for Sym^n(f) itself, for n = 2 the congruence f X f^T
 on integer numerators.  The distinguished subspace S_[n] is the kernel of
 the contraction that pairs two slots with the bilinear form -- the span of
@@ -34,16 +37,19 @@ long piece, and checks them by rebuilding the element.
 
 recover() inverts the restriction of Sym^n to S_[n] up to the usual
 determinant convention when n is even.  It evaluates Phi only on the pure
-powers v^n of an isotropic spanning set: each image is split as c w^n on
-integer numerators, the line of w read off the coordinates at i^n and
-i^(n-1) j for the first pure power i^n of the image, and the lines
-(c, w) alone fix the isometry, whose pairings are checked and whose
-matrix is assembled on integers over one denominator.
-compose_rule_check() works on lines as well: Sym^n(f1) sends v^n to
-(f1 v)^n, and Sym^n(f2) sends c w^n to c (f2 w)^n, so neither is applied
-as an operator on Sym^n.  A Phi built from apply_linear therefore maps
-each v^n by one matrix-vector product and one sym_power, and when it is
-handed an isometry's matrix view, that product reads the isometry's
+powers v^n of an isotropic spanning set, built unexpanded from the
+integer numerators of v: each image is split as c w^n on integer
+numerators, the line of the integer vector w read off the coordinates at
+i^n and i^(n-1) j for the first pure power i^n of the image, and the
+lines (c, w) alone fix the isometry, whose pairings (w_i, w_j) are read
+through the sparse Gram rows and checked, and whose matrix is assembled
+on integers over one denominator.  compose_rule_check() works on lines
+as well: Sym^n(f1) sends v^n to (f1 v)^n, and Sym^n(f2) sends c w^n to
+c (f2 w)^n = (c / d^n) (N w)^n for f2 = N / d, so neither is applied as
+an operator on Sym^n and every line stays on integers.  A Phi built from
+apply_linear therefore maps each v^n by one integer matrix-vector
+product on its root, with no entry expanded or normalized, and when it
+is handed an isometry's matrix view, that product reads the isometry's
 integer form; its images are still split and checked entry by entry.
 """
 
@@ -65,8 +71,15 @@ from .lattice import LatVec, QIsometry
 class SymElt(Mapping):
     """An element sum nums[m] m / d of Sym^n: nums maps monomials to
     nonzero ints and d > 0 has no common factor with them, so equal
-    elements have equal forms.  power = (v, n) when the element is v^n, as
-    sym_power and apply_linear record it, else None.
+    elements have equal forms.
+
+    A pure power v^n, as sym_power and apply_linear build it, records
+    power = ((r, e), n) for the root v = r / e, r a tuple of ints and
+    e > 0 in lowest terms, and d = e^n; else power is None.  Its monomial
+    entries are expanded on the first read of nums and kept, and its len,
+    comb(s + n - 1, n) for a root of support s, needs no expansion: a
+    kernel that reads only the root, as apply_linear does, never builds
+    them.
 
     Read as a mapping it gives {monomial: int or reduced Fraction}, one
     entry at a time; it has no item assignment, and nothing changes its
@@ -74,12 +87,12 @@ class SymElt(Mapping):
     when the forms agree and a plain mapping when the values do.
     """
 
-    __slots__ = ("nums", "d", "power")
+    __slots__ = ("_nums", "d", "power")
 
-    def __init__(self, nums, d=1, power=None):
-        self.nums = nums
+    def __init__(self, nums, d=1):
+        self._nums = nums
         self.d = d
-        self.power = power
+        self.power = None
 
     @classmethod
     def of(cls, nums, d):
@@ -91,6 +104,25 @@ class SymElt(Mapping):
             d //= g
         return cls(nums, d)
 
+    @classmethod
+    def _power_of(cls, r, e, n):
+        """(r / e)^n, unexpanded, for ints r and e > 0: the content of r
+        and e is divided out, and by Gauss's lemma the expansion over e^n
+        is then in lowest terms too."""
+        g = gcd(e, *r)
+        if g > 1:
+            r = [c // g for c in r]
+            e //= g
+        self = cls(None, e ** n)
+        self.power = ((tuple(r), e), n)
+        return self
+
+    @property
+    def nums(self):
+        if self._nums is None:
+            self._nums = _expand_power(self.power[0][0], self.power[1])
+        return self._nums
+
     def __getitem__(self, m):
         return la.quotient(self.nums[m], self.d)
 
@@ -98,7 +130,10 @@ class SymElt(Mapping):
         return iter(self.nums)
 
     def __len__(self):
-        return len(self.nums)
+        if self._nums is None:
+            (r, _), n = self.power
+            return comb(sum([1 for c in r if c]) + n - 1, n) if n else 1
+        return len(self._nums)
 
     def __eq__(self, other):
         if type(other) is SymElt:
@@ -150,16 +185,17 @@ def sym_eq(x, y):
 
 
 def sym_power(v_coords, n):
-    """v^n as a SymElt that records power = (v, n).
+    """v^n as an unexpanded SymElt that records its root, for rational
+    coordinates v: SymElt.nums expands it on first read."""
+    r, e = la.scaled_vec(tuple(v_coords))
+    return SymElt._power_of(r, e, n)
 
-    The multinomial expansion runs on the integer numerators of v (one
-    common denominator d) over d^n, already in lowest terms by Gauss's
-    lemma: the content of (sum c_i x_i)^n is the n-th power of that of c.
-    For n = 2 it is c_i^2 on the diagonal and 2 c_i c_j off it.
-    """
-    v = tuple(v_coords)
-    nums, d = la.scaled_vec(v)
-    support = [(i, c) for i, c in enumerate(nums) if c]
+
+def _expand_power(r, n):
+    """The monomial numerators of (sum r_i e_i)^n for ints r: the
+    multinomial expansion, with no zero entry, over the support of r.
+    For n = 2 it is r_i^2 on the diagonal and 2 r_i r_j off it."""
+    support = [(i, c) for i, c in enumerate(r) if c]
     out = {}
     if n == 2:
         for a, (i, ci) in enumerate(support):
@@ -181,7 +217,7 @@ def sym_power(v_coords, n):
                 else:
                     prev, run = i, 1
             out[tuple([i for i, _ in terms])] = coef * prod
-    return SymElt(out, d ** n, (v, n))
+    return out
 
 
 def sparse_columns(a):
@@ -449,15 +485,19 @@ class SymSpace:
     def apply_linear(self, f, x):
         """Sym^n(f) applied to an element, for a QIsometry f, read on its
         integer form and its memoized columns, or a plain matrix f, scaled
-        to integers once on entry.  A pure power v^n, as sym_power records
-        it, goes to (f v)^n; any other element goes slot by slot through
-        the columns of f, or for n = 2 as the congruence f X f^T."""
+        to integers once on entry.  A pure power v^n goes to the unexpanded
+        power (f v)^n, one integer matrix-vector product on its root; any
+        other element goes slot by slot through the columns of f, or for
+        n = 2 as the congruence f X f^T."""
         iso = isinstance(f, QIsometry)
         fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
         x = sym_form(x)
         power = x.power
         if power is not None and power[1] == self.n:
-            return sym_power(la.scaled_mat_vec(fnums, fd, power[0]), self.n)
+            (r, e), n = power
+            nz = [(k, c) for k, c in enumerate(r) if c]
+            return SymElt._power_of([sum([row[k] * c for k, c in nz])
+                                     for row in fnums], fd * e, n)
         if self.n == 2:
             return self._apply_linear_quadratic(fnums, fd, x)
         cols = f.columns() if iso else sparse_columns(fnums)[0]
@@ -650,7 +690,7 @@ def _extract_power_line(space, x):
     w[i] = n * xn[(i,) * n]
     g = gcd(*w)
     w = [c // g for c in w]
-    wn = sym_power(w, n).nums   # w is integral, so d = 1
+    wn = _expand_power(w, n)
     # x = (px / (xd pw)) w^n exactly when the cross products agree
     pivot, pw = next(iter(wn.items()))
     px = xn.get(pivot)
@@ -678,31 +718,34 @@ def _isotropic_frame(lattice):
 def _spanning_lines(space_1, space_2, phi_apply, f1=None):
     """The lines Phi(u_i^n) = c_i w_i^n in space_2 for the isotropic
     spanning vectors v_i of space_1, with u_i = v_i, or u_i = f1 v_i when
-    an isometry f1 is given; Phi is called once per v_i."""
+    an isometry f1 is given; Phi is called once per v_i, on the unexpanded
+    power built from the numerators of u_i."""
     n = space_1.n
     if n < 1:
         raise LatticeError("the inverse functor needs n >= 1")
     if n % 2 == 0 and space_1.dim_v % 2 == 0:
         raise LatticeError("even symmetric powers need odd dimension")
     frame = _isotropic_frame(space_1.lattice)[0]
-    us = [v.coords if f1 is None else f1.apply_coords(v.coords) for v in frame]
-    return [_extract_power_line(space_2, phi_apply(sym_power(u, n))) for u in us]
+    us = frame if f1 is None else [f1.apply(v) for v in frame]
+    return [_extract_power_line(space_2, phi_apply(
+        SymElt._power_of(u.nums, u.d, n))) for u in us]
 
 
 def _isometry_from_lines(space_1, space_2, lines):
     """The isometry f with f(v_i) = t_i w_i, for the lines
-    Phi(v_i^n) = c_i w_i^n of the isotropic spanning vectors v_i of space_1.
+    Phi(v_i^n) = c_i w_i^n of the isotropic spanning vectors v_i of
+    space_1, each w_i an integer vector.
 
     The scalars satisfy t_i^n = c_i (n odd) or t_i^n = |c_i| (n even, the
     signs fixed by the pairings with v_0 and then the determinant twist),
-    so any rescaling of a w_i cancels.  The pairings are read off the Gram
-    matrices P = V^T G V (cached with V^-1 per lattice) and W^T G W of the
-    columns v_i and w_i.  Everything after the n-th roots runs on
-    integers: with t_i = a_i / b, W = W' / c, P = N / e and V^-1 = V' / e'
-    over one denominator each, the constraint t_i t_j (w_i, w_j) = P_ij
-    reads a_i a_j (W'^T G W')_ij e = N_ij (b c)^2, homogeneous in (N, e),
-    and f = W diag(t) V^-1 is the one integer product W' diag(a) V' over
-    b c e'.
+    so any rescaling of a w_i cancels.  The pairings of the v_i are read
+    off P = V^T G V (cached with V^-1 per lattice), those of the w_i,
+    i <= j, off the sparse Gram rows, one G w_j each.  Everything after
+    the n-th roots runs on integers: with t_i = a_i / b, P = N / e and
+    V^-1 = V' / e' over one denominator each, the constraint
+    t_i t_j (w_i, w_j) = P_ij reads a_i a_j (w_i, w_j) e = N_ij b^2,
+    homogeneous in (N, e), and f = W diag(t) V^-1 is the one integer
+    product W diag(a) V' over b e'.
     """
     n = space_1.n
     vs, (pn, pd), (vinv, vd) = _isotropic_frame(space_1.lattice)
@@ -713,35 +756,38 @@ def _isometry_from_lines(space_1, space_2, lines):
             raise ScalarInconsistency("image scalar is not an exact n-th power")
         ts.append(t)
     a, b = la.scaled_vec(ts)
-    wmat, c = la.scaled_mat(la.transpose([w for _, w in lines]))
-    a, bc = list(a), b * c
-    bc2 = bc * bc
-    q = la.int_mat_mul(la.int_mat_mul(la.transpose(wmat), space_2.lattice.gram),
-                       wmat)
+    ws = [w for _, w in lines]
+    a, b2 = list(a), b * b
+    # q[j][i] = (w_i, w_j) for i <= j
+    gram_times = space_2.lattice.gram_times
+    q = []
+    for j, wj in enumerate(ws):
+        gw = gram_times(wj)
+        q.append([sum([w[k] * s for k, s in gw]) for w in ws[:j + 1]])
     if n % 2 == 0:
         # all |t_i| fixed; choose sign of t_0 = +, propagate via pairings
         for i in range(1, len(vs)):
             if pn[0][i] == 0:
                 raise ScalarInconsistency("spanning set pairing graph split")
-            if q[0][i] == 0:
+            if q[i][0] == 0:
                 raise ScalarInconsistency("image lines orthogonal where the "
                                           "spanning vectors pair")
-            # t_0 t_i q_0i = p_0i, times (b c)^2 e
-            lhs, rhs = a[0] * a[i] * q[0][i] * pd, pn[0][i] * bc2
+            # t_0 t_i q_0i = p_0i, times b^2 e
+            lhs, rhs = a[0] * a[i] * q[i][0] * pd, pn[0][i] * b2
             if lhs == -rhs:
                 a[i] = -a[i]
             elif lhs != rhs:
                 raise ScalarInconsistency("pairing constraint has no sign solution")
-    for i in range(len(vs)):
-        ai, qi, pi = a[i] * pd, q[i], pn[i]
-        for j in range(i, len(vs)):
-            if ai * a[j] * qi[j] != pi[j] * bc2:
+    for j in range(len(vs)):
+        aj, qj, pj = a[j] * pd, q[j], pn[j]
+        for i in range(j + 1):
+            if aj * a[i] * qj[i] != pj[i] * b2:
                 raise NotConjugating("candidate images do not preserve the form")
     if space_1.lattice.gram != space_2.lattice.gram:
         raise LatticeError("recover expects identified source and target spaces")
     # f = W diag(t) V^-1; with the pairings checked it is an isometry
-    wa = [[x * y for x, y in zip(row, a)] for row in wmat]
-    iso = QIsometry._of(space_2.lattice, la.int_mat_mul(wa, vinv), bc * vd)
+    wa = [[w[k] * t for w, t in zip(ws, a)] for k in range(space_2.dim_v)]
+    iso = QIsometry._of(space_2.lattice, la.int_mat_mul(wa, vinv), b * vd)
     if n % 2 == 0:
         # det(f) S(f) = Phi fixes the representative among {f, -f}: both
         # send v_0^n to t_0^n w_0^n = |c_0| w_0^n, and Phi(v_0^n) = c_0 w_0^n
@@ -770,16 +816,20 @@ def compose_rule_check(space, f1, f2, phi_apply, h_phi=None):
 
     The left side is recovered from lines, as recover() would do on the
     composite: S(f1) sends v^n to (f1 v)^n, and when
-    Phi((f1 v)^n) = c w^n, S(f2) sends that to c (f2 w)^n.  So Phi is
-    called d times and S(f1), S(f2) are never applied.
+    Phi((f1 v)^n) = c w^n, S(f2) sends that to c (f2 w)^n, which is
+    (c / d^n) (N w)^n for f2 = N / d, so the line stays on integers.  Phi
+    is called d times and S(f1), S(f2) are never applied.
     """
+    n = space.n
     lines = _spanning_lines(space, space, phi_apply, f1)
-    lines = [(c, f2.apply_coords(w)) for c, w in lines]
+    dn = f2.d ** n
+    lines = [(la.ratio(c, dn), tuple([sum(map(mul, row, w)) for row in f2.nums]))
+             for c, w in lines]
     h_comp = _isometry_from_lines(space, space, lines)
     if h_phi is None:
         h_phi = recover(space, space, phi_apply)
     expect = f2 * h_phi * f1
-    if space.n % 2 == 0 and f1.det() * f2.det() == -1:
+    if n % 2 == 0 and f1.det() * f2.det() == -1:
         expect = -expect
     return h_comp == expect
 

@@ -335,6 +335,19 @@ def test_declared_u_blocks_must_be_hyperbolic_planes():
     assert lt.Lattice(k3).u_blocks == ((0, 1), (2, 3), (4, 5))
 
 
+def test_empty_u_blocks_declare_no_planes():
+    """u_blocks=() declares no planes, where None scans for them: the K3
+    Gram matrix with () has none, so isotropic_spanning_set refuses it,
+    and the E8- preset, which declares (), has none either."""
+    k3 = lt.preset("K3").gram
+    bare = lt.Lattice(k3, u_blocks=())
+    assert bare.u_blocks == ()
+    assert lt.Lattice(k3, u_blocks=None).u_blocks == ((0, 1), (2, 3), (4, 5))
+    with pytest.raises(LatticeError):
+        sn.isotropic_spanning_set(bare)
+    assert lt.preset("E8-").u_blocks == ()
+
+
 def test_disc_action_other_branch():
     # U(2): discriminant group (Z/2)^2; swapping the basis swaps the
     # generators, which is neither +1 nor -1

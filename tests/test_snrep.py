@@ -524,20 +524,30 @@ def test_sym_power_square_matches_multinomial():
         _assert_entries(got)
 
 
+def _root(power):
+    """The rational root r / e of a power record ((r, e), n)."""
+    (r, e), _ = power
+    return la.vec([Fraction(c, e) for c in r])
+
+
 def test_sym_elt_power_record_and_immutability(H5):
-    """sym_power and apply_linear on a power record (v, n); sums and
+    """sym_power and apply_linear on a power record its root as integer
+    numerators over one denominator in lowest terms, ((r, e), n); sums and
     multiples carry none; no element takes item assignment; an element
     equals the plain dict of its normalized values."""
     sym = sn.SymSpace(H5.lattice, 2)
     f = _rand_iso(random.Random(269), H5.lattice).matrix
     v = [1, Fraction(1, 2), 0, -2, 3]
     x = sn.sym_power(v, 2)
-    assert x.power == (tuple(v), 2)
+    assert x.power == (((2, 1, 0, -4, 6), 2), 2) and x.d == 4
     assert x == _ref_power(v, 2) and _ref_power(v, 2) == x
     assert dict(x) == _ref_power(v, 2)
     # the image of a power is the power (f v)^2, recorded as such
     fx = sym.apply_linear(f, x)
-    assert fx.power == (la.mat_vec(f, v), 2)
+    (r, e), n = fx.power
+    assert n == 2 and _root(fx.power) == la.mat_vec(f, v)
+    assert all(type(c) is int for c in r) and math.gcd(e, *r) == 1
+    assert fx.d == e ** 2
     for y in (sn.sym_scale(1, x), sn.sym_scale(-3, x), sn.sym_add(x, {}),
               sn.sym_add(x, x), sn.sym_sub(x, {(0, 0): 1})):
         assert y.power is None
@@ -549,7 +559,7 @@ def test_sym_elt_power_record_and_immutability(H5):
             elt[(0, 0)] = 5
         with pytest.raises(TypeError):
             del elt[(0, 0)]
-    assert x == _ref_power(v, 2) and x.power == (tuple(v), 2)
+    assert x == _ref_power(v, 2) and _root(x.power) == la.vec(v)
     # the form: nonzero integer numerators over d > 0 in lowest terms
     y = sn.sym_scale(Fraction(2, 3), x)
     assert y.d > 0 and all(type(c) is int and c for c in y.nums.values())
@@ -557,6 +567,43 @@ def test_sym_elt_power_record_and_immutability(H5):
     assert y == {m: Fraction(2, 3) * c for m, c in _ref_power(v, 2).items()}
     assert sn.sym_form({(0, 1): Fraction(4, 2), (1, 1): 0}) == {(0, 1): 2}
     assert sn.sym_form({(0, 1): Fraction(4, 2)}).nums == {(0, 1): 2}
+
+
+def _power_by_products(v, n):
+    """v^n as n - 1 products of the linear form v with the conftest
+    reference product, in plain Fractions."""
+    x = {(): 1}
+    for _ in range(n):
+        x = sym_mul(x, {(i,): c for i, c in enumerate(v) if c})
+    return x
+
+
+def test_unexpanded_power_reads_as_its_expansion():
+    """An unexpanded power's len (which leaves it unexpanded), truth, ==,
+    iteration and dict() agree with its expanded form and with the
+    reference, for n = 0 to 3, a zero root and mixed denominators."""
+    rng = random.Random(271)
+    vecs = [la.vec([0] * 6), la.vec([0, Fraction(-3, 4), 0, 0, 0, 0]),
+            la.vec([Fraction(1, 2), Fraction(-2, 3), 5, 0, Fraction(7, 10), 0])]
+    vecs += [la.vec([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 10)))
+                     if rng.random() < 0.7 else 0 for _ in range(6)])
+             for _ in range(6)]
+    for v in vecs:
+        for n in range(4):
+            ref = _power_by_products(v, n)
+            fresh = lambda: sn.sym_power(v, n)
+            expanded = sn.SymElt(dict(fresh().nums), fresh().d)
+            assert dict(expanded) == ref
+            x = fresh()
+            assert len(x) == len(ref) and bool(x) == bool(ref)
+            assert x._nums is None
+            for a, b in ((fresh(), expanded), (expanded, fresh()),
+                         (fresh(), ref), (ref, fresh())):
+                assert a == b
+            assert sorted(fresh()) == sorted(ref)
+            got = dict(fresh())
+            assert got == ref and all(canonical(c) for c in got.values())
+            assert fresh() != sn.sym_scale(2, expanded) or not ref
 
 
 def _rand_qvec(rng, d):
@@ -658,6 +705,63 @@ def test_compose_rule_check_rejects_wrong_isometry(H5):
         assert sn.compose_rule_check(sym, f1, f2, phi,
                                      h_phi=sn.recover(sym, sym, phi))
         assert not sn.compose_rule_check(sym, f1, f2, phi, h_phi=g)
+
+
+def _rational_iso(rng, lattice):
+    """A seeded isometry with denominator > 1."""
+    while True:
+        f = _rand_iso(rng, lattice)
+        if f.d > 1:
+            return f
+
+
+def test_compose_rule_check_with_rational_f2(H5):
+    """f2 = N / d with d > 1 reaches the lines as (c / d^n) (N w)^n: the
+    check accepts the true H(Phi), given or recovered, and rejects f2 h,
+    the right side with f2^2 in place of f2, at n = 2 and 3."""
+    rng = random.Random(281)
+    for n in (2, 3):
+        sym = sn.SymSpace(H5.lattice, n)
+        f0, f1 = (_rand_iso(rng, H5.lattice) for _ in range(2))
+        f2 = _rational_iso(rng, H5.lattice)
+        phi = _sym_phi(sym, f0)
+        h = sn.recover(sym, sym, phi)
+        assert sn.compose_rule_check(sym, f1, f2, phi, h_phi=h)
+        assert sn.compose_rule_check(sym, f1, f2, phi)
+        assert not sn.compose_rule_check(sym, f1, f2, phi, h_phi=f2 * h)
+
+
+def test_inverse_functor_hands_phi_unexpanded_powers(monkeypatch):
+    """On the d = 25 space with Phi = det(f) Sym^2(f), recover and
+    compose_rule_check hand Phi pure powers that stay unexpanded, and
+    Phi's power path normalizes no entry: no la.quotient call."""
+    lat = llv.LLVSpace(lt.preset("K3n", 2)).lattice
+    sym = sn.SymSpace(lat, 2)
+    rng = random.Random(283)
+    f, f1 = (_rand_iso(rng, lat, 2) for _ in range(2))
+    f2 = _rational_iso(rng, lat)
+    fm, det = f.matrix, f.det()
+    seen, quotients = [], []
+    real = la.quotient
+
+    def counting(n, d):
+        quotients.append((n, d))
+        return real(n, d)
+
+    def phi(x):
+        seen.append(x)
+        monkeypatch.setattr(la, "quotient", counting)
+        try:
+            y = sym.apply_linear(fm, x)
+        finally:
+            monkeypatch.setattr(la, "quotient", real)
+        return sn.sym_scale(det, y)
+
+    h = sn.recover(sym, sym, phi)
+    assert h in (f, -f)
+    assert sn.compose_rule_check(sym, f1, f2, phi, h_phi=h)
+    assert len(seen) == 2 * lat.rank and quotients == []
+    assert all(x.power is not None and x._nums is None for x in seen)
 
 
 def test_compose_rule_check_rank_two_image_raises(H5):

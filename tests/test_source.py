@@ -343,3 +343,29 @@ def test_reducer_moves_build_no_step_data():
                     and node.value.id == "self"):
                 todo.append(node.attr)
     assert "_general_move" not in seen and found == []
+
+
+def test_inverse_functor_reads_no_rational_view():
+    """The inverse functor stays on integer numerators: _spanning_lines,
+    compose_rule_check and the power branch of SymSpace.apply_linear name
+    none of .coords, apply_coords or scaled_mat_vec, which build or read
+    a vector's Fraction view."""
+    with open(os.path.join(SRC, "hklat", "snrep.py")) as fh:
+        tree = ast.parse(fh.read(), filename="snrep.py")
+    fns = {qual + "." + node.name if qual else node.name: node
+           for node, qual in _qualified(tree)
+           if isinstance(node, ast.FunctionDef)}
+    branches = [node for node in ast.walk(fns["SymSpace.apply_linear"])
+                if isinstance(node, ast.If)
+                and any(isinstance(sub, ast.Name) and sub.id == "power"
+                        for sub in ast.walk(node.test))]
+    assert len(branches) == 1
+    scopes = {"_spanning_lines": fns["_spanning_lines"],
+              "compose_rule_check": fns["compose_rule_check"],
+              "apply_linear power branch": ast.Module(branches[0].body, [])}
+    names = ("coords", "apply_coords", "scaled_mat_vec")
+    found = ["%s:%d" % (scope, node.lineno) for scope, fn in scopes.items()
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names]
+    assert found == []
