@@ -570,8 +570,8 @@ def test_sym_elt_power_record_and_immutability(H5):
 
 
 def _power_by_products(v, n):
-    """v^n as n - 1 products of the linear form v with the conftest
-    reference product, in plain Fractions."""
+    """v^n as n products of the linear form v, starting from 1, by the
+    conftest reference product in plain Fractions."""
     x = {(): 1}
     for _ in range(n):
         x = sym_mul(x, {(i,): c for i, c in enumerate(v) if c})
