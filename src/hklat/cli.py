@@ -13,7 +13,6 @@ from math import gcd
 
 from . import factor as fc
 from . import jsonio as io
-from . import linalg as la
 from . import llv as llv_mod
 from . import mukai as mk
 from . import pontryagin as pg

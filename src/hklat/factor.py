@@ -13,11 +13,14 @@ verify_normal_form(), factor by factor and by recomposition, raising on a
 failure (also under python -O); the same function checks untrusted
 certificates.  A gamma's Gamma membership is decided by integrality, nu
 and the discriminant action alone; det enters its certificate only when
-NormalForm.certificates is read.  Every reflection, in reflect_times and in
-NormalForm.evaluate, runs on the one integer kernel: _reflection reads
-(u,u) and (Gu)^T m off the integer rows m, and _rank1_rows applies the
-rank-1 update; evaluate carries the product as integer rows over one
-denominator, with no isometry built per factor.
+NormalForm.certificates is read.  Each gamma keeps the characters read
+of it (see lattice.QIsometry), so the form itself keeps nothing, and a
+character is computed once per gamma whatever reads it.  Every
+reflection, in reflect_times and in NormalForm.evaluate, runs on the one
+integer kernel: _reflection reads (u,u) and (Gu)^T m off the integer
+rows m, and _rank1_rows applies the rank-1 update; evaluate carries the
+product as integer rows over one denominator, with no isometry built
+per factor.
 Every factor is built in Lambda itself.  Cartan-Dieudonne runs on the
 delta-fixing residue as it stands, scanning integer candidates built once
 per lattice from the lattice's one diagonalization: delta is one of its
@@ -424,14 +427,13 @@ class NormalForm:
     us[0] is u_1 (applied first); gammas[0] is gamma_0.  Construction
     checks only the shape: the counts, and that every gamma and u lives on
     the form's own lattice.  Whether each gamma lies in Gamma is decided
-    by integrality, nu and the discriminant action alone, once, on first
-    use; det enters a gamma's certificate only when the certificates are
-    read.  Both are kept, and so are the characters each gamma's decision
-    read, which its certificate then reuses.
+    by integrality, nu and the discriminant action alone; det enters a
+    gamma's certificate only when the certificates are read.  Both are
+    computed on each read, from the characters each gamma keeps, so a
+    character is computed once per gamma whatever reads it.
     """
 
-    __slots__ = ("lattice", "k", "gammas", "us", "_chars", "_memberships",
-                 "_certificates")
+    __slots__ = ("lattice", "k", "gammas", "us")
 
     def __init__(self, lattice, k, gammas, us):
         if k != len(us) or len(gammas) != k + 1:
@@ -445,28 +447,18 @@ class NormalForm:
         self.k = k
         self.gammas = tuple(gammas)
         self.us = tuple(us)
-        self._chars = [{} for _ in self.gammas]
-        self._memberships = self._certificates = None
 
     def memberships(self):
         """Whether each gamma lies in Gamma, by in_group(gamma, "Gamma"):
         integral, nu = +1 and +-1 on the discriminant group, with no
         determinant computed."""
-        if self._memberships is None:
-            self._memberships = tuple(in_group(g, "Gamma", c)
-                                      for g, c in zip(self.gammas, self._chars))
-        return self._memberships
+        return tuple(in_group(g, "Gamma") for g in self.gammas)
 
     @property
     def certificates(self):
         """The full Gamma-membership certificate of each gamma,
-        membership(gamma, "Gamma")[1] with det included, built on first
-        read from the characters memberships() kept and the missing ones."""
-        if self._certificates is None:
-            self._certificates = tuple(
-                membership(g, "Gamma", c)[1]
-                for g, c in zip(self.gammas, self._chars))
-        return self._certificates
+        membership(gamma, "Gamma")[1] with det included."""
+        return tuple(membership(g, "Gamma")[1] for g in self.gammas)
 
     def evaluate(self):
         """The product, carried as integer rows m over one denominator d.
@@ -559,13 +551,9 @@ def decompose(lattice, phi):
         raise LatticeError("decompose needs an L + Z*delta lattice")
     if nu_character(phi) != 1:
         raise OrientationReversing("decompose requires nu(phi) = +1")
-    if phi.is_integral():
-        ok, cert = membership(phi, "Gamma")
-        if ok:
-            # phi in Gamma is its own certificate
-            nf = NormalForm(lattice, 0, [phi], [])
-            nf._memberships, nf._certificates = (ok,), (cert,)
-            return nf
+    if in_group(phi, "Gamma"):
+        # phi in Gamma is its own certificate
+        return NormalForm(lattice, 0, [phi], [])
 
     d = _d_value(lattice)
     delta = lattice.basis_vec(lattice.delta_index)
@@ -660,7 +648,7 @@ def verify_normal_form(nf, phi):
 
     Each gamma's Gamma membership is decided by NormalForm.memberships,
     with no determinant; a failing gamma's entry carries its full
-    certificate, det included, from NormalForm.certificates.
+    certificate, membership(gamma, "Gamma")[1], det included.
     """
     report = {"ok": True, "failures": [], "k": nf.k}
     lat = nf.lattice
@@ -668,7 +656,8 @@ def verify_normal_form(nf, phi):
     for i, ok in enumerate(nf.memberships()):
         if not ok:
             report["ok"] = False
-            report["failures"].append(("gamma", i, nf.certificates[i]))
+            report["failures"].append(
+                ("gamma", i, membership(nf.gammas[i], "Gamma")[1]))
     for i, u in enumerate(nf.us):
         problems = []
         if not u.is_integral():

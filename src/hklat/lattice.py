@@ -386,10 +386,12 @@ class QIsometry:
     la.ScaledMatrix that carries the form along, so that la.scaled_mat
     reads it without rescaling.  A constructor handed such a view
     keeps it; otherwise the view is built on first read.  Neither form is
-    ever mutated.
+    ever mutated.  The isometry keeps its characters (det, nu and the
+    discriminant action) in the slot _chars, filled on first read by
+    lattice._character, the slot's one reader.
     """
 
-    __slots__ = ("lattice", "nums", "d", "_matrix", "_det", "_cols")
+    __slots__ = ("lattice", "nums", "d", "_matrix", "_chars", "_cols")
 
     def __init__(self, lattice, matrix, _trusted=False):
         # a view and trusted rows already hold ints and reduced Fractions,
@@ -404,7 +406,7 @@ class QIsometry:
         if not _trusted:
             _check_isometry(lattice, nums, d)
         self.lattice, self.nums, self.d = lattice, tuple(map(tuple, nums)), d
-        self._matrix, self._det, self._cols = view, None, None
+        self._matrix, self._chars, self._cols = view, None, None
 
     @classmethod
     def _of(cls, lattice, nums, d):
@@ -413,7 +415,7 @@ class QIsometry:
         self = object.__new__(cls)
         self.nums, self.d = la.reduce_scaled(nums, d)
         self.lattice = lattice
-        self._matrix = self._det = self._cols = None
+        self._matrix = self._chars = self._cols = None
         return self
 
     @classmethod
@@ -500,33 +502,36 @@ class QIsometry:
         return self.d == 1
 
     def det(self):
-        """+-1, computed once; anything else raises NotAnIsometry on every
-        call.
-
-        M^T G M = G gives det(M)^2 = 1: the untrusted constructor checks
-        that identity and every trusted construction holds it.  So det(M)
-        is +1 or -1, and det(nums) = det(M) d^rank mod the prime la.P
-        of la.det_mod_p tells which; any other residue means M is no
-        isometry.  Bareiss's exact det decides when P divides d.
-        """
-        if self._det is None:
-            p = la.P
-            r = la.det_mod_p(self.nums)
-            dn = pow(self.d, self.lattice.rank, p)
-            if dn:
-                r = r * pow(dn, -1, p) % p
-                d = 1 if r == 1 else -1 if r == p - 1 else None
-                shown = "%d mod %d" % (r, p)
-            else:
-                d = shown = la.ratio(la.det(self.nums),
-                                     self.d ** self.lattice.rank)
-            if d not in (1, -1):
-                raise NotAnIsometry("determinant %s is not +-1" % (shown,))
-            self._det = d
-        return self._det
+        """+-1, computed once (see _det); anything else raises
+        NotAnIsometry on every call."""
+        return _character(self, "det")
 
     def is_identity(self):
         return self.d == 1 and self.nums == _identity_rows(self.lattice)
+
+
+def _det(g):
+    """det(M) of an isometry M = nums / d, which must be +-1.
+
+    M^T G M = G gives det(M)^2 = 1: the untrusted constructor checks
+    that identity and every trusted construction holds it.  So det(M)
+    is +1 or -1, and det(nums) = det(M) d^rank mod the prime la.P
+    of la.det_mod_p tells which; any other residue means M is no
+    isometry, and raises NotAnIsometry.  Bareiss's exact det decides
+    when P divides d.
+    """
+    p = la.P
+    r = la.det_mod_p(g.nums)
+    dn = pow(g.d, g.lattice.rank, p)
+    if dn:
+        r = r * pow(dn, -1, p) % p
+        d = 1 if r == 1 else -1 if r == p - 1 else None
+        shown = "%d mod %d" % (r, p)
+    else:
+        d = shown = la.ratio(la.det(g.nums), g.d ** g.lattice.rank)
+    if d not in (1, -1):
+        raise NotAnIsometry("determinant %s is not +-1" % (shown,))
+    return d
 
 
 def _identity_rows(lattice):
@@ -649,19 +654,25 @@ def nu_character(g, positive_basis=None):
 def characters(g):
     """(nu, det, disc) of a rational isometry; disc is 'n/a' unless g is
     integral."""
-    return nu_character(g), g.det(), disc_action(g) if g.is_integral() else "n/a"
+    return (_character(g, "nu"), g.det(),
+            _character(g, "disc") if g.is_integral() else "n/a")
 
 
 _GROUPS = ("O", "O+", "Gamma", "Gamma0", "Mon_K3n")
 
 
 def _character(g, name):
-    """The character of g named "integral", "nu", "disc" or "det"."""
-    if name == "nu":
-        return nu_character(g)
-    if name == "disc":
-        return disc_action(g)
-    return g.is_integral() if name == "integral" else g.det()
+    """The character of g named "nu", "disc" or "det", kept in g's _chars
+    slot: computed on the first read, by nu_character, disc_action or
+    _det, and read from the slot after that.  A read that raises keeps
+    nothing, so it raises again on every read."""
+    chars = g._chars
+    if chars is None:
+        chars = g._chars = {}
+    if name not in chars:
+        chars[name] = (nu_character(g) if name == "nu" else
+                       disc_action(g) if name == "disc" else _det(g))
+    return chars[name]
 
 
 def _check_group(g, group):
@@ -671,63 +682,50 @@ def _check_group(g, group):
         raise LatticeError("%s requires an L + Z*delta shaped lattice" % group)
 
 
-def _decide(group, char):
-    """Whether an isometry whose characters char(name) gives lies in group.
+def _decide(g, group):
+    """Whether the isometry g lies in group.
 
     O      : integral isometry
     O+     : integral and nu = +1
     Gamma  : O+ acting on the discriminant group by +-1  (= Mon_K3n)
     Gamma0 : Gamma with det * xi = +1 (xi the discriminant character)
 
-    Each character is read at most once and only when the decision
-    reaches it, so the decision stops at the first failing one and reads
-    det for Gamma0 alone.
+    The decision stops at the first failing character and reads det for
+    Gamma0 alone; each character it reads is g's kept one.
     """
-    if not char("integral"):
+    if not g.is_integral():
         return False
     if group == "O":
         return True
-    if char("nu") != 1:
+    if _character(g, "nu") != 1:
         return False
     if group == "O+":
         return True
-    disc = char("disc")
+    disc = _character(g, "disc")
     if disc not in (1, -1):
         return False
-    return group != "Gamma0" or char("det") * disc == 1
+    return group != "Gamma0" or g.det() * disc == 1
 
 
-def _reader(g, chars):
-    """The character of g by name, taken from the dict chars when it holds
-    it, else computed and kept there."""
-    def char(name):
-        if name not in chars:
-            chars[name] = _character(g, name)
-        return chars[name]
-    return char
-
-
-def in_group(g, group, chars=None):
+def in_group(g, group):
     """Decide membership of g in one of the named subgroups (see _decide),
-    computing only the characters the decision reads: Gamma is decided by
-    integrality, nu and the discriminant action, with no determinant.  A
-    dict chars supplies the characters it holds and keeps those computed."""
+    reading only the characters the decision reaches: Gamma is decided by
+    integrality, nu and the discriminant action, with no determinant."""
     _check_group(g, group)
-    return _decide(group, _reader(g, {} if chars is None else chars))
+    return _decide(g, group)
 
 
-def membership(g, group, chars=None):
+def membership(g, group):
     """Decide membership of g in one of the named subgroups (see _decide),
     with a certificate of the characters: "integral", then "nu", "det" and
-    "disc" when g is integral, all computed whatever the decision reads
-    (chars as for in_group)."""
+    "disc" when g is integral, all read whatever the decision reads.  The
+    characters are g's kept ones, so a later read computes none again."""
     _check_group(g, group)
-    char = _reader(g, {} if chars is None else chars)
-    cert = {"integral": char("integral")}
+    cert = {"integral": g.is_integral()}
     if cert["integral"]:
-        for name in ("nu", "det", "disc"):
-            cert[name] = char(name)
-    return _decide(group, cert.__getitem__), cert
+        cert["nu"], cert["det"] = _character(g, "nu"), g.det()
+        cert["disc"] = _character(g, "disc")
+    return _decide(g, group), cert
 
 
 def _preset_u():

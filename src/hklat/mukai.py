@@ -15,7 +15,7 @@ from . import linalg as la
 from .errors import (BadDivisibility, BadMonodromy, BadNorm, LatticeError,
                      NotConjugating, OrientationReversing)
 from .factor import reflect
-from .lattice import divisibility, in_group, membership, nu_character
+from .lattice import divisibility, in_group, nu_character
 from .transvect import eichler_move
 
 
@@ -125,14 +125,13 @@ class CyclicCertificate:
     """u primitive with (u,u) = 2r > 0 and divisibility 1, a certified
     monodromy g, and f = -g rho_u."""
 
-    __slots__ = ("u", "g", "f", "r", "cert")
+    __slots__ = ("u", "g", "f", "r")
 
-    def __init__(self, u, g, f, r, cert):
+    def __init__(self, u, g, f, r):
         self.u = u
         self.g = g
         self.f = f
         self.r = r
-        self.cert = cert
 
 
 def _monodromy_group_tag(lattice):
@@ -149,14 +148,13 @@ def make_cyclic(lattice, u, g):
     if divisibility(lattice, u) != 1:
         raise BadDivisibility("(u, .) must be a primitive functional")
     tag = _monodromy_group_tag(lattice)
-    ok, cert = membership(g, tag)
-    if not ok:
+    if not in_group(g, tag):
         raise BadMonodromy("g is not a certified monodromy (%s)" % tag)
     f = -(g * reflect(lattice, u))
     r = int(uu) // 2
     if nu_character(f) != 1:
         raise OrientationReversing("f = -g rho_u has nu = -1 on this lattice")
-    return CyclicCertificate(u, g, f, r, cert)
+    return CyclicCertificate(u, g, f, r)
 
 
 def verify_cyclic(f, certificate):

@@ -602,64 +602,111 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_decompose_certifies_once(k3n2, monkeypatch):
-    """decompose decides each gamma once, by in_group with no certificate;
-    the full certificates are built once, on first read; a reloaded
-    certificate is decided again only when verified."""
+def _own_k3n2():
+    """K3n:2 with empty memos: decompose keeps its reference factor c0, a
+    gamma of every certificate that reaches it, per lattice, and c0 keeps
+    the characters read of it, so counts on a shared lattice would depend
+    on the tests run before."""
+    return lt.preset("K3n", 2)
+
+
+def test_decompose_certifies_once(monkeypatch):
+    """decompose decides phi, then each gamma once, by in_group with no
+    certificate; certificate reads add only det, once per gamma, since the
+    gammas keep their characters; a reloaded certificate's fresh gammas
+    are decided again only when verified."""
+    k3n2 = _own_k3n2()
     phi = _rewrite_input(k3n2)
     assert not phi.is_integral()
-    counts = {"in_group": 0, "membership": 0, "evaluate": 0,
-              "verify_normal_form": 0}
-    _count_calls(monkeypatch, fc, "in_group", counts)
+    decided = []
+    real_in_group = fc.in_group
+
+    def in_group(g, group):
+        decided.append(g)
+        return real_in_group(g, group)
+    monkeypatch.setattr(fc, "in_group", in_group)
+    counts = {"membership": 0, "evaluate": 0, "verify_normal_form": 0,
+              "nu_character": 0, "disc_action": 0, "det_mod_p": 0}
     _count_calls(monkeypatch, fc, "membership", counts)
     _count_calls(monkeypatch, fc, "verify_normal_form", counts)
     _count_calls(monkeypatch, fc.NormalForm, "evaluate", counts)
+    _count_calls(monkeypatch, lt, "nu_character", counts)
+    _count_calls(monkeypatch, lt, "disc_action", counts)
+    _count_calls(monkeypatch, la, "det_mod_p", counts)
     nf = fc.decompose(k3n2, phi)
     k = nf.k
     assert k > 0
-    assert counts == {"in_group": k + 1, "membership": 0, "evaluate": 1,
-                      "verify_normal_form": 1}
-    # the certificates are built on first read and kept
-    assert all(c["nu"] == 1 and c["disc"] in (1, -1) for c in nf.certificates)
-    assert nf.certificates is nf.certificates
-    assert counts["membership"] == k + 1
+    # the k = 0 bypass turns phi down on integrality alone
+    assert [g is h for g, h in zip(decided, (phi,) + nf.gammas)] == [True] * (k + 2)
+    assert counts == {"membership": 0, "evaluate": 1, "verify_normal_form": 1,
+                      "nu_character": k + 1, "disc_action": k + 1,
+                      "det_mod_p": 0}
+    # every certificate read adds membership calls; only the first adds
+    # det, and no read decides again
+    certs = nf.certificates
+    assert all(c["nu"] == 1 and c["disc"] in (1, -1) for c in certs)
+    assert nf.certificates == certs
+    assert len(decided) == k + 2
+    assert counts == {"membership": 2 * (k + 1), "evaluate": 1,
+                      "verify_normal_form": 1, "nu_character": k + 1,
+                      "disc_action": k + 1, "det_mod_p": k + 1}
     # loading a certificate checks only its shape
     text = jio.dumps(jio.normal_form_to_json(nf))
     loaded = jio.normal_form_from_json(json.loads(text), k3n2)
-    assert counts["in_group"] == k + 1
+    assert len(decided) == k + 2
     assert fc.verify_normal_form(loaded, phi)["ok"]
-    assert counts == {"in_group": 2 * (k + 1), "membership": k + 1,
-                      "evaluate": 2, "verify_normal_form": 2}
+    assert [g is h for g, h in zip(decided[k + 2:], loaded.gammas)] == [True] * (k + 1)
+    assert len(decided) == 2 * k + 3
+    assert counts == {"membership": 2 * (k + 1), "evaluate": 2,
+                      "verify_normal_form": 2, "nu_character": 2 * (k + 1),
+                      "disc_action": 2 * (k + 1), "det_mod_p": k + 1}
 
 
-def test_certificates_reuse_the_decided_characters(k3n2, monkeypatch):
-    """NormalForm.certificates computes only what memberships() did not
-    read: nu and the discriminant action once per gamma over both, and the
-    same dicts, keys in the same order, as membership(gamma, "Gamma")."""
+def test_certificates_reuse_the_decided_characters(monkeypatch):
+    """The characters live on the gammas: a fresh NormalForm over gammas
+    already decided computes no character again.  Cold gammas compute
+    each of nu, det and the discriminant action once over memberships()
+    and certificates together, whichever is read first, and the dicts are
+    membership(gamma, "Gamma")'s, keys in the same order."""
+    k3n2 = _own_k3n2()
     nf = fc.decompose(k3n2, _rewrite_input(k3n2))
     fresh = fc.NormalForm(k3n2, nf.k, nf.gammas, nf.us)
-    counts = {"nu_character": 0, "disc_action": 0}
+    counts = {"nu_character": 0, "disc_action": 0, "det_mod_p": 0}
     _count_calls(monkeypatch, lt, "nu_character", counts)
     _count_calls(monkeypatch, lt, "disc_action", counts)
+    _count_calls(monkeypatch, la, "det_mod_p", counts)
     # decompose's own verification decided every gamma of nf already
     certs = nf.certificates
-    assert counts == {"nu_character": 0, "disc_action": 0}
+    assert counts == {"nu_character": 0, "disc_action": 0,
+                      "det_mod_p": nf.k + 1}
     assert all(fresh.memberships())
-    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
     assert fresh.certificates == certs
-    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
+    assert counts == {"nu_character": 0, "disc_action": 0,
+                      "det_mod_p": nf.k + 1}
     monkeypatch.undo()
     for got in (certs, fresh.certificates):
         for cert, g in zip(got, nf.gammas):
             want = lt.membership(g, "Gamma")[1]
             assert cert == want and list(cert) == list(want)
-    # a certificate read before any decision computes each character once
-    cold = fc.NormalForm(k3n2, nf.k, nf.gammas, nf.us)
-    counts = {"nu_character": 0, "disc_action": 0}
-    _count_calls(monkeypatch, lt, "nu_character", counts)
-    _count_calls(monkeypatch, lt, "disc_action", counts)
-    assert cold.certificates == certs and all(cold.memberships())
-    assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1}
+    # cold gammas, reloaded: each character computed once over both reads
+    text = jio.dumps(jio.normal_form_to_json(nf))
+    for certificates_first in (True, False):
+        cold = jio.normal_form_from_json(json.loads(text), k3n2)
+        counts = {"nu_character": 0, "disc_action": 0, "det_mod_p": 0}
+        _count_calls(monkeypatch, lt, "nu_character", counts)
+        _count_calls(monkeypatch, lt, "disc_action", counts)
+        _count_calls(monkeypatch, la, "det_mod_p", counts)
+        if certificates_first:
+            got = cold.certificates
+            assert all(cold.memberships())
+        else:
+            assert all(cold.memberships())
+            got = cold.certificates
+        assert cold.certificates == got == certs
+        assert [list(c) for c in got] == [list(c) for c in certs]
+        assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1,
+                          "det_mod_p": nf.k + 1}
+        monkeypatch.undo()
 
 
 def test_evaluate_is_one_integer_step_per_factor(k3n2, monkeypatch):

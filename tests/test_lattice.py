@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -13,9 +14,11 @@ from conftest import (content, disc_class_dense, nu_projection,
                       rand_primitive_norm, rand_reflection_word,
                       rand_transvection, rand_vec, subprocess_env)
 from hklat import factor as fc
+from hklat import jsonio as jio
 from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import llv
+from hklat import mukai as mk
 from hklat import snrep as sn
 from hklat import transvect as tv
 from hklat.errors import (LatticeError, NoHyperbolicPlanes, NotAnIsometry,
@@ -639,6 +642,91 @@ def test_in_group_decides_as_membership(monkeypatch):
     four = ("not integral", "nu = -1", "Gamma0", "Gamma, not Gamma0")
     assert kinds == {(seed, kind) for seed in range(4) for kind in four} | {
         (3, "disc other")}
+
+
+def test_characters_are_computed_once_per_isometry(monkeypatch):
+    """An isometry keeps its characters: over in_group (every tag),
+    membership, characters, a normal form's memberships(), certificates
+    and verify_normal_form, and make_cyclic then verify_cyclic, each of
+    nu, disc and det is computed at most once per QIsometry object.  A
+    read that raises keeps nothing, and nu_character with an explicit
+    basis runs its projection whatever g keeps."""
+    k3n2, k3 = lt.preset("K3n", 2), lt.preset("K3")
+    computed = {"nu": [], "disc": [], "det": []}
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(x, *rest):
+            computed[key].append(x)
+            return real(x, *rest)
+        monkeypatch.setattr(owner, name, counted)
+    for owner in (lt, mk):
+        count(owner, "nu_character", "nu")
+    count(lt, "disc_action", "disc")
+    count(la, "det_mod_p", "det")
+
+    def repeated():
+        return {key: len(xs) - len({id(x) for x in xs})
+                for key, xs in computed.items()}
+
+    rng = random.Random(311)
+    gs = _membership_kinds(rng, k3n2)
+    for _ in range(2):
+        for g in gs:
+            for tag in lt._GROUPS:
+                lt.in_group(g, tag)
+                lt.membership(g, tag)
+            lt.characters(g)
+    # disc only of the three integral kinds
+    assert {key: len(xs) for key, xs in computed.items()} == {
+        "nu": 4, "disc": 3, "det": 4}
+    # normal forms: decompose's, the same reloaded, and one-gamma forms of
+    # the kinds above, kept and fresh, two kinds outside Gamma failing
+    e, delta = k3n2.basis_vec(0), k3n2.basis_vec(k3n2.delta_index)
+    phi = (tv.eichler_transvection(k3n2, e, delta)
+           * fc.reflect(k3n2, k3n2.vec([0, 0, 1, 2] + [0] * 19)))
+    nf = fc.decompose(k3n2, phi)
+    text = jio.dumps(jio.normal_form_to_json(nf))
+    forms = [(nf, phi), (jio.normal_form_from_json(json.loads(text), k3n2), phi)]
+    forms += [(fc.NormalForm(k3n2, 0, [h], []), g)
+              for g in gs for h in (g, -(-g))]
+    for form, target in forms * 2:
+        form.memberships()
+        form.certificates
+        rep = fc.verify_normal_form(form, target)
+        assert rep["ok"] == (form.k > 0 or target in gs[:2])
+    # a cyclic certificate on K3, decided on O+
+    g = rand_transvection(rng, k3) * rand_transvection(rng, k3)
+    cert = mk.make_cyclic(k3, k3.vec([1, -1] + [0] * 20), g)
+    assert mk.verify_cyclic(cert.f, cert) and mk.verify_cyclic(cert.f, cert)
+    assert computed["nu"][-2:] == [g, cert.f]
+    assert repeated() == {"nu": 0, "disc": 0, "det": 0}
+    # an explicit basis: the projection runs on a g that holds nu, and the
+    # kept nu stays
+    p, d = la.congruent_diagonalize(k3n2.gram)
+    alt = tuple(row for row, dd in zip(p, d) if dd > 0)
+    before = len(computed["nu"])
+    assert lt.nu_character(gs[0], alt) == lt.characters(gs[0])[0] == 1
+    assert len(computed["nu"]) == before + 1 and lt.in_group(gs[0], "O+")
+    assert len(computed["nu"]) == before + 1
+    # a failed character is not kept: it raises, and is computed, on every
+    # read.  U with a delta index, so that every tag reaches the character
+    ud = lt.Lattice(lt.U_GRAM, name="U", u_blocks=((0, 1),), delta_index=1)
+    for rows, key, tags in ((((1, 1), (1, 1)), "nu", lt._GROUPS[1:]),
+                            (((2, 0), (0, 2)), "det", ("Gamma0",))):
+        fake = lt.QIsometry(ud, rows, _trusted=True)
+        reads = [lambda t=t: lt.in_group(fake, t) for t in tags] + [
+            lambda: lt.membership(fake, "O"), lambda: lt.characters(fake)]
+        before = len(computed[key])
+        for _ in range(3):
+            for read in reads:
+                with pytest.raises(NotAnIsometry):
+                    read()
+        assert len(computed[key]) == before + 3 * len(reads)
+    # the det fake's nu and disc are kept all the same
+    assert [x is fake for x in computed["nu"]].count(True) == 1
+    assert [x is fake for x in computed["disc"]].count(True) == 1
 
 
 def test_membership_scans_entries_once(k3n2, monkeypatch):

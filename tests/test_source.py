@@ -75,6 +75,35 @@ def test_lattice_cache_only_behind_memo():
     assert found == []
 
 
+def test_characters_kept_only_in_lattice():
+    """An isometry's characters live in its _chars slot, which
+    lattice._character alone reads: outside lattice.py no module names
+    _chars, as an attribute or as a slot."""
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+             if name != "lattice.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_chars"
+             or isinstance(node, ast.Constant) and node.value == "_chars"]
+    assert found == []
+
+
+def test_every_import_is_read():
+    """Every module-level import binding of the package is read in its
+    module; __init__.py's re-exports are the package's API."""
+    unread = []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += ["%s:%d %s" % (name, node.lineno, bound)
+                   for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for bound in (a.asname or a.name.split(".")[0]
+                                 for a in node.names)
+                   if bound not in read]
+    assert unread == []
+
+
 def test_trusted_constructions_sit_in_named_sites():
     """Every trusted QIsometry construction (QIsometry._of, cls._of or
     _trusted=True) sits in a function of TRUSTED_SITES, whose entry
