@@ -688,7 +688,8 @@ def test_characters_are_computed_once_per_isometry(monkeypatch):
            * fc.reflect(k3n2, k3n2.vec([0, 0, 1, 2] + [0] * 19)))
     nf = fc.decompose(k3n2, phi)
     text = jio.dumps(jio.normal_form_to_json(nf))
-    forms = [(nf, phi), (jio.normal_form_from_json(json.loads(text), k3n2), phi)]
+    loaded = jio.normal_form_from_json(json.loads(text), k3n2)
+    forms = [(nf, phi), (loaded, phi)]
     forms += [(fc.NormalForm(k3n2, 0, [h], []), g)
               for g in gs for h in (g, -(-g))]
     for form, target in forms * 2:

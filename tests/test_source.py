@@ -94,7 +94,8 @@ def test_every_import_is_read():
         if name == "__init__.py":
             continue
         read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
         unread += ["%s:%d %s" % (name, node.lineno, bound)
                    for node in tree.body
                    if isinstance(node, (ast.Import, ast.ImportFrom))
