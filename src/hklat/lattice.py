@@ -627,8 +627,21 @@ def nu_character(g, positive_basis=None):
     P -> g(P) -> P (orthogonal projection back to the fixed positive
     subspace P, spanned by the orthogonal positive basis b_1..b_p).
 
-    That map has the matrix ((g b_j, b_i) / (b_i, b_i)); the norms are
-    positive, so its determinant has the sign of det(B^T G g B).  Scaling
+    Without a basis it is the lattice's positive_basis(), and the
+    character is g's kept one, read and filled through _character; with
+    an explicit basis the projection runs whatever g keeps.  A zero
+    determinant means g is no isometry, and raises NotAnIsometry.
+    """
+    if positive_basis is None:
+        return _character(g, "nu")
+    return _nu_projection(g, positive_basis)
+
+
+def _nu_projection(g, positive_basis=None):
+    """nu_character's projection, computed on every call.
+
+    P -> g(P) -> P has the matrix ((g b_j, b_i) / (b_i, b_i)); the norms
+    are positive, so its determinant has the sign of det(B^T G g B).  Scaling
     a b_j or g by a positive number keeps that sign too, so the p x p
     determinant is taken on integer numerators: the sparse G b_i and the
     supports of the b_j are kept per lattice, and g's integer rows are
@@ -663,14 +676,14 @@ _GROUPS = ("O", "O+", "Gamma", "Gamma0", "Mon_K3n")
 
 def _character(g, name):
     """The character of g named "nu", "disc" or "det", kept in g's _chars
-    slot: computed on the first read, by nu_character, disc_action or
+    slot: computed on the first read, by _nu_projection, disc_action or
     _det, and read from the slot after that.  A read that raises keeps
     nothing, so it raises again on every read."""
     chars = g._chars
     if chars is None:
         chars = g._chars = {}
     if name not in chars:
-        chars[name] = (nu_character(g) if name == "nu" else
+        chars[name] = (_nu_projection(g) if name == "nu" else
                        disc_action(g) if name == "disc" else _det(g))
     return chars[name]
 

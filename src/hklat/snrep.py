@@ -11,12 +11,15 @@ back.  A plain dict handed to a kernel is scaled once by sym_form.
 A pure power v^n, as sym_power and apply_linear build it, holds its root
 as integer numerators over one denominator in lowest terms,
 power = ((r, e), n), and expands its monomial entries only on the first
-read of nums.  apply_linear sends it to the unexpanded (f v)^n, one
-integer matrix-vector product on the root, which holds for every n; only
-other elements pay for Sym^n(f) itself, for n = 2 the congruence f X f^T
-on integer numerators.  The distinguished subspace S_[n] is the kernel of
-the contraction that pairs two slots with the bilinear form -- the span of
-n-th powers of isotropic vectors.  On an extended lattice (alpha, middle
+read of nums.  The record is read-only and set only by SymElt._power_of,
+so it is the element: nums is defined as its expansion.  sym_scale keeps
+it for c = 1, and for c = -1 at odd n, on the negated root; sums and
+other multiples carry none.  apply_linear sends it to the unexpanded
+(f v)^n, one integer matrix-vector product on the root, which holds for
+every n; only other elements pay for Sym^n(f) itself, for n = 2 the
+congruence f X f^T on integer numerators.  The distinguished subspace
+S_[n] is the kernel of the contraction that pairs two slots with the
+bilinear form -- the span of n-th powers of isotropic vectors.  On an extended lattice (alpha, middle
 block, beta, as LLVSpace builds it) it is the Verbitsky component, an
 irreducible so-module with a basis in closed form (M. Verbitsky, GAFA
 1996; E. Looijenga, V. Lunts, Invent. Math. 129, 1997): its free
@@ -40,17 +43,22 @@ determinant convention when n is even.  It evaluates Phi only on the pure
 powers v^n of an isotropic spanning set, built unexpanded from the
 integer numerators of v: each image is split as c w^n on integer
 numerators, the line of the integer vector w read off the coordinates at
-i^n and i^(n-1) j for the first pure power i^n of the image, and the
-lines (c, w) alone fix the isometry, whose pairings (w_i, w_j) are read
-through the sparse Gram rows and checked, and whose matrix is assembled
-on integers over one denominator.  compose_rule_check() works on lines
+i^n and i^(n-1) j for the first pure power i^n of the image, or off its
+power record when it still carries one, and the lines (c, w) alone fix
+the isometry, whose pairings (w_i, w_j) are read through the sparse Gram
+rows and checked, and whose matrix is assembled on integers over one
+denominator.  compose_rule_check() works on lines
 as well: Sym^n(f1) sends v^n to (f1 v)^n, and Sym^n(f2) sends c w^n to
 c (f2 w)^n = (c / d^n) (N w)^n for f2 = N / d, so neither is applied as
 an operator on Sym^n and every line stays on integers.  A Phi built from
 apply_linear therefore maps each v^n by one integer matrix-vector
 product on its root, with no entry expanded or normalized, and when it
 is handed an isometry's matrix view, that product reads the isometry's
-integer form; its images are still split and checked entry by entry.
+integer form.  When Phi keeps the record, as det(f) Sym^n(f) does for
+det f = +1 or odd n, each line is read off the record and no power is
+expanded from Phi's input to the line; an image without a record, from
+a Phi that builds its own SymElt or from any sum or other multiple, is
+read by coordinates and checked by the cross products entry by entry.
 """
 
 from collections.abc import Mapping
@@ -75,11 +83,13 @@ class SymElt(Mapping):
 
     A pure power v^n, as sym_power and apply_linear build it, records
     power = ((r, e), n) for the root v = r / e, r a tuple of ints and
-    e > 0 in lowest terms, and d = e^n; else power is None.  Its monomial
-    entries are expanded on the first read of nums and kept, and its len,
-    comb(s + n - 1, n) for a root of support s, needs no expansion: a
-    kernel that reads only the root, as apply_linear does, never builds
-    them.
+    e > 0 in lowest terms, and d = e^n; else power is None.  The record
+    is a read-only property over the _power slot, which only _power_of
+    sets, so a record is never forged: nums is its expansion.  Its
+    monomial entries are expanded on the first read of nums and kept,
+    and its len, comb(s + n - 1, n) for a root of support s, needs no
+    expansion: a kernel that reads only the root, as apply_linear,
+    sym_scale by +-1 and _extract_power_line do, never builds them.
 
     Read as a mapping it gives {monomial: int or reduced Fraction}, one
     entry at a time; it has no item assignment, and nothing changes its
@@ -87,12 +97,12 @@ class SymElt(Mapping):
     when the forms agree and a plain mapping when the values do.
     """
 
-    __slots__ = ("_nums", "d", "power")
+    __slots__ = ("_nums", "d", "_power")
 
     def __init__(self, nums, d=1):
         self._nums = nums
         self.d = d
-        self.power = None
+        self._power = None
 
     @classmethod
     def of(cls, nums, d):
@@ -114,13 +124,17 @@ class SymElt(Mapping):
             r = [c // g for c in r]
             e //= g
         self = cls(None, e ** n)
-        self.power = ((tuple(r), e), n)
+        self._power = ((tuple(r), e), n)
         return self
+
+    @property
+    def power(self):
+        return self._power
 
     @property
     def nums(self):
         if self._nums is None:
-            self._nums = _expand_power(self.power[0][0], self.power[1])
+            self._nums = _expand_power(self._power[0][0], self._power[1])
         return self._nums
 
     def __getitem__(self, m):
@@ -131,7 +145,7 @@ class SymElt(Mapping):
 
     def __len__(self):
         if self._nums is None:
-            (r, _), n = self.power
+            (r, _), n = self._power
             return comb(sum([1 for c in r if c]) + n - 1, n) if n else 1
         return len(self._nums)
 
@@ -166,12 +180,18 @@ def sym_add(x, y):
 
 
 def sym_scale(c, x):
-    """c x, with no power record."""
+    """c x.  For c = 1 it is x itself, power record kept; for c = -1 a
+    pure power (r / e)^n of odd n goes to the unexpanded (-r / e)^n; any
+    other c x carries no power record."""
     x = sym_form(x)
     cn, cd = la.int_ratio(c)
     if cn == 1 and cd == 1:
-        return SymElt(x.nums, x.d)
+        return x
     if cn == -1 and cd == 1:
+        power = x._power
+        if power is not None and power[1] % 2:
+            (r, e), n = power
+            return SymElt._power_of([-a for a in r], e, n)
         return SymElt({m: -v for m, v in x.nums.items()}, x.d)
     return SymElt.of({m: cn * v for m, v in x.nums.items()}, cd * x.d)
 
@@ -492,7 +512,7 @@ class SymSpace:
         iso = isinstance(f, QIsometry)
         fnums, fd = (f.nums, f.d) if iso else la.scaled_mat(f)
         x = sym_form(x)
-        power = x.power
+        power = x._power
         if power is not None and power[1] == self.n:
             (r, e), n = power
             nz = [(k, c) for k, c in enumerate(r) if c]
@@ -674,11 +694,26 @@ def _extract_power_line(space, x):
     it is a multiple of that w^n, which the cross products then check.  An
     x with no pure power is no c w^n.  Everything runs on the integer
     numerators of x.
+
+    An x that carries a power record (r / e)^n, of the space's n >= 1 and
+    dimension, is that power, since its entries are the record's
+    expansion: the read above gives w = n r_i^(n-1) r over its gcd, for
+    the first nonzero r_i, that is s r / content(r) with
+    s = sign(r_i)^(n-1), and c = (s content(r) / e)^n.  Both are taken
+    off the record, with no entry expanded and no cross product.
     """
     n = space.n
     x = sym_form(x)
     if not x:
         raise NotDecomposable("zero image cannot be a power of a nonzero vector")
+    power = x._power
+    if (power is not None and n and power[1] == n
+            and len(power[0][0]) == space.dim_v):
+        r = power[0][0]
+        g = gcd(*r)
+        if n % 2 == 0 and next(a for a in r if a) < 0:
+            g = -g
+        return la.ratio(g ** n, x.d), tuple([a // g for a in r])
     rank_2 = "image of an isotropic power has symmetric rank > 1"
     xn, xd = x.nums, x.d
     dim = space.dim_v
@@ -703,15 +738,19 @@ def _extract_power_line(space, x):
 def _isotropic_frame(lattice):
     """(vs, V^T G V, V^-1) for the isotropic spanning set vs of the lattice
     and the matrix V of its columns, both matrices as (integer rows, d):
-    V^T G V on the numerators of V, over the square of their denominator,
-    which need not be in lowest terms.  Built once per lattice by
+    V = N / e on the numerators of the vs over their least common
+    denominator e, V^T G V = N^T G N over e^2, which need not be in lowest
+    terms, and V^-1 = e N^-1 in lowest terms.  Built once per lattice by
     Lattice.memo."""
     def build(lattice):
         vs = isotropic_spanning_set(lattice)
-        vmat = la.transpose([v.coords for v in vs])
-        vn, vd = la.scaled_mat(vmat)
-        p = la.int_mat_mul(la.int_mat_mul(la.transpose(vn), lattice.gram), vn)
-        return vs, (p, vd * vd), la.inverse(vmat)
+        vd = lcm(*[v.d for v in vs])
+        cols = [[x * (vd // v.d) for x in v.nums] for v in vs]
+        vn = la.transpose(cols)
+        p = la.int_mat_mul(la.int_mat_mul(cols, lattice.gram), vn)
+        inv, d = la.inverse(vn)
+        return vs, (p, vd * vd), la.reduce_scaled([[vd * x for x in row]
+                                                   for row in inv], d)
     return lattice.memo("isotropic_frame", build)
 
 

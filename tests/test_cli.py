@@ -421,6 +421,25 @@ def test_cli_mukai_v_kappa_cyclic(capsys):
     assert obj["r"] == 2 and obj["nu_f"] == 1
 
 
+def test_cli_mukai_cyclic_computes_nu_once_per_isometry(capsys, monkeypatch):
+    """mukai cyclic reads nu of g (its O+ decision) and of f (make_cyclic's
+    check and the nu_f field): two computations, one on each."""
+    seen = []
+    real = lt._nu_projection
+
+    def nu_projection(g, *rest):
+        seen.append(g)
+        return real(g, *rest)
+    monkeypatch.setattr(lt, "_nu_projection", nu_projection)
+    code, out = run_cli(["mukai", "cyclic", "--json",
+                         json.dumps({"u": [1, -1] + [0] * 20})], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["nu_f"] == 1 and len(seen) == 2 and seen[0] is not seen[1]
+    assert seen[0] == lt.QIsometry.identity(lt.preset("K3"))
+    assert io.isometry_to_json(seen[1]) == obj["f"]
+
+
 # -- total exits: every failure is exit 2 or 3 with JSON on stdout -------------
 
 

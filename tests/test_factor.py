@@ -614,7 +614,9 @@ def test_decompose_certifies_once(monkeypatch):
     """decompose decides phi, then each gamma once, by in_group with no
     certificate; certificate reads add only det, once per gamma, since the
     gammas keep their characters; a reloaded certificate's fresh gammas
-    are decided again only when verified."""
+    are decided again only when verified.  nu is computed once per
+    isometry: on phi, on the gamma factors _assemble signs, and on each
+    gamma that is no such factor."""
     k3n2 = _own_k3n2()
     phi = _rewrite_input(k3n2)
     assert not phi.is_integral()
@@ -626,20 +628,30 @@ def test_decompose_certifies_once(monkeypatch):
         return real_in_group(g, group)
     monkeypatch.setattr(fc, "in_group", in_group)
     counts = {"membership": 0, "evaluate": 0, "verify_normal_form": 0,
-              "nu_character": 0, "disc_action": 0, "det_mod_p": 0}
+              "_nu_projection": 0, "disc_action": 0, "det_mod_p": 0}
     _count_calls(monkeypatch, fc, "membership", counts)
     _count_calls(monkeypatch, fc, "verify_normal_form", counts)
     _count_calls(monkeypatch, fc.NormalForm, "evaluate", counts)
-    _count_calls(monkeypatch, lt, "nu_character", counts)
+    _count_calls(monkeypatch, lt, "_nu_projection", counts)
     _count_calls(monkeypatch, lt, "disc_action", counts)
     _count_calls(monkeypatch, la, "det_mod_p", counts)
+    nus = []
+    counted_nu = lt._nu_projection
+
+    def nu_projection(g, *rest):
+        nus.append(g)
+        return counted_nu(g, *rest)
+    monkeypatch.setattr(lt, "_nu_projection", nu_projection)
     nf = fc.decompose(k3n2, phi)
     k = nf.k
     assert k > 0
     # the k = 0 bypass turns phi down on integrality alone
     assert list(map(id, decided)) == list(map(id, (phi,) + nf.gammas))
+    nu = len(nus)
+    assert nus[0] is phi and len({id(g) for g in nus}) == nu
+    assert {id(g) for g in nf.gammas} <= {id(g) for g in nus}
     assert counts == {"membership": 0, "evaluate": 1, "verify_normal_form": 1,
-                      "nu_character": k + 1, "disc_action": k + 1,
+                      "_nu_projection": nu, "disc_action": k + 1,
                       "det_mod_p": 0}
     # every certificate read adds membership calls; only the first adds
     # det, and no read decides again
@@ -648,7 +660,7 @@ def test_decompose_certifies_once(monkeypatch):
     assert nf.certificates == certs
     assert len(decided) == k + 2
     assert counts == {"membership": 2 * (k + 1), "evaluate": 1,
-                      "verify_normal_form": 1, "nu_character": k + 1,
+                      "verify_normal_form": 1, "_nu_projection": nu,
                       "disc_action": k + 1, "det_mod_p": k + 1}
     # loading a certificate checks only its shape
     text = jio.dumps(jio.normal_form_to_json(nf))
@@ -657,8 +669,26 @@ def test_decompose_certifies_once(monkeypatch):
     assert fc.verify_normal_form(loaded, phi)["ok"]
     assert list(map(id, decided[k + 2:])) == list(map(id, loaded.gammas))
     assert counts == {"membership": 2 * (k + 1), "evaluate": 2,
-                      "verify_normal_form": 2, "nu_character": 2 * (k + 1),
+                      "verify_normal_form": 2, "_nu_projection": nu + k + 1,
                       "disc_action": 2 * (k + 1), "det_mod_p": k + 1}
+
+
+def test_decompose_computes_nu_of_an_integral_phi_once(monkeypatch):
+    """decompose's orientation check and its Gamma decision of an integral
+    phi read one nu, kept on phi: one computation, on phi."""
+    k3n2 = _own_k3n2()
+    phi = fc.neg_reflection_u_delta(k3n2, k3n2.vec([1, -2] + [0] * 21))
+    assert phi.is_integral()
+    seen = []
+    real = lt._nu_projection
+
+    def nu_projection(g, *rest):
+        seen.append(g)
+        return real(g, *rest)
+    monkeypatch.setattr(lt, "_nu_projection", nu_projection)
+    nf = fc.decompose(k3n2, phi)
+    assert nf.k == 0 and nf.gammas[0] is phi
+    assert len(seen) == 1 and seen[0] is phi
 
 
 def test_certificates_reuse_the_decided_characters(monkeypatch):
@@ -670,17 +700,17 @@ def test_certificates_reuse_the_decided_characters(monkeypatch):
     k3n2 = _own_k3n2()
     nf = fc.decompose(k3n2, _rewrite_input(k3n2))
     fresh = fc.NormalForm(k3n2, nf.k, nf.gammas, nf.us)
-    counts = {"nu_character": 0, "disc_action": 0, "det_mod_p": 0}
-    _count_calls(monkeypatch, lt, "nu_character", counts)
+    counts = {"_nu_projection": 0, "disc_action": 0, "det_mod_p": 0}
+    _count_calls(monkeypatch, lt, "_nu_projection", counts)
     _count_calls(monkeypatch, lt, "disc_action", counts)
     _count_calls(monkeypatch, la, "det_mod_p", counts)
     # decompose's own verification decided every gamma of nf already
     certs = nf.certificates
-    assert counts == {"nu_character": 0, "disc_action": 0,
+    assert counts == {"_nu_projection": 0, "disc_action": 0,
                       "det_mod_p": nf.k + 1}
     assert all(fresh.memberships())
     assert fresh.certificates == certs
-    assert counts == {"nu_character": 0, "disc_action": 0,
+    assert counts == {"_nu_projection": 0, "disc_action": 0,
                       "det_mod_p": nf.k + 1}
     monkeypatch.undo()
     for got in (certs, fresh.certificates):
@@ -691,8 +721,8 @@ def test_certificates_reuse_the_decided_characters(monkeypatch):
     text = jio.dumps(jio.normal_form_to_json(nf))
     for certificates_first in (True, False):
         cold = jio.normal_form_from_json(json.loads(text), k3n2)
-        counts = {"nu_character": 0, "disc_action": 0, "det_mod_p": 0}
-        _count_calls(monkeypatch, lt, "nu_character", counts)
+        counts = {"_nu_projection": 0, "disc_action": 0, "det_mod_p": 0}
+        _count_calls(monkeypatch, lt, "_nu_projection", counts)
         _count_calls(monkeypatch, lt, "disc_action", counts)
         _count_calls(monkeypatch, la, "det_mod_p", counts)
         if certificates_first:
@@ -703,7 +733,7 @@ def test_certificates_reuse_the_decided_characters(monkeypatch):
             got = cold.certificates
         assert cold.certificates == got == certs
         assert [list(c) for c in got] == [list(c) for c in certs]
-        assert counts == {"nu_character": nf.k + 1, "disc_action": nf.k + 1,
+        assert counts == {"_nu_projection": nf.k + 1, "disc_action": nf.k + 1,
                           "det_mod_p": nf.k + 1}
         monkeypatch.undo()
 

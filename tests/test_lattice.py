@@ -661,8 +661,7 @@ def test_characters_are_computed_once_per_isometry(monkeypatch):
             computed[key].append(x)
             return real(x, *rest)
         monkeypatch.setattr(owner, name, counted)
-    for owner in (lt, mk):
-        count(owner, "nu_character", "nu")
+    count(lt, "_nu_projection", "nu")
     count(lt, "disc_action", "disc")
     count(la, "det_mod_p", "det")
 

@@ -1,3 +1,5 @@
+import importlib
+import os
 import random
 import subprocess
 import sys
@@ -8,8 +10,9 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import (canonical, isotropic_samples, power_line_by_contraction,
-                      span_rank_mod_p, subprocess_env, sym_mul)
+from conftest import (canonical, frac_pair, isotropic_samples,
+                      power_line_by_contraction, span_rank_mod_p,
+                      subprocess_env, sym_mul)
 from hklat import factor as fc
 from hklat import lattice as lt
 from hklat import linalg as la
@@ -18,6 +21,8 @@ from hklat import snrep as sn
 from hklat.errors import (LatticeError, NoHyperbolicPlanes, NotConjugating,
                           NotDecomposable, NotGraded, ScalarInconsistency,
                           SolveFailure)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +305,21 @@ def test_isotropic_frame_is_built_once(H5, monkeypatch):
     assert len(calls) == 1
 
 
+def test_isotropic_frame_matches_fraction_reference(H5, H7):
+    """The frame built on the numerators of the spanning set: P / e^2 is
+    the Gram matrix of the vs, e the least common denominator of V, and
+    V^-1 is the inverse of the Fraction matrix V in lowest terms."""
+    k3n2 = llv.LLVSpace(lt.preset("K3n", 2)).lattice
+    for lat in (H5.lattice, H7.lattice, k3n2):
+        vs, (p, pd), inv = sn._isotropic_frame(lat)
+        vmat = la.transpose([v.coords for v in vs])
+        assert pd == la.scaled_mat(vmat)[1] ** 2
+        assert [[Fraction(x, pd) for x in row] for row in p] == [
+            [frac_pair(lat, v.coords, w.coords) for w in vs] for v in vs]
+        assert inv == la.inverse(vmat)
+        assert la.mat_mul(la.scaled_view(*inv), vmat) == la.identity(lat.rank)
+
+
 def test_compose_rule(H5):
     rng = random.Random(151)
     sym3 = sn.SymSpace(H5.lattice, 3)
@@ -548,10 +568,23 @@ def test_sym_elt_power_record_and_immutability(H5):
     assert n == 2 and _root(fx.power) == la.mat_vec(f, v)
     assert all(type(c) is int for c in r) and math.gcd(e, *r) == 1
     assert fx.d == e ** 2
-    for y in (sn.sym_scale(1, x), sn.sym_scale(-3, x), sn.sym_add(x, {}),
+    # c = 1 gives the element itself, record kept; -1 keeps a record only
+    # at odd n, where (-r)^n = -r^n
+    assert sn.sym_scale(1, x) is x and sn.sym_scale(1, fx) is fx
+    for y in (sn.sym_scale(-1, x), sn.sym_scale(-3, x), sn.sym_add(x, {}),
               sn.sym_add(x, x), sn.sym_sub(x, {(0, 0): 1})):
         assert y.power is None
     assert sn.sym_scale(1, x) == x and sn.sym_add(x, {}) == x
+    x3 = sn.sym_power(v, 3)
+    neg = sn.sym_scale(-1, x3)
+    assert neg.power == (((-2, -1, 0, 4, -6), 2), 3) and neg._nums is None
+    assert neg == {m: -c for m, c in _ref_power(v, 3).items()}
+    assert sn.sym_scale(-3, x3).power is None
+    assert sn.sym_sub(x3, x3).power is None
+    # the record is read-only
+    with pytest.raises(AttributeError):
+        x.power = None
+    assert x.power == (((2, 1, 0, -4, 6), 2), 2)
     assert sym.apply_linear(f, dict(x)) == fx
     assert sym.apply_linear(f, dict(x)).power is None
     for elt in (x, fx, sn.sym_scale(2, x), sn.sym_add(x, x)):
@@ -652,6 +685,101 @@ def test_extract_power_line_round_trips(H5, H7):
                     sn._extract_power_line(sym, x)
 
 
+def _expanded(x):
+    """x with its entries expanded and no power record."""
+    return sn.SymElt(dict(x.nums), x.d)
+
+
+def _same_line(space, x):
+    """The line of a recorded x, read off the record and by the coordinate
+    read and cross products on its expanded copy: equal, types included."""
+    assert x.power is not None
+    got = sn._extract_power_line(space, x)
+    want = sn._extract_power_line(space, _expanded(x))
+    assert got == want and type(got[0]) is type(want[0])
+    assert [type(t) for t in got[1]] == [int] * space.dim_v
+    return got
+
+
+def test_power_record_line_matches_the_cross_product_path(H5, H7, monkeypatch):
+    """On every image Phi makes over the symrep-k3n2 deck inputs (pools 1004
+    and 9001), and on seeded powers (r / e)^n at n = 2 and 3 with content
+    > 1, leading zeros, a negative first coordinate and e > 1, the line
+    read off a power record is the one the coordinate read and cross
+    products give on the expanded copy."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    images = []
+    real = sn._extract_power_line
+
+    def extract(space, x):
+        images.append((space, x))
+        return real(space, x)
+    monkeypatch.setattr(sn, "_extract_power_line", extract)
+    for pool_seed in (1004, 9001):
+        deck = workloads.SymrepK3n2(pool_seed=pool_seed)
+        ctx = deck.setup()
+        for inp in deck.deck():
+            assert deck.check(ctx, inp, deck.op(ctx, inp)) == []
+    monkeypatch.setattr(sn, "_extract_power_line", real)
+    # one input per deck, d = 25 images in recover and as many in the check
+    assert len(images) == 2 * 2 * 25
+    for space, x in images:
+        _same_line(space, x)
+    rng = random.Random(293)
+    kinds = set()
+    for lat in (H5.lattice, H7.lattice):
+        d = lat.rank
+        for n in (2, 3):
+            space = sn.SymSpace(lat, n)
+            for trial in range(24):
+                r = [rng.randint(-6, 6) for _ in range(d)]
+                lead = trial % 3
+                r[:lead] = [0] * lead
+                if not any(r):
+                    r[-1] = 1
+                first = next(c for c in r if c)
+                if trial % 2 and first > 0:
+                    r = [-c for c in r]
+                r = [rng.choice((1, 2, 3)) * c for c in r]
+                e = rng.choice((1, 1, 2, 5, 12))
+                x = sn.SymElt._power_of(r, e, n)
+                (rr, ee), _ = x.power
+                kinds |= {("content", math.gcd(*rr) > 1), ("e", ee > 1),
+                          ("lead", rr[0] == 0),
+                          ("negative", next(c for c in rr if c) < 0)}
+                c, w = _same_line(space, x)
+                assert sn.sym_scale(c, sn.sym_power(w, n)) == x
+    assert kinds == {(k, b) for k in ("content", "e", "lead", "negative")
+                     for b in (False, True)}
+
+
+def test_power_record_of_another_shape_takes_the_cross_product_path(H5):
+    """A record of another n, or a root of another length, is read by the
+    coordinate read and cross products on its expansion; a zero root
+    raises NotDecomposable on either path."""
+    sym2 = sn.SymSpace(H5.lattice, 2)
+    d = H5.dim
+    cube = sn.SymElt._power_of([1, 2, 0, -1, 3], 2, 3)
+    for x in (cube, _expanded(cube)):
+        with pytest.raises(NotDecomposable):
+            sn._extract_power_line(sym2, x)
+    short = sn.SymElt._power_of([0, -2, 4, 6], 3, 2)
+    assert len(short.power[0][0]) == d - 1 and short._nums is None
+    c, w = sn._extract_power_line(sym2, short)
+    assert short._nums is not None
+    assert (c, w) == sn._extract_power_line(sym2, _expanded(short))
+    assert len(w) == d and w == (0, 1, -2, -3, 0) and c == Fraction(4, 9)
+    for n in (2, 3):
+        space = sn.SymSpace(H5.lattice, n)
+        zero = sn.SymElt._power_of([0] * d, 1, n)
+        assert zero.power is not None
+        for x in (zero, _expanded(zero)):
+            with pytest.raises(NotDecomposable):
+                sn._extract_power_line(space, x)
+
+
 def _counting(fn):
     def wrapped(*args):
         wrapped.calls += 1
@@ -732,9 +860,11 @@ def test_compose_rule_check_with_rational_f2(H5):
 
 
 def test_inverse_functor_hands_phi_unexpanded_powers(monkeypatch):
-    """On the d = 25 space with Phi = det(f) Sym^2(f), recover and
-    compose_rule_check hand Phi pure powers that stay unexpanded, and
-    Phi's power path normalizes no entry: no la.quotient call."""
+    """On the d = 25 space with Phi = det(f) Sym^2(f), det(f) = +1, recover
+    and compose_rule_check hand Phi pure powers that stay unexpanded,
+    Phi's power path normalizes no entry (no la.quotient call), and no
+    power is expanded at all: each image Phi returns is unexpanded, and
+    its line is read off its record."""
     lat = llv.LLVSpace(lt.preset("K3n", 2)).lattice
     sym = sn.SymSpace(lat, 2)
     rng = random.Random(283)
@@ -757,11 +887,27 @@ def test_inverse_functor_hands_phi_unexpanded_powers(monkeypatch):
             monkeypatch.setattr(la, "quotient", real)
         return sn.sym_scale(det, y)
 
-    h = sn.recover(sym, sym, phi)
+    images, expansions = [], []
+    real_expand = sn._expand_power
+
+    def expand(r, n):
+        expansions.append(r)
+        return real_expand(r, n)
+    monkeypatch.setattr(sn, "_expand_power", expand)
+
+    def phi_seen(x):
+        images.append(phi(x))
+        return images[-1]
+    assert det == 1
+    h = sn.recover(sym, sym, phi_seen)
     assert h in (f, -f)
-    assert sn.compose_rule_check(sym, f1, f2, phi, h_phi=h)
+    assert sn.compose_rule_check(sym, f1, f2, phi_seen, h_phi=h)
     assert len(seen) == 2 * lat.rank and quotients == []
     assert all(x.power is not None and x._nums is None for x in seen)
+    # det(f) = +1: the images keep their records, and the lines are read
+    # off them, with no power expanded anywhere
+    assert len(images) == len(seen) and expansions == []
+    assert all(y.power is not None and y._nums is None for y in images)
 
 
 def test_compose_rule_check_rank_two_image_raises(H5):

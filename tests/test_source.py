@@ -86,6 +86,27 @@ def test_characters_kept_only_in_lattice():
     assert found == []
 
 
+def test_power_record_set_only_by_its_builder():
+    """A pure power's record is the element, so nothing may forge one: no
+    module assigns .power or ._power outside SymElt.__init__ and
+    SymElt._power_of."""
+    found = []
+    for name, tree in _modules():
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SymElt":
+                for fn in node.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and fn.name in ("__init__", "_power_of")):
+                        allowed |= {id(sub) for sub in ast.walk(fn)}
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("power", "_power")
+                  and not isinstance(node.ctx, ast.Load)
+                  and id(node) not in allowed]
+    assert found == []
+
+
 def test_every_import_is_read():
     """Every module-level import binding of the package is read in its
     module; __init__.py's re-exports are the package's API."""
