@@ -19,14 +19,15 @@ other multiples carry none.  apply_linear sends it to the unexpanded
 every n; only other elements pay for Sym^n(f) itself, for n = 2 the
 congruence f X f^T on integer numerators.  The distinguished subspace
 S_[n] is the kernel of the contraction that pairs two slots with the
-bilinear form -- the span of n-th powers of isotropic vectors.  On an extended lattice (alpha, middle
-block, beta, as LLVSpace builds it) it is the Verbitsky component, an
-irreducible so-module with a basis in closed form (M. Verbitsky, GAFA
-1996; E. Looijenga, V. Lunts, Invent. Math. 129, 1997): its free
-monomials are those that do not hold both alpha and beta, and the basis
-vector of alpha^a lam_w is a! Psi(w), that of lam_v beta^c is
-(-1)^|v| c! rho_tau Psi(v).  That is the reduced echelon basis of the
-contraction, read off without elimination (SymSpace.kernel_basis).
+bilinear form -- the span of n-th powers of isotropic vectors.  On an
+extended lattice (alpha, middle block, beta, as LLVSpace builds it) it
+is the Verbitsky component, an irreducible so-module with a basis in
+closed form (M. Verbitsky, GAFA 1996; E. Looijenga, V. Lunts, Invent.
+Math. 129, 1997): its free monomials are those that do not hold both
+alpha and beta, and the basis vector of alpha^a lam_w is a! Psi(w),
+that of lam_v beta^c is (-1)^|v| c! rho_tau Psi(v).  That is the reduced
+echelon basis of the contraction, read off without elimination
+(SymSpace.kernel_basis).
 
 The same elements, unscaled, are the basis of the Pontryagin model, one
 per key: SymSpace.basis_element gives Psi(w) for a word w, a sorted tuple
@@ -47,8 +48,8 @@ i^n and i^(n-1) j for the first pure power i^n of the image, or off its
 power record when it still carries one, and the lines (c, w) alone fix
 the isometry, whose pairings (w_i, w_j) are read through the sparse Gram
 rows and checked, and whose matrix is assembled on integers over one
-denominator.  compose_rule_check() works on lines
-as well: Sym^n(f1) sends v^n to (f1 v)^n, and Sym^n(f2) sends c w^n to
+denominator.  compose_rule_check() works on lines as well: Sym^n(f1)
+sends v^n to (f1 v)^n, and Sym^n(f2) sends c w^n to
 c (f2 w)^n = (c / d^n) (N w)^n for f2 = N / d, so neither is applied as
 an operator on Sym^n and every line stays on integers.  A Phi built from
 apply_linear therefore maps each v^n by one integer matrix-vector
@@ -89,7 +90,8 @@ class SymElt(Mapping):
     monomial entries are expanded on the first read of nums and kept,
     and its len, comb(s + n - 1, n) for a root of support s, needs no
     expansion: a kernel that reads only the root, as apply_linear,
-    sym_scale by +-1 and _extract_power_line do, never builds them.
+    _extract_power_line and sym_scale by 1, or by -1 at odd n, do, never
+    builds them.
 
     Read as a mapping it gives {monomial: int or reduced Fraction}, one
     entry at a time; it has no item assignment, and nothing changes its
