@@ -20,10 +20,12 @@ element from its coordinates; a residue raises SolveFailure.
 
 Sym^n data and word coordinates {key: coeff} are both snrep.SymElts:
 integer numerators over one denominator, immutable.  An SHElt holds its
-data, its word coordinates or both, and computes each from the other on
-first use.  cup, star and rho_tau read and return word coordinates only,
-by closed-form rules in the base form G, and touch no Sym^n data.  Write
-[w] = Psi(w) and [TAG + u] = rho_tau Psi(u).
+word coordinates and nothing else: Sym^n data enters once, read by
+SHModel.to_words when the element is built from it, and leaves by
+SHModel.from_words on each read of SHElt.data.  cup, star and rho_tau
+read and return word coordinates only, by closed-form rules in the base
+form G, and touch no Sym^n data.  Write [w] = Psi(w) and
+[TAG + u] = rho_tau Psi(u).
 - rho_tau relabels: a short word w and TAG + w trade places, and a word
   of length n goes to (-1)^n times itself.  A monomial of the middle piece
   is alpha^p lam beta^p with |lam| = n - 2p, and tau multiplies it by
@@ -168,8 +170,8 @@ class SHModel:
         """Decompose x, Sym^n data or an SHElt of this model, into basis
         coordinates, a SymElt {key: coeff}, degreewise.  A key is a word w
         for Psi(w) on a piece of length <= n, and (-1,) + v for
-        rho_tau Psi(v) on a longer one.  An SHElt is read only when it has
-        no word coordinates yet, and keeps the ones read."""
+        rho_tau Psi(v) on a longer one.  An SHElt gives the coordinates it
+        holds."""
         return self._words_of(x) if type(x) is SHElt else self._solve(x)
 
     def _solve(self, data):
@@ -310,15 +312,19 @@ class SHModel:
         return self.unit_cup().rho_tau()
 
     def random_element(self, rng):
+        """The sum of six draws c Psi(w), w a sorted word of length <= 2n
+        and c in [-3, 3], on word coordinates: a word of length <= n is
+        its own basis key, and _word_product expands a longer one."""
         d = self.base_rank
-        words = {}
+        terms = []
         for _ in range(6):
             k = rng.randint(0, 2 * self.n)
             w = tuple(sorted(rng.randrange(d) for _ in range(k)))
             c = rng.randint(-3, 3)
-            if c:
-                words[w] = words.get(w, 0) + c
-        return self.element(self.from_words(words))
+            r = c and self._word_product(w)
+            if r:
+                terms.append((c, r.pairs, 1))
+        return SHElt(self, words=sn.sym_combine(terms, 1))
 
     # -- products ------------------------------------------------------------
 
@@ -395,16 +401,22 @@ class SHModel:
         return self.rho_tau(self.cup(self.rho_tau(x), self.rho_tau(y)))
 
     def mu_action(self, t, x):
-        """Multiplies the eigenvalue-2j piece by t^j.  With t = p / q and
-        |j| <= n, that is p^(n+j) q^(n-j) / (p q)^n on integer numerators."""
+        """Multiplies the eigenvalue-2j piece of Sym^n data x by t^j."""
+        return self._mu_scale(t, sn.sym_form(x), self.mono_eigenvalue)
+
+    def _mu_scale(self, t, x, eigenvalue):
+        """t^j times each entry of the SymElt x whose key m has
+        eigenvalue(m) = 2j: a monomial of Sym^n data or a basis key of word
+        coordinates.  With t = p / q and |j| <= n, that is
+        p^(n+j) q^(n-j) / (p q)^n on integer numerators."""
         p, q = la.int_ratio(t)
         if p == 0:
             raise LatticeError("mu action needs t != 0")
-        x, n = sn.sym_form(x), self.n
+        n = self.n
         sign = -1 if p < 0 and n % 2 else 1
         out = {}
         for m, c in x.nums.items():
-            j = self.mono_eigenvalue(m) // 2
+            j = eigenvalue(m) // 2
             out[m] = sign * c * p ** (n + j) * q ** (n - j)
         return sn.SymElt.of(out, x.d * abs(p * q) ** n)
 
@@ -415,8 +427,8 @@ class SHModel:
     def graded_action(self, g):
         """Sym^n(g) on word coordinates, for an isometry g of the extended
         lattice that llv.graded_type accepts (NotGraded otherwise): a map
-        from SHElts of this model to SHElts that hold word coordinates
-        only, equal to eta(self, g), with no Sym^n data and no read.
+        from SHElts of this model to SHElts, equal to eta(self, g), that
+        builds no Sym^n data and reads none.
 
         With (kind, t) = graded_type(g), write g = mu_{1/t} F, so that
         F = mu_t g fixes alpha (kind 1) or sends it to beta (kind -1).
@@ -493,55 +505,42 @@ def _single(vals):
 
 
 class SHElt:
-    """An element of the model, held by its Sym^n data, its word
-    coordinates words = {b: c_b} with the element sum c_b [b] over basis
-    keys b, or both, each a SymElt.  Each is computed from the other on
-    first use: data by summing the basis elements, words by reading them
-    off (SHModel.to_words).
-    Sums, differences, scalar multiples, is_zero, eigenvalue and degree
-    work on word coordinates when every operand holds them (they are
-    coordinates on a basis, so the results are exact), and on the data
-    otherwise.  Sums and differences refuse an element of another model,
-    and scalar multiples a scalar that is not an int or a Fraction."""
+    """An element sum c_b [b] of the model, held by its word coordinates
+    words = {b: c_b} over basis keys b, a SymElt, and nothing else.  It is
+    built from exactly one of its Sym^n data, read once by
+    SHModel.to_words, or its word coordinates; data rebuilds the Sym^n
+    data from the words on each read.
+    The words are coordinates on the model's fixed basis, in lowest terms,
+    so equality, sums, differences, scalar multiples, is_zero, eigenvalue
+    and degree work on them exactly.  Sums and differences refuse an
+    element of another model, and scalar multiples a scalar that is not an
+    int or a Fraction."""
 
-    __slots__ = ("model", "_data", "_words")
+    __slots__ = ("model", "words")
 
     def __init__(self, model, data=None, words=None):
+        if (data is None) == (words is None):
+            raise TypeError("an SHElt takes its Sym^n data or its word "
+                            "coordinates, exactly one of them")
         self.model = model
-        self._data = None if data is None else sn.sym_form(data)
-        self._words = words
+        self.words = (model.to_words(data) if words is None
+                      else sn.sym_form(words))
 
     @property
     def data(self):
-        if self._data is None:
-            self._data = self.model.from_words(self._words)
-        return self._data
-
-    @property
-    def words(self):
-        if self._words is None:
-            self._words = self.model._solve(self.data)
-        return self._words
+        return self.model.from_words(self.words)
 
     def __eq__(self, other):
-        """Same model and same element: word coordinates are coordinates
-        on the model's fixed basis, in lowest terms, so they are
-        compared when both sides hold them, and the Sym^n data otherwise."""
-        if not (isinstance(other, SHElt) and self.model is other.model):
-            return False
-        if self._words is not None and other._words is not None:
-            return self._words == other._words
-        return self.data == other.data
+        return (isinstance(other, SHElt) and self.model is other.model
+                and self.words == other.words)
 
     def __repr__(self):
-        return "SHElt(%d terms)" % len(self.data)
+        return "SHElt(%d word coordinates)" % len(self.words)
 
     def _linear(self, op, other):
         if other.model is not self.model:
             raise LatticeError("the element belongs to another model")
-        if self._words is not None and other._words is not None:
-            return SHElt(self.model, words=op(self._words, other._words))
-        return SHElt(self.model, op(self.data, other.data))
+        return SHElt(self.model, words=op(self.words, other.words))
 
     def __add__(self, other):
         return self._linear(sn.sym_add, other)
@@ -550,17 +549,13 @@ class SHElt:
         return self._linear(sn.sym_sub, other)
 
     def __rmul__(self, c):
-        if self._words is not None:
-            return SHElt(self.model, words=sn.sym_scale(c, self._words))
-        return SHElt(self.model, sn.sym_scale(c, self.data))
+        return SHElt(self.model, words=sn.sym_scale(c, self.words))
 
     def is_zero(self):
-        return not (self.data if self._words is None else self._words)
+        return not self.words
 
     def eigenvalue(self):
-        if self._words is None:
-            return self.model.eigenvalue(self.data)
-        return _single({self.model.key_eigenvalue(k) for k in self._words})
+        return _single({self.model.key_eigenvalue(k) for k in self.words})
 
     def degree(self):
         j = self.eigenvalue()
@@ -576,7 +571,9 @@ class SHElt:
         return self.model.rho_tau(self)
 
     def mu(self, t):
-        return SHElt(self.model, self.model.mu_action(t, self.data))
+        model = self.model
+        return SHElt(model, words=model._mu_scale(t, self.words,
+                                                  model.key_eigenvalue))
 
 
 # -- conjugation identities ---------------------------------------------------

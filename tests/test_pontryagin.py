@@ -311,8 +311,8 @@ def test_graded_action_matches_eta(small_model, big_model):
     action on Sym^n data, for graded and anti-graded g = mu_s ext(f) and
     tau mu_s ext(f) with f rational, so t = 1/s and t = s, on rank-3
     models at n = 2, 3, 4 and on K3n:2 at n = 2, on elements born from
-    data, with mixed denominators, and from words; its images hold word
-    coordinates only."""
+    data, with mixed denominators, and from words; its images are elements
+    of the same model."""
     rng = random.Random(241)
     models = [(small_model, 2), (_rank3_model(3), 2), (_rank3_model(4), 2),
               (big_model, 1)]
@@ -332,7 +332,7 @@ def test_graded_action_matches_eta(small_model, big_model):
                 act, ref = M.graded_action(g), pg.eta(M, g)
                 for x in elts:
                     got, want = act(x), ref(x)
-                    assert got._data is None and got.model is M
+                    assert type(got) is pg.SHElt and got.model is M
                     assert got.data == want.data
                     assert got.words == want.words
                     _assert_entries(got.words)
@@ -389,14 +389,13 @@ def test_word_equality_agrees_with_data_equality(small_model, big_model):
             (M.unit_star(), M.unit_cup().rho_tau()),
         ]
         for a, b in routes:
-            a.words, b.words   # both sides hold words
             assert a == b and b == a and a.data == b.data
             w = dict(a.words.nums)
             word = next(iter(w), ())
             w[word] = w.get(word, 0) + 1
             c = pg.SHElt(M, words=sn.SymElt.of(w, a.words.d))
             assert c != a and a != c and c.data != a.data
-            # an element with data only compares data
+            # an element built from data reads its words at construction
             assert pg.SHElt(M, a.data) == a and pg.SHElt(M, c.data) != a
 
 
@@ -428,14 +427,13 @@ def test_scalars_must_be_exact(small_model):
 
 
 def test_linear_operations_on_words_build_no_data(monkeypatch):
-    """Sums, scalar multiples and is_zero of elements that hold word
-    coordinates stay on them: on the rank-3 base at n = 3 neither
-    x.cup(y).is_zero() nor (x.cup(y) + x.cup(y)).cup(y) builds Sym^n data
-    (from_words) or reads it back (_solve)."""
+    """Sums, scalar multiples and is_zero stay on word coordinates: on the
+    rank-3 base at n = 3 neither x.cup(y).is_zero() nor
+    (x.cup(y) + x.cup(y)).cup(y) builds Sym^n data (from_words) or reads
+    it back (_solve)."""
     M = _rank3_model(3)
     rng = random.Random(349)
     x, y = M.random_element(rng), M.random_element(rng)
-    x.words, y.words   # both factors hold words
     assert not x.cup(y).is_zero()
     calls = []
     for name in ("from_words", "_solve"):
@@ -447,21 +445,29 @@ def test_linear_operations_on_words_build_no_data(monkeypatch):
         monkeypatch.setattr(M, name, counting)
     assert not x.cup(y).is_zero()
     out = (x.cup(y) + x.cup(y)).cup(y)
-    assert calls == [] and out._data is None
+    assert calls == [] and out.model is M
     monkeypatch.undo()
     assert out.data == (2 * M.element(x.cup(y).data)).cup(y).data
 
 
-def _data_only(x):
-    return pg.SHElt(x.model, x.data)
+_SCALARS = (0, 1, -1, 3, Fraction(-2, 3))
 
 
 def _linear_results(x, y):
     """The data of x + y, x - y, x - x and scalar multiples of x, and
     is_zero of x, x - x, 0 x and x + y."""
     out = [(x + y).data, (x - y).data, (x - x).data]
-    out += [(c * x).data for c in (0, 1, -1, 3, Fraction(-2, 3))]
+    out += [(c * x).data for c in _SCALARS]
     out += [e.is_zero() for e in (x, x - x, 0 * x, x + y)]
+    return out
+
+
+def _linear_data_results(x, y):
+    """_linear_results computed on the Sym^n data x and y."""
+    out = [sn.sym_add(x, y), sn.sym_sub(x, y), sn.sym_sub(x, x)]
+    out += [sn.sym_scale(c, x) for c in _SCALARS]
+    out += [not e for e in (x, sn.sym_sub(x, x), sn.sym_scale(0, x),
+                            sn.sym_add(x, y))]
     return out
 
 
@@ -471,17 +477,15 @@ def test_linear_operations_on_words_match_data(small_model, big_model):
     and of the rank-3 base at n = 3, their homogeneous pieces (a key of
     a word of length k has eigenvalue 2k - 2n, TAG + v has 2n - 2 len(v)),
     0 (eigenvalue None) and inhomogeneous sums (LatticeError); another
-    model's element and a float scalar are refused as on data."""
+    model's element and a float scalar are refused."""
     rng = random.Random(353)
     for M in (big_model, _rank3_model(3)):
         for _ in range(3):
             x, y = M.random_element(rng), M.random_element(rng)
-            x.words, y.words
             xy = x.cup(y)
             for a, b in ((x, y), (xy, x), (x.star(y), xy)):
-                assert a._words is not None and b._words is not None
                 assert (_linear_results(a, b)
-                        == _linear_results(_data_only(a), _data_only(b)))
+                        == _linear_data_results(a.data, b.data))
             pieces = {}
             for k, c in xy.words.nums.items():
                 pieces.setdefault(M.key_eigenvalue(k), {})[k] = c
@@ -489,20 +493,19 @@ def test_linear_operations_on_words_match_data(small_model, big_model):
                     for w in pieces.values()]
             elts += [x - x, 0 * x, M.unit_cup(), M.unit_star()]
             for e in elts:
-                d = _data_only(e)
-                assert e.eigenvalue() == d.eigenvalue()
-                assert e.degree() == d.degree()
+                j = M.eigenvalue(e.data)
+                assert e.eigenvalue() == j
+                assert e.degree() == (None if j is None
+                                      else M.degree_of_eigenvalue(j))
                 assert (e.eigenvalue() is None) == e.is_zero()
             assert {e.eigenvalue() for e in elts[:len(pieces)]} == set(pieces)
             if len(pieces) > 1:
-                for e in (xy, _data_only(xy)):
+                for check in (xy.eigenvalue, xy.degree,
+                              lambda: M.eigenvalue(xy.data)):
                     with pytest.raises(LatticeError, match="not homogeneous"):
-                        e.eigenvalue()
-                    with pytest.raises(LatticeError, match="not homogeneous"):
-                        e.degree()
+                        check()
     M, N = _rank3_model(3), _rank3_model(3, last=-4)
     x, y = M.unit_cup().rho_tau(), N.unit_cup().rho_tau()
-    assert x._words is not None and y._words is not None
     for op in (lambda: x + y, lambda: x - y, lambda: y + x):
         with pytest.raises(LatticeError):
             op()
@@ -570,10 +573,8 @@ def test_cup_star_match_fraction_reference(small_model, big_model):
         # elements born from words, and the same rebuilt from their data
         born = [elts[0].cup(elts[0]), elts[0].star(elts[0]),
                 elts[0].rho_tau(), M.unit_cup(), M.unit_star()]
-        assert all(e._data is None for e in born)
         rebuilt = [M.element(e.data) for e in born]
         for b, r in zip(born, rebuilt):
-            assert r._words is None
             for y in elts[:3] + born:
                 assert b.cup(y) == r.cup(y) and y.cup(b) == y.cup(r)
                 assert b.star(y) == r.star(y)
@@ -635,9 +636,9 @@ def test_piece_solver_rejects_residue_under_O():
 
 
 def test_products_solve_only_their_factors(big_model, monkeypatch):
-    """On a warm model, a product keeps its word coordinates: a chain of
-    products solves each factor built from data once and never its own
-    results."""
+    """On a warm model, a product keeps its word coordinates: each factor
+    built from data is solved once, at construction, and a chain of
+    products solves nothing more, neither its factors nor its results."""
     M = big_model
     rng = random.Random(239)
     data = [M.random_element(rng).data for _ in range(3)]
@@ -655,15 +656,15 @@ def test_products_solve_only_their_factors(big_model, monkeypatch):
         solved.append(data)
         return solve(data)
     monkeypatch.setattr(M, "_solve", counting)
-    for chain, want in ((lambda x, y, z: x.cup(y).cup(z), 3),
-                        (lambda x, y, z: x.star(y).star(z), 3),
-                        (lambda x, y, z: x.cup(y).rho_tau(), 2)):
+    for chain in (lambda x, y, z: x.cup(y).cup(z),
+                  lambda x, y, z: x.star(y).star(z),
+                  lambda x, y, z: x.cup(y).rho_tau()):
+        del solved[:]
         x, y, z = fresh()
+        assert sorted(map(id, solved)) == sorted(map(id, data))
         del solved[:]
         out = chain(x, y, z)
-        assert len(solved) == want
-        assert all(any(e is f._data for f in (x, y, z)) for e in solved)
-        assert out._data is None
+        assert solved == [] and out.model is M
 
 
 def test_rho_tau_table(small_model, big_model):
@@ -917,7 +918,6 @@ def test_products_on_words_take_no_sym_data(k3n2, monkeypatch):
         got = [x.cup(y).cup(z), x.star(y), y.star(z), z.rho_tau(),
                M.graded_action(g)(x), M.graded_action(anti)(y)]
         assert [e.words for e in got] == want
-        assert all(e._data is None for e in got)
 
 
 def test_dense_middle_cup_matches_sym_mul(big_model):
@@ -938,3 +938,78 @@ def test_dense_middle_cup_matches_sym_mul(big_model):
     got = M.element(x).cup(M.element(y)).data
     assert got == want
     _assert_entries(got)
+
+
+def _raw_words(rng, M):
+    """The words {w: c} that random_element sums, drawn from rng in its
+    order: six times a length k <= 2n, k letters and a coefficient."""
+    words = {}
+    for _ in range(6):
+        k = rng.randint(0, 2 * M.n)
+        w = tuple(sorted(rng.randrange(M.base_rank) for _ in range(k)))
+        c = rng.randint(-3, 3)
+        if c:
+            words[w] = words.get(w, 0) + c
+    return words
+
+
+def test_random_element_matches_the_data_route(k3n2, monkeypatch):
+    """random_element equals the element built from the Sym^n data of its
+    raw words, M.element(M.from_words(raw)), with raw drawn again from a
+    second generator of the same seed, and leaves the generator in the
+    same state.  It and SHElt.mu call neither from_words nor _solve, and
+    on a fresh model random_element still runs, with the same words, when
+    SymSpace.basis_element, read and derivation_apply raise.  On K3n:2 at
+    n = 2 and on a rank-3 base at n = 3."""
+    cases = []
+    for space, n, seed in ((llv.LLVSpace(k3n2), 2, 311),
+                           (_rank3_model(3).space, 3, 313)):
+        M = pg.SHModel(space, n)
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = [M.random_element(rng) for _ in range(8)]
+        raws = [_raw_words(ref, M) for _ in range(8)]
+        want = [M.element(M.from_words(raw)) for raw in raws]
+        assert [x.words for x in got] == [x.words for x in want]
+        assert rng.getstate() == ref.getstate()
+        assert any(len(w) > n for raw in raws for w in raw)
+        calls = []
+        for name in ("from_words", "_solve"):
+            real = getattr(M, name)
+
+            def counting(arg, name=name, real=real):
+                calls.append(name)
+                return real(arg)
+            monkeypatch.setattr(M, name, counting)
+        x = M.random_element(rng)
+        t = Fraction(-2, 3)
+        x.mu(t), got[0].mu(3)
+        assert calls == []
+        monkeypatch.undo()
+        assert x.mu(t).data == M.mu_action(t, x.data)
+        cases.append((space, n, seed, [x.words for x in got]))
+
+    def refuse(*args):
+        raise AssertionError("Sym^n data touched")
+    for name in ("basis_element", "read", "derivation_apply"):
+        monkeypatch.setattr(sn.SymSpace, name, refuse)
+    for space, n, seed, want in cases:
+        M, rng = pg.SHModel(space, n), random.Random(seed)
+        assert [M.random_element(rng).words for _ in range(8)] == want
+
+
+def test_element_takes_data_or_words(small_model, monkeypatch):
+    """SHElt takes exactly one of its Sym^n data and its word coordinates:
+    neither, or both, raises TypeError.  Its repr counts word coordinates
+    and builds no Sym^n data."""
+    M = small_model
+    x = M.random_element(random.Random(317))
+    for kwargs in ({}, {"data": x.data, "words": x.words}):
+        with pytest.raises(TypeError):
+            pg.SHElt(M, **kwargs)
+    with pytest.raises(TypeError):
+        M.element(None)
+
+    def refuse(words):
+        raise AssertionError("Sym^n data built")
+    monkeypatch.setattr(M, "from_words", refuse)
+    assert repr(x) == "SHElt(%d word coordinates)" % len(x.words)

@@ -1,12 +1,15 @@
 """Property tests of the canonical integer forms of QIsometry, on K3n:2
-and on its LLV space, and of LatVec, on K3n:2 and on a rank-4 lattice.
+and on its LLV space, of LatVec, on K3n:2 and on a rank-4 lattice, and
+of the Pontryagin model's elements against their Sym^n data.
 
 Words of reflections, Eichler transvections, mu, tau, extend_to_llv,
 inverses and negations must keep d > 0 and gcd(d, content) = 1, match a
 product of plain-Fraction reference matrices built from the textbook
 formulas, and give equal isometries with equal hashes along every
 construction path.  Vector arithmetic, pairing, divisibility and
-primitive parts must match the plain-Fraction helpers of conftest.
+primitive parts must match the plain-Fraction helpers of conftest.  An
+SHElt's operations on word coordinates must match the same operations
+on the Sym^n data the words rebuild.
 Hypothesis runs under a derandomized profile with no example database,
 and each test is pinned to a seed, so tier-1 stays deterministic.
 """
@@ -14,6 +17,7 @@ and each test is pinned to a seed, so tier-1 stays deterministic.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -30,6 +34,8 @@ from hklat import jsonio as jio
 from hklat import linalg as la
 from hklat import lattice as lt
 from hklat import llv
+from hklat import pontryagin as pg
+from hklat import snrep as sn
 from hklat import transvect as tv
 from hklat.errors import LatticeError, NotIntegral
 
@@ -341,3 +347,56 @@ def test_latvec_matches_the_fraction_reference(k3n2, seeds):
                 assert v == x and hash(v) == hash(x)
                 assert (v.nums, v.d) == (x.nums, x.d)
             assert (x == y) == (fx == fy) and (x + y != x) == any(fy)
+
+
+# -- SHElt ---------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _sh_models():
+    """(model, its basis keys) for K3n:2 at n = 2 and a rank-3 base at n = 3."""
+    rank3 = lt.Lattice([[0, -1, 0], [-1, 0, 0], [0, 0, -2]], name="t3",
+                       u_blocks=((0, 1),))
+    out = []
+    for lat, n in ((lt.preset("K3n", 2), 2), (rank3, 3)):
+        M = pg.SHModel(llv.LLVSpace(lat), n)
+        words = [w for k in range(n + 1)
+                 for w in combinations_with_replacement(range(M.base_rank), k)]
+        out.append((M, words + [sn.TAG + w for w in words if len(w) < n]))
+    return tuple(out)
+
+
+def _sh_elt(rng, M, keys):
+    """An SHElt built from up to five random word coordinates, 0 included."""
+    return pg.SHElt(M, words=sn.sym_form(
+        {rng.choice(keys): Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+         for _ in range(rng.randint(0, 5))}))
+
+
+@seed(16005)
+@PINNED
+@given(seeds=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=3))
+def test_shelt_matches_its_sym_data(seeds):
+    """Rebuilding an element from its data, +, -, scalar *, mu, is_zero and
+    the eigenvalue of each homogeneous piece, on word coordinates, agree
+    with the same operations on the Sym^n data."""
+    for s in seeds:
+        rng = random.Random(s)
+        for M, keys in _sh_models():
+            x, y = _sh_elt(rng, M, keys), _sh_elt(rng, M, keys)
+            xd, yd = x.data, y.data
+            assert pg.SHElt(M, xd) == x
+            assert (x + y).data == sn.sym_add(xd, yd)
+            assert (x - y).data == sn.sym_sub(xd, yd)
+            for c in SCALARS:
+                assert (c * x).data == sn.sym_scale(c, xd)
+            t = rng.choice(MU_SCALES)
+            assert x.mu(t).data == M.mu_action(t, xd)
+            assert x.is_zero() == (not xd)
+            pieces = {}
+            for k, c in x.words.nums.items():
+                pieces.setdefault(M.key_eigenvalue(k), {})[k] = c
+            assert set(pieces) == set(M.pieces(xd))
+            for j, nums in pieces.items():
+                e = pg.SHElt(M, words=sn.SymElt.of(nums, x.words.d))
+                assert e.eigenvalue() == M.eigenvalue(e.data) == j

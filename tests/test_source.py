@@ -345,6 +345,37 @@ def test_products_read_no_sym_data():
     assert seen == names and found == []
 
 
+def test_shelt_holds_only_word_coordinates():
+    """An SHElt holds its model and its word coordinates and nothing else:
+    its __slots__ are ("model", "words"), pontryagin names no _data
+    attribute and no _words but SHModel's own table of words, and inside
+    class SHElt only __init__ reads Sym^n data in (to_words) and only the
+    data property writes it out (from_words)."""
+    with open(os.path.join(SRC, "hklat", "pontryagin.py")) as fh:
+        tree = ast.parse(fh.read(), filename="pontryagin.py")
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    table = {id(sub) for sub in ast.walk(classes["SHModel"])
+             if isinstance(sub, ast.Attribute) and sub.attr == "_words"
+             and ast.unparse(sub.value) == "self"}
+    found = ["%s:%d" % (node.attr, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("_data", "_words") and id(node) not in table]
+    slots, calls = None, {}
+    for item in classes["SHElt"].body:
+        if (isinstance(item, ast.Assign)
+                and ast.unparse(item.targets[0]) == "__slots__"):
+            slots = ast.literal_eval(item.value)
+        if isinstance(item, ast.FunctionDef):
+            for sub in ast.walk(item):
+                if (isinstance(sub, ast.Attribute)
+                        and sub.attr in ("to_words", "from_words")):
+                    calls.setdefault(sub.attr, set()).add(item.name)
+    assert slots == ("model", "words")
+    assert table and found == []
+    assert calls == {"to_words": {"__init__"}, "from_words": {"data"}}
+
+
 def test_diagonalization_on_integers():
     """la.congruent_diagonalize runs on integers: linalg defines no ONE,
     and neither the kernel congruent_diagonalize_scaled nor its plain
